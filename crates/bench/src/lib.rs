@@ -9,13 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod artifact;
-
-pub use artifact::{BenchArtifact, CurvePoint, ScalingCurve, BENCH_SCHEMA_VERSION};
-
-use k8s_apiserver::{ApiServer, RequestHandler};
+use k8s_apiserver::ApiServer;
 use k8s_rbac::{audit2rbac, Audit2RbacOptions, RbacPolicySet};
-use kf_workloads::{DeploymentDriver, Operator, ThroughputDriver};
+use kf_workloads::{DeploymentDriver, Operator};
 use kubefence::{GeneratorConfig, PolicyGenerator, Validator};
 
 /// Generate the KubeFence validator for an operator, exactly as the
@@ -36,74 +32,6 @@ pub fn learned_rbac_policy(operator: Operator) -> RbacPolicySet {
         &operator.user(),
         &Audit2RbacOptions::default(),
     )
-}
-
-/// Learn one RBAC policy covering every operator's traffic in `driver`'s
-/// pool: replay it once against a permissive learning server, then run
-/// audit2rbac per operator user and merge the role objects — the paper's
-/// baseline-hardening recipe, extended to whatever verbs the pool contains.
-/// Shared by the throughput-style benches so they authorize identically.
-pub fn learned_mixed_policy(driver: &ThroughputDriver) -> RbacPolicySet {
-    let mut learning = ApiServer::new();
-    for operator in Operator::ALL {
-        learning = learning.with_admin(&operator.user());
-    }
-    driver.seed(&learning);
-    for request in driver.requests() {
-        learning.handle(request);
-    }
-    let log = learning.audit_log();
-    let mut merged = RbacPolicySet::new();
-    for operator in Operator::ALL {
-        let policy = audit2rbac(
-            log.events(),
-            &operator.user(),
-            &Audit2RbacOptions::default(),
-        );
-        for role in policy.roles() {
-            merged.add_role(role.clone());
-        }
-        for binding in policy.bindings() {
-            merged.add_binding(binding.clone());
-        }
-    }
-    merged
-}
-
-/// Whether the benches should run in **smoke mode**: a tiny, fixed-seed
-/// configuration that executes every code path in seconds so CI can prove
-/// the perf harness still runs (and print real req/s numbers) without
-/// paying for a full measurement. Enabled by the `--smoke` argument
-/// (`cargo bench --bench <name> -- --smoke`) or `KF_BENCH_SMOKE=1`.
-pub fn smoke_mode() -> bool {
-    std::env::args().any(|arg| arg == "--smoke")
-        || std::env::var("KF_BENCH_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
-
-/// The per-thread replay request count for throughput-style benches:
-/// `full` normally, a tiny count in [`smoke_mode`].
-pub fn replay_requests(full: usize) -> usize {
-    if smoke_mode() {
-        (full / 20).max(10)
-    } else {
-        full
-    }
-}
-
-/// The regression tolerance (in percent) the `--compare` mode of the
-/// artifact-emitting benches applies before flagging a slowdown:
-/// `KF_BENCH_TOLERANCE` if set and parseable, else 10%. On the single
-/// shared-core CI runner, run-to-run drift of a few percent is noise, not a
-/// regression; raise the knob when a runner is especially contended, set it
-/// to `0` to flag every negative delta.
-pub fn bench_tolerance() -> f64 {
-    std::env::var("KF_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(10.0)
 }
 
 /// Mean and standard deviation of a sample set.

@@ -70,7 +70,7 @@ pub use error::Error;
 pub use explore::ConfigurationExplorer;
 pub use kf_yaml::BodyFormat;
 pub use pipeline::{GeneratorConfig, PolicyGenerator};
-pub use proxy::{BaselineProxy, DenialRecord, EnforcementProxy, ProxyStats};
+pub use proxy::{DenialRecord, EnforcementProxy, ProxyStats};
 pub use schema_gen::{ValuesSchema, ValuesSchemaGenerator};
 pub use security::{SecurityLock, SecurityLocks};
 pub use stream::{RawVerdict, SourceLocation};

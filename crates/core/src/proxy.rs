@@ -11,10 +11,7 @@
 //!
 //! The enforcement hot path is contention-free: statistics are per-field
 //! atomics and the denial audit trail is a bounded, sharded ring buffer, so
-//! concurrent admissions never serialize on proxy bookkeeping. The
-//! pre-refactor implementation (mutex-guarded stats and denial vector,
-//! tree-walking validation) is preserved as [`BaselineProxy`] for the
-//! ablation benchmarks and differential tests.
+//! concurrent admissions never serialize on proxy bookkeeping.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -417,112 +414,6 @@ impl<H: RequestHandler> RequestHandler for EnforcementProxy<H> {
     }
 }
 
-/// The pre-refactor proxy, kept verbatim as the measurement baseline: one
-/// mutex around the aggregate statistics, one around an unbounded denial
-/// vector, and tree-walking validation via
-/// [`ValidatorSet::validate_tree_scan`]. Raw bodies take the
-/// *parse-then-validate* route — the full document tree is materialized
-/// before the first policy check, which is exactly what the streaming plane
-/// avoids. The concurrency and `streaming_admission` benchmarks quantify
-/// what the compiled plane, the atomic bookkeeping and validate-while-parse
-/// buy over this implementation; differential tests assert both proxies
-/// reach identical verdicts.
-#[derive(Debug)]
-pub struct BaselineProxy<H> {
-    upstream: H,
-    validators: ValidatorSet,
-    denials: Mutex<Vec<DenialRecord>>,
-    stats: Mutex<ProxyStats>,
-}
-
-impl<H: RequestHandler> BaselineProxy<H> {
-    /// A baseline proxy over a validator set.
-    pub fn with_validators(upstream: H, validators: ValidatorSet) -> Self {
-        BaselineProxy {
-            upstream,
-            validators,
-            denials: Mutex::new(Vec::new()),
-            stats: Mutex::new(ProxyStats::default()),
-        }
-    }
-
-    /// The upstream handler.
-    pub fn upstream(&self) -> &H {
-        &self.upstream
-    }
-
-    /// The denials recorded so far.
-    pub fn denials(&self) -> Vec<DenialRecord> {
-        self.denials.lock().clone()
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> ProxyStats {
-        *self.stats.lock()
-    }
-}
-
-impl<H: RequestHandler> RequestHandler for BaselineProxy<H> {
-    fn handle(&self, request: &ApiRequest) -> ApiResponse {
-        if request.body.is_none() {
-            self.stats.lock().passthrough += 1;
-            return self.upstream.handle(request);
-        }
-        let started = Instant::now();
-        let object = match request.object() {
-            Some(object) => object,
-            None => {
-                let mut stats = self.stats.lock();
-                stats.validation_time_us += started.elapsed().as_micros() as u64;
-                stats.denied += 1;
-                drop(stats);
-                self.denials.lock().push(DenialRecord {
-                    user: request.user.clone(),
-                    kind: request.kind,
-                    object_name: request.name.clone(),
-                    violations: vec![unparsable_body_violation(None)],
-                    location: None,
-                });
-                return ApiResponse::error(
-                    ResponseStatus::Forbidden,
-                    unparsable_body_message(None),
-                );
-            }
-        };
-        let verdict = self.validators.validate_tree_scan(&object);
-        let elapsed = started.elapsed();
-        {
-            let mut stats = self.stats.lock();
-            stats.validation_time_us += elapsed.as_micros() as u64;
-        }
-        match verdict {
-            Ok(()) => {
-                self.stats.lock().forwarded += 1;
-                self.upstream.handle(request)
-            }
-            Err(violations) => {
-                self.stats.lock().denied += 1;
-                let message = format!(
-                    "KubeFence: request denied by workload policy: {}",
-                    violations
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                );
-                self.denials.lock().push(DenialRecord {
-                    user: request.user.clone(),
-                    kind: request.kind,
-                    object_name: request.name.clone(),
-                    violations,
-                    location: None,
-                });
-                ApiResponse::error(ResponseStatus::Forbidden, message)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,34 +605,6 @@ spec:
         assert_eq!(stats.denied, 400);
         assert_eq!(stats.forwarded, 400);
         assert_eq!(stats.total(), 800);
-    }
-
-    #[test]
-    fn baseline_proxy_reaches_identical_verdicts() {
-        let manifests = vec![kf_yaml::parse(&allowed_manifest()).unwrap()];
-        let validator = Validator::from_manifests("demo", &manifests).unwrap();
-        let fast = EnforcementProxy::new(ApiServer::new(), validator.clone());
-        let slow =
-            BaselineProxy::with_validators(ApiServer::new(), ValidatorSet::single(validator));
-        let ok = K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
-            .unwrap();
-        let bad = K8sObject::minimal(ResourceKind::Secret, "s", "default");
-        for request in [
-            ApiRequest::create("operator", &ok),
-            ApiRequest::create("operator", &bad),
-            ApiRequest::list("operator", ResourceKind::Deployment, "default"),
-        ] {
-            let a = fast.handle(&request);
-            let b = slow.handle(&request);
-            assert_eq!(
-                a.status,
-                b.status,
-                "verdict diverged for {}",
-                request.path()
-            );
-        }
-        assert_eq!(fast.stats().total(), slow.stats().total());
-        assert_eq!(fast.denials().len(), slow.denials().len());
     }
 
     #[test]

@@ -188,8 +188,8 @@ impl ValidatorSet {
     /// document, pre-check the object envelope, then validate the tree.
     /// [`ValidatorSet::validate_raw_format`] reaches exactly these verdicts
     /// (adding only the deciding event's location to stream-decided
-    /// denials); the parity fuzz tests and the `streaming_admission`
-    /// benchmark both run this form.
+    /// denials); the parity fuzz tests and the end-to-end benchmark's
+    /// verdict-parity check both run this form.
     pub fn validate_raw_tree_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
         let docs = match format.resolve(text) {
             BodyFormat::Json => match kf_yaml::parse_json(text) {
@@ -1225,8 +1225,8 @@ spec:
         // The collect pass must produce the exact single-violation report —
         // path in the tree walker's notation included — from matcher state.
         // (That no document tree is parsed on this path is a property of
-        // the code shape, measured by the deny-early rows of the
-        // `streaming_admission` bench rather than asserted here.)
+        // the code shape, measured by `kubefence.stream.deny_us_p50` in
+        // `benchmark/` rather than asserted here.)
         let set = set();
         let text = request("evil.example/pwn:latest", "Always", "3");
         let RawVerdict::Denied { violations, .. } = set.validate_raw(&text) else {
@@ -1311,6 +1311,42 @@ spec:
         let stream = set.validate_raw_format(dup, BodyFormat::Json);
         assert!(matches!(stream, RawVerdict::Unparsable { .. }));
         assert_eq!(stream, set.validate_raw_tree_format(dup, BodyFormat::Json));
+    }
+
+    #[test]
+    fn over_deep_bodies_are_unparsable_not_a_stack_overflow() {
+        // ~20 KB of YAML flow nesting and ~120 KB of JSON nesting: before
+        // the tokenizers capped depth, either one overflowed a default
+        // 2 MiB thread stack (scanning, building or dropping the tree) and
+        // aborted the process before any policy ran.
+        let yaml = format!(
+            "kind: Deployment\nmetadata: {{name: web}}\nspec: {}{}\n",
+            "[".repeat(10_000),
+            "]".repeat(10_000)
+        );
+        let json = format!(
+            "{{\"kind\": \"Deployment\",\n\"metadata\": {{\"name\": \"web\"}},\n\"spec\": {}{}}}",
+            "[".repeat(60_000),
+            "]".repeat(60_000)
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let set = set();
+                for (text, format) in [(yaml, BodyFormat::Yaml), (json, BodyFormat::Json)] {
+                    let verdict = set.validate_raw_format(&text, format);
+                    // The tree reference inherits the tokenizer's limit.
+                    assert_eq!(verdict, set.validate_raw_tree_format(&text, format));
+                    let RawVerdict::Unparsable { reason, location } = verdict else {
+                        panic!("{}: expected unparsable, got {verdict:?}", format.name());
+                    };
+                    assert!(reason.contains("nesting"), "reason was: {reason}");
+                    assert_eq!(location.expect("positioned").line, 3);
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic on the small stack");
     }
 
     #[test]

@@ -324,6 +324,21 @@ fn cross_format_streaming_verdicts_agree() {
         let set = ValidatorSet::single(validator);
         let bases = operator.workload().default_objects();
         let mut rng = SmallRng::seed_from_u64(0xC0_F0_12_34 ^ operator.name().len() as u64);
+        // Seed corpus: one over-deep body per format (a legitimate manifest
+        // with a 1,000-level nest appended). Depth is a tokenizer limit, so
+        // the stream and its tree reference must refuse identically.
+        let nest = format!("{}{}", "[".repeat(1_000), "]".repeat(1_000));
+        let deep_yaml = format!("{}overDeep: {nest}\n", kf_yaml::to_yaml(bases[0].body()));
+        let base_json = kf_yaml::to_json(bases[0].body());
+        let deep_json = format!(
+            "{},\"overDeep\":{nest}}}",
+            base_json.strip_suffix('}').expect("manifests are objects")
+        );
+        assert!(matches!(
+            set.validate_raw_format(&deep_yaml, BodyFormat::Yaml),
+            RawVerdict::Unparsable { .. }
+        ));
+        cross_format_case(&set, &deep_yaml, &deep_json, operator.name(), usize::MAX);
         for case in 0..cases_per_operator() {
             let base = &bases[rng.gen_range(0usize..bases.len())];
             let mut body = base.body().clone();
@@ -332,56 +347,9 @@ fn cross_format_streaming_verdicts_agree() {
             }
             let yaml = kf_yaml::to_yaml(&body);
             let json = kf_yaml::to_json(&body);
-            let stream_yaml = set.validate_raw_format(&yaml, BodyFormat::Yaml);
-            let stream_json = set.validate_raw_format(&json, BodyFormat::Json);
-            let tree_yaml = set.validate_raw_tree_format(&yaml, BodyFormat::Yaml);
-            let tree_json = set.validate_raw_tree_format(&json, BodyFormat::Json);
             checked += 1;
-            // Each format's streaming verdict matches its own reference
-            // exactly, modulo the added source location.
-            assert_same_outcome(
-                &stream_yaml,
-                &tree_yaml,
-                operator.name(),
-                case,
-                "yaml",
-                &yaml,
-            );
-            assert_same_outcome(
-                &stream_json,
-                &tree_json,
-                operator.name(),
-                case,
-                "json",
-                &json,
-            );
-            // And across formats: the verdict class is identical, and
-            // denial violation lists are byte-identical.
-            match (&stream_yaml, &stream_json) {
-                (RawVerdict::Admitted, RawVerdict::Admitted) => {}
-                (
-                    RawVerdict::Denied {
-                        violations: yaml_violations,
-                        ..
-                    },
-                    RawVerdict::Denied {
-                        violations: json_violations,
-                        ..
-                    },
-                ) => {
-                    denied_both += 1;
-                    assert_eq!(
-                        yaml_violations,
-                        json_violations,
-                        "{} case {case}: YAML and JSON violation lists diverged\n--- yaml ---\n{yaml}\n--- json ---\n{json}",
-                        operator.name()
-                    );
-                }
-                (RawVerdict::Unparsable { .. }, RawVerdict::Unparsable { .. }) => {}
-                (y, j) => panic!(
-                    "{} case {case}: verdict class diverged across formats\nyaml: {y:?}\njson: {j:?}\n--- yaml ---\n{yaml}\n--- json ---\n{json}",
-                    operator.name()
-                ),
+            if cross_format_case(&set, &yaml, &json, operator.name(), case) {
+                denied_both += 1;
             }
         }
     }
@@ -400,6 +368,55 @@ fn cross_format_streaming_verdicts_agree() {
         denied_both > 0,
         "the mutator must exercise the cross-format deny path"
     );
+}
+
+/// One cross-format parity case: each format's streaming verdict equals its
+/// own tree reference, the verdict class is identical across formats, and
+/// denial violation lists are byte-identical. Returns whether both formats
+/// denied.
+fn cross_format_case(
+    set: &ValidatorSet,
+    yaml: &str,
+    json: &str,
+    operator: &str,
+    case: usize,
+) -> bool {
+    let stream_yaml = set.validate_raw_format(yaml, BodyFormat::Yaml);
+    let stream_json = set.validate_raw_format(json, BodyFormat::Json);
+    let tree_yaml = set.validate_raw_tree_format(yaml, BodyFormat::Yaml);
+    let tree_json = set.validate_raw_tree_format(json, BodyFormat::Json);
+    // Each format's streaming verdict matches its own reference
+    // exactly, modulo the added source location.
+    assert_same_outcome(&stream_yaml, &tree_yaml, operator, case, "yaml", yaml);
+    assert_same_outcome(&stream_json, &tree_json, operator, case, "json", json);
+    // And across formats: the verdict class is identical, and
+    // denial violation lists are byte-identical.
+    match (&stream_yaml, &stream_json) {
+        (RawVerdict::Admitted, RawVerdict::Admitted) => false,
+        (
+            RawVerdict::Denied {
+                violations: yaml_violations,
+                ..
+            },
+            RawVerdict::Denied {
+                violations: json_violations,
+                ..
+            },
+        ) => {
+            assert_eq!(
+                yaml_violations,
+                json_violations,
+                "{} case {case}: YAML and JSON violation lists diverged\n--- yaml ---\n{yaml}\n--- json ---\n{json}",
+                operator
+            );
+            true
+        }
+        (RawVerdict::Unparsable { .. }, RawVerdict::Unparsable { .. }) => false,
+        (y, j) => panic!(
+            "{} case {case}: verdict class diverged across formats\nyaml: {y:?}\njson: {j:?}\n--- yaml ---\n{yaml}\n--- json ---\n{json}",
+            operator
+        ),
+    }
 }
 
 /// Assert a streaming verdict equals its reference verdict, ignoring the

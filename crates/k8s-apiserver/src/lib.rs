@@ -71,7 +71,7 @@ pub use server::{ApiServer, ExploitEvent, PushWatch, RequestHandler, WatchHub};
 pub use storage_io::{
     FaultKind, FaultOp, FaultSchedule, FaultyIo, PlannedFault, RealIo, StorageIo,
 };
-pub use store::{BaselineStore, ObjectStore, StoreBackend, StoredObject};
+pub use store::{ObjectStore, StoreBackend, StoredObject};
 pub use vuln::VulnerabilityOracle;
 pub use watch::{
     namespace_shard, WatchDelta, WatchDispatcher, WatchError, WatchEvent, WatchEventKind,

@@ -1,15 +1,16 @@
-//! The durable persistence plane: snapshots + the journal-as-WAL.
+//! The durable persistence plane: checkpoint segments + the journal-as-WAL.
 //!
 //! Everything the store holds lives in memory; this module makes a restart
 //! survivable. Two artifacts, both hand-framed over `kf_yaml::binary` (the
 //! workspace `serde` is a no-op shim, so there is no derived format to lean
 //! on):
 //!
-//! * **Snapshot** (`store.kfsnap`) — a one-shot dump of every
-//!   `Arc<StoredObject>` handle: magic, CRC-32 seal, then
-//!   `(resource_version, body)` per object. Written to a temp file and
-//!   atomically renamed, so a crash mid-checkpoint never leaves a partial
-//!   snapshot visible.
+//! * **Checkpoint** (`store.seg-NN.kfsnap` per store shard, committed by
+//!   `store.kfmanifest`) — each segment is a dump of one shard's
+//!   `Arc<StoredObject>` handles: magic, CRC-32 seal, shard, horizon, then
+//!   `(resource_version, body)` per object. Every file is written to a temp
+//!   name and atomically renamed, so a crash mid-checkpoint never leaves a
+//!   partial segment or manifest visible.
 //! * **Write-ahead log** (`store.kfwal`) — the promotion of the watch
 //!   journal's publication stream to disk: every store write appends one
 //!   framed [`WalRecord`] (length + CRC-32 + payload) **while the written
@@ -21,7 +22,7 @@
 //! chaos workload can run the identical code over a
 //! [`crate::storage_io::FaultyIo`] with deterministic fault schedules.
 //!
-//! **Recovery** ([`Persistence::open`]) loads the snapshot, replays the WAL
+//! **Recovery** ([`Persistence::open`]) loads the segments, replays the WAL
 //! suffix, seeds the store at the recovered revision and seals every watch
 //! journal's compaction horizon there — a watcher resuming with a pre-crash
 //! cursor below the horizon gets the same `410 Gone` → re-list contract that
@@ -30,16 +31,16 @@
 //! (`record.revision > stored.resource_version`), so overlapping
 //! snapshot/WAL windows are idempotent and replay order only matters per
 //! key — which per-key order the shard-lock append discipline guarantees.
-//! A corrupt snapshot is **quarantined** (renamed to `.corrupt`) and boot
-//! falls back to a full-WAL replay instead of refusing to start.
+//! A corrupt segment or manifest is **quarantined** (renamed to `.corrupt`)
+//! and boot recovers from what remains instead of refusing to start.
 //!
 //! **The recovery invariant:** after `open`, the store state equals the
 //! pre-crash state at the last fsync'd revision ([`Wal::durable_revision`]).
-//! With [`FsyncPolicy::Always`] that is the last acknowledged write; with
-//! `Batch(n)` up to `n - 1` trailing acknowledged writes may be lost; with
-//! `Os` the loss window is whatever the page cache held. A torn or
-//! bit-flipped WAL tail (the crash landed mid-`write`) fails its frame CRC
-//! and is **cleanly truncated**, never replayed and never a panic.
+//! With [`FsyncPolicy::Always`] and [`FsyncPolicy::Group`] that is the last
+//! acknowledged write; with `Os` the loss window is whatever the page cache
+//! held. A torn or bit-flipped WAL tail (the crash landed mid-`write`) fails
+//! its frame CRC and is **cleanly truncated**, never replayed and never a
+//! panic.
 //!
 //! **Degradation** is a state machine, not a latch: an append or fsync
 //! failure moves the WAL `Healthy → Degraded`, where later appends buffer
@@ -77,8 +78,6 @@ use crate::storage_io::{RealIo, StorageFile, StorageIo};
 use crate::store::{ObjectStore, StoreBackend, StoredObject};
 use crate::watch::WatchEventKind;
 
-/// Snapshot file name inside a persistence directory.
-pub const SNAPSHOT_FILE: &str = "store.kfsnap";
 /// Write-ahead-log file name inside a persistence directory.
 pub const WAL_FILE: &str = "store.kfwal";
 /// AOT-compiled validator arena file name (written by the policy plane —
@@ -86,9 +85,7 @@ pub const WAL_FILE: &str = "store.kfwal";
 /// layout is defined in one place).
 pub const AOT_ARENA_FILE: &str = "validators.kfaot";
 
-/// Magic sealing a snapshot file (8 bytes, versioned).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"KFSNAP1\0";
-/// Magic sealing a per-shard snapshot segment file.
+/// Magic sealing a per-shard snapshot segment file (8 bytes, versioned).
 const SEGMENT_MAGIC: &[u8; 8] = b"KFSEG1\0\0";
 /// Magic sealing a snapshot manifest file.
 const MANIFEST_MAGIC: &[u8; 8] = b"KFMAN1\0\0";
@@ -121,9 +118,6 @@ pub enum FsyncPolicy {
     /// `fsync` after every append — the acknowledged-write-is-durable
     /// contract etcd ships with. Slowest, loses nothing.
     Always,
-    /// `fsync` once every `n` appended records (`n == 0` is clamped to 1).
-    /// Bounds the loss window to `n - 1` acknowledged writes.
-    Batch(u32),
     /// Never `fsync`; the OS flushes the page cache on its own schedule.
     /// Fastest, loses whatever the cache held on a hard crash.
     Os,
@@ -147,10 +141,9 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse a policy from its knob spelling: `always`, `os`, `batch:N`,
-    /// or `group` | `group:WAIT_US` | `group:WAIT_US:BATCH` (used by the
-    /// bench `KF_WAL_FSYNC` environment variable and the workload
-    /// drivers).
+    /// Parse a policy from its spelling: `always`, `os`, or `group` |
+    /// `group:WAIT_US` | `group:WAIT_US:BATCH` (used by the workload
+    /// drivers and the end-to-end benchmark).
     pub fn parse(text: &str) -> Option<FsyncPolicy> {
         match text {
             "always" => Some(FsyncPolicy::Always),
@@ -160,18 +153,15 @@ impl FsyncPolicy {
                 max_batch: GROUP_DEFAULT_BATCH,
             }),
             _ => {
-                if let Some(spec) = text.strip_prefix("group:") {
-                    let (wait, batch) = match spec.split_once(':') {
-                        Some((wait, batch)) => (wait.parse().ok()?, batch.parse().ok()?),
-                        None => (spec.parse().ok()?, GROUP_DEFAULT_BATCH),
-                    };
-                    return Some(FsyncPolicy::Group {
-                        max_wait_us: wait,
-                        max_batch: batch,
-                    });
-                }
-                let n = text.strip_prefix("batch:")?.parse().ok()?;
-                Some(FsyncPolicy::Batch(n))
+                let spec = text.strip_prefix("group:")?;
+                let (wait, batch) = match spec.split_once(':') {
+                    Some((wait, batch)) => (wait.parse().ok()?, batch.parse().ok()?),
+                    None => (spec.parse().ok()?, GROUP_DEFAULT_BATCH),
+                };
+                Some(FsyncPolicy::Group {
+                    max_wait_us: wait,
+                    max_batch: batch,
+                })
             }
         }
     }
@@ -226,10 +216,8 @@ pub struct PersistConfig {
     /// Fsync cadence of the WAL.
     pub fsync: FsyncPolicy,
     /// Watch-journal capacity per sub-shard of the recovered store (see
-    /// [`ObjectStore::with_journal_config`]; 0 means the default).
+    /// [`ObjectStore::with_journal_capacity`]; 0 means the default).
     pub journal_capacity: usize,
-    /// Watch-journal sub-shard count of the recovered store (0: default).
-    pub journal_shards: usize,
     /// Retry/backoff/fail-stop policy of the durability state machine.
     pub retry: RetryPolicy,
 }
@@ -242,7 +230,6 @@ impl PersistConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
             journal_capacity: 0,
-            journal_shards: 0,
             retry: RetryPolicy::default(),
         }
     }
@@ -677,8 +664,6 @@ impl DurabilityMachine {
 #[derive(Debug)]
 struct WalInner {
     file: Box<dyn StorageFile>,
-    /// Records appended since the last fsync (drives [`FsyncPolicy::Batch`]).
-    since_sync: u32,
     /// Highest revision written to the file (not necessarily durable yet).
     appended: u64,
     /// Byte length of the file's fully-written prefix — the truncation
@@ -829,7 +814,6 @@ impl Wal {
             path: path.to_path_buf(),
             inner: Mutex::new(WalInner {
                 file,
-                since_sync: 0,
                 appended: recovered,
                 good_len,
                 pending: Vec::new(),
@@ -1082,10 +1066,6 @@ impl Wal {
         inner.appended = inner.appended.max(max_revision);
         let due = match self.policy {
             FsyncPolicy::Always => true,
-            FsyncPolicy::Batch(n) => {
-                inner.since_sync += count;
-                inner.since_sync >= n.max(1)
-            }
             FsyncPolicy::Os => false,
             FsyncPolicy::Group { .. } => {
                 inner.group_pending += count;
@@ -1097,7 +1077,6 @@ impl Wal {
                 let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
                 self.note_failure(inner, kind, &e, max_revision);
             } else {
-                inner.since_sync = 0;
                 self.durable.store(inner.appended, Ordering::Release);
             }
         }
@@ -1195,7 +1174,6 @@ impl Wal {
             self.note_failure(inner, kind, &e, at_risk);
             return;
         }
-        inner.since_sync = 0;
         inner.group_pending = 0;
         self.durable.store(inner.appended, Ordering::Release);
         let durable = inner.appended;
@@ -1232,7 +1210,6 @@ impl Wal {
                     self.publish_state(&inner);
                     return Err(e);
                 }
-                inner.since_sync = 0;
                 inner.group_pending = 0;
                 self.durable.store(inner.appended, Ordering::Release);
                 Ok(self.durable.load(Ordering::Acquire))
@@ -1332,7 +1309,6 @@ impl Wal {
             self.publish_state(&inner);
             return Err(e);
         }
-        inner.since_sync = 0;
         inner.group_pending = 0;
         self.durable.store(inner.appended, Ordering::Release);
         let replay = read_wal_with(&*self.io, path)?;
@@ -1352,7 +1328,6 @@ impl Wal {
         match self.io.open_append(path) {
             Ok(file) => {
                 inner.file = file;
-                inner.since_sync = 0;
                 Ok(retained)
             }
             Err(e) => {
@@ -1366,107 +1341,6 @@ impl Wal {
             }
         }
     }
-}
-
-/// A decoded snapshot: the revision horizon it was cut at, plus every
-/// object as `(resource_version, body)`.
-#[derive(Debug, Default)]
-pub struct SnapshotData {
-    /// The store revision at the start of the snapshot scan. Every write at
-    /// or below this revision is fully reflected; the WAL suffix above it
-    /// replays the rest.
-    pub revision: u64,
-    /// The stored objects (kind/namespace/name are re-derived from the body
-    /// on load, exactly as admission derives them).
-    pub objects: Vec<(u64, Value)>,
-}
-
-/// Write a snapshot of `objects` at `revision` through an explicit I/O:
-/// temp file, fsync, atomic rename. The payload is CRC-sealed, so a
-/// bit-flipped snapshot is rejected at load instead of resurrecting corrupt
-/// objects.
-///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_snapshot_with(
-    io: &dyn StorageIo,
-    path: &Path,
-    revision: u64,
-    objects: &[Arc<StoredObject>],
-) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(objects.len() * 256 + 16);
-    binary::put_u64(&mut payload, revision);
-    binary::put_u64(&mut payload, objects.len() as u64);
-    for stored in objects {
-        binary::put_u64(&mut payload, stored.resource_version);
-        binary::put_value(&mut payload, stored.object.body());
-    }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
-    let tmp = path.with_extension("kfsnap.tmp");
-    io.write_file(&tmp, &out)?;
-    io.rename(&tmp, path)?;
-    io.sync_parent_dir(path);
-    Ok(())
-}
-
-/// [`write_snapshot_with`] over the real filesystem.
-///
-/// # Errors
-///
-/// Filesystem errors only.
-pub fn write_snapshot(path: &Path, revision: u64, objects: &[Arc<StoredObject>]) -> io::Result<()> {
-    write_snapshot_with(&RealIo, path, revision, objects)
-}
-
-/// Load a snapshot through an explicit I/O; `Ok(None)` when the file does
-/// not exist.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] when the magic,
-/// checksum or payload decode fails. The recovery path quarantines on
-/// `InvalidData` instead of refusing to boot — see [`Persistence::open`].
-pub fn read_snapshot_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<SnapshotData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(invalid("snapshot magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("snapshot checksum mismatch"));
-    }
-    let mut cursor = Cursor::new(payload);
-    let mut parse = || -> Result<SnapshotData, kf_yaml::binary::BinaryError> {
-        let revision = cursor.get_u64()?;
-        let count = cursor.get_u64()? as usize;
-        let mut objects = Vec::with_capacity(count.min(payload.len()));
-        for _ in 0..count {
-            let resource_version = cursor.get_u64()?;
-            let body = cursor.get_value()?;
-            objects.push((resource_version, body));
-        }
-        Ok(SnapshotData { revision, objects })
-    };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
-}
-
-/// [`read_snapshot_with`] over the real filesystem.
-///
-/// # Errors
-///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] on corruption.
-pub fn read_snapshot(path: &Path) -> io::Result<Option<SnapshotData>> {
-    read_snapshot_with(&RealIo, path)
 }
 
 /// A decoded per-shard snapshot segment: which store shard it covers, the
@@ -1508,8 +1382,10 @@ pub struct ManifestData {
     pub entries: Vec<ManifestEntry>,
 }
 
-/// Write one shard's snapshot segment: temp file, fsync, atomic rename —
-/// the same crash discipline as the monolithic snapshot, per shard.
+/// Write one shard's snapshot segment: temp file, fsync, atomic rename, so
+/// a crash mid-checkpoint never leaves a partial segment visible. The
+/// payload is CRC-sealed, so a bit-flipped segment is rejected at load
+/// instead of resurrecting corrupt objects.
 ///
 /// # Errors
 ///
@@ -1686,12 +1562,12 @@ pub struct RecoveryReport {
     pub live_objects: usize,
     /// `Some` when a torn/corrupt WAL tail was detected and truncated.
     pub torn_tail: Option<TornTail>,
-    /// `Some` when a corrupt snapshot artifact (legacy monolithic
-    /// snapshot, manifest, or segment) was quarantined — renamed to this
-    /// path, the first one when several — and boot recovered without it.
+    /// `Some` when a corrupt checkpoint artifact (manifest or segment) was
+    /// quarantined — renamed to this path, the first one when several — and
+    /// boot recovered without it.
     pub snapshot_quarantined: Option<PathBuf>,
-    /// Per-shard snapshot segments loaded (0 when boot used a legacy
-    /// monolithic snapshot or started empty).
+    /// Per-shard snapshot segments loaded (0 when boot started empty or
+    /// from the WAL alone).
     pub segments_loaded: usize,
     /// `true` when the current manifest was unreadable and recovery fell
     /// back to the previous manifest or to probing the segment files
@@ -1738,22 +1614,15 @@ const CHECKPOINT_ATTEMPTS: u32 = 3;
 /// spawning workers would cost more than the partitioned decode saves.
 const PARALLEL_REPLAY_MIN_WORK: usize = 1024;
 
-/// Worker threads for shard-partitioned replay: `KF_RECOVERY_WORKERS` when
-/// set (> 0), else the machine's available parallelism, capped at the
-/// store shard count.
+/// Worker threads for shard-partitioned replay: the machine's available
+/// parallelism, capped at the store shard count.
 fn replay_worker_count(total_work: usize) -> usize {
     if total_work < PARALLEL_REPLAY_MIN_WORK {
         return 1;
     }
-    std::env::var("KF_RECOVERY_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
         .min(store_shards())
 }
 
@@ -1763,9 +1632,9 @@ fn store_shards() -> usize {
     crate::store::SHARDS
 }
 
-/// One shard's replay inputs: raw segment seeds, pre-parsed legacy-snapshot
-/// seeds, and the shard's WAL records in file order.
-type ShardReplayJob = (Vec<(u64, Value)>, Vec<(u64, K8sObject)>, Vec<WalRecord>);
+/// One shard's replay inputs: its segment seeds and its WAL records in file
+/// order.
+type ShardReplayJob = (Vec<(u64, Value)>, Vec<WalRecord>);
 
 /// One replay partition's result.
 struct ShardReplayOutcome {
@@ -1775,38 +1644,24 @@ struct ShardReplayOutcome {
 }
 
 /// Rebuild one store shard's keyed state: segment seeds (un-parsed bodies)
-/// and pre-parsed legacy-snapshot seeds first — highest resource version
-/// wins where sources overlap — then the shard's WAL records in file order
-/// under the revision guard. Runs on a replay worker thread; the
-/// partitioning by [`crate::store::shard_index_raw`] guarantees every
-/// write to one key lands in exactly one partition, so the guard sees the
-/// key's full history.
+/// first — highest resource version wins where segments overlap — then the
+/// shard's WAL records in file order under the revision guard. Runs on a
+/// replay worker thread; the partitioning by
+/// [`crate::store::shard_index_raw`] guarantees every write to one key
+/// lands in exactly one partition, so the guard sees the key's full history.
 fn replay_shard(
-    raw_seeds: Vec<(u64, Value)>,
-    parsed_seeds: Vec<(u64, K8sObject)>,
+    seeds: Vec<(u64, Value)>,
     records: Vec<WalRecord>,
 ) -> io::Result<ShardReplayOutcome> {
     let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     type ReplayKey = (usize, String, String);
     let mut state: std::collections::HashMap<ReplayKey, (u64, Option<K8sObject>)> =
-        std::collections::HashMap::with_capacity(raw_seeds.len() + parsed_seeds.len());
+        std::collections::HashMap::with_capacity(seeds.len());
     let mut max_revision = 0u64;
     let mut replayed = 0usize;
-    for (resource_version, body) in raw_seeds {
+    for (resource_version, body) in seeds {
         let object = K8sObject::from_shared(Arc::new(body))
             .map_err(|e| invalid(format!("snapshot object: {e}")))?;
-        max_revision = max_revision.max(resource_version);
-        let key = (
-            object.kind().index(),
-            object.namespace().to_owned(),
-            object.name().to_owned(),
-        );
-        let entry = state.entry(key).or_insert((0, None));
-        if resource_version > entry.0 {
-            *entry = (resource_version, Some(object));
-        }
-    }
-    for (resource_version, object) in parsed_seeds {
         max_revision = max_revision.max(resource_version);
         let key = (
             object.kind().index(),
@@ -1875,18 +1730,17 @@ impl Persistence {
     /// [`StorageIo`] and recover a store from it: load the checkpoint
     /// manifest (falling back to the previous complete manifest when the
     /// current one is torn, and to probing the segment files directly when
-    /// neither survives), load every valid per-shard segment plus a legacy
-    /// monolithic snapshot if present (quarantining corrupt artifacts),
-    /// replay the WAL suffix (truncating a torn tail) partitioned by store
-    /// shard across worker threads, seed the store, seal the watch horizon
-    /// at the recovered revision, and attach the WAL so every subsequent
-    /// write is logged.
+    /// neither survives), load every valid per-shard segment (quarantining
+    /// corrupt artifacts), replay the WAL suffix (truncating a torn tail)
+    /// partitioned by store shard across worker threads, seed the store,
+    /// seal the watch horizon at the recovered revision, and attach the WAL
+    /// so every subsequent write is logged.
     ///
     /// # Errors
     ///
     /// Filesystem errors; [`io::ErrorKind::InvalidData`] only when a WAL or
-    /// snapshot object body no longer parses as an object (a corrupt
-    /// snapshot/segment/manifest *file* is quarantined instead — see
+    /// segment object body no longer parses as an object (a corrupt
+    /// segment/manifest *file* is quarantined instead — see
     /// [`RecoveryReport::snapshot_quarantined`]).
     pub fn open_with_io(
         config: PersistConfig,
@@ -1944,7 +1798,7 @@ impl Persistence {
         // the manifest's entry list — this also recovers the case where
         // both manifests are torn but the segments survived.
         let shards = store_shards();
-        let mut raw_seeds: Vec<Vec<(u64, Value)>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut seeds: Vec<Vec<(u64, Value)>> = (0..shards).map(|_| Vec::new()).collect();
         let mut segment_horizon = 0u64;
         for shard_no in 0..shards {
             let path = config.dir.join(segment_file(shard_no));
@@ -1956,7 +1810,7 @@ impl Persistence {
                     // hash to `segment.shard`, and replay's revision guard
                     // needs every record for a key in one partition.
                     let slot = segment.shard.min(shards - 1);
-                    raw_seeds[slot].extend(segment.objects);
+                    seeds[slot].extend(segment.objects);
                 }
                 Ok(None) => {}
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -1966,51 +1820,21 @@ impl Persistence {
             }
         }
 
-        // Legacy monolithic snapshot (pre-incremental checkpoints). A
-        // directory last checkpointed by an older build seeds from it; the
-        // first incremental checkpoint retires it.
-        let snapshot_path = config.dir.join(SNAPSHOT_FILE);
-        let legacy = match read_snapshot_with(&*io, &snapshot_path) {
-            Ok(snapshot) => snapshot.unwrap_or_default(),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                quarantine(&*io, &snapshot_path)?;
-                SnapshotData::default()
-            }
-            Err(e) => return Err(e),
-        };
-
         let snapshot_revision = manifest
             .as_ref()
             .map(|m| m.horizon)
             .unwrap_or(0)
-            .max(segment_horizon)
-            .max(legacy.revision);
+            .max(segment_horizon);
         report.snapshot_revision = snapshot_revision;
-        report.snapshot_objects =
-            raw_seeds.iter().map(Vec::len).sum::<usize>() + legacy.objects.len();
+        report.snapshot_objects = seeds.iter().map(Vec::len).sum();
 
         let replay = recover_wal_with(&*io, &wal_path)?;
         report.wal_records = replay.records.len();
         report.torn_tail = replay.torn;
 
-        // Partition the remaining serial work by store shard. Legacy
-        // snapshot bodies are parsed here (the monolithic format does not
-        // record shard geometry); segment seeds and WAL records route by
-        // the same hash the store uses, so each worker owns every source
-        // of truth for its keys.
-        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        let mut parsed_seeds: Vec<Vec<(u64, K8sObject)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (resource_version, body) in legacy.objects {
-            let object = K8sObject::from_shared(Arc::new(body))
-                .map_err(|e| invalid(format!("snapshot object: {e}")))?;
-            let slot = crate::store::shard_index_raw(
-                object.kind().index(),
-                object.namespace(),
-                object.name(),
-            );
-            parsed_seeds[slot].push((resource_version, object));
-        }
+        // Partition the remaining serial work by store shard: segment
+        // seeds and WAL records route by the same hash the store uses, so
+        // each worker owns every source of truth for its keys.
         let mut shard_records: Vec<Vec<WalRecord>> = (0..shards).map(|_| Vec::new()).collect();
         for record in replay.records {
             let slot =
@@ -2021,15 +1845,10 @@ impl Persistence {
         let total_work = report.snapshot_objects + report.wal_records;
         let workers = replay_worker_count(total_work);
         report.replay_workers = workers;
-        let jobs: Vec<ShardReplayJob> = raw_seeds
-            .into_iter()
-            .zip(parsed_seeds)
-            .zip(shard_records)
-            .map(|((raw, parsed), records)| (raw, parsed, records))
-            .collect();
+        let jobs: Vec<ShardReplayJob> = seeds.into_iter().zip(shard_records).collect();
         let outcomes: Vec<ShardReplayOutcome> = if workers <= 1 {
             jobs.into_iter()
-                .map(|(raw, parsed, records)| replay_shard(raw, parsed, records))
+                .map(|(seeds, records)| replay_shard(seeds, records))
                 .collect::<io::Result<Vec<_>>>()?
         } else {
             let mut buckets: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
@@ -2043,7 +1862,7 @@ impl Persistence {
                         scope.spawn(move || {
                             bucket
                                 .into_iter()
-                                .map(|(raw, parsed, records)| replay_shard(raw, parsed, records))
+                                .map(|(seeds, records)| replay_shard(seeds, records))
                                 .collect::<io::Result<Vec<_>>>()
                         })
                     })
@@ -2066,8 +1885,7 @@ impl Persistence {
         report.live_objects = objects.len();
         report.recovered_revision = recovered_revision;
 
-        let mut store =
-            ObjectStore::with_journal_config(config.journal_capacity, config.journal_shards);
+        let mut store = ObjectStore::with_journal_capacity(config.journal_capacity);
         store.restore(objects, recovered_revision);
         let wal = Arc::new(Wal::open_with(
             Arc::clone(&io),
@@ -2208,20 +2026,6 @@ impl Persistence {
             entries,
         };
         write_manifest_with(&*self.io, &self.dir, &manifest)?;
-
-        // First incremental checkpoint over a legacy directory: the
-        // manifest + segments now cover everything the monolithic snapshot
-        // held, so retire it (rename, not delete — forensics-friendly and
-        // crash-atomic like every other publish here).
-        let legacy = self.dir.join(SNAPSHOT_FILE);
-        match self
-            .io
-            .rename(&legacy, &legacy.with_extension("kfsnap.superseded"))
-        {
-            Ok(()) => self.io.sync_parent_dir(&legacy),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
 
         let wal_retained = self.wal.compact(&self.dir.join(WAL_FILE), horizon)?;
         Ok(CheckpointReport {
@@ -2383,21 +2187,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_policy_defers_durability_until_the_batch_fills() {
-        let dir = temp_dir("batch");
-        let path = dir.join(WAL_FILE);
-        let wal = Wal::open(&path, FsyncPolicy::Batch(3), 0).expect("open");
-        wal.append(&[record(1, WatchEventKind::Added, "default", "a")]);
-        wal.append(&[record(2, WatchEventKind::Added, "default", "b")]);
-        assert_eq!(wal.durable_revision(), 0, "below the batch threshold");
-        wal.append(&[record(3, WatchEventKind::Added, "default", "c")]);
-        assert_eq!(wal.durable_revision(), 3, "threshold reached");
-        wal.append(&[record(4, WatchEventKind::Added, "default", "d")]);
-        assert_eq!(wal.sync().expect("manual sync"), 4);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn transient_fsync_failure_degrades_then_recovers_without_losing_frames() {
         let dir = temp_dir("transient");
         // Boot fsync is op 0; the op-1 append's fsync fails twice.
@@ -2490,37 +2279,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_and_rejects_corruption() {
-        let dir = temp_dir("snap");
-        let path = dir.join(SNAPSHOT_FILE);
-        let objects: Vec<Arc<StoredObject>> = (1..=5)
-            .map(|v| {
-                Arc::new(StoredObject {
-                    object: pod("ns", &format!("pod-{v}"), "nginx"),
-                    resource_version: v,
-                })
-            })
-            .collect();
-        write_snapshot(&path, 5, &objects).expect("write");
-        let data = read_snapshot(&path).expect("read").expect("present");
-        assert_eq!(data.revision, 5);
-        assert_eq!(data.objects.len(), 5);
-        for ((rv, body), original) in data.objects.iter().zip(&objects) {
-            assert_eq!(*rv, original.resource_version);
-            assert_eq!(body, original.object.body(), "byte-identical tree");
-        }
-        // No tmp file left behind; corruption is rejected, not loaded.
-        assert!(!path.with_extension("kfsnap.tmp").exists());
-        let mut bytes = fs::read(&path).expect("read bytes");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
-        fs::write(&path, &bytes).expect("write corrupted");
-        let err = read_snapshot(&path).expect_err("corrupt snapshot rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_segment_is_quarantined_and_the_other_shards_still_boot() {
         let dir = temp_dir("quarantine");
         {
@@ -2577,42 +2335,48 @@ mod tests {
     }
 
     #[test]
-    fn legacy_monolithic_snapshot_still_boots_and_is_retired() {
-        let dir = temp_dir("legacy");
-        // A directory last checkpointed by a pre-incremental build: one
-        // monolithic snapshot, no manifest, no segments.
-        let objects: Vec<Arc<StoredObject>> = (1..=4u64)
-            .map(|v| {
-                Arc::new(StoredObject {
-                    object: pod("ns", &format!("pod-{v}"), "nginx"),
-                    resource_version: v,
-                })
-            })
-            .collect();
-        write_snapshot(&dir.join(SNAPSHOT_FILE), 4, &objects).expect("write legacy snapshot");
-        let (store, persistence, report) =
-            Persistence::open(PersistConfig::new(&dir)).expect("open");
-        assert_eq!(report.snapshot_objects, 4);
-        assert_eq!(report.snapshot_revision, 4);
-        assert_eq!(
-            StoreBackend::len(&store),
-            4,
-            "legacy snapshot seeds the store"
-        );
-        assert_eq!(StoreBackend::revision(&store), 4, "revision floor holds");
-        // The first incremental checkpoint supersedes the legacy file.
-        store.upsert(pod("ns", "pod-5", "nginx"));
-        persistence.checkpoint(&store).expect("checkpoint");
-        assert!(
-            !dir.join(SNAPSHOT_FILE).exists(),
-            "legacy snapshot retired after the first incremental checkpoint"
-        );
-        assert!(dir.join(MANIFEST_FILE).exists());
-        let (store, _persistence, report) =
-            Persistence::open(PersistConfig::new(&dir)).expect("reopen");
-        assert!(report.segments_loaded > 0, "segments now seed the boot");
-        assert_eq!(StoreBackend::len(&store), 5);
-        fs::remove_dir_all(&dir).ok();
+    fn stray_monolithic_snapshot_is_neither_read_renamed_nor_trusted() {
+        // Two strays under the retired `store.kfsnap` name: a well-formed
+        // pre-segment monolithic snapshot claiming a pod at revision 99, and
+        // plain garbage. Boot must recover from manifest + segments + WAL
+        // only, and must leave the file alone either way.
+        let mut payload = Vec::new();
+        binary::put_u64(&mut payload, 99);
+        binary::put_u64(&mut payload, 1);
+        binary::put_u64(&mut payload, 99);
+        binary::put_value(&mut payload, pod("ns", "ghost", "nginx").body());
+        let mut well_formed = b"KFSNAP1\0".to_vec();
+        binary::put_u32(&mut well_formed, binary::crc32(&payload));
+        well_formed.extend_from_slice(&payload);
+        for stray_bytes in [well_formed, b"not a snapshot".to_vec()] {
+            let dir = temp_dir("stray");
+            let stray = dir.join("store.kfsnap");
+            fs::write(&stray, &stray_bytes).expect("plant stray file");
+            let (store, persistence, report) =
+                Persistence::open(PersistConfig::new(&dir)).expect("open");
+            assert_eq!(StoreBackend::len(&store), 0, "the stray seeds nothing");
+            assert_eq!(report.recovered_revision, 0, "nor a revision floor");
+            assert_eq!(report.snapshot_objects, 0);
+            assert!(report.snapshot_quarantined.is_none());
+            store.upsert(pod("ns", "real", "nginx"));
+            persistence.checkpoint(&store).expect("checkpoint");
+            drop((store, persistence));
+            let (store, _persistence, report) =
+                Persistence::open(PersistConfig::new(&dir)).expect("reopen");
+            assert_eq!(StoreBackend::len(&store), 1);
+            assert!(store.get(ResourceKind::Pod, "ns", "ghost").is_none());
+            assert_eq!(report.recovered_revision, 1);
+            // Untouched: same name, same bytes, no retirement or quarantine
+            // sibling next to it.
+            assert_eq!(fs::read(&stray).expect("stray still there"), stray_bytes);
+            let siblings: Vec<String> = fs::read_dir(&dir)
+                .expect("list dir")
+                .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
+                .filter(|name| name.starts_with("store.kfsnap."))
+                .collect();
+            assert!(siblings.is_empty(), "stray was renamed: {siblings:?}");
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -2652,8 +2416,7 @@ mod tests {
     fn fsync_policy_parses_its_knob_spellings() {
         assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("os"), Some(FsyncPolicy::Os));
-        assert_eq!(FsyncPolicy::parse("batch:64"), Some(FsyncPolicy::Batch(64)));
-        assert_eq!(FsyncPolicy::parse("batch:"), None);
+        assert_eq!(FsyncPolicy::parse("batch:64"), None, "batch mode is gone");
         assert_eq!(
             FsyncPolicy::parse("group"),
             Some(FsyncPolicy::Group {

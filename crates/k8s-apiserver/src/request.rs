@@ -232,7 +232,7 @@ impl ApiRequest {
     }
 
     /// Materialize the request body under the negotiated wire format — the
-    /// form the API server and baseline proxy use, so content negotiation
+    /// form the API server stores, so content negotiation
     /// governs parsing exactly like it governs streaming validation.
     ///
     /// # Errors

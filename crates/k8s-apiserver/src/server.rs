@@ -14,7 +14,7 @@ use kf_yaml::Value;
 use crate::health::{AdmissionGate, DegradePolicy, HealthReport};
 use crate::persist::{DurabilityState, Persistence};
 use crate::request::{ApiRequest, ApiResponse, ResponseBody, ResponseStatus};
-use crate::store::{BaselineStore, ObjectStore, StoreBackend};
+use crate::store::{ObjectStore, StoreBackend};
 use crate::vuln::VulnerabilityOracle;
 
 /// Anything that can serve API requests. The KubeFence proxy implements this
@@ -52,11 +52,10 @@ pub struct ExploitEvent {
 /// server behaves like the paper's baseline cluster before hardening: every
 /// authenticated request is authorized.
 ///
-/// The server is generic over its persistence plane: the default
-/// [`ObjectStore`] shares one `Arc<Value>` per object from admission through
-/// storage, audit and reads, while [`ApiServer::baseline`] runs the same
-/// request logic over the pre-refactor deep-cloning [`BaselineStore`] so the
-/// `server_throughput` benchmark can measure the difference.
+/// The server is generic over its persistence plane so a wrapper or fake
+/// [`StoreBackend`] can be substituted ([`ApiServer::with_store`]); the
+/// default [`ObjectStore`] shares one `Arc<Value>` per object from admission
+/// through storage, audit and reads.
 #[derive(Debug)]
 pub struct ApiServer<S: StoreBackend = ObjectStore> {
     store: S,
@@ -118,16 +117,6 @@ impl ApiServer {
     ) -> std::io::Result<(Self, Persistence, crate::persist::RecoveryReport)> {
         let (store, persistence, report) = Persistence::open(config)?;
         Ok((Self::with_store(store), persistence, report))
-    }
-}
-
-impl ApiServer<BaselineStore> {
-    /// A server over the pre-refactor deep-cloning [`BaselineStore`]: the
-    /// measurement baseline for the zero-copy persistence plane. Request
-    /// handling is the identical code path — only the store's copy
-    /// discipline differs.
-    pub fn baseline() -> Self {
-        Self::with_store(BaselineStore::new())
     }
 }
 
@@ -335,8 +324,7 @@ impl<S: StoreBackend> ApiServer<S> {
             }
             Ok(Some(body)) => body,
         };
-        // The store decides the materialization discipline: the zero-copy
-        // plane shares the request's tree, the baseline deep-clones it.
+        // The store shares the request's tree: no part of it is copied.
         let mut object = self.store.ingest(body).map_err(|e| {
             ApiResponse::error(ResponseStatus::BadRequest, format!("invalid object: {e}"))
         })?;
@@ -1044,40 +1032,5 @@ mod tests {
         let log = server.audit_log();
         let event = log.events().first().unwrap();
         assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), &tree));
-    }
-
-    #[test]
-    fn baseline_server_reaches_identical_responses_with_detached_trees() {
-        let zero_copy = ApiServer::new();
-        let baseline = ApiServer::baseline();
-        let pod = K8sObject::from_yaml(
-            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\n  namespace: default\nspec:\n  containers:\n    - name: c\n      image: nginx\n",
-        )
-        .unwrap();
-        let create = ApiRequest::create("admin", &pod);
-        let tree = Arc::clone(create.body.tree().unwrap());
-        assert_eq!(
-            zero_copy.handle(&create).status,
-            baseline.handle(&create).status
-        );
-        for request in [
-            ApiRequest::get("admin", ResourceKind::Pod, "default", "web"),
-            ApiRequest::list("admin", ResourceKind::Pod, "default"),
-            ApiRequest::update("admin", &pod),
-            ApiRequest::delete("admin", ResourceKind::Pod, "default", "web"),
-        ] {
-            let a = zero_copy.handle(&request);
-            let b = baseline.handle(&request);
-            assert_eq!(a.status, b.status, "diverged on {}", request.path());
-            assert_eq!(a.body, b.body, "bodies diverged on {}", request.path());
-        }
-        // …but the baseline's stored tree is a detached copy, per the old
-        // materialization discipline.
-        assert!(baseline.handle(&create).is_success());
-        let stored = baseline
-            .store()
-            .get(ResourceKind::Pod, "default", "web")
-            .unwrap();
-        assert!(!Arc::ptr_eq(stored.object.shared_body(), &tree));
     }
 }

@@ -25,9 +25,7 @@
 //!
 //! * **Zero copy** — a published event holds the *same* `Arc<Value>` the
 //!   store holds for the object; delivering an event to any number of
-//!   subscribers never copies a document tree. (The deep-clone
-//!   [`crate::BaselineStore`] copies the tree out per event per call, which
-//!   is exactly the per-subscriber cost the journal design avoids.)
+//!   subscribers never copies a document tree.
 //! * **Bounded memory** — each sub-shard retains at most `capacity` events.
 //!   Older events are compacted away; a cursor that predates the compaction
 //!   horizon of **any sub-shard it needs** gets [`WatchError::Gone`] and
@@ -409,19 +407,15 @@ struct SubscriberCore {
     namespace: String,
     /// Bound on live queue entries before the slow consumer is evicted.
     capacity: usize,
-    /// Deep-clone each offered tree (the baseline store's per-subscriber
-    /// copy discipline) instead of sharing the journal's `Arc`.
-    copy: bool,
     state: StdMutex<SubscriberState>,
     cond: Condvar,
 }
 
 impl SubscriberCore {
-    fn new(namespace: &str, cursor: u64, capacity: usize, copy: bool) -> Self {
+    fn new(namespace: &str, cursor: u64, capacity: usize) -> Self {
         SubscriberCore {
             namespace: namespace.to_owned(),
             capacity: capacity.max(1),
-            copy,
             state: StdMutex::new(SubscriberState {
                 resume: cursor,
                 ..SubscriberState::default()
@@ -482,17 +476,9 @@ impl SubscriberCore {
             self.wake(&mut state);
             return true;
         }
-        let delivered = if self.copy {
-            WatchEvent {
-                object: event.object.as_ref().map(|tree| Arc::new((**tree).clone())),
-                ..event.clone()
-            }
-        } else {
-            event.clone()
-        };
         let seq = state.base_seq + state.slots.len() as u64;
         state.index.insert(key, seq);
-        state.slots.push_back(Some(delivered));
+        state.slots.push_back(Some(event.clone()));
         state.live += 1;
         // Bound the tombstone overhead: when dead slots dominate, rebuild
         // the queue densely so memory tracks `live`, not burst history.
@@ -929,29 +915,15 @@ impl KindJournals {
     /// construction because revisions are globally totally ordered. The
     /// resume cursor is the global revision counter read while the scanned
     /// sub-shards are locked: any event published later (to any scanned
-    /// sub-shard) must allocate a strictly larger revision.
-    ///
-    /// `copy` selects the delivery discipline: `false` hands out the
-    /// journal's own handles (zero-copy), `true` deep-clones each tree
-    /// (the baseline's per-subscriber copy).
+    /// sub-shard) must allocate a strictly larger revision. Delivered events
+    /// are the journal's own handles — no tree is copied.
     pub(crate) fn events_since(
         &self,
         revision: &AtomicU64,
         kind: ResourceKind,
         namespace: &str,
         cursor: u64,
-        copy: bool,
     ) -> Result<WatchDelta, WatchError> {
-        let deliver = |event: &WatchEvent| {
-            if copy {
-                WatchEvent {
-                    object: event.object.as_ref().map(|tree| Arc::new((**tree).clone())),
-                    ..event.clone()
-                }
-            } else {
-                event.clone()
-            }
-        };
         if !namespace.is_empty() {
             // Namespace-scoped: exactly one sub-shard holds every event of
             // this namespace, so only it is locked, searched and filtered
@@ -966,7 +938,7 @@ impl KindJournals {
                 .events
                 .range(inner.suffix_start(cursor)..)
                 .filter(|event| event.namespace == namespace)
-                .map(deliver)
+                .cloned()
                 .collect();
             return Ok(WatchDelta {
                 events,
@@ -1009,7 +981,7 @@ impl KindJournals {
                 .min_by_key(|&(_, revision)| revision)
                 .map(|(i, _)| i)
                 .expect("events remain below total");
-            events.push(deliver(&guards[next].events[heads[next]]));
+            events.push(guards[next].events[heads[next]].clone());
             heads[next] += 1;
         }
         Ok(WatchDelta {
@@ -1060,9 +1032,6 @@ impl KindJournals {
     /// lock, so no event can land between backfill and attachment — the
     /// queue sees every post-cursor event of the sub-shard exactly once.
     ///
-    /// `copy` selects the per-subscriber delivery discipline (deep clone for
-    /// the baseline store, shared handles for the zero-copy store).
-    ///
     /// # Errors
     ///
     /// [`WatchError::Gone`] when `cursor` predates the compaction horizon of
@@ -1075,9 +1044,8 @@ impl KindJournals {
         namespace: &str,
         cursor: u64,
         capacity: usize,
-        copy: bool,
     ) -> Result<WatchSubscriber, WatchError> {
-        let core = Arc::new(SubscriberCore::new(namespace, cursor, capacity, copy));
+        let core = Arc::new(SubscriberCore::new(namespace, cursor, capacity));
         let start = kind.index() * self.shard_count;
         let indices: Vec<usize> = if namespace.is_empty() {
             (start..start + self.shard_count).collect()
@@ -1228,7 +1196,7 @@ mod tests {
         );
         assert!(r2 > r1);
         let delta = journals
-            .events_since(&counter, ResourceKind::Pod, "ns", 0, false)
+            .events_since(&counter, ResourceKind::Pod, "ns", 0)
             .unwrap();
         assert_eq!(delta.events.len(), 2);
         assert_eq!(delta.events[0].revision, r1);
@@ -1244,17 +1212,14 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
-        let zero_copy = journals
-            .events_since(&counter, ResourceKind::Pod, "ns", 0, false)
-            .unwrap()
-            .events;
-        assert!(Arc::ptr_eq(zero_copy[0].object.as_ref().unwrap(), &object));
-        let copied = journals
-            .events_since(&counter, ResourceKind::Pod, "ns", 0, true)
-            .unwrap()
-            .events;
-        assert!(!Arc::ptr_eq(copied[0].object.as_ref().unwrap(), &object));
-        assert!(copied[0].object.as_ref().unwrap().loosely_equals(&object));
+        // Scoped and merged reads both hand out the published tree itself.
+        for namespace in ["ns", ""] {
+            let events = journals
+                .events_since(&counter, ResourceKind::Pod, namespace, 0)
+                .unwrap()
+                .events;
+            assert!(Arc::ptr_eq(events[0].object.as_ref().unwrap(), &object));
+        }
     }
 
     #[test]
@@ -1266,7 +1231,7 @@ mod tests {
         journals.publish(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
         assert_eq!(
             journals
-                .events_since(&counter, ResourceKind::Pod, "ns1", 0, false)
+                .events_since(&counter, ResourceKind::Pod, "ns1", 0)
                 .unwrap()
                 .events
                 .len(),
@@ -1274,7 +1239,7 @@ mod tests {
         );
         assert_eq!(
             journals
-                .events_since(&counter, ResourceKind::Pod, "", 0, false)
+                .events_since(&counter, ResourceKind::Pod, "", 0)
                 .unwrap()
                 .events
                 .len(),
@@ -1282,7 +1247,7 @@ mod tests {
         );
         assert_eq!(
             journals
-                .events_since(&counter, ResourceKind::Pod, "", r1, false)
+                .events_since(&counter, ResourceKind::Pod, "", r1)
                 .unwrap()
                 .events
                 .len(),
@@ -1290,7 +1255,7 @@ mod tests {
         );
         // A namespace-filtered delta still resumes from the global counter.
         let ns1 = journals
-            .events_since(&counter, ResourceKind::Pod, "ns1", r1, false)
+            .events_since(&counter, ResourceKind::Pod, "ns1", r1)
             .unwrap();
         assert!(ns1.events.is_empty());
         assert_eq!(ns1.resume, journals.watch_revision(ResourceKind::Pod));
@@ -1316,7 +1281,7 @@ mod tests {
             ));
         }
         let delta = journals
-            .events_since(&counter, ResourceKind::Pod, "", 0, false)
+            .events_since(&counter, ResourceKind::Pod, "", 0)
             .unwrap();
         assert_eq!(
             delta
@@ -1329,7 +1294,7 @@ mod tests {
         assert_eq!(delta.resume, 12);
         // Mid-stream cursors binary-search into every sub-shard.
         let suffix = journals
-            .events_since(&counter, ResourceKind::Pod, "", 7, false)
+            .events_since(&counter, ResourceKind::Pod, "", 7)
             .unwrap();
         assert_eq!(
             suffix.events.iter().map(|e| e.revision).collect::<Vec<_>>(),
@@ -1364,7 +1329,7 @@ mod tests {
         assert!(revisions[1] < revisions[4], "ns-1 order preserved");
         // The merged read replays the whole batch in revision order.
         let delta = journals
-            .events_since(&counter, ResourceKind::Pod, "", 0, false)
+            .events_since(&counter, ResourceKind::Pod, "", 0)
             .unwrap();
         assert_eq!(delta.events.len(), 6);
         assert!(delta
@@ -1387,27 +1352,27 @@ mod tests {
         // Revisions 1 and 2 were compacted away (one namespace, so one
         // sub-shard holds all four events).
         assert_eq!(
-            journals.events_since(&counter, ResourceKind::Pod, "ns", 0, false),
+            journals.events_since(&counter, ResourceKind::Pod, "ns", 0),
             Err(WatchError::Gone {
                 compacted_through: 2
             })
         );
         assert_eq!(
-            journals.events_since(&counter, ResourceKind::Pod, "ns", 1, false),
+            journals.events_since(&counter, ResourceKind::Pod, "ns", 1),
             Err(WatchError::Gone {
                 compacted_through: 2
             })
         );
         // The all-namespaces read needs that sub-shard too.
         assert_eq!(
-            journals.events_since(&counter, ResourceKind::Pod, "", 1, false),
+            journals.events_since(&counter, ResourceKind::Pod, "", 1),
             Err(WatchError::Gone {
                 compacted_through: 2
             })
         );
         // A cursor at the horizon is still servable.
         let delta = journals
-            .events_since(&counter, ResourceKind::Pod, "ns", 2, false)
+            .events_since(&counter, ResourceKind::Pod, "ns", 2)
             .unwrap();
         assert_eq!(delta.events.len(), 2);
         assert_eq!(delta.events[0].revision, 3);
@@ -1440,12 +1405,12 @@ mod tests {
             );
         }
         let quiet_delta = journals
-            .events_since(&counter, ResourceKind::Pod, &quiet, 0, false)
+            .events_since(&counter, ResourceKind::Pod, &quiet, 0)
             .unwrap();
         assert_eq!(quiet_delta.events.len(), 1);
         assert_eq!(quiet_delta.resume, 7);
         assert!(matches!(
-            journals.events_since(&counter, ResourceKind::Pod, "", 0, false),
+            journals.events_since(&counter, ResourceKind::Pod, "", 0),
             Err(WatchError::Gone { .. })
         ));
     }
@@ -1467,9 +1432,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "b", &object));
         let events = sub.try_recv().unwrap();
         assert_eq!(
@@ -1490,30 +1453,26 @@ mod tests {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let scoped = journals
-            .subscribe(ResourceKind::Pod, "ns1", 0, 16, false)
-            .unwrap();
-        let copying = journals
-            .subscribe(ResourceKind::Pod, "", 0, 16, true)
-            .unwrap();
+        let scoped = journals.subscribe(ResourceKind::Pod, "ns1", 0, 16).unwrap();
+        let everything = journals.subscribe(ResourceKind::Pod, "", 0, 16).unwrap();
         journals.publish(&counter, staged(WatchEventKind::Added, "ns1", "a", &object));
         journals.publish(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
         let scoped_events = scoped.try_recv().unwrap();
         assert_eq!(scoped_events.len(), 1);
         assert_eq!(scoped_events[0].name, "a");
-        let copied = copying.try_recv().unwrap();
-        assert_eq!(copied.len(), 2);
-        assert!(!Arc::ptr_eq(copied[0].object.as_ref().unwrap(), &object));
-        assert!(copied[0].object.as_ref().unwrap().loosely_equals(&object));
+        let all = everything.try_recv().unwrap();
+        assert_eq!(all.len(), 2);
+        // Every subscriber's queue shares the one published tree.
+        for event in scoped_events.iter().chain(&all) {
+            assert!(Arc::ptr_eq(event.object.as_ref().unwrap(), &object));
+        }
     }
 
     #[test]
     fn coalescing_keeps_the_last_write_and_the_delivery_order() {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         let stale = tree("hot-old");
         let other = tree("other");
         let newest = tree("hot-new");
@@ -1545,9 +1504,7 @@ mod tests {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 2, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 2).unwrap();
         // Three distinct objects against a queue bound of two: the third
         // offer cannot coalesce, so the subscriber is evicted.
         for name in ["a", "b", "c"] {
@@ -1574,9 +1531,7 @@ mod tests {
                 staged(WatchEventKind::Added, "ns", &format!("obj-{i}"), &object),
             );
         }
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 2, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 2).unwrap();
         assert!(matches!(sub.try_recv(), Err(WatchError::Gone { .. })));
     }
 
@@ -1592,26 +1547,20 @@ mod tests {
             );
         }
         assert_eq!(
-            journals
-                .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-                .err(),
+            journals.subscribe(ResourceKind::Pod, "ns", 0, 16).err(),
             Some(WatchError::Gone {
                 compacted_through: 2
             })
         );
         // A cursor at the horizon attaches fine.
-        assert!(journals
-            .subscribe(ResourceKind::Pod, "ns", 2, 16, false)
-            .is_ok());
+        assert!(journals.subscribe(ResourceKind::Pod, "ns", 2, 16).is_ok());
     }
 
     #[test]
     fn recv_timeout_blocks_until_publication_wakes_it() {
         let journals = Arc::new(KindJournals::new(64, DEFAULT_JOURNAL_SHARDS));
         let counter = Arc::new(AtomicU64::new(0));
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         let publisher = {
             let journals = Arc::clone(&journals);
             let counter = Arc::clone(&counter);
@@ -1639,10 +1588,10 @@ mod tests {
         let object = tree("a");
         let dispatcher = WatchDispatcher::new();
         let quiet = journals
-            .subscribe(ResourceKind::Pod, "quiet-ns", 0, 16, false)
+            .subscribe(ResourceKind::Pod, "quiet-ns", 0, 16)
             .unwrap();
         let busy = journals
-            .subscribe(ResourceKind::Pod, "busy-ns", 0, 16, false)
+            .subscribe(ResourceKind::Pod, "busy-ns", 0, 16)
             .unwrap();
         dispatcher.register(&quiet, 0);
         dispatcher.register(&busy, 1);
@@ -1672,9 +1621,7 @@ mod tests {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
         let dispatcher = WatchDispatcher::new();
         dispatcher.register(&sub, 7);
@@ -1687,9 +1634,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         let shard_index = journals.shard_index(ResourceKind::Pod, "ns");
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 16, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         assert_eq!(recover(journals.subscribers[shard_index].lock()).len(), 1);
         drop(sub);
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
@@ -1700,9 +1645,7 @@ mod tests {
     fn tombstone_compaction_keeps_queue_memory_bounded_by_live_entries() {
         let journals = KindJournals::new(4096, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
-        let sub = journals
-            .subscribe(ResourceKind::Pod, "ns", 0, 4, false)
-            .unwrap();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 4).unwrap();
         // Hammer two objects far past the bound: coalescing tombstones every
         // stale slot, and periodic compaction keeps the deque near `live`.
         let object = tree("hot");

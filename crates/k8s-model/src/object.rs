@@ -200,17 +200,6 @@ impl K8sObject {
         self.body
     }
 
-    /// A copy of this object whose body is a freshly allocated, unshared
-    /// tree — the pre-zero-copy behaviour, used by the measurement baseline
-    /// (`BaselineStore`) to reproduce the old per-request deep-clone cost.
-    pub fn deep_clone(&self) -> Self {
-        K8sObject {
-            kind: self.kind,
-            metadata: self.metadata.clone(),
-            body: Arc::new((*self.body).clone()),
-        }
-    }
-
     /// The `spec` subtree, if present.
     pub fn spec(&self) -> Option<&Value> {
         self.body.get("spec")
@@ -374,14 +363,6 @@ spec:
         obj.set_field(&Path::parse("spec.replicas").unwrap(), Value::Int(4))
             .unwrap();
         assert_eq!(Arc::as_ptr(obj.shared_body()), before);
-    }
-
-    #[test]
-    fn deep_clone_detaches_the_tree() {
-        let obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
-        let detached = obj.deep_clone();
-        assert!(!Arc::ptr_eq(obj.shared_body(), detached.shared_body()));
-        assert_eq!(obj.body(), detached.body());
     }
 
     #[test]

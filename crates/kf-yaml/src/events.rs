@@ -152,6 +152,22 @@ impl<'a> Line<'a> {
     }
 }
 
+/// The deepest container nesting either tokenizer accepts, block and flow
+/// levels counted together. Real manifests nest fewer than 20 levels; the
+/// cap exists because every consumer of the event stream — the tree
+/// builder's `Value` (dropped recursively), the validators, the emitters —
+/// recurses per level, so unbounded nesting in a 20 KB body is a stack
+/// overflow that aborts the process before any policy runs.
+pub(crate) const MAX_NESTING_DEPTH: usize = 128;
+
+/// The positioned parse error for a container that would nest too deep.
+pub(crate) fn too_deep(line: usize) -> Error {
+    Error::parse(
+        line,
+        format!("nesting deeper than {MAX_NESTING_DEPTH} levels"),
+    )
+}
+
 /// An open block container on the tokenizer stack.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
@@ -321,6 +337,16 @@ impl<'a> Tokenizer<'a> {
         self.expect = Expect::Container;
     }
 
+    /// Open a block container, refusing nesting past [`MAX_NESTING_DEPTH`].
+    fn open_frame(&mut self, frame: Frame, line: usize) -> Result<(), Error> {
+        if self.stack.len() >= MAX_NESTING_DEPTH {
+            return Err(too_deep(line));
+        }
+        self.stack.push(frame);
+        self.expect = Expect::Container;
+        Ok(())
+    }
+
     fn close_frame(&mut self) {
         if let Some(frame) = self.stack.pop() {
             if let Frame::Map { keys_start, .. } = frame {
@@ -343,16 +369,12 @@ impl<'a> Tokenizer<'a> {
         if is_dash(line.text) {
             self.queue
                 .push_back(Event::SequenceStart { pos: line.pos() });
-            self.stack.push(Frame::Seq { indent });
-            self.expect = Expect::Container;
+            self.open_frame(Frame::Seq { indent }, line.number)?;
         } else if find_key_split(line.text).is_some() {
             self.queue
                 .push_back(Event::MappingStart { pos: line.pos() });
-            self.stack.push(Frame::Map {
-                indent,
-                keys_start: self.keys.len(),
-            });
-            self.expect = Expect::Container;
+            let keys_start = self.keys.len();
+            self.open_frame(Frame::Map { indent, keys_start }, line.number)?;
         } else {
             // A bare scalar (or flow collection) on a single line.
             self.scan_value(line.text, line.number)?;
@@ -442,8 +464,7 @@ impl<'a> Tokenizer<'a> {
                 // their key.
                 self.queue
                     .push_back(Event::SequenceStart { pos: next.pos() });
-                self.stack.push(Frame::Seq { indent });
-                self.expect = Expect::Container;
+                self.open_frame(Frame::Seq { indent }, next.number)?;
             } else {
                 self.push_null(next.pos());
             }
@@ -516,7 +537,7 @@ impl<'a> Tokenizer<'a> {
                 line,
                 base_offset,
             };
-            scan_flow_node(&mut cursor, &mut self.queue)?;
+            scan_flow_node(&mut cursor, &mut self.queue, self.stack.len())?;
             cursor.skip_ws();
             if cursor.i != text.len() {
                 return Err(Error::parse(
@@ -734,11 +755,18 @@ impl<'a> FlowCursor<'a> {
 }
 
 /// Scan one flow node (`[...]`, `{...}` or a scalar token), emitting events.
+/// `depth` is the number of containers (block and flow) already open around
+/// it; the scan recurses per flow level, so it refuses to open a collection
+/// past [`MAX_NESTING_DEPTH`].
 fn scan_flow_node<'a>(
     cur: &mut FlowCursor<'a>,
     queue: &mut VecDeque<Event<'a>>,
+    depth: usize,
 ) -> Result<(), Error> {
     cur.skip_ws();
+    if matches!(cur.peek(), Some('[' | '{')) && depth >= MAX_NESTING_DEPTH {
+        return Err(too_deep(cur.line));
+    }
     match cur.peek() {
         Some('[') => {
             queue.push_back(Event::SequenceStart { pos: cur.pos() });
@@ -749,7 +777,7 @@ fn scan_flow_node<'a>(
                     cur.i += 1;
                     break;
                 }
-                scan_flow_node(cur, queue)?;
+                scan_flow_node(cur, queue, depth + 1)?;
                 cur.skip_ws();
                 match cur.peek() {
                     Some(',') => cur.i += 1,
@@ -809,7 +837,7 @@ fn scan_flow_node<'a>(
                     name: key,
                     pos: key_pos,
                 });
-                scan_flow_node(cur, queue)?;
+                scan_flow_node(cur, queue, depth + 1)?;
                 cur.skip_ws();
                 match cur.peek() {
                     Some(',') => cur.i += 1,
@@ -1056,5 +1084,26 @@ mod tests {
                 Err(_) => break true,
             }
         });
+    }
+
+    #[test]
+    fn nesting_is_capped_across_block_and_flow_levels() {
+        let flow = |depth: usize| format!("a: {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        // One block mapping plus flow levels: exactly the cap still parses…
+        let deepest = flow(MAX_NESTING_DEPTH - 1);
+        let opened = events(&deepest)
+            .iter()
+            .filter(|e| matches!(e, Event::MappingStart { .. } | Event::SequenceStart { .. }))
+            .count();
+        assert_eq!(opened, MAX_NESTING_DEPTH);
+        // …one level more is a positioned parse error, which the tree
+        // parser inherits.
+        let err = crate::parse(&format!("kind: Pod\n{}", flow(MAX_NESTING_DEPTH))).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Compact nested sequences open one block frame per dash.
+        assert!(crate::parse(&format!("{}x\n", "- ".repeat(MAX_NESTING_DEPTH))).is_ok());
+        let err = crate::parse(&format!("{}x\n", "- ".repeat(MAX_NESTING_DEPTH + 1))).unwrap_err();
+        assert!(matches!(err, Error::Parse { line: 1, .. }), "{err}");
     }
 }

@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 
-use crate::events::{Event, Pos, ScalarToken};
+use crate::events::{too_deep, Event, Pos, ScalarToken, MAX_NESTING_DEPTH};
 use crate::value::Value;
 use crate::Error;
 
@@ -204,6 +204,9 @@ impl<'a> JsonTokenizer<'a> {
     /// Scan the value at the cursor (the cursor sits on its first byte).
     fn scan_value(&mut self) -> Result<Event<'a>, Error> {
         let pos = self.pos();
+        if matches!(self.peek(), Some(b'{' | b'[')) && self.stack.len() >= MAX_NESTING_DEPTH {
+            return Err(too_deep(self.line));
+        }
         match self.peek() {
             Some(b'{') => {
                 self.i += 1;
@@ -819,5 +822,14 @@ mod tests {
         };
         assert!(saw_doc_end);
         assert!(saw_error);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_shared_limit() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_NESTING_DEPTH)).is_ok());
+        let err = first_error(&format!("{{\"a\":\n{}}}", nest(MAX_NESTING_DEPTH)));
+        assert!(matches!(err, Error::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 }

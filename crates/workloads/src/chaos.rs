@@ -162,7 +162,6 @@ impl ChaosReport {
         for o in &self.outcomes {
             let fsync = match o.fsync {
                 FsyncPolicy::Always => "always".to_owned(),
-                FsyncPolicy::Batch(n) => format!("batch:{n}"),
                 FsyncPolicy::Os => "os".to_owned(),
                 FsyncPolicy::Group {
                     max_wait_us,
@@ -237,13 +236,12 @@ impl ChaosDriver {
             fs::remove_dir_all(&dir)?;
         }
         let schedule = FaultSchedule::from_seed(seed);
-        // Three-way policy rotation by seed. Group runs with a zero window
+        // Two-way policy rotation by seed. Group runs with a zero window
         // (`group:0:4`): single-threaded drivers close every window
         // immediately, so transitions stay a pure function of the schedule
         // while the shared-fsync failure path is still the one exercised.
-        let fsync = match seed % 3 {
+        let fsync = match seed % 2 {
             0 => FsyncPolicy::Always,
-            1 => FsyncPolicy::Batch(4),
             _ => FsyncPolicy::Group {
                 max_wait_us: 0,
                 max_batch: 4,

@@ -4,22 +4,16 @@
 //! cache seeded by one initial list and then apply incremental watch
 //! deltas, exactly the traffic shape the paper's workload characterization
 //! attributes to the dominant share of API-server load. This module models
-//! both reconcile disciplines against any [`RequestHandler`]:
+//! both delivery disciplines:
 //!
-//! * [`Informer::sync`] — **watch-driven**: the first tick issues an
-//!   initial watch (`resourceVersion` absent — list + cursor), every
-//!   subsequent tick resumes from the cursor and applies only the deltas;
-//!   a `410 Gone` (journal compacted past the cursor) falls back to one
-//!   re-list and resumes cleanly.
-//! * [`Informer::sync_by_list`] — **poll-list**: the pre-watch-plane
-//!   discipline; every tick lists the whole collection and rebuilds the
-//!   cache from scratch.
-//!
-//! [`InformerDriver`] replays a [`MixRatio`] whose `watch` slots are
-//! reconcile ticks (one informer per watched collection, per thread) and
-//! whose create/get/list slots are background churn, from M threads — the
-//! harness behind the `watch_throughput` benchmark comparing the two
-//! disciplines over both store backends.
+//! * [`Informer::sync`] — **pull**, against any [`RequestHandler`]: the
+//!   first tick issues an initial watch (`resourceVersion` absent — list +
+//!   cursor), every subsequent tick resumes from the cursor and applies
+//!   only the deltas; a `410 Gone` (journal compacted past the cursor)
+//!   falls back to one re-list and resumes cleanly.
+//! * [`PushInformer`] — **push**, against any [`WatchHub`]: attaches a
+//!   bounded subscriber queue and drains what the publication path fans
+//!   into it; eviction recovers by re-listing through a [`RelistGate`].
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -27,7 +21,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 // Gate waiting uses `std::sync` directly: the parking_lot shim carries no
 // Condvar, and a Condvar must pair with the mutex type it waits on.
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use k8s_apiserver::{
     ApiRequest, RequestHandler, ResponseStatus, WatchEvent, WatchEventKind, WatchHub,
@@ -35,31 +29,6 @@ use k8s_apiserver::{
 };
 use k8s_model::ResourceKind;
 use kf_yaml::Value;
-
-use crate::throughput::{MixRatio, OperatorPools};
-use crate::Operator;
-
-/// How an informer keeps its cache fresh — the measured axis of the
-/// `watch_throughput` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconcileStrategy {
-    /// Re-list the whole collection every tick and rebuild the cache (the
-    /// pre-watch-plane discipline).
-    PollList,
-    /// Seed once from an initial watch, then apply incremental deltas from
-    /// the revision cursor.
-    WatchDelta,
-}
-
-impl ReconcileStrategy {
-    /// A short label for bench tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReconcileStrategy::PollList => "poll-list",
-            ReconcileStrategy::WatchDelta => "watch-delta",
-        }
-    }
-}
 
 /// A local object cache over one watched collection (kind + namespace),
 /// reconciled through a [`RequestHandler`] as one authenticated user — the
@@ -106,8 +75,7 @@ impl Informer {
         self.cache.len()
     }
 
-    /// Cache mutations applied so far (seeds + deltas, or list rebuild
-    /// inserts under [`Informer::sync_by_list`]).
+    /// Cache mutations applied so far (seeds + deltas).
     pub fn events_applied(&self) -> u64 {
         self.events_applied
     }
@@ -148,39 +116,6 @@ impl Informer {
             self.apply(event);
         }
         self.cursor = Some(cursor);
-        1
-    }
-
-    /// One poll-list reconcile tick: list the collection and rebuild the
-    /// cache from the returned items (keys parsed out of each tree —
-    /// exactly the per-tick work the watch plane avoids). Returns the
-    /// number of requests issued (always 1).
-    pub fn sync_by_list<H: RequestHandler>(&mut self, handler: &H) -> u64 {
-        let request = ApiRequest::list(&self.user, self.kind, &self.namespace);
-        let response = handler.handle(&request);
-        self.relists += 1;
-        let Some(body) = &response.body else {
-            return 1;
-        };
-        let Some(items) = body.items() else {
-            return 1;
-        };
-        self.cache.clear();
-        for item in items {
-            let metadata = item.get("metadata");
-            let name = metadata
-                .and_then(|m| m.get("name"))
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_owned();
-            let namespace = metadata
-                .and_then(|m| m.get("namespace"))
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_owned();
-            self.cache.insert((namespace, name), Arc::clone(item));
-            self.events_applied += 1;
-        }
         1
     }
 
@@ -499,194 +434,6 @@ impl PushInformer {
     }
 }
 
-/// Measurements of one [`InformerDriver::run`].
-#[derive(Debug, Clone)]
-pub struct ReconcileReport {
-    /// Reconcile strategy that produced the numbers.
-    pub strategy: ReconcileStrategy,
-    /// Number of replay threads.
-    pub threads: usize,
-    /// Requests issued across all threads (background churn + reconcile
-    /// ticks, including `Gone` recoveries).
-    pub total_requests: u64,
-    /// Reconcile ticks performed across all threads.
-    pub reconcile_ticks: u64,
-    /// Cache mutations applied across all threads.
-    pub events_applied: u64,
-    /// Full re-lists performed across all threads.
-    pub relists: u64,
-    /// Objects reconciled per informer at the end of the run, summed.
-    pub cached_objects: u64,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
-
-impl ReconcileReport {
-    /// Sustained requests per second over the run.
-    pub fn requests_per_sec(&self) -> f64 {
-        self.total_requests as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Sustained cache mutations per second over the run.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_applied as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Replays a [`MixRatio`] where the `watch` slots are informer reconcile
-/// ticks: each thread owns one informer per watched collection and
-/// interleaves background churn (create/get/list, from a deterministic
-/// pool) with reconciles, so the two strategies face identical write
-/// traffic and differ only in how caches stay fresh.
-///
-/// The driver can **scale** the collections: with a scale of `n`, every
-/// chart object is replicated `n` times under suffixed names (`web`,
-/// `web-1`, `web-2`, …), modeling a populated cluster where a watched
-/// collection holds tens of objects — the regime where re-listing per
-/// reconcile tick actually hurts and the watch plane pays off.
-#[derive(Debug, Clone)]
-pub struct InformerDriver {
-    /// The create/get/list stream replayed between reconciles, in cycle
-    /// order.
-    background: Vec<ApiRequest>,
-    /// One create per distinct (scaled) object, for seeding.
-    seeds: Vec<ApiRequest>,
-    targets: Vec<(String, ResourceKind, String)>,
-    mix: MixRatio,
-}
-
-impl InformerDriver {
-    /// A driver over the operators' objects under `mix` (which must include
-    /// at least one `watch` slot — otherwise there is nothing to
-    /// reconcile), at scale 1: collections hold exactly the chart objects.
-    pub fn new(operators: &[Operator], mix: MixRatio) -> Self {
-        Self::with_scale(operators, mix, 1)
-    }
-
-    /// [`InformerDriver::new`] with every chart object replicated `scale`
-    /// times under suffixed names.
-    pub fn with_scale(operators: &[Operator], mix: MixRatio, scale: usize) -> Self {
-        assert!(mix.watch > 0, "the informer driver reconciles watch slots");
-        // The same pool builder the mixed throughput pools use, so both
-        // strategies face the identical deterministic background churn —
-        // just without the watch slots, which become reconcile ticks here.
-        let pools = OperatorPools::gather(operators, scale);
-        let background = pools.interleave(MixRatio { watch: 0, ..mix });
-        assert!(
-            !background.is_empty(),
-            "the mix must include background traffic"
-        );
-        InformerDriver {
-            background,
-            seeds: pools.creates,
-            targets: pools.targets,
-            mix,
-        }
-    }
-
-    /// The background (create/get/list) stream replayed between reconciles.
-    pub fn background_pool(&self) -> &[ApiRequest] {
-        &self.background
-    }
-
-    /// The watched collections: (user, kind, namespace).
-    pub fn targets(&self) -> &[(String, ResourceKind, String)] {
-        &self.targets
-    }
-
-    /// Apply every distinct (scaled) object once so reconciles and reads
-    /// hit populated collections — admission, audit and the watch journal
-    /// all run; this is a warm server, not a backdoor into the store.
-    pub fn seed<H: RequestHandler>(&self, handler: &H) {
-        for request in &self.seeds {
-            handler.handle(request);
-        }
-    }
-
-    /// Replay `cycles_per_thread` mix cycles from each of `threads`
-    /// threads: per cycle, the background slots issue the next pool
-    /// requests and every `watch` slot runs one reconcile tick on the
-    /// thread's informers (round-robin across targets), under `strategy`.
-    pub fn run<H>(
-        &self,
-        handler: &H,
-        threads: usize,
-        cycles_per_thread: usize,
-        strategy: ReconcileStrategy,
-    ) -> ReconcileReport
-    where
-        H: RequestHandler + Sync,
-    {
-        assert!(threads > 0, "at least one replay thread is required");
-        let pool = &self.background;
-        let background_per_cycle = self.mix.create + self.mix.get + self.mix.list;
-        let started = Instant::now();
-        let per_thread: Vec<(u64, u64, u64, u64, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|thread| {
-                    scope.spawn(move || {
-                        let mut informers: Vec<Informer> = self
-                            .targets
-                            .iter()
-                            .map(|(user, kind, namespace)| Informer::new(user, *kind, namespace))
-                            .collect();
-                        let mut requests = 0u64;
-                        let mut ticks = 0u64;
-                        // Rotated offsets so threads spread over the pool
-                        // and the watched collections.
-                        let mut cursor = thread * pool.len() / threads.max(1);
-                        let mut target = thread % informers.len().max(1);
-                        for _ in 0..cycles_per_thread {
-                            for _ in 0..background_per_cycle {
-                                handler.handle(&pool[cursor % pool.len()]);
-                                cursor += 1;
-                                requests += 1;
-                            }
-                            for _ in 0..self.mix.watch {
-                                let index = target % informers.len();
-                                let informer = &mut informers[index];
-                                requests += match strategy {
-                                    ReconcileStrategy::PollList => informer.sync_by_list(handler),
-                                    ReconcileStrategy::WatchDelta => informer.sync(handler),
-                                };
-                                ticks += 1;
-                                target += 1;
-                            }
-                        }
-                        let events: u64 = informers.iter().map(Informer::events_applied).sum();
-                        let relists: u64 = informers.iter().map(Informer::relists).sum();
-                        let cached: u64 = informers.iter().map(|i| i.cache_len() as u64).sum();
-                        (requests, ticks, events, relists, cached)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reconcile thread panicked"))
-                .collect()
-        });
-        let elapsed = started.elapsed();
-        let mut report = ReconcileReport {
-            strategy,
-            threads,
-            total_requests: 0,
-            reconcile_ticks: 0,
-            events_applied: 0,
-            relists: 0,
-            cached_objects: 0,
-            elapsed,
-        };
-        for (requests, ticks, events, relists, cached) in per_thread {
-            report.total_requests += requests;
-            report.reconcile_ticks += ticks;
-            report.events_applied += events;
-            report.relists += relists;
-            report.cached_objects += cached;
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,56 +502,6 @@ mod tests {
         ));
         assert_eq!(informer.sync(&server), 1);
         assert_eq!(informer.cache_len(), 4);
-    }
-
-    #[test]
-    fn poll_list_reconciles_to_the_same_cache() {
-        let server = ApiServer::new();
-        for name in ["a", "b"] {
-            server.handle(&ApiRequest::create("admin", &pod(name)));
-        }
-        let mut watcher = Informer::new("admin", ResourceKind::Pod, "default");
-        let mut poller = Informer::new("admin", ResourceKind::Pod, "default");
-        watcher.sync(&server);
-        poller.sync_by_list(&server);
-        assert_eq!(
-            watcher.cache().keys().collect::<Vec<_>>(),
-            poller.cache().keys().collect::<Vec<_>>()
-        );
-        server.handle(&ApiRequest::delete(
-            "admin",
-            ResourceKind::Pod,
-            "default",
-            "a",
-        ));
-        watcher.sync(&server);
-        poller.sync_by_list(&server);
-        assert_eq!(
-            watcher.cache().keys().collect::<Vec<_>>(),
-            poller.cache().keys().collect::<Vec<_>>()
-        );
-        assert!(poller.relists() > watcher.relists());
-    }
-
-    #[test]
-    fn scaled_drivers_populate_scaled_collections() {
-        let driver = InformerDriver::with_scale(&[Operator::Nginx], MixRatio::WATCH_HEAVY, 3);
-        let server = ApiServer::new().with_admin(&Operator::Nginx.user());
-        driver.seed(&server);
-        let base = InformerDriver::new(&[Operator::Nginx], MixRatio::WATCH_HEAVY);
-        let base_server = ApiServer::new().with_admin(&Operator::Nginx.user());
-        base.seed(&base_server);
-        assert_eq!(server.store().len(), 3 * base_server.store().len());
-        // Same watched collections, three times the objects each.
-        assert_eq!(driver.targets(), base.targets());
-        let mut informer = Informer::new(
-            &Operator::Nginx.user(),
-            driver.targets()[0].1,
-            &driver.targets()[0].2,
-        );
-        informer.sync(&server);
-        assert_eq!(informer.cache_len() % 3, 0);
-        assert!(informer.cache_len() >= 3);
     }
 
     #[test]
@@ -880,25 +577,5 @@ mod tests {
         drop(p2);
         assert_eq!(gate.admissions(), 3);
         assert_eq!(gate.peak_admitted(), 2, "never above the bound");
-    }
-
-    #[test]
-    fn the_driver_reconciles_both_strategies_to_live_caches() {
-        let driver = InformerDriver::new(&[Operator::Nginx], MixRatio::WATCH_HEAVY);
-        assert!(!driver.targets().is_empty());
-        for strategy in [ReconcileStrategy::PollList, ReconcileStrategy::WatchDelta] {
-            let server = ApiServer::new().with_admin(&Operator::Nginx.user());
-            driver.seed(&server);
-            let report = driver.run(&server, 2, 6, strategy);
-            assert_eq!(report.threads, 2);
-            assert_eq!(
-                report.reconcile_ticks,
-                2 * 6 * MixRatio::WATCH_HEAVY.watch as u64
-            );
-            assert!(report.events_applied > 0, "{strategy:?} applied no events");
-            assert!(report.cached_objects > 0);
-            assert!(report.requests_per_sec() > 0.0);
-            assert!(report.events_per_sec() > 0.0);
-        }
     }
 }

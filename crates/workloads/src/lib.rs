@@ -20,7 +20,7 @@
 //! * [`RecoveryDriver`] — the crash/replay driver over the durable
 //!   persistence plane: populate a WAL-backed store, crash it without a
 //!   checkpoint, reopen, and verify byte-identical recovery (used by the
-//!   `cold_start` bench and the persistence integration tests);
+//!   persistence integration tests);
 //! * [`e2e`] — the end-to-end test corpus model behind Figure 5 (6,580 tests
 //!   over 12 categories, of which only 29 reach CVE-affected code).
 
@@ -38,10 +38,7 @@ mod throughput;
 
 pub use chaos::{ChaosDriver, ChaosOutcome, ChaosReport};
 pub use driver::{DeploymentDriver, DeploymentOutcome};
-pub use informer::{
-    Informer, InformerDriver, PushInformer, ReconcileReport, ReconcileStrategy, RelistGate,
-    RelistPermit,
-};
+pub use informer::{Informer, PushInformer, RelistGate, RelistPermit};
 pub use operator::{Operator, OperatorWorkload};
 pub use recovery::{RecoveryDriver, ReplayVerdict};
-pub use throughput::{MixRatio, ThroughputDriver, ThroughputReport};
+pub use throughput::{MixRatio, ThroughputDriver};

@@ -4,9 +4,9 @@
 //! populate a durable store with an operator's (replicated) chart objects,
 //! mutate it, **crash without warning** (drop the store — no checkpoint, no
 //! shutdown hook), reopen from checkpoint segments + WAL, and verify the
-//! recovered state is byte-identical to what the crash interrupted. The `cold_start`
-//! bench and the `persistence_plane` integration tests drive their
-//! scenarios through this type, so "what a crash means" is defined once.
+//! recovered state is byte-identical to what the crash interrupted. The
+//! `persistence_plane` integration tests drive their scenarios through this
+//! type, so "what a crash means" is defined once.
 
 use std::io;
 use std::sync::Arc;

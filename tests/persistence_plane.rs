@@ -265,23 +265,31 @@ fn checkpoint_compacts_the_wal_and_seals_the_gone_horizon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The fsync policy bounds loss, it does not change correctness: with
-/// `Batch(n)`, everything up to the last durability point survives, the
-/// recovered prefix is exact (not approximate), and `durable_revision`
+/// The fsync policy bounds loss, it does not change correctness: with the
+/// deferred `Os` policy, everything up to the last explicit sync survives,
+/// the recovered prefix is exact (not approximate), and `durable_revision`
 /// never overstates what is on disk.
 #[test]
-fn batch_fsync_recovers_an_exact_prefix_and_never_overstates_durability() {
-    let dir = temp_dir("batch");
+fn deferred_fsync_recovers_an_exact_prefix_and_never_overstates_durability() {
+    let dir = temp_dir("deferred");
     let durable;
     {
         let (store, persistence, _) =
-            Persistence::open(PersistConfig::new(&dir).with_fsync(FsyncPolicy::Batch(8)))
+            Persistence::open(PersistConfig::new(&dir).with_fsync(FsyncPolicy::Os))
                 .expect("persistence opens");
         for i in 0..20 {
             store.create(pod(&format!("batch-{i}"), "nginx"));
+            if i == 15 {
+                assert_eq!(
+                    persistence.wal().durable_revision(),
+                    0,
+                    "nothing proven yet"
+                );
+                persistence.wal().sync().expect("mid-run sync");
+            }
         }
         durable = persistence.wal().durable_revision();
-        // 20 appends at Batch(8) → syncs at 8 and 16.
+        // Only the explicit sync after write 16 proved anything.
         assert_eq!(durable, 16);
         assert_eq!(persistence.wal().appended_revision(), 20);
         // Crash without the final sync.

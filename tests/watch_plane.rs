@@ -429,33 +429,6 @@ fn watch_batches_share_storage_with_the_store_and_requests() {
         added.object.as_ref().unwrap(),
         other_added.object.as_ref().unwrap()
     ));
-
-    // The baseline server answers identically but detaches every tree.
-    let baseline = ApiServer::baseline();
-    assert!(baseline.handle(&request).is_success());
-    let initial = baseline.handle(&ApiRequest::watch(
-        "admin",
-        ResourceKind::Pod,
-        "default",
-        None,
-    ));
-    let (events, cursor) = initial.body.as_ref().unwrap().watch_events().unwrap();
-    assert_eq!(events.len(), 2, "one Added + bookmark");
-    assert!(!Arc::ptr_eq(events[0].object.as_ref().unwrap(), &tree));
-    assert!(baseline.handle(&second).is_success());
-    let delta = baseline.handle(&ApiRequest::watch(
-        "admin",
-        ResourceKind::Pod,
-        "default",
-        Some(cursor),
-    ));
-    let (events, _) = delta.body.as_ref().unwrap().watch_events().unwrap();
-    let added = events
-        .iter()
-        .find(|e| e.kind == WatchEventKind::Added)
-        .unwrap();
-    assert!(!Arc::ptr_eq(added.object.as_ref().unwrap(), &second_tree));
-    assert!(added.object.as_ref().unwrap().loosely_equals(&second_tree));
 }
 
 /// Watch traffic traverses the hardened surface: learned RBAC authorizes

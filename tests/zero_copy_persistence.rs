@@ -1,14 +1,13 @@
 //! The zero-copy persistence plane, pinned by pointer identity: one
 //! `Arc<Value>` travels from the request body through admission, the object
-//! store, the audit trail, exploit forensics and every read — and the
-//! preserved deep-clone baseline demonstrably does not share it. Plus a
+//! store, the audit trail, exploit forensics and every read. Plus a
 //! concurrent create/update/get/list stress test pinning revision
 //! monotonicity under the `Arc`-handle store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseBody, StoreBackend};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseBody};
 use k8s_model::{K8sObject, ResourceKind};
 use kubefence::{EnforcementProxy, Validator};
 
@@ -140,33 +139,6 @@ fn raw_bodies_parse_once_and_share_from_there() {
         ),
         "store and audit must share one materialization of the raw body"
     );
-}
-
-#[test]
-fn baseline_store_does_not_share() {
-    // The measurement baseline preserves the old discipline: same
-    // responses, detached trees at every boundary.
-    let server = ApiServer::baseline();
-    let pod = K8sObject::from_yaml(&pod_yaml("web", "nginx:1.25")).unwrap();
-    let request = ApiRequest::create("admin", &pod);
-    let tree = Arc::clone(request.body.tree().unwrap());
-    assert!(server.handle(&request).is_success());
-    let stored = server
-        .store()
-        .get(ResourceKind::Pod, "default", "web")
-        .unwrap();
-    assert!(!Arc::ptr_eq(stored.object.shared_body(), &tree));
-    assert!(stored.object.body().loosely_equals(&tree));
-    let get = server.handle(&ApiRequest::get(
-        "admin",
-        ResourceKind::Pod,
-        "default",
-        "web",
-    ));
-    let Some(ResponseBody::Object(body)) = get.body else {
-        panic!("get returns an object body");
-    };
-    assert!(!Arc::ptr_eq(&body, stored.object.shared_body()));
 }
 
 #[test]
