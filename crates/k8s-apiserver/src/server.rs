@@ -304,39 +304,45 @@ impl<S: StoreBackend> ApiServer<S> {
             .push(event);
     }
 
+    /// Materialize a mutating request's payload and admit it as the object
+    /// to persist. The payload materializes once, under the negotiated wire
+    /// format: tree bodies are a cheap `Arc` clone, raw bodies parse exactly
+    /// here (behind the proxy, only already-validated bytes reach this
+    /// point). On refusal the body comes back beside the response (when one
+    /// materialized), so a `400` is still audited with what it carried.
     fn admit_object(
         &self,
         request: &ApiRequest,
-        materialized: &Result<Option<Arc<Value>>, String>,
-    ) -> Result<K8sObject, ApiResponse> {
-        let body = match materialized {
-            Err(message) => {
-                return Err(ApiResponse::error(
-                    ResponseStatus::BadRequest,
-                    format!("invalid request body: {message}"),
-                ))
-            }
-            Ok(None) => {
-                return Err(ApiResponse::error(
-                    ResponseStatus::BadRequest,
-                    "mutating request without a body",
-                ))
-            }
+    ) -> Result<K8sObject, (ApiResponse, Option<Arc<Value>>)> {
+        let refuse = |message: String, body: Option<Arc<Value>>| {
+            (
+                ApiResponse::error(ResponseStatus::BadRequest, message),
+                body,
+            )
+        };
+        let body = match request.materialize_body() {
+            Err(message) => return Err(refuse(format!("invalid request body: {message}"), None)),
+            Ok(None) => return Err(refuse("mutating request without a body".into(), None)),
             Ok(Some(body)) => body,
         };
         // The store shares the request's tree: no part of it is copied.
-        let mut object = self.store.ingest(body).map_err(|e| {
-            ApiResponse::error(ResponseStatus::BadRequest, format!("invalid object: {e}"))
-        })?;
+        let mut object = match self.store.ingest(&body) {
+            Ok(object) => object,
+            Err(e) => return Err(refuse(format!("invalid object: {e}"), Some(body))),
+        };
+        // From here the object's handle is the server's only one: a tree
+        // parsed from wire bytes is uniquely owned, so defaulting below
+        // writes it in place. Only a `RequestBody::Tree` whose caller still
+        // holds the tree makes that write copy (the caller's tree is never
+        // mutated).
+        drop(body);
         if object.kind() != request.kind {
-            return Err(ApiResponse::error(
-                ResponseStatus::BadRequest,
-                format!(
-                    "object kind {} does not match endpoint {}",
-                    object.kind(),
-                    request.kind
-                ),
-            ));
+            let message = format!(
+                "object kind {} does not match endpoint {}",
+                object.kind(),
+                request.kind
+            );
+            return Err(refuse(message, Some(object.into_body())));
         }
         // Namespace defaulting, as the admission chain would do.
         if object.kind().is_namespaced() && object.namespace().is_empty() {
@@ -345,17 +351,10 @@ impl<S: StoreBackend> ApiServer<S> {
             } else {
                 &request.namespace
             };
-            object
-                .set_field(
-                    &kf_yaml::Path::parse("metadata.namespace").expect("static path"),
-                    kf_yaml::Value::from(namespace),
-                )
-                .map_err(|e| {
-                    ApiResponse::error(
-                        ResponseStatus::BadRequest,
-                        format!("admission failure: {e}"),
-                    )
-                })?;
+            if let Err(e) = object.set_namespace(namespace) {
+                let message = format!("admission failure: {e}");
+                return Err(refuse(message, Some(object.into_body())));
+            }
         }
         Ok(object)
     }
@@ -472,6 +471,47 @@ impl<S: StoreBackend> ApiServer<S> {
         )
     }
 
+    /// Admission, persistence and audit of one authorized create, update or
+    /// patch. The audit handle is taken *after* admission, from the admitted
+    /// object: the audit trail shares the stored tree instead of pinning a
+    /// pre-defaulting twin of it.
+    fn admit_and_persist(&self, request: &ApiRequest) -> ApiResponse {
+        let (response, audit_body) = match self.admit_object(request) {
+            Ok(object) => {
+                let audit_body = Arc::clone(object.shared_body());
+                // The vulnerable code runs while the API server (and
+                // downstream components) process the accepted spec.
+                self.record_exploits(request, &object);
+                let response = match request.verb {
+                    // `kubectl apply` semantics: create, falling back to
+                    // update on conflict — one upsert, no second admission
+                    // round trip.
+                    Verb::Create => match self.store.upsert(object) {
+                        (version, true) => {
+                            ApiResponse::created(format!("created (resourceVersion {version})"))
+                        }
+                        (version, false) => {
+                            ApiResponse::ok(format!("configured (resourceVersion {version})"))
+                        }
+                    },
+                    _ => match self.store.update(object) {
+                        Some(version) => {
+                            ApiResponse::ok(format!("configured (resourceVersion {version})"))
+                        }
+                        None => ApiResponse::error(
+                            ResponseStatus::NotFound,
+                            format!("{} \"{}\" not found", request.kind, request.name),
+                        ),
+                    },
+                };
+                (response, Some(audit_body))
+            }
+            Err(refused) => refused,
+        };
+        self.record_audit(request, response.is_success(), audit_body);
+        response
+    }
+
     fn handle_admitted(&self, request: &ApiRequest) -> ApiResponse {
         // 1. Authorization (RBAC) — decided on the resource path alone, so
         //    unauthorized traffic never pays for body parsing: its audit
@@ -507,47 +547,9 @@ impl<S: StoreBackend> ApiServer<S> {
             );
         }
 
-        // 1b. Materialize the payload once per request, under the
-        //     negotiated wire format: tree bodies are a cheap `Arc` clone,
-        //     raw bodies parse exactly here (behind the proxy, only
-        //     already-validated bytes reach this point).
-        let materialized = request.materialize_body();
-        let audit_body = materialized.as_ref().ok().cloned().flatten();
-
         // 2. Admission + persistence per verb.
         let response = match request.verb {
-            Verb::Create | Verb::Update | Verb::Patch => {
-                match self.admit_object(request, &materialized) {
-                    Ok(object) => {
-                        // The vulnerable code runs while the API server (and
-                        // downstream components) process the accepted spec.
-                        self.record_exploits(request, &object);
-                        match request.verb {
-                            // `kubectl apply` semantics: create, falling back to
-                            // update on conflict — one upsert, no second
-                            // admission round trip.
-                            Verb::Create => match self.store.upsert(object) {
-                                (version, true) => ApiResponse::created(format!(
-                                    "created (resourceVersion {version})"
-                                )),
-                                (version, false) => ApiResponse::ok(format!(
-                                    "configured (resourceVersion {version})"
-                                )),
-                            },
-                            _ => match self.store.update(object) {
-                                Some(version) => ApiResponse::ok(format!(
-                                    "configured (resourceVersion {version})"
-                                )),
-                                None => ApiResponse::error(
-                                    ResponseStatus::NotFound,
-                                    format!("{} \"{}\" not found", request.kind, request.name),
-                                ),
-                            },
-                        }
-                    }
-                    Err(response) => response,
-                }
-            }
+            Verb::Create | Verb::Update | Verb::Patch => return self.admit_and_persist(request),
             Verb::Get => match self
                 .store
                 .get(request.kind, &request.namespace, &request.name)
@@ -598,7 +600,9 @@ impl<S: StoreBackend> ApiServer<S> {
             }
         };
 
-        // 3. Audit.
+        // 3. Audit. These verbs carry no payload; one that does anyway is
+        //    audited with it.
+        let audit_body = request.materialize_body().ok().flatten();
         self.record_audit(request, response.is_success(), audit_body);
         response
     }

@@ -74,7 +74,10 @@ impl FieldRef {
                 let Some(prefix) = Self::pod_spec_prefix(object.kind()) else {
                     return Vec::new();
                 };
-                let root = lookup_collapsed(object.body(), prefix).into_iter().next();
+                // Prefixes are plain dotted keys: at most one anchor.
+                let root = prefix
+                    .split('.')
+                    .try_fold(object.body(), |value, key| value.get(key));
                 (root, self.path.as_str())
             }
         };
@@ -99,40 +102,34 @@ impl FieldRef {
 /// Resolve a collapsed field-notation path against a document, fanning out
 /// over sequences at `[]` markers.
 pub fn lookup_collapsed<'a>(root: &'a Value, notation: &str) -> Vec<&'a Value> {
-    let mut current: Vec<&Value> = vec![root];
-    if notation.is_empty() {
-        return current;
-    }
-    for raw_segment in notation.split('.') {
-        let (key, fanouts) = split_segment(raw_segment);
-        let mut next: Vec<&Value> = Vec::new();
-        for value in current {
-            let mut candidates: Vec<&Value> = if key.is_empty() {
-                vec![value]
-            } else {
-                match value.get(key) {
-                    Some(v) => vec![v],
-                    None => continue,
-                }
-            };
-            for _ in 0..fanouts {
-                candidates = candidates
-                    .into_iter()
-                    .flat_map(|v| {
-                        v.as_seq()
-                            .map(|s| s.iter().collect::<Vec<_>>())
-                            .unwrap_or_default()
-                    })
-                    .collect();
-            }
-            next.extend(candidates);
+    let mut found = Vec::new();
+    walk_collapsed(root, notation, 0, &mut found);
+    found
+}
+
+/// One step of [`lookup_collapsed`], depth first: fan out over `value` once
+/// per pending `[]` marker, then follow the first segment of `rest`.
+/// Whatever the whole path reaches lands in `found`, in document order —
+/// the only allocation of a lookup, and none when nothing matches.
+fn walk_collapsed<'a>(value: &'a Value, rest: &str, fanouts: usize, found: &mut Vec<&'a Value>) {
+    if fanouts > 0 {
+        for item in value.as_seq().unwrap_or_default() {
+            walk_collapsed(item, rest, fanouts - 1, found);
         }
-        current = next;
-        if current.is_empty() {
-            break;
+    } else if rest.is_empty() {
+        found.push(value);
+    } else {
+        let (segment, rest) = rest.split_once('.').unwrap_or((rest, ""));
+        let (key, fanouts) = split_segment(segment);
+        let next = if key.is_empty() {
+            Some(value)
+        } else {
+            value.get(key)
+        };
+        if let Some(next) = next {
+            walk_collapsed(next, rest, fanouts, found);
         }
     }
-    current
 }
 
 /// Split a collapsed segment (`containers[]` → (`containers`, 1 fan-out)).
@@ -296,6 +293,17 @@ spec:
         );
         assert_eq!(sub.len(), 1);
         assert_eq!(sub[0].as_str(), Some("inner"));
+        // Hits come back in document order; a scalar under `[]`, a missing
+        // key and a path through a scalar all resolve to nothing.
+        assert_eq!(hits[0].as_str(), Some("nginx"));
+        assert_eq!(hits[1].as_str(), Some("sidecar"));
+        for miss in ["kind[]", "spec.nope", "kind.spec", "spec.template[][]"] {
+            assert!(lookup_collapsed(obj.body(), miss).is_empty(), "{miss}");
+        }
+        assert!(std::ptr::eq(
+            lookup_collapsed(obj.body(), "")[0],
+            obj.body()
+        ));
     }
 
     #[test]

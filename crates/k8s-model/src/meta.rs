@@ -7,7 +7,9 @@ use serde::{Deserialize, Serialize};
 use kf_yaml::{Mapping, Value};
 
 /// The subset of `ObjectMeta` relevant to this reproduction: name, namespace,
-/// labels and annotations.
+/// labels and annotations. An owned view: [`crate::K8sObject::metadata`]
+/// builds one from the body on demand — an object caches only its name and
+/// namespace.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ObjectMeta {
     /// Object name (unique per kind and namespace).
@@ -107,10 +109,12 @@ mod tests {
     #[test]
     fn parses_metadata_from_manifest() {
         let doc = parse(
-            "metadata:\n  name: web\n  namespace: prod\n  labels:\n    app: nginx\n    tier: front\n  annotations:\n    checksum: abc123\n",
+            "kind: Pod\nmetadata:\n  name: web\n  namespace: prod\n  labels:\n    app: nginx\n    tier: front\n  annotations:\n    checksum: abc123\n",
         )
         .unwrap();
         let meta = ObjectMeta::from_value(doc.get("metadata"));
+        // The object's on-demand accessor is this same view.
+        assert_eq!(crate::K8sObject::from_value(doc).unwrap().metadata(), meta);
         assert_eq!(meta.name, "web");
         assert_eq!(meta.namespace, "prod");
         assert_eq!(meta.labels.get("app").map(String::as_str), Some("nginx"));

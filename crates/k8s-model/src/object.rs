@@ -18,11 +18,24 @@ use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 /// object never deep-copies the document. Mutation is copy-on-write —
 /// [`K8sObject::body_mut`] splits off a private copy only when the tree is
 /// actually shared.
+///
+/// Only what the store key needs is cached beside the body — kind, name and
+/// namespace; labels and annotations are read from the body on demand
+/// ([`K8sObject::metadata`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct K8sObject {
     kind: ResourceKind,
-    metadata: ObjectMeta,
+    name: String,
+    namespace: String,
     body: Arc<Value>,
+}
+
+/// The string at `metadata.<key>` of a manifest (`""` when absent).
+fn metadata_text<'a>(body: &'a Value, key: &str) -> &'a str {
+    body.get("metadata")
+        .and_then(|metadata| metadata.get(key))
+        .and_then(Value::as_str)
+        .unwrap_or("")
 }
 
 impl K8sObject {
@@ -46,27 +59,11 @@ impl K8sObject {
     ///
     /// Exactly those of [`K8sObject::from_value`].
     pub fn from_shared(body: Arc<Value>) -> Result<Self> {
-        // Mirrors `peek_kind`, but keeps the metadata it builds — admission
-        // runs this once per accepted request, so the envelope is walked
-        // exactly once.
-        let kind_text = body
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or(Error::MissingField {
-                field: "kind".into(),
-            })?;
-        let kind = ResourceKind::parse(kind_text).ok_or_else(|| Error::UnknownKind {
-            kind: kind_text.to_owned(),
-        })?;
-        let metadata = ObjectMeta::from_value(body.get("metadata"));
-        if metadata.name.is_empty() {
-            return Err(Error::MissingField {
-                field: "metadata.name".into(),
-            });
-        }
+        let kind = Self::peek_kind(&body)?;
         Ok(K8sObject {
             kind,
-            metadata,
+            name: metadata_text(&body, "name").to_owned(),
+            namespace: metadata_text(&body, "namespace").to_owned(),
             body,
         })
     }
@@ -74,7 +71,7 @@ impl K8sObject {
     /// The checks of [`K8sObject::from_value`] without taking ownership of
     /// the body: returns the resource kind if the manifest is a recognizable
     /// Kubernetes object. This is the enforcement hot path's validity probe —
-    /// it never deep-clones the document.
+    /// it reads the envelope in place and builds nothing.
     ///
     /// # Errors
     ///
@@ -89,8 +86,7 @@ impl K8sObject {
         let kind = ResourceKind::parse(kind_text).ok_or_else(|| Error::UnknownKind {
             kind: kind_text.to_owned(),
         })?;
-        let metadata = ObjectMeta::from_value(body.get("metadata"));
-        if metadata.name.is_empty() {
+        if metadata_text(body, "name").is_empty() {
             return Err(Error::MissingField {
                 field: "metadata.name".into(),
             });
@@ -133,7 +129,8 @@ impl K8sObject {
             .expect("fresh map");
         K8sObject {
             kind,
-            metadata: meta,
+            name: meta.name,
+            namespace: meta.namespace,
             body: Arc::new(body),
         }
     }
@@ -153,20 +150,21 @@ impl K8sObject {
         }
     }
 
-    /// The object metadata.
-    pub fn metadata(&self) -> &ObjectMeta {
-        &self.metadata
+    /// The object metadata — name, namespace, labels and annotations — read
+    /// from the body on demand.
+    pub fn metadata(&self) -> ObjectMeta {
+        ObjectMeta::from_value(self.body.get("metadata"))
     }
 
     /// Object name.
     pub fn name(&self) -> &str {
-        &self.metadata.name
+        &self.name
     }
 
     /// Object namespace (empty for cluster-scoped objects; callers default it
     /// to `default` at admission time).
     pub fn namespace(&self) -> &str {
-        &self.metadata.namespace
+        &self.namespace
     }
 
     /// The full manifest body.
@@ -184,15 +182,43 @@ impl K8sObject {
     /// Mutable access to the manifest body — **copy-on-write**: if the tree
     /// is shared (stored object, audit event, replay pool…), a private copy
     /// is split off first and other holders keep the original unchanged.
-    /// Metadata accessors are refreshed lazily by
+    /// The cached name and namespace are refreshed by
     /// [`K8sObject::sync_metadata`].
     pub fn body_mut(&mut self) -> &mut Value {
         Arc::make_mut(&mut self.body)
     }
 
-    /// Re-read `metadata` from the body after direct mutation.
+    /// Re-read the cached name and namespace from the body after direct
+    /// mutation.
     pub fn sync_metadata(&mut self) {
-        self.metadata = ObjectMeta::from_value(self.body.get("metadata"));
+        self.name = metadata_text(&self.body, "name").to_owned();
+        self.namespace = metadata_text(&self.body, "namespace").to_owned();
+    }
+
+    /// Admission-time namespace defaulting: write `metadata.namespace`
+    /// (appended to `metadata`, which is created if absent) and the cached
+    /// namespace with it. A uniquely owned body is mutated in place; a
+    /// shared one is split off first, like [`K8sObject::body_mut`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidField`] if the body or its `metadata` is not
+    /// a mapping.
+    pub fn set_namespace(&mut self, namespace: &str) -> Result<()> {
+        let not_a_mapping = || Error::InvalidField {
+            field: "metadata.namespace".into(),
+            message: "`metadata` is not a mapping".into(),
+        };
+        let root = self.body_mut().as_map_mut().ok_or_else(not_a_mapping)?;
+        if !root.contains_key("metadata") {
+            root.insert("metadata", Value::empty_map());
+        }
+        root.get_mut("metadata")
+            .and_then(Value::as_map_mut)
+            .ok_or_else(not_a_mapping)?
+            .insert("namespace", Value::from(namespace));
+        self.namespace = namespace.to_owned();
+        Ok(())
     }
 
     /// Consume the object and return the (shared) manifest body.
@@ -308,10 +334,15 @@ spec:
             Value::from("nginx"),
         )
         .unwrap();
+        // Labels are read from the body on demand, so the edit shows at once.
         assert_eq!(
             obj.metadata().labels.get("app").map(String::as_str),
             Some("nginx")
         );
+        // The cached key parts follow edits to the fields they mirror.
+        obj.set_field(&Path::parse("metadata.name").unwrap(), Value::from("web"))
+            .unwrap();
+        assert_eq!(obj.name(), "web");
         obj.set_field(
             &Path::parse("spec.template.spec.hostNetwork").unwrap(),
             Value::Bool(true),
@@ -363,6 +394,35 @@ spec:
         obj.set_field(&Path::parse("spec.replicas").unwrap(), Value::Int(4))
             .unwrap();
         assert_eq!(Arc::as_ptr(obj.shared_body()), before);
+    }
+
+    #[test]
+    fn set_namespace_appends_in_place_or_splits_a_shared_tree() {
+        let text = DEPLOYMENT.replace("  namespace: web\n", "");
+        let mut obj = K8sObject::from_yaml(&text).unwrap();
+        assert_eq!(obj.namespace(), "");
+        // Unshared: the write lands in the one allocation.
+        let before = Arc::as_ptr(obj.shared_body());
+        obj.set_namespace("web").unwrap();
+        assert_eq!(Arc::as_ptr(obj.shared_body()), before);
+        assert_eq!(obj.namespace(), "web");
+        // `namespace` is appended to `metadata` — the shape `set_field` gives.
+        let mut expected = K8sObject::from_yaml(&text).unwrap();
+        expected
+            .set_field(
+                &Path::parse("metadata.namespace").unwrap(),
+                Value::from("web"),
+            )
+            .unwrap();
+        assert_eq!(obj, expected);
+        assert_eq!(obj.to_yaml(), expected.to_yaml());
+        // Shared: the other holder's tree is never written.
+        let tree = Arc::new(kf_yaml::parse(&text).unwrap());
+        let mut shared = K8sObject::from_shared(Arc::clone(&tree)).unwrap();
+        shared.set_namespace("web").unwrap();
+        assert!(!Arc::ptr_eq(shared.shared_body(), &tree));
+        assert!(tree.get("metadata").unwrap().get("namespace").is_none());
+        assert_eq!(shared, expected);
     }
 
     #[test]

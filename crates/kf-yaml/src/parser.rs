@@ -56,25 +56,46 @@ pub fn parse_documents(text: &str) -> Result<Vec<Value>, Error> {
     Ok(documents)
 }
 
-/// An under-construction container node.
+/// An open (under-construction) container.
 #[derive(Debug)]
-enum Node {
-    Map {
-        map: Mapping,
-        /// The key whose value is currently being built.
-        key: Option<String>,
-    },
-    Seq(Vec<Value>),
+struct Open {
+    is_map: bool,
+    /// Index of its first child in [`TreeBuilder::nodes`].
+    start: usize,
 }
 
 /// Builds [`Value`] trees from tokenizer events. Duplicate-key rejection is
 /// the tokenizer's job; the builder only assembles structure. Shared with
 /// the JSON front end ([`crate::json::parse_json`]), which drives it from
 /// the JSON tokenizer's identical event stream.
-#[derive(Debug, Default)]
+///
+/// Children of open containers collect on one builder-owned scratch stack;
+/// a finished container moves its children into an exactly-sized `Vec`, so a
+/// parsed tree carries no growth slack and is no larger than its `clone()`.
+#[derive(Debug)]
 pub(crate) struct TreeBuilder {
-    stack: Vec<Node>,
+    open: Vec<Open>,
+    /// Children of every open container, innermost last: `(key, value)` for
+    /// a mapping's, `("", item)` for a sequence's. A key is pushed with a
+    /// `Null` placeholder and waits — always as the last node, because a
+    /// nested container takes its own nodes back off when it ends — for
+    /// [`TreeBuilder::attach`] to fill its value in.
+    nodes: Vec<(String, Value)>,
     root: Option<Value>,
+}
+
+impl Default for TreeBuilder {
+    /// Scratch sized for a typical manifest's open containers, so exact-size
+    /// trees are not paid for with regrowth on every parse — and under
+    /// 1 KiB, inside the allocator's per-thread small-object cache: a larger
+    /// scratch measurably slows the parse it is meant to save.
+    fn default() -> Self {
+        TreeBuilder {
+            open: Vec::with_capacity(16),
+            nodes: Vec::with_capacity(18),
+            root: None,
+        }
+    }
 }
 
 impl TreeBuilder {
@@ -82,22 +103,24 @@ impl TreeBuilder {
     /// [`Event::DocumentEnd`].
     pub(crate) fn feed(&mut self, event: Event<'_>) -> Option<Value> {
         match event {
-            Event::MappingStart { .. } => self.stack.push(Node::Map {
-                map: Mapping::new(),
-                key: None,
+            Event::MappingStart { .. } => self.open.push(Open {
+                is_map: true,
+                start: self.nodes.len(),
             }),
-            Event::SequenceStart { .. } => self.stack.push(Node::Seq(Vec::new())),
-            Event::Key { name, .. } => {
-                if let Some(Node::Map { key, .. }) = self.stack.last_mut() {
-                    *key = Some(name.into_owned());
-                }
-            }
+            Event::SequenceStart { .. } => self.open.push(Open {
+                is_map: false,
+                start: self.nodes.len(),
+            }),
+            Event::Key { name, .. } => self.nodes.push((name.into_owned(), Value::Null)),
             Event::Scalar { value, .. } => self.attach(value.into_value()),
             Event::End => {
-                let node = self.stack.pop().expect("events are balanced");
-                let value = match node {
-                    Node::Map { map, .. } => Value::Map(map),
-                    Node::Seq(items) => Value::Seq(items),
+                let open = self.open.pop().expect("events are balanced");
+                // Collecting a drain allocates exactly its length.
+                let children = self.nodes.drain(open.start..);
+                let value = if open.is_map {
+                    Value::Map(Mapping::from_unique_entries(children.collect()))
+                } else {
+                    Value::Seq(children.map(|(_, item)| item).collect())
                 };
                 self.attach(value);
             }
@@ -107,11 +130,15 @@ impl TreeBuilder {
     }
 
     fn attach(&mut self, value: Value) {
-        match self.stack.last_mut() {
-            Some(Node::Map { map, key }) => {
-                map.insert(key.take().expect("key precedes value"), value);
+        match self.open.last() {
+            Some(Open {
+                is_map: true,
+                start,
+            }) => {
+                debug_assert!(self.nodes.len() > *start, "key precedes value");
+                self.nodes.last_mut().expect("key precedes value").1 = value;
             }
-            Some(Node::Seq(items)) => items.push(value),
+            Some(_) => self.nodes.push((String::new(), value)),
             None => self.root = Some(value),
         }
     }

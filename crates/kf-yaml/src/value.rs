@@ -26,6 +26,16 @@ impl Mapping {
         }
     }
 
+    /// A mapping over entries whose keys are already known to be unique (the
+    /// tokenizers reject duplicates), kept in the given order and allocation.
+    pub(crate) fn from_unique_entries(entries: Vec<(String, Value)>) -> Self {
+        debug_assert!(
+            (1..entries.len()).all(|i| entries[..i].iter().all(|(k, _)| *k != entries[i].0)),
+            "the tokenizers reject duplicate keys"
+        );
+        Mapping { entries }
+    }
+
     /// Number of entries in the mapping.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -9,9 +9,12 @@
 //! case number and the offending document, so a reproduction is one seed
 //! away.
 
-use kf_yaml::{parse, to_yaml, Mapping, Path, Value};
+use kf_yaml::{parse, to_json, to_yaml, Mapping, Path, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::assert_matches_reference;
 
 /// Cases per property; each case draws a fresh document from the generator.
 const CASES: usize = 256;
@@ -196,4 +199,58 @@ fn multi_document_stream_parses() {
             );
         }
     });
+}
+
+/// The compact builder returns trees `==` to the insert-based reference, in
+/// both wire formats and on multi-document streams.
+#[test]
+fn compact_builder_matches_the_reference_on_generated_documents() {
+    for_each_case(0xB111D, |case, rng| {
+        let count = rng.gen_range(1usize..4);
+        let mut stream = String::new();
+        for _ in 0..count {
+            let doc = gen_value(rng, 3);
+            assert_matches_reference(&to_json(&doc), true, &format!("case {case} (json)"));
+            stream.push_str("---\n");
+            stream.push_str(&to_yaml(&doc));
+        }
+        assert_matches_reference(&stream, false, &format!("case {case} (yaml)"));
+    });
+}
+
+/// The same on the hand-written shapes the unit tests parse: flow
+/// collections, compact sequence items, empty containers and documents,
+/// quoting, nesting in both directions.
+#[test]
+fn compact_builder_matches_the_reference_on_the_unit_corpus() {
+    const YAML: &[&str] = &[
+        "",
+        "# only comments\n",
+        "hello\n",
+        "name: web\nreplicas: 3\nenabled: true\nratio: 0.5\nempty:\n",
+        "spec:\n  template:\n    metadata:\n      labels:\n        app: nginx\n",
+        "ports:\n  - 80\n  - 443\nargs:\n- serve\n- --port=8080\n",
+        "containers:\n  - name: web\n    image: nginx:latest\n    ports:\n      - containerPort: 80\n  - name: sidecar\n    image: busybox\n",
+        "emptyDir: {}\nnone: []\nvals: [1, 2, 3]\nsel: {app: web, tier: \"front end\"}\nnest: [[1, [2]], {a: [b]}]\n",
+        "a: \"true\"\nb: '123'\nc: \"0.0.0.0\"\nmode: 0755\ncmd: \"echo \\\"hi\\\"\\n\"\n",
+        "volumes:\n  -\n    name: data\n    emptyDir: {}\n",
+        "---\nkind: Service\n---\n---\nkind: Deployment\nspec:\n  replicas: 1\n---\n",
+        "- 1\n- - 2\n  - - 3\n- {k: [v]}\n",
+        "a: 1\nb: 2\nc: 3\nd: 4\ne: 5\nf: 6\ng: 7\nh: 8\ni: 9\nj: [1, 2, 3, 4, 5, 6, 7, 8, 9]\n",
+    ];
+    const JSON: &[&str] = &[
+        "null",
+        "\"text\"",
+        "{}",
+        "[]",
+        "{\"a\": {\"b\": {\"c\": [1, 2.5, true, null, \"x\"]}}, \"d\": [], \"e\": {}}",
+        "[[1, [2, [3]]], {\"k\": [{\"v\": {}}]}]",
+        " { \"kind\" : \"Pod\" , \"metadata\" : { \"name\" : \"p\" , \"labels\" : { \"a\" : \"b\" } } } ",
+    ];
+    for text in YAML {
+        assert_matches_reference(text, false, "yaml corpus");
+    }
+    for text in JSON {
+        assert_matches_reference(text, true, "json corpus");
+    }
 }

@@ -7,8 +7,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseBody};
+use k8s_apiserver::{
+    ApiRequest, ApiServer, RequestHandler, ResponseBody, ResponseStatus, WatchHub,
+};
 use k8s_model::{K8sObject, ResourceKind};
+use kf_yaml::Value;
 use kubefence::{EnforcementProxy, Validator};
 
 /// A pod manifest with an explicit namespace, so admission has nothing to
@@ -139,6 +142,121 @@ fn raw_bodies_parse_once_and_share_from_there() {
         ),
         "store and audit must share one materialization of the raw body"
     );
+}
+
+/// What Helm renders: no `metadata.namespace`; admission defaults it.
+const NAMESPACELESS_POD: &str =
+    "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\nspec:\n  containers:\n    - name: c\n      image: nginx:1.25\n";
+
+fn namespace_of(tree: &Value) -> Option<&str> {
+    tree.get("metadata")?.get("namespace")?.as_str()
+}
+
+#[test]
+fn a_namespaceless_raw_create_is_one_tree_everywhere() {
+    // Defaulting writes the namespace into the one tree the wire bytes
+    // parsed to; nothing on the accept path may copy that tree, so every
+    // holder — store, journal (poll and push), audit, reads — sees one
+    // allocation, and sees it defaulted.
+    let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
+    let validator = Validator::from_manifests("demo", &[pod.body().clone()]).unwrap();
+    for request in [
+        ApiRequest::create_raw("admin", &pod),
+        ApiRequest::create_raw_json("admin", &pod),
+    ] {
+        let proxy = EnforcementProxy::new(ApiServer::new(), validator.clone());
+        let server = proxy.upstream();
+        let push = server
+            .subscribe_push(&ApiRequest::watch(
+                "admin",
+                ResourceKind::Pod,
+                "default",
+                None,
+            ))
+            .expect("admin may watch");
+        assert!(proxy.handle(&request).is_success());
+
+        let stored = server
+            .store()
+            .get(ResourceKind::Pod, "default", "web")
+            .expect("stored under the defaulted namespace");
+        let tree = stored.object.shared_body();
+        assert_eq!(namespace_of(tree), Some("default"));
+
+        let polled = server
+            .store()
+            .events_since(ResourceKind::Pod, "default", 0)
+            .unwrap()
+            .events;
+        let pushed = push.subscriber.try_recv().unwrap();
+        let audited = server.audit_log();
+        let get = proxy.handle(&ApiRequest::get(
+            "admin",
+            ResourceKind::Pod,
+            "default",
+            "web",
+        ));
+        let list = proxy.handle(&ApiRequest::list("admin", ResourceKind::Pod, "default"));
+        let holders = [
+            ("journal (poll)", polled[0].object.as_ref()),
+            ("journal (push)", pushed[0].object.as_ref()),
+            (
+                "audit event",
+                audited
+                    .events()
+                    .iter()
+                    .find_map(|e| e.request_body.as_ref()),
+            ),
+            ("get response", get.body.as_ref().and_then(|b| b.object())),
+            (
+                "list response",
+                list.body.as_ref().and_then(|b| b.items()?.first()),
+            ),
+        ];
+        for (holder, handle) in holders {
+            let handle = handle.unwrap_or_else(|| panic!("{holder} carries the object"));
+            assert!(
+                Arc::ptr_eq(handle, tree),
+                "{holder} must share the stored tree, not a copy of it"
+            );
+        }
+    }
+}
+
+#[test]
+fn defaulting_never_writes_a_tree_the_caller_still_holds() {
+    let server = ApiServer::new();
+    let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
+    let request = ApiRequest::create("admin", &pod);
+    let callers = Arc::clone(request.body.tree().expect("tree body"));
+    let before = (*callers).clone();
+    assert!(server.handle(&request).is_success());
+    // The caller's tree is exactly what it sent …
+    assert_eq!(*callers, before);
+    assert_eq!(namespace_of(&callers), None);
+    // … and the store holds its own, defaulted, copy-on-write split.
+    let stored = server
+        .store()
+        .get(ResourceKind::Pod, "default", "web")
+        .unwrap();
+    assert!(!Arc::ptr_eq(stored.object.shared_body(), &callers));
+    assert_eq!(namespace_of(stored.object.body()), Some("default"));
+}
+
+#[test]
+fn a_refused_body_is_still_audited_with_what_it_carried() {
+    // `kind` does not match the endpoint: 400, nothing stored — and the
+    // audit event still holds the body that was sent.
+    let server = ApiServer::new();
+    let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
+    let mut request = ApiRequest::create_raw("admin", &pod);
+    request.kind = ResourceKind::Service;
+    assert_eq!(server.handle(&request).status, ResponseStatus::BadRequest);
+    assert_eq!(server.store().len(), 0);
+    let log = server.audit_log();
+    let event = log.events().first().expect("audited");
+    assert!(!event.allowed);
+    assert_eq!(event.request_body.as_deref(), Some(pod.body()));
 }
 
 #[test]
