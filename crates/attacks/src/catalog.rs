@@ -6,13 +6,11 @@
 //! mutations applied to a legitimate manifest to obtain the malicious one, as
 //! in Figure 10 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{FieldRef, K8sObject, ResourceKind};
 use kf_yaml::{Path, Value};
 
 /// Whether an entry models a CVE exploit or a misconfiguration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecClass {
     /// A CVE exploit (rows E1–E8 of Table II).
     CveExploit {
@@ -24,7 +22,7 @@ pub enum SpecClass {
 }
 
 /// Which resource the injection targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionTarget {
     /// Any resource carrying a pod specification (Pod, Deployment,
     /// StatefulSet, Job, CronJob).
@@ -34,7 +32,7 @@ pub enum InjectionTarget {
 }
 
 /// One field mutation applied to a legitimate manifest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InjectionAction {
     /// Set a pod-spec-relative field (concrete path, e.g.
     /// `containers[0].securityContext.privileged`) to a value.
@@ -59,7 +57,7 @@ pub enum InjectionAction {
 }
 
 /// One entry of the catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaliciousSpec {
     /// Catalog identifier (`E1`…`E8`, `M1`…`M7`).
     pub id: String,

@@ -1,14 +1,12 @@
 //! Replaying the catalog against an enforcement mechanism (Table III).
 
-use serde::{Deserialize, Serialize};
-
 use k8s_apiserver::{ApiRequest, RequestHandler};
 use k8s_model::{K8sObject, ResourceKind};
 
 use crate::catalog::{catalog, MaliciousSpec};
 
 /// The outcome of one attack attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// Catalog entry id (`E1`…`M7`).
     pub spec_id: String,
@@ -23,7 +21,7 @@ pub struct AttackOutcome {
 }
 
 /// Aggregated Table III row: mitigated CVEs and misconfigurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AttackSummary {
     /// Number of CVE exploits attempted.
     pub cve_attempted: usize,

@@ -28,7 +28,7 @@ impl ConfigurationExplorer {
         (0..count).map(|i| self.variant(schema, i)).collect()
     }
 
-    /// The `i`-th variant (used by tests and the ablation benchmarks).
+    /// The `i`-th variant (used by tests and the ablation example).
     pub fn variant(&self, schema: &ValuesSchema, iteration: usize) -> Value {
         let mut tree = schema.tree().clone();
         for (path, options) in schema.enums() {

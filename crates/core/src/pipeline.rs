@@ -1,7 +1,5 @@
 //! The end-to-end policy generation pipeline (offline phase of Figure 6).
 
-use serde::{Deserialize, Serialize};
-
 use helm_lite::{render_chart_in_namespace, Chart};
 use kf_yaml::Value;
 
@@ -12,7 +10,7 @@ use crate::validator::Validator;
 use crate::Result;
 
 /// Configuration of the policy generation pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Release name used when rendering the chart (the operator deploys with
     /// the same release name, so generated constants line up).
@@ -118,7 +116,7 @@ impl PolicyGenerator {
     }
 
     /// The rendered manifests for every values variant (exposed separately
-    /// for the ablation benchmarks and for Figure 9's usage analysis).
+    /// for the ablation example and for Figure 9's usage analysis).
     ///
     /// # Errors
     ///

@@ -15,10 +15,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use k8s_apiserver::{ApiRequest, ApiResponse, RequestBody, RequestHandler, ResponseStatus};
 use k8s_model::ResourceKind;
@@ -28,7 +26,7 @@ use crate::stream::{RawVerdict, SourceLocation};
 use crate::validator::{Validator, ValidatorSet, Violation, ViolationReason};
 
 /// One denied request, as logged by the proxy for auditing and forensics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenialRecord {
     /// User whose request was denied.
     pub user: String,
@@ -44,7 +42,7 @@ pub struct DenialRecord {
 }
 
 /// Aggregate statistics kept by the proxy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProxyStats {
     /// Requests forwarded to the API server.
     pub forwarded: u64,
@@ -126,6 +124,15 @@ pub const DEFAULT_DENIAL_CAPACITY: usize = 4096;
 /// Number of independently locked shards in the denial ring.
 const DENIAL_SHARDS: usize = 8;
 
+/// One shard of the denial ring: records with their global order stamps.
+type DenialRing = VecDeque<(u64, DenialRecord)>;
+
+/// Lock one shard, ignoring poison: every update leaves the ring valid, and
+/// a thread that panicked mid-denial must not turn later denials into panics.
+fn lock_ring(shard: &Mutex<DenialRing>) -> MutexGuard<'_, DenialRing> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A bounded, sharded ring buffer of [`DenialRecord`]s.
 ///
 /// Writers are spread over up to [`DENIAL_SHARDS`] independently locked
@@ -139,7 +146,7 @@ const DENIAL_SHARDS: usize = 8;
 /// via the sequence stamps.
 #[derive(Debug)]
 struct DenialLog {
-    shards: Vec<Mutex<VecDeque<(u64, DenialRecord)>>>,
+    shards: Vec<Mutex<DenialRing>>,
     /// Per-shard record bounds; sums to the requested total capacity.
     shard_capacities: Vec<usize>,
     /// Global order stamp; also selects the shard for each record.
@@ -168,7 +175,7 @@ impl DenialLog {
     fn record(&self, record: DenialRecord) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let index = (seq as usize) % self.shards.len();
-        let mut shard = self.shards[index].lock();
+        let mut shard = lock_ring(&self.shards[index]);
         if shard.len() == self.shard_capacities[index] {
             shard.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -181,7 +188,7 @@ impl DenialLog {
         let mut stamped: Vec<(u64, DenialRecord)> = self
             .shards
             .iter()
-            .flat_map(|shard| shard.lock().iter().cloned().collect::<Vec<_>>())
+            .flat_map(|shard| lock_ring(shard).iter().cloned().collect::<Vec<_>>())
             .collect();
         stamped.sort_unstable_by_key(|(seq, _)| *seq);
         stamped.into_iter().map(|(_, record)| record).collect()
@@ -189,7 +196,7 @@ impl DenialLog {
 
     fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            lock_ring(shard).clear();
         }
         self.dropped.store(0, Ordering::Relaxed);
     }

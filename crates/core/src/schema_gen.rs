@@ -13,8 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use helm_lite::ValuesFile;
 use kf_yaml::{Mapping, Value};
 
@@ -39,7 +37,7 @@ pub mod placeholder {
 }
 
 /// The generalized values document plus the enumerations to explore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValuesSchema {
     tree: Value,
     enums: BTreeMap<String, Vec<Value>>,
@@ -71,7 +69,7 @@ impl ValuesSchema {
 }
 
 /// Configuration of the schema generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaGeneratorConfig {
     /// Exact dotted values paths locked to their default constants.
     pub locked_value_paths: Vec<String>,

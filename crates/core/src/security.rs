@@ -7,13 +7,11 @@
 //! NSA/CISA Kubernetes Hardening Guide and the Pod Security Standards the
 //! paper cites, and covers every misconfiguration of the catalog (M1–M7).
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::Value;
 
 /// One security lock: a pod-spec-relative field (collapsed notation) pinned to
 /// a safe constant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityLock {
     /// Pod-spec-relative field path in collapsed notation
     /// (e.g. `containers[].securityContext.runAsNonRoot`).
@@ -40,7 +38,7 @@ impl SecurityLock {
 }
 
 /// The set of security locks applied during policy generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityLocks {
     locks: Vec<SecurityLock>,
 }
@@ -52,7 +50,7 @@ impl Default for SecurityLocks {
 }
 
 impl SecurityLocks {
-    /// An empty lock set (used by the ablation benchmarks).
+    /// An empty lock set (used by the ablation example).
     pub fn none() -> Self {
         SecurityLocks { locks: Vec::new() }
     }

@@ -1,7 +1,8 @@
 //! Attack-surface quantification (Figure 9 and Table I of the paper).
 //!
 //! The analysis counts the configurable fields exposed by every API endpoint
-//! (the [`k8s_model::schema`] catalog — the paper's 4,882-field denominator),
+//! (the [`k8s_model::schema`] catalog: 5,869 fields, the counterpart of the
+//! paper's 4,882-field denominator),
 //! determines which of them each workload can actually use (from the
 //! KubeFence validator generated for that workload), and compares how much of
 //! the remaining surface RBAC and KubeFence can each restrict:
@@ -10,15 +11,13 @@
 //! * KubeFence additionally removes every unused field *within* the endpoints
 //!   the workload does touch, making it a strict superset of RBAC.
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::schema::{catalog, SchemaCatalog};
 use k8s_model::ResourceKind;
 
 use crate::validator::Validator;
 
 /// Per-endpoint usage of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EndpointUsage {
     /// The endpoint (resource kind).
     pub kind: ResourceKind,
@@ -41,7 +40,7 @@ impl EndpointUsage {
 }
 
 /// The attack-surface figures of one workload (one row of Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSurface {
     /// Workload (operator) name.
     pub workload: String,
@@ -79,7 +78,7 @@ impl WorkloadSurface {
 }
 
 /// The full report over all analyzed workloads.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SurfaceReport {
     /// One entry per workload.
     pub workloads: Vec<WorkloadSurface>,

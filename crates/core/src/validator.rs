@@ -5,8 +5,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::{Mapping, Value};
 
@@ -16,7 +14,7 @@ use crate::security::SecurityLocks;
 use crate::{Error, Result};
 
 /// Type placeholders a validator can require for a field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeTag {
     /// Any string.
     String,
@@ -84,7 +82,7 @@ impl TypeTag {
 }
 
 /// One node of a policy validator tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyNode {
     /// The field must equal this exact value (fixed chart constants and
     /// security-locked fields).
@@ -287,7 +285,7 @@ impl PolicyNode {
 }
 
 /// Why a request was rejected.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViolationReason {
     /// The request targets a resource kind the workload never uses.
     UnknownKind,
@@ -319,7 +317,7 @@ pub enum ViolationReason {
 
 /// One violation: the offending field plus the reason, as logged by the proxy
 /// for auditing and forensics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Path of the offending field.
     pub path: String,
@@ -360,13 +358,12 @@ impl fmt::Display for Violation {
 /// into it and security locks rewrite it. Enforcement runs on the compiled
 /// form (see [`crate::compile`]), built lazily on first use and invalidated
 /// whenever the tree is mutated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Validator {
     workload: String,
     kinds: BTreeMap<ResourceKind, PolicyNode>,
     /// Lazily compiled enforcement form of `kinds`. Never serialized or
     /// compared; rebuilt on demand after mutation.
-    #[serde(skip)]
     compiled: OnceLock<CompiledValidator>,
 }
 
@@ -490,7 +487,7 @@ impl Validator {
 
     /// Validate by walking the authoring tree directly. Kept as the reference
     /// implementation: differential and fuzz tests assert the compiled plane
-    /// produces identical verdicts, and ablation benchmarks measure the gap.
+    /// produces identical verdicts.
     pub fn validate_tree(&self, object: &K8sObject) -> Vec<Violation> {
         let Some(policy) = self.kinds.get(&object.kind()) else {
             return vec![Violation {
@@ -542,12 +539,11 @@ impl Validator {
 /// [`ResourceKind`] to the member validators that cover it, so a request only
 /// ever consults validators that could possibly admit it instead of scanning
 /// the whole set.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ValidatorSet {
     validators: Vec<Validator>,
     /// `routes[kind.index()]` lists the indices of validators covering that
     /// kind, in insertion order. Built lazily; invalidated by `push`.
-    #[serde(skip)]
     routes: OnceLock<Vec<Vec<u32>>>,
 }
 

@@ -1,11 +1,9 @@
 //! The chart model: metadata, templates and default values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::values::ValuesFile;
 
 /// Chart metadata (the relevant subset of `Chart.yaml`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChartMetadata {
     /// Chart name (e.g. `nginx`).
     pub name: String,
@@ -45,7 +43,7 @@ impl ChartMetadata {
 }
 
 /// One template file of a chart (`templates/*.yaml` or `templates/_helpers.tpl`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemplateFile {
     /// File name relative to the chart's `templates/` directory.
     pub name: String,
@@ -70,7 +68,7 @@ impl TemplateFile {
 }
 
 /// A Helm chart: metadata, default values and templates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chart {
     metadata: ChartMetadata,
     values: ValuesFile,

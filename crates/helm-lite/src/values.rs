@@ -10,15 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::Value;
 
 use crate::{Error, Result};
 
 /// An enumeration annotation attached to a values field: the list of valid
 /// options the chart documents for that field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnumAnnotation {
     /// Dotted path of the annotated field inside the values document.
     pub path: String,
@@ -28,7 +26,7 @@ pub struct EnumAnnotation {
 
 /// A parsed `values.yaml`: the default values document plus the enumeration
 /// annotations found in its comments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValuesFile {
     defaults: Value,
     annotations: BTreeMap<String, Vec<Value>>,

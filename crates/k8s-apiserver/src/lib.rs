@@ -1,10 +1,10 @@
 //! # k8s-apiserver — the simulated Kubernetes API server
 //!
 //! The paper evaluates KubeFence against a real two-node cluster; this crate
-//! provides the substitute described in `DESIGN.md`: an in-process API server
-//! that exposes exactly the surface KubeFence interacts with — authenticated
-//! REST-style requests carrying YAML object specifications — and implements
-//! the behaviours the experiments depend on:
+//! provides the substitute described in `docs/architecture.md`: an
+//! in-process API server that exposes exactly the surface KubeFence interacts
+//! with — authenticated REST-style requests carrying YAML object
+//! specifications — and implements the behaviours the experiments depend on:
 //!
 //! * [`ApiRequest`] / [`ApiResponse`] — the request/response model (verb,
 //!   resource path, body, payload size);
@@ -24,8 +24,6 @@
 //!   [`k8s_rbac::RbacPolicySet`], object validation, persistence, audit
 //!   logging, and **CVE-trigger simulation** (a request whose specification
 //!   exercises a vulnerable feature records an exploitation event);
-//! * [`LatencyModel`] — the calibrated request-latency model used to report
-//!   deployment round-trip times (Table IV);
 //! * [`RequestHandler`] — the trait shared by the API server and any
 //!   man-in-the-middle component (the KubeFence proxy) placed in front of it.
 //!
@@ -49,17 +47,16 @@
 #![warn(missing_docs)]
 
 mod health;
-mod latency;
 pub mod persist;
 mod request;
 mod server;
 pub mod storage_io;
 mod store;
+mod sync;
 mod vuln;
 mod watch;
 
 pub use health::{AdmissionGate, AdmissionPermit, DegradePolicy, HealthReport, ShedError};
-pub use latency::{LatencyModel, LatencyProfile};
 pub use persist::{
     segment_file, CheckpointReport, DurabilityState, DurabilityStatus, DurabilityTransition,
     FsyncPolicy, GroupTicket, LatchedError, ManifestData, ManifestEntry, PersistConfig,

@@ -1,9 +1,7 @@
 //! The durable persistence plane: checkpoint segments + the journal-as-WAL.
 //!
 //! Everything the store holds lives in memory; this module makes a restart
-//! survivable. Two artifacts, both hand-framed over `kf_yaml::binary` (the
-//! workspace `serde` is a no-op shim, so there is no derived format to lean
-//! on):
+//! survivable. Two artifacts, both hand-framed over `kf_yaml::binary`:
 //!
 //! * **Checkpoint** (`store.seg-NN.kfsnap` per store shard, committed by
 //!   `store.kfmanifest`) — each segment is a dump of one shard's
@@ -68,14 +66,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::binary::{self, Cursor};
 use kf_yaml::Value;
 
 use crate::storage_io::{RealIo, StorageFile, StorageIo};
 use crate::store::{ObjectStore, StoreBackend, StoredObject};
+use crate::sync::Mutex;
 use crate::watch::WatchEventKind;
 
 /// Write-ahead-log file name inside a persistence directory.
@@ -682,8 +679,8 @@ struct WalInner {
 }
 
 /// Shared state of the group-commit rendezvous. Guarded by a `std` mutex
-/// with a real `Condvar` (the workspace `parking_lot` shim has none) — the
-/// same generation-counter + condvar idiom as `watch::WakeSignal`.
+/// so it can pair with a `Condvar` — the same generation-counter + condvar
+/// idiom as `watch::WakeSignal`.
 #[derive(Debug, Default)]
 struct GroupState {
     /// Records appended and not yet claimed by a leader's window — the

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use k8s_model::{K8sObject, ResourceKind, Verb};
 use kf_yaml::{BodyFormat, Value};
@@ -126,7 +125,7 @@ impl From<Arc<Value>> for RequestBody {
 /// This mirrors what the KubeFence proxy sees on the wire: the HTTP verb and
 /// resource path (user, verb, kind, namespace, name), the declared
 /// `Content-Type`, and the payload carrying the object specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiRequest {
     /// Authenticated user issuing the request.
     pub user: String,
@@ -355,9 +354,8 @@ impl ApiRequest {
         self.verb.http_method()
     }
 
-    /// The encoded request payload (empty for body-less requests); used by
-    /// the latency model to account for serialization and transfer cost.
-    /// Raw bodies are already encoded — the call is a cheap handle clone.
+    /// The encoded request payload (empty for body-less requests). Raw
+    /// bodies are already encoded — the call is a cheap handle clone.
     pub fn payload(&self) -> Bytes {
         match &self.body {
             RequestBody::None => Bytes::new(),
@@ -381,7 +379,7 @@ impl ApiRequest {
 }
 
 /// Response status classes used by the simulated server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseStatus {
     /// 200 — request served.
     Ok,
@@ -653,7 +651,7 @@ impl From<Arc<Value>> for ResponseBody {
 }
 
 /// The response to an [`ApiRequest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiResponse {
     /// Status class.
     pub status: ResponseStatus,

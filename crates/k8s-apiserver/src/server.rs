@@ -4,9 +4,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{K8sObject, ResourceKind, Verb};
 use k8s_rbac::{AccessReview, AuditEvent, AuditLog, RbacPolicySet};
 use kf_yaml::Value;
@@ -15,6 +12,7 @@ use crate::health::{AdmissionGate, DegradePolicy, HealthReport};
 use crate::persist::{DurabilityState, Persistence};
 use crate::request::{ApiRequest, ApiResponse, ResponseBody, ResponseStatus};
 use crate::store::{ObjectStore, StoreBackend};
+use crate::sync::{Mutex, RwLock};
 use crate::vuln::VulnerabilityOracle;
 
 /// Anything that can serve API requests. The KubeFence proxy implements this
@@ -28,7 +26,7 @@ pub trait RequestHandler {
 
 /// A successful exploitation: an accepted request exercised the vulnerable
 /// code of a CVE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploitEvent {
     /// CVE identifier.
     pub cve_id: String,

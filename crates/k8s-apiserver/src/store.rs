@@ -36,12 +36,11 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::Value;
 
 use crate::persist::{DurabilityState, DurabilityStatus, GroupTicket, Wal, WalRecord};
+use crate::sync::RwLock;
 use crate::watch::{
     KindJournals, StagedEvent, WatchDelta, WatchError, WatchEventKind, WatchSubscriber,
     DEFAULT_JOURNAL_CAPACITY, DEFAULT_JOURNAL_SHARDS,

@@ -65,16 +65,15 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-// The push fabric uses `std::sync` primitives directly: the repo's
-// parking_lot shim has no Condvar, and a Condvar must pair with the mutex
-// type it waits on.
+// The push fabric uses `std::sync` mutexes directly: a Condvar must pair
+// with the mutex type it waits on.
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
-
 use k8s_model::ResourceKind;
 use kf_yaml::Value;
+
+use crate::sync::RwLock;
 
 /// What happened to the watched object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,8 +218,8 @@ pub fn namespace_shard(namespace: &str, shard_count: usize) -> usize {
 /// beats unbounded buffering.
 pub const DEFAULT_SUBSCRIBER_QUEUE_CAPACITY: usize = 256;
 
-/// Recover a poisoned std mutex guard: the shim crates already run
-/// poison-recovering locks everywhere else, and a panicking publisher leaves
+/// Recover a poisoned std mutex guard: `crate::sync` recovers every other
+/// lock in the crate the same way, and a panicking publisher leaves
 /// the queue/signal state consistent (every transition completes under one
 /// lock hold).
 fn recover<'a, T>(

@@ -3,11 +3,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The Kubernetes component affected by a vulnerability, derived in the paper
 /// from the source files touched by each CVE's patch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Component {
     AdmissionControllers,

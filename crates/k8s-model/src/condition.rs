@@ -8,14 +8,12 @@
 //! manifests and to evaluate trigger conditions, used both by the CVE-trigger
 //! simulation in the API server and by the attack catalog.
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::Value;
 
 use crate::{K8sObject, ResourceKind};
 
 /// Where a field reference is anchored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldScope {
     /// Relative to the pod specification of the resource (resolved through
     /// `spec`, `spec.template.spec` or `spec.jobTemplate.spec.template.spec`
@@ -27,7 +25,7 @@ pub enum FieldScope {
 
 /// A reference to a specification field in collapsed field notation
 /// (`containers[].securityContext.privileged`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldRef {
     /// Anchor of the reference.
     pub scope: FieldScope,
@@ -144,7 +142,7 @@ fn split_segment(segment: &str) -> (&str, usize) {
 }
 
 /// The check applied to a referenced field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldCheck {
     /// The field is present (with any value).
     Present,
@@ -175,7 +173,7 @@ fn nesting_depth(value: &Value) -> usize {
 ///
 /// Conditions describe both *when a CVE's vulnerable code is exercised* and
 /// *when a specification is considered misconfigured*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldCondition {
     /// The referenced field.
     pub field: FieldRef,

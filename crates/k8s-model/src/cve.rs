@@ -8,15 +8,13 @@
 //! those we record the exact trigger conditions. The remaining records carry
 //! the component mapping used by the e2e coverage analysis (Figure 5).
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::Value;
 
 use crate::condition::{FieldCheck, FieldCondition, FieldRef};
 use crate::{Component, ResourceKind};
 
 /// Severity band derived from the CVSS score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// CVSS < 4.0
     Low,
@@ -44,7 +42,7 @@ impl Severity {
 }
 
 /// A single CVE record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CveRecord {
     /// CVE identifier, e.g. `CVE-2017-1002101`.
     pub id: String,
@@ -85,7 +83,7 @@ impl CveRecord {
 }
 
 /// The full CVE database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CveDatabase {
     records: Vec<CveRecord>,
 }

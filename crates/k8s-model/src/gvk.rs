@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The HTTP-level verbs accepted by the Kubernetes API server, as used by
 //  RBAC rules and audit events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Verb {
     Get,
@@ -78,7 +76,7 @@ impl fmt::Display for Verb {
 }
 
 /// A Kubernetes group/version/kind triple, e.g. `apps/v1 Deployment`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupVersionKind {
     /// API group (empty string for the core group).
     pub group: String,

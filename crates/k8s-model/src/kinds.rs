@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::gvk::GroupVersionKind;
 
 /// The twenty Kubernetes resource kinds that appear in the paper's
@@ -11,7 +9,7 @@ use crate::gvk::GroupVersionKind;
 /// workloads.
 ///
 /// Every kind corresponds to one API endpoint of the (simulated) API server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum ResourceKind {
     Deployment,

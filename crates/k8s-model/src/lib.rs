@@ -10,7 +10,8 @@
 //!   [`kf_yaml::Value`] manifest;
 //! * [`schema`] — the **field-schema catalog**: for every resource kind, the
 //!   tree of configurable specification fields, used to quantify the attack
-//!   surface (the paper counts 4,882 configurable fields over 20 endpoints);
+//!   surface (the paper counts 4,882 configurable fields over 20 endpoints,
+//!   this catalog 5,869);
 //! * [`cve`] — the K8s CVE database (49 CVEs, July 2016 – December 2023) with
 //!   the affected component and, where applicable, the specification fields
 //!   that trigger the vulnerable code;

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::{Mapping, Value};
 
 /// The subset of `ObjectMeta` relevant to this reproduction: name, namespace,
 /// labels and annotations. An owned view: [`crate::K8sObject::metadata`]
 /// builds one from the body on demand — an object caches only its name and
 /// namespace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectMeta {
     /// Object name (unique per kind and namespace).
     pub name: String,

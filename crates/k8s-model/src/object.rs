@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use kf_yaml::{Path, Value};
 
 use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
@@ -22,7 +20,7 @@ use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 /// Only what the store key needs is cached beside the body — kind, name and
 /// namespace; labels and annotations are read from the body on demand
 /// ([`K8sObject::metadata`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct K8sObject {
     kind: ResourceKind,
     name: String,

@@ -1,12 +1,10 @@
 //! Field-schema data structures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ResourceKind;
 
 /// Scalar types that appear in Kubernetes specifications. These are also the
 /// type placeholders used by KubeFence values schemas and validators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ScalarType {
     String,
@@ -41,7 +39,7 @@ impl ScalarType {
 }
 
 /// The structural kind of a field.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FieldKind {
     /// A scalar leaf of the given type.
     Scalar(ScalarType),
@@ -57,7 +55,7 @@ pub enum FieldKind {
 }
 
 /// One configurable field of a resource specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldNode {
     name: String,
     kind: FieldKind,
@@ -172,7 +170,7 @@ impl FieldNode {
 }
 
 /// The schema of a single resource kind: its top-level fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KindSchema {
     kind: ResourceKind,
     fields: Vec<FieldNode>,

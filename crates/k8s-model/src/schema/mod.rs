@@ -6,7 +6,7 @@
 //! of Figure 9) and measuring which fraction each workload actually uses.
 //! This module reproduces that catalog: a tree of [`FieldNode`]s per kind,
 //! mirroring the structure of the upstream OpenAPI schema for the fields that
-//! matter to the evaluation.
+//! matter to the evaluation — 5,869 fields over the same 20 endpoints.
 //!
 //! The catalog is deliberately *data*, not behaviour: the API server uses it
 //! to reject unknown kinds, the attack-surface analyzer uses it as the
@@ -38,12 +38,9 @@ mod tests {
     fn total_field_count_matches_paper_magnitude() {
         // The paper reports 4,882 configurable fields across the endpoints.
         // Our catalog is built from the same OpenAPI structure but is not a
-        // byte-for-byte copy; it must land in the same order of magnitude.
-        let total = catalog().total_field_count();
-        assert!(
-            (3500..6500).contains(&total),
-            "total configurable fields = {total}, expected thousands"
-        );
+        // byte-for-byte copy: it lands in the same order of magnitude, and
+        // is pinned because it is the denominator of Table I.
+        assert_eq!(catalog().total_field_count(), 5869);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{ResourceKind, Verb};
 use kf_yaml::Value;
 
 /// One audit event recorded by the API server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEvent {
     /// Monotonic sequence number within the log.
     pub sequence: u64,
@@ -38,7 +36,7 @@ pub struct AuditEvent {
 }
 
 /// An in-memory audit log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
 }

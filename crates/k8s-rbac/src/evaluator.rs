@@ -1,14 +1,12 @@
 //! The RBAC authorization evaluator consulted by the API server.
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{ResourceKind, Verb};
 
 use crate::role::{Role, RoleBinding, RoleScope};
 
 /// An authorization question: may `user` perform `verb` on `kind` in
 /// `namespace` (optionally on a specific object `name`)?
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessReview {
     /// Authenticated user name.
     pub user: String,
@@ -36,7 +34,7 @@ impl AccessReview {
 }
 
 /// The outcome of an authorization check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessDecision {
     /// The request is allowed; the string names the role and binding that
     /// granted it.
@@ -60,7 +58,7 @@ impl AccessDecision {
 
 /// A set of RBAC objects (roles, cluster roles and their bindings) forming the
 /// effective policy of a cluster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RbacPolicySet {
     roles: Vec<Role>,
     bindings: Vec<RoleBinding>,

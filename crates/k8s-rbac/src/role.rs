@@ -1,13 +1,11 @@
 //! RBAC object model: rules, roles, bindings and subjects.
 
-use serde::{Deserialize, Serialize};
-
 use k8s_model::{ResourceKind, Verb};
 use kf_yaml::{Mapping, Value};
 
 /// Whether a role/binding is namespaced (`Role`/`RoleBinding`) or
 /// cluster-scoped (`ClusterRole`/`ClusterRoleBinding`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoleScope {
     /// Namespaced Role / RoleBinding.
     Namespaced,
@@ -17,7 +15,7 @@ pub enum RoleScope {
 
 /// One RBAC rule: a set of API groups, resources and verbs (all supporting the
 /// `*` wildcard), optionally restricted to specific resource names.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PolicyRule {
     /// API groups the rule applies to (`""` is the core group).
     pub api_groups: Vec<String>,
@@ -71,7 +69,7 @@ impl PolicyRule {
 }
 
 /// A Role or ClusterRole.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Role {
     /// Role name.
     pub name: String,
@@ -179,7 +177,7 @@ impl Role {
 }
 
 /// The kind of a binding subject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubjectKind {
     /// A human user (client certificate / OIDC identity).
     User,
@@ -190,7 +188,7 @@ pub enum SubjectKind {
 }
 
 /// A subject granted a role by a binding.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Subject {
     /// Subject kind.
     pub kind: SubjectKind,
@@ -232,7 +230,7 @@ impl Subject {
 }
 
 /// A RoleBinding or ClusterRoleBinding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoleBinding {
     /// Binding name.
     pub name: String,

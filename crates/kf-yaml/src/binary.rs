@@ -1,10 +1,9 @@
 //! A compact, hand-rolled binary codec for [`Value`] trees and the framing
 //! primitives the persistence plane builds on.
 //!
-//! The build environment has no crates-registry access — the workspace's
-//! `serde` is a no-op shim — so durable formats (store snapshots, the
-//! write-ahead log, the AOT-compiled validator arena) are encoded by hand
-//! here, the same way the tracked bench artifacts hand-roll their JSON.
+//! The workspace depends on nothing outside itself, so durable formats
+//! (store snapshots, the write-ahead log, the AOT-compiled validator arena)
+//! are encoded by hand here.
 //!
 //! Layout rules, all little-endian:
 //!

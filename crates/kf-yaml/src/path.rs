@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Error;
 
 /// One segment of a [`Path`]: a mapping key or a sequence index.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PathSegment {
     /// A mapping key, e.g. `spec`.
     Key(String),
@@ -30,7 +28,7 @@ impl fmt::Display for PathSegment {
 /// Paths are how the KubeFence catalog (Table II of the paper) names the
 /// targeted API fields, how validators report violations, and how the
 /// attack-surface analysis counts fields.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Path {
     segments: Vec<PathSegment>,
 }

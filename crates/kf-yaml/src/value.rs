@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::path::{Path, PathSegment};
 use crate::Error;
 
@@ -13,7 +11,7 @@ use crate::Error;
 /// readability, but preserving insertion order keeps rendered manifests and
 /// generated validators deterministic and diff-friendly, which the policy
 /// generation pipeline relies on.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Mapping {
     entries: Vec<(String, Value)>,
 }
@@ -136,7 +134,7 @@ impl IntoIterator for Mapping {
 /// `Value` plays the role that `serde_yaml::Value` would otherwise play, but
 /// with an order-preserving mapping and the exact scalar taxonomy the
 /// KubeFence policy machinery needs (null / bool / integer / float / string).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// The YAML `null` / `~` / empty scalar.
     Null,

@@ -3,7 +3,7 @@
 //! Implements the API surface this workspace uses — `SmallRng`,
 //! `SeedableRng::seed_from_u64` and `Rng::gen_range` over primitive ranges —
 //! on top of a xorshift64* generator. Deterministic for a fixed seed, which
-//! is all the latency model and traffic drivers require.
+//! is all the seeded fuzzers require.
 
 use std::ops::Range;
 

@@ -7,22 +7,19 @@
 //! and 46 of the 49 CVEs are reached by none.
 //!
 //! We cannot run the upstream Go test suite here, so this module models the
-//! corpus (per `DESIGN.md`): the same category sizes, one feature profile per
-//! test, and a CVE → trigger-feature mapping calibrated so the published
-//! relationship holds. The *shape* of Figure 5 — which categories reach which
-//! CVEs, and how rare that is — is what the `fig5_e2e_coverage` benchmark
-//! regenerates.
+//! corpus: the same category sizes, one feature profile per test, and a
+//! CVE → trigger-feature mapping calibrated so the published relationship
+//! holds. The *shape* of Figure 5 — which categories reach which CVEs, and
+//! how rare that is — is what the `attack_surface` example prints.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use k8s_model::cve::CveDatabase;
 use k8s_model::Component;
 
 /// The e2e test categories of the paper (12 categories; Windows and
 /// disruptive tests are excluded as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum E2eCategory {
     Apps,
@@ -114,7 +111,7 @@ impl E2eCategory {
 }
 
 /// One e2e test of the corpus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct E2eTest {
     /// Test identifier (`<category>-<index>`).
     pub id: String,
@@ -136,7 +133,7 @@ pub const CVE_COVERAGE: [(&str, E2eCategory, usize); 3] = [
 ];
 
 /// The e2e corpus: all tests with their coverage annotations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2eCorpus {
     tests: Vec<E2eTest>,
 }

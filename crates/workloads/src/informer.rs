@@ -18,8 +18,6 @@
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-// Gate waiting uses `std::sync` directly: the parking_lot shim carries no
-// Condvar, and a Condvar must pair with the mutex type it waits on.
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 

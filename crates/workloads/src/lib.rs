@@ -5,14 +5,14 @@
 //! **SonarQube** — chosen to cover databases, networking, AI/ML, data
 //! streaming and security workloads. This crate ships faithful synthetic
 //! charts for the same five operators (same resource kinds, realistic field
-//! footprints; see `DESIGN.md` for the substitution argument), plus:
+//! footprints), plus:
 //!
 //! * [`OperatorWorkload`] / [`Operator`] — access to each operator's chart and
 //!   its rendered deployment manifests;
 //! * [`DeploymentDriver`] — the `kubectl apply` driver that issues the
 //!   operator's API requests against any [`k8s_apiserver::RequestHandler`]
 //!   (used by the RBAC learning phase, the effectiveness experiment and the
-//!   overhead benchmark);
+//!   overhead example);
 //! * [`ChaosDriver`] — the fault-injection workload: seeded fault schedules
 //!   driven through a durable server's front door, crash, clean reopen, and
 //!   the robustness plane's recovery invariants asserted per run (see

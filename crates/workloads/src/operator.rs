@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use helm_lite::{render_chart, Chart, RenderedManifest};
 use k8s_model::K8sObject;
 
 use crate::charts;
 
 /// The five operators of the paper's evaluation (Section VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Operator {
     /// `bitnami/nginx` — networking services.
     Nginx,

@@ -1,10 +1,13 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for the design choices called out in
+//! `docs/architecture.md`:
 //!
 //! * coverage-based variant exploration vs the exhaustive cartesian product;
 //! * tree-based validation vs a flat (field-name-only) check;
 //! * the effect of disabling the security best-practice locks.
-
-use criterion::{criterion_group, criterion_main, Criterion};
+//!
+//! ```bash
+//! cargo run --example ablations
+//! ```
 
 use k8s_apiserver::ApiServer;
 use kf_attacks::AttackExecutor;
@@ -12,7 +15,18 @@ use kf_workloads::Operator;
 use kubefence::schema_gen::ValuesSchemaGenerator;
 use kubefence::{
     ConfigurationExplorer, EnforcementProxy, GeneratorConfig, PolicyGenerator, SecurityLocks,
+    Validator,
 };
+
+/// Generate a validator for the operator's chart under `security_locks`.
+fn validator_with(operator: Operator, security_locks: SecurityLocks) -> Validator {
+    PolicyGenerator::new(GeneratorConfig {
+        security_locks,
+        ..GeneratorConfig::for_release(operator.release_name())
+    })
+    .generate(&operator.chart())
+    .expect("built-in charts generate valid policies")
+}
 
 /// Ablation 1 — variant strategy: paper's per-option coverage vs exhaustive
 /// cross product.
@@ -41,7 +55,7 @@ fn ablation_variant_strategy() {
 fn ablation_flat_vs_tree() {
     println!("\n=== Ablation: tree-based vs flat validation ===\n");
     let operator = Operator::Nginx;
-    let validator = kf_bench::validator_for(operator);
+    let validator = validator_with(operator, SecurityLocks::default());
     let objects = operator.workload().default_objects();
     let allowed_names: std::collections::BTreeSet<String> = validator
         .kinds()
@@ -102,13 +116,8 @@ fn ablation_security_locks() {
             operator.namespace(),
             operator.workload().default_objects(),
         );
-        let with_locks = kf_bench::validator_for(operator);
-        let without_locks = PolicyGenerator::new(GeneratorConfig {
-            security_locks: SecurityLocks::none(),
-            ..GeneratorConfig::for_release(operator.release_name())
-        })
-        .generate(&operator.chart())
-        .expect("policy generation");
+        let with_locks = validator_with(operator, SecurityLocks::default());
+        let without_locks = validator_with(operator, SecurityLocks::none());
 
         let locked = AttackExecutor::summarize(
             &executor.execute(&EnforcementProxy::new(ApiServer::new(), with_locks)),
@@ -131,24 +140,8 @@ fn ablation_security_locks() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     ablation_variant_strategy();
     ablation_flat_vs_tree();
     ablation_security_locks();
-
-    // Timing comparison of the two exploration strategies for the widest
-    // chart.
-    let schema = ValuesSchemaGenerator::default().generate(Operator::Sonarqube.chart().values());
-    let explorer = ConfigurationExplorer::new();
-    let mut group = c.benchmark_group("ablation_exploration");
-    group.bench_function("coverage_variants_sonarqube", |b| {
-        b.iter(|| criterion::black_box(explorer.variants(&schema)))
-    });
-    group.bench_function("exhaustive_variants_sonarqube", |b| {
-        b.iter(|| criterion::black_box(explorer.exhaustive_variants(&schema)))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! ```
 
 use k8s_model::cve::CveDatabase;
-use kf_workloads::e2e::E2eCorpus;
+use kf_workloads::e2e::{E2eCategory, E2eCorpus};
 use kf_workloads::Operator;
 use kubefence::{AttackSurfaceAnalyzer, GeneratorConfig, PolicyGenerator};
 
@@ -18,13 +18,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let database = CveDatabase::new();
     println!("== e2e tests reaching vulnerable code (Figure 5) ==\n");
     println!("{}", corpus.to_matrix_text());
+    let covering = corpus.tests_covering_vulnerable_code();
     println!(
-        "{} of {} tests ({:.2}%) reach code affected by any of the {} CVEs; {} CVEs are reached by none.\n",
-        corpus.tests_covering_vulnerable_code().len(),
+        "{} of {} tests ({:.2}%) reach code affected by any of the {} CVEs; {} CVEs are reached by none.",
+        covering.len(),
         corpus.total_tests(),
-        100.0 * corpus.tests_covering_vulnerable_code().len() as f64 / corpus.total_tests() as f64,
+        100.0 * covering.len() as f64 / corpus.total_tests() as f64,
         database.len(),
         corpus.uncovered_cve_count(&database),
+    );
+    println!(
+        "excluding the storage category: {} of {}.\n",
+        covering
+            .iter()
+            .filter(|test| test.category != E2eCategory::Storage)
+            .count(),
+        corpus.total_tests() - E2eCategory::Storage.test_count(),
     );
 
     // --- Evaluation (Figure 9 + Table I): per-workload usage and reduction. --
@@ -43,5 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", report.to_heatmap());
     println!("== Attack surface reduction achievable by KubeFence vs RBAC (Table I) ==\n");
     println!("{}", report.to_table());
+    println!(
+        "(paper: RBAC 20.73%–79.54%, KubeFence 96.44%–98.85%, average improvement ≈ 35 points)"
+    );
     Ok(())
 }
