@@ -10,10 +10,12 @@
 //! difference — complete mediation by construction.
 //!
 //! The enforcement hot path is contention-free: statistics are per-field
-//! atomics and the denial audit trail is a bounded, sharded ring buffer, so
-//! concurrent admissions never serialize on proxy bookkeeping.
+//! atomics and the denial audit trail is a bounded, sharded ring of flat
+//! slots that denials overwrite in place, so concurrent admissions never
+//! serialize on proxy bookkeeping — nor on the allocator behind it.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -124,8 +126,166 @@ pub const DEFAULT_DENIAL_CAPACITY: usize = 4096;
 /// Number of independently locked shards in the denial ring.
 const DENIAL_SHARDS: usize = 8;
 
-/// One shard of the denial ring: records with their global order stamps.
-type DenialRing = VecDeque<(u64, DenialRecord)>;
+/// The most bytes of any one string a ring slot keeps. Paths, names and
+/// `found` values are the client's: the 403 carries them whole, the ring
+/// keeps a prefix ending in `…`, so what a denial pins does not grow with
+/// the body that caused it.
+const RETAINED_STRING_BYTES: usize = 256;
+
+/// What a fresh slot's buffer starts with: room for a one-violation record
+/// with long names, path and allowed-value list (99 of 100 records of the
+/// benchmark's hostile pool), so that refilling a slot almost never has to
+/// grow it. Growing is a reallocation of memory another client's thread may
+/// own — the contention this ring exists to avoid — and leaves a hole
+/// behind: buffers that start empty or smaller, or that grow to an exact
+/// fit, were measured slower (down to the speed of the ring of records
+/// this one replaced), and 384 bytes, which 1 record in 25 outgrows, read
+/// a higher peak RSS than 448. A larger record grows its slot by `Vec`'s
+/// doubling and the slot keeps what it grew to.
+const SLOT_INITIAL_BYTES: usize = 448;
+
+const TAG_UNKNOWN_KIND: u8 = 0;
+const TAG_UNKNOWN_FIELD: u8 = 1;
+const TAG_TYPE_MISMATCH: u8 = 2;
+const TAG_VALUE_NOT_ALLOWED: u8 = 3;
+const TAG_STRUCTURE_MISMATCH: u8 = 4;
+
+/// One retained denial, flat: every string of the record back to back in
+/// one buffer, which the denial that evicts this one overwrites in place.
+/// Whatever the old and the new report look like, steady-state retention
+/// neither allocates nor frees — in particular it never hands memory that
+/// another client's thread allocated back to the allocator.
+///
+/// `text` holds `user`, `object_name`, then to its end per violation a
+/// reason tag byte, `path` and the reason's two strings (none for the tags
+/// that carry none); a string is its little-endian `u32` length, then its
+/// bytes.
+#[derive(Debug)]
+struct DenialSlot {
+    /// Global order stamp.
+    seq: u64,
+    kind: ResourceKind,
+    location: Option<SourceLocation>,
+    text: Vec<u8>,
+}
+
+impl DenialSlot {
+    /// Encode one denial into `text` (an evicted slot's buffer, or a new
+    /// one), keeping whatever capacity it has grown.
+    fn encode(
+        seq: u64,
+        request: &ApiRequest,
+        violations: &[Violation],
+        location: Option<SourceLocation>,
+        mut text: Vec<u8>,
+    ) -> Self {
+        text.clear();
+        push_retained(&mut text, &request.user);
+        push_retained(&mut text, &request.name);
+        for violation in violations {
+            let (tag, strings) = match &violation.reason {
+                ViolationReason::UnknownKind => (TAG_UNKNOWN_KIND, None),
+                ViolationReason::UnknownField => (TAG_UNKNOWN_FIELD, None),
+                ViolationReason::TypeMismatch { expected, found } => {
+                    (TAG_TYPE_MISMATCH, Some((expected, found)))
+                }
+                ViolationReason::ValueNotAllowed { allowed, found } => {
+                    (TAG_VALUE_NOT_ALLOWED, Some((allowed, found)))
+                }
+                ViolationReason::StructureMismatch { expected, found } => {
+                    (TAG_STRUCTURE_MISMATCH, Some((expected, found)))
+                }
+            };
+            text.push(tag);
+            push_retained(&mut text, &violation.path);
+            if let Some((first, second)) = strings {
+                push_retained(&mut text, first);
+                push_retained(&mut text, second);
+            }
+        }
+        DenialSlot {
+            seq,
+            kind: request.kind,
+            location,
+            text,
+        }
+    }
+
+    /// Rebuild the public record — the cold path, `denials()` only.
+    fn decode(&self) -> DenialRecord {
+        let mut reader = SlotReader(&self.text);
+        let user = reader.string();
+        let object_name = reader.string();
+        let violations = std::iter::from_fn(|| {
+            let tag = *reader.bytes(1).first()?;
+            let path = reader.string();
+            let reason = match tag {
+                TAG_UNKNOWN_KIND => ViolationReason::UnknownKind,
+                TAG_UNKNOWN_FIELD => ViolationReason::UnknownField,
+                TAG_TYPE_MISMATCH => ViolationReason::TypeMismatch {
+                    expected: reader.string(),
+                    found: reader.string(),
+                },
+                TAG_VALUE_NOT_ALLOWED => ViolationReason::ValueNotAllowed {
+                    allowed: reader.string(),
+                    found: reader.string(),
+                },
+                _ => ViolationReason::StructureMismatch {
+                    expected: reader.string(),
+                    found: reader.string(),
+                },
+            };
+            Some(Violation { path, reason })
+        })
+        .collect();
+        DenialRecord {
+            user,
+            kind: self.kind,
+            object_name,
+            violations,
+            location: self.location,
+        }
+    }
+}
+
+/// Append one length-prefixed string to a slot buffer, cut to
+/// [`RETAINED_STRING_BYTES`] at a character boundary.
+fn push_retained(text: &mut Vec<u8>, string: &str) {
+    const ELLIPSIS: &str = "…";
+    let (kept, ellipsis) = if string.len() <= RETAINED_STRING_BYTES {
+        (string, "")
+    } else {
+        let mut end = RETAINED_STRING_BYTES - ELLIPSIS.len();
+        while !string.is_char_boundary(end) {
+            end -= 1;
+        }
+        (&string[..end], ELLIPSIS)
+    };
+    text.extend_from_slice(&((kept.len() + ellipsis.len()) as u32).to_le_bytes());
+    text.extend_from_slice(kept.as_bytes());
+    text.extend_from_slice(ellipsis.as_bytes());
+}
+
+/// A cursor over a slot buffer. Only [`DenialSlot::encode`] writes slots, so
+/// every read is in range and valid UTF-8; reads are checked all the same
+/// and clamp rather than panic.
+struct SlotReader<'s>(&'s [u8]);
+
+impl<'s> SlotReader<'s> {
+    fn bytes(&mut self, len: usize) -> &'s [u8] {
+        let (head, tail) = self.0.split_at(len.min(self.0.len()));
+        self.0 = tail;
+        head
+    }
+
+    fn string(&mut self) -> String {
+        let len = self.bytes(4).try_into().map_or(0, u32::from_le_bytes);
+        String::from_utf8_lossy(self.bytes(len as usize)).into_owned()
+    }
+}
+
+/// One shard of the denial ring, oldest slot first.
+type DenialRing = VecDeque<DenialSlot>;
 
 /// Lock one shard, ignoring poison: every update leaves the ring valid, and
 /// a thread that panicked mid-denial must not turn later denials into panics.
@@ -133,17 +293,18 @@ fn lock_ring(shard: &Mutex<DenialRing>) -> MutexGuard<'_, DenialRing> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A bounded, sharded ring buffer of [`DenialRecord`]s.
+/// A bounded, sharded ring buffer of retained denials.
 ///
 /// Writers are spread over up to [`DENIAL_SHARDS`] independently locked
 /// rings by a global sequence counter, so concurrent denials contend only
 /// 1/N of the time and the common (admit) path never touches the log at
-/// all. When a shard is full the oldest record in that shard is evicted —
-/// enforcement never blocks or grows without bound because of audit
-/// bookkeeping. The requested total capacity is distributed exactly across
-/// the shards (small capacities get fewer shards), so the retained count
-/// never exceeds it. Snapshots are reassembled in global admission order
-/// via the sequence stamps.
+/// all. When a shard is full its oldest [`DenialSlot`] is popped, refilled
+/// in place and pushed back as the newest — enforcement never blocks or
+/// grows without bound because of audit bookkeeping. The requested total
+/// capacity is distributed exactly across the shards (small capacities get
+/// fewer shards), so the retained count never exceeds it. Snapshots decode
+/// the slots back into [`DenialRecord`]s and reassemble them in global
+/// admission order via the sequence stamps.
 #[derive(Debug)]
 struct DenialLog {
     shards: Vec<Mutex<DenialRing>>,
@@ -163,24 +324,33 @@ impl DenialLog {
             .map(|i| capacity / shard_count + usize::from(i < capacity % shard_count))
             .collect();
         DenialLog {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            shards: (0..shard_count).map(|_| Mutex::default()).collect(),
             shard_capacities,
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
 
-    fn record(&self, record: DenialRecord) {
+    fn record(
+        &self,
+        request: &ApiRequest,
+        violations: &[Violation],
+        location: Option<SourceLocation>,
+    ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let index = (seq as usize) % self.shards.len();
         let mut shard = lock_ring(&self.shards[index]);
-        if shard.len() == self.shard_capacities[index] {
-            shard.pop_front();
+        let evicted = if shard.len() == self.shard_capacities[index] {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.push_back((seq, record));
+            shard.pop_front()
+        } else {
+            None
+        };
+        let text = match evicted {
+            Some(slot) => slot.text,
+            None => Vec::with_capacity(SLOT_INITIAL_BYTES),
+        };
+        shard.push_back(DenialSlot::encode(seq, request, violations, location, text));
     }
 
     /// All retained records, in global admission order.
@@ -188,7 +358,12 @@ impl DenialLog {
         let mut stamped: Vec<(u64, DenialRecord)> = self
             .shards
             .iter()
-            .flat_map(|shard| lock_ring(shard).iter().cloned().collect::<Vec<_>>())
+            .flat_map(|shard| {
+                lock_ring(shard)
+                    .iter()
+                    .map(|slot| (slot.seq, slot.decode()))
+                    .collect::<Vec<_>>()
+            })
             .collect();
         stamped.sort_unstable_by_key(|(seq, _)| *seq);
         stamped.into_iter().map(|(_, record)| record).collect()
@@ -298,35 +473,29 @@ impl<H: RequestHandler> EnforcementProxy<H> {
     fn deny(
         &self,
         request: &ApiRequest,
-        violations: Vec<Violation>,
+        violations: &[Violation],
         message: String,
         location: Option<SourceLocation>,
     ) -> ApiResponse {
         self.stats.denied.add(1);
-        self.denials.record(DenialRecord {
-            user: request.user.clone(),
-            kind: request.kind,
-            object_name: request.name.clone(),
-            violations,
-            location,
-        });
+        self.denials.record(request, violations, location);
         ApiResponse::error(ResponseStatus::Forbidden, message)
     }
 
     fn deny_policy(
         &self,
         request: &ApiRequest,
-        violations: Vec<Violation>,
+        violations: &[Violation],
         location: Option<SourceLocation>,
     ) -> ApiResponse {
-        let message = format!(
-            "KubeFence: request denied by workload policy: {}",
-            violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
+        const PREFIX: &str = "KubeFence: request denied by workload policy: ";
+        // A rendered violation is rarely longer than 128 bytes.
+        let mut message = String::with_capacity(PREFIX.len() + 128 * violations.len());
+        message.push_str(PREFIX);
+        for (i, violation) in violations.iter().enumerate() {
+            let separator = if i == 0 { "" } else { "; " };
+            let _ = write!(message, "{separator}{violation}");
+        }
         self.deny(request, violations, message, location)
     }
 
@@ -347,7 +516,7 @@ impl<H: RequestHandler> EnforcementProxy<H> {
                     .add(started.elapsed().as_nanos() as u64);
                 return self.deny(
                     request,
-                    vec![unparsable_body_violation(None)],
+                    &[unparsable_body_violation(None)],
                     unparsable_body_message(None),
                     None,
                 );
@@ -362,7 +531,7 @@ impl<H: RequestHandler> EnforcementProxy<H> {
                 self.stats.forwarded.add(1);
                 self.upstream.handle(request)
             }
-            Err(violations) => self.deny_policy(request, violations, None),
+            Err(violations) => self.deny_policy(request, &violations, None),
         }
     }
 
@@ -391,10 +560,10 @@ impl<H: RequestHandler> EnforcementProxy<H> {
             RawVerdict::Denied {
                 violations,
                 location,
-            } => self.deny_policy(request, violations, location),
+            } => self.deny_policy(request, &violations, location),
             RawVerdict::Unparsable { reason, location } => self.deny(
                 request,
-                vec![unparsable_body_violation(Some(&reason))],
+                &[unparsable_body_violation(Some(&reason))],
                 unparsable_body_message(Some(&reason)),
                 location,
             ),
@@ -477,7 +646,11 @@ spec:
         let object = K8sObject::from_yaml(&evil_yaml).unwrap();
         let response = proxy.handle(&ApiRequest::create("operator", &object));
         assert!(response.is_denied());
-        assert!(response.message.contains("hostNetwork"));
+        assert_eq!(
+            response.message,
+            "KubeFence: request denied by workload policy: \
+             field `spec.template.spec.hostNetwork` is not allowed"
+        );
         // Nothing reaches the API server, so nothing is stored and no CVE is
         // exercised.
         assert_eq!(proxy.upstream().store().len(), 0);
@@ -486,6 +659,19 @@ spec:
         assert_eq!(denials.len(), 1);
         assert_eq!(denials[0].user, "operator");
         assert_eq!(denials[0].violations.len(), 1);
+        // Several violations are joined with `; `, in document order.
+        let worse = K8sObject::from_yaml(
+            &evil_yaml.replace("image: docker.io/bitnami/nginx:1.25", "image: 7"),
+        )
+        .unwrap();
+        let response = proxy.handle(&ApiRequest::create("operator", &worse));
+        assert_eq!(
+            response.message,
+            "KubeFence: request denied by workload policy: \
+             field `spec.template.spec.hostNetwork` is not allowed; \
+             field `spec.template.spec.containers[0].image` must be one of \
+             [docker.io/bitnami/nginx:1.25], found `7`"
+        );
     }
 
     #[test]
@@ -846,5 +1032,259 @@ spec:
             total,
             "every denial is either retained or counted as dropped, exactly once"
         );
+    }
+
+    /// The record the proxy retains for `request`, built directly from the
+    /// validator's verdict on its raw body.
+    fn record_from_verdict(
+        proxy: &EnforcementProxy<ApiServer>,
+        request: &ApiRequest,
+    ) -> DenialRecord {
+        let RequestBody::Raw(bytes, format) = &request.body else {
+            panic!("a raw-bodied request");
+        };
+        let text = std::str::from_utf8(bytes).unwrap();
+        let (violations, location) = match proxy.validators().validate_raw_format(text, *format) {
+            RawVerdict::Admitted => panic!("a refused body"),
+            RawVerdict::Denied {
+                violations,
+                location,
+            } => (violations, location),
+            RawVerdict::Unparsable { reason, location } => {
+                (vec![unparsable_body_violation(Some(&reason))], location)
+            }
+        };
+        DenialRecord {
+            user: request.user.clone(),
+            kind: request.kind,
+            object_name: request.name.clone(),
+            violations,
+            location,
+        }
+    }
+
+    fn raw_request(user: &str, name: &str, payload: &str, format: BodyFormat) -> ApiRequest {
+        ApiRequest {
+            user: user.to_owned(),
+            verb: Verb::Create,
+            kind: ResourceKind::Deployment,
+            namespace: "default".to_owned(),
+            name: name.to_owned(),
+            content_type: None,
+            resource_version: None,
+            body: RequestBody::Raw(payload.into(), format),
+        }
+    }
+
+    #[test]
+    fn retained_denials_decode_to_the_records_the_verdicts_describe() {
+        let proxy = proxy();
+        let hostile = K8sObject::from_yaml(
+            &allowed_manifest()
+                .replace("replicas: int", "replicas: many")
+                .replace("runAsNonRoot: true", "runAsNonRoot: [1, 2]")
+                .replace(
+                    "image: docker.io/bitnami/nginx:1.25",
+                    "image: \"naïve; 多字节\"",
+                ),
+        )
+        .unwrap();
+        let requests = [
+            // Policy denials (type, value, structure and unknown-field
+            // violations in one report), both wire formats.
+            ApiRequest::create_raw("operator", &hostile),
+            ApiRequest::create_raw_json("operator", &hostile),
+            // An uncovered kind.
+            ApiRequest::create_raw(
+                "operator",
+                &K8sObject::minimal(ResourceKind::Secret, "stolen", "default"),
+            ),
+            // The unparsable bodies of
+            // `raw_unparsable_bodies_report_position_and_reason`.
+            raw_request(
+                "mallory",
+                "mystery",
+                "kind: Deployment\nmetadata:\n  name: x\n   badly: indented\n",
+                BodyFormat::Yaml,
+            ),
+            raw_request(
+                "mallory",
+                "mystery",
+                "{\"kind\": \"Deployment\",\n \"metadata\": {\"name\": \"x\"},\n broken}",
+                BodyFormat::Json,
+            ),
+            // An envelope defect the stream defers to the tree for.
+            raw_request("mallory", "", "replicas: 3\n", BodyFormat::Yaml),
+        ];
+        for request in &requests {
+            assert!(proxy.handle(request).is_denied());
+            assert_eq!(
+                proxy.denials().last(),
+                Some(&record_from_verdict(&proxy, request))
+            );
+        }
+        // The first report holds a type, a value and (rendered by the tree,
+        // its value being a container) a second value violation.
+        assert_eq!(proxy.denials()[0].violations.len(), 3);
+    }
+
+    #[test]
+    fn slots_round_trip_every_reason_with_awkward_strings() {
+        let log = DenialLog::new(4);
+        let strings = [
+            "",
+            "naïve — 多字节 🦀",
+            "a; b; c",
+            "field `x` must be one of [1, 2]",
+        ];
+        let pair = |i: usize| (strings[i % 4].to_owned(), strings[(i + 1) % 4].to_owned());
+        let mut violations = Vec::new();
+        for (i, path) in strings.iter().enumerate() {
+            let (first, found) = pair(i);
+            for reason in [
+                ViolationReason::UnknownKind,
+                ViolationReason::UnknownField,
+                ViolationReason::TypeMismatch {
+                    expected: first.clone(),
+                    found: found.clone(),
+                },
+                ViolationReason::ValueNotAllowed {
+                    allowed: first.clone(),
+                    found: found.clone(),
+                },
+                ViolationReason::StructureMismatch {
+                    expected: first.clone(),
+                    found: found.clone(),
+                },
+            ] {
+                violations.push(Violation {
+                    path: (*path).to_owned(),
+                    reason,
+                });
+            }
+        }
+        let location = Some(SourceLocation {
+            line: 7,
+            offset: Some(123),
+        });
+        // Records of every shape land in the same few slots: one violation
+        // of each kind alone, then all twenty together, then none.
+        let mut reports: Vec<&[Violation]> = violations.chunks(1).collect();
+        reports.push(&violations);
+        reports.push(&[]);
+        for (i, report) in reports.into_iter().enumerate() {
+            let request = raw_request(strings[i % 4], strings[(i + 2) % 4], "", BodyFormat::Yaml);
+            let location = if i % 2 == 0 { location } else { None };
+            log.record(&request, report, location);
+            assert_eq!(
+                log.snapshot().last(),
+                Some(&DenialRecord {
+                    user: request.user.clone(),
+                    kind: request.kind,
+                    object_name: request.name.clone(),
+                    violations: report.to_vec(),
+                    location,
+                })
+            );
+        }
+        assert_eq!(log.snapshot().len(), 4);
+        assert_eq!(log.dropped(), 22 - 4);
+    }
+
+    #[test]
+    fn retained_strings_are_cut_at_a_character_boundary() {
+        let log = DenialLog::new(1);
+        // 2-byte characters after two ASCII bytes: byte 253 (where the `…`
+        // would start) falls inside a character.
+        let long = format!("xx{}", "é".repeat(400));
+        let exact = "y".repeat(RETAINED_STRING_BYTES);
+        let request = raw_request(&long, &exact, "", BodyFormat::Yaml);
+        let violation = Violation {
+            path: long.clone(),
+            reason: ViolationReason::ValueNotAllowed {
+                allowed: exact.clone(),
+                found: long.clone(),
+            },
+        };
+        log.record(&request, std::slice::from_ref(&violation), None);
+        let record = log.snapshot().pop().unwrap();
+        let cut = format!("xx{}…", "é".repeat(125));
+        assert_eq!(cut.len(), RETAINED_STRING_BYTES - 1);
+        assert_eq!(record.user, cut);
+        assert_eq!(
+            record.object_name, exact,
+            "a string at the limit is kept whole"
+        );
+        assert_eq!(
+            record.violations,
+            [Violation {
+                path: cut.clone(),
+                reason: ViolationReason::ValueNotAllowed {
+                    allowed: exact,
+                    found: cut,
+                },
+            }]
+        );
+    }
+
+    #[test]
+    fn two_clients_overwriting_each_others_slots_keep_every_record_whole() {
+        let manifests = vec![kf_yaml::parse(&allowed_manifest()).unwrap()];
+        let validator = Validator::from_manifests("demo", &manifests).unwrap();
+        let proxy = EnforcementProxy::with_denial_capacity(
+            ApiServer::new(),
+            ValidatorSet::single(validator),
+            8,
+        );
+        let evil = K8sObject::from_yaml(
+            &allowed_manifest()
+                .replace("replicas: int", "replicas: 3")
+                .replace(
+                    "runAsNonRoot: true",
+                    "runAsNonRoot: false\n            privileged: true",
+                ),
+        )
+        .unwrap();
+        // Reports of different shapes and sizes, so a slot is refilled with
+        // a record unlike the one it held.
+        let requests = [
+            ApiRequest::create_raw("alice", &evil),
+            raw_request(
+                "bob",
+                "mystery",
+                "kind: Deployment\nmetadata:\n  name: x\n   badly: indented\n",
+                BodyFormat::Yaml,
+            ),
+            ApiRequest::create_raw_json("carol", &evil),
+            raw_request("dave", "mystery", "{\"kind\": broken}", BodyFormat::Json),
+        ];
+        let expected: Vec<DenialRecord> = requests
+            .iter()
+            .map(|request| record_from_verdict(&proxy, request))
+            .collect();
+        const PER_THREAD: usize = 400;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for thread in 0..2 {
+                let (proxy, requests, start) = (&proxy, &requests, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let request = &requests[(2 * i + thread) % requests.len()];
+                        assert!(proxy.handle(request).is_denied());
+                    }
+                });
+            }
+        });
+        let retained = proxy.denials();
+        assert_eq!(retained.len(), 8);
+        for record in &retained {
+            assert!(expected.contains(record), "a torn record: {record:?}");
+        }
+        assert_eq!(
+            proxy.stats().denied,
+            retained.len() as u64 + proxy.dropped_denials()
+        );
+        assert_eq!(proxy.stats().denied, 2 * PER_THREAD as u64);
     }
 }

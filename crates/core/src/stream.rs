@@ -13,11 +13,15 @@
 //! * on the accept path **no document tree is ever allocated** — keys and
 //!   scalars borrow from the wire buffer and are checked directly against
 //!   the compiled nodes;
-//! * denials are reported **from matcher state**: each matcher records the
-//!   exact violations the compiled tree walk would report (paths from a
-//!   shared document-position tracker, reasons from the compiled nodes), so
-//!   deny traffic no longer re-parses the payload — the stream keeps
-//!   tokenizing to the end of the document (still building no tree) to
+//! * denials are reported **from matcher state**, and a refusal pays only
+//!   for what it reports: on the collect pass each matcher records a
+//!   violation as a compact, unrendered *site* — the id of a snapshot of the
+//!   shared document position (taken at most once per violating event, keys
+//!   borrowed from the wire buffer) plus a compiled-node reference — and
+//!   only the sites of the matcher whose report is served (fewest sites,
+//!   first wins) are rendered into the exact [`Violation`]s the compiled
+//!   tree walk would report. Deny traffic never re-parses the payload into
+//!   a tree — the stream keeps tokenizing to the end of the document to
 //!   collect the complete report and to honor the reference precedence of
 //!   parse/multi-document/envelope defects over policy violations;
 //! * the rare constructs the stream cannot decide (root-level fields seen
@@ -34,6 +38,7 @@
 //! stream-decided denials. See `docs/streaming-admission.md`.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::events::{Event, Pos, ScalarToken, Tokenizer};
@@ -249,7 +254,7 @@ fn deny_report(set: &ValidatorSet, text: &str, format: BodyFormat, pos: Pos) -> 
 /// One segment of the document position shared by all matchers: the event
 /// stream is a single walk of the document, so "where are we" is tracked
 /// once, not per matcher.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum TrackFrame<'a> {
     /// A mapping; `key` is the entry whose value is currently being read.
     Map { key: Option<Cow<'a, str>> },
@@ -257,18 +262,90 @@ enum TrackFrame<'a> {
     Seq { index: usize },
 }
 
-/// Tracks the dotted path of the value the next event contributes to,
-/// rendered in exactly the tree walker's format (`a.b[2].c`).
+/// What the violating event carried, kept unrendered: violation messages
+/// name the offending value's type or text.
+#[derive(Debug)]
+enum Found<'a> {
+    /// A key event: an unknown field has no value to name.
+    Nothing,
+    /// A container opened: the tree walker's name for it (`map` / `seq`).
+    Container(&'static str),
+    /// A scalar, borrowed from the wire buffer.
+    Scalar(ScalarToken<'a>),
+}
+
+impl Found<'_> {
+    fn type_name(&self) -> &'static str {
+        match self {
+            Found::Nothing => "",
+            Found::Container(name) => name,
+            Found::Scalar(token) => token.type_name(),
+        }
+    }
+
+    fn render(&self) -> String {
+        match self {
+            Found::Scalar(token) => token.render(),
+            Found::Nothing | Found::Container(_) => String::new(),
+        }
+    }
+}
+
+/// The document position and value of one violating event, shared by every
+/// matcher that records a violation at it.
+#[derive(Debug)]
+struct Snapshot<'a> {
+    /// The event's path: `arena[start..start + len]`.
+    start: u32,
+    len: u32,
+    found: Found<'a>,
+}
+
+/// Why a site violates, as references into the compiled arena — nothing is
+/// rendered until the site's matcher turns out to be the one reported.
+#[derive(Debug, Clone, Copy)]
+enum SiteReason {
+    /// The key is not among the compiled map's entries.
+    UnknownField,
+    /// The value is not of the placeholder type.
+    Type(TypeTag),
+    /// A `mapping` / `sequence` was required.
+    Structure(&'static str),
+    /// The value differs from the scalar constant `values[_]`.
+    Const(u32),
+    /// The value is none of the scalar options `values[start..start + len]`.
+    Enum { start: u32, len: u32 },
+    /// The value does not match `patterns[_]`.
+    Pattern(u32),
+    /// The message renders a container value: counted here, reported by
+    /// the tree (see [`StreamMatcher::report_via_tree`]).
+    Deferred,
+}
+
+/// One recorded violation of one matcher: which event, and why.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    /// Index into [`PathTracker::snapshots`].
+    snapshot: u32,
+    reason: SiteReason,
+}
+
+/// Tracks the dotted path of the value the next event contributes to, and
+/// keeps the positions violations were recorded at. Maintained by the
+/// collect pass only.
 #[derive(Debug, Default)]
 struct PathTracker<'a> {
     frames: Vec<TrackFrame<'a>>,
+    /// The frames of every snapshot, back to back.
+    arena: Vec<TrackFrame<'a>>,
+    snapshots: Vec<Snapshot<'a>>,
 }
 
 impl<'a> PathTracker<'a> {
     /// Mirror one event into the tracker, *before* matchers consume it (so
     /// a violation recorded at this event sees the path it belongs to).
     /// Container pushes happen after the matchers ran — see
-    /// [`PathTracker::after_container_start`].
+    /// [`PathTracker::after_event`].
     fn before_event(&mut self, event: &Event<'a>) {
         if let Event::Key { name, .. } = event {
             if let Some(TrackFrame::Map { key }) = self.frames.last_mut() {
@@ -297,54 +374,106 @@ impl<'a> PathTracker<'a> {
         }
     }
 
-    /// Render the current path in the tree walker's notation.
-    fn render(&self) -> String {
-        let mut out = String::new();
-        for frame in &self.frames {
+    /// Keep the current position and the event's value for later rendering;
+    /// returns the snapshot's id.
+    fn snapshot(&mut self, event: &Event<'a>) -> u32 {
+        let id = self.snapshots.len() as u32;
+        self.snapshots.push(Snapshot {
+            start: self.arena.len() as u32,
+            len: self.frames.len() as u32,
+            found: match event {
+                Event::Scalar { value, .. } => Found::Scalar(value.clone()),
+                Event::MappingStart { .. } => Found::Container("map"),
+                Event::SequenceStart { .. } => Found::Container("seq"),
+                _ => Found::Nothing,
+            },
+        });
+        self.arena.extend_from_slice(&self.frames);
+        id
+    }
+
+    /// Render one site of a matcher over `compiled` into the violation the
+    /// compiled tree walk reports: path in the tree walker's notation
+    /// (`a.b[2].c`), messages from the compiled nodes.
+    fn violation(&self, site: Site, compiled: &CompiledValidator) -> Violation {
+        let snapshot = &self.snapshots[site.snapshot as usize];
+        let frames = &self.arena[snapshot.start as usize..][..snapshot.len as usize];
+        // One allocation per path: room for every key and its dot, and for
+        // two-digit indices.
+        let mut path = String::with_capacity(
+            frames
+                .iter()
+                .map(|frame| match frame {
+                    TrackFrame::Map { key } => key.as_ref().map_or(0, |key| key.len() + 1),
+                    TrackFrame::Seq { .. } => 4,
+                })
+                .sum(),
+        );
+        for frame in frames {
             match frame {
                 TrackFrame::Map { key: Some(key) } => {
-                    if !out.is_empty() {
-                        out.push('.');
+                    if !path.is_empty() {
+                        path.push('.');
                     }
-                    out.push_str(key);
+                    path.push_str(key);
                 }
                 TrackFrame::Map { key: None } => {}
                 TrackFrame::Seq { index } => {
-                    out.push('[');
-                    out.push_str(&index.to_string());
-                    out.push(']');
+                    let _ = write!(path, "[{index}]");
                 }
             }
         }
-        out
+        let found = &snapshot.found;
+        let not_allowed = |allowed: String| ViolationReason::ValueNotAllowed {
+            allowed,
+            found: found.render(),
+        };
+        let reason = match site.reason {
+            SiteReason::UnknownField => ViolationReason::UnknownField,
+            SiteReason::Type(tag) => ViolationReason::TypeMismatch {
+                expected: tag.placeholder().to_owned(),
+                found: found.type_name().to_owned(),
+            },
+            SiteReason::Structure(expected) => ViolationReason::StructureMismatch {
+                expected: expected.to_owned(),
+                found: found.type_name().to_owned(),
+            },
+            SiteReason::Const(value) => not_allowed(compiled.value(value).scalar_to_string()),
+            SiteReason::Enum { start, len } => not_allowed(
+                compiled
+                    .values_slice(start, len)
+                    .iter()
+                    .map(Value::scalar_to_string)
+                    .collect::<Vec<_>>()
+                    .join(", "),
+            ),
+            SiteReason::Pattern(pattern) => {
+                not_allowed(compiled.pattern(pattern).source().to_owned())
+            }
+            SiteReason::Deferred => not_allowed(String::new()),
+        };
+        Violation { path, reason }
     }
 }
 
-/// The per-event path, rendered at most once no matter how many matchers
-/// record a violation at it. The fast (verdict-only) pass runs without a
-/// tracker — no matcher renders a path there, so none is maintained.
-struct PathAtEvent<'p, 'a> {
-    tracker: Option<&'p PathTracker<'a>>,
-    rendered: Option<String>,
+/// The per-event snapshot, taken at most once no matter how many matchers
+/// record a violation at the event. The fast (verdict-only) pass runs
+/// without a tracker — no matcher records a site there, so none is kept.
+struct SiteAtEvent<'p, 'a> {
+    tracker: Option<&'p mut PathTracker<'a>>,
+    event: &'p Event<'a>,
+    snapshot: Option<u32>,
 }
 
-impl<'p, 'a> PathAtEvent<'p, 'a> {
-    fn new(tracker: Option<&'p PathTracker<'a>>) -> Self {
-        PathAtEvent {
-            tracker,
-            rendered: None,
+impl SiteAtEvent<'_, '_> {
+    fn snapshot(&mut self) -> u32 {
+        match (self.snapshot, self.tracker.as_mut()) {
+            (Some(id), _) => id,
+            (None, Some(tracker)) => *self.snapshot.insert(tracker.snapshot(self.event)),
+            // Only Mode::Collect matchers record sites, and the collect
+            // pass always runs with a tracker.
+            (None, None) => 0,
         }
-    }
-
-    fn get(&mut self) -> String {
-        self.rendered
-            .get_or_insert_with(|| match self.tracker {
-                Some(tracker) => tracker.render(),
-                // Only Mode::Collect matchers render paths, and the collect
-                // pass always runs with a tracker.
-                None => String::new(),
-            })
-            .clone()
     }
 }
 
@@ -376,9 +505,13 @@ fn drive<'a>(
         all_failed: true,
     };
     {
-        let mut path = PathAtEvent::new(tracker.as_deref());
+        let mut at = SiteAtEvent {
+            tracker: tracker.as_deref_mut(),
+            event,
+            snapshot: None,
+        };
         for matcher in matchers.iter_mut() {
-            matcher.feed(event, &mut path);
+            matcher.feed(event, &mut at);
             outcome.needs_tree |= matcher.needs_tree;
             outcome.all_failed &= matcher.failed();
         }
@@ -396,9 +529,8 @@ enum Mode {
     /// cheapest way to reach the admit/deny verdict. Every request starts
     /// here.
     Fast,
-    /// Record every violation with full tree-walk fidelity. Runs only after
-    /// the fast pass decided a denial, to synthesize the report without
-    /// building a tree.
+    /// Record every violation as a [`Site`]. Runs only after the fast pass
+    /// decided a denial, to synthesize the report without building a tree.
     Collect,
 }
 
@@ -700,7 +832,7 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
     let winner = matchers
         .iter()
         .reduce(|best, candidate| {
-            if candidate.violations.len() < best.violations.len() {
+            if candidate.sites.len() < best.sites.len() {
                 candidate
             } else {
                 best
@@ -712,8 +844,15 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
         // container value; only this cold case re-reads the payload.
         return StreamFlow::verdict(deny_report(set, text, format, pos));
     }
+    // Only the served report is rendered; the losers' sites are dropped as
+    // recorded.
+    let tracker = tracker.as_ref().expect("the collect pass keeps a tracker");
     StreamFlow::verdict(RawVerdict::Denied {
-        violations: winner.violations.clone(),
+        violations: winner
+            .sites
+            .iter()
+            .map(|&site| tracker.violation(site, winner.compiled))
+            .collect(),
         location: Some(pos.into()),
     })
 }
@@ -748,11 +887,10 @@ enum Target {
 }
 
 /// A state machine that advances compiled-arena node ids as tokenizer events
-/// arrive, recording exactly the violations (paths, reasons, messages) the
-/// compiled tree walk
+/// arrive, recording one [`Site`] exactly where the compiled tree walk
 /// ([`CompiledValidator::validate_kind_body`](crate::compile::CompiledValidator::validate_kind_body))
-/// would report — without a document tree. A matcher with an empty violation
-/// list at end of document admits.
+/// would report a violation — without a document tree. A matcher with no
+/// sites at end of document admits.
 #[derive(Debug)]
 pub(crate) struct StreamMatcher<'c> {
     compiled: &'c CompiledValidator,
@@ -763,7 +901,7 @@ pub(crate) struct StreamMatcher<'c> {
     pending: Option<Target>,
     /// Violations recorded so far ([`Mode::Collect`] only), in document
     /// order (the tree walk's order).
-    violations: Vec<Violation>,
+    sites: Vec<Site>,
     /// [`Mode::Fast`] only: cleared at the first violation, after which the
     /// matcher does no further work.
     alive: bool,
@@ -783,7 +921,7 @@ impl<'c> StreamMatcher<'c> {
             mode,
             stack: Vec::with_capacity(16),
             pending: Some(Target::Node(root)),
-            violations: Vec::new(),
+            sites: Vec::new(),
             alive: true,
             needs_tree: false,
             report_via_tree: false,
@@ -794,24 +932,19 @@ impl<'c> StreamMatcher<'c> {
     fn failed(&self) -> bool {
         match self.mode {
             Mode::Fast => !self.alive,
-            Mode::Collect => !self.violations.is_empty(),
+            Mode::Collect => !self.sites.is_empty(),
         }
     }
 
-    /// A violation occurred: in fast mode the matcher simply dies (the
-    /// reason closure is never evaluated — no strings are built on the
-    /// verdict-only pass); in collect mode the violation is recorded with
-    /// the tree walk's exact path and message.
-    fn violate(
-        &mut self,
-        path: &mut PathAtEvent<'_, '_>,
-        reason: impl FnOnce() -> ViolationReason,
-    ) {
+    /// A violation occurred: in fast mode the matcher simply dies; in
+    /// collect mode its site is recorded — no string is built on either
+    /// pass.
+    fn violate(&mut self, at: &mut SiteAtEvent<'_, '_>, reason: SiteReason) {
         match self.mode {
             Mode::Fast => self.alive = false,
-            Mode::Collect => self.violations.push(Violation {
-                path: path.get(),
-                reason: reason(),
+            Mode::Collect => self.sites.push(Site {
+                snapshot: at.snapshot(),
+                reason,
             }),
         }
     }
@@ -835,8 +968,7 @@ impl<'c> StreamMatcher<'c> {
     /// A mapping or sequence opens where the current expectation points.
     /// Always pushes exactly one frame, so the stack stays aligned with the
     /// document nesting while violations accumulate.
-    fn enter_container(&mut self, is_mapping: bool, path: &mut PathAtEvent<'_, '_>) {
-        let container_type = if is_mapping { "map" } else { "seq" };
+    fn enter_container(&mut self, is_mapping: bool, at: &mut SiteAtEvent<'_, '_>) {
         match self.value_target() {
             Target::Skip => self.stack.push(MFrame::Skip),
             Target::Node(id) => match self.compiled.node(id) {
@@ -854,10 +986,7 @@ impl<'c> StreamMatcher<'c> {
                     // container trivially mismatches; the violation message
                     // renders the container, so the report (only) defers.
                     if self.compiled.value(value).is_scalar() {
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: String::new(),
-                            found: String::new(),
-                        });
+                        self.violate(at, SiteReason::Deferred);
                         self.report_via_tree = true;
                     } else {
                         self.needs_tree = true;
@@ -871,10 +1000,7 @@ impl<'c> StreamMatcher<'c> {
                         .iter()
                         .all(Value::is_scalar)
                     {
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: String::new(),
-                            found: String::new(),
-                        });
+                        self.violate(at, SiteReason::Deferred);
                         self.report_via_tree = true;
                     } else {
                         self.needs_tree = true;
@@ -882,45 +1008,33 @@ impl<'c> StreamMatcher<'c> {
                     self.stack.push(MFrame::Skip);
                 }
                 CompiledNode::Pattern { .. } => {
-                    self.violate(path, || ViolationReason::ValueNotAllowed {
-                        allowed: String::new(),
-                        found: String::new(),
-                    });
+                    self.violate(at, SiteReason::Deferred);
                     self.report_via_tree = true;
                     self.stack.push(MFrame::Skip);
                 }
                 CompiledNode::Type(tag) => {
-                    self.violate(path, || ViolationReason::TypeMismatch {
-                        expected: tag.placeholder().to_owned(),
-                        found: container_type.to_owned(),
-                    });
+                    self.violate(at, SiteReason::Type(tag));
                     self.stack.push(MFrame::Skip);
                 }
                 CompiledNode::Map { .. } => {
-                    self.violate(path, || ViolationReason::StructureMismatch {
-                        expected: "mapping".to_owned(),
-                        found: container_type.to_owned(),
-                    });
+                    self.violate(at, SiteReason::Structure("mapping"));
                     self.stack.push(MFrame::Skip);
                 }
                 CompiledNode::Seq { .. } => {
-                    self.violate(path, || ViolationReason::StructureMismatch {
-                        expected: "sequence".to_owned(),
-                        found: container_type.to_owned(),
-                    });
+                    self.violate(at, SiteReason::Structure("sequence"));
                     self.stack.push(MFrame::Skip);
                 }
             },
         }
     }
 
-    fn feed(&mut self, event: &Event<'_>, path: &mut PathAtEvent<'_, '_>) {
+    fn feed(&mut self, event: &Event<'_>, at: &mut SiteAtEvent<'_, '_>) {
         if !self.alive || self.needs_tree {
             return;
         }
         match event {
-            Event::MappingStart { .. } => self.enter_container(true, path),
-            Event::SequenceStart { .. } => self.enter_container(false, path),
+            Event::MappingStart { .. } => self.enter_container(true, at),
+            Event::SequenceStart { .. } => self.enter_container(false, at),
             Event::Key { name, .. } => match self.stack.last() {
                 Some(MFrame::Skip) => {}
                 Some(MFrame::Map { entries_start, len }) => {
@@ -930,7 +1044,7 @@ impl<'c> StreamMatcher<'c> {
                         None => {
                             // Unknown field: the tree walk reports it and
                             // does not descend into the value.
-                            self.violate(path, || ViolationReason::UnknownField);
+                            self.violate(at, SiteReason::UnknownField);
                             self.pending = Some(Target::Skip);
                         }
                     }
@@ -939,7 +1053,7 @@ impl<'c> StreamMatcher<'c> {
             },
             Event::Scalar { value, .. } => match self.value_target() {
                 Target::Skip => {}
-                Target::Node(id) => self.check_scalar(id, value, path),
+                Target::Node(id) => self.check_scalar(id, value, at),
             },
             Event::End => {
                 self.stack.pop();
@@ -948,35 +1062,26 @@ impl<'c> StreamMatcher<'c> {
         }
     }
 
-    /// Check a scalar token against a compiled node, recording the tree
-    /// walk's exact violation on mismatch.
-    fn check_scalar(&mut self, id: u32, token: &ScalarToken<'_>, path: &mut PathAtEvent<'_, '_>) {
+    /// Check a scalar token against a compiled node, recording the site of
+    /// the tree walk's violation on mismatch.
+    fn check_scalar(&mut self, id: u32, token: &ScalarToken<'_>, at: &mut SiteAtEvent<'_, '_>) {
         match self.compiled.node(id) {
             CompiledNode::Any => {}
             CompiledNode::Type(tag) => {
                 if !token_matches_tag(tag, token) {
-                    self.violate(path, || ViolationReason::TypeMismatch {
-                        expected: tag.placeholder().to_owned(),
-                        found: token.type_name().to_owned(),
-                    });
+                    self.violate(at, SiteReason::Type(tag));
                 }
             }
             CompiledNode::Const { value } => {
                 let expected = self.compiled.value(value);
                 if !token_loosely_equals(token, expected) {
                     if expected.is_scalar() {
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: expected.scalar_to_string(),
-                            found: token.render(),
-                        });
+                        self.violate(at, SiteReason::Const(value));
                     } else {
                         // The `allowed` message renders a container
                         // constant; the verdict is certain, the report
                         // defers.
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: String::new(),
-                            found: token.render(),
-                        });
+                        self.violate(at, SiteReason::Deferred);
                         self.report_via_tree = true;
                     }
                 }
@@ -988,19 +1093,9 @@ impl<'c> StreamMatcher<'c> {
                     .any(|option| token_loosely_equals(token, option))
                 {
                     if options.iter().all(Value::is_scalar) {
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: options
-                                .iter()
-                                .map(Value::scalar_to_string)
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            found: token.render(),
-                        });
+                        self.violate(at, SiteReason::Enum { start, len });
                     } else {
-                        self.violate(path, || ViolationReason::ValueNotAllowed {
-                            allowed: String::new(),
-                            found: token.render(),
-                        });
+                        self.violate(at, SiteReason::Deferred);
                         self.report_via_tree = true;
                     }
                 }
@@ -1012,24 +1107,11 @@ impl<'c> StreamMatcher<'c> {
                     .map(|text| compiled_pattern.matches(text))
                     .unwrap_or(false);
                 if !ok {
-                    self.violate(path, || ViolationReason::ValueNotAllowed {
-                        allowed: compiled_pattern.source().to_owned(),
-                        found: token.render(),
-                    });
+                    self.violate(at, SiteReason::Pattern(pattern));
                 }
             }
-            CompiledNode::Map { .. } => {
-                self.violate(path, || ViolationReason::StructureMismatch {
-                    expected: "mapping".to_owned(),
-                    found: token.type_name().to_owned(),
-                });
-            }
-            CompiledNode::Seq { .. } => {
-                self.violate(path, || ViolationReason::StructureMismatch {
-                    expected: "sequence".to_owned(),
-                    found: token.type_name().to_owned(),
-                });
-            }
+            CompiledNode::Map { .. } => self.violate(at, SiteReason::Structure("mapping")),
+            CompiledNode::Seq { .. } => self.violate(at, SiteReason::Structure("sequence")),
         }
     }
 }

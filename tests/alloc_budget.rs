@@ -11,9 +11,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler};
+use kf_attacks::AttackExecutor;
 use kf_workloads::{DeploymentDriver, Operator};
-use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet};
+use kubefence::{
+    BodyFormat, EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet, ViolationReason,
+};
 
 thread_local! {
     /// Allocation calls (`alloc` + `realloc`) made by this thread.
@@ -80,8 +83,9 @@ fn chart_creates() -> Vec<ApiRequest> {
     requests
 }
 
-#[test]
-fn an_admitted_create_stays_inside_its_allocation_budget() {
+/// The five operators' validators in front of a server on which each
+/// operator is an admin, so only the proxy refuses anything.
+fn five_operator_stack() -> (ApiServer, ValidatorSet) {
     let mut validators = ValidatorSet::new();
     let mut server = ApiServer::new();
     for operator in Operator::ALL {
@@ -93,6 +97,35 @@ fn an_admitted_create_stays_inside_its_allocation_budget() {
         );
         server = server.with_admin(&operator.user());
     }
+    (server, validators)
+}
+
+/// The attack catalog injected into each operator's manifests, as raw bodies
+/// alternating YAML and JSON.
+fn catalog_attacks() -> Vec<ApiRequest> {
+    let mut requests = Vec::new();
+    for operator in Operator::ALL {
+        let executor = AttackExecutor::new(
+            &operator.user(),
+            operator.namespace(),
+            DeploymentDriver::new(operator).objects().to_vec(),
+        );
+        for (_, object) in executor.malicious_objects() {
+            let request = ApiRequest::create(&operator.user(), &object);
+            requests.push(if requests.len() % 2 == 0 {
+                request.into_raw()
+            } else {
+                request.into_raw_json()
+            });
+        }
+    }
+    assert_eq!(requests.len(), 75, "five charts, fifteen catalog entries");
+    requests
+}
+
+#[test]
+fn an_admitted_create_stays_inside_its_allocation_budget() {
+    let (server, validators) = five_operator_stack();
     let proxy = EnforcementProxy::with_validators(server, validators);
     let requests = chart_creates();
     // First pass creates every object (and grows the store's own tables);
@@ -135,5 +168,111 @@ fn materializing_a_body_is_compact_without_extra_churn() {
     assert!(
         ratio <= 3.5,
         "a parsed tree holds {ratio} x its wire bytes live (budget 3.5)"
+    );
+}
+
+#[test]
+fn a_refused_attack_stays_inside_its_allocation_budget() {
+    let attacks = catalog_attacks();
+    // Allocations of one counted pass over the attacks, after enough passes
+    // for every slot of a ring that evicts to have held every attack's
+    // record (64 and 75 share no factor), so no buffer has growing left.
+    const WARM_UP_PASSES: u64 = 64;
+    let steady_state = |capacity: usize| {
+        let (server, validators) = five_operator_stack();
+        let proxy = EnforcementProxy::with_denial_capacity(server, validators, capacity);
+        for _ in 0..WARM_UP_PASSES {
+            for request in &attacks {
+                assert!(proxy.handle(request).is_denied());
+            }
+        }
+        let mut calls = 0;
+        for request in &attacks {
+            let (response, made, _) = counted(|| proxy.handle(request));
+            assert!(response.is_denied());
+            calls += made;
+        }
+        (calls, proxy.dropped_denials())
+    };
+    // Capacity 64: every counted denial overwrites a slot another denial
+    // filled.
+    let (calls, dropped) = steady_state(64);
+    assert_eq!(dropped, (WARM_UP_PASSES + 1) * 75 - 64);
+    let per_refusal = calls as f64 / attacks.len() as f64;
+    assert!(
+        per_refusal <= 90.0,
+        "{per_refusal} allocations per refused attack (budget 90)"
+    );
+    // The ring's own share of that is zero. With one slot, its buffer has
+    // held the largest record by the end of the first pass and every later
+    // denial fits: retention cannot allocate there. Sixty-four slots that
+    // overwrite each other's records read the same count exactly …
+    assert_eq!(steady_state(1).0, calls);
+    // … while a ring too large to evict pays for a fresh slot per denial.
+    let (never_evicting, dropped) = steady_state(8192);
+    assert_eq!(dropped, 0);
+    assert!(
+        calls < never_evicting,
+        "overwriting made {calls} allocations, fresh slots {never_evicting}"
+    );
+}
+
+#[test]
+fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
+    let (server, validators) = five_operator_stack();
+    // A chart manifest whose image is a 1 MiB string: refused for that
+    // value, which the report quotes whole.
+    let huge = "A".repeat(1 << 20);
+    let operator = Operator::ALL[0];
+    let request = DeploymentDriver::new(operator)
+        .requests()
+        .into_iter()
+        .find_map(|request| {
+            let text = String::from_utf8(request.clone().into_raw().payload().to_vec()).unwrap();
+            let image = text.lines().find(|line| line.contains(" image: "))?;
+            let key_end = image.find("image: ").unwrap() + "image: ".len();
+            let body = text.replacen(image, &format!("{}{huge}", &image[..key_end]), 1);
+            Some(ApiRequest {
+                body: RequestBody::Raw(body.into(), BodyFormat::Yaml),
+                ..request
+            })
+        })
+        .expect("some chart manifest names an image");
+
+    // The full-size run (the default ring, filled and overflowed) takes
+    // ~15 s optimized and three times that unoptimized, where a ring of 64
+    // stands in; the bound is per slot either way.
+    let (capacity, refusals) = if cfg!(debug_assertions) {
+        (64, 100)
+    } else {
+        (kubefence::proxy::DEFAULT_DENIAL_CAPACITY, 5_000)
+    };
+    let proxy = EnforcementProxy::with_denial_capacity(server, validators, capacity);
+    // The first request compiles the validators, which is not the ring's.
+    assert!(proxy.handle(&request).is_denied());
+    proxy.reset();
+    let ((), _, held) = counted(|| {
+        for _ in 0..refusals {
+            let response = proxy.handle(&request);
+            assert!(response.is_denied());
+            // The client is still told everything.
+            assert!(response.message.len() > huge.len());
+        }
+    });
+    assert_eq!(proxy.dropped_denials(), (refusals - capacity) as u64);
+    let denials = proxy.denials();
+    assert_eq!(denials.len(), capacity);
+    let newest = denials.last().unwrap();
+    assert!(newest.violations[0].path.ends_with(".image"));
+    let ViolationReason::ValueNotAllowed { found, .. } = &newest.violations[0].reason else {
+        panic!("expected a value violation, got {:?}", newest.violations[0]);
+    };
+    assert!(found.starts_with("AAAA") && found.ends_with('…') && found.len() <= 256);
+    // Under 2 KiB a slot (this record outgrows a fresh slot's buffer, which
+    // doubles), against 1 MiB a record before retained strings were cut —
+    // 4 GiB for the default ring.
+    assert!(
+        held < (capacity as i64) << 11,
+        "a full ring of {capacity} holds {held} bytes live"
     );
 }
