@@ -90,9 +90,9 @@ impl AttackExecutor {
             .collect()
     }
 
-    /// Submit every malicious manifest through the handler and record whether
-    /// it was mitigated (denied) or not.
-    pub fn execute<H: RequestHandler>(&self, handler: &H) -> Vec<AttackOutcome> {
+    /// The attack traffic: one create per malicious manifest, as YAML wire
+    /// bytes, issued by the executor's user against its namespace.
+    pub fn requests(&self) -> Vec<(MaliciousSpec, ApiRequest)> {
         self.malicious_objects()
             .into_iter()
             .map(|(spec, object)| {
@@ -100,11 +100,22 @@ impl AttackExecutor {
                 if object.kind().is_namespaced() {
                     request.namespace = self.namespace.clone();
                 }
+                (spec, request)
+            })
+            .collect()
+    }
+
+    /// Submit every malicious manifest through the handler and record whether
+    /// it was mitigated (denied) or not.
+    pub fn execute<H: RequestHandler>(&self, handler: &H) -> Vec<AttackOutcome> {
+        self.requests()
+            .into_iter()
+            .map(|(spec, request)| {
                 let response = handler.handle(&request);
                 AttackOutcome {
                     spec_id: spec.id.clone(),
                     is_cve: spec.is_cve(),
-                    kind: object.kind(),
+                    kind: request.kind,
                     mitigated: response.is_denied(),
                     message: response.message,
                 }

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use k8s_apiserver::{ApiRequest, ApiResponse, RequestBody, RequestHandler, ResponseStatus};
 use k8s_model::ResourceKind;
-use kf_yaml::{BodyFormat, Value};
+use kf_yaml::BodyFormat;
 
 use crate::stream::{RawVerdict, SourceLocation};
 use crate::validator::{Validator, ValidatorSet, Violation, ViolationReason};
@@ -38,8 +38,11 @@ pub struct DenialRecord {
     pub object_name: String,
     /// The violations that caused the denial (offending field and reason).
     pub violations: Vec<Violation>,
-    /// For raw (wire-bytes) bodies: the line/byte offset of the violating
-    /// field or parse error in the payload. `None` on the legacy tree path.
+    /// The line/byte offset of the violating field or parse error in the
+    /// payload. `None` when no single position decided the denial: a body
+    /// that is not valid UTF-8, holds several documents or lacks a known
+    /// `kind` or a `metadata.name`, or one the stream hands whole to the
+    /// tree reference (a container before `kind:`).
     pub location: Option<SourceLocation>,
 }
 
@@ -382,30 +385,21 @@ impl DenialLog {
 }
 
 /// The violation the proxy records for a body that does not parse as a
-/// Kubernetes object of a known kind. When the tokenizer reported a precise
-/// defect (position + reason), it is threaded into the record.
-fn unparsable_body_violation(detail: Option<&str>) -> Violation {
+/// Kubernetes object of a known kind, carrying the defect the validator
+/// reported (position + reason).
+fn unparsable_body_violation(detail: &str) -> Violation {
     Violation {
         path: "<request body>".to_owned(),
         reason: ViolationReason::StructureMismatch {
             expected: "recognizable Kubernetes object".to_owned(),
-            found: match detail {
-                Some(detail) => format!("unparsable or unknown-kind body ({detail})"),
-                None => "unparsable or unknown-kind body".to_owned(),
-            },
+            found: format!("unparsable or unknown-kind body ({detail})"),
         },
     }
 }
 
-/// The denial message for an unparsable body, with the parse defect when
-/// known.
-fn unparsable_body_message(detail: Option<&str>) -> String {
-    match detail {
-        Some(detail) => {
-            format!("KubeFence: request body is not a recognizable Kubernetes object ({detail})")
-        }
-        None => "KubeFence: request body is not a recognizable Kubernetes object".to_owned(),
-    }
+/// The denial message for an unparsable body.
+fn unparsable_body_message(detail: &str) -> String {
+    format!("KubeFence: request body is not a recognizable Kubernetes object ({detail})")
 }
 
 /// The KubeFence enforcement proxy.
@@ -499,44 +493,8 @@ impl<H: RequestHandler> EnforcementProxy<H> {
         self.deny(request, violations, message, location)
     }
 
-    /// The legacy path: a pre-parsed tree body. Probes validity without
-    /// materializing (deep-cloning) an object; the compiled plane validates
-    /// the borrowed body in place.
-    fn handle_tree(&self, request: &ApiRequest, body: &Value) -> ApiResponse {
-        let started = Instant::now();
-        let kind = match k8s_model::K8sObject::peek_kind(body) {
-            Ok(kind) => kind,
-            Err(_) => {
-                // An unparsable or unknown-kind body can never match a
-                // validator; block it outright. The time spent discovering
-                // that is validation work, and the denial belongs in the
-                // audit trail like any other.
-                self.stats
-                    .validation_time_ns
-                    .add(started.elapsed().as_nanos() as u64);
-                return self.deny(
-                    request,
-                    &[unparsable_body_violation(None)],
-                    unparsable_body_message(None),
-                    None,
-                );
-            }
-        };
-        let verdict = self.validators.validate_kind_body(kind, body);
-        self.stats
-            .validation_time_ns
-            .add(started.elapsed().as_nanos() as u64);
-        match verdict {
-            Ok(()) => {
-                self.stats.forwarded.add(1);
-                self.upstream.handle(request)
-            }
-            Err(violations) => self.deny_policy(request, &violations, None),
-        }
-    }
-
-    /// The wire-faithful path: raw bytes — YAML or JSON, per the request's
-    /// declared [`BodyFormat`] — are validated **while parsing**; no
+    /// The admission path: the wire bytes — YAML or JSON, per the request's
+    /// negotiated [`BodyFormat`] — are validated **while parsing**; no
     /// document tree is allocated on the accept path, and denial reports
     /// are synthesized from matcher state by a second tokenizer pass (no
     /// tree parse; see `kubefence::stream` for the two-phase design).
@@ -563,8 +521,8 @@ impl<H: RequestHandler> EnforcementProxy<H> {
             } => self.deny_policy(request, &violations, location),
             RawVerdict::Unparsable { reason, location } => self.deny(
                 request,
-                &[unparsable_body_violation(Some(&reason))],
-                unparsable_body_message(Some(&reason)),
+                &[unparsable_body_violation(&reason)],
+                unparsable_body_message(&reason),
                 location,
             ),
         }
@@ -574,7 +532,7 @@ impl<H: RequestHandler> EnforcementProxy<H> {
 impl<H: RequestHandler> RequestHandler for EnforcementProxy<H> {
     fn handle(&self, request: &ApiRequest) -> ApiResponse {
         // Only mutating requests carry specifications to validate; reads are
-        // forwarded untouched (RBAC still applies upstream). Raw bodies are
+        // forwarded untouched (RBAC still applies upstream). A body is
         // validated under the **negotiated** wire format: the request's
         // `Content-Type` when it names an encoding, the body tag otherwise.
         match &request.body {
@@ -582,7 +540,6 @@ impl<H: RequestHandler> RequestHandler for EnforcementProxy<H> {
                 self.stats.passthrough.add(1);
                 self.upstream.handle(request)
             }
-            RequestBody::Tree(body) => self.handle_tree(request, body),
             RequestBody::Raw(bytes, format) => {
                 self.handle_raw(request, bytes, request.wire_format().unwrap_or(*format))
             }
@@ -719,7 +676,7 @@ spec:
             name: "mystery".to_owned(),
             content_type: None,
             resource_version: None,
-            body: kf_yaml::parse("replicas: 3\n").unwrap().into(),
+            body: RequestBody::Raw("replicas: 3\n".into(), BodyFormat::Yaml),
         };
         let response = proxy.handle(&request);
         assert!(response.is_denied());
@@ -805,7 +762,7 @@ spec:
         let proxy = proxy();
         let ok = K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
             .unwrap();
-        let response = proxy.handle(&ApiRequest::create_raw("operator", &ok));
+        let response = proxy.handle(&ApiRequest::create("operator", &ok));
         assert!(response.is_success());
         assert_eq!(proxy.upstream().store().len(), 1);
         // A hostile raw body is denied with the violating field's location.
@@ -816,7 +773,7 @@ spec:
                 "    spec:\n      hostNetwork: true\n      containers:",
             );
         let evil = K8sObject::from_yaml(&evil_yaml).unwrap();
-        let request = ApiRequest::create_raw("operator", &evil);
+        let request = ApiRequest::create("operator", &evil);
         let response = proxy.handle(&request);
         assert!(response.is_denied());
         assert!(response.message.contains("hostNetwork"));
@@ -857,7 +814,7 @@ spec:
                 name: "mystery".to_owned(),
                 content_type: None,
                 resource_version: None,
-                body: k8s_apiserver::RequestBody::Raw(payload.into(), format),
+                body: RequestBody::Raw(payload.into(), format),
             };
             let response = proxy.handle(&request);
             assert!(response.is_denied());
@@ -889,7 +846,7 @@ spec:
         let proxy = proxy();
         let ok = K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
             .unwrap();
-        let response = proxy.handle(&ApiRequest::create_raw_json("operator", &ok));
+        let response = proxy.handle(&ApiRequest::create_json("operator", &ok));
         assert!(response.is_success());
         assert_eq!(proxy.upstream().store().len(), 1);
         // A hostile raw JSON body is denied with the violating field's
@@ -901,7 +858,7 @@ spec:
                 "    spec:\n      hostNetwork: true\n      containers:",
             );
         let evil = K8sObject::from_yaml(&evil_yaml).unwrap();
-        let request = ApiRequest::create_raw_json("operator", &evil);
+        let request = ApiRequest::create_json("operator", &evil);
         let response = proxy.handle(&request);
         assert!(response.is_denied());
         assert!(response.message.contains("hostNetwork"));
@@ -926,10 +883,7 @@ spec:
         // watch-stream variant) validates on the JSON front end.
         let json = proxy.handle(
             &ApiRequest {
-                body: k8s_apiserver::RequestBody::Raw(
-                    kf_yaml::to_json(ok.body()).into(),
-                    BodyFormat::Auto,
-                ),
+                body: RequestBody::Raw(kf_yaml::to_json(ok.body()).into(), BodyFormat::Auto),
                 ..ApiRequest::create("operator", &ok)
             }
             .with_content_type("application/json;stream=watch"),
@@ -938,36 +892,52 @@ spec:
         // A YAML body mis-declared as JSON is parsed per the header — and
         // rejected, exactly as a real negotiating server would.
         let mislabeled = proxy
-            .handle(&ApiRequest::create_raw("operator", &ok).with_content_type("application/json"));
+            .handle(&ApiRequest::create("operator", &ok).with_content_type("application/json"));
         assert!(mislabeled.is_denied());
         // An unrecognized media type falls back to the body tag; the same
         // YAML body goes through the YAML front end and is admitted.
         let unknown = proxy.handle(
-            &ApiRequest::create_raw("operator", &ok)
+            &ApiRequest::create("operator", &ok)
                 .with_content_type("application/vnd.kubernetes.protobuf"),
         );
         assert!(unknown.is_success());
     }
 
     #[test]
-    fn raw_and_tree_bodies_reach_identical_verdicts() {
+    fn a_partial_patch_body_is_an_explicit_refusal() {
+        // Patch is served as a whole-document upsert: a body that is only
+        // the fields to change is no Kubernetes object, and both gates say
+        // so instead of whatever the matchers would make of it.
         let proxy = proxy();
-        let ok = K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
-            .unwrap();
-        let bad = K8sObject::minimal(ResourceKind::Secret, "s", "default");
-        for object in [&ok, &bad] {
-            // Repeated creates hit apply semantics (201 then 200), so compare
-            // the admit/deny verdict, not the exact status class.
-            let tree = proxy.handle(&ApiRequest::create("operator", object));
-            let raw = proxy.handle(&ApiRequest::create_raw("operator", object));
-            assert_eq!(
-                tree.is_success(),
-                raw.is_success(),
-                "verdict diverged for {}",
-                object.name()
+        let bare = ApiServer::new();
+        for (payload, format) in [
+            ("spec:\n  replicas: 3\n", BodyFormat::Yaml),
+            ("{\"spec\":{\"replicas\":3}}", BodyFormat::Json),
+        ] {
+            let request = ApiRequest {
+                verb: Verb::Patch,
+                ..raw_request("operator", "web", payload, format)
+            };
+            let response = proxy.handle(&request);
+            assert_eq!(response.status, ResponseStatus::Forbidden);
+            assert!(
+                response
+                    .message
+                    .starts_with("KubeFence: request body is not a recognizable Kubernetes object"),
+                "{}",
+                response.message
             );
-            assert_eq!(tree.is_denied(), raw.is_denied());
+            let response = bare.handle(&request);
+            assert_eq!(response.status, ResponseStatus::BadRequest);
+            assert!(
+                response.message.starts_with("invalid object"),
+                "{}",
+                response.message
+            );
         }
+        assert_eq!(proxy.stats().denied, 2);
+        assert_eq!(proxy.stats().forwarded, 0);
+        assert!(proxy.upstream().store().is_empty() && bare.store().is_empty());
     }
 
     #[test]
@@ -1051,7 +1021,7 @@ spec:
                 location,
             } => (violations, location),
             RawVerdict::Unparsable { reason, location } => {
-                (vec![unparsable_body_violation(Some(&reason))], location)
+                (vec![unparsable_body_violation(&reason)], location)
             }
         };
         DenialRecord {
@@ -1092,10 +1062,10 @@ spec:
         let requests = [
             // Policy denials (type, value, structure and unknown-field
             // violations in one report), both wire formats.
-            ApiRequest::create_raw("operator", &hostile),
-            ApiRequest::create_raw_json("operator", &hostile),
+            ApiRequest::create("operator", &hostile),
+            ApiRequest::create_json("operator", &hostile),
             // An uncovered kind.
-            ApiRequest::create_raw(
+            ApiRequest::create(
                 "operator",
                 &K8sObject::minimal(ResourceKind::Secret, "stolen", "default"),
             ),
@@ -1248,14 +1218,14 @@ spec:
         // Reports of different shapes and sizes, so a slot is refilled with
         // a record unlike the one it held.
         let requests = [
-            ApiRequest::create_raw("alice", &evil),
+            ApiRequest::create("alice", &evil),
             raw_request(
                 "bob",
                 "mystery",
                 "kind: Deployment\nmetadata:\n  name: x\n   badly: indented\n",
                 BodyFormat::Yaml,
             ),
-            ApiRequest::create_raw_json("carol", &evil),
+            ApiRequest::create_json("carol", &evil),
             raw_request("dave", "mystery", "{\"kind\": broken}", BodyFormat::Json),
         ];
         let expected: Vec<DenialRecord> = requests

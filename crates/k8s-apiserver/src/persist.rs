@@ -104,9 +104,9 @@ const GROUP_DEFAULT_WAIT_US: u32 = 400;
 const GROUP_DEFAULT_BATCH: u32 = 64;
 /// Safety re-check interval for parked group-commit followers: wakeups
 /// normally arrive from the leader's generation bump, but `sync()` and
-/// tail recovery can advance `durable` without holding the group lock, so
-/// followers re-check on a coarse timer rather than trusting every path to
-/// notify.
+/// tail recovery can advance the synced position without holding the group
+/// lock, so followers re-check on a coarse timer rather than trusting every
+/// path to notify.
 const GROUP_FOLLOWER_SLICE: Duration = Duration::from_millis(5);
 
 /// When the WAL forces data to stable storage.
@@ -663,6 +663,11 @@ struct WalInner {
     file: Box<dyn StorageFile>,
     /// Highest revision written to the file (not necessarily durable yet).
     appended: u64,
+    /// How many appends have landed in the file: the log *position* group
+    /// commit rendezvouses on. Writers on different store shards reach the
+    /// WAL out of revision order, so a revision says nothing about which
+    /// fsync covers its frame; the order of arrival under this lock does.
+    append_seq: u64,
     /// Byte length of the file's fully-written prefix — the truncation
     /// point tail repair restores before any retry re-appends frames.
     good_len: u64,
@@ -714,9 +719,10 @@ fn recover_poison<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
     result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A deferred group-commit rendezvous: the revision an append must see
-/// durable before its caller acknowledges, plus how many records it wrote.
-/// Produced by [`Wal::append_deferred`], redeemed by [`Wal::group_commit`].
+/// A deferred group-commit rendezvous: the log position (append sequence)
+/// an fsync must cover before the caller acknowledges, plus how many
+/// records the append wrote. Produced by [`Wal::append_deferred`], redeemed
+/// by [`Wal::group_commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupTicket {
     target: u64,
@@ -725,8 +731,8 @@ pub struct GroupTicket {
 
 impl GroupTicket {
     /// Fold two optional tickets into the one covering both (the bulk
-    /// write paths append per shard group and wait once for the maximum
-    /// revision).
+    /// write paths append per shard group and wait once for the latest
+    /// position).
     pub fn merge(a: Option<GroupTicket>, b: Option<GroupTicket>) -> Option<GroupTicket> {
         match (a, b) {
             (Some(a), Some(b)) => Some(GroupTicket {
@@ -760,6 +766,10 @@ pub struct Wal {
     retry: RetryPolicy,
     /// Highest revision known forced to stable storage.
     durable: AtomicU64,
+    /// The [`WalInner::append_seq`] the latest successful fsync covered.
+    /// Published after `durable`, so a writer that sees its position
+    /// synced also sees its revision durable.
+    synced_seq: AtomicU64,
     /// Highest revision ever handed to [`Wal::append`] (acknowledged).
     submitted: AtomicU64,
     /// Records dropped in `FailStop`.
@@ -812,6 +822,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 appended: recovered,
+                append_seq: 0,
                 good_len,
                 pending: Vec::new(),
                 pending_high: 0,
@@ -822,6 +833,7 @@ impl Wal {
             policy,
             retry,
             durable: AtomicU64::new(recovered),
+            synced_seq: AtomicU64::new(0),
             submitted: AtomicU64::new(recovered),
             lost: AtomicU64::new(0),
             state_tag: AtomicU8::new(DurabilityState::Healthy.tag()),
@@ -836,10 +848,10 @@ impl Wal {
     ///
     /// Under [`FsyncPolicy::Group`] this is where the caller parks: the
     /// frames land in the file under the WAL lock, then the writer joins
-    /// the group-commit rendezvous and returns once its revision is proven
-    /// durable (or the machine has left `Healthy`, in which case the
-    /// durability gap tells the truth — exactly as a failed `Always` fsync
-    /// would).
+    /// the group-commit rendezvous and returns once an fsync issued after
+    /// its frames landed has succeeded (or the machine has left `Healthy`,
+    /// in which case the durability gap tells the truth — exactly as a
+    /// failed `Always` fsync would).
     pub fn append(&self, records: &[WalRecord]) {
         if let Some(ticket) = self.append_deferred(records) {
             self.group_commit(ticket);
@@ -879,7 +891,7 @@ impl Wal {
                     && matches!(self.policy, FsyncPolicy::Group { .. })
                 {
                     ticket = Some(GroupTicket {
-                        target: max_revision,
+                        target: inner.append_seq,
                         records: u64::from(count),
                     });
                 }
@@ -902,9 +914,10 @@ impl Wal {
     /// window, then either **lead** — hold the window until it fills, a
     /// quiescent slice passes, or the deadline expires; issue one fsync
     /// for every waiter; hand off — or **follow** — park on the commit
-    /// generation until a leader's fsync covers `target`.
+    /// generation until a leader's fsync covers the ticket's position.
     ///
-    /// Returns when `target` is durable or the machine has left `Healthy`.
+    /// Returns when an fsync that started after the ticket's frames landed
+    /// has succeeded, or the machine has left `Healthy`.
     /// A failed shared fsync degrades every waiter coherently: nobody's
     /// write is acknowledged as durable (`durable_revision` stays put, the
     /// durability gap covers them all) and every parked waiter wakes on
@@ -925,20 +938,20 @@ impl Wal {
         state.fill += records;
         state.arrivals = state.arrivals.wrapping_add(1);
         loop {
-            if self.durable.load(Ordering::Acquire) >= target
+            if self.synced_seq.load(Ordering::Acquire) >= target
                 || self.state() != DurabilityState::Healthy
             {
                 return;
             }
             if state.leader_active {
                 // Follow: park until this generation resolves. The slice
-                // timeout re-checks durable/state on paths that advance
+                // timeout re-checks position/state on paths that advance
                 // them without notifying (sync(), tail recovery), so a
                 // missed wakeup costs latency, never a hang.
                 let generation = state.generation;
                 while state.generation == generation
                     && state.leader_active
-                    && self.durable.load(Ordering::Acquire) < target
+                    && self.synced_seq.load(Ordering::Acquire) < target
                     && self.state() == DurabilityState::Healthy
                 {
                     let (next, _) =
@@ -989,14 +1002,14 @@ impl Wal {
     /// the fsync is what lets concurrent writers keep appending into the
     /// next window.
     fn group_fsync(&self) {
-        let (sync_target, covered) = {
+        let (sync_target, sync_seq, covered) = {
             let mut inner = self.inner.lock();
             if inner.machine.state() != DurabilityState::Healthy {
                 return;
             }
             let covered = inner.group_pending;
             inner.group_pending = 0;
-            (inner.appended, covered)
+            (inner.appended, inner.append_seq, covered)
         };
         let result = self
             .io
@@ -1005,6 +1018,7 @@ impl Wal {
         match result {
             Ok(()) => {
                 self.durable.fetch_max(sync_target, Ordering::AcqRel);
+                self.synced_seq.fetch_max(sync_seq, Ordering::AcqRel);
                 self.group.batches.fetch_add(1, Ordering::Relaxed);
                 self.group
                     .records
@@ -1061,6 +1075,7 @@ impl Wal {
         }
         inner.good_len += buf.len() as u64;
         inner.appended = inner.appended.max(max_revision);
+        inner.append_seq += 1;
         let due = match self.policy {
             FsyncPolicy::Always => true,
             FsyncPolicy::Os => false,
@@ -1074,10 +1089,18 @@ impl Wal {
                 let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
                 self.note_failure(inner, kind, &e, max_revision);
             } else {
-                self.durable.store(inner.appended, Ordering::Release);
+                self.mark_synced(inner);
             }
         }
         true
+    }
+
+    /// A full fsync under the WAL lock just succeeded: everything in the
+    /// file is proven, whichever window it was waiting in.
+    fn mark_synced(&self, inner: &mut WalInner) {
+        inner.group_pending = 0;
+        self.durable.store(inner.appended, Ordering::Release);
+        self.synced_seq.store(inner.append_seq, Ordering::Release);
     }
 
     fn note_failure(
@@ -1171,8 +1194,7 @@ impl Wal {
             self.note_failure(inner, kind, &e, at_risk);
             return;
         }
-        inner.group_pending = 0;
-        self.durable.store(inner.appended, Ordering::Release);
+        self.mark_synced(inner);
         let durable = inner.appended;
         let machine = &mut inner.machine;
         machine.consecutive_failures = 0;
@@ -1207,8 +1229,7 @@ impl Wal {
                     self.publish_state(&inner);
                     return Err(e);
                 }
-                inner.group_pending = 0;
-                self.durable.store(inner.appended, Ordering::Release);
+                self.mark_synced(&mut inner);
                 Ok(self.durable.load(Ordering::Acquire))
             }
             DurabilityState::Degraded => {
@@ -1306,8 +1327,7 @@ impl Wal {
             self.publish_state(&inner);
             return Err(e);
         }
-        inner.group_pending = 0;
-        self.durable.store(inner.appended, Ordering::Release);
+        self.mark_synced(&mut inner);
         let replay = read_wal_with(&*self.io, path)?;
         let mut buf = Vec::new();
         let mut retained = 0usize;
@@ -2481,6 +2501,36 @@ mod tests {
         wal.append(&[record(11, WatchEventKind::Added, "default", "pod-11")]);
         assert_eq!(wal.durable_revision(), 11);
         assert_eq!(wal.fsync_batches(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn group_commit_covers_an_append_that_arrives_out_of_revision_order() {
+        // Two writers on different store shards can reach the WAL out of
+        // revision order. The later append carries the lower revision, and
+        // `durable_revision` (a max-revision watermark) already exceeds it,
+        // but its frame was written after the last fsync: acknowledging it
+        // takes another one.
+        let dir = temp_dir("group-out-of-order");
+        let wal = Wal::open(
+            &dir.join(WAL_FILE),
+            FsyncPolicy::Group {
+                max_wait_us: 0,
+                max_batch: 1,
+            },
+            0,
+        )
+        .expect("open");
+        wal.append(&[record(31, WatchEventKind::Added, "default", "late")]);
+        assert_eq!((wal.fsync_batches(), wal.group_records()), (1, 1));
+        assert_eq!(wal.durable_revision(), 31);
+        wal.append(&[record(5, WatchEventKind::Added, "default", "early")]);
+        assert_eq!(
+            (wal.fsync_batches(), wal.group_records()),
+            (2, 2),
+            "an acknowledged frame with no fsync after it"
+        );
+        assert_eq!(wal.durable_revision(), 31);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,22 +7,18 @@ use bytes::Bytes;
 use k8s_model::{K8sObject, ResourceKind, Verb};
 use kf_yaml::{BodyFormat, Value};
 
-/// The payload of an API request as it travels through the admission path.
-///
-/// Mutating requests historically carried a pre-parsed [`Value`] tree; the
-/// wire-faithful path carries the raw bytes instead — YAML or JSON, tagged
-/// with their [`BodyFormat`] — so the enforcement proxy can validate **while
-/// parsing** and a malicious payload is never materialized before the first
-/// policy check. The tree variant is kept for the legacy path and is
-/// `Arc`-shared, so request construction, cloning and audit snapshots stop
-/// paying per-request deep copies of the document.
+/// The payload of an API request as it travels through the admission path:
+/// the bytes the client put on the wire — YAML or JSON, tagged with their
+/// [`BodyFormat`] — and nothing else. The enforcement proxy validates them
+/// **while parsing**, so a malicious payload is never materialized before
+/// the first policy check, and the API server parses what it admits exactly
+/// once ([`ApiRequest::materialize_body`]); that tree is the server's own,
+/// shared from there by the store, the journal, the audit log and reads.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum RequestBody {
     /// No payload (read-only verbs).
     #[default]
     None,
-    /// A pre-parsed, shared document tree (the legacy in-process path).
-    Tree(Arc<Value>),
     /// The raw wire bytes of the payload, with their serialization format
     /// ([`BodyFormat::Auto`] defers detection to the consumer).
     Raw(Bytes, BodyFormat),
@@ -34,57 +30,42 @@ impl RequestBody {
         matches!(self, RequestBody::None)
     }
 
-    /// Whether the request carries a payload (tree or raw).
+    /// Whether the request carries a payload.
     pub fn is_some(&self) -> bool {
         !self.is_none()
     }
 
-    /// The shared document tree, if the body is the pre-parsed variant.
-    pub fn tree(&self) -> Option<&Arc<Value>> {
-        match self {
-            RequestBody::Tree(value) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// The raw wire bytes, if the body is the raw variant.
+    /// The raw wire bytes, if the request carries a payload.
     pub fn raw(&self) -> Option<&Bytes> {
         match self {
             RequestBody::Raw(bytes, _) => Some(bytes),
-            _ => None,
+            RequestBody::None => None,
         }
     }
 
-    /// The declared wire format, if the body is the raw variant.
+    /// The declared wire format, if the request carries a payload.
     pub fn format(&self) -> Option<BodyFormat> {
         match self {
             RequestBody::Raw(_, format) => Some(*format),
-            _ => None,
+            RequestBody::None => None,
         }
     }
 
-    /// Materialize the payload as a shared document tree: `Tree` bodies are
-    /// a cheap `Arc` clone, `Raw` bodies are parsed by their declared format
-    /// (a raw body must be one well-formed YAML or JSON document).
+    /// Parse the payload into a document tree the caller owns alone: by
+    /// the negotiated format (the request's `Content-Type`, when it named
+    /// an encoding) or, with `None`, by the body's own tag. A body must be
+    /// one well-formed YAML or JSON document.
     ///
     /// # Errors
     ///
-    /// Returns a description of the defect when a raw body is not valid
+    /// Returns a description of the defect when the body is not valid
     /// UTF-8, does not parse, or contains more than one document.
-    pub fn materialize(&self) -> Result<Option<Arc<Value>>, String> {
-        self.materialize_as(None)
-    }
-
-    /// [`RequestBody::materialize`] with an optional negotiated format
-    /// override for raw bodies (the request's `Content-Type`, when it named
-    /// an encoding); `None` keeps the body's own tag.
     pub fn materialize_as(
         &self,
         negotiated: Option<BodyFormat>,
     ) -> Result<Option<Arc<Value>>, String> {
         match self {
             RequestBody::None => Ok(None),
-            RequestBody::Tree(value) => Ok(Some(Arc::clone(value))),
             RequestBody::Raw(bytes, format) => {
                 let text = std::str::from_utf8(bytes)
                     .map_err(|_| "request body is not valid UTF-8".to_owned())?;
@@ -105,18 +86,6 @@ impl RequestBody {
                 }
             }
         }
-    }
-}
-
-impl From<Value> for RequestBody {
-    fn from(value: Value) -> Self {
-        RequestBody::Tree(Arc::new(value))
-    }
-}
-
-impl From<Arc<Value>> for RequestBody {
-    fn from(value: Arc<Value>) -> Self {
-        RequestBody::Tree(value)
     }
 }
 
@@ -152,61 +121,29 @@ pub struct ApiRequest {
 }
 
 impl ApiRequest {
-    /// A `create` request for an object (pre-parsed tree body).
+    /// A `create` request carrying the object as YAML wire bytes — what a
+    /// YAML-speaking client puts on the network, declared
+    /// `application/yaml`. The manifest is serialized once; replaying the
+    /// request clones only the byte buffer handle.
     pub fn create(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Create, object)
+        Self::mutating(user, Verb::Create, object, BodyFormat::Yaml)
     }
 
-    /// An `update` request for an object (pre-parsed tree body).
+    /// An `update` request carrying the object as YAML wire bytes.
     pub fn update(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Update, object)
+        Self::mutating(user, Verb::Update, object, BodyFormat::Yaml)
     }
 
-    /// A `create` request carrying the object as raw YAML wire bytes — what
-    /// a YAML-speaking client puts on the network. The manifest is
-    /// serialized once; replaying the request clones only the byte buffer
-    /// handle.
-    pub fn create_raw(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Create, object).into_raw()
+    /// A `create` request carrying the object as JSON wire bytes — the
+    /// dominant format real API clients submit — declared
+    /// `application/json`.
+    pub fn create_json(user: &str, object: &K8sObject) -> Self {
+        Self::mutating(user, Verb::Create, object, BodyFormat::Json)
     }
 
-    /// An `update` request carrying the object as raw YAML wire bytes.
-    pub fn update_raw(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Update, object).into_raw()
-    }
-
-    /// A `create` request carrying the object as raw JSON wire bytes — the
-    /// dominant format real API clients submit.
-    pub fn create_raw_json(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Create, object).into_raw_json()
-    }
-
-    /// An `update` request carrying the object as raw JSON wire bytes.
-    pub fn update_raw_json(user: &str, object: &K8sObject) -> Self {
-        Self::mutating(user, Verb::Update, object).into_raw_json()
-    }
-
-    /// Convert a tree-bodied request into a raw YAML-bodied one by
-    /// serializing the payload (a no-op for body-less and already-raw
-    /// requests). The request declares `application/yaml`, as a real
-    /// YAML-speaking client would.
-    pub fn into_raw(mut self) -> Self {
-        if let RequestBody::Tree(value) = &self.body {
-            self.body = RequestBody::Raw(Bytes::from(kf_yaml::to_yaml(value)), BodyFormat::Yaml);
-            self.content_type = Some("application/yaml".to_owned());
-        }
-        self
-    }
-
-    /// Convert a tree-bodied request into a raw JSON-bodied one by
-    /// serializing the payload (a no-op for body-less and already-raw
-    /// requests). The request declares `application/json`.
-    pub fn into_raw_json(mut self) -> Self {
-        if let RequestBody::Tree(value) = &self.body {
-            self.body = RequestBody::Raw(Bytes::from(kf_yaml::to_json(value)), BodyFormat::Json);
-            self.content_type = Some("application/json".to_owned());
-        }
-        self
+    /// An `update` request carrying the object as JSON wire bytes.
+    pub fn update_json(user: &str, object: &K8sObject) -> Self {
+        Self::mutating(user, Verb::Update, object, BodyFormat::Json)
     }
 
     /// Declare a `Content-Type` header, builder style.
@@ -215,11 +152,10 @@ impl ApiRequest {
         self
     }
 
-    /// The wire format negotiated for a raw body: the `Content-Type`'s
+    /// The wire format negotiated for the body: the `Content-Type`'s
     /// encoding when the header names one, else the body's own format tag
     /// ([`BodyFormat::Auto`] defers to first-byte detection). `None` for
-    /// body-less and pre-parsed (tree) requests, which have no wire
-    /// encoding to negotiate.
+    /// body-less requests, which have nothing to negotiate.
     pub fn wire_format(&self) -> Option<BodyFormat> {
         let tagged = self.body.format()?;
         Some(
@@ -236,16 +172,20 @@ impl ApiRequest {
     ///
     /// # Errors
     ///
-    /// Those of [`RequestBody::materialize`].
+    /// Those of [`RequestBody::materialize_as`].
     pub fn materialize_body(&self) -> Result<Option<Arc<Value>>, String> {
         self.body.materialize_as(self.wire_format())
     }
 
-    fn mutating(user: &str, verb: Verb, object: &K8sObject) -> Self {
+    fn mutating(user: &str, verb: Verb, object: &K8sObject, format: BodyFormat) -> Self {
         let namespace = if object.kind().is_namespaced() && object.namespace().is_empty() {
             "default".to_owned()
         } else {
             object.namespace().to_owned()
+        };
+        let (text, content_type) = match format {
+            BodyFormat::Json => (kf_yaml::to_json(object.body()), "application/json"),
+            _ => (kf_yaml::to_yaml(object.body()), "application/yaml"),
         };
         ApiRequest {
             user: user.to_owned(),
@@ -253,11 +193,9 @@ impl ApiRequest {
             kind: object.kind(),
             namespace,
             name: object.name().to_owned(),
-            content_type: None,
+            content_type: Some(content_type.to_owned()),
             resource_version: None,
-            // The request shares the object's tree; nothing is deep-cloned
-            // on construction, replay, or audit capture.
-            body: RequestBody::Tree(Arc::clone(object.shared_body())),
+            body: RequestBody::Raw(Bytes::from(text), format),
         }
     }
 
@@ -354,14 +292,10 @@ impl ApiRequest {
         self.verb.http_method()
     }
 
-    /// The encoded request payload (empty for body-less requests). Raw
-    /// bodies are already encoded — the call is a cheap handle clone.
+    /// The encoded request payload (empty for body-less requests) — a cheap
+    /// handle clone.
     pub fn payload(&self) -> Bytes {
-        match &self.body {
-            RequestBody::None => Bytes::new(),
-            RequestBody::Tree(body) => Bytes::from(kf_yaml::to_yaml(body)),
-            RequestBody::Raw(bytes, _) => bytes.clone(),
-        }
+        self.body.raw().cloned().unwrap_or_default()
     }
 
     /// Payload size in bytes.
@@ -369,9 +303,8 @@ impl ApiRequest {
         self.payload().len()
     }
 
-    /// Interpret the request body as a Kubernetes object, if present. Tree
-    /// bodies share their tree with the returned object; raw bodies parse a
-    /// fresh one — parsing is why the enforcement hot path avoids this call.
+    /// Interpret the request body as a Kubernetes object, if present. Every
+    /// call parses a fresh tree — why the enforcement hot path avoids it.
     pub fn object(&self) -> Option<K8sObject> {
         let body = self.materialize_body().ok()??;
         K8sObject::from_shared(body).ok()
@@ -731,14 +664,14 @@ mod tests {
     #[test]
     fn raw_requests_carry_bytes_and_replay_cheaply() {
         let object = pod();
-        let req = ApiRequest::create_raw("alice", &object);
+        let req = ApiRequest::create("alice", &object);
         let bytes = req.body.raw().expect("raw body");
         assert_eq!(&bytes[..], object.to_yaml().as_bytes());
         // Cloning a raw request shares the buffer; no re-serialization.
         let cloned = req.clone();
         assert_eq!(cloned.body.raw().unwrap().len(), bytes.len());
         // The raw body materializes back to the same document.
-        let tree = req.body.materialize().unwrap().unwrap();
+        let tree = req.materialize_body().unwrap().unwrap();
         assert!(tree.loosely_equals(object.body()));
         assert_eq!(req.object().unwrap().name(), "web");
     }
@@ -749,57 +682,74 @@ mod tests {
             body: RequestBody::Raw(Bytes::from("a: 1\n   broken\n"), BodyFormat::Yaml),
             ..ApiRequest::get("alice", ResourceKind::Pod, "default", "web")
         };
-        assert!(bad.body.materialize().is_err());
+        assert!(bad.materialize_body().is_err());
         let multi = ApiRequest {
             body: RequestBody::Raw(Bytes::from("kind: Pod\n---\nkind: Pod\n"), BodyFormat::Yaml),
             ..ApiRequest::get("alice", ResourceKind::Pod, "default", "web")
         };
-        assert!(multi.body.materialize().is_err());
+        assert!(multi.materialize_body().is_err());
         let bad_json = ApiRequest {
             body: RequestBody::Raw(Bytes::from("{\"kind\": }"), BodyFormat::Json),
             ..ApiRequest::get("alice", ResourceKind::Pod, "default", "web")
         };
-        assert!(bad_json.body.materialize().is_err());
+        assert!(bad_json.materialize_body().is_err());
     }
 
     #[test]
-    fn into_raw_serializes_tree_bodies_once() {
-        let req = ApiRequest::create("alice", &pod()).into_raw();
-        assert!(req.body.raw().is_some());
-        assert_eq!(req.body.format(), Some(BodyFormat::Yaml));
-        let get = ApiRequest::get("alice", ResourceKind::Pod, "default", "web").into_raw();
-        assert!(get.body.is_none());
+    fn mutating_constructors_serialize_the_object_in_their_format() {
+        let object = pod();
+        type Constructor = fn(&str, &K8sObject) -> ApiRequest;
+        let constructors: [(Constructor, Verb, BodyFormat); 4] = [
+            (ApiRequest::create, Verb::Create, BodyFormat::Yaml),
+            (ApiRequest::update, Verb::Update, BodyFormat::Yaml),
+            (ApiRequest::create_json, Verb::Create, BodyFormat::Json),
+            (ApiRequest::update_json, Verb::Update, BodyFormat::Json),
+        ];
+        for (constructor, verb, format) in constructors {
+            let req = constructor("alice", &object);
+            assert_eq!(req.verb, verb);
+            assert_eq!(req.body.format(), Some(format));
+            assert_eq!(req.wire_format(), Some(format));
+            let expected = match format {
+                BodyFormat::Json => kf_yaml::to_json(object.body()),
+                _ => kf_yaml::to_yaml(object.body()),
+            };
+            assert_eq!(&req.payload()[..], expected.as_bytes());
+        }
     }
 
     #[test]
     fn json_raw_requests_carry_bytes_and_materialize_back() {
         let object = pod();
-        let req = ApiRequest::create_raw_json("alice", &object);
+        let req = ApiRequest::create_json("alice", &object);
         assert_eq!(req.body.format(), Some(BodyFormat::Json));
         let bytes = req.body.raw().expect("raw body");
         assert_eq!(bytes.first(), Some(&b'{'), "JSON bodies start at `{{`");
         // The raw JSON body materializes back to the same document the YAML
         // form produces.
-        let tree = req.body.materialize().unwrap().unwrap();
+        let tree = req.materialize_body().unwrap().unwrap();
         assert!(tree.loosely_equals(object.body()));
         assert_eq!(req.object().unwrap().name(), "web");
-        // Auto-format bodies detect JSON from the first significant byte.
+        // Auto-format bodies with no header to go by detect JSON from the
+        // first significant byte.
         let auto = ApiRequest {
             body: RequestBody::Raw(bytes.clone(), BodyFormat::Auto),
+            content_type: None,
             ..req.clone()
         };
-        let tree = auto.body.materialize().unwrap().unwrap();
+        assert_eq!(auto.wire_format(), Some(BodyFormat::Auto));
+        let tree = auto.materialize_body().unwrap().unwrap();
         assert!(tree.loosely_equals(object.body()));
     }
 
     #[test]
     fn content_type_negotiates_the_raw_body_format() {
         let object = pod();
-        // Raw constructors declare their canonical media type…
-        let yaml = ApiRequest::create_raw("alice", &object);
+        // The constructors declare their canonical media type…
+        let yaml = ApiRequest::create("alice", &object);
         assert_eq!(yaml.content_type.as_deref(), Some("application/yaml"));
         assert_eq!(yaml.wire_format(), Some(BodyFormat::Yaml));
-        let json = ApiRequest::create_raw_json("alice", &object);
+        let json = ApiRequest::create_json("alice", &object);
         assert_eq!(json.content_type.as_deref(), Some("application/json"));
         assert_eq!(json.wire_format(), Some(BodyFormat::Json));
         // …and an explicit header overrides an Auto-tagged body.
@@ -834,16 +784,22 @@ mod tests {
 
     #[test]
     fn tree_requests_share_the_object_tree() {
+        // A request holds bytes, never the caller's tree: the tree it
+        // materializes has one owner (so the server's namespace defaulting
+        // writes it in place), and the object built from it shares it.
         let object = pod();
         let req = ApiRequest::create("alice", &object);
-        let body = req.body.tree().expect("tree body");
-        assert!(
-            std::sync::Arc::ptr_eq(body, object.shared_body()),
-            "request construction must not deep-clone the manifest"
+        let tree = req.materialize_body().unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&tree, object.shared_body()));
+        assert_eq!(Arc::strong_count(&tree), 1);
+        let parsed = K8sObject::from_shared(Arc::clone(&tree)).unwrap();
+        assert!(Arc::ptr_eq(parsed.shared_body(), &tree));
+        // Replaying the request shares the byte buffer, not a copy of it.
+        let replay = req.clone();
+        assert_eq!(
+            replay.body.raw().unwrap().as_ptr(),
+            req.body.raw().unwrap().as_ptr()
         );
-        // The parsed-back object shares it too.
-        let parsed = req.object().unwrap();
-        assert!(std::sync::Arc::ptr_eq(parsed.shared_body(), body));
     }
 
     #[test]

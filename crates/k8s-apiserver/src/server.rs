@@ -303,11 +303,11 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     /// Materialize a mutating request's payload and admit it as the object
-    /// to persist. The payload materializes once, under the negotiated wire
-    /// format: tree bodies are a cheap `Arc` clone, raw bodies parse exactly
-    /// here (behind the proxy, only already-validated bytes reach this
-    /// point). On refusal the body comes back beside the response (when one
-    /// materialized), so a `400` is still audited with what it carried.
+    /// to persist. The payload is parsed once, exactly here, under the
+    /// negotiated wire format (behind the proxy, only already-validated
+    /// bytes reach this point). On refusal the body comes back beside the
+    /// response (when one materialized), so a `400` is still audited with
+    /// what it carried.
     fn admit_object(
         &self,
         request: &ApiRequest,
@@ -323,16 +323,14 @@ impl<S: StoreBackend> ApiServer<S> {
             Ok(None) => return Err(refuse("mutating request without a body".into(), None)),
             Ok(Some(body)) => body,
         };
-        // The store shares the request's tree: no part of it is copied.
+        // The store shares the tree just parsed: no part of it is copied.
         let mut object = match self.store.ingest(&body) {
             Ok(object) => object,
             Err(e) => return Err(refuse(format!("invalid object: {e}"), Some(body))),
         };
-        // From here the object's handle is the server's only one: a tree
-        // parsed from wire bytes is uniquely owned, so defaulting below
-        // writes it in place. Only a `RequestBody::Tree` whose caller still
-        // holds the tree makes that write copy (the caller's tree is never
-        // mutated).
+        // From here the object's handle is the only one — the tree was
+        // parsed from the request's bytes just above and no caller ever held
+        // it — so defaulting below writes it in place, never a copy.
         drop(body);
         if object.kind() != request.kind {
             let message = format!(
@@ -512,11 +510,10 @@ impl<S: StoreBackend> ApiServer<S> {
 
     fn handle_admitted(&self, request: &ApiRequest) -> ApiResponse {
         // 1. Authorization (RBAC) — decided on the resource path alone, so
-        //    unauthorized traffic never pays for body parsing: its audit
-        //    event records the body only when a parsed tree is already in
-        //    hand (the legacy path's cheap `Arc` handle).
+        //    unauthorized traffic never pays for body parsing and its audit
+        //    event records no body.
         if let Err(reason) = self.authorize(request) {
-            self.record_audit(request, false, request.body.tree().cloned());
+            self.record_audit(request, false, None);
             return ApiResponse::error(ResponseStatus::Forbidden, reason);
         }
 
@@ -530,7 +527,7 @@ impl<S: StoreBackend> ApiServer<S> {
             && self.store.durability_state() != DurabilityState::Healthy
         {
             self.rejected_writes.fetch_add(1, Ordering::Relaxed);
-            self.record_audit(request, false, request.body.tree().cloned());
+            self.record_audit(request, false, None);
             let status = self.store.durability();
             let detail = match &status.latched {
                 Some(latched) => format!(" ({latched})"),
@@ -698,7 +695,9 @@ impl<S: StoreBackend> WatchHub for ApiServer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RequestBody;
     use k8s_rbac::{audit2rbac, Audit2RbacOptions};
+    use kf_yaml::BodyFormat;
 
     fn pod_yaml(name: &str, extra: &str) -> String {
         format!(
@@ -748,8 +747,17 @@ mod tests {
         let response = server.handle(&ApiRequest::create("mallory", &pod("x")));
         assert!(response.is_denied());
         assert_eq!(server.store().len(), 0);
-        // The denial shows up in the audit log.
-        assert_eq!(server.audit_log().denied().len(), 1);
+        // Authorization never pays for a parse: bytes that are no document
+        // at all are refused the same way, not answered `400`.
+        let garbage = ApiRequest {
+            body: RequestBody::Raw("{\"kind\": ]".into(), BodyFormat::Json),
+            ..ApiRequest::create("mallory", &pod("y"))
+        };
+        assert!(server.handle(&garbage).is_denied());
+        // The denials show up in the audit log, without a body.
+        let log = server.audit_log();
+        assert_eq!(log.denied().len(), 2);
+        assert!(log.denied().iter().all(|e| e.request_body.is_none()));
     }
 
     #[test]
@@ -815,7 +823,7 @@ mod tests {
             name: "x".into(),
             content_type: None,
             resource_version: None,
-            body: kf_yaml::parse("replicas: 3\n").unwrap().into(),
+            body: RequestBody::Raw("replicas: 3\n".into(), BodyFormat::Yaml),
         };
         let response = server.handle(&request);
         assert_eq!(response.status, ResponseStatus::BadRequest);
@@ -825,14 +833,8 @@ mod tests {
     fn kind_mismatch_between_body_and_endpoint_is_rejected() {
         let server = ApiServer::new();
         let request = ApiRequest {
-            user: "admin".into(),
-            verb: Verb::Create,
             kind: ResourceKind::Service,
-            namespace: "default".into(),
-            name: "x".into(),
-            content_type: None,
-            resource_version: None,
-            body: pod("x").into_body().into(),
+            ..ApiRequest::create("admin", &pod("x"))
         };
         let response = server.handle(&request);
         assert_eq!(response.status, ResponseStatus::BadRequest);
@@ -1003,36 +1005,45 @@ mod tests {
 
     #[test]
     fn accepted_requests_share_one_tree_from_admission_to_reads() {
+        // The server parses an admitted body once; that tree is the stored
+        // body, what reads return and what the audit event holds — with and
+        // without a namespace for admission to default, in both formats.
         let server = ApiServer::new();
-        // The manifest carries its namespace, so admission has nothing to
-        // default and the stored body is the request's tree itself.
-        let pod = K8sObject::from_yaml(
-            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\n  namespace: default\nspec:\n  containers:\n    - name: c\n      image: nginx\n",
-        )
-        .unwrap();
-        let request = ApiRequest::create("admin", &pod);
-        let tree = Arc::clone(request.body.tree().unwrap());
-        assert!(server.handle(&request).is_success());
-        let stored = server
-            .store()
-            .get(ResourceKind::Pod, "default", "web")
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(stored.object.shared_body(), &tree),
-            "the stored body must be the request's parsed tree"
-        );
-        // Reads hand the same tree back.
-        let get = server.handle(&ApiRequest::get(
-            "admin",
-            ResourceKind::Pod,
-            "default",
-            "web",
-        ));
-        assert!(Arc::ptr_eq(get.body.unwrap().object().unwrap(), &tree));
-        // The create's audit event shares it too (the later get carries no
-        // body).
-        let log = server.audit_log();
-        let event = log.events().first().unwrap();
-        assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), &tree));
+        for (name, request) in [
+            ("a", ApiRequest::create("admin", &pod("a"))),
+            ("b", ApiRequest::create_json("admin", &pod("b"))),
+            (
+                "c",
+                ApiRequest::create(
+                    "admin",
+                    &K8sObject::from_yaml(
+                        &pod_yaml("c", "")
+                            .replace("  name: c\n", "  name: c\n  namespace: default\n"),
+                    )
+                    .unwrap(),
+                ),
+            ),
+        ] {
+            assert!(server.handle(&request).is_success());
+            let stored = server
+                .store()
+                .get(ResourceKind::Pod, "default", name)
+                .unwrap();
+            let tree = stored.object.shared_body();
+            let get = server.handle(&ApiRequest::get(
+                "admin",
+                ResourceKind::Pod,
+                "default",
+                name,
+            ));
+            assert!(Arc::ptr_eq(get.body.unwrap().object().unwrap(), tree));
+            let log = server.audit_log();
+            let event = log
+                .events()
+                .iter()
+                .find(|e| e.verb == Verb::Create && e.name == name)
+                .unwrap();
+            assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), tree));
+        }
     }
 }

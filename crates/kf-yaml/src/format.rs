@@ -49,24 +49,25 @@ impl BodyFormat {
     /// whitespace. Returns `None` for media types that name neither
     /// encoding — callers fall back to [`BodyFormat::Auto`] detection.
     pub fn from_content_type(content_type: &str) -> Option<BodyFormat> {
-        let media_type = content_type
-            .split(';')
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_ascii_lowercase();
-        match media_type.as_str() {
-            "application/json" | "text/json" => Some(BodyFormat::Json),
-            "application/yaml" | "application/x-yaml" | "text/yaml" | "text/x-yaml" => {
-                Some(BodyFormat::Yaml)
-            }
-            // Structured-syntax suffixes (`application/apply-patch+yaml`,
-            // `application/merge-patch+json`, …) name the encoding too.
-            _ => match media_type.rsplit('+').next() {
-                Some("json") => Some(BodyFormat::Json),
-                Some("yaml") => Some(BodyFormat::Yaml),
-                _ => None,
-            },
+        // Runs per admitted write, so it compares in place: no lowercased
+        // copy of the header.
+        let media_type = content_type.split(';').next().unwrap_or("").trim();
+        let named = |names: &[&str]| names.iter().any(|n| media_type.eq_ignore_ascii_case(n));
+        // Structured-syntax suffixes (`application/apply-patch+yaml`,
+        // `application/merge-patch+json`, …) name the encoding too.
+        let suffix = media_type.rsplit('+').next().unwrap_or("");
+        if named(&["application/json", "text/json"]) || suffix.eq_ignore_ascii_case("json") {
+            Some(BodyFormat::Json)
+        } else if named(&[
+            "application/yaml",
+            "application/x-yaml",
+            "text/yaml",
+            "text/x-yaml",
+        ]) || suffix.eq_ignore_ascii_case("yaml")
+        {
+            Some(BodyFormat::Yaml)
+        } else {
+            None
         }
     }
 
@@ -132,6 +133,10 @@ mod tests {
         assert_eq!(
             BodyFormat::from_content_type("application/merge-patch+json"),
             Some(BodyFormat::Json)
+        );
+        assert_eq!(
+            BodyFormat::from_content_type("Application/Apply-Patch+YAML;force=true"),
+            Some(BodyFormat::Yaml)
         );
         // Unknown media types defer to Auto detection.
         assert_eq!(

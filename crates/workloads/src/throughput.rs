@@ -81,15 +81,9 @@ impl ThroughputDriver {
             );
             attacks.extend(
                 executor
-                    .malicious_objects()
+                    .requests()
                     .into_iter()
-                    .map(|(_spec, object)| {
-                        let mut request = ApiRequest::create(&operator.user(), &object);
-                        if object.kind().is_namespaced() {
-                            request.namespace = operator.namespace().to_owned();
-                        }
-                        request
-                    }),
+                    .map(|(_spec, request)| request),
             );
         }
         // Deterministic interleave at a fixed 3:1 legitimate:attack ratio —

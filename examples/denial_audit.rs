@@ -6,9 +6,10 @@
 //! cargo run --release --example denial_audit
 //! ```
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler};
 use k8s_model::{K8sObject, ResourceKind, Verb};
-use kf_workloads::Operator;
+use kf_workloads::{DeploymentDriver, Operator};
+use kf_yaml::BodyFormat;
 use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet};
 
 fn main() {
@@ -25,11 +26,7 @@ fn main() {
     );
 
     // 1. Legitimate traffic is forwarded.
-    for object in operator.workload().default_objects() {
-        let mut request = ApiRequest::create(&operator.user(), &object);
-        if object.kind().is_namespaced() {
-            request.namespace = operator.namespace().to_owned();
-        }
+    for request in DeploymentDriver::new(operator).requests() {
         let response = proxy.handle(&request);
         assert!(response.is_success(), "{}", response.message);
     }
@@ -49,9 +46,10 @@ fn main() {
         name: "mystery".to_owned(),
         content_type: None,
         resource_version: None,
-        body: kf_yaml::parse("not: a\nkubernetes: object\n")
-            .unwrap()
-            .into(),
+        body: RequestBody::Raw(
+            "kind: Deployment\nmetadata:\n  name: mystery\n   badly: indented\n".into(),
+            BodyFormat::Yaml,
+        ),
     };
     let response = proxy.handle(&garbage);
     println!(
@@ -73,8 +71,15 @@ fn main() {
     );
     println!("newest retained denials:");
     for denial in denials.iter().rev().take(3) {
+        let at = match denial.location {
+            Some(location) => match location.offset {
+                Some(offset) => format!("line {}, byte {offset}", location.line),
+                None => format!("line {}", location.line),
+            },
+            None => "no position".to_owned(),
+        };
         println!(
-            "  {} {} `{}`: {}",
+            "  {} {} `{}` ({at}): {}",
             denial.user,
             denial.kind,
             denial.object_name,

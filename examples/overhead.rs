@@ -40,18 +40,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for operator in Operator::ALL {
         let validator = PolicyGenerator::new(GeneratorConfig::for_release(operator.release_name()))
             .generate(&operator.chart())?;
-        workloads.push((
-            operator,
-            validator,
-            DeploymentDriver::new(operator).requests(),
-        ));
+        // The driver speaks YAML; the JSON deployment is the same objects
+        // from a JSON-speaking client.
+        let driver = DeploymentDriver::new(operator);
+        let yaml = driver.requests();
+        let json: Vec<ApiRequest> = yaml
+            .iter()
+            .zip(driver.objects())
+            .map(|(request, object)| ApiRequest {
+                namespace: request.namespace.clone(),
+                ..ApiRequest::create_json(&request.user, object)
+            })
+            .collect();
+        workloads.push((operator, validator, [yaml, json]));
     }
 
-    type ToWire = fn(ApiRequest) -> ApiRequest;
-    for (format, to_wire) in [
-        ("YAML", ApiRequest::into_raw as ToWire),
-        ("JSON", ApiRequest::into_raw_json),
-    ] {
+    for (index, format) in ["YAML", "JSON"].into_iter().enumerate() {
         println!(
             "\n{:<12} {:>5} {:>16} {:>18} {:>20} {:>16}",
             format!("{format} bodies"),
@@ -62,20 +66,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "validation share"
         );
         for (operator, validator, requests) in &workloads {
-            let requests: Vec<ApiRequest> = requests.iter().cloned().map(to_wire).collect();
+            let requests = &requests[index];
 
             let mut direct_samples = Vec::new();
             let mut proxied_samples = Vec::new();
             let mut validation = Duration::ZERO;
             for _ in 0..REPETITIONS {
                 let server = ApiServer::new().with_admin(&operator.user());
-                direct_samples.push(deployment_time(&requests, &server).as_secs_f64() * 1e6);
+                direct_samples.push(deployment_time(requests, &server).as_secs_f64() * 1e6);
 
                 let proxy = EnforcementProxy::new(
                     ApiServer::new().with_admin(&operator.user()),
                     validator.clone(),
                 );
-                proxied_samples.push(deployment_time(&requests, &proxy).as_secs_f64() * 1e6);
+                proxied_samples.push(deployment_time(requests, &proxy).as_secs_f64() * 1e6);
                 validation += proxy.stats().validation_time();
             }
             let (direct_mean, direct_std) = mean_and_stddev(&direct_samples);

@@ -66,13 +66,17 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
 }
 
 /// Every manifest of the five charts as `kubectl apply` would send it, once
-/// as raw YAML and once as raw JSON.
+/// as YAML and once as JSON.
 fn chart_creates() -> Vec<ApiRequest> {
     let mut requests = Vec::new();
     for operator in Operator::ALL {
-        for request in DeploymentDriver::new(operator).requests() {
-            requests.push(request.clone().into_raw());
-            requests.push(request.into_raw_json());
+        let driver = DeploymentDriver::new(operator);
+        for (yaml, object) in driver.requests().into_iter().zip(driver.objects()) {
+            let json = ApiRequest {
+                namespace: yaml.namespace.clone(),
+                ..ApiRequest::create_json(&yaml.user, object)
+            };
+            requests.extend([yaml, json]);
         }
     }
     assert_eq!(
@@ -100,7 +104,7 @@ fn five_operator_stack() -> (ApiServer, ValidatorSet) {
     (server, validators)
 }
 
-/// The attack catalog injected into each operator's manifests, as raw bodies
+/// The attack catalog injected into each operator's manifests, as bodies
 /// alternating YAML and JSON.
 fn catalog_attacks() -> Vec<ApiRequest> {
     let mut requests = Vec::new();
@@ -111,11 +115,10 @@ fn catalog_attacks() -> Vec<ApiRequest> {
             DeploymentDriver::new(operator).objects().to_vec(),
         );
         for (_, object) in executor.malicious_objects() {
-            let request = ApiRequest::create(&operator.user(), &object);
             requests.push(if requests.len() % 2 == 0 {
-                request.into_raw()
+                ApiRequest::create(&operator.user(), &object)
             } else {
-                request.into_raw_json()
+                ApiRequest::create_json(&operator.user(), &object)
             });
         }
     }
@@ -228,7 +231,7 @@ fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
         .requests()
         .into_iter()
         .find_map(|request| {
-            let text = String::from_utf8(request.clone().into_raw().payload().to_vec()).unwrap();
+            let text = String::from_utf8(request.payload().to_vec()).unwrap();
             let image = text.lines().find(|line| line.contains(" image: "))?;
             let key_end = image.find("image: ").unwrap() + "image: ".len();
             let body = text.replacen(image, &format!("{}{huge}", &image[..key_end]), 1);

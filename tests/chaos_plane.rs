@@ -16,11 +16,12 @@ use std::time::Duration;
 use k8s_apiserver::persist::{PersistConfig, Persistence, RetryPolicy};
 use k8s_apiserver::storage_io::{FaultSchedule, FaultyIo};
 use k8s_apiserver::{
-    ApiRequest, ApiServer, DegradePolicy, DurabilityState, FsyncPolicy, RequestHandler,
-    ResponseStatus, StorageErrorKind, StoreBackend,
+    ApiRequest, ApiServer, DegradePolicy, DurabilityState, FsyncPolicy, RequestBody,
+    RequestHandler, ResponseStatus, StorageErrorKind, StoreBackend,
 };
 use k8s_model::{K8sObject, ResourceKind};
 use kf_workloads::ChaosDriver;
+use kf_yaml::BodyFormat;
 
 fn temp_dir(label: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -69,7 +70,8 @@ fn chaos_sweep_is_green_across_seeds_and_both_policies() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let driver = ChaosDriver::new(temp_dir("sweep"));
+    let dir = temp_dir("sweep");
+    let driver = ChaosDriver::new(dir.clone());
     let report = driver.sweep(base_seed, 8).expect("sweep runs");
     println!("chaos sweep @ seed {base_seed}\n{}", report.summary());
     assert_eq!(report.outcomes.len(), 16, "8 schedules x 2 policies");
@@ -82,6 +84,8 @@ fn chaos_sweep_is_green_across_seeds_and_both_policies() {
         "invariant violations:\n{}",
         report.summary()
     );
+    // Only a green sweep cleans up: a failed one keeps its WALs to look at.
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -115,6 +119,19 @@ fn fail_closed_rejects_writes_with_503_while_reads_and_watches_serve() {
         "a",
     ));
     assert_eq!(delete.status, ResponseStatus::ServiceUnavailable);
+    // ...before looking at the body: bytes that are no document get the same
+    // 503, not a 400, and no refusal is audited with a body.
+    let garbage = ApiRequest {
+        body: RequestBody::Raw("kind: [".into(), BodyFormat::Yaml),
+        ..ApiRequest::create("admin", &pod("c", "nginx"))
+    };
+    assert_eq!(
+        server.handle(&garbage).status,
+        ResponseStatus::ServiceUnavailable
+    );
+    let log = server.audit_log();
+    assert_eq!(log.denied().len(), 3);
+    assert!(log.denied().iter().all(|e| e.request_body.is_none()));
 
     // ...while reads, lists and watches keep serving from memory.
     let get = server.handle(&ApiRequest::get("admin", ResourceKind::Pod, "chaos", "a"));
@@ -133,7 +150,7 @@ fn fail_closed_rejects_writes_with_503_while_reads_and_watches_serve() {
     // accounts for them.
     assert_eq!(StoreBackend::len(server.store()), 1);
     let health = server.health_report();
-    assert_eq!(health.rejected_writes, 2);
+    assert_eq!(health.rejected_writes, 3);
     assert_eq!(health.policy, DegradePolicy::FailClosed);
     assert_eq!(health.durability.state, DurabilityState::Degraded);
     assert!(health.durability.gap >= 1, "the at-risk window is visible");

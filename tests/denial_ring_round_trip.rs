@@ -31,9 +31,11 @@ fn every_catalog_denial_round_trips_through_the_ring() {
             DeploymentDriver::new(operator).objects().to_vec(),
         );
         for (spec, object) in executor.malicious_objects() {
-            let tree = ApiRequest::create(&operator.user(), &object);
-            for request in [tree.clone().into_raw(), tree.into_raw_json()] {
-                let format = request.wire_format().expect("a raw body");
+            for request in [
+                ApiRequest::create(&operator.user(), &object),
+                ApiRequest::create_json(&operator.user(), &object),
+            ] {
+                let format = request.wire_format().expect("a body");
                 let text = String::from_utf8(request.payload().to_vec()).unwrap();
                 let RawVerdict::Denied {
                     violations,

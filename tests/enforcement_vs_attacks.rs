@@ -2,9 +2,11 @@
 //! malicious specifications against each operator's cluster, once protected
 //! only by a least-privilege RBAC policy and once protected by KubeFence.
 //! Expected result: RBAC mitigates none of the attacks, KubeFence mitigates
-//! all of them, and in the KubeFence runs no CVE is ever exercised.
+//! all of them, and in the KubeFence runs no CVE is ever exercised — on the
+//! wire bytes the proxy serves, as a YAML-speaking attacker (what `execute`
+//! sends) and as a JSON-speaking one.
 
-use k8s_apiserver::{ApiServer, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{DeploymentDriver, Operator};
@@ -32,13 +34,33 @@ fn executor_for(operator: Operator) -> AttackExecutor {
     )
 }
 
+/// The catalog from a JSON-speaking attacker: the requests `execute` issues,
+/// re-encoded from the same malicious objects, by catalog id.
+fn json_attacks(executor: &AttackExecutor) -> Vec<(String, ApiRequest)> {
+    let attacks: Vec<_> = executor
+        .requests()
+        .into_iter()
+        .zip(executor.malicious_objects())
+        .map(|((spec, yaml), (_, object))| {
+            let json = ApiRequest {
+                namespace: yaml.namespace,
+                ..ApiRequest::create_json(&yaml.user, &object)
+            };
+            (spec.id, json)
+        })
+        .collect();
+    assert_eq!(attacks.len(), 15);
+    attacks
+}
+
 #[test]
 fn rbac_alone_mitigates_no_catalog_attack() {
     for operator in Operator::ALL {
         let policy = learned_rbac_policy(operator);
         let server = ApiServer::new();
         server.set_rbac_policy(Some(policy));
-        let outcomes = executor_for(operator).execute(&server);
+        let executor = executor_for(operator);
+        let outcomes = executor.execute(&server);
         let summary = AttackExecutor::summarize(&outcomes);
         assert_eq!(summary.cve_attempted, 8, "{operator}");
         assert_eq!(summary.misconfig_attempted, 7, "{operator}");
@@ -52,6 +74,14 @@ fn rbac_alone_mitigates_no_catalog_attack() {
             !server.exploits().is_empty(),
             "{operator}: accepted exploits should exercise vulnerable code"
         );
+        for (id, attack) in json_attacks(&executor) {
+            let response = server.handle(&attack);
+            assert!(
+                response.is_success(),
+                "{operator}: RBAC blocked {id} sent as JSON: {}",
+                response.message
+            );
+        }
     }
 }
 
@@ -62,7 +92,8 @@ fn kubefence_mitigates_every_catalog_attack() {
             .generate(&operator.chart())
             .unwrap();
         let proxy = EnforcementProxy::new(ApiServer::new(), validator);
-        let outcomes = executor_for(operator).execute(&proxy);
+        let executor = executor_for(operator);
+        let outcomes = executor.execute(&proxy);
         let summary = AttackExecutor::summarize(&outcomes);
         assert_eq!(summary.cve_attempted, 8, "{operator}");
         assert_eq!(summary.misconfig_attempted, 7, "{operator}");
@@ -71,13 +102,23 @@ fn kubefence_mitigates_every_catalog_attack() {
             "{operator}: unmitigated attacks: {:?}",
             outcomes.iter().filter(|o| !o.mitigated).collect::<Vec<_>>()
         );
+        for (id, attack) in json_attacks(&executor) {
+            assert!(
+                proxy.handle(&attack).is_denied(),
+                "{operator}: {id} sent as JSON was not mitigated"
+            );
+        }
         // Nothing malicious reached the API server, so no CVE was exercised
         // and nothing was persisted.
         assert!(proxy.upstream().exploits().is_empty(), "{operator}");
         assert_eq!(proxy.upstream().store().len(), 0, "{operator}");
-        // Every denial names the offending field for auditing/forensics.
-        for denial in proxy.denials() {
+        // Every denial names the offending field, and where in the body it
+        // sits, for auditing/forensics.
+        let denials = proxy.denials();
+        assert_eq!(denials.len(), 30, "{operator}");
+        for denial in denials {
             assert!(!denial.violations.is_empty(), "{operator}");
+            assert!(denial.location.is_some(), "{operator}: {denial:?}");
         }
     }
 }
@@ -123,7 +164,7 @@ fn kubefence_still_serves_the_legitimate_workload_while_under_attack() {
             response.message
         );
         if let Some((_, malicious)) = attacks.get(i) {
-            let attack_request = k8s_apiserver::ApiRequest::create(&operator.user(), malicious);
+            let attack_request = ApiRequest::create(&operator.user(), malicious);
             if proxy.handle(&attack_request).is_denied() {
                 denied += 1;
             }

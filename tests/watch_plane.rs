@@ -377,16 +377,20 @@ fn compaction_forces_relist_and_resumes_cleanly() {
 }
 
 /// Watch responses are part of the zero-copy plane: the delivered event
-/// objects are the stored trees (and thus the very trees the admitted
-/// requests carried), for both the initial listing and the delta stream.
+/// objects are the stored trees (the server's one parse of each admitted
+/// request), for both the initial listing and the delta stream.
 #[test]
 fn watch_batches_share_storage_with_the_store_and_requests() {
     let server = ApiServer::new();
+    let stored_tree = |name: &str| {
+        let stored = server.store().get(ResourceKind::Pod, "default", name);
+        Arc::clone(stored.expect("stored").object.shared_body())
+    };
     let request = ApiRequest::create("admin", &pod("web"));
-    let tree = Arc::clone(request.body.tree().unwrap());
     assert!(server.handle(&request).is_success());
+    let tree = stored_tree("web");
 
-    // Initial watch: the synthesized Added event shares the request's tree.
+    // Initial watch: the synthesized Added event shares the stored tree.
     let initial = server.handle(&ApiRequest::watch(
         "admin",
         ResourceKind::Pod,
@@ -397,9 +401,9 @@ fn watch_batches_share_storage_with_the_store_and_requests() {
     assert!(Arc::ptr_eq(events[0].object.as_ref().unwrap(), &tree));
 
     // Delta stream: a second create's Modified/Added event shares too.
-    let second = ApiRequest::create("admin", &pod("web2"));
-    let second_tree = Arc::clone(second.body.tree().unwrap());
+    let second = ApiRequest::create_json("admin", &pod("web2"));
     assert!(server.handle(&second).is_success());
+    let second_tree = stored_tree("web2");
     let delta = server.handle(&ApiRequest::watch(
         "admin",
         ResourceKind::Pod,

@@ -1,79 +1,107 @@
-//! The zero-copy persistence plane, pinned by pointer identity: one
-//! `Arc<Value>` travels from the request body through admission, the object
-//! store, the audit trail, exploit forensics and every read. Plus a
-//! concurrent create/update/get/list stress test pinning revision
-//! monotonicity under the `Arc`-handle store.
+//! The zero-copy persistence plane, pinned by pointer identity: the server
+//! parses an admitted body once, and that one `Arc<Value>` is what the object
+//! store, the watch journal (poll and push), the audit trail, exploit
+//! forensics and every read hold. Plus a concurrent create/update/get/list
+//! stress test pinning revision monotonicity under the `Arc`-handle store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use k8s_apiserver::{
-    ApiRequest, ApiServer, RequestHandler, ResponseBody, ResponseStatus, WatchHub,
-};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseStatus, WatchHub};
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::Value;
 use kubefence::{EnforcementProxy, Validator};
 
 /// A pod manifest with an explicit namespace, so admission has nothing to
-/// default and the stored body can be the request's tree itself.
+/// default.
 fn pod_yaml(name: &str, image: &str) -> String {
     format!(
         "apiVersion: v1\nkind: Pod\nmetadata:\n  name: {name}\n  namespace: default\nspec:\n  containers:\n    - name: c\n      image: {image}\n"
     )
 }
 
+/// Send one pod create through `front` (the bare `server`, or a proxy over
+/// it) and require every holder of the admitted object — store, journal
+/// (poll and push), audit event, exploit records, get and list responses —
+/// to share one allocation: the server's single parse of the wire bytes.
+/// Returns that tree.
+fn admit_and_expect_one_tree<H: RequestHandler>(
+    front: &H,
+    server: &ApiServer,
+    request: &ApiRequest,
+) -> Arc<Value> {
+    let (kind, namespace) = (ResourceKind::Pod, "default");
+    let push = server
+        .subscribe_push(&ApiRequest::watch("admin", kind, namespace, None))
+        .expect("admin may watch");
+    let cursor = server.store().watch_revision(kind);
+    assert!(front.handle(request).is_success());
+
+    let stored = server
+        .store()
+        .get(kind, namespace, &request.name)
+        .expect("stored");
+    let tree = Arc::clone(stored.object.shared_body());
+    let polled = server
+        .store()
+        .events_since(kind, namespace, cursor)
+        .unwrap()
+        .events;
+    let pushed = push.subscriber.try_recv().unwrap();
+    let audited = server.audit_log();
+    let get = front.handle(&ApiRequest::get("admin", kind, namespace, &request.name));
+    let list = front.handle(&ApiRequest::list("admin", kind, namespace));
+    let exploits = server.exploits();
+    let mut holders = vec![
+        ("journal (poll)", polled[0].object.as_ref()),
+        ("journal (push)", pushed[0].object.as_ref()),
+        (
+            "audit event",
+            audited
+                .events()
+                .iter()
+                .rev()
+                .find_map(|e| e.request_body.as_ref()),
+        ),
+        ("get response", get.body.as_ref().and_then(|b| b.object())),
+        (
+            "list response",
+            list.body
+                .as_ref()
+                .and_then(|b| b.items()?.iter().find(|item| Arc::ptr_eq(item, &tree))),
+        ),
+    ];
+    holders.extend(
+        exploits
+            .iter()
+            .filter(|e| e.object_name == request.name)
+            .map(|e| ("exploit record", Some(&e.spec))),
+    );
+    for (holder, handle) in holders {
+        let handle = handle.unwrap_or_else(|| panic!("{holder} carries the object"));
+        assert!(
+            Arc::ptr_eq(handle, &tree),
+            "{holder} must share the stored tree, not a copy of it"
+        );
+    }
+    tree
+}
+
 #[test]
 fn one_tree_from_request_to_store_audit_and_reads() {
     let server = ApiServer::new();
-    let pod = K8sObject::from_yaml(&pod_yaml("web", "nginx:1.25")).unwrap();
-    let request = ApiRequest::create("admin", &pod);
-    // Request construction itself shares the object's tree.
-    let tree = Arc::clone(request.body.tree().expect("tree body"));
-    assert!(Arc::ptr_eq(&tree, pod.shared_body()));
-
-    assert!(server.handle(&request).is_success());
-
-    // Stored body: the request's parsed tree, by pointer.
-    let stored = server
-        .store()
-        .get(ResourceKind::Pod, "default", "web")
-        .expect("stored");
-    assert!(
-        Arc::ptr_eq(stored.object.shared_body(), &tree),
-        "store must hold the request's tree, not a copy"
-    );
-
-    // Audit event body: the same tree.
-    let log = server.audit_log();
-    let create_event = log
-        .events()
-        .iter()
-        .find(|e| e.request_body.is_some())
-        .expect("create was audited with a body");
-    assert!(Arc::ptr_eq(
-        create_event.request_body.as_ref().unwrap(),
-        &tree
-    ));
-
-    // Get response: the same tree.
-    let get = server.handle(&ApiRequest::get(
-        "admin",
-        ResourceKind::Pod,
-        "default",
-        "web",
-    ));
-    let Some(ResponseBody::Object(body)) = get.body else {
-        panic!("get returns an object body");
-    };
-    assert!(Arc::ptr_eq(&body, &tree));
-
-    // List response: every item is a stored tree handle.
-    let list = server.handle(&ApiRequest::list("admin", ResourceKind::Pod, "default"));
-    let Some(ResponseBody::List { items, .. }) = list.body else {
-        panic!("list returns a collection body");
-    };
-    assert_eq!(items.len(), 1);
-    assert!(Arc::ptr_eq(&items[0], &tree));
+    let web = K8sObject::from_yaml(&pod_yaml("web", "nginx:1.25")).unwrap();
+    let api = K8sObject::from_yaml(&pod_yaml("api", "nginx:1.25")).unwrap();
+    for (pod, request) in [
+        (&web, ApiRequest::create("admin", &web)),
+        (&api, ApiRequest::create_json("admin", &api)),
+    ] {
+        let tree = admit_and_expect_one_tree(&server, &server, &request);
+        // What went over the wire is bytes: the server's tree is its own,
+        // equal to the client's and never the client's.
+        assert!(!Arc::ptr_eq(&tree, pod.shared_body()));
+        assert!(tree.loosely_equals(pod.body()));
+    }
 }
 
 #[test]
@@ -83,47 +111,36 @@ fn exploit_records_share_the_admitted_spec() {
         "apiVersion: v1\nkind: Pod\nmetadata:\n  name: evil\n  namespace: default\nspec:\n  hostNetwork: true\n  containers:\n    - name: c\n      image: nginx\n",
     )
     .unwrap();
-    let request = ApiRequest::create("admin", &evil);
-    let tree = Arc::clone(request.body.tree().unwrap());
-    assert!(server.handle(&request).is_success());
+    let tree = admit_and_expect_one_tree(&server, &server, &ApiRequest::create("admin", &evil));
     let exploits = server.exploits();
     assert!(!exploits.is_empty(), "hostNetwork must trigger the oracle");
-    for exploit in &exploits {
-        assert!(
-            Arc::ptr_eq(&exploit.spec, &tree),
-            "exploit forensics must share the admitted spec"
-        );
-    }
+    assert!(
+        exploits.iter().all(|e| Arc::ptr_eq(&e.spec, &tree)),
+        "exploit forensics must share the admitted spec"
+    );
 }
 
 #[test]
 fn the_proxy_preserves_sharing_end_to_end() {
-    // Through the full enforcement stack: proxy (tree validation, zero
-    // materialization) -> server -> store -> read.
+    // Through the full enforcement stack: proxy (streaming validation, no
+    // tree) -> server (the one parse) -> store -> journal -> reads.
     let manifest = pod_yaml("web", "nginx:string");
     let validator =
         Validator::from_manifests("demo", &[kf_yaml::parse(&manifest).unwrap()]).unwrap();
     let proxy = EnforcementProxy::new(ApiServer::new(), validator);
     let pod = K8sObject::from_yaml(&pod_yaml("web", "nginx:1.25")).unwrap();
-    let request = ApiRequest::create("admin", &pod);
-    let tree = Arc::clone(request.body.tree().unwrap());
-    assert!(proxy.handle(&request).is_success());
-    let stored = proxy
-        .upstream()
-        .store()
-        .get(ResourceKind::Pod, "default", "web")
-        .unwrap();
-    assert!(Arc::ptr_eq(stored.object.shared_body(), &tree));
+    admit_and_expect_one_tree(&proxy, proxy.upstream(), &ApiRequest::create("admin", &pod));
+    assert_eq!(proxy.stats().forwarded, 1);
 }
 
 #[test]
 fn raw_bodies_parse_once_and_share_from_there() {
-    // A wire-bytes request parses exactly once; the store and the audit
-    // trail share that single materialization.
+    // A request parses exactly once; the store and the audit trail share
+    // that single materialization.
     let server = ApiServer::new();
     let pod = K8sObject::from_yaml(&pod_yaml("raw", "nginx:1.25")).unwrap();
     assert!(server
-        .handle(&ApiRequest::create_raw("admin", &pod))
+        .handle(&ApiRequest::create("admin", &pod))
         .is_success());
     let stored = server
         .store()
@@ -140,17 +157,13 @@ fn raw_bodies_parse_once_and_share_from_there() {
             stored.object.shared_body(),
             event.request_body.as_ref().unwrap()
         ),
-        "store and audit must share one materialization of the raw body"
+        "store and audit must share one materialization of the body"
     );
 }
 
 /// What Helm renders: no `metadata.namespace`; admission defaults it.
 const NAMESPACELESS_POD: &str =
     "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\nspec:\n  containers:\n    - name: c\n      image: nginx:1.25\n";
-
-fn namespace_of(tree: &Value) -> Option<&str> {
-    tree.get("metadata")?.get("namespace")?.as_str()
-}
 
 #[test]
 fn a_namespaceless_raw_create_is_one_tree_everywhere() {
@@ -161,86 +174,14 @@ fn a_namespaceless_raw_create_is_one_tree_everywhere() {
     let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
     let validator = Validator::from_manifests("demo", &[pod.body().clone()]).unwrap();
     for request in [
-        ApiRequest::create_raw("admin", &pod),
-        ApiRequest::create_raw_json("admin", &pod),
+        ApiRequest::create("admin", &pod),
+        ApiRequest::create_json("admin", &pod),
     ] {
         let proxy = EnforcementProxy::new(ApiServer::new(), validator.clone());
-        let server = proxy.upstream();
-        let push = server
-            .subscribe_push(&ApiRequest::watch(
-                "admin",
-                ResourceKind::Pod,
-                "default",
-                None,
-            ))
-            .expect("admin may watch");
-        assert!(proxy.handle(&request).is_success());
-
-        let stored = server
-            .store()
-            .get(ResourceKind::Pod, "default", "web")
-            .expect("stored under the defaulted namespace");
-        let tree = stored.object.shared_body();
-        assert_eq!(namespace_of(tree), Some("default"));
-
-        let polled = server
-            .store()
-            .events_since(ResourceKind::Pod, "default", 0)
-            .unwrap()
-            .events;
-        let pushed = push.subscriber.try_recv().unwrap();
-        let audited = server.audit_log();
-        let get = proxy.handle(&ApiRequest::get(
-            "admin",
-            ResourceKind::Pod,
-            "default",
-            "web",
-        ));
-        let list = proxy.handle(&ApiRequest::list("admin", ResourceKind::Pod, "default"));
-        let holders = [
-            ("journal (poll)", polled[0].object.as_ref()),
-            ("journal (push)", pushed[0].object.as_ref()),
-            (
-                "audit event",
-                audited
-                    .events()
-                    .iter()
-                    .find_map(|e| e.request_body.as_ref()),
-            ),
-            ("get response", get.body.as_ref().and_then(|b| b.object())),
-            (
-                "list response",
-                list.body.as_ref().and_then(|b| b.items()?.first()),
-            ),
-        ];
-        for (holder, handle) in holders {
-            let handle = handle.unwrap_or_else(|| panic!("{holder} carries the object"));
-            assert!(
-                Arc::ptr_eq(handle, tree),
-                "{holder} must share the stored tree, not a copy of it"
-            );
-        }
+        let tree = admit_and_expect_one_tree(&proxy, proxy.upstream(), &request);
+        let namespace = tree.get("metadata").and_then(|m| m.get("namespace"));
+        assert_eq!(namespace.and_then(Value::as_str), Some("default"));
     }
-}
-
-#[test]
-fn defaulting_never_writes_a_tree_the_caller_still_holds() {
-    let server = ApiServer::new();
-    let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
-    let request = ApiRequest::create("admin", &pod);
-    let callers = Arc::clone(request.body.tree().expect("tree body"));
-    let before = (*callers).clone();
-    assert!(server.handle(&request).is_success());
-    // The caller's tree is exactly what it sent …
-    assert_eq!(*callers, before);
-    assert_eq!(namespace_of(&callers), None);
-    // … and the store holds its own, defaulted, copy-on-write split.
-    let stored = server
-        .store()
-        .get(ResourceKind::Pod, "default", "web")
-        .unwrap();
-    assert!(!Arc::ptr_eq(stored.object.shared_body(), &callers));
-    assert_eq!(namespace_of(stored.object.body()), Some("default"));
 }
 
 #[test]
@@ -249,7 +190,7 @@ fn a_refused_body_is_still_audited_with_what_it_carried() {
     // audit event still holds the body that was sent.
     let server = ApiServer::new();
     let pod = K8sObject::from_yaml(NAMESPACELESS_POD).unwrap();
-    let mut request = ApiRequest::create_raw("admin", &pod);
+    let mut request = ApiRequest::create("admin", &pod);
     request.kind = ResourceKind::Service;
     assert_eq!(server.handle(&request).status, ResponseStatus::BadRequest);
     assert_eq!(server.store().len(), 0);
