@@ -15,8 +15,8 @@
 //!   budget. A request that cannot be admitted before its deadline is shed
 //!   with `429`, which is the same backpressure contract the watch plane
 //!   applies to slow consumers (evict → `Gone` → re-list) moved to the
-//!   front door, and the same semaphore shape as the informer fleet's
-//!   `RelistGate` (bound the stampede, don't queue it unboundedly).
+//!   front door (bound the stampede, don't queue it unboundedly). The
+//!   informer fleet's `RelistGate` is one with no deadline.
 //!
 //! [`HealthReport`] aggregates both with the store's
 //! [`DurabilityStatus`](crate::persist::DurabilityStatus) so an operator —
@@ -24,10 +24,10 @@
 //! transition from one surface. See `docs/robustness.md`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::persist::DurabilityStatus;
+use crate::sync::{Condvar, Mutex};
 
 /// What the serving path does with mutating requests while the store's
 /// durability is degraded.
@@ -63,10 +63,10 @@ struct GateState {
 /// A bounded-admission gate: at most `max_in_flight` requests execute at
 /// once, and a request unable to start within its deadline budget is shed.
 ///
-/// Same discipline as the informer fleet's `RelistGate`: a mutex-guarded
-/// counter plus a condvar, permits released by RAII drop. Poisoning is
-/// recovered (a panicking request must not wedge admission for everyone
-/// else), matching the store's lock hygiene.
+/// A mutex-guarded counter plus a condvar, permits released by RAII drop;
+/// the informer fleet's `RelistGate` counts its permits with one of these.
+/// Poisoning is recovered through `crate::sync` (a panicking request must
+/// not wedge admission for everyone else).
 #[derive(Debug)]
 pub struct AdmissionGate {
     max_in_flight: usize,
@@ -87,15 +87,11 @@ impl AdmissionGate {
             max_in_flight: max_in_flight.max(1),
             deadline,
             state: Mutex::new(GateState::default()),
-            freed: Condvar::new(),
+            freed: Condvar::default(),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             peak: AtomicUsize::new(0),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Try to enter the gate, blocking up to the deadline budget for a free
@@ -106,24 +102,20 @@ impl AdmissionGate {
     ///
     /// [`ShedError`] when no slot freed within the deadline.
     pub fn admit(&self) -> Result<AdmissionPermit<'_>, ShedError> {
-        let deadline = Instant::now() + self.deadline;
-        let mut state = self.lock();
-        while state.in_flight >= self.max_in_flight {
-            let now = Instant::now();
-            if now >= deadline {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(ShedError {
-                    in_flight: state.in_flight,
-                    waited: self.deadline,
-                });
-            }
-            state.waiting += 1;
-            let (next, _timeout) = self
-                .freed
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            state = next;
-            state.waiting -= 1;
+        let mut state = self.state.lock();
+        state.waiting += 1;
+        let (mut state, timed_out) = self
+            .freed
+            .wait_timeout_while(state, self.deadline, |state| {
+                state.in_flight >= self.max_in_flight
+            });
+        state.waiting -= 1;
+        if timed_out {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ShedError {
+                in_flight: state.in_flight,
+                waited: self.deadline,
+            });
         }
         state.in_flight += 1;
         self.peak.fetch_max(state.in_flight, Ordering::Relaxed);
@@ -148,12 +140,12 @@ impl AdmissionGate {
 
     /// Requests currently executing.
     pub fn in_flight(&self) -> usize {
-        self.lock().in_flight
+        self.state.lock().in_flight
     }
 
     /// Requests currently blocked waiting for a slot.
     pub fn waiting(&self) -> usize {
-        self.lock().waiting
+        self.state.lock().waiting
     }
 
     /// High-water mark of concurrent in-flight requests.
@@ -170,7 +162,7 @@ pub struct AdmissionPermit<'a> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut state = self.gate.lock();
+        let mut state = self.gate.state.lock();
         state.in_flight = state.in_flight.saturating_sub(1);
         drop(state);
         self.gate.freed.notify_one();
@@ -276,7 +268,7 @@ mod tests {
         };
         // Give the waiter time to park, then free the slot.
         while gate.waiting() == 0 {
-            std::thread::yield_now();
+            crate::sync::yield_now();
         }
         drop(held);
         assert!(waiter.join().expect("waiter thread"), "waiter admitted");

@@ -17,7 +17,7 @@
 //! * [`WatchSubscriber`] / [`WatchDispatcher`] / [`WatchHub`] — the
 //!   push-notify fabric: per-subscriber bounded delivery queues fanned out
 //!   to inside the publication critical section (same-object coalescing,
-//!   slow-consumer eviction → `Gone` → re-list), wake signals that let pull
+//!   slow-consumer eviction → `Gone` → re-list) that also let pull
 //!   subscriptions block instead of poll, and an epoll-style readiness
 //!   dispatcher for informer fleets;
 //! * [`ApiServer`] — request handling: authorization through an optional

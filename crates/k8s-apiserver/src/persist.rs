@@ -63,7 +63,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use k8s_model::{K8sObject, ResourceKind};
@@ -72,7 +72,7 @@ use kf_yaml::Value;
 
 use crate::storage_io::{RealIo, StorageFile, StorageIo};
 use crate::store::{ObjectStore, StoreBackend, StoredObject};
-use crate::sync::Mutex;
+use crate::sync::{Condvar, Mutex};
 use crate::watch::WatchEventKind;
 
 /// Write-ahead-log file name inside a persistence directory.
@@ -683,9 +683,8 @@ struct WalInner {
     machine: DurabilityMachine,
 }
 
-/// Shared state of the group-commit rendezvous. Guarded by a `std` mutex
-/// so it can pair with a `Condvar` — the same generation-counter + condvar
-/// idiom as `watch::WakeSignal`.
+/// Shared state of the group-commit rendezvous: a generation counter
+/// behind a mutex, paired with a condvar for parked followers.
 #[derive(Debug, Default)]
 struct GroupState {
     /// Records appended and not yet claimed by a leader's window — the
@@ -705,18 +704,12 @@ struct GroupState {
 /// amortization counters the health surface reports.
 #[derive(Debug, Default)]
 struct GroupCommit {
-    state: StdMutex<GroupState>,
+    state: Mutex<GroupState>,
     cond: Condvar,
     /// Successful group fsyncs issued.
     batches: AtomicU64,
     /// Records those fsyncs covered.
     records: AtomicU64,
-}
-
-/// Recover a `std` lock/wait result from poisoning — a panicking writer
-/// must not wedge every other writer's durability acknowledgement.
-fn recover_poison<T>(result: Result<T, std::sync::PoisonError<T>>) -> T {
-    result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A deferred group-commit rendezvous: the log position (append sequence)
@@ -934,7 +927,7 @@ impl Wal {
             ),
             _ => return,
         };
-        let mut state = recover_poison(self.group.state.lock());
+        let mut state = self.group.state.lock();
         state.fill += records;
         state.arrivals = state.arrivals.wrapping_add(1);
         loop {
@@ -945,19 +938,21 @@ impl Wal {
             }
             if state.leader_active {
                 // Follow: park until this generation resolves. The slice
-                // timeout re-checks position/state on paths that advance
-                // them without notifying (sync(), tail recovery), so a
-                // missed wakeup costs latency, never a hang.
+                // timeout sends us round the loop to re-check position and
+                // state on paths that advance them without notifying
+                // (sync(), tail recovery), so a missed wakeup costs
+                // latency, never a hang.
                 let generation = state.generation;
-                while state.generation == generation
-                    && state.leader_active
-                    && self.synced_seq.load(Ordering::Acquire) < target
-                    && self.state() == DurabilityState::Healthy
-                {
-                    let (next, _) =
-                        recover_poison(self.group.cond.wait_timeout(state, GROUP_FOLLOWER_SLICE));
-                    state = next;
-                }
+                state = self
+                    .group
+                    .cond
+                    .wait_timeout_while(state, GROUP_FOLLOWER_SLICE, |state| {
+                        state.generation == generation
+                            && state.leader_active
+                            && self.synced_seq.load(Ordering::Acquire) < target
+                            && self.state() == DurabilityState::Healthy
+                    })
+                    .0;
             } else {
                 // Lead. Window-close conditions: filled to `max_batch`, a
                 // yield with no new arrival (the burst is over), or
@@ -975,8 +970,8 @@ impl Wal {
                     }
                     let before = state.arrivals;
                     drop(state);
-                    std::thread::yield_now();
-                    state = recover_poison(self.group.state.lock());
+                    crate::sync::yield_now();
+                    state = self.group.state.lock();
                     if state.arrivals == before {
                         break;
                     }
@@ -986,7 +981,7 @@ impl Wal {
                 // window fills while this one commits.
                 drop(state);
                 self.group_fsync();
-                state = recover_poison(self.group.state.lock());
+                state = self.group.state.lock();
                 state.leader_active = false;
                 state.generation = state.generation.wrapping_add(1);
                 self.group.cond.notify_all();

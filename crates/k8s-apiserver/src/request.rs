@@ -55,15 +55,7 @@ impl RequestBody {
     /// the negotiated format (the request's `Content-Type`, when it named
     /// an encoding) or, with `None`, by the body's own tag. A body must be
     /// one well-formed YAML or JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the defect when the body is not valid
-    /// UTF-8, does not parse, or contains more than one document.
-    pub fn materialize_as(
-        &self,
-        negotiated: Option<BodyFormat>,
-    ) -> Result<Option<Arc<Value>>, String> {
+    fn materialize_as(&self, negotiated: Option<BodyFormat>) -> Result<Option<Arc<Value>>, String> {
         match self {
             RequestBody::None => Ok(None),
             RequestBody::Raw(bytes, format) => {
@@ -172,7 +164,8 @@ impl ApiRequest {
     ///
     /// # Errors
     ///
-    /// Those of [`RequestBody::materialize_as`].
+    /// Returns a description of the defect when the body is not valid
+    /// UTF-8, does not parse, or contains more than one document.
     pub fn materialize_body(&self) -> Result<Option<Arc<Value>>, String> {
         self.body.materialize_as(self.wire_format())
     }

@@ -177,16 +177,19 @@ pub trait StoreBackend: Send + Sync {
         capacity: usize,
     ) -> Result<WatchSubscriber, WatchError>;
 
-    /// The wake-signal generation for `(kind, namespace)` watchers. Read it
+    /// The last revision published to the `(kind, namespace)` watch scope:
+    /// the namespace's journal sub-shard (which other namespaces may share),
+    /// or [`StoreBackend::watch_revision`] for all namespaces. Read it
     /// **before** polling [`StoreBackend::events_since`]; passing the value
     /// to [`StoreBackend::wait_for_watch`] then cannot miss a publication
     /// that raced the poll.
     fn watch_generation(&self, kind: ResourceKind, namespace: &str) -> u64;
 
-    /// Block until the `(kind, namespace)` wake-signal generation moves past
-    /// `seen` (some event may be visible) or `timeout` elapses, returning
-    /// the generation observed on exit. Spurious wakeups are allowed; lost
-    /// wakeups are not.
+    /// Block until an event of `(kind, namespace)` with a revision past
+    /// `seen` is published, or `timeout` elapses, returning the scope
+    /// revision ([`StoreBackend::watch_generation`]) on exit. Returns at
+    /// once when the scope is already past `seen`. Spurious wakeups are
+    /// allowed; lost wakeups are not.
     fn wait_for_watch(
         &self,
         kind: ResourceKind,
@@ -923,7 +926,7 @@ impl StoreBackend for ObjectStore {
     }
 
     fn watch_generation(&self, kind: ResourceKind, namespace: &str) -> u64 {
-        self.journals.signal_of(kind, namespace).generation()
+        self.journals.scope_revision(kind, namespace)
     }
 
     fn wait_for_watch(
@@ -933,9 +936,7 @@ impl StoreBackend for ObjectStore {
         seen: u64,
         timeout: std::time::Duration,
     ) -> u64 {
-        self.journals
-            .signal_of(kind, namespace)
-            .wait_past(seen, timeout)
+        self.journals.wait_past(kind, namespace, seen, timeout)
     }
 
     fn revision(&self) -> u64 {

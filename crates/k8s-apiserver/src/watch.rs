@@ -43,37 +43,33 @@
 //! full argument.
 //!
 //! On top of the pull journals sits the **push-notify fabric**:
+//! [`KindJournals::subscribe`] attaches a [`WatchSubscriber`] — a
+//! per-subscriber **bounded delivery queue** fanned out to inside the
+//! publication critical section. Bursty same-object writes **coalesce**
+//! (last write wins, delivery order preserved); a consumer that falls more
+//! than its queue bound behind is **evicted** and observes
+//! [`WatchError::Gone`], funneling into the exact re-list recovery path
+//! compaction already exercises. A [`WatchDispatcher`] ready-list lets a
+//! handful of collector threads service tens of thousands of subscriptions
+//! without a blocked thread per watcher.
 //!
-//! * Every sub-shard (and every kind, for all-namespaces waiters) carries a
-//!   [`WakeSignal`] — a generation counter plus condvar bumped inside the
-//!   publication critical section — so a pull subscriber can *block* in
-//!   [`WatchSubscription::recv_timeout`] instead of burning poll round-trips
-//!   while idle. The wait protocol (read generation, poll, wait past the
-//!   read generation) cannot lose a wakeup: any publication after the
-//!   generation read bumps it and ends the wait.
-//! * [`KindJournals::subscribe`] attaches a [`WatchSubscriber`] — a
-//!   per-subscriber **bounded delivery queue** fanned out to inside the same
-//!   critical section. Bursty same-object writes **coalesce** (last write
-//!   wins, delivery order preserved); a consumer that falls more than its
-//!   queue bound behind is **evicted** and observes [`WatchError::Gone`],
-//!   funneling into the exact re-list recovery path compaction already
-//!   exercises. A [`WatchDispatcher`] ready-list lets a handful of collector
-//!   threads service tens of thousands of subscriptions without a blocked
-//!   thread per watcher.
+//! The subscriber queue is the plane's one wake mechanism. A pull watcher
+//! that blocks ([`WatchSubscription::recv_timeout`]) parks on a one-shot
+//! subscriber attached at its cursor ([`KindJournals::wait_past`]); the
+//! subscribe contract — backfill under the sub-shard read lock, then
+//! attach — is what makes a lost wakeup impossible.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-// The push fabric uses `std::sync` mutexes directly: a Condvar must pair
-// with the mutex type it waits on.
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use k8s_model::ResourceKind;
 use kf_yaml::Value;
 
-use crate::sync::RwLock;
+use crate::sync::{Condvar, Mutex, RwLock};
 
 /// What happened to the watched object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,112 +214,27 @@ pub fn namespace_shard(namespace: &str, shard_count: usize) -> usize {
 /// beats unbounded buffering.
 pub const DEFAULT_SUBSCRIBER_QUEUE_CAPACITY: usize = 256;
 
-/// Recover a poisoned std mutex guard: `crate::sync` recovers every other
-/// lock in the crate the same way, and a panicking publisher leaves
-/// the queue/signal state consistent (every transition completes under one
-/// lock hold).
-fn recover<'a, T>(
-    result: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    result.unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-#[derive(Debug, Default)]
-struct SignalState {
-    /// Bumped once per publication (or per batch flush) to the signalled
-    /// scope. Waiters compare against a generation they read *before*
-    /// polling, so a bump between their read and their wait ends the wait
-    /// immediately — the no-lost-wakeup argument in one sentence.
-    generation: u64,
-    /// How many threads are blocked in [`WakeSignal::wait_past`] right now.
-    /// Publication skips the condvar broadcast entirely when nobody waits,
-    /// keeping the idle-subscriber cost off the write path.
-    waiters: usize,
-}
-
-/// A per-scope wakeup primitive: generation counter + condvar. One lives on
-/// every journal sub-shard (namespace-scoped waiters) and one on every kind
-/// (all-namespaces waiters, which cannot block on several sub-shard condvars
-/// at once).
-#[derive(Debug, Default)]
-pub(crate) struct WakeSignal {
-    state: StdMutex<SignalState>,
-    cond: Condvar,
-}
-
-impl WakeSignal {
-    /// Announce that new events may be visible: bump the generation and wake
-    /// every blocked waiter. Called inside the publication critical section;
-    /// with zero waiters this is one uncontended lock round-trip.
-    fn notify(&self) {
-        let mut state = recover(self.state.lock());
-        state.generation = state.generation.wrapping_add(1);
-        if state.waiters > 0 {
-            self.cond.notify_all();
-        }
-    }
-
-    /// The current generation. Read this **before** polling the journal:
-    /// waiting past the returned value then cannot miss a publication that
-    /// raced the poll.
-    pub(crate) fn generation(&self) -> u64 {
-        recover(self.state.lock()).generation
-    }
-
-    /// Block until the generation moves past `seen` or `timeout` elapses,
-    /// returning the generation observed on exit.
-    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut state = recover(self.state.lock());
-        while state.generation == seen {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            state.waiters += 1;
-            let (guard, _) = self
-                .cond
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-            state.waiters -= 1;
-        }
-        state.generation
-    }
-}
-
 /// The ready-list shared by a [`WatchDispatcher`] and the subscribers
 /// registered with it: tokens of subscriptions that transitioned from empty
 /// to non-empty (or got evicted) and have not been drained since.
 #[derive(Debug, Default)]
 struct ReadyList {
-    queue: StdMutex<VecDeque<usize>>,
+    queue: Mutex<VecDeque<usize>>,
     cond: Condvar,
 }
 
 impl ReadyList {
     fn push(&self, token: usize) {
-        recover(self.queue.lock()).push_back(token);
+        self.queue.lock().push_back(token);
         self.cond.notify_one();
     }
 
     fn pop(&self, timeout: Duration) -> Option<usize> {
-        let deadline = Instant::now() + timeout;
-        let mut queue = recover(self.queue.lock());
-        loop {
-            if let Some(token) = queue.pop_front() {
-                return Some(token);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            queue = guard;
-        }
+        let queue = self.queue.lock();
+        let (mut queue, _) = self
+            .cond
+            .wait_timeout_while(queue, timeout, |queue| queue.is_empty());
+        queue.pop_front()
     }
 }
 
@@ -349,7 +260,7 @@ impl WatchDispatcher {
     /// token is surfaced immediately, so registration after a burst cannot
     /// strand the backlog.
     pub fn register(&self, subscriber: &WatchSubscriber, token: usize) {
-        let mut state = recover(subscriber.core.state.lock());
+        let mut state = subscriber.core.state.lock();
         state.waker = Some((Arc::clone(&self.ready), token));
         if (state.live > 0 || state.evicted.is_some()) && !state.ready_armed {
             state.ready_armed = true;
@@ -406,7 +317,7 @@ struct SubscriberCore {
     namespace: String,
     /// Bound on live queue entries before the slow consumer is evicted.
     capacity: usize,
-    state: StdMutex<SubscriberState>,
+    state: Mutex<SubscriberState>,
     cond: Condvar,
 }
 
@@ -415,11 +326,11 @@ impl SubscriberCore {
         SubscriberCore {
             namespace: namespace.to_owned(),
             capacity: capacity.max(1),
-            state: StdMutex::new(SubscriberState {
+            state: Mutex::new(SubscriberState {
                 resume: cursor,
                 ..SubscriberState::default()
             }),
-            cond: Condvar::new(),
+            cond: Condvar::default(),
         }
     }
 
@@ -443,7 +354,7 @@ impl SubscriberCore {
         if !self.namespace.is_empty() && event.namespace != self.namespace {
             return true;
         }
-        let mut state = recover(self.state.lock());
+        let mut state = self.state.lock();
         if state.closed {
             return false;
         }
@@ -511,7 +422,7 @@ impl SubscriberCore {
 
     /// Take everything queued (possibly empty), or `Gone` after eviction.
     fn drain(&self) -> Result<Vec<WatchEvent>, WatchError> {
-        let mut state = recover(self.state.lock());
+        let mut state = self.state.lock();
         Self::drain_locked(&mut state)
     }
 
@@ -530,7 +441,7 @@ impl SubscriberCore {
     }
 
     fn close(&self) {
-        recover(self.state.lock()).closed = true;
+        self.state.lock().closed = true;
     }
 }
 
@@ -563,22 +474,22 @@ impl WatchSubscriber {
     /// Diagnostic: after `Gone` the only consistent recovery is a re-list,
     /// not a resume from here.
     pub fn resume(&self) -> u64 {
-        recover(self.core.state.lock()).resume
+        self.core.state.lock().resume
     }
 
     /// Whether the subscription was evicted as a slow consumer.
     pub fn is_evicted(&self) -> bool {
-        recover(self.core.state.lock()).evicted.is_some()
+        self.core.state.lock().evicted.is_some()
     }
 
     /// How many events offers replaced via same-object coalescing.
     pub fn coalesced(&self) -> u64 {
-        recover(self.core.state.lock()).coalesced
+        self.core.state.lock().coalesced
     }
 
     /// How many events drains have handed out.
     pub fn delivered(&self) -> u64 {
-        recover(self.core.state.lock()).delivered
+        self.core.state.lock().delivered
     }
 
     /// Everything queued right now, without blocking (possibly empty).
@@ -598,23 +509,11 @@ impl WatchSubscriber {
     ///
     /// [`WatchError::Gone`] once the subscription has been evicted.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<WatchEvent>, WatchError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = recover(self.core.state.lock());
-        loop {
-            if state.evicted.is_some() || state.live > 0 {
-                return SubscriberCore::drain_locked(&mut state);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(Vec::new());
-            }
-            let (guard, _) = self
-                .core
-                .cond
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-        }
+        let state = self.core.state.lock();
+        let (mut state, _) = self.core.cond.wait_timeout_while(state, timeout, |state| {
+            state.evicted.is_none() && state.live == 0
+        });
+        SubscriberCore::drain_locked(&mut state)
     }
 
     /// Block until events arrive or the subscription is evicted.
@@ -725,13 +624,7 @@ pub(crate) struct KindJournals {
     /// critical section; registration happens under the sub-shard's *read*
     /// lock, which excludes publication, so no event can slip between a
     /// subscriber's backfill and its attachment.
-    subscribers: Vec<StdMutex<Vec<Arc<SubscriberCore>>>>,
-    /// One wake signal per sub-shard (same flat indexing) for
-    /// namespace-scoped blocking waiters…
-    signals: Vec<WakeSignal>,
-    /// …and one per kind for all-namespaces waiters, which cannot block on
-    /// several sub-shard condvars at once.
-    kind_signals: Vec<WakeSignal>,
+    subscribers: Vec<Mutex<Vec<Arc<SubscriberCore>>>>,
     shard_count: usize,
     capacity: usize,
 }
@@ -745,13 +638,7 @@ impl KindJournals {
                 .map(|_| RwLock::new(JournalInner::default()))
                 .collect(),
             subscribers: (0..ResourceKind::COUNT * shard_count)
-                .map(|_| StdMutex::new(Vec::new()))
-                .collect(),
-            signals: (0..ResourceKind::COUNT * shard_count)
-                .map(|_| WakeSignal::default())
-                .collect(),
-            kind_signals: (0..ResourceKind::COUNT)
-                .map(|_| WakeSignal::default())
+                .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             shard_count,
             capacity,
@@ -766,23 +653,12 @@ impl KindJournals {
         &self.shards[self.shard_index(kind, namespace)]
     }
 
-    /// The wake signal a blocking waiter on `(kind, namespace)` parks on:
-    /// the sub-shard's own signal when namespace-scoped, the kind-wide
-    /// aggregate otherwise.
-    pub(crate) fn signal_of(&self, kind: ResourceKind, namespace: &str) -> &WakeSignal {
-        if namespace.is_empty() {
-            &self.kind_signals[kind.index()]
-        } else {
-            &self.signals[self.shard_index(kind, namespace)]
-        }
-    }
-
     /// Fan one freshly published event into every push subscriber attached
     /// to its sub-shard, pruning subscribers whose handles were dropped.
     /// Runs inside the sub-shard's publication critical section, so each
     /// queue receives its sub-shard's events in exact publication order.
     fn fan_out(&self, shard_index: usize, event: &WatchEvent) {
-        let mut list = recover(self.subscribers[shard_index].lock());
+        let mut list = self.subscribers[shard_index].lock();
         if list.is_empty() {
             return;
         }
@@ -828,24 +704,17 @@ impl KindJournals {
         assigned
     }
 
-    /// Publish one staged event, allocating its revision inside its
-    /// sub-shard's critical section, then signal blocked waiters (sub-shard
-    /// and kind scope) before the lock drops — so a waiter woken by the bump
-    /// either sees the event in a queue already or finds it in the journal
-    /// on its re-poll.
+    /// Publish one staged event, allocating its revision and fanning it
+    /// out inside its sub-shard's critical section.
     ///
     /// Must be called while holding the written object's store-shard lock
     /// (see the store write paths), so an initial-list scan that starts
     /// after a published revision is guaranteed to observe the map effect
     /// too.
     pub(crate) fn publish(&self, revision: &AtomicU64, staged: StagedEvent) -> u64 {
-        let kind = staged.kind;
-        let shard_index = self.shard_index(kind, &staged.namespace);
+        let shard_index = self.shard_index(staged.kind, &staged.namespace);
         let mut inner = self.shards[shard_index].write();
-        let assigned = self.push_locked(&mut inner, shard_index, revision, staged);
-        self.signals[shard_index].notify();
-        self.kind_signals[kind.index()].notify();
-        assigned
+        self.push_locked(&mut inner, shard_index, revision, staged)
     }
 
     /// Publish a batch of staged events, entering each touched sub-shard's
@@ -891,15 +760,11 @@ impl KindJournals {
             if group.is_empty() {
                 continue;
             }
-            // One critical-section entry for the whole group — and one wake
-            // signal bump per touched sub-shard, not per event: waiters
-            // re-poll once and collect the whole batch.
+            // One critical-section entry for the whole group.
             let mut inner = self.shards[start + shard].write();
             for (index, event) in group.drain(..) {
                 assigned[index] = self.push_locked(&mut inner, start + shard, revision, event);
             }
-            self.signals[start + shard].notify();
-            self.kind_signals[kind.index()].notify();
         }
     }
 
@@ -916,6 +781,11 @@ impl KindJournals {
     /// sub-shards are locked: any event published later (to any scanned
     /// sub-shard) must allocate a strictly larger revision. Delivered events
     /// are the journal's own handles — no tree is copied.
+    ///
+    /// This stays a read of its own rather than a one-shot subscriber
+    /// drain: a subscriber queue coalesces same-object events and orders
+    /// them per sub-shard only, while a pull watch must return every event
+    /// in global revision order.
     pub(crate) fn events_since(
         &self,
         revision: &AtomicU64,
@@ -1063,9 +933,49 @@ impl KindJournals {
             for event in inner.events.range(inner.suffix_start(cursor)..) {
                 core.offer(event);
             }
-            recover(self.subscribers[index].lock()).push(Arc::clone(&core));
+            let mut attached = self.subscribers[index].lock();
+            // Prune handles dropped since the last fan-out, so timed-out
+            // one-shot waiters on a quiet scope do not pile up here.
+            attached.retain(|core| !core.state.lock().closed);
+            attached.push(Arc::clone(&core));
         }
         Ok(WatchSubscriber { core, kind })
+    }
+
+    /// The last revision published to `(kind, namespace)`'s scope: its
+    /// sub-shard's when namespace-scoped (other namespaces hashing there move
+    /// it too), [`KindJournals::watch_revision`] for all namespaces.
+    pub(crate) fn scope_revision(&self, kind: ResourceKind, namespace: &str) -> u64 {
+        if namespace.is_empty() {
+            self.watch_revision(kind)
+        } else {
+            self.shard_of(kind, namespace).read().last_revision
+        }
+    }
+
+    /// Block until an event of `(kind, namespace)` past `seen` is
+    /// published, or `timeout` elapses; returns the scope revision on exit.
+    /// Unless the scope is already past `seen`, the wait is a one-shot
+    /// subscriber at cursor `seen`: its backfill covers whatever landed
+    /// before it attached, and its queue whatever lands after, so no wakeup
+    /// is lost. A `Gone` or an eviction ends the wait; spurious wakeups are
+    /// allowed.
+    pub(crate) fn wait_past(
+        &self,
+        kind: ResourceKind,
+        namespace: &str,
+        seen: u64,
+        timeout: Duration,
+    ) -> u64 {
+        let current = self.scope_revision(kind, namespace);
+        if current > seen {
+            return current;
+        }
+        if let Ok(waiter) = self.subscribe(kind, namespace, seen, 1) {
+            // Events or Gone: either way the wait is over.
+            let _ = waiter.recv_timeout(timeout);
+        }
+        self.scope_revision(kind, namespace)
     }
 }
 
@@ -1118,15 +1028,14 @@ impl WatchSubscription {
         Ok(delta.events)
     }
 
-    /// Like [`WatchSubscription::poll`], but **blocks on the journal's wake
-    /// signal** instead of returning an empty batch: the cursor advances and
-    /// events are returned as soon as something is published, or an empty
-    /// batch is returned once `timeout` elapses.
+    /// Like [`WatchSubscription::poll`], but **blocks** instead of
+    /// returning an empty batch: the cursor advances and events are
+    /// returned as soon as something is published, or an empty batch is
+    /// returned once `timeout` elapses.
     ///
-    /// No wakeup can be lost: the signal generation is read *before* each
-    /// poll, and publication bumps it inside the critical section — so a
-    /// publish racing the poll either lands in the polled delta or moves the
-    /// generation past the value this waiter sleeps on.
+    /// No wakeup can be lost: the scope revision is read *before* each
+    /// poll, so a publish racing the poll either lands in the polled delta
+    /// or carries a revision past the one this waiter waits beyond.
     ///
     /// # Errors
     ///
@@ -1137,18 +1046,17 @@ impl WatchSubscription {
         store: &S,
         timeout: Duration,
     ) -> Result<Vec<WatchEvent>, WatchError> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         loop {
             let seen = store.watch_generation(self.kind, &self.namespace);
             let events = self.poll(store)?;
             if !events.is_empty() {
                 return Ok(events);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let Some(left) = timeout.checked_sub(start.elapsed()) else {
                 return Ok(Vec::new());
-            }
-            store.wait_for_watch(self.kind, &self.namespace, seen, deadline - now);
+            };
+            store.wait_for_watch(self.kind, &self.namespace, seen, left);
         }
     }
 
@@ -1634,10 +1542,23 @@ mod tests {
         let object = tree("a");
         let shard_index = journals.shard_index(ResourceKind::Pod, "ns");
         let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
-        assert_eq!(recover(journals.subscribers[shard_index].lock()).len(), 1);
+        assert_eq!(journals.subscribers[shard_index].lock().len(), 1);
         drop(sub);
         journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
-        assert!(recover(journals.subscribers[shard_index].lock()).is_empty());
+        assert!(journals.subscribers[shard_index].lock().is_empty());
+    }
+
+    #[test]
+    fn timed_out_waits_do_not_pile_up_in_the_fan_out() {
+        let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
+        let shard_index = journals.shard_index(ResourceKind::Pod, "quiet");
+        let seen = journals.scope_revision(ResourceKind::Pod, "quiet");
+        for _ in 0..1000 {
+            let now = journals.wait_past(ResourceKind::Pod, "quiet", seen, Duration::ZERO);
+            assert_eq!(now, seen);
+        }
+        // Each attach prunes the previous waiter's dropped handle.
+        assert!(journals.subscribers[shard_index].lock().len() <= 1);
     }
 
     #[test]
@@ -1656,7 +1577,7 @@ mod tests {
             );
         }
         {
-            let state = recover(sub.core.state.lock());
+            let state = sub.core.state.lock();
             assert_eq!(state.live, 2);
             assert!(
                 state.slots.len() <= 8,

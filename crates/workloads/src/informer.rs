@@ -17,13 +17,12 @@
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use k8s_apiserver::{
-    ApiRequest, RequestHandler, ResponseStatus, WatchEvent, WatchEventKind, WatchHub,
-    WatchSubscriber,
+    AdmissionGate, AdmissionPermit, ApiRequest, RequestHandler, ResponseStatus, WatchEvent,
+    WatchEventKind, WatchHub, WatchSubscriber,
 };
 use k8s_model::ResourceKind;
 use kf_yaml::Value;
@@ -156,15 +155,11 @@ impl Informer {
 /// full re-lists run concurrently.
 #[derive(Debug)]
 pub struct RelistGate {
-    max_concurrent: usize,
-    active: Mutex<usize>,
-    freed: Condvar,
+    /// The permits: the server's admission gate with no deadline, so a
+    /// re-lister waits for its turn instead of being shed.
+    permits: AdmissionGate,
     jitter_unit: Duration,
     jitter_slots: u64,
-    /// Highest number of simultaneously admitted re-lists observed.
-    peak: AtomicUsize,
-    /// Total re-lists admitted through the gate.
-    admitted: AtomicU64,
 }
 
 impl RelistGate {
@@ -172,13 +167,9 @@ impl RelistGate {
     /// with jitter disabled (pure serialization).
     pub fn new(max_concurrent: usize) -> Self {
         RelistGate {
-            max_concurrent: max_concurrent.max(1),
-            active: Mutex::new(0),
-            freed: Condvar::new(),
+            permits: AdmissionGate::new(max_concurrent, Duration::MAX),
             jitter_unit: Duration::ZERO,
             jitter_slots: 1,
-            peak: AtomicUsize::new(0),
-            admitted: AtomicU64::new(0),
         }
     }
 
@@ -194,7 +185,7 @@ impl RelistGate {
 
     /// The configured concurrency bound.
     pub fn max_concurrent(&self) -> usize {
-        self.max_concurrent
+        self.permits.max_in_flight()
     }
 
     /// The jitter delay `token` would incur.
@@ -210,12 +201,12 @@ impl RelistGate {
     /// Highest number of simultaneously admitted re-lists observed so far
     /// (never exceeds [`RelistGate::max_concurrent`] by construction).
     pub fn peak_admitted(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
+        self.permits.peak_in_flight()
     }
 
     /// Total re-lists admitted so far.
     pub fn admissions(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
+        self.permits.admitted_total()
     }
 
     /// Jitter, then block until a permit is free. The permit is released
@@ -225,39 +216,19 @@ impl RelistGate {
         if !jitter.is_zero() {
             std::thread::sleep(jitter);
         }
-        let mut active = self
-            .active
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        while *active >= self.max_concurrent {
-            active = self
-                .freed
-                .wait(active)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        RelistPermit {
+            _permit: self
+                .permits
+                .admit()
+                .expect("a gate without a deadline never sheds"),
         }
-        *active += 1;
-        self.peak.fetch_max(*active, Ordering::Relaxed);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        RelistPermit { gate: self }
     }
 }
 
 /// An admitted re-list slot; dropping it frees the permit.
 #[derive(Debug)]
 pub struct RelistPermit<'a> {
-    gate: &'a RelistGate,
-}
-
-impl Drop for RelistPermit<'_> {
-    fn drop(&mut self) {
-        let mut active = self
-            .gate
-            .active
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *active = active.saturating_sub(1);
-        self.gate.freed.notify_one();
-    }
+    _permit: AdmissionPermit<'a>,
 }
 
 /// A push-mode informer: the same local-cache contract as [`Informer`], but

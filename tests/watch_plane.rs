@@ -6,10 +6,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use k8s_apiserver::{
-    namespace_shard, ApiRequest, ApiServer, ObjectStore, PushWatch, RequestHandler, WatchError,
-    WatchEventKind, WatchHub, WatchSubscription, DEFAULT_JOURNAL_SHARDS,
+    namespace_shard, AdmissionGate, ApiRequest, ApiServer, ObjectStore, PushWatch, RequestHandler,
+    StoreBackend, WatchDispatcher, WatchError, WatchEventKind, WatchHub, WatchSubscription,
+    DEFAULT_JOURNAL_SHARDS,
 };
 use k8s_model::{K8sObject, ResourceKind};
 use kf_workloads::{Informer, PushInformer, RelistGate};
@@ -740,8 +742,8 @@ fn push_subscriptions_traverse_rbac_and_audit() {
     assert!(watches.iter().any(|e| e.allowed));
 }
 
-/// The blocking pull path: `recv_timeout` parks on the journal's wake
-/// signal and is woken by a concurrent server-side write — no poll loop.
+/// The blocking pull path: `recv_timeout` parks on a one-shot subscriber
+/// and is woken by a concurrent server-side write — no poll loop.
 #[test]
 fn blocking_subscriptions_wake_on_server_writes() {
     let server = ApiServer::new();
@@ -760,4 +762,121 @@ fn blocking_subscriptions_wake_on_server_writes() {
         assert_eq!(events[0].name, "late");
         assert!(started.elapsed() < std::time::Duration::from_secs(4));
     });
+}
+
+/// A namespace whose journal sub-shard differs from `other`'s.
+fn namespace_outside_shard_of(other: &str) -> String {
+    (0..64)
+        .map(|i| format!("ns-{i}"))
+        .find(|ns| {
+            namespace_shard(ns, DEFAULT_JOURNAL_SHARDS)
+                != namespace_shard(other, DEFAULT_JOURNAL_SHARDS)
+        })
+        .expect("some namespace hashes elsewhere")
+}
+
+/// No lost wakeup, without a race to win: the scope revision is read, an
+/// event is published, and only then does the ten-second wait start — it
+/// must return at once, in every scope shape.
+#[test]
+fn a_publication_after_the_generation_read_ends_the_wait_at_once() {
+    let check = |store: &ObjectStore, namespace: &str, publish: &dyn Fn()| {
+        let seen = store.watch_generation(ResourceKind::Pod, namespace);
+        publish();
+        let started = Instant::now();
+        let now = store.wait_for_watch(ResourceKind::Pod, namespace, seen, Duration::from_secs(10));
+        assert!(
+            now > seen,
+            "{namespace:?}: scope revision {now} not past {seen}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(1), "{namespace:?}");
+    };
+
+    // A namespace scope.
+    let store = ObjectStore::new();
+    check(&store, "default", &|| {
+        store.create(pod("a")).unwrap();
+    });
+
+    // All namespaces, with the new event in a sub-shard other than the one
+    // holding the revision read as `seen`.
+    let store = ObjectStore::new();
+    store.create(pod("max")).unwrap();
+    let elsewhere = namespace_outside_shard_of("default");
+    check(&store, "", &|| {
+        store.create(pod_in("b", &elsewhere)).unwrap();
+    });
+
+    // A `seen` the journal has since compacted past.
+    let store = ObjectStore::with_journal_capacity(2);
+    store.create(pod("c0")).unwrap();
+    check(&store, "default", &|| {
+        for i in 1..5 {
+            store.create(pod(&format!("c{i}"))).unwrap();
+        }
+        assert!(store.events_since(ResourceKind::Pod, "default", 1).is_err());
+    });
+}
+
+/// The wait really blocks, and a publication from another thread wakes it
+/// long before its deadline, in both scope shapes.
+#[test]
+fn wait_for_watch_blocks_until_a_concurrent_publication() {
+    for namespace in ["default", ""] {
+        let store = ObjectStore::new();
+        let seen = store.watch_generation(ResourceKind::Pod, namespace);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(25));
+                store.create(pod("late")).unwrap();
+            });
+            let started = Instant::now();
+            let now =
+                store.wait_for_watch(ResourceKind::Pod, namespace, seen, Duration::from_secs(10));
+            assert!(now > seen, "{namespace:?}");
+            assert!(started.elapsed() < Duration::from_secs(5), "{namespace:?}");
+        });
+    }
+}
+
+/// `Duration::MAX` is a valid timeout at every wait of the watch plane and
+/// the admission gate: each call below finds what it waits for already
+/// true and returns at once.
+#[test]
+fn duration_max_timeouts_return_at_once_when_ready() {
+    let store = ObjectStore::new();
+    let seen = store.watch_generation(ResourceKind::Pod, "default");
+    let subscriber = store
+        .subscribe(ResourceKind::Pod, "default", seen, 16)
+        .unwrap();
+    store.create(pod("ready")).unwrap();
+    let dispatcher = WatchDispatcher::new();
+    dispatcher.register(&subscriber, 7);
+    let gate = AdmissionGate::new(1, Duration::MAX);
+    let cases: [(&str, &dyn Fn() -> bool); 5] = [
+        (
+            "StoreBackend::wait_for_watch (publication past seen)",
+            &|| store.wait_for_watch(ResourceKind::Pod, "default", seen, Duration::MAX) > seen,
+        ),
+        ("WatchSubscription::recv_timeout (event published)", &|| {
+            WatchSubscription::at(ResourceKind::Pod, "default", seen)
+                .recv_timeout(&store, Duration::MAX)
+                .is_ok_and(|events| events.len() == 1)
+        }),
+        (
+            "WatchDispatcher::next_ready (backlogged registration)",
+            &|| dispatcher.next_ready(Duration::MAX) == Some(7),
+        ),
+        ("WatchSubscriber::recv_timeout (event queued)", &|| {
+            subscriber
+                .recv_timeout(Duration::MAX)
+                .is_ok_and(|events| events.len() == 1)
+        }),
+        ("AdmissionGate::admit (free seat)", &|| gate.admit().is_ok()),
+    ];
+    for (entry, call) in cases {
+        let started = Instant::now();
+        assert!(call(), "{entry}");
+        assert!(started.elapsed() < Duration::from_secs(1), "{entry}");
+    }
 }
