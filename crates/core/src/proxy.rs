@@ -56,7 +56,10 @@ pub struct ProxyStats {
     /// Requests forwarded without validation (no body to inspect).
     pub passthrough: u64,
     /// Total time spent inside request validation, in microseconds — the
-    /// measured component of the proxy's overhead (Table IV).
+    /// measured component of the proxy's overhead (Table IV). It times the
+    /// verdict only: building an admitted body's tree from the events the
+    /// verdict read is the server's parse, moved into the proxy, and is
+    /// not counted.
     pub validation_time_us: u64,
 }
 
@@ -494,26 +497,38 @@ impl<H: RequestHandler> EnforcementProxy<H> {
     }
 
     /// The admission path: the wire bytes — YAML or JSON, per the request's
-    /// negotiated [`BodyFormat`] — are validated **while parsing**; no
-    /// document tree is allocated on the accept path, and denial reports
-    /// are synthesized from matcher state by a second tokenizer pass (no
-    /// tree parse; see `kubefence::stream` for the two-phase design).
+    /// negotiated [`BodyFormat`] — are validated **while parsing**, by the
+    /// pass behind [`ValidatorSet::admit_raw_format`], and tokenized once.
+    /// An admitted request goes upstream with the tree built from the
+    /// events that pass read ([`RequestHandler::handle_parsed`]), so the
+    /// server stores what was validated instead of parsing the bytes again;
+    /// a denial report is synthesized from matcher state by a collect pass
+    /// that replays those events (no tree parse; see `kubefence::stream`
+    /// for the two-phase design).
     fn handle_raw(&self, request: &ApiRequest, bytes: &[u8], format: BodyFormat) -> ApiResponse {
         let started = Instant::now();
-        let verdict = match std::str::from_utf8(bytes) {
-            Ok(text) => self.validators.validate_raw_format(text, format),
-            Err(_) => RawVerdict::Unparsable {
-                reason: "request body is not valid UTF-8".to_owned(),
-                location: None,
-            },
+        let (verdict, admitted) = match std::str::from_utf8(bytes) {
+            Ok(text) => self.validators.admission(text, format),
+            Err(_) => {
+                let verdict = RawVerdict::Unparsable {
+                    reason: "request body is not valid UTF-8".to_owned(),
+                    location: None,
+                };
+                (verdict, None)
+            }
         };
+        // The verdict only: building the admitted tree below is the parse
+        // the server no longer does, not validation.
         self.stats
             .validation_time_ns
             .add(started.elapsed().as_nanos() as u64);
         match verdict {
             RawVerdict::Admitted => {
                 self.stats.forwarded.add(1);
-                self.upstream.handle(request)
+                let document = admitted
+                    .expect("an admission keeps what it read")
+                    .into_document();
+                self.upstream.handle_parsed(request, document)
             }
             RawVerdict::Denied {
                 violations,
@@ -872,6 +887,98 @@ spec:
             .offset
             .expect("stream-decided denial has an offset");
         assert!(text[offset..].starts_with("\"hostNetwork\""));
+    }
+
+    /// The tree the server parses from `request` when a client sends it
+    /// directly, namespace defaulted as admission does.
+    fn server_side_tree(request: &ApiRequest) -> kf_yaml::Value {
+        let body = request.materialize_body().unwrap().expect("a body");
+        let mut object = K8sObject::from_shared(body).unwrap();
+        if object.namespace().is_empty() {
+            object.set_namespace(&request.namespace).unwrap();
+        }
+        object.body().clone()
+    }
+
+    #[test]
+    fn an_admitted_body_is_stored_as_the_tree_of_its_bytes() {
+        let ok = K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
+            .unwrap();
+        let json = kf_yaml::to_json(ok.body());
+        for request in [
+            ApiRequest::create("operator", &ok),
+            ApiRequest::create_json("operator", &ok),
+            ApiRequest {
+                body: RequestBody::Raw(json.clone().into(), BodyFormat::Auto),
+                ..ApiRequest::create("operator", &ok)
+            },
+            ApiRequest {
+                body: RequestBody::Raw(json.into(), BodyFormat::Yaml),
+                ..ApiRequest::create("operator", &ok)
+            }
+            .with_content_type("application/json"),
+        ] {
+            let proxy = proxy();
+            assert!(proxy.handle(&request).is_success());
+            let stored = proxy
+                .upstream()
+                .store()
+                .get(ResourceKind::Deployment, "default", "web")
+                .expect("stored");
+            assert_eq!(stored.object.body(), &server_side_tree(&request));
+        }
+    }
+
+    #[test]
+    fn the_front_door_validates_the_bytes_not_a_tree_handed_to_it() {
+        let proxy = proxy();
+        let benign =
+            K8sObject::from_yaml(&allowed_manifest().replace("replicas: int", "replicas: 3"))
+                .unwrap();
+        let hostile = K8sObject::from_yaml(
+            &allowed_manifest()
+                .replace("replicas: int", "replicas: 3")
+                .replace(
+                    "    spec:\n      containers:",
+                    "    spec:\n      hostNetwork: true\n      containers:",
+                ),
+        )
+        .unwrap();
+        // Hostile bytes beside a benign tree: refused for what the bytes say.
+        let response = proxy.handle_parsed(
+            &ApiRequest::create("operator", &hostile),
+            benign.body().clone(),
+        );
+        assert_eq!(response.status, ResponseStatus::Forbidden);
+        assert!(
+            response.message.contains("hostNetwork"),
+            "{}",
+            response.message
+        );
+        assert!(proxy.upstream().store().is_empty());
+        assert!(proxy.upstream().exploits().is_empty());
+        // Benign bytes beside a hostile tree: the tree of the bytes is what
+        // the server stores.
+        let request = ApiRequest::create("operator", &benign);
+        assert!(proxy
+            .handle_parsed(&request, hostile.body().clone())
+            .is_success());
+        let stored = proxy
+            .upstream()
+            .store()
+            .get(ResourceKind::Deployment, "default", "web")
+            .expect("stored");
+        assert_eq!(stored.object.body(), &server_side_tree(&request));
+        assert!(proxy.upstream().exploits().is_empty());
+        assert_eq!(proxy.stats().denied, 1);
+        assert_eq!(proxy.stats().forwarded, 1);
+        // The server behind it stores the tree it is handed, exploit and
+        // all: only the proxy, which built it from the bytes, may hand one.
+        let server = ApiServer::new();
+        assert!(server
+            .handle_parsed(&request, hostile.body().clone())
+            .is_success());
+        assert_eq!(server.exploits().len(), 1);
     }
 
     #[test]

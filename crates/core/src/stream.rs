@@ -13,6 +13,11 @@
 //! * on the accept path **no document tree is ever allocated** — keys and
 //!   scalars borrow from the wire buffer and are checked directly against
 //!   the compiled nodes;
+//! * the body is **tokenized once**: the die-fast pass keeps a copy of every
+//!   event it pulls (a log that grows with what was read, not with the
+//!   body). An admitted body's log is fed to [`kf_yaml::TreeBuilder`], and
+//!   that tree is the document the API server stores
+//!   ([`ValidatorSet::admit_raw_format`]); nothing parses the bytes again;
 //! * denials are reported **from matcher state**, and a refusal pays only
 //!   for what it reports: on the collect pass each matcher records a
 //!   violation as a compact, unrendered *site* — the id of a snapshot of the
@@ -20,15 +25,19 @@
 //!   borrowed from the wire buffer) plus a compiled-node reference — and
 //!   only the sites of the matcher whose report is served (fewest sites,
 //!   first wins) are rendered into the exact [`Violation`]s the compiled
-//!   tree walk would report. Deny traffic never re-parses the payload into
-//!   a tree — the stream keeps tokenizing to the end of the document to
-//!   collect the complete report and to honor the reference precedence of
-//!   parse/multi-document/envelope defects over policy violations;
+//!   tree walk would report. The collect pass replays the die-fast pass's
+//!   log and then carries on with the *same* tokenizer, so it reads the
+//!   identical event sequence without tokenizing the prefix twice. Deny
+//!   traffic never parses the payload into a tree — the stream keeps
+//!   tokenizing to the end of the document to collect the complete report
+//!   and to honor the reference precedence of parse/multi-document/envelope
+//!   defects over policy violations;
 //! * the rare constructs the stream cannot decide (root-level fields seen
 //!   before `kind:` whose values are containers, and constant/enumeration
 //!   policies over container values) fall back to the tree path —
 //!   [`ValidatorSet::validate_raw_tree_format`], which is also the reference
-//!   implementation the parity fuzz tests pin the streaming verdicts to. A
+//!   implementation the parity fuzz tests pin the streaming verdicts to
+//!   (when it admits, the document it parsed is the one stored). A
 //!   handful of verdict-certain denials whose violation *message* needs a
 //!   rendered container (e.g. a mapping where a constant scalar is required)
 //!   re-run the reference once for the report only.
@@ -43,7 +52,7 @@ use std::fmt::Write as _;
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::events::{Event, Pos, ScalarToken, Tokenizer};
 use kf_yaml::json::JsonTokenizer;
-use kf_yaml::{BodyFormat, Value};
+use kf_yaml::{BodyFormat, TreeBuilder, Value};
 
 use crate::compile::{CompiledNode, CompiledValidator};
 use crate::schema_gen::looks_like_ip;
@@ -148,6 +157,69 @@ impl<'a> WireTokenizer<'a> {
     }
 }
 
+/// What the die-fast pass's event log starts with room for. It grows only
+/// as the pass reads further, so a refusal decided in the first lines of a
+/// 1 MiB body logs a prefix, never the body. The five charts' manifests
+/// are 23–239 events, 48 at the median.
+const LOG_INITIAL_EVENTS: usize = 64;
+
+/// Where a streaming pass pulls its events from: first the events an
+/// earlier pass already read (the collect pass replays the die-fast pass's
+/// log), then the live tokenizer, carrying on from where that pass stopped.
+/// A logging pass — the die-fast one — keeps a copy of every event it pulls
+/// from the tokenizer.
+struct EventSource<'p, 'a> {
+    replay: std::vec::IntoIter<Event<'a>>,
+    live: &'p mut WireTokenizer<'a>,
+    log: Option<&'p mut Vec<Event<'a>>>,
+}
+
+impl<'a> EventSource<'_, 'a> {
+    fn pull(&mut self) -> Result<Option<Event<'a>>, kf_yaml::Error> {
+        if let Some(event) = self.replay.next() {
+            return Ok(Some(event));
+        }
+        let event = self.live.next_event()?;
+        if let (Some(log), Some(event)) = (self.log.as_deref_mut(), &event) {
+            log.push(event.clone());
+        }
+        Ok(event)
+    }
+
+    /// Log nothing more: no event read from here on can be admitted or
+    /// need replaying.
+    fn stop_logging(&mut self) {
+        self.log = None;
+    }
+}
+
+/// What an admitting pass read, not yet a tree: the caller decides when
+/// to build it (the proxy stops its validation clock first, so the build —
+/// the parse the server no longer does — is not billed as validation).
+pub(crate) enum Admitted<'a> {
+    /// Every event of the admitted document, as the die-fast pass read it.
+    Events(Vec<Event<'a>>),
+    /// The document the tree reference parsed to admit the body.
+    Tree(Value),
+}
+
+impl Admitted<'_> {
+    /// The admitted document: built from the logged events, or the tree
+    /// the reference already parsed.
+    pub(crate) fn into_document(self) -> Value {
+        match self {
+            Admitted::Events(events) => {
+                let mut builder = TreeBuilder::default();
+                events
+                    .into_iter()
+                    .find_map(|event| builder.feed(event))
+                    .expect("the stream admits only once its document's end is logged")
+            }
+            Admitted::Tree(document) => document,
+        }
+    }
+}
+
 impl ValidatorSet {
     /// Validate a raw YAML request body **while parsing it**: the streaming
     /// entry point of the enforcement proxy. Admission allocates no
@@ -165,21 +237,70 @@ impl ValidatorSet {
     ///
     /// Two-phase: a **die-fast** pass runs first — matchers stop at their
     /// first violation, exactly the cost profile of the compiled boolean
-    /// fast path, so accepted traffic pays nothing for reporting. Only when
-    /// that pass decides a denial does a **collect** pass re-tokenize the
-    /// payload (still building no tree) with matchers recording the full
-    /// violation lists the reference would report.
+    /// fast path, so accepted traffic pays nothing for reporting — and keeps
+    /// the events it reads. Only when that pass decides a denial does a
+    /// **collect** pass run (still building no tree), with matchers
+    /// recording the full violation lists the reference would report: it
+    /// replays the logged events, then tokenizes on from where the die-fast
+    /// pass stopped. This is [`ValidatorSet::admit_raw_format`] without
+    /// building the admitted document.
     pub fn validate_raw_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
+        self.admission(text, format).0
+    }
+
+    /// [`ValidatorSet::validate_raw_format`], and on admission the document
+    /// the body holds: built from the events the die-fast pass read, or the
+    /// tree the reference parsed when the stream deferred to it. It equals
+    /// what [`kf_yaml::parse`] ([`kf_yaml::parse_json`] for JSON) makes of
+    /// `text`, so a server can store it instead of parsing the bytes again.
+    /// `None` beside every refusal.
+    pub fn admit_raw_format(&self, text: &str, format: BodyFormat) -> (RawVerdict, Option<Value>) {
+        let (verdict, admitted) = self.admission(text, format);
+        (verdict, admitted.map(Admitted::into_document))
+    }
+
+    /// The admission pass: the verdict on `text`, and what an admission
+    /// read, unbuilt. The one place a body's tokenizer is made.
+    pub(crate) fn admission<'a>(
+        &self,
+        text: &'a str,
+        format: BodyFormat,
+    ) -> (RawVerdict, Option<Admitted<'a>>) {
         let format = format.resolve(text);
-        match streaming_verdict(self, text, format, Mode::Fast) {
-            StreamFlow::Verdict(verdict) => verdict,
-            // Constructs the stream cannot decide: authoritative tree path.
-            StreamFlow::TreeFallback => self.validate_raw_tree_format(text, format),
-            StreamFlow::Report => match streaming_verdict(self, text, format, Mode::Collect) {
-                StreamFlow::Verdict(verdict) => verdict,
-                StreamFlow::TreeFallback => self.validate_raw_tree_format(text, format),
-                StreamFlow::Report => unreachable!("collect mode produces verdicts"),
-            },
+        let mut tokenizer = match WireTokenizer::new(text, format) {
+            Ok(tokenizer) => tokenizer,
+            Err(e) => return (unparsable_error(&e), None),
+        };
+        // Constructs the stream cannot decide go to the authoritative tree
+        // path, which keeps the document it parsed when it admits.
+        let tree = || {
+            let (verdict, document) = self.raw_tree_verdict(text, format);
+            (verdict, document.map(Admitted::Tree))
+        };
+        let mut log = Vec::with_capacity(LOG_INITIAL_EVENTS);
+        let fast = EventSource {
+            replay: Vec::new().into_iter(),
+            live: &mut tokenizer,
+            log: Some(&mut log),
+        };
+        match streaming_verdict(self, text, format, fast, Mode::Fast) {
+            StreamFlow::Verdict(RawVerdict::Admitted) => {
+                (RawVerdict::Admitted, Some(Admitted::Events(log)))
+            }
+            StreamFlow::Verdict(verdict) => (verdict, None),
+            StreamFlow::TreeFallback => tree(),
+            StreamFlow::Report => {
+                let collect = EventSource {
+                    replay: log.into_iter(),
+                    live: &mut tokenizer,
+                    log: None,
+                };
+                match streaming_verdict(self, text, format, collect, Mode::Collect) {
+                    StreamFlow::Verdict(verdict) => (verdict, None),
+                    StreamFlow::TreeFallback => tree(),
+                    StreamFlow::Report => unreachable!("collect mode produces verdicts"),
+                }
+            }
         }
     }
 
@@ -196,38 +317,48 @@ impl ValidatorSet {
     /// denials); the parity fuzz tests and the end-to-end benchmark's
     /// verdict-parity check both run this form.
     pub fn validate_raw_tree_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
-        let docs = match format.resolve(text) {
+        self.raw_tree_verdict(text, format).0
+    }
+
+    /// The tree reference's verdict, and the one document it parsed when
+    /// that document is admitted.
+    fn raw_tree_verdict(&self, text: &str, format: BodyFormat) -> (RawVerdict, Option<Value>) {
+        let unparsable = |reason: String| {
+            let verdict = RawVerdict::Unparsable {
+                reason,
+                location: None,
+            };
+            (verdict, None)
+        };
+        let mut docs = match format.resolve(text) {
             BodyFormat::Json => match kf_yaml::parse_json(text) {
                 Ok(doc) => vec![doc],
-                Err(e) => return unparsable_error(&e),
+                Err(e) => return (unparsable_error(&e), None),
             },
             _ => match kf_yaml::parse_documents(text) {
                 Ok(docs) => docs,
-                Err(e) => return unparsable_error(&e),
+                Err(e) => return (unparsable_error(&e), None),
             },
         };
         if docs.len() != 1 {
-            return RawVerdict::Unparsable {
-                reason: format!("expected a single YAML document, found {}", docs.len()),
-                location: None,
-            };
+            return unparsable(format!(
+                "expected a single YAML document, found {}",
+                docs.len()
+            ));
         }
-        let body = &docs[0];
-        let kind = match K8sObject::peek_kind(body) {
+        let kind = match K8sObject::peek_kind(&docs[0]) {
             Ok(kind) => kind,
-            Err(e) => {
-                return RawVerdict::Unparsable {
-                    reason: e.to_string(),
-                    location: None,
-                }
-            }
+            Err(e) => return unparsable(e.to_string()),
         };
-        match self.validate_kind_body(kind, body) {
-            Ok(()) => RawVerdict::Admitted,
-            Err(violations) => RawVerdict::Denied {
-                violations,
-                location: None,
-            },
+        match self.validate_kind_body(kind, &docs[0]) {
+            Ok(()) => (RawVerdict::Admitted, docs.pop()),
+            Err(violations) => {
+                let verdict = RawVerdict::Denied {
+                    violations,
+                    location: None,
+                };
+                (verdict, None)
+            }
         }
     }
 }
@@ -542,7 +673,8 @@ enum StreamFlow {
     /// back to the tree path.
     TreeFallback,
     /// The denial was decided, but the report was not collected
-    /// ([`Mode::Fast`] only): run a [`Mode::Collect`] pass, which re-derives
+    /// ([`Mode::Fast`] only): run a [`Mode::Collect`] pass over the same
+    /// events — the log, then the rest of the tokenizer — which re-derives
     /// the deciding position along with the report.
     Report,
 }
@@ -553,14 +685,15 @@ impl StreamFlow {
     }
 }
 
-/// Run the streaming matchers over the token stream. `format` must already
-/// be resolved (not `Auto`).
-fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: Mode) -> StreamFlow {
-    let mut tokenizer = match WireTokenizer::new(text, format) {
-        Ok(t) => t,
-        Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
-    };
-
+/// Run the streaming matchers over the events of `text`, pulled from
+/// `source`. `format` must already be resolved (not `Auto`).
+fn streaming_verdict<'a>(
+    set: &ValidatorSet,
+    text: &'a str,
+    format: BodyFormat,
+    mut source: EventSource<'_, 'a>,
+    mode: Mode,
+) -> StreamFlow {
     let mut depth = 0usize;
     let mut started = false;
     let mut doc_done = false;
@@ -585,7 +718,7 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
     let mut name_ok = false;
 
     while !doc_done {
-        let event = match tokenizer.next_event() {
+        let event = match source.pull() {
             Ok(Some(event)) => event,
             Ok(None) => break,
             Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
@@ -654,6 +787,7 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
                                 // UnknownKind violation — keep streaming and
                                 // decide at end of document.
                                 uncovered_kind = Some((resolved, *pos));
+                                source.stop_logging();
                                 feed_event = false;
                             } else {
                                 for &index in route {
@@ -746,8 +880,9 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
                 if mode == Mode::Fast {
                     // Every candidate has failed: the denial is decided
                     // here and tokenization stops. The collect pass
-                    // re-tokenizes (building no tree) for the report and
-                    // for the reference precedence of later parse errors.
+                    // replays the log up to this event, then tokenizes on
+                    // (building no tree) for the report and for the
+                    // reference precedence of later parse errors.
                     return StreamFlow::Report;
                 }
                 decided_at = Some(event_pos(&event));
@@ -764,7 +899,7 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
             // contribute parse defects or a document count. Bail to a
             // scan-only tokenize loop — no per-event bookkeeping at all.
             loop {
-                match tokenizer.next_event() {
+                match source.pull() {
                     Ok(Some(Event::DocumentEnd)) => {
                         doc_done = true;
                         break;
@@ -786,17 +921,18 @@ fn streaming_verdict(set: &ValidatorSet, text: &str, format: BodyFormat, mode: M
     // and policy violations — `parse_documents` sees the whole stream before
     // `peek_kind` runs. Drain the tokenizer (building no trees) to reproduce
     // its outcome: the earliest parse error anywhere in the stream, else the
-    // document count.
-    match tokenizer.next_event() {
+    // document count. The document is complete, so the log is too.
+    source.stop_logging();
+    match source.pull() {
         Ok(None) => {}
         Ok(Some(_)) => loop {
-            match tokenizer.next_event() {
+            match source.pull() {
                 Ok(Some(_)) => continue,
                 Ok(None) => {
                     return StreamFlow::verdict(RawVerdict::Unparsable {
                         reason: format!(
                             "expected a single YAML document, found {}",
-                            tokenizer.document_count()
+                            source.live.document_count()
                         ),
                         location: None,
                     })

@@ -10,8 +10,9 @@
 //! damage), then checks tree/compiled parity. Failures print the case seed
 //! and the mutated document.
 
+use k8s_apiserver::{ApiRequest, RequestBody};
 use k8s_model::K8sObject;
-use kf_yaml::{BodyFormat, Path, Value};
+use kf_yaml::{BodyFormat, Mapping, Path, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -192,6 +193,30 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
             let stream = set.validate_raw(&text);
             let raw_tree = set.validate_raw_tree(&text);
             checked += 1;
+            // What an admission hands the server is the tree of the bytes,
+            // in both formats.
+            let json = kf_yaml::to_json(&body);
+            for (wire, format) in [(&text, BodyFormat::Yaml), (&json, BodyFormat::Json)] {
+                let (verdict, document) = set.admit_raw_format(wire, format);
+                assert_eq!(
+                    verdict,
+                    set.validate_raw_format(wire, format),
+                    "{} case {case} ({}): admission and validation verdicts diverged\n{wire}",
+                    operator.name(),
+                    format.name()
+                );
+                let reference = verdict.is_admitted().then(|| match format {
+                    BodyFormat::Json => kf_yaml::parse_json(wire).expect("admitted JSON parses"),
+                    _ => kf_yaml::parse(wire).expect("admitted YAML parses"),
+                });
+                assert_eq!(
+                    document,
+                    reference,
+                    "{} case {case} ({}): the admitted document is not the tree of the bytes\n{wire}",
+                    operator.name(),
+                    format.name()
+                );
+            }
             match K8sObject::from_value(body.clone()) {
                 Ok(_envelope_intact) => {
                     // Envelope-intact documents: full verdict + violation
@@ -277,6 +302,81 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
         stream_denied > 0,
         "the mutator must exercise the streaming deny path"
     );
+}
+
+/// The document an admission builds is the one the server would have
+/// parsed from the same request — `ApiRequest::materialize_body`, under the
+/// negotiated format — on every path to an admission: the stream's log, the
+/// tree reference the stream defers a container before `kind:` to, bodies
+/// whose format is detected, and a `Content-Type` that overrides the body's
+/// tag.
+#[test]
+fn admitted_documents_are_the_tree_the_server_would_parse() {
+    for operator in Operator::ALL {
+        let set = ValidatorSet::single(validator_for(operator));
+        let object = &operator.workload().default_objects()[0];
+        let body = object.body().as_map().expect("manifests are mappings");
+        let mut prekind = Mapping::new();
+        prekind.insert("metadata", body.get("metadata").expect("named").clone());
+        for (key, value) in body.iter().filter(|(key, _)| *key != "metadata") {
+            prekind.insert(key, value.clone());
+        }
+        let prekind = Value::Map(prekind);
+        let (yaml, json) = (
+            kf_yaml::to_yaml(object.body()),
+            kf_yaml::to_json(object.body()),
+        );
+        let (prekind_yaml, prekind_json) = (kf_yaml::to_yaml(&prekind), kf_yaml::to_json(&prekind));
+        assert!(prekind_yaml.starts_with("metadata:"), "{prekind_yaml}");
+        let raw = |text: &str, format| ApiRequest {
+            content_type: None,
+            body: RequestBody::Raw(text.to_owned().into(), format),
+            ..ApiRequest::create("operator", object)
+        };
+        let table = [
+            ("yaml", raw(&yaml, BodyFormat::Yaml)),
+            ("json", raw(&json, BodyFormat::Json)),
+            (
+                "pre-kind container, yaml",
+                raw(&prekind_yaml, BodyFormat::Yaml),
+            ),
+            (
+                "pre-kind container, json",
+                raw(&prekind_json, BodyFormat::Json),
+            ),
+            ("auto-tagged yaml", raw(&yaml, BodyFormat::Auto)),
+            ("auto-tagged json", raw(&json, BodyFormat::Auto)),
+            (
+                "json tagged yaml, sent as application/json",
+                raw(&json, BodyFormat::Yaml).with_content_type("application/json"),
+            ),
+            (
+                "yaml tagged json, sent as application/yaml",
+                raw(&yaml, BodyFormat::Json).with_content_type("application/yaml"),
+            ),
+        ];
+        for (label, request) in table {
+            let payload = request.payload();
+            let text = std::str::from_utf8(&payload).expect("utf-8");
+            let format = request.wire_format().expect("a body");
+            let (verdict, document) = set.admit_raw_format(text, format);
+            assert!(
+                verdict.is_admitted(),
+                "{} {label}: {verdict:?}",
+                operator.name()
+            );
+            let server_side = request
+                .materialize_body()
+                .expect("an admitted body parses")
+                .map(|tree| Value::clone(&tree));
+            assert_eq!(
+                document,
+                server_side,
+                "{} {label}: the admitted document is not the server's parse",
+                operator.name()
+            );
+        }
+    }
 }
 
 /// Multi-document raw bodies are never admitted: a request carries exactly

@@ -11,9 +11,16 @@ use kf_yaml::{BodyFormat, Value};
 /// the bytes the client put on the wire — YAML or JSON, tagged with their
 /// [`BodyFormat`] — and nothing else. The enforcement proxy validates them
 /// **while parsing**, so a malicious payload is never materialized before
-/// the first policy check, and the API server parses what it admits exactly
-/// once ([`ApiRequest::materialize_body`]); that tree is the server's own,
-/// shared from there by the store, the journal, the audit log and reads.
+/// the first policy check. The bytes are tokenized once: an admitted body
+/// reaches the API server as the tree the proxy built from the events its
+/// admission pass read ([`RequestHandler::handle_parsed`]), and only a
+/// client talking to the server directly has them parsed there
+/// ([`ApiRequest::materialize_body`]). The tree is never carried on the
+/// request itself — any client could set such a field. Either way it is the
+/// server's own from then on, shared by the store, the journal, the audit
+/// log and reads.
+///
+/// [`RequestHandler::handle_parsed`]: crate::RequestHandler::handle_parsed
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum RequestBody {
     /// No payload (read-only verbs).

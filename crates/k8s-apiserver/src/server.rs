@@ -22,6 +22,21 @@ use crate::vuln::VulnerabilityOracle;
 pub trait RequestHandler {
     /// Handle one request and produce a response.
     fn handle(&self, request: &ApiRequest) -> ApiResponse;
+
+    /// Handle a request whose body a validating front end has already
+    /// parsed into `body` — the tree of exactly the request's wire bytes
+    /// under its negotiated format, which the enforcement proxy builds from
+    /// the events its admission pass read, so the bytes are tokenized once.
+    ///
+    /// The default ignores `body` and serves the bytes through
+    /// [`RequestHandler::handle`]. That is the only safe answer for a
+    /// handler that validates what it forwards: a tree handed to it is the
+    /// caller's claim, not what the bytes say. [`ApiServer`] overrides it to
+    /// store `body` in place of parsing the bytes again.
+    fn handle_parsed(&self, request: &ApiRequest, body: Value) -> ApiResponse {
+        drop(body);
+        self.handle(request)
+    }
 }
 
 /// A successful exploitation: an accepted request exercised the vulnerable
@@ -302,15 +317,17 @@ impl<S: StoreBackend> ApiServer<S> {
             .push(event);
     }
 
-    /// Materialize a mutating request's payload and admit it as the object
-    /// to persist. The payload is parsed once, exactly here, under the
-    /// negotiated wire format (behind the proxy, only already-validated
-    /// bytes reach this point). On refusal the body comes back beside the
-    /// response (when one materialized), so a `400` is still audited with
-    /// what it carried.
+    /// Admit a mutating request's payload as the object to persist. `parsed`
+    /// is the tree a validating front end built from the request's bytes
+    /// ([`RequestHandler::handle_parsed`]: behind the proxy, the events its
+    /// admission pass read); without one — a client talking to the server
+    /// directly — the payload is parsed here, once, under the negotiated
+    /// wire format. On refusal the body comes back beside the response (when
+    /// there is one), so a `400` is still audited with what it carried.
     fn admit_object(
         &self,
         request: &ApiRequest,
+        parsed: Option<Value>,
     ) -> Result<K8sObject, (ApiResponse, Option<Arc<Value>>)> {
         let refuse = |message: String, body: Option<Arc<Value>>| {
             (
@@ -318,19 +335,24 @@ impl<S: StoreBackend> ApiServer<S> {
                 body,
             )
         };
-        let body = match request.materialize_body() {
-            Err(message) => return Err(refuse(format!("invalid request body: {message}"), None)),
-            Ok(None) => return Err(refuse("mutating request without a body".into(), None)),
-            Ok(Some(body)) => body,
+        let body = match parsed {
+            Some(body) => Arc::new(body),
+            None => match request.materialize_body() {
+                Err(message) => {
+                    return Err(refuse(format!("invalid request body: {message}"), None))
+                }
+                Ok(None) => return Err(refuse("mutating request without a body".into(), None)),
+                Ok(Some(body)) => body,
+            },
         };
-        // The store shares the tree just parsed: no part of it is copied.
+        // The store shares the tree: no part of it is copied.
         let mut object = match self.store.ingest(&body) {
             Ok(object) => object,
             Err(e) => return Err(refuse(format!("invalid object: {e}"), Some(body))),
         };
-        // From here the object's handle is the only one — the tree was
-        // parsed from the request's bytes just above and no caller ever held
-        // it — so defaulting below writes it in place, never a copy.
+        // From here the object's handle is the only one — the `Arc` was
+        // made just above and no caller ever held it — so defaulting below
+        // writes the tree in place, never a copy.
         drop(body);
         if object.kind() != request.kind {
             let message = format!(
@@ -441,6 +463,19 @@ impl<S: StoreBackend> ApiServer<S> {
 
 impl<S: StoreBackend> RequestHandler for ApiServer<S> {
     fn handle(&self, request: &ApiRequest) -> ApiResponse {
+        self.serve(request, None)
+    }
+
+    /// Serve `request` with `body` as its payload's tree: the same gate,
+    /// authorization and admission as [`RequestHandler::handle`], minus the
+    /// parse.
+    fn handle_parsed(&self, request: &ApiRequest, body: Value) -> ApiResponse {
+        self.serve(request, Some(body))
+    }
+}
+
+impl<S: StoreBackend> ApiServer<S> {
+    fn serve(&self, request: &ApiRequest, parsed: Option<Value>) -> ApiResponse {
         // 0. Overload protection: seat the request inside the bounded
         //    in-flight window or shed it with `429` — before any per-request
         //    work is spent on a request the server cannot serve in time.
@@ -453,11 +488,9 @@ impl<S: StoreBackend> RequestHandler for ApiServer<S> {
             },
             None => None,
         };
-        self.handle_admitted(request)
+        self.handle_admitted(request, parsed)
     }
-}
 
-impl<S: StoreBackend> ApiServer<S> {
     /// Whether `verb` mutates the store (the verbs the fail-closed policy
     /// rejects while durability is degraded).
     fn is_mutating(verb: Verb) -> bool {
@@ -471,8 +504,8 @@ impl<S: StoreBackend> ApiServer<S> {
     /// patch. The audit handle is taken *after* admission, from the admitted
     /// object: the audit trail shares the stored tree instead of pinning a
     /// pre-defaulting twin of it.
-    fn admit_and_persist(&self, request: &ApiRequest) -> ApiResponse {
-        let (response, audit_body) = match self.admit_object(request) {
+    fn admit_and_persist(&self, request: &ApiRequest, parsed: Option<Value>) -> ApiResponse {
+        let (response, audit_body) = match self.admit_object(request, parsed) {
             Ok(object) => {
                 let audit_body = Arc::clone(object.shared_body());
                 // The vulnerable code runs while the API server (and
@@ -508,7 +541,7 @@ impl<S: StoreBackend> ApiServer<S> {
         response
     }
 
-    fn handle_admitted(&self, request: &ApiRequest) -> ApiResponse {
+    fn handle_admitted(&self, request: &ApiRequest, parsed: Option<Value>) -> ApiResponse {
         // 1. Authorization (RBAC) — decided on the resource path alone, so
         //    unauthorized traffic never pays for body parsing and its audit
         //    event records no body.
@@ -544,7 +577,9 @@ impl<S: StoreBackend> ApiServer<S> {
 
         // 2. Admission + persistence per verb.
         let response = match request.verb {
-            Verb::Create | Verb::Update | Verb::Patch => return self.admit_and_persist(request),
+            Verb::Create | Verb::Update | Verb::Patch => {
+                return self.admit_and_persist(request, parsed)
+            }
             Verb::Get => match self
                 .store
                 .get(request.kind, &request.namespace, &request.name)
@@ -597,7 +632,10 @@ impl<S: StoreBackend> ApiServer<S> {
 
         // 3. Audit. These verbs carry no payload; one that does anyway is
         //    audited with it.
-        let audit_body = request.materialize_body().ok().flatten();
+        let audit_body = match parsed {
+            Some(body) => Some(Arc::new(body)),
+            None => request.materialize_body().ok().flatten(),
+        };
         self.record_audit(request, response.is_success(), audit_body);
         response
     }
@@ -1001,6 +1039,41 @@ mod tests {
         let server = ApiServer::new();
         let response = server.handle(&ApiRequest::update("admin", &pod("ghost")));
         assert_eq!(response.status, ResponseStatus::NotFound);
+    }
+
+    #[test]
+    fn a_parsed_body_is_stored_as_handed_and_defaulted_in_place() {
+        let server = ApiServer::new();
+        // The bytes name a plain pod; the handed tree carries a label the
+        // bytes do not, so what is stored shows which one the server used.
+        let request = ApiRequest::create("admin", &pod("p"));
+        let labelled = K8sObject::from_yaml(
+            &pod_yaml("p", "").replace("  name: p\n", "  name: p\n  labels:\n    handed: yes\n"),
+        )
+        .unwrap();
+        let response = server.handle_parsed(&request, labelled.body().clone());
+        assert!(response.is_success(), "{}", response.message);
+        let stored = server
+            .store()
+            .get(ResourceKind::Pod, "default", "p")
+            .expect("defaulted into the endpoint's namespace");
+        let tree = stored.object.shared_body();
+        assert_eq!(
+            tree.get("metadata").and_then(|m| m.get("labels")),
+            labelled
+                .body()
+                .get("metadata")
+                .and_then(|m| m.get("labels"))
+        );
+        let log = server.audit_log();
+        let event = log.events().last().unwrap();
+        assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), tree));
+        // A gate in front seats a parsed request like any other.
+        let gated = ApiServer::new().with_admission_limit(1, std::time::Duration::ZERO);
+        assert!(gated
+            .handle_parsed(&request, labelled.body().clone())
+            .is_success());
+        assert_eq!(gated.health_report().admitted_total, 1);
     }
 
     #[test]

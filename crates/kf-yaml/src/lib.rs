@@ -52,7 +52,7 @@ pub use emitter::{emit_entry, emit_entry_inline, emit_seq_item, to_yaml};
 pub use error::Error;
 pub use format::BodyFormat;
 pub use json::{parse_json, to_json, write_json};
-pub use parser::{parse, parse_documents};
+pub use parser::{parse, parse_documents, TreeBuilder};
 pub use path::{Path, PathSegment};
 pub use value::{Mapping, Value};
 

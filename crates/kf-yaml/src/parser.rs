@@ -64,16 +64,20 @@ struct Open {
     start: usize,
 }
 
-/// Builds [`Value`] trees from tokenizer events. Duplicate-key rejection is
-/// the tokenizer's job; the builder only assembles structure. Shared with
-/// the JSON front end ([`crate::json::parse_json`]), which drives it from
-/// the JSON tokenizer's identical event stream.
+/// Builds [`Value`] trees from tokenizer events — the crate's only tree
+/// construction. Duplicate-key rejection is the tokenizer's job; the builder
+/// only assembles structure, so it must be fed a well-formed event stream as
+/// [`crate::events::Tokenizer`] or [`crate::json::JsonTokenizer`] emits it.
+/// [`crate::parse_documents`] and [`crate::parse_json`] drive it straight
+/// from a tokenizer; a consumer that has already pulled a document's events
+/// (the KubeFence admission pass keeps them) feeds those instead of
+/// tokenizing the bytes a second time.
 ///
 /// Children of open containers collect on one builder-owned scratch stack;
 /// a finished container moves its children into an exactly-sized `Vec`, so a
 /// parsed tree carries no growth slack and is no larger than its `clone()`.
 #[derive(Debug)]
-pub(crate) struct TreeBuilder {
+pub struct TreeBuilder {
     open: Vec<Open>,
     /// Children of every open container, innermost last: `(key, value)` for
     /// a mapping's, `("", item)` for a sequence's. A key is pushed with a
@@ -101,7 +105,12 @@ impl Default for TreeBuilder {
 impl TreeBuilder {
     /// Feed one event; returns the completed document on
     /// [`Event::DocumentEnd`].
-    pub(crate) fn feed(&mut self, event: Event<'_>) -> Option<Value> {
+    ///
+    /// # Panics
+    ///
+    /// On an [`Event::End`] with no open container: the events did not come
+    /// from a tokenizer.
+    pub fn feed(&mut self, event: Event<'_>) -> Option<Value> {
         match event {
             Event::MappingStart { .. } => self.open.push(Open {
                 is_map: true,

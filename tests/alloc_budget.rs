@@ -23,6 +23,15 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread has allocated and not yet freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since [`peak_of`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Add `delta` to this thread's live bytes, raising the peak with them.
+fn grow_live(delta: i64) {
+    let live = LIVE.get() + delta;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
 }
 
 /// The system allocator, counting per thread.
@@ -34,7 +43,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.with(|c| c.set(c.get() + 1));
-        LIVE.with(|l| l.set(l.get() + layout.size() as i64));
+        grow_live(layout.size() as i64);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +56,9 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.with(|c| c.set(c.get() + 1));
-        LIVE.with(|l| l.set(l.get() + new_size as i64 - layout.size() as i64));
+        // A moving reallocation holds both blocks for a moment; the peak
+        // counts the larger one only, as the allocator may grow in place.
+        grow_live(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` under `layout`; `new_size` is the
         // caller's, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -63,6 +74,15 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
     let (calls, live) = (CALLS.get(), LIVE.get());
     let result = work();
     (result, CALLS.get() - calls, LIVE.get() - live)
+}
+
+/// Run `work` and return its result with the most bytes it held live at
+/// any one moment beyond what was live when it started.
+fn peak_of<T>(work: impl FnOnce() -> T) -> (T, i64) {
+    let live = LIVE.get();
+    PEAK.set(live);
+    let result = work();
+    (result, PEAK.get() - live)
 }
 
 /// Every manifest of the five charts as `kubectl apply` would send it, once
@@ -143,9 +163,10 @@ fn an_admitted_create_stays_inside_its_allocation_budget() {
         calls += made;
     }
     let per_create = calls as f64 / requests.len() as f64;
+    println!("{per_create:.2} allocations per admitted create");
     assert!(
-        per_create <= 105.0,
-        "{per_create} allocations per admitted create (budget 105)"
+        per_create <= 85.0,
+        "{per_create} allocations per admitted create (budget 85)"
     );
 }
 
@@ -162,6 +183,7 @@ fn materializing_a_body_is_compact_without_extra_churn() {
     }
     // Exact sizing must not be bought with more allocator traffic …
     let per_parse = calls as f64 / requests.len() as f64;
+    println!("{per_parse:.2} allocations per materialize_body");
     assert!(
         per_parse <= 60.0,
         "{per_parse} allocations per materialize_body (budget 60)"
@@ -202,9 +224,10 @@ fn a_refused_attack_stays_inside_its_allocation_budget() {
     let (calls, dropped) = steady_state(64);
     assert_eq!(dropped, (WARM_UP_PASSES + 1) * 75 - 64);
     let per_refusal = calls as f64 / attacks.len() as f64;
+    println!("{per_refusal:.2} allocations per refused attack");
     assert!(
-        per_refusal <= 90.0,
-        "{per_refusal} allocations per refused attack (budget 90)"
+        per_refusal <= 60.0,
+        "{per_refusal} allocations per refused attack (budget 60)"
     );
     // The ring's own share of that is zero. With one slot, its buffer has
     // held the largest record by the end of the first pass and every later
@@ -217,6 +240,59 @@ fn a_refused_attack_stays_inside_its_allocation_budget() {
     assert!(
         calls < never_evicting,
         "overwriting made {calls} allocations, fresh slots {never_evicting}"
+    );
+}
+
+#[test]
+fn a_refusal_decided_early_holds_a_constant_whatever_follows() {
+    let (server, validators) = five_operator_stack();
+    let proxy = EnforcementProxy::with_validators(server, validators);
+    // A chart manifest as JSON with an unknown root field right after its
+    // `kind`, then 1 MiB of array: the die-fast pass is decided at the
+    // sixth event, and the collect pass reads 512 Ki more to the end of the
+    // document. JSON, because its tokenizer holds no per-line index; the
+    // YAML one indexes every line up front.
+    let operator = Operator::ALL[0];
+    let driver = DeploymentDriver::new(operator);
+    let object = &driver.objects()[0];
+    let text = String::from_utf8(
+        ApiRequest::create_json(&operator.user(), object)
+            .payload()
+            .to_vec(),
+    )
+    .unwrap();
+    let kind_entry = format!("\"kind\":\"{}\",", object.kind());
+    assert!(text.contains(&kind_entry), "{text}");
+    let padding = "0,".repeat(1 << 19);
+    let body = text.replacen(
+        &kind_entry,
+        &format!(
+            "{kind_entry}\"hostNetwork\":true,\"padding\":[{}],",
+            padding.trim_end_matches(',')
+        ),
+        1,
+    );
+    assert!(body.len() > 1 << 20);
+    let request = ApiRequest {
+        body: RequestBody::Raw(body.into(), BodyFormat::Json),
+        ..ApiRequest::create_json(&operator.user(), object)
+    };
+    // The first request compiles the validators and fills a ring slot.
+    assert!(proxy.handle(&request).is_denied());
+    let (response, peak) = peak_of(|| proxy.handle(&request));
+    assert!(response.is_denied());
+    assert!(
+        response.message.contains("hostNetwork") && response.message.contains("padding"),
+        "{}",
+        response.message
+    );
+    // Logging every event would hold 512 Ki of them, 24 MiB at 48 bytes
+    // each. The log is the prefix the die-fast pass read, replayed and
+    // dropped.
+    println!("{peak} bytes peak live for a refused 1 MiB body");
+    assert!(
+        peak < 64 << 10,
+        "refusing a 1 MiB body decided at its sixth event held {peak} bytes live at its peak"
     );
 }
 

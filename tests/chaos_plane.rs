@@ -397,51 +397,51 @@ fn failed_group_window_fsync_degrades_every_parked_waiter() {
 }
 
 /// Overload protection: a gate bounded to one in-flight request with a
-/// zero deadline sheds the overlapping request with `429`, and the health
-/// surface accounts for every admission decision.
+/// zero deadline sheds a request that arrives while the permit is held with
+/// `429`, and the health surface accounts for every admission decision. The
+/// overlap is made, not raced for: the permit's holder is a create stalled
+/// in its fsync.
 #[test]
 fn admission_gate_sheds_overlapping_requests_with_429() {
-    let server = Arc::new(ApiServer::new().with_admission_limit(1, Duration::ZERO));
-    const PER_THREAD: usize = 4000;
-    let shed_seen = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let server = Arc::clone(&server);
-                scope.spawn(move || {
-                    let mut shed = 0u64;
-                    for _ in 0..PER_THREAD {
-                        let response =
-                            server.handle(&ApiRequest::list("admin", ResourceKind::Pod, ""));
-                        match response.status {
-                            ResponseStatus::TooManyRequests => shed += 1,
-                            ResponseStatus::Ok => {}
-                            other => panic!("unexpected status {other:?}"),
-                        }
-                    }
-                    shed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("writer thread"))
-            .sum::<u64>()
+    let dir = temp_dir("gate");
+    // Fsync 0 is the WAL's at open; 1 is the create's group commit, which
+    // runs outside the WAL lock, so the health probe below never waits on
+    // the stall it is watching.
+    let io = Arc::new(FaultyIo::over_real(
+        FaultSchedule::parse("fsync@1:latency*1000000").expect("spec parses"),
+    ));
+    let config = PersistConfig::new(&dir).with_fsync(FsyncPolicy::Group {
+        max_wait_us: 0,
+        max_batch: 1,
     });
+    let (store, _persistence, _) = Persistence::open_with_io(config, io).expect("boot is clean");
+    let server = ApiServer::with_store(store).with_admission_limit(1, Duration::ZERO);
+    let list = || server.handle(&ApiRequest::list("admin", ResourceKind::Pod, ""));
+    std::thread::scope(|scope| {
+        let holder =
+            scope.spawn(|| server.handle(&ApiRequest::create("admin", &pod("held", "nginx"))));
+        while server.health_report().in_flight != 1 {
+            assert!(
+                !holder.is_finished(),
+                "the stalled create returned before it was seen holding the permit"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(list().status, ResponseStatus::TooManyRequests);
+        assert!(holder.join().expect("holder thread").is_success());
+    });
+    assert_eq!(list().status, ResponseStatus::Ok, "the permit came back");
     let health = server.health_report();
     assert_eq!(health.max_in_flight, Some(1));
-    assert_eq!(health.shed_total, shed_seen, "health matches observations");
+    assert_eq!(health.shed_total, 1, "health matches observations");
     assert_eq!(
         health.admitted_total + health.shed_total,
-        (2 * PER_THREAD) as u64,
+        3,
         "every request was either admitted or shed"
     );
     assert_eq!(health.in_flight, 0, "permits all released");
-    assert!(health.peak_in_flight <= 1, "the bound held");
-    assert!(
-        shed_seen > 0,
-        "two threads x {PER_THREAD} zero-deadline requests through a width-1 gate must overlap"
-    );
-    assert_eq!(health.shed_total, shed_seen);
+    assert_eq!(health.peak_in_flight, 1, "the bound held");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An in-memory server reports a vacuous-but-honest health surface: no

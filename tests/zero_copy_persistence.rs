@@ -1,6 +1,7 @@
-//! The zero-copy persistence plane, pinned by pointer identity: the server
-//! parses an admitted body once, and that one `Arc<Value>` is what the object
-//! store, the watch journal (poll and push), the audit trail, exploit
+//! The zero-copy persistence plane, pinned by pointer identity: an admitted
+//! body is parsed once — by the server, or behind the proxy built from the
+//! events its admission pass read — and that one `Arc<Value>` is what the
+//! object store, the watch journal (poll and push), the audit trail, exploit
 //! forensics and every read hold. Plus a concurrent create/update/get/list
 //! stress test pinning revision monotonicity under the `Arc`-handle store.
 
@@ -23,7 +24,7 @@ fn pod_yaml(name: &str, image: &str) -> String {
 /// Send one pod create through `front` (the bare `server`, or a proxy over
 /// it) and require every holder of the admitted object — store, journal
 /// (poll and push), audit event, exploit records, get and list responses —
-/// to share one allocation: the server's single parse of the wire bytes.
+/// to share one allocation: the single parse of the wire bytes.
 /// Returns that tree.
 fn admit_and_expect_one_tree<H: RequestHandler>(
     front: &H,
