@@ -283,6 +283,113 @@ mod tests {
         assert_eq!(to_yaml(&Value::from("a: b")), "\"a: b\"\n");
     }
 
+    /// The exact bytes of every quoting and escaping branch, pinned so a
+    /// rewrite of the writer can be checked against them unedited.
+    #[test]
+    fn every_quoting_and_escaping_branch_writes_pinned_bytes() {
+        let strings: &[(&str, &str)] = &[
+            // Whitespace and the separators a plain scalar cannot hold.
+            ("", "\"\""),
+            (" lead", "\" lead\""),
+            ("trail ", "\"trail \""),
+            ("a: b", "\"a: b\""),
+            ("trail:", "\"trail:\""),
+            ("a #b", "\"a #b\""),
+            ("a:b", "a:b"),
+            ("a#b", "a#b"),
+            // Quotes, line breaks, tabs, backslashes, control bytes.
+            ("it's", "\"it's\""),
+            ("say \"hi\"", "\"say \\\"hi\\\"\""),
+            ("two\nlines", "\"two\\nlines\""),
+            ("tab\there", "\"tab\\there\""),
+            ("cr\rhere", "cr\rhere"),
+            ("back\\slash", "back\\slash"),
+            ("\\: x", "\"\\\\: x\""),
+            ("bell\u{7}", "bell\u{7}"),
+            (" \u{1}\"\\\n\t", "\" \u{1}\\\"\\\\\\n\\t\""),
+            // Indicator first characters.
+            ("-x", "\"-x\""),
+            ("?x", "\"?x\""),
+            (":x", "\":x\""),
+            (",x", "\",x\""),
+            ("[x", "\"[x\""),
+            ("]x", "\"]x\""),
+            ("{x", "\"{x\""),
+            ("}x", "\"}x\""),
+            ("#x", "\"#x\""),
+            ("&x", "\"&x\""),
+            ("*x", "\"*x\""),
+            ("!x", "\"!x\""),
+            ("|x", "\"|x\""),
+            (">x", "\">x\""),
+            ("%x", "\"%x\""),
+            ("@x", "\"@x\""),
+            ("`x", "\"`x\""),
+            // Words read as another type.
+            ("null", "\"null\""),
+            ("True", "\"True\""),
+            ("~", "\"~\""),
+            ("{}", "\"{}\""),
+            ("[]", "\"[]\""),
+            // Numbers, and lookalikes that stay strings.
+            ("42", "\"42\""),
+            ("+1", "\"+1\""),
+            ("1e5", "\"1e5\""),
+            (".5", "\".5\""),
+            ("5.", "\"5.\""),
+            ("inf", "\"inf\""),
+            ("NaN", "\"NaN\""),
+            ("infinity", "\"infinity\""),
+            ("1.2.3", "1.2.3"),
+            ("nginx:1.25", "nginx:1.25"),
+            ("v1", "v1"),
+            ("1a", "1a"),
+            ("index", "index"),
+            // A multibyte first character.
+            ("ñame", "ñame"),
+            ("日本 語", "日本 語"),
+            ("\u{a0}lead", "\"\u{a0}lead\""),
+        ];
+        for (input, expected) in strings {
+            assert_eq!(
+                to_yaml(&Value::from(*input)),
+                format!("{expected}\n"),
+                "string {input:?}"
+            );
+        }
+        for (scalar, expected) in [
+            (Value::Null, "null\n"),
+            (Value::Bool(true), "true\n"),
+            (Value::Int(-7), "-7\n"),
+            (Value::Int(i64::MIN), "-9223372036854775808\n"),
+            (Value::Float(2.0), "2.0\n"),
+            (Value::Float(-0.25), "-0.25\n"),
+            (Value::Float(1e21), "1000000000000000000000.0\n"),
+            (Value::Float(1e-7), "0.0000001\n"),
+        ] {
+            assert_eq!(to_yaml(&scalar), expected, "{scalar:?}");
+        }
+        // Keys: the plain alphabet, and the keys that need quotes.
+        let mut map = Mapping::new();
+        for key in [
+            "app.kubernetes.io/name",
+            "snake_case-key",
+            "a b",
+            "",
+            "-lead",
+            "x:y",
+            "ключ",
+            "q\"k",
+        ] {
+            map.insert(key, Value::from(1));
+        }
+        assert_eq!(
+            to_yaml(&Value::Map(map)),
+            "app.kubernetes.io/name: 1\nsnake_case-key: 1\n\"a b\": 1\n\"\": 1\n\
+             \"-lead\": 1\n\"x:y\": 1\n\"ключ\": 1\n\"q\\\"k\": 1\n"
+        );
+    }
+
     #[test]
     fn emits_nested_structures() {
         let mut inner = Mapping::new();

@@ -805,6 +805,54 @@ mod tests {
         assert_eq!(parse_json(&json).unwrap(), doc);
     }
 
+    /// The JSON twin of the emitter's pinned quoting table: the exact bytes
+    /// of every escape and number branch.
+    #[test]
+    fn every_escaping_branch_writes_pinned_bytes() {
+        for (input, expected) in [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            (" a: b #c", r#"" a: b #c""#),
+            ("it's", r#""it's""#),
+            ("say \"hi\"", r#""say \"hi\"""#),
+            ("two\nlines", r#""two\nlines""#),
+            ("tab\there", r#""tab\there""#),
+            ("cr\rhere", r#""cr\rhere""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("bell\u{7}", r#""bell\u0007""#),
+            ("\u{0}\u{1f}\u{7f}", "\"\\u0000\\u001f\u{7f}\""),
+            ("/", r#""/""#),
+            ("ñame 日本", "\"ñame 日本\""),
+            ("\u{2028}😀", "\"\u{2028}😀\""),
+            ("42", r#""42""#),
+            ("true", r#""true""#),
+        ] {
+            assert_eq!(to_json(&Value::from(input)), expected, "string {input:?}");
+        }
+        for (scalar, expected) in [
+            (Value::Null, "null"),
+            (Value::Bool(false), "false"),
+            (Value::Int(-7), "-7"),
+            (Value::Int(i64::MAX), "9223372036854775807"),
+            (Value::Float(2.0), "2.0"),
+            (Value::Float(-0.25), "-0.25"),
+            (Value::Float(1e21), "1000000000000000000000.0"),
+            (Value::Float(1e-7), "0.0000001"),
+            (Value::Float(f64::NAN), "null"),
+            (Value::Float(f64::NEG_INFINITY), "null"),
+        ] {
+            assert_eq!(to_json(&scalar), expected, "{scalar:?}");
+        }
+        let mut map = crate::Mapping::new();
+        for key in ["a b", "", "q\"k", "nl\n", "ключ"] {
+            map.insert(key, Value::Seq(vec![Value::from(1), Value::empty_map()]));
+        }
+        assert_eq!(
+            to_json(&Value::Map(map)),
+            r#"{"a b":[1,{}],"":[1,{}],"q\"k":[1,{}],"nl\n":[1,{}],"ключ":[1,{}]}"#
+        );
+    }
+
     #[test]
     fn document_end_precedes_trailing_garbage_detection() {
         // The root value is complete before the trailing garbage: the
