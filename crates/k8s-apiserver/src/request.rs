@@ -1,5 +1,6 @@
 //! The API request/response model.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -463,9 +464,9 @@ impl ResponseBody {
         match self {
             ResponseBody::Object(value) => return kf_yaml::to_yaml(value),
             ResponseBody::List { kind, items } => {
-                kf_yaml::emit_entry("kind", &Value::from(kind.as_str()), 0, &mut out);
+                push_yaml_kind(kind, &mut out);
                 if items.is_empty() {
-                    kf_yaml::emit_entry("items", &Value::empty_seq(), 0, &mut out);
+                    out.push_str("items: []\n");
                 } else {
                     out.push_str("items:\n");
                     for item in items {
@@ -478,29 +479,22 @@ impl ResponseBody {
                 events,
                 cursor,
             } => {
-                kf_yaml::emit_entry("kind", &Value::from(kind.as_str()), 0, &mut out);
-                kf_yaml::emit_entry("resourceVersion", &Value::from(*cursor as i64), 0, &mut out);
+                push_yaml_kind(kind, &mut out);
+                let _ = writeln!(out, "resourceVersion: {}", *cursor as i64);
                 if events.is_empty() {
-                    kf_yaml::emit_entry("events", &Value::empty_seq(), 0, &mut out);
+                    out.push_str("events: []\n");
                 } else {
                     out.push_str("events:\n");
                     for event in events {
                         // The event envelope in the emitter's compact
                         // sequence form: first entry on the dash line, the
                         // rest at the same column, the object's stored tree
-                        // emitted in place.
-                        out.push_str("  - ");
-                        kf_yaml::emit_entry_inline(
-                            "type",
-                            &Value::from(event.kind.as_str()),
-                            4,
-                            &mut out,
-                        );
-                        kf_yaml::emit_entry(
-                            "revision",
-                            &Value::from(event.revision as i64),
-                            4,
-                            &mut out,
+                        // emitted in place. Event types are bare words.
+                        let _ = writeln!(
+                            out,
+                            "  - type: {}\n    revision: {}",
+                            event.kind.as_str(),
+                            event.revision as i64
                         );
                         if let Some(object) = &event.object {
                             kf_yaml::emit_entry("object", object, 4, &mut out);
@@ -518,7 +512,7 @@ impl ResponseBody {
             ResponseBody::Object(value) => kf_yaml::write_json(value, &mut out),
             ResponseBody::List { kind, items } => {
                 out.push_str("{\"kind\":");
-                kf_yaml::write_json(&Value::from(kind.as_str()), &mut out);
+                push_json_kind(kind, &mut out);
                 out.push_str(",\"items\":[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
@@ -534,18 +528,18 @@ impl ResponseBody {
                 cursor,
             } => {
                 out.push_str("{\"kind\":");
-                kf_yaml::write_json(&Value::from(kind.as_str()), &mut out);
-                out.push_str(",\"resourceVersion\":");
-                out.push_str(&cursor.to_string());
-                out.push_str(",\"events\":[");
+                push_json_kind(kind, &mut out);
+                let _ = write!(out, ",\"resourceVersion\":{cursor},\"events\":[");
                 for (i, event) in events.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str("{\"type\":\"");
-                    out.push_str(event.kind.as_str());
-                    out.push_str("\",\"revision\":");
-                    out.push_str(&event.revision.to_string());
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"{}\",\"revision\":{}",
+                        event.kind.as_str(),
+                        event.revision
+                    );
                     if let Some(object) = &event.object {
                         out.push_str(",\"object\":");
                         kf_yaml::write_json(object, &mut out);
@@ -556,6 +550,38 @@ impl ResponseBody {
             }
         }
         out
+    }
+}
+
+/// Whether `kind` is an envelope kind as a server names one — `<Kind>List`
+/// or `<Kind>WatchBatch` in ASCII letters and digits, a letter first. No
+/// such word reads as a null, a bool or a number, and none holds a byte JSON
+/// escapes, so both writers copy it bare, as they would have written it.
+fn is_bare_kind(kind: &str) -> bool {
+    kind.as_bytes().first().is_some_and(u8::is_ascii_alphabetic)
+        && kind.bytes().all(|b| b.is_ascii_alphanumeric())
+        && (kind.ends_with("List") || kind.ends_with("WatchBatch"))
+}
+
+/// Append the `kind:` line of a YAML envelope.
+fn push_yaml_kind(kind: &str, out: &mut String) {
+    if is_bare_kind(kind) {
+        out.push_str("kind: ");
+        out.push_str(kind);
+        out.push('\n');
+    } else {
+        kf_yaml::emit_entry("kind", &Value::from(kind), 0, out);
+    }
+}
+
+/// Append the `kind` value of a JSON envelope.
+fn push_json_kind(kind: &str, out: &mut String) {
+    if is_bare_kind(kind) {
+        out.push('"');
+        out.push_str(kind);
+        out.push('"');
+    } else {
+        kf_yaml::write_json(&Value::from(kind), out);
     }
 }
 
@@ -889,6 +915,49 @@ mod tests {
                 body.to_wire(BodyFormat::Auto),
                 body.to_wire(BodyFormat::Yaml)
             );
+        }
+    }
+
+    #[test]
+    fn envelope_kinds_are_written_as_the_emitter_writes_them() {
+        // Bare server-named kinds and every string that must take the
+        // emitter's quoting instead.
+        let item = Arc::new(kf_yaml::parse("kind: Pod\n").unwrap());
+        for kind in [
+            "PodList",
+            "NetworkPolicyWatchBatch",
+            "List",
+            "true",
+            "NaN",
+            "123List",
+            "a bList",
+            "q\"kList",
+            "",
+            "ÉtéList",
+        ] {
+            for body in [
+                ResponseBody::List {
+                    kind: kind.into(),
+                    items: vec![Arc::clone(&item)],
+                },
+                ResponseBody::WatchBatch {
+                    kind: kind.into(),
+                    events: vec![crate::WatchEvent::bookmark(3)],
+                    cursor: 3,
+                },
+            ] {
+                let reference = body.to_value();
+                assert_eq!(
+                    body.to_wire(BodyFormat::Yaml),
+                    kf_yaml::to_yaml(&reference),
+                    "{kind:?}"
+                );
+                assert_eq!(
+                    body.to_wire(BodyFormat::Json),
+                    kf_yaml::to_json(&reference),
+                    "{kind:?}"
+                );
+            }
         }
     }
 

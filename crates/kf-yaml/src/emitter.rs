@@ -4,6 +4,31 @@
 //! Kubernetes manifests; output is deterministic (mapping order is insertion
 //! order) so that rendered manifests and generated validators can be compared
 //! textually in tests and documentation.
+//!
+//! Every writer appends to the caller's `out: &mut String` and allocates
+//! nothing else: indentation is sliced from a static run of spaces, plain
+//! keys and scalars are copied whole, quoted ones in the unescaped runs
+//! between escapes, and numbers are formatted straight into `out`. The only
+//! heap traffic is the growth of `out` itself.
+//!
+//! # Streaming fragments
+//!
+//! [`emit_entry`], [`emit_entry_inline`] and [`emit_seq_item`] let a caller
+//! write an envelope around borrowed subtrees, one entry or element at a
+//! time, without building an owned envelope tree (the API server's read
+//! responses are written this way). Their contract:
+//!
+//! * each appends exactly the bytes [`to_yaml`] writes for that entry or
+//!   element inside an enclosing block mapping or sequence, so a sequence of
+//!   fragments is byte-identical to rendering the whole document;
+//! * `indent` is the column of the key or the dash; nested blocks sit two
+//!   columns deeper, and empty containers are written inline as `{}` / `[]`;
+//! * [`emit_entry`] and [`emit_seq_item`] write whole lines, indentation
+//!   included; [`emit_entry_inline`] continues a line the caller started
+//!   (such as `- `) and ends it;
+//! * none of them allocates beyond growing `out`.
+
+use std::fmt::Write as _;
 
 use crate::value::Value;
 
@@ -16,56 +41,52 @@ use crate::value::Value;
 /// strings containing `: `, `#`, leading/trailing whitespace, …).
 pub fn to_yaml(value: &Value) -> String {
     let mut out = String::new();
-    match value {
-        Value::Map(_) | Value::Seq(_) => emit_block(value, 0, &mut out),
-        scalar => {
-            out.push_str(&emit_scalar(scalar));
-            out.push('\n');
-        }
-    }
+    emit_block(value, 0, &mut out);
     out
 }
 
-fn indent_str(indent: usize) -> String {
-    " ".repeat(indent)
+/// The run of spaces indentation is sliced from.
+const SPACES: &str = "                                                                ";
+
+/// Append `indent` spaces.
+fn push_indent(mut indent: usize, out: &mut String) {
+    while indent > SPACES.len() {
+        out.push_str(SPACES);
+        indent -= SPACES.len();
+    }
+    out.push_str(&SPACES[..indent]);
 }
 
+/// Whether `value` is written as a block on the lines below its key or dash:
+/// a non-empty container. Everything else fits on the line.
+fn is_block(value: &Value) -> bool {
+    match value {
+        Value::Map(map) => !map.is_empty(),
+        Value::Seq(seq) => !seq.is_empty(),
+        _ => false,
+    }
+}
+
+/// Write `value` with its lines at column `indent`: a non-empty container
+/// in block style, anything else as one line.
 fn emit_block(value: &Value, indent: usize, out: &mut String) {
     match value {
-        Value::Map(map) => {
-            if map.is_empty() {
-                out.push_str(&indent_str(indent));
-                out.push_str("{}\n");
-                return;
-            }
-            for (k, v) in map.iter() {
-                out.push_str(&indent_str(indent));
-                out.push_str(&emit_key(k));
-                out.push(':');
-                emit_entry_value(v, indent, out);
+        Value::Map(map) if !map.is_empty() => {
+            for (key, child) in map.iter() {
+                emit_entry(key, child, indent, out);
             }
         }
-        Value::Seq(seq) => {
-            if seq.is_empty() {
-                out.push_str(&indent_str(indent));
-                out.push_str("[]\n");
-                return;
-            }
+        Value::Seq(seq) if !seq.is_empty() => {
             for item in seq {
                 emit_seq_item(item, indent, out);
             }
         }
-        scalar => {
-            out.push_str(&indent_str(indent));
-            out.push_str(&emit_scalar(scalar));
+        inline => {
+            push_indent(indent, out);
+            emit_inline(inline, out);
             out.push('\n');
         }
     }
-}
-
-/// Emit the value of a `key:` entry whose key was written at `indent`.
-fn emit_entry_value(value: &Value, indent: usize, out: &mut String) {
-    emit_entry_value_at(value, indent, out);
 }
 
 /// Emit one `- item` element of a block sequence whose dashes sit at column
@@ -75,29 +96,27 @@ fn emit_entry_value(value: &Value, indent: usize, out: &mut String) {
 /// subtrees one element at a time, without ever materializing an owned
 /// document tree.
 pub fn emit_seq_item(item: &Value, indent: usize, out: &mut String) {
-    out.push_str(&indent_str(indent));
-    out.push('-');
+    push_indent(indent, out);
     match item {
-        Value::Map(m) if !m.is_empty() => {
-            // Compact form: first key on the dash line, remaining
-            // keys at the same column.
-            let mut iter = m.iter();
-            let (k0, v0) = iter.next().expect("non-empty");
-            out.push(' ');
-            emit_entry_inline(k0, v0, indent + 2, out);
-            for (k, v) in iter {
-                emit_entry(k, v, indent + 2, out);
+        // Compact form: the first key on the dash line, the remaining keys
+        // at the same column.
+        Value::Map(map) if !map.is_empty() => {
+            out.push_str("- ");
+            for (i, (key, child)) in map.iter().enumerate() {
+                if i == 0 {
+                    emit_entry_inline(key, child, indent + 2, out);
+                } else {
+                    emit_entry(key, child, indent + 2, out);
+                }
             }
         }
-        Value::Seq(s) if !s.is_empty() => {
-            out.push('\n');
+        Value::Seq(seq) if !seq.is_empty() => {
+            out.push_str("-\n");
             emit_block(item, indent + 2, out);
         }
-        Value::Map(_) => out.push_str(" {}\n"),
-        Value::Seq(_) => out.push_str(" []\n"),
-        scalar => {
-            out.push(' ');
-            out.push_str(&emit_scalar(scalar));
+        inline => {
+            out.push_str("- ");
+            emit_inline(inline, out);
             out.push('\n');
         }
     }
@@ -107,7 +126,7 @@ pub fn emit_seq_item(item: &Value, indent: usize, out: &mut String) {
 /// exactly the bytes [`to_yaml`] produces for that entry inside an enclosing
 /// mapping (nested containers in block style two columns deeper).
 pub fn emit_entry(key: &str, value: &Value, indent: usize, out: &mut String) {
-    out.push_str(&indent_str(indent));
+    push_indent(indent, out);
     emit_entry_inline(key, value, indent, out);
 }
 
@@ -115,146 +134,139 @@ pub fn emit_entry(key: &str, value: &Value, indent: usize, out: &mut String) {
 /// (e.g. a sequence dash): appends `key:` plus the value, with nested
 /// blocks indented relative to `key_indent` (the column the key sits at).
 pub fn emit_entry_inline(key: &str, value: &Value, key_indent: usize, out: &mut String) {
-    out.push_str(&emit_key(key));
-    out.push(':');
-    emit_entry_value_at(value, key_indent, out);
-}
-
-/// Emit the value of a mapping entry whose key sits at column `key_indent`.
-fn emit_entry_value_at(value: &Value, key_indent: usize, out: &mut String) {
-    match value {
-        Value::Map(m) if !m.is_empty() => {
-            out.push('\n');
-            emit_block(value, key_indent + 2, out);
-        }
-        Value::Seq(s) if !s.is_empty() => {
-            out.push('\n');
-            emit_block(value, key_indent + 2, out);
-        }
-        Value::Map(_) => out.push_str(" {}\n"),
-        Value::Seq(_) => out.push_str(" []\n"),
-        scalar => {
-            out.push(' ');
-            out.push_str(&emit_scalar(scalar));
-            out.push('\n');
-        }
-    }
-}
-
-fn emit_key(key: &str) -> String {
     if key_is_plain(key) {
-        key.to_owned()
+        out.push_str(key);
     } else {
-        quote(key)
+        quote(key, out);
+    }
+    if is_block(value) {
+        out.push_str(":\n");
+        emit_block(value, key_indent + 2, out);
+    } else {
+        out.push_str(": ");
+        emit_inline(value, out);
+        out.push('\n');
     }
 }
 
 fn key_is_plain(key: &str) -> bool {
     !key.is_empty()
-        && key
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '/'))
         && !key.starts_with('-')
+        && key
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b'/'))
 }
 
-fn emit_scalar(value: &Value) -> String {
+/// Write a scalar, or an empty container as `{}` / `[]`, with no line break.
+fn emit_inline(value: &Value, out: &mut String) {
     match value {
-        Value::Null => "null".to_owned(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => {
-            if x.fract() == 0.0 && x.is_finite() {
-                // Keep a decimal point so the value round-trips as a float.
-                format!("{x:.1}")
-            } else {
-                format!("{x}")
-            }
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
         }
-        Value::Str(s) => {
-            if string_is_plain(s) {
-                s.clone()
-            } else {
-                quote(s)
-            }
-        }
-        Value::Seq(_) | Value::Map(_) => unreachable!("containers are emitted in block style"),
+        Value::Float(x) => push_float(*x, out),
+        Value::Str(s) if string_is_plain(s) => out.push_str(s),
+        Value::Str(s) => quote(s, out),
+        Value::Map(_) => out.push_str("{}"),
+        Value::Seq(_) => out.push_str("[]"),
     }
+}
+
+/// Write a float so that it reads back as one: a whole number keeps a
+/// decimal point (`2.0`). Shared with the JSON writer.
+pub(crate) fn push_float(x: f64, out: &mut String) {
+    // The fraction of a non-finite float is NaN, so only finite whole
+    // numbers take the first branch.
+    let _ = if x.fract() == 0.0 {
+        write!(out, "{x:.1}")
+    } else {
+        write!(out, "{x}")
+    };
 }
 
 /// Whether a string can be emitted without quotes and still parse back as the
-/// same string.
+/// same string. One pass over the bytes, then the type check.
 fn string_is_plain(s: &str) -> bool {
-    if s.is_empty()
-        || s != s.trim()
-        || s.contains('\n')
-        || s.contains('\t')
-        || s.contains(": ")
-        || s.ends_with(':')
-        || s.contains(" #")
-        || s.contains('\'')
-        || s.contains('"')
+    let bytes = s.as_bytes();
+    let Some(&first) = bytes.first() else {
+        return false;
+    };
+    if is_indicator(first) || s.starts_with(char::is_whitespace) || s.ends_with(char::is_whitespace)
     {
         return false;
     }
-    let first = s.chars().next().expect("non-empty");
-    if matches!(
-        first,
-        '-' | '?'
-            | ':'
-            | ','
-            | '['
-            | ']'
-            | '{'
-            | '}'
-            | '#'
-            | '&'
-            | '*'
-            | '!'
-            | '|'
-            | '>'
-            | '%'
-            | '@'
-            | '`'
-    ) {
-        return false;
-    }
-    // Values that would parse as a different scalar type must be quoted.
-    if matches!(
-        s,
-        "~" | "null"
-            | "Null"
-            | "NULL"
-            | "true"
-            | "True"
-            | "TRUE"
-            | "false"
-            | "False"
-            | "FALSE"
-            | "{}"
-            | "[]"
-    ) {
-        return false;
-    }
-    if s.parse::<i64>().is_ok() || s.parse::<f64>().is_ok() {
-        return false;
-    }
-    true
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'\n' | b'\t' | b'\'' | b'"' => return false,
+            // `: ` or a trailing `:` would end a key; ` #` starts a comment.
+            b':' if matches!(bytes.get(i + 1), None | Some(b' ')) => return false,
+            b'#' if i > 0 && bytes[i - 1] == b' ' => return false,
+            _ => {}
         }
     }
+    !reads_as_non_string(s)
+}
+
+/// Whether `b` cannot start a plain scalar: the YAML indicator characters.
+fn is_indicator(b: u8) -> bool {
+    matches!(
+        b,
+        b'-' | b'?'
+            | b':'
+            | b','
+            | b'['
+            | b']'
+            | b'{'
+            | b'}'
+            | b'#'
+            | b'&'
+            | b'*'
+            | b'!'
+            | b'|'
+            | b'>'
+            | b'%'
+            | b'@'
+            | b'`'
+    )
+}
+
+/// Whether `s`, written plain, would read back as a null, a bool or a
+/// number.
+fn reads_as_non_string(s: &str) -> bool {
+    // Every string `parse::<i64>` accepts `parse::<f64>` accepts too, and
+    // either needs a sign, a digit, a point or the `i` / `n` of `inf` /
+    // `nan` first: other strings skip the parse.
+    matches!(
+        s,
+        "~" | "null" | "Null" | "NULL" | "true" | "True" | "TRUE" | "false" | "False" | "FALSE"
+    ) || (s.as_bytes().first().is_some_and(|b| {
+        matches!(
+            b,
+            b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N'
+        )
+    }) && s.parse::<f64>().is_ok())
+}
+
+/// Write `s` double-quoted, copying the runs between the bytes that need an
+/// escape.
+fn quote(s: &str, out: &mut String) {
     out.push('"');
-    out
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]

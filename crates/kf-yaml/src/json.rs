@@ -23,6 +23,7 @@
 //! error (the analogue of YAML's multi-document rejection).
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use crate::events::{too_deep, Event, Pos, ScalarToken, MAX_NESTING_DEPTH};
 use crate::value::Value;
@@ -501,32 +502,23 @@ pub fn parse_json(text: &str) -> Result<Value, Error> {
 /// JSON cannot represent) are emitted as `null`.
 pub fn to_json(value: &Value) -> String {
     let mut out = String::new();
-    emit_json(value, &mut out);
+    write_json(value, &mut out);
     out
 }
 
 /// Append `value`'s JSON rendering to `out` — the streaming twin of
 /// [`to_json`], so serializers can build collection envelopes around
-/// borrowed subtrees without concatenating intermediate strings.
+/// borrowed subtrees without concatenating intermediate strings. Like the
+/// YAML fragments, it allocates nothing beyond growing `out`.
 pub fn write_json(value: &Value, out: &mut String) {
-    emit_json(value, out);
-}
-
-fn emit_json(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(x) => {
-            if !x.is_finite() {
-                out.push_str("null");
-            } else if x.fract() == 0.0 {
-                // Keep a decimal point so the value round-trips as a float.
-                out.push_str(&format!("{x:.1}"));
-            } else {
-                out.push_str(&format!("{x}"));
-            }
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
         }
+        Value::Float(x) if !x.is_finite() => out.push_str("null"),
+        Value::Float(x) => crate::emitter::push_float(*x, out),
         Value::Str(s) => emit_json_string(s, out),
         Value::Seq(items) => {
             out.push('[');
@@ -534,7 +526,7 @@ fn emit_json(value: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                emit_json(item, out);
+                write_json(item, out);
             }
             out.push(']');
         }
@@ -546,26 +538,36 @@ fn emit_json(value: &Value, out: &mut String) {
                 }
                 emit_json_string(key, out);
                 out.push(':');
-                emit_json(child, out);
+                write_json(child, out);
             }
             out.push('}');
         }
     }
 }
 
+/// Write `s` as a JSON string, copying the runs between the bytes that need
+/// an escape (`"`, `\` and the control bytes).
 fn emit_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
