@@ -10,8 +10,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler, ResponseBody};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{DeploymentDriver, Operator};
 use kubefence::{
@@ -194,6 +195,52 @@ fn materializing_a_body_is_compact_without_extra_churn() {
         ratio <= 3.5,
         "a parsed tree holds {ratio} x its wire bytes live (budget 3.5)"
     );
+}
+
+#[test]
+fn rendering_a_response_allocates_only_its_buffer() {
+    // Each chart object served as a get, and seventeen of them as one list
+    // (a `reconcile_watch` list holds about that many): the writers append
+    // into the response's `String`, so what is counted is that buffer's
+    // growth and nothing per line, key or scalar.
+    let objects: Vec<_> = Operator::ALL
+        .into_iter()
+        .flat_map(|operator| {
+            DeploymentDriver::new(operator)
+                .objects()
+                .iter()
+                .map(|object| Arc::clone(object.shared_body()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(objects.len(), 50, "five charts, 50 manifests");
+    let list = ResponseBody::List {
+        kind: "DeploymentList".into(),
+        items: objects[..17].to_vec(),
+    };
+    for format in [BodyFormat::Yaml, BodyFormat::Json] {
+        let mut calls = 0;
+        for object in &objects {
+            let get = ResponseBody::Object(Arc::clone(object));
+            let (wire, made, _) = counted(|| get.to_wire(format));
+            assert!(wire.len() > 100);
+            calls += made;
+        }
+        let per_get = calls as f64 / objects.len() as f64;
+        let (wire, per_list, _) = counted(|| list.to_wire(format));
+        assert!(wire.len() > 1_000);
+        println!(
+            "{format:?}: {per_get:.2} allocations per rendered get, {per_list} per 17-item list"
+        );
+        assert!(
+            per_get <= 8.0,
+            "{format:?}: {per_get} allocations per rendered get (budget 8)"
+        );
+        assert!(
+            per_list <= 16,
+            "{format:?}: {per_list} allocations per rendered 17-item list (budget 16)"
+        );
+    }
 }
 
 #[test]
