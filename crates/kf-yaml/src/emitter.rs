@@ -155,6 +155,7 @@ fn key_is_plain(key: &str) -> bool {
         && key
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b'/'))
+        && !reads_as_non_string(key)
 }
 
 /// Write a scalar, or an empty container as `{}` / `[]`, with no line break.
@@ -199,9 +200,14 @@ fn string_is_plain(s: &str) -> bool {
     for (i, &b) in bytes.iter().enumerate() {
         match b {
             b'\n' | b'\t' | b'\'' | b'"' => return false,
-            // `: ` or a trailing `:` would end a key; ` #` starts a comment.
-            b':' if matches!(bytes.get(i + 1), None | Some(b' ')) => return false,
-            b'#' if i > 0 && bytes[i - 1] == b' ' => return false,
+            // A `:` before whitespace or at the end would end a key, and a
+            // `#` after whitespace starts a comment. The reader judges each
+            // byte as a Latin-1 character, so its whitespace is the ASCII
+            // kind plus the UTF-8 continuation bytes 0x85 and 0xA0.
+            b':' if matches!(bytes.get(i + 1), None | Some(b'\t'..=b'\r' | b' ')) => return false,
+            b'#' if i > 0 && matches!(bytes[i - 1], b'\t'..=b'\r' | b' ' | 0x85 | 0xa0) => {
+                return false
+            }
             _ => {}
         }
     }
@@ -231,21 +237,88 @@ fn is_indicator(b: u8) -> bool {
     )
 }
 
-/// Whether `s`, written plain, would read back as a null, a bool or a
-/// number.
+/// Whether `s`, written plain, would be read as something other than a
+/// string — by this crate's reader, or by a YAML 1.1 reader such as the
+/// go-yaml v2 behind `sigs.k8s.io/yaml`: a null, a bool, a number or the
+/// merge key `<<`.
 fn reads_as_non_string(s: &str) -> bool {
-    // Every string `parse::<i64>` accepts `parse::<f64>` accepts too, and
-    // either needs a sign, a digit, a point or the `i` / `n` of `inf` /
-    // `nan` first: other strings skip the parse.
-    matches!(
-        s,
-        "~" | "null" | "Null" | "NULL" | "true" | "True" | "TRUE" | "false" | "False" | "FALSE"
-    ) || (s.as_bytes().first().is_some_and(|b| {
-        matches!(
-            b,
-            b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N'
-        )
-    }) && s.parse::<f64>().is_ok())
+    match s {
+        "~" | "null" | "Null" | "NULL" | "true" | "True" | "TRUE" | "false" | "False" | "FALSE" => {
+            true
+        }
+        // YAML 1.1's other bools, its infinities and NaNs, and the merge key.
+        "y" | "Y" | "yes" | "Yes" | "YES" | "n" | "N" | "no" | "No" | "NO" | "on" | "On" | "ON"
+        | "off" | "Off" | "OFF" | ".inf" | ".Inf" | ".INF" | "+.inf" | "+.Inf" | "+.INF"
+        | "-.inf" | "-.Inf" | "-.INF" | ".nan" | ".NaN" | ".NAN" | "<<" => true,
+        // Every string `parse::<i64>` accepts `parse::<f64>` accepts too, and
+        // either needs a sign, a digit, a point or the `i` / `n` of `inf` /
+        // `nan` first: other strings skip the parse.
+        _ => {
+            s.as_bytes().first().is_some_and(|b| {
+                matches!(
+                    b,
+                    b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N'
+                )
+            }) && (s.parse::<f64>().is_ok() || is_yaml11_number(s))
+        }
+    }
+}
+
+/// Whether a YAML 1.1 reader resolves `s` to a number where Rust's parsers
+/// do not: after dropping every `_` (`1_000`), an integer in base 16, 8 or 2
+/// (`0x1F`, `0o17`, `0b101`) or a decimal. Errs toward yes, which only
+/// costs a pair of quotes.
+fn is_yaml11_number(s: &str) -> bool {
+    if s.starts_with('_') {
+        return false;
+    }
+    let mut bytes = s.bytes().filter(|&b| b != b'_').peekable();
+    if matches!(bytes.peek(), Some(b'+' | b'-')) {
+        bytes.next();
+    }
+    let mut prefixed = bytes.clone();
+    if prefixed.next() == Some(b'0') {
+        let is_digit: Option<fn(&u8) -> bool> = match prefixed.next() {
+            Some(b'x' | b'X') => Some(u8::is_ascii_hexdigit),
+            Some(b'o' | b'O') => Some(|b| (b'0'..=b'7').contains(b)),
+            Some(b'b' | b'B') => Some(|b| matches!(b, b'0' | b'1')),
+            _ => None,
+        };
+        if let Some(is_digit) = is_digit {
+            let mut any = false;
+            for b in prefixed {
+                if !is_digit(&b) {
+                    return false;
+                }
+                any = true;
+            }
+            return any;
+        }
+    }
+    // `[0-9]+(\.[0-9]*)?` or `\.[0-9]+`, then an optional `[eE][-+]?[0-9]+`.
+    let mut digits = 0;
+    while bytes.next_if(u8::is_ascii_digit).is_some() {
+        digits += 1;
+    }
+    if bytes.next_if_eq(&b'.').is_some() {
+        let mut fraction = 0;
+        while bytes.next_if(u8::is_ascii_digit).is_some() {
+            fraction += 1;
+        }
+        if digits == 0 && fraction == 0 {
+            return false;
+        }
+    } else if digits == 0 {
+        return false;
+    }
+    if bytes.next_if(|b| matches!(b, b'e' | b'E')).is_some() {
+        bytes.next_if(|b| matches!(b, b'+' | b'-'));
+        if bytes.next_if(u8::is_ascii_digit).is_none() {
+            return false;
+        }
+        while bytes.next_if(u8::is_ascii_digit).is_some() {}
+    }
+    bytes.next().is_none()
 }
 
 /// Write `s` double-quoted, copying the runs between the bytes that need an
@@ -400,6 +473,113 @@ mod tests {
             "app.kubernetes.io/name: 1\nsnake_case-key: 1\n\"a b\": 1\n\"\": 1\n\
              \"-lead\": 1\n\"x:y\": 1\n\"ключ\": 1\n\"q\\\"k\": 1\n"
         );
+    }
+
+    /// What a YAML 1.1 reader (go-yaml v2, behind `sigs.k8s.io/yaml`)
+    /// resolves to a bool, a number or a merge key is written quoted, as a
+    /// value and as a key; lookalikes stay plain.
+    #[test]
+    fn yaml_1_1_non_strings_are_quoted() {
+        let values: &[(&str, &str)] = &[
+            ("yes", "\"yes\""),
+            ("Yes", "\"Yes\""),
+            ("YES", "\"YES\""),
+            ("no", "\"no\""),
+            ("No", "\"No\""),
+            ("NO", "\"NO\""),
+            ("on", "\"on\""),
+            ("On", "\"On\""),
+            ("ON", "\"ON\""),
+            ("off", "\"off\""),
+            ("Off", "\"Off\""),
+            ("OFF", "\"OFF\""),
+            ("y", "\"y\""),
+            ("Y", "\"Y\""),
+            ("n", "\"n\""),
+            ("N", "\"N\""),
+            ("0x1F", "\"0x1F\""),
+            ("0Xff", "\"0Xff\""),
+            ("0o17", "\"0o17\""),
+            ("0b101", "\"0b101\""),
+            ("+0b1", "\"+0b1\""),
+            ("1_000", "\"1_000\""),
+            ("0x_1F", "\"0x_1F\""),
+            ("1_000.5", "\"1_000.5\""),
+            ("+1_0e1_0", "\"+1_0e1_0\""),
+            (".inf", "\".inf\""),
+            (".Inf", "\".Inf\""),
+            ("+.INF", "\"+.INF\""),
+            (".nan", "\".nan\""),
+            (".NaN", "\".NaN\""),
+            ("<<", "\"<<\""),
+            // Lookalikes.
+            ("yess", "yess"),
+            ("onion", "onion"),
+            ("NOPE", "NOPE"),
+            ("0x", "0x"),
+            ("0xG", "0xG"),
+            ("0b102", "0b102"),
+            ("_1", "_1"),
+            ("1_a", "1_a"),
+            (".info", ".info"),
+            ("<<x", "<<x"),
+            ("1:20", "1:20"),
+        ];
+        for (snippet, bytes) in values {
+            assert_eq!(
+                to_yaml(&Value::from(*snippet)),
+                format!("{bytes}\n"),
+                "value {snippet:?}"
+            );
+        }
+        let mut map = Mapping::new();
+        for key in [
+            "on", "123", "true", "Y", "0x1F", "1_000", ".inf", "1.5", "null", "inf", "one", "v1",
+            "0x", "_1", "1.2.3",
+        ] {
+            map.insert(key, Value::from(1));
+        }
+        let doc = Value::Map(map);
+        assert_eq!(
+            to_yaml(&doc),
+            "\"on\": 1\n\"123\": 1\n\"true\": 1\n\"Y\": 1\n\"0x1F\": 1\n\"1_000\": 1\n\
+             \".inf\": 1\n\"1.5\": 1\n\"null\": 1\n\"inf\": 1\none: 1\nv1: 1\n0x: 1\n_1: 1\n\
+             1.2.3: 1\n"
+        );
+        // This crate reads quoted and plain text alike: nothing changes on
+        // the way back.
+        assert_eq!(roundtrip(&doc), doc);
+        let strings = Value::Seq(values.iter().map(|(s, _)| Value::from(*s)).collect());
+        assert_eq!(roundtrip(&strings), strings);
+    }
+
+    /// This crate's reader ends a key at a `:` before any whitespace byte
+    /// and starts a comment at a `#` after one, taking each byte for a
+    /// Latin-1 character — so the UTF-8 continuation bytes 0x85 and 0xA0
+    /// count. A plain string holding such a pair is quoted.
+    #[test]
+    fn separators_the_reader_finds_are_quoted() {
+        for (input, expected) in [
+            ("a:\rb", "\"a:\rb\""),
+            ("a:\u{b}b", "\"a:\u{b}b\""),
+            ("a:\u{c}b", "\"a:\u{c}b\""),
+            ("a\r#b", "\"a\r#b\""),
+            ("a\u{c}#b", "\"a\u{c}#b\""),
+            ("你#", "\"你#\""),
+            ("a\u{85}#b", "\"a\u{85}#b\""),
+            // Still plain.
+            ("a:b", "a:b"),
+            ("日#", "日#"),
+            ("a\u{2028}#b", "a\u{2028}#b"),
+        ] {
+            assert_eq!(
+                to_yaml(&Value::from(input)),
+                format!("{expected}\n"),
+                "{input:?}"
+            );
+            let item = Value::Seq(vec![Value::from(input)]);
+            assert_eq!(roundtrip(&item), item, "{input:?}");
+        }
     }
 
     #[test]
