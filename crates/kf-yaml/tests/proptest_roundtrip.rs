@@ -1,26 +1,39 @@
 //! Property-based tests: every document the emitter can produce must re-parse
-//! to a structurally equivalent document, and path operations must be
-//! consistent with each other.
+//! to a structurally equivalent document (YAML) or to the same document
+//! (JSON), and path operations must be consistent with each other.
 //!
 //! The build environment has no crates-registry access, so instead of the
 //! `proptest` crate these properties run over a hand-rolled generator: a
 //! seeded deterministic RNG produces random documents of bounded depth and
-//! width, in the same shapes Kubernetes manifests use. Failures print the
-//! case number and the offending document, so a reproduction is one seed
-//! away.
+//! width, in the same shapes Kubernetes manifests use. String scalars — and
+//! the emitter properties' mapping keys — are drawn from what breaks a
+//! writer: multibyte UTF-8, line breaks, tabs and control bytes, indicator
+//! first characters, numbers, YAML 1.1 words and their lookalikes. Failures
+//! print the case number and the offending document, so a reproduction is
+//! one seed away.
+//!
+//! `KF_FUZZ_CASES` sets the cases per property (default 256); CI's `parity`
+//! job runs 10 000.
 
-use kf_yaml::{parse, to_json, to_yaml, Mapping, Path, Value};
+use kf_yaml::{parse, parse_json, to_json, to_yaml, Mapping, Path, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
 use common::assert_matches_reference;
 
-/// Cases per property; each case draws a fresh document from the generator.
-const CASES: usize = 256;
+/// Cases per property: `KF_FUZZ_CASES`, or 256.
+fn cases() -> usize {
+    match std::env::var("KF_FUZZ_CASES") {
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("KF_FUZZ_CASES must be an integer, got `{v}`")),
+        Err(_) => 256,
+    }
+}
 
 /// A mapping key in the shape Kubernetes manifests use:
-/// `[a-zA-Z][a-zA-Z0-9_-]{0,12}`.
+/// `[a-zA-Z][a-zA-Z0-9_-]{0,12}`. Path properties need these.
 fn gen_key(rng: &mut SmallRng) -> String {
     const FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
     const REST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
@@ -33,18 +46,92 @@ fn gen_key(rng: &mut SmallRng) -> String {
     key
 }
 
-/// A printable string scalar (no exotic whitespace), trimmed as the original
-/// proptest strategy did.
-fn gen_plain_string(rng: &mut SmallRng) -> String {
-    let len = rng.gen_range(0usize..25);
-    let text: String = (0..len)
-        .map(|_| (rng.gen_range(0x20u64..0x7f) as u8) as char)
-        .collect();
-    text.trim().to_string()
+/// A manifest-shaped key or, as often, any string.
+fn gen_any_key(rng: &mut SmallRng) -> String {
+    if rng.gen_range(0usize..2) == 0 {
+        gen_key(rng)
+    } else {
+        gen_string(rng)
+    }
+}
+
+/// Whole scalars that read as something other than a string (to this
+/// crate's reader or to a YAML 1.1 one), and lookalikes that do not.
+const WORDS: &[&str] = &[
+    "null",
+    "Null",
+    "~",
+    "true",
+    "False",
+    "yes",
+    "Yes",
+    "NO",
+    "on",
+    "Off",
+    "y",
+    "N",
+    "<<",
+    "42",
+    "-7",
+    "+1",
+    "007",
+    "1e5",
+    ".5",
+    "5.",
+    "inf",
+    "-Infinity",
+    "NaN",
+    ".inf",
+    "-.Inf",
+    ".nan",
+    "0x1F",
+    "0o17",
+    "0b101",
+    "1_000",
+    "1__0.5",
+    "1:20",
+    "1.2.3",
+    "nginx:1.25",
+    "v1",
+    "0x",
+    "e5",
+    "1e",
+    "_1",
+];
+
+/// Multibyte characters (Unicode whitespace among them), line breaks, tabs,
+/// control bytes and the separators a plain scalar cannot hold.
+const PIECES: &[&str] = &[
+    "ñ", "é", "Ж", "日", "你", "😀", "\u{a0}", "\u{85}", "\u{2028}", "\u{feff}", "\n", "\t", "\r",
+    "\r\n", "\u{0}", "\u{1}", "\u{b}", "\u{c}", "\u{1b}", "\u{1f}", "\u{7f}", "- ", ": ", " #",
+    "'", "\"", "\\", "---", "{}", "[]",
+];
+
+/// The characters that may not start a plain scalar.
+const INDICATORS: &[u8] = b"-?:,[]{}#&*!|>%@`";
+
+/// A string scalar: a whole word from [`WORDS`], or pieces of printable
+/// ASCII, [`PIECES`] and [`WORDS`], sometimes behind an indicator.
+fn gen_string(rng: &mut SmallRng) -> String {
+    if rng.gen_range(0usize..4) == 0 {
+        return WORDS[rng.gen_range(0usize..WORDS.len())].to_owned();
+    }
+    let mut text = String::new();
+    if rng.gen_range(0usize..4) == 0 {
+        text.push(INDICATORS[rng.gen_range(0usize..INDICATORS.len())] as char);
+    }
+    for _ in 0..rng.gen_range(0usize..12) {
+        match rng.gen_range(0usize..4) {
+            0 => text.push_str(PIECES[rng.gen_range(0usize..PIECES.len())]),
+            1 => text.push_str(WORDS[rng.gen_range(0usize..WORDS.len())]),
+            _ => text.push((rng.gen_range(0x20u64..0x7f) as u8) as char),
+        }
+    }
+    text
 }
 
 fn gen_scalar(rng: &mut SmallRng) -> Value {
-    match rng.gen_range(0usize..5) {
+    match rng.gen_range(0usize..6) {
         0 => Value::Null,
         1 => Value::Bool(rng.gen_range(0usize..2) == 1),
         2 => Value::Int(rng.gen_range(-1_000_000i64..1_000_000)),
@@ -52,13 +139,26 @@ fn gen_scalar(rng: &mut SmallRng) -> Value {
             let x = rng.gen_range(-1000.0f64..1000.0);
             Value::Float((x * 100.0).round() / 100.0)
         }
-        _ => Value::Str(gen_plain_string(rng)),
+        4 => {
+            const EDGES: &[Value] = &[
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX),
+                Value::Float(1e21),
+                Value::Float(1e-7),
+                Value::Float(-0.0),
+                Value::Float(f64::MAX),
+                Value::Float(f64::MIN_POSITIVE),
+                Value::Float(5e-324),
+            ];
+            EDGES[rng.gen_range(0usize..EDGES.len())].clone()
+        }
+        _ => Value::Str(gen_string(rng)),
     }
 }
 
 /// A random document of bounded depth (≤3 nested containers) and width (≤5
-/// children per container), matching the original proptest strategy.
-fn gen_value(rng: &mut SmallRng, depth: usize) -> Value {
+/// children per container), its mapping keys drawn by `key`.
+fn gen_tree(rng: &mut SmallRng, depth: usize, key: fn(&mut SmallRng) -> String) -> Value {
     // Deeper levels become increasingly scalar-heavy and bottom out at
     // depth 0.
     if depth == 0 || rng.gen_range(0usize..4) == 0 {
@@ -66,21 +166,32 @@ fn gen_value(rng: &mut SmallRng, depth: usize) -> Value {
     }
     if rng.gen_range(0usize..2) == 0 {
         let len = rng.gen_range(0usize..5);
-        Value::Seq((0..len).map(|_| gen_value(rng, depth - 1)).collect())
+        Value::Seq((0..len).map(|_| gen_tree(rng, depth - 1, key)).collect())
     } else {
         let len = rng.gen_range(0usize..5);
         let mut map = Mapping::new();
         for _ in 0..len {
-            map.insert(gen_key(rng), gen_value(rng, depth - 1));
+            map.insert(key(rng), gen_tree(rng, depth - 1, key));
         }
         Value::Map(map)
     }
 }
 
-/// Run a property over `CASES` generated documents with a per-property seed.
+/// A document whose keys address by [`Path`].
+fn gen_value(rng: &mut SmallRng, depth: usize) -> Value {
+    gen_tree(rng, depth, gen_key)
+}
+
+/// A document whose keys are drawn like its strings, for the emitter.
+fn gen_document(rng: &mut SmallRng, depth: usize) -> Value {
+    gen_tree(rng, depth, gen_any_key)
+}
+
+/// Run a property over [`cases`] generated documents with a per-property
+/// seed.
 fn for_each_case(seed: u64, mut property: impl FnMut(usize, &mut SmallRng)) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    for case in 0..CASES {
+    for case in 0..cases() {
         property(case, &mut rng);
     }
 }
@@ -89,13 +200,27 @@ fn for_each_case(seed: u64, mut property: impl FnMut(usize, &mut SmallRng)) {
 #[test]
 fn emit_parse_roundtrip() {
     for_each_case(0xA11CE, |case, rng| {
-        let doc = gen_value(rng, 3);
+        let doc = gen_document(rng, 3);
         let text = to_yaml(&doc);
-        let reparsed = parse(&text).expect("emitted YAML must parse");
+        let reparsed = parse(&text)
+            .unwrap_or_else(|e| panic!("case {case}: emitted YAML must parse ({e}):\n{text:?}"));
         assert!(
             reparsed.loosely_equals(&doc),
-            "case {case}: roundtrip mismatch:\n{text}"
+            "case {case}: roundtrip mismatch:\n{text:?}\nread back as {reparsed:?}"
         );
+    });
+}
+
+/// Emit → parse is the identity for JSON, exactly: every scalar keeps its
+/// type and value.
+#[test]
+fn json_emit_parse_roundtrip_is_exact() {
+    for_each_case(0x75_0E, |case, rng| {
+        let doc = gen_document(rng, 3);
+        let text = to_json(&doc);
+        let reparsed = parse_json(&text)
+            .unwrap_or_else(|e| panic!("case {case}: emitted JSON must parse ({e}):\n{text}"));
+        assert_eq!(reparsed, doc, "case {case}: roundtrip mismatch:\n{text}");
     });
 }
 
@@ -180,7 +305,7 @@ fn field_paths_have_no_indices() {
 fn multi_document_stream_parses() {
     for_each_case(0x5EED, |case, rng| {
         let count = rng.gen_range(1usize..4);
-        let docs: Vec<Value> = (0..count).map(|_| gen_value(rng, 3)).collect();
+        let docs: Vec<Value> = (0..count).map(|_| gen_document(rng, 3)).collect();
         let mut text = String::new();
         for d in &docs {
             text.push_str("---\n");
@@ -209,7 +334,7 @@ fn compact_builder_matches_the_reference_on_generated_documents() {
         let count = rng.gen_range(1usize..4);
         let mut stream = String::new();
         for _ in 0..count {
-            let doc = gen_value(rng, 3);
+            let doc = gen_document(rng, 3);
             assert_matches_reference(&to_json(&doc), true, &format!("case {case} (json)"));
             stream.push_str("---\n");
             stream.push_str(&to_yaml(&doc));
