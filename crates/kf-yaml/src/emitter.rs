@@ -29,6 +29,7 @@
 //! * none of them allocates beyond growing `out`.
 
 use std::fmt::Write as _;
+use std::iter::Peekable;
 
 use crate::value::Value;
 
@@ -250,17 +251,19 @@ fn reads_as_non_string(s: &str) -> bool {
         "y" | "Y" | "yes" | "Yes" | "YES" | "n" | "N" | "no" | "No" | "NO" | "on" | "On" | "ON"
         | "off" | "Off" | "OFF" | ".inf" | ".Inf" | ".INF" | "+.inf" | "+.Inf" | "+.INF"
         | "-.inf" | "-.Inf" | "-.INF" | ".nan" | ".NaN" | ".NAN" | "<<" => true,
-        // Every string `parse::<i64>` accepts `parse::<f64>` accepts too, and
-        // either needs a sign, a digit, a point or the `i` / `n` of `inf` /
-        // `nan` first: other strings skip the parse.
-        _ => {
-            s.as_bytes().first().is_some_and(|b| {
-                matches!(
-                    b,
-                    b'0'..=b'9' | b'+' | b'-' | b'.' | b'i' | b'I' | b'n' | b'N'
-                )
-            }) && (s.parse::<f64>().is_ok() || is_yaml11_number(s))
-        }
+        // Every string `parse::<i64>` accepts `parse::<f64>` accepts too.
+        // Starting with a letter, `parse::<f64>` takes only `inf`,
+        // `infinity` and `nan` in any case; otherwise it needs a sign, a
+        // digit or a point first, and other strings skip the parse.
+        _ => match s.as_bytes().first() {
+            Some(b'0'..=b'9' | b'+' | b'-' | b'.') => {
+                s.parse::<f64>().is_ok() || is_yaml11_number(s)
+            }
+            Some(b'i' | b'I' | b'n' | b'N') => ["inf", "infinity", "nan"]
+                .iter()
+                .any(|word| s.eq_ignore_ascii_case(word)),
+            _ => false,
+        },
     }
 }
 
@@ -285,40 +288,31 @@ fn is_yaml11_number(s: &str) -> bool {
             _ => None,
         };
         if let Some(is_digit) = is_digit {
-            let mut any = false;
-            for b in prefixed {
-                if !is_digit(&b) {
-                    return false;
-                }
-                any = true;
-            }
-            return any;
+            return prefixed.peek().is_some() && prefixed.all(|b| is_digit(&b));
         }
     }
-    // `[0-9]+(\.[0-9]*)?` or `\.[0-9]+`, then an optional `[eE][-+]?[0-9]+`.
-    let mut digits = 0;
-    while bytes.next_if(u8::is_ascii_digit).is_some() {
-        digits += 1;
-    }
-    if bytes.next_if_eq(&b'.').is_some() {
-        let mut fraction = 0;
-        while bytes.next_if(u8::is_ascii_digit).is_some() {
-            fraction += 1;
-        }
-        if digits == 0 && fraction == 0 {
-            return false;
-        }
-    } else if digits == 0 {
+    // A decimal: `[0-9]+(\.[0-9]*)?` or `\.[0-9]+`, then `([eE][-+]?[0-9]+)?`.
+    let whole = skip_digits(&mut bytes);
+    let fraction = bytes.next_if_eq(&b'.').is_some() && skip_digits(&mut bytes);
+    if !whole && !fraction {
         return false;
     }
     if bytes.next_if(|b| matches!(b, b'e' | b'E')).is_some() {
         bytes.next_if(|b| matches!(b, b'+' | b'-'));
-        if bytes.next_if(u8::is_ascii_digit).is_none() {
+        if !skip_digits(&mut bytes) {
             return false;
         }
-        while bytes.next_if(u8::is_ascii_digit).is_some() {}
     }
     bytes.next().is_none()
+}
+
+/// Consume a run of ASCII digits; whether there was one.
+fn skip_digits(bytes: &mut Peekable<impl Iterator<Item = u8>>) -> bool {
+    let mut any = false;
+    while bytes.next_if(u8::is_ascii_digit).is_some() {
+        any = true;
+    }
+    any
 }
 
 /// Write `s` double-quoted, copying the runs between the bytes that need an
