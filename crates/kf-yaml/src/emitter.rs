@@ -37,9 +37,12 @@ use crate::value::Value;
 ///
 /// Scalars at the document root are emitted on a single line; mappings and
 /// sequences use block style with 2-space indentation. Strings are quoted
-/// whenever a plain scalar would be re-interpreted as another type or break
-/// parsing (empty strings, strings that look like numbers or booleans,
-/// strings containing `: `, `#`, leading/trailing whitespace, …).
+/// whenever a plain scalar would be re-interpreted as another type — by this
+/// crate's reader or by a YAML 1.1 one (`yes`, `on`, `0x1F`, `1_000`) — or
+/// break parsing (empty strings, strings that look like numbers or booleans,
+/// strings containing `: `, `#`, leading/trailing whitespace, …). Mapping
+/// keys outside `[A-Za-z0-9_./-]`, or that read as another type, are quoted
+/// the same way.
 pub fn to_yaml(value: &Value) -> String {
     let mut out = String::new();
     emit_block(value, 0, &mut out);
