@@ -41,8 +41,7 @@ pub struct DenialRecord {
     /// The line/byte offset of the violating field or parse error in the
     /// payload. `None` when no single position decided the denial: a body
     /// that is not valid UTF-8, holds several documents or lacks a known
-    /// `kind` or a `metadata.name`, or one the stream hands whole to the
-    /// tree reference (a container before `kind:`).
+    /// `kind` or a `metadata.name`.
     pub location: Option<SourceLocation>,
 }
 
@@ -926,6 +925,40 @@ spec:
                 .get(ResourceKind::Deployment, "default", "web")
                 .expect("stored");
             assert_eq!(stored.object.body(), &server_side_tree(&request));
+        }
+    }
+
+    /// The reader's whitespace is ASCII only: a `#` after a multibyte
+    /// character does not start a comment, whatever the character's UTF-8
+    /// continuation bytes (`你` is E4 BD A0). The parser and the tree an
+    /// admitted request is stored as both keep the whole value.
+    #[test]
+    fn a_hash_after_a_multibyte_character_is_read_as_text() {
+        let policy = allowed_manifest().replace("docker.io/bitnami/nginx:1.25", "string");
+        let validator =
+            Validator::from_manifests("demo", &[kf_yaml::parse(&policy).unwrap()]).unwrap();
+        let image = kf_yaml::Path::parse("spec.template.spec.containers[0].image").unwrap();
+        for (written, read) in [
+            ("x你#y", "x你#y"),
+            ("x\u{a0}#y", "x\u{a0}#y"),
+            ("x\u{85}#y", "x\u{85}#y"),
+            ("x #y", "x"),
+        ] {
+            let parsed = kf_yaml::parse(&format!("a: {written}\n")).unwrap();
+            assert_eq!(parsed.get("a").and_then(|v| v.as_str()), Some(read));
+            let body = policy
+                .replace("replicas: int", "replicas: 3")
+                .replace("image: string", &format!("image: {written}"));
+            let proxy = EnforcementProxy::new(ApiServer::new(), validator.clone());
+            let request = raw_request("operator", "web", &body, BodyFormat::Yaml);
+            assert!(proxy.handle(&request).is_success(), "{written:?}");
+            let stored = proxy
+                .upstream()
+                .store()
+                .get(ResourceKind::Deployment, "default", "web")
+                .expect("stored");
+            let stored_image = stored.object.body().get_path(&image);
+            assert_eq!(stored_image.and_then(|v| v.as_str()), Some(read));
         }
     }
 

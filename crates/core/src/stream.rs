@@ -6,17 +6,20 @@
 //! pull-based [`kf_yaml::events::Tokenizer`] or
 //! [`kf_yaml::json::JsonTokenizer`] (both emit the same event stream), and a
 //! small state machine per candidate validator (the `StreamMatcher`)
-//! advances arena node ids as events arrive:
+//! advances arena node ids as events arrive. The stream is the only serving
+//! validator: it decides and reports every body from the events it read.
 //!
 //! * the object's `kind:` is discovered during tokenization (no separate
-//!   `peek_kind` pre-pass over a parsed tree);
-//! * on the accept path **no document tree is ever allocated** — keys and
+//!   `peek_kind` pre-pass over a parsed tree), and the matchers it selects
+//!   are fed the document's events from its first one — borrowed from the
+//!   pass's event log — so fields before `kind:` are checked like any other;
+//! * on the accept path **matching allocates no document tree** — keys and
 //!   scalars borrow from the wire buffer and are checked directly against
 //!   the compiled nodes;
-//! * the body is **tokenized once**: the die-fast pass keeps a copy of every
-//!   event it pulls (a log that grows with what was read, not with the
-//!   body). An admitted body's log is fed to [`kf_yaml::TreeBuilder`], and
-//!   that tree is the document the API server stores
+//! * the body is **tokenized once**: the die-fast pass keeps every event it
+//!   pulls (a log that grows with what was read, not with the body). An
+//!   admitted body's log is fed to [`kf_yaml::TreeBuilder`], and that tree
+//!   is the document the API server stores
 //!   ([`ValidatorSet::admit_raw_format`]); nothing parses the bytes again;
 //! * denials are reported **from matcher state**, and a refusal pays only
 //!   for what it reports: on the collect pass each matcher records a
@@ -27,24 +30,25 @@
 //!   first wins) are rendered into the exact [`Violation`]s the compiled
 //!   tree walk would report. The collect pass replays the die-fast pass's
 //!   log and then carries on with the *same* tokenizer, so it reads the
-//!   identical event sequence without tokenizing the prefix twice. Deny
-//!   traffic never parses the payload into a tree — the stream keeps
-//!   tokenizing to the end of the document to collect the complete report
-//!   and to honor the reference precedence of parse/multi-document/envelope
-//!   defects over policy violations;
-//! * the rare constructs the stream cannot decide (root-level fields seen
-//!   before `kind:` whose values are containers, and constant/enumeration
-//!   policies over container values) fall back to the tree path —
-//!   [`ValidatorSet::validate_raw_tree_format`], which is also the reference
-//!   implementation the parity fuzz tests pin the streaming verdicts to
-//!   (when it admits, the document it parsed is the one stored). A
-//!   handful of verdict-certain denials whose violation *message* needs a
-//!   rendered container (e.g. a mapping where a constant scalar is required)
-//!   re-run the reference once for the report only.
+//!   identical event sequence without tokenizing the prefix twice. The
+//!   stream keeps tokenizing to the end of the document to collect the
+//!   complete report and to honor the reference precedence of
+//!   parse/multi-document/envelope defects over policy violations;
+//! * envelope defects — a root that is not a mapping, a missing, non-string
+//!   or unknown `kind`, an empty `metadata.name` — are decided at the end of
+//!   the document and worded with the [`k8s_model::Error`] that
+//!   [`K8sObject::peek_kind`] returns;
+//! * a container that meets a constant, enumeration or pattern node is built
+//!   from its own events ([`kf_yaml::TreeBuilder`]) until it closes, then
+//!   checked with the tree walk's own comparison. A node with no container
+//!   among its values decides at the container's first event; only the
+//!   report's rendering of the container waits for it to close.
 //!
+//! [`ValidatorSet::validate_raw_tree_format`] is the parse-then-validate
+//! reference the parity suites pin the stream to; no serving path calls it.
 //! `validate_raw` / `validate_raw_tree` return byte-identical outcomes —
-//! the stream only *adds* the deciding event's source location to
-//! stream-decided denials. See `docs/streaming-admission.md`.
+//! the stream only *adds* the deciding event's source location to denials.
+//! See `docs/streaming-admission.md`.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -123,6 +127,20 @@ fn unparsable_error(error: &kf_yaml::Error) -> RawVerdict {
     }
 }
 
+/// An envelope defect, as the reference reports it: unpositioned.
+fn unparsable_envelope(error: k8s_model::Error) -> RawVerdict {
+    RawVerdict::Unparsable {
+        reason: error.to_string(),
+        location: None,
+    }
+}
+
+fn missing_field(field: &str) -> k8s_model::Error {
+    k8s_model::Error::MissingField {
+        field: field.to_owned(),
+    }
+}
+
 /// One tokenizer front end behind a common pull interface; which one runs is
 /// the only format-specific decision the streaming plane ever makes.
 enum WireTokenizer<'a> {
@@ -163,60 +181,88 @@ impl<'a> WireTokenizer<'a> {
 /// are 23–239 events, 48 at the median.
 const LOG_INITIAL_EVENTS: usize = 64;
 
-/// Where a streaming pass pulls its events from: first the events an
-/// earlier pass already read (the collect pass replays the die-fast pass's
-/// log), then the live tokenizer, carrying on from where that pass stopped.
-/// A logging pass — the die-fast one — keeps a copy of every event it pulls
-/// from the tokenizer.
+/// Where a streaming pass reads its events: first the ones already in the
+/// log (the collect pass re-reads what the die-fast pass logged), then the
+/// live tokenizer, carrying on from where that pass stopped. While logging
+/// — the die-fast pass, until nothing it reads can be admitted or replayed
+/// — each live event is moved into the log and read from there.
 struct EventSource<'p, 'a> {
-    replay: std::vec::IntoIter<Event<'a>>,
+    log: &'p mut Vec<Event<'a>>,
+    /// How many of the log's events this pass has read.
+    read: usize,
     live: &'p mut WireTokenizer<'a>,
-    log: Option<&'p mut Vec<Event<'a>>>,
+    logging: bool,
+    /// The current event, once the pass reads past the log unlogged.
+    unlogged: Option<Event<'a>>,
 }
 
-impl<'a> EventSource<'_, 'a> {
-    fn pull(&mut self) -> Result<Option<Event<'a>>, kf_yaml::Error> {
-        if let Some(event) = self.replay.next() {
-            return Ok(Some(event));
+impl<'p, 'a> EventSource<'p, 'a> {
+    fn new(log: &'p mut Vec<Event<'a>>, live: &'p mut WireTokenizer<'a>, logging: bool) -> Self {
+        EventSource {
+            log,
+            read: 0,
+            live,
+            logging,
+            unlogged: None,
         }
-        let event = self.live.next_event()?;
-        if let (Some(log), Some(event)) = (self.log.as_deref_mut(), &event) {
-            log.push(event.clone());
+    }
+
+    /// Move to the next event; `false` at the end of the stream.
+    fn advance(&mut self) -> Result<bool, kf_yaml::Error> {
+        if self.read < self.log.len() {
+            self.read += 1;
+            return Ok(true);
         }
-        Ok(event)
+        let Some(event) = self.live.next_event()? else {
+            return Ok(false);
+        };
+        if self.logging {
+            self.log.push(event);
+            self.read += 1;
+        } else {
+            self.unlogged = Some(event);
+        }
+        Ok(true)
+    }
+
+    /// The event [`EventSource::advance`] moved to.
+    fn current(&self) -> &Event<'a> {
+        // Logged events are read before any unlogged one.
+        match &self.unlogged {
+            Some(event) => event,
+            None => &self.log[self.read - 1],
+        }
+    }
+
+    /// Every event this pass has read, oldest first, while each was logged:
+    /// the document's events from its first one, for matchers that start
+    /// late.
+    fn read_so_far(&self) -> &[Event<'a>] {
+        debug_assert!(self.unlogged.is_none(), "the log covers what was read");
+        &self.log[..self.read]
     }
 
     /// Log nothing more: no event read from here on can be admitted or
     /// need replaying.
     fn stop_logging(&mut self) {
-        self.log = None;
+        self.logging = false;
     }
 }
 
-/// What an admitting pass read, not yet a tree: the caller decides when
-/// to build it (the proxy stops its validation clock first, so the build —
-/// the parse the server no longer does — is not billed as validation).
-pub(crate) enum Admitted<'a> {
-    /// Every event of the admitted document, as the die-fast pass read it.
-    Events(Vec<Event<'a>>),
-    /// The document the tree reference parsed to admit the body.
-    Tree(Value),
-}
+/// What an admitting pass read, not yet a tree: every event of the admitted
+/// document, as the die-fast pass logged them. The caller decides when to
+/// build it (the proxy stops its validation clock first, so the build — the
+/// parse the server no longer does — is not billed as validation).
+pub(crate) struct Admitted<'a>(Vec<Event<'a>>);
 
 impl Admitted<'_> {
-    /// The admitted document: built from the logged events, or the tree
-    /// the reference already parsed.
+    /// The admitted document, built from the logged events.
     pub(crate) fn into_document(self) -> Value {
-        match self {
-            Admitted::Events(events) => {
-                let mut builder = TreeBuilder::default();
-                events
-                    .into_iter()
-                    .find_map(|event| builder.feed(event))
-                    .expect("the stream admits only once its document's end is logged")
-            }
-            Admitted::Tree(document) => document,
-        }
+        let mut builder = TreeBuilder::default();
+        self.0
+            .into_iter()
+            .find_map(|event| builder.feed(event))
+            .expect("the stream admits only once its document's end is logged")
     }
 }
 
@@ -241,7 +287,7 @@ impl ValidatorSet {
     /// the events it reads. Only when that pass decides a denial does a
     /// **collect** pass run (still building no tree), with matchers
     /// recording the full violation lists the reference would report: it
-    /// replays the logged events, then tokenizes on from where the die-fast
+    /// re-reads the logged events, then tokenizes on from where the die-fast
     /// pass stopped. This is [`ValidatorSet::admit_raw_format`] without
     /// building the admitted document.
     pub fn validate_raw_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
@@ -249,11 +295,10 @@ impl ValidatorSet {
     }
 
     /// [`ValidatorSet::validate_raw_format`], and on admission the document
-    /// the body holds: built from the events the die-fast pass read, or the
-    /// tree the reference parsed when the stream deferred to it. It equals
-    /// what [`kf_yaml::parse`] ([`kf_yaml::parse_json`] for JSON) makes of
-    /// `text`, so a server can store it instead of parsing the bytes again.
-    /// `None` beside every refusal.
+    /// the body holds, built from the events the die-fast pass read. It
+    /// equals what [`kf_yaml::parse`] ([`kf_yaml::parse_json`] for JSON)
+    /// makes of `text`, so a server can store it instead of parsing the
+    /// bytes again. `None` beside every refusal.
     pub fn admit_raw_format(&self, text: &str, format: BodyFormat) -> (RawVerdict, Option<Value>) {
         let (verdict, admitted) = self.admission(text, format);
         (verdict, admitted.map(Admitted::into_document))
@@ -266,38 +311,21 @@ impl ValidatorSet {
         text: &'a str,
         format: BodyFormat,
     ) -> (RawVerdict, Option<Admitted<'a>>) {
-        let format = format.resolve(text);
-        let mut tokenizer = match WireTokenizer::new(text, format) {
+        let mut tokenizer = match WireTokenizer::new(text, format.resolve(text)) {
             Ok(tokenizer) => tokenizer,
             Err(e) => return (unparsable_error(&e), None),
         };
-        // Constructs the stream cannot decide go to the authoritative tree
-        // path, which keeps the document it parsed when it admits.
-        let tree = || {
-            let (verdict, document) = self.raw_tree_verdict(text, format);
-            (verdict, document.map(Admitted::Tree))
-        };
         let mut log = Vec::with_capacity(LOG_INITIAL_EVENTS);
-        let fast = EventSource {
-            replay: Vec::new().into_iter(),
-            live: &mut tokenizer,
-            log: Some(&mut log),
-        };
-        match streaming_verdict(self, text, format, fast, Mode::Fast) {
+        let fast = EventSource::new(&mut log, &mut tokenizer, true);
+        match streaming_verdict(self, fast, Mode::Fast) {
             StreamFlow::Verdict(RawVerdict::Admitted) => {
-                (RawVerdict::Admitted, Some(Admitted::Events(log)))
+                (RawVerdict::Admitted, Some(Admitted(log)))
             }
             StreamFlow::Verdict(verdict) => (verdict, None),
-            StreamFlow::TreeFallback => tree(),
             StreamFlow::Report => {
-                let collect = EventSource {
-                    replay: log.into_iter(),
-                    live: &mut tokenizer,
-                    log: None,
-                };
-                match streaming_verdict(self, text, format, collect, Mode::Collect) {
+                let collect = EventSource::new(&mut log, &mut tokenizer, false);
+                match streaming_verdict(self, collect, Mode::Collect) {
                     StreamFlow::Verdict(verdict) => (verdict, None),
-                    StreamFlow::TreeFallback => tree(),
                     StreamFlow::Report => unreachable!("collect mode produces verdicts"),
                 }
             }
@@ -313,72 +341,35 @@ impl ValidatorSet {
     /// The tree-path reference semantics for raw bodies: parse the full
     /// document, pre-check the object envelope, then validate the tree.
     /// [`ValidatorSet::validate_raw_format`] reaches exactly these verdicts
-    /// (adding only the deciding event's location to stream-decided
-    /// denials); the parity fuzz tests and the end-to-end benchmark's
-    /// verdict-parity check both run this form.
+    /// (adding only the deciding event's location to denials); the parity
+    /// fuzz tests and the end-to-end benchmark's verdict-parity check both
+    /// run this form.
     pub fn validate_raw_tree_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
-        self.raw_tree_verdict(text, format).0
-    }
-
-    /// The tree reference's verdict, and the one document it parsed when
-    /// that document is admitted.
-    fn raw_tree_verdict(&self, text: &str, format: BodyFormat) -> (RawVerdict, Option<Value>) {
-        let unparsable = |reason: String| {
-            let verdict = RawVerdict::Unparsable {
-                reason,
-                location: None,
-            };
-            (verdict, None)
+        let docs = match format.resolve(text) {
+            BodyFormat::Json => kf_yaml::parse_json(text).map(|doc| vec![doc]),
+            _ => kf_yaml::parse_documents(text),
         };
-        let mut docs = match format.resolve(text) {
-            BodyFormat::Json => match kf_yaml::parse_json(text) {
-                Ok(doc) => vec![doc],
-                Err(e) => return (unparsable_error(&e), None),
-            },
-            _ => match kf_yaml::parse_documents(text) {
-                Ok(docs) => docs,
-                Err(e) => return (unparsable_error(&e), None),
-            },
+        let docs = match docs {
+            Ok(docs) => docs,
+            Err(e) => return unparsable_error(&e),
         };
         if docs.len() != 1 {
-            return unparsable(format!(
-                "expected a single YAML document, found {}",
-                docs.len()
-            ));
+            return RawVerdict::Unparsable {
+                reason: format!("expected a single YAML document, found {}", docs.len()),
+                location: None,
+            };
         }
         let kind = match K8sObject::peek_kind(&docs[0]) {
             Ok(kind) => kind,
-            Err(e) => return unparsable(e.to_string()),
+            Err(e) => return unparsable_envelope(e),
         };
         match self.validate_kind_body(kind, &docs[0]) {
-            Ok(()) => (RawVerdict::Admitted, docs.pop()),
-            Err(violations) => {
-                let verdict = RawVerdict::Denied {
-                    violations,
-                    location: None,
-                };
-                (verdict, None)
-            }
+            Ok(()) => RawVerdict::Admitted,
+            Err(violations) => RawVerdict::Denied {
+                violations,
+                location: None,
+            },
         }
-    }
-}
-
-/// Produce the report for a stream-decided denial whose violation messages
-/// need rendered container values: re-run the full reference semantics
-/// ([`ValidatorSet::validate_raw_tree_format`]) and stamp the deciding
-/// event's position onto policy denials. Only the few denials flagged
-/// [`StreamMatcher::report_via_tree`] take this path; everything else is
-/// synthesized from matcher state without touching the payload again.
-fn deny_report(set: &ValidatorSet, text: &str, format: BodyFormat, pos: Pos) -> RawVerdict {
-    match set.validate_raw_tree_format(text, format) {
-        // The tree path is authoritative; a disagreement here would be a
-        // matcher bug, so trust the tree.
-        RawVerdict::Admitted => RawVerdict::Admitted,
-        RawVerdict::Denied { violations, .. } => RawVerdict::Denied {
-            violations,
-            location: Some(pos.into()),
-        },
-        unparsable => unparsable,
     }
 }
 
@@ -401,6 +392,9 @@ enum Found<'a> {
     Nothing,
     /// A container opened: the tree walker's name for it (`map` / `seq`).
     Container(&'static str),
+    /// A container a matcher built from its events (see
+    /// [`StreamMatcher::capture`]), for messages that render it.
+    Built(Value),
     /// A scalar, borrowed from the wire buffer.
     Scalar(ScalarToken<'a>),
 }
@@ -410,12 +404,14 @@ impl Found<'_> {
         match self {
             Found::Nothing => "",
             Found::Container(name) => name,
+            Found::Built(value) => value.type_name(),
             Found::Scalar(token) => token.type_name(),
         }
     }
 
     fn render(&self) -> String {
         match self {
+            Found::Built(value) => value.scalar_to_string(),
             Found::Scalar(token) => token.render(),
             Found::Nothing | Found::Container(_) => String::new(),
         }
@@ -442,15 +438,12 @@ enum SiteReason {
     Type(TypeTag),
     /// A `mapping` / `sequence` was required.
     Structure(&'static str),
-    /// The value differs from the scalar constant `values[_]`.
+    /// The value differs from the constant `values[_]`.
     Const(u32),
-    /// The value is none of the scalar options `values[start..start + len]`.
+    /// The value is none of the options `values[start..start + len]`.
     Enum { start: u32, len: u32 },
     /// The value does not match `patterns[_]`.
     Pattern(u32),
-    /// The message renders a container value: counted here, reported by
-    /// the tree (see [`StreamMatcher::report_via_tree`]).
-    Deferred,
 }
 
 /// One recorded violation of one matcher: which event, and why.
@@ -581,7 +574,6 @@ impl<'a> PathTracker<'a> {
             SiteReason::Pattern(pattern) => {
                 not_allowed(compiled.pattern(pattern).source().to_owned())
             }
-            SiteReason::Deferred => not_allowed(String::new()),
         };
         Violation { path, reason }
     }
@@ -608,33 +600,23 @@ impl SiteAtEvent<'_, '_> {
     }
 }
 
-/// The matcher-set health after one event, folded into the feed loop so the
-/// caller never re-iterates the matchers to learn it.
-struct DriveOutcome {
-    /// Some matcher hit a construct the stream cannot decide.
-    needs_tree: bool,
-    /// Every matcher has rejected the document.
-    all_failed: bool,
-}
-
 /// Drive one event through the shared path tracker (when one is maintained
 /// — the collect pass only) and every matcher, in the order the path
-/// semantics require. Used by both the main tokenizer loop and the
-/// pre-`kind:` replay.
+/// semantics require. Returns where the denial is decided when every
+/// matcher has now failed: the event's position, or — when a built
+/// container closed at it — the container's first event.
 fn drive<'a>(
     matchers: &mut [StreamMatcher<'_>],
     mut tracker: Option<&mut PathTracker<'a>>,
     event: &Event<'a>,
-) -> DriveOutcome {
+) -> Option<Pos> {
     // Fast pass (`tracker` is `None`): matchers only reach verdicts, so the
     // document position bookkeeping is skipped entirely.
     if let Some(tracker) = tracker.as_mut() {
         tracker.before_event(event);
     }
-    let mut outcome = DriveOutcome {
-        needs_tree: false,
-        all_failed: true,
-    };
+    let mut all_failed = true;
+    let mut pos = event_pos(event);
     {
         let mut at = SiteAtEvent {
             tracker: tracker.as_deref_mut(),
@@ -642,15 +624,16 @@ fn drive<'a>(
             snapshot: None,
         };
         for matcher in matchers.iter_mut() {
-            matcher.feed(event, &mut at);
-            outcome.needs_tree |= matcher.needs_tree;
-            outcome.all_failed &= matcher.failed();
+            if let Some(opened) = matcher.feed(event, &mut at) {
+                pos = opened;
+            }
+            all_failed &= matcher.failed();
         }
     }
     if let Some(tracker) = tracker {
         tracker.after_event(event);
     }
-    outcome
+    all_failed.then_some(pos)
 }
 
 /// How the matchers run over the stream.
@@ -669,9 +652,6 @@ enum Mode {
 enum StreamFlow {
     /// A final verdict.
     Verdict(RawVerdict),
-    /// The stream hit a construct it cannot decide; the caller must fall
-    /// back to the tree path.
-    TreeFallback,
     /// The denial was decided, but the report was not collected
     /// ([`Mode::Fast`] only): run a [`Mode::Collect`] pass over the same
     /// events — the log, then the rest of the tokenizer — which re-derives
@@ -679,38 +659,24 @@ enum StreamFlow {
     Report,
 }
 
-impl StreamFlow {
-    fn verdict(verdict: RawVerdict) -> StreamFlow {
-        StreamFlow::Verdict(verdict)
-    }
-}
-
-/// Run the streaming matchers over the events of `text`, pulled from
-/// `source`. `format` must already be resolved (not `Auto`).
+/// Run the streaming matchers over the events `source` reads.
 fn streaming_verdict<'a>(
     set: &ValidatorSet,
-    text: &'a str,
-    format: BodyFormat,
     mut source: EventSource<'_, 'a>,
     mode: Mode,
 ) -> StreamFlow {
     let mut depth = 0usize;
-    let mut started = false;
     let mut doc_done = false;
     // Root-level key whose value has not started yet.
-    let mut pending_root_key: Option<(Cow<'_, str>, Pos)> = None;
-    // Root-level scalar entries seen before `kind:` was discovered; replayed
-    // into the matchers once the policy root is known.
-    let mut prekind: Vec<(Cow<'_, str>, Pos, ScalarToken<'_>, Pos)> = Vec::new();
-    let mut kind: Option<ResourceKind> = None;
+    let mut root_key: Option<Cow<'a, str>> = None;
+    // The root's `kind` with its position, or the error `peek_kind` reports
+    // for it; `None` while no root `kind` was read.
+    let mut kind: Option<Result<(ResourceKind, Pos), k8s_model::Error>> = None;
     let mut matchers: Vec<StreamMatcher<'_>> = Vec::new();
     // Only the collect pass renders document paths; the fast pass skips the
     // position bookkeeping altogether (it can only ever answer admit/deny).
     let mut tracker = (mode == Mode::Collect).then(PathTracker::default);
-    // A known kind no validator covers: the denial is certain, pending the
-    // reference's precedence checks at end of stream.
-    let mut uncovered_kind: Option<(ResourceKind, Pos)> = None;
-    // Position of the event at which every candidate matcher had failed.
+    // Where every candidate matcher had failed.
     let mut decided_at: Option<Pos> = None;
     // Envelope tracking: `metadata.name` must be a non-empty string.
     let mut metadata_open: Option<usize> = None;
@@ -718,253 +684,160 @@ fn streaming_verdict<'a>(
     let mut name_ok = false;
 
     while !doc_done {
-        let event = match source.pull() {
-            Ok(Some(event)) => event,
-            Ok(None) => break,
-            Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
+        match source.advance() {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => return StreamFlow::Verdict(unparsable_error(&e)),
+        }
+        let event = source.current();
+        // What the matchers are fed: this event — or, at the `kind:` that
+        // creates them, every event of the document so far.
+        let mut fed = if matchers.is_empty() {
+            &[][..]
+        } else {
+            std::slice::from_ref(event)
         };
-        // The event that resolves `kind:` is fed to the matchers by the
-        // replay below, not by the regular per-event feed.
-        let mut feed_event = kind.is_some();
-        match &event {
+        match event {
             Event::MappingStart { .. } | Event::SequenceStart { .. } => {
-                if !started {
-                    if matches!(event, Event::SequenceStart { .. }) {
-                        // Not an object envelope: reference semantics.
-                        return StreamFlow::TreeFallback;
-                    }
-                    started = true;
-                } else if depth == 1 {
-                    if let Some((key, _)) = pending_root_key.take() {
-                        if kind.is_none() {
-                            if key == "kind" {
-                                // `kind` is not a string: reference semantics.
-                                return StreamFlow::TreeFallback;
-                            }
-                            // A container value before `kind:` is known
-                            // cannot be validated in-stream.
-                            return StreamFlow::TreeFallback;
-                        }
-                        if key == "metadata" && matches!(event, Event::MappingStart { .. }) {
+                if depth == 1 {
+                    match root_key.take().as_deref() {
+                        Some("kind") => kind = Some(Err(missing_field("kind"))),
+                        Some("metadata") if matches!(event, Event::MappingStart { .. }) => {
                             metadata_open = Some(depth + 1);
                         }
+                        _ => {}
                     }
-                } else if metadata_open == Some(depth) && pending_name {
+                } else if metadata_open == Some(depth) {
                     pending_name = false; // name is not a string
                 }
                 depth += 1;
             }
-            Event::Key { name, pos } => {
-                if !started {
-                    return StreamFlow::TreeFallback;
-                }
+            Event::Key { name, .. } => {
                 if depth == 1 {
-                    pending_root_key = Some((name.clone(), *pos));
+                    root_key = Some(name.clone());
                 } else if metadata_open == Some(depth) {
                     pending_name = name == "name";
                 }
             }
             Event::Scalar { value, pos } => {
-                if !started {
-                    // A bare-scalar document: reference semantics.
-                    return StreamFlow::TreeFallback;
-                }
-                if depth == 1 {
-                    if let Some((key, key_pos)) = pending_root_key.take() {
-                        if key == "kind" && kind.is_none() {
-                            let Some(kind_text) = value.as_str() else {
-                                return StreamFlow::TreeFallback;
-                            };
-                            let Some(resolved) = ResourceKind::parse(kind_text) else {
-                                return StreamFlow::TreeFallback;
-                            };
-                            kind = Some(resolved);
-                            let route = set.validators_for(resolved);
-                            if route.is_empty() {
-                                // No validator covers the kind. The denial
-                                // itself is certain, but the reference ranks
-                                // envelope/multi-document defects above the
-                                // UnknownKind violation — keep streaming and
-                                // decide at end of document.
-                                uncovered_kind = Some((resolved, *pos));
-                                source.stop_logging();
-                                feed_event = false;
-                            } else {
-                                for &index in route {
-                                    let compiled = set.validators()[index as usize].compiled();
-                                    let root = compiled
-                                        .kind_root(resolved)
-                                        .expect("routing table lists only covering validators");
-                                    matchers.push(StreamMatcher::new(compiled, root, mode));
-                                }
-                                // Replay the envelope into the fresh
-                                // matchers: the root mapping, every buffered
-                                // pre-kind scalar entry, then `kind` itself.
-                                // The replay checks matcher health after
-                                // every event so an early deny is stamped
-                                // with the position of the replayed field
-                                // that decided it, not the `kind:` value's.
-                                let mut replay: Vec<Event<'_>> =
-                                    Vec::with_capacity(2 * prekind.len() + 3);
-                                replay.push(Event::MappingStart {
-                                    pos: Pos::default(),
-                                });
-                                for (bkey, bkey_pos, bvalue, bvalue_pos) in &prekind {
-                                    replay.push(Event::Key {
-                                        name: bkey.clone(),
-                                        pos: *bkey_pos,
-                                    });
-                                    replay.push(Event::Scalar {
-                                        value: bvalue.clone(),
-                                        pos: *bvalue_pos,
-                                    });
-                                }
-                                replay.push(Event::Key {
-                                    name: Cow::Borrowed("kind"),
-                                    pos: key_pos,
-                                });
-                                replay.push(Event::Scalar {
-                                    value: value.clone(),
-                                    pos: *pos,
-                                });
-                                for replay_event in &replay {
-                                    let outcome =
-                                        drive(&mut matchers, tracker.as_mut(), replay_event);
-                                    if outcome.needs_tree {
-                                        return StreamFlow::TreeFallback;
-                                    }
-                                    if decided_at.is_none() && outcome.all_failed {
-                                        if mode == Mode::Fast {
-                                            // The verdict is decided; stop
-                                            // tokenizing and let the collect
-                                            // pass produce the report.
-                                            return StreamFlow::Report;
-                                        }
-                                        decided_at = Some(event_pos(replay_event));
-                                    }
-                                }
-                                feed_event = false;
-                            }
-                        } else if kind.is_none() {
-                            prekind.push((key, key_pos, value.clone(), *pos));
+                if depth == 1 && root_key.take().as_deref() == Some("kind") {
+                    let resolved = match value.as_str() {
+                        Some(text) => {
+                            ResourceKind::parse(text).ok_or_else(|| k8s_model::Error::UnknownKind {
+                                kind: text.to_owned(),
+                            })
                         }
+                        None => Err(missing_field("kind")),
+                    };
+                    if let Ok(resolved) = resolved {
+                        for &index in set.validators_for(resolved) {
+                            let compiled = set.validators()[index as usize].compiled();
+                            let root = compiled
+                                .kind_root(resolved)
+                                .expect("routing table lists only covering validators");
+                            matchers.push(StreamMatcher::new(compiled, root, mode));
+                        }
+                        // The fresh matchers start at the root mapping, so
+                        // an early deny is stamped with the position of the
+                        // field that decided it, before `kind:` or not.
+                        fed = source.read_so_far();
                     }
+                    kind = Some(resolved.map(|resolved| (resolved, *pos)));
                 } else if metadata_open == Some(depth) && pending_name {
                     pending_name = false;
-                    if let ScalarToken::Str(s) = value {
-                        if !s.is_empty() {
-                            name_ok = true;
-                        }
-                    }
+                    name_ok = matches!(value, ScalarToken::Str(name) if !name.is_empty());
                 }
             }
             Event::End => {
                 depth = depth.saturating_sub(1);
-                if let Some(open) = metadata_open {
-                    if depth < open {
-                        metadata_open = None;
-                    }
+                if metadata_open.is_some_and(|open| depth < open) {
+                    metadata_open = None;
                 }
             }
             Event::DocumentEnd => {
                 doc_done = true;
-                feed_event = false;
+                fed = &[];
             }
         }
-        if feed_event && !matchers.is_empty() {
-            let outcome = drive(&mut matchers, tracker.as_mut(), &event);
-            if outcome.needs_tree {
-                return StreamFlow::TreeFallback;
-            }
-            if decided_at.is_none() && outcome.all_failed {
+        for event in fed {
+            if let (None, Some(pos)) = (decided_at, drive(&mut matchers, tracker.as_mut(), event)) {
                 if mode == Mode::Fast {
                     // Every candidate has failed: the denial is decided
                     // here and tokenization stops. The collect pass
-                    // replays the log up to this event, then tokenizes on
+                    // re-reads the log up to this event, then tokenizes on
                     // (building no tree) for the report and for the
                     // reference precedence of later parse errors.
                     return StreamFlow::Report;
                 }
-                decided_at = Some(event_pos(&event));
+                decided_at = Some(pos);
             }
         }
-        if !doc_done
-            && matchers.is_empty()
-            && uncovered_kind.is_some()
-            && name_ok
-            && metadata_open.is_none()
-        {
-            // The candidate set is empty (uncovered kind) and the envelope
-            // is already satisfied: the rest of the document can only
-            // contribute parse defects or a document count. Bail to a
-            // scan-only tokenize loop — no per-event bookkeeping at all.
-            loop {
-                match source.pull() {
-                    Ok(Some(Event::DocumentEnd)) => {
-                        doc_done = true;
-                        break;
-                    }
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
-                }
+        if matchers.is_empty() && kind.is_some() {
+            // No matcher will run: nothing read from here on is admitted
+            // or replayed. Once the envelope is decided too, the rest of
+            // the document can only contribute parse defects or a document
+            // count; the drain below scans it without bookkeeping.
+            source.stop_logging();
+            if name_ok || matches!(kind, Some(Err(_))) {
+                break;
             }
         }
     }
 
-    if !started {
-        // Empty or comment-only body: reference semantics.
-        return StreamFlow::TreeFallback;
-    }
     // A request body must be exactly one document, and the reference ranks
     // multi-document (and any later parse) defects above envelope defects
     // and policy violations — `parse_documents` sees the whole stream before
     // `peek_kind` runs. Drain the tokenizer (building no trees) to reproduce
     // its outcome: the earliest parse error anywhere in the stream, else the
-    // document count. The document is complete, so the log is too.
+    // document count.
     source.stop_logging();
-    match source.pull() {
-        Ok(None) => {}
-        Ok(Some(_)) => loop {
-            match source.pull() {
-                Ok(Some(_)) => continue,
-                Ok(None) => {
-                    return StreamFlow::verdict(RawVerdict::Unparsable {
-                        reason: format!(
-                            "expected a single YAML document, found {}",
-                            source.live.document_count()
-                        ),
-                        location: None,
-                    })
-                }
-                Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
-            }
-        },
-        Err(e) => return StreamFlow::verdict(unparsable_error(&e)),
+    let mut trailing = false;
+    loop {
+        match source.advance() {
+            Ok(true) if doc_done => trailing = true,
+            Ok(true) => doc_done = matches!(source.current(), Event::DocumentEnd),
+            Ok(false) => break,
+            Err(e) => return StreamFlow::Verdict(unparsable_error(&e)),
+        }
     }
-    if kind.is_none() || !name_ok {
-        // Envelope defect (missing `kind` / `metadata.name`): cold path,
-        // defer to the reference for its exact report.
-        return StreamFlow::TreeFallback;
+    if trailing || !doc_done {
+        return StreamFlow::Verdict(RawVerdict::Unparsable {
+            reason: format!(
+                "expected a single YAML document, found {}",
+                source.live.document_count()
+            ),
+            location: None,
+        });
     }
-    if let Some((kind, pos)) = uncovered_kind {
-        // Synthesized without re-parsing: exactly the reference's report
-        // for a covered envelope of an uncovered kind.
-        return StreamFlow::verdict(RawVerdict::Denied {
+    // The envelope, in `K8sObject::peek_kind`'s order. A root that is not a
+    // mapping has no root `kind`.
+    let (kind, kind_pos) = match kind {
+        None => return StreamFlow::Verdict(unparsable_envelope(missing_field("kind"))),
+        Some(Err(error)) => return StreamFlow::Verdict(unparsable_envelope(error)),
+        Some(Ok(kind)) => kind,
+    };
+    if !name_ok {
+        return StreamFlow::Verdict(unparsable_envelope(missing_field("metadata.name")));
+    }
+    if matchers.is_empty() {
+        // No validator covers the kind: exactly the reference's report for
+        // a covered envelope of an uncovered kind.
+        return StreamFlow::Verdict(RawVerdict::Denied {
             violations: vec![Violation {
                 path: kind.as_str().to_owned(),
                 reason: ViolationReason::UnknownKind,
             }],
-            location: Some(pos.into()),
+            location: Some(kind_pos.into()),
         });
     }
     let Some(pos) = decided_at else {
         debug_assert!(matchers.iter().any(|m| !m.failed()));
-        return StreamFlow::verdict(RawVerdict::Admitted);
+        return StreamFlow::Verdict(RawVerdict::Admitted);
     };
     debug_assert_eq!(mode, Mode::Collect, "fast mode returns before this point");
     // Denied: report the closest match (fewest violations, first wins),
-    // mirroring `ValidatorSet::validate_kind_body`.
+    // mirroring `ValidatorSet::validate_kind_body`. Only the served report
+    // is rendered; the losers' sites are dropped as recorded.
     let winner = matchers
         .iter()
         .reduce(|best, candidate| {
@@ -975,15 +848,8 @@ fn streaming_verdict<'a>(
             }
         })
         .expect("a decided denial has at least one matcher");
-    if winner.report_via_tree {
-        // The winning report contains a violation whose message renders a
-        // container value; only this cold case re-reads the payload.
-        return StreamFlow::verdict(deny_report(set, text, format, pos));
-    }
-    // Only the served report is rendered; the losers' sites are dropped as
-    // recorded.
     let tracker = tracker.as_ref().expect("the collect pass keeps a tracker");
-    StreamFlow::verdict(RawVerdict::Denied {
+    StreamFlow::Verdict(RawVerdict::Denied {
         violations: winner
             .sites
             .iter()
@@ -1011,7 +877,8 @@ enum MFrame {
     /// Inside a sequence whose elements check against `element`.
     Seq { element: u32 },
     /// Inside a subtree the policy does not descend into (`Any` subtrees,
-    /// and the values of fields that already produced their violation).
+    /// the values of fields that already produced their violation, and
+    /// containers being built).
     Skip,
 }
 
@@ -1020,6 +887,26 @@ enum MFrame {
 enum Target {
     Skip,
     Node(u32),
+}
+
+/// A container a constant, enumeration or pattern node met, built from its
+/// own events until it closes. The tree walk compares values, and renders
+/// them in its messages; this is the one place the stream builds anything
+/// while matching, and it holds only this container.
+#[derive(Debug)]
+struct Capture {
+    /// The node's violation, should the container turn out not allowed.
+    reason: SiteReason,
+    /// Whether that violation is already recorded: no value of the node is
+    /// a container, so none could match.
+    decided: bool,
+    /// The container's first event: where the violation is recorded and
+    /// located.
+    snapshot: u32,
+    pos: Pos,
+    /// The matcher's stack depth with the container's frame on it.
+    depth: usize,
+    builder: TreeBuilder,
 }
 
 /// A state machine that advances compiled-arena node ids as tokenizer events
@@ -1038,16 +925,13 @@ pub(crate) struct StreamMatcher<'c> {
     /// Violations recorded so far ([`Mode::Collect`] only), in document
     /// order (the tree walk's order).
     sites: Vec<Site>,
-    /// [`Mode::Fast`] only: cleared at the first violation, after which the
-    /// matcher does no further work.
+    /// Cleared at the first violation in [`Mode::Fast`], and in either mode
+    /// on an event a well-formed stream cannot produce; a dead matcher does
+    /// no further work and never admits.
     alive: bool,
-    /// The verdict cannot be decided in-stream (container-valued
-    /// constant/enumeration policies): the whole request falls back.
-    needs_tree: bool,
-    /// The verdict is decided but some violation message requires a rendered
-    /// container value; if this matcher's report is the one served, it is
-    /// re-derived from the tree.
-    report_via_tree: bool,
+    /// The container being built, if any (see [`Capture`]); boxed, as
+    /// only a few bodies ever build one.
+    capture: Option<Box<Capture>>,
 }
 
 impl<'c> StreamMatcher<'c> {
@@ -1059,29 +943,27 @@ impl<'c> StreamMatcher<'c> {
             pending: Some(Target::Node(root)),
             sites: Vec::new(),
             alive: true,
-            needs_tree: false,
-            report_via_tree: false,
+            capture: None,
         }
     }
 
     /// Whether this matcher has rejected the document.
     fn failed(&self) -> bool {
-        match self.mode {
-            Mode::Fast => !self.alive,
-            Mode::Collect => !self.sites.is_empty(),
-        }
+        !self.alive || !self.sites.is_empty()
+    }
+
+    /// A violation occurred at the current event.
+    fn violate(&mut self, at: &mut SiteAtEvent<'_, '_>, reason: SiteReason) {
+        self.record(at.snapshot(), reason);
     }
 
     /// A violation occurred: in fast mode the matcher simply dies; in
     /// collect mode its site is recorded — no string is built on either
     /// pass.
-    fn violate(&mut self, at: &mut SiteAtEvent<'_, '_>, reason: SiteReason) {
+    fn record(&mut self, snapshot: u32, reason: SiteReason) {
         match self.mode {
             Mode::Fast => self.alive = false,
-            Mode::Collect => self.sites.push(Site {
-                snapshot: at.snapshot(),
-                reason,
-            }),
+            Mode::Collect => self.sites.push(Site { snapshot, reason }),
         }
     }
 
@@ -1096,81 +978,118 @@ impl<'c> StreamMatcher<'c> {
             return Target::Node(*element);
         }
         // A value event with no expectation cannot occur in a well-formed
-        // event stream; defer to the tree rather than guess.
-        self.needs_tree = true;
+        // event stream: fail closed.
+        self.alive = false;
         Target::Skip
     }
 
     /// A mapping or sequence opens where the current expectation points.
     /// Always pushes exactly one frame, so the stack stays aligned with the
     /// document nesting while violations accumulate.
-    fn enter_container(&mut self, is_mapping: bool, at: &mut SiteAtEvent<'_, '_>) {
-        match self.value_target() {
-            Target::Skip => self.stack.push(MFrame::Skip),
-            Target::Node(id) => match self.compiled.node(id) {
-                CompiledNode::Map { entries_start, len } if is_mapping => {
-                    self.stack.push(MFrame::Map { entries_start, len });
-                }
-                CompiledNode::Seq { element } if !is_mapping => {
-                    self.stack.push(MFrame::Seq { element });
-                }
-                CompiledNode::Any => self.stack.push(MFrame::Skip),
-                CompiledNode::Const { value } => {
-                    // A constant policy over a container value needs a
-                    // structural comparison the stream cannot perform —
-                    // unless the constant is a scalar, in which case any
-                    // container trivially mismatches; the violation message
-                    // renders the container, so the report (only) defers.
-                    if self.compiled.value(value).is_scalar() {
-                        self.violate(at, SiteReason::Deferred);
-                        self.report_via_tree = true;
-                    } else {
-                        self.needs_tree = true;
-                    }
-                    self.stack.push(MFrame::Skip);
-                }
-                CompiledNode::Enum { start, len } => {
-                    if self
-                        .compiled
-                        .values_slice(start, len)
-                        .iter()
-                        .all(Value::is_scalar)
-                    {
-                        self.violate(at, SiteReason::Deferred);
-                        self.report_via_tree = true;
-                    } else {
-                        self.needs_tree = true;
-                    }
-                    self.stack.push(MFrame::Skip);
-                }
-                CompiledNode::Pattern { .. } => {
-                    self.violate(at, SiteReason::Deferred);
-                    self.report_via_tree = true;
-                    self.stack.push(MFrame::Skip);
-                }
-                CompiledNode::Type(tag) => {
-                    self.violate(at, SiteReason::Type(tag));
-                    self.stack.push(MFrame::Skip);
-                }
-                CompiledNode::Map { .. } => {
-                    self.violate(at, SiteReason::Structure("mapping"));
-                    self.stack.push(MFrame::Skip);
-                }
-                CompiledNode::Seq { .. } => {
-                    self.violate(at, SiteReason::Structure("sequence"));
-                    self.stack.push(MFrame::Skip);
-                }
-            },
+    fn enter_container(&mut self, event: &Event<'_>, at: &mut SiteAtEvent<'_, '_>) {
+        let is_mapping = matches!(event, Event::MappingStart { .. });
+        let Target::Node(id) = self.value_target() else {
+            self.stack.push(MFrame::Skip);
+            return;
+        };
+        let value_check = match self.compiled.node(id) {
+            CompiledNode::Map { entries_start, len } if is_mapping => {
+                self.stack.push(MFrame::Map { entries_start, len });
+                return;
+            }
+            CompiledNode::Seq { element } if !is_mapping => {
+                self.stack.push(MFrame::Seq { element });
+                return;
+            }
+            CompiledNode::Any => None,
+            CompiledNode::Type(tag) => {
+                self.violate(at, SiteReason::Type(tag));
+                None
+            }
+            CompiledNode::Map { .. } => {
+                self.violate(at, SiteReason::Structure("mapping"));
+                None
+            }
+            CompiledNode::Seq { .. } => {
+                self.violate(at, SiteReason::Structure("sequence"));
+                None
+            }
+            CompiledNode::Const { value } => Some(SiteReason::Const(value)),
+            CompiledNode::Enum { start, len } => Some(SiteReason::Enum { start, len }),
+            CompiledNode::Pattern { pattern } => Some(SiteReason::Pattern(pattern)),
+        };
+        self.stack.push(MFrame::Skip);
+        if let Some(reason) = value_check {
+            self.capture(reason, event_pos(event), at);
         }
     }
 
-    fn feed(&mut self, event: &Event<'_>, at: &mut SiteAtEvent<'_, '_>) {
-        if !self.alive || self.needs_tree {
-            return;
+    /// The containers a value may equal under `reason`'s node, with the
+    /// scalars beside them: a constant, or an enumeration's options. A
+    /// pattern matches strings only.
+    fn allowed_values(&self, reason: SiteReason) -> &'c [Value] {
+        match reason {
+            SiteReason::Const(value) => std::slice::from_ref(self.compiled.value(value)),
+            SiteReason::Enum { start, len } => self.compiled.values_slice(start, len),
+            _ => &[],
+        }
+    }
+
+    /// A constant, enumeration or pattern node meets the container just
+    /// pushed. With no container among the node's values the verdict is
+    /// certain here, and only the collect pass builds the container, to
+    /// render it; otherwise both passes build it and decide when it closes.
+    fn capture(&mut self, reason: SiteReason, pos: Pos, at: &mut SiteAtEvent<'_, '_>) {
+        let snapshot = at.snapshot();
+        let decided = self.allowed_values(reason).iter().all(Value::is_scalar);
+        if decided {
+            self.record(snapshot, reason);
+            if self.mode == Mode::Fast {
+                return;
+            }
+        }
+        self.capture = Some(Box::new(Capture {
+            reason,
+            decided,
+            snapshot,
+            pos,
+            depth: self.stack.len(),
+            builder: TreeBuilder::default(),
+        }));
+    }
+
+    /// The captured container closed: check it as the tree walk does
+    /// ([`Value::loosely_equals`]) unless already decided, and keep it for
+    /// the report to render. Returns the container's position.
+    fn close(&mut self, mut capture: Capture, at: &mut SiteAtEvent<'_, '_>) -> Pos {
+        let built = capture
+            .builder
+            .feed(Event::DocumentEnd)
+            .unwrap_or(Value::Null);
+        let allowed = || {
+            self.allowed_values(capture.reason)
+                .iter()
+                .any(|value| built.loosely_equals(value))
+        };
+        if !capture.decided && !allowed() {
+            self.record(capture.snapshot, capture.reason);
+        }
+        if let Some(tracker) = at.tracker.as_deref_mut() {
+            tracker.snapshots[capture.snapshot as usize].found = Found::Built(built);
+        }
+        capture.pos
+    }
+
+    /// Feed one event. Returns the position of a built container that
+    /// closed at it.
+    fn feed(&mut self, event: &Event<'_>, at: &mut SiteAtEvent<'_, '_>) -> Option<Pos> {
+        if !self.alive {
+            return None;
         }
         match event {
-            Event::MappingStart { .. } => self.enter_container(true, at),
-            Event::SequenceStart { .. } => self.enter_container(false, at),
+            Event::MappingStart { .. } | Event::SequenceStart { .. } => {
+                self.enter_container(event, at);
+            }
             Event::Key { name, .. } => match self.stack.last() {
                 Some(MFrame::Skip) => {}
                 Some(MFrame::Map { entries_start, len }) => {
@@ -1185,17 +1104,27 @@ impl<'c> StreamMatcher<'c> {
                         }
                     }
                 }
-                _ => self.needs_tree = true,
+                // A key outside a mapping cannot occur in a well-formed
+                // event stream: fail closed.
+                _ => self.alive = false,
             },
-            Event::Scalar { value, .. } => match self.value_target() {
-                Target::Skip => {}
-                Target::Node(id) => self.check_scalar(id, value, at),
-            },
+            Event::Scalar { value, .. } => {
+                if let Target::Node(id) = self.value_target() {
+                    self.check_scalar(id, value, at);
+                }
+            }
             Event::End => {
                 self.stack.pop();
             }
             Event::DocumentEnd => {}
         }
+        let capture = self.capture.as_mut()?;
+        capture.builder.feed(event.clone());
+        if capture.depth <= self.stack.len() {
+            return None;
+        }
+        let capture = self.capture.take()?;
+        Some(self.close(*capture, at))
     }
 
     /// Check a scalar token against a compiled node, recording the site of
@@ -1209,31 +1138,18 @@ impl<'c> StreamMatcher<'c> {
                 }
             }
             CompiledNode::Const { value } => {
-                let expected = self.compiled.value(value);
-                if !token_loosely_equals(token, expected) {
-                    if expected.is_scalar() {
-                        self.violate(at, SiteReason::Const(value));
-                    } else {
-                        // The `allowed` message renders a container
-                        // constant; the verdict is certain, the report
-                        // defers.
-                        self.violate(at, SiteReason::Deferred);
-                        self.report_via_tree = true;
-                    }
+                if !token_loosely_equals(token, self.compiled.value(value)) {
+                    self.violate(at, SiteReason::Const(value));
                 }
             }
             CompiledNode::Enum { start, len } => {
-                let options = self.compiled.values_slice(start, len);
-                if !options
+                if !self
+                    .compiled
+                    .values_slice(start, len)
                     .iter()
                     .any(|option| token_loosely_equals(token, option))
                 {
-                    if options.iter().all(Value::is_scalar) {
-                        self.violate(at, SiteReason::Enum { start, len });
-                    } else {
-                        self.violate(at, SiteReason::Deferred);
-                        self.report_via_tree = true;
-                    }
+                    self.violate(at, SiteReason::Enum { start, len });
                 }
             }
             CompiledNode::Pattern { pattern } => {
@@ -1275,8 +1191,9 @@ fn token_matches_tag(tag: TypeTag, token: &ScalarToken<'_>) -> bool {
     }
 }
 
-/// [`Value::loosely_equals`] between a scalar token and a (scalar) tree
-/// node: integer/float representations of the same number are equal.
+/// [`Value::loosely_equals`] between a scalar token and a tree node:
+/// integer/float representations of the same number are equal, and no
+/// scalar equals a container.
 fn token_loosely_equals(token: &ScalarToken<'_>, value: &Value) -> bool {
     match (token, value) {
         (ScalarToken::Int(a), Value::Float(b)) => (*a as f64 - *b).abs() < f64::EPSILON,
@@ -1293,7 +1210,9 @@ fn token_loosely_equals(token: &ScalarToken<'_>, value: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validator::{Validator, ViolationReason};
+    use crate::compile::compile;
+    use crate::security::{SecurityLock, SecurityLocks};
+    use crate::validator::{PolicyNode, Validator, ViolationReason};
 
     fn validator() -> Validator {
         let manifests = vec![
@@ -1632,35 +1551,51 @@ spec:
     #[test]
     fn kind_discovered_after_other_scalars() {
         let set = set();
-        // `apiVersion` precedes `kind`; the pre-kind scalar buffer replays
-        // it into the matchers.
+        // `apiVersion` precedes `kind`; the matchers `kind:` selects are fed
+        // the document from its first event.
         let text = request("docker.io/bitnami/nginx:1.25", "IfNotPresent", "2");
         assert!(text.starts_with("apiVersion"));
         assert_eq!(set.validate_raw(&text), RawVerdict::Admitted);
     }
 
     #[test]
-    fn containers_before_kind_fall_back_to_the_tree_path() {
+    fn containers_before_kind_match_the_reference_and_locate_the_field() {
         let set = set();
-        // `metadata` (a container) precedes `kind`: the stream cannot
-        // decide and must defer — verdicts still match the tree path.
+        // `metadata` (a container) precedes `kind`: the stream decides it
+        // like any other field, with the reference's verdict.
         let compliant =
             "apiVersion: apps/v1\nmetadata:\n  name: web\nkind: Deployment\nspec:\n  replicas: 3\n";
+        assert_eq!(set.validate_raw(compliant), RawVerdict::Admitted);
         assert_eq!(
             set.validate_raw(compliant),
             set.validate_raw_tree(compliant)
         );
         let hostile = "metadata:\n  name: web\nkind: Deployment\nspec:\n  hostNetwork: true\n";
-        assert_eq!(set.validate_raw(hostile), set.validate_raw_tree(hostile));
-        assert!(!set.validate_raw(hostile).is_admitted());
+        let RawVerdict::Denied {
+            violations,
+            location,
+        } = set.validate_raw(hostile)
+        else {
+            panic!("expected denial");
+        };
+        let RawVerdict::Denied {
+            violations: tree_violations,
+            ..
+        } = set.validate_raw_tree(hostile)
+        else {
+            panic!("expected tree denial");
+        };
+        assert_eq!(violations, tree_violations);
+        let offset = location.expect("located").offset.expect("an offset");
+        assert!(hostile[offset..].starts_with("hostNetwork"), "{offset}");
     }
 
     #[test]
-    fn replayed_prekind_denials_stamp_the_violating_field() {
+    fn pre_kind_denials_stamp_the_violating_field() {
         let set = set();
-        // `hostNetwork` precedes `kind:` — it is buffered and replayed once
-        // the policy root is known; the denial location must point at it,
-        // not at the `kind:` value that triggered the replay.
+        // `hostNetwork` precedes `kind:` — the matchers read it once the
+        // policy root is known; the denial location must point at it, not
+        // at the `kind:` value that created them.
         let text = "hostNetwork: true\nkind: Deployment\nmetadata:\n  name: x\n";
         let RawVerdict::Denied { location, .. } = set.validate_raw(text) else {
             panic!("expected denial");
@@ -1721,5 +1656,112 @@ spec:
             panic!("expected JSON denial");
         };
         assert_eq!(violations, json_violations);
+    }
+
+    /// A container-valued constant in front of the stream, two ways: a
+    /// security lock pinning a mapping, and an enumeration of two mappings
+    /// compiled straight into an arena. The stream builds the container it
+    /// meets and compares it as the tree walk does.
+    #[test]
+    fn container_valued_constants_are_decided_in_stream() {
+        let locked = {
+            let mut validator = validator();
+            validator.apply_security_locks(&SecurityLocks::none().with_lock(SecurityLock {
+                field: "containers[].securityContext.capabilities".to_owned(),
+                locked_value: kf_yaml::parse("drop: [ALL]").unwrap(),
+                add_if_missing: true,
+                rationale: "a container-valued lock".to_owned(),
+            }));
+            ValidatorSet::single(validator)
+        };
+        let enumerated = {
+            let mut policy = validator()
+                .policy_for(ResourceKind::Deployment)
+                .unwrap()
+                .clone();
+            let PolicyNode::Map(root) = &mut policy else {
+                panic!("a mapping policy");
+            };
+            let Some(PolicyNode::Map(spec)) = root.get_mut("spec") else {
+                panic!("a spec policy");
+            };
+            let options = ["type: Recreate", "type: RollingUpdate"];
+            spec.insert(
+                "strategy".to_owned(),
+                PolicyNode::Enum(options.map(|o| kf_yaml::parse(o).unwrap()).to_vec()),
+            );
+            let compiled = compile([(ResourceKind::Deployment, &policy)]);
+            ValidatorSet::single(Validator::from_arena("enumerated", compiled))
+        };
+        let base = request("docker.io/bitnami/nginx:1.25", "Always", "3");
+        let capabilities = |value: &str| {
+            format!("{base}          securityContext:\n            capabilities: {value}\n")
+        };
+        let strategy =
+            |value: &str| base.replacen("spec:\n", &format!("spec:\n  strategy: {value}\n"), 1);
+        type Body<'f> = &'f dyn Fn(&str) -> String;
+        let table: [(&ValidatorSet, Body, &[&str], &[&str]); 2] = [
+            (
+                &locked,
+                &capabilities,
+                &["{drop: [ALL]}"],
+                &["{drop: [NET_RAW]}", "{add: [ALL]}", "ALL"],
+            ),
+            (
+                &enumerated,
+                &strategy,
+                &["{type: Recreate}", "{type: RollingUpdate}"],
+                &["{type: Canary}", "Recreate"],
+            ),
+        ];
+        for (set, body, admitted, denied) in table {
+            for (value, admits) in admitted
+                .iter()
+                .map(|v| (v, true))
+                .chain(denied.iter().map(|v| (v, false)))
+            {
+                let yaml = body(value);
+                let json = kf_yaml::to_json(&kf_yaml::parse(&yaml).unwrap());
+                let json_value = kf_yaml::to_json(&kf_yaml::parse(value).unwrap());
+                for (text, format, first) in [
+                    (&yaml, BodyFormat::Yaml, *value),
+                    (&json, BodyFormat::Json, json_value.as_str()),
+                ] {
+                    let (verdict, document) = set.admit_raw_format(text, format);
+                    let reference = set.validate_raw_tree_format(text, format);
+                    if admits {
+                        assert_eq!(verdict, RawVerdict::Admitted, "{value} {format:?}");
+                        assert_eq!(reference, RawVerdict::Admitted, "{value} {format:?}");
+                        let parsed = match format {
+                            BodyFormat::Json => kf_yaml::parse_json(text),
+                            _ => kf_yaml::parse(text),
+                        };
+                        assert_eq!(document, Some(parsed.unwrap()), "{value} {format:?}");
+                        continue;
+                    }
+                    let RawVerdict::Denied {
+                        violations,
+                        location,
+                    } = verdict
+                    else {
+                        panic!("{value} {format:?}: expected denial, got {verdict:?}");
+                    };
+                    let RawVerdict::Denied {
+                        violations: tree_violations,
+                        ..
+                    } = reference
+                    else {
+                        panic!("{value} {format:?}: expected tree denial, got {reference:?}");
+                    };
+                    assert_eq!(violations, tree_violations, "{value} {format:?}");
+                    let offset = location.expect("located").offset.expect("an offset");
+                    assert!(
+                        text[offset..].starts_with(first),
+                        "{value} {format:?}: located at {:?}",
+                        &text[offset..]
+                    );
+                }
+            }
+        }
     }
 }

@@ -69,15 +69,26 @@ fn random_key(rng: &mut SmallRng) -> String {
     KEYS[rng.gen_range(0usize..KEYS.len())].to_owned()
 }
 
+/// The mutation classes [`mutate`] draws from, by index.
+const MUTATION_CLASSES: [&str; 5] = [
+    "overwrite a leaf",
+    "graft an unknown field",
+    "delete a leaf",
+    "leaf to container",
+    "container before kind",
+];
+
 /// Apply one random mutation to the document, using its own leaves as
-/// anchor points.
-fn mutate(rng: &mut SmallRng, body: &mut Value) {
+/// anchor points. Returns the index of the class drawn
+/// ([`MUTATION_CLASSES`]).
+fn mutate(rng: &mut SmallRng, body: &mut Value) -> usize {
     let leaves: Vec<Path> = body.leaves().into_iter().map(|(path, _)| path).collect();
+    let class = rng.gen_range(0..MUTATION_CLASSES.len());
     if leaves.is_empty() {
-        return;
+        return class;
     }
     let anchor = &leaves[rng.gen_range(0usize..leaves.len())];
-    match rng.gen_range(0usize..4) {
+    match class {
         // Overwrite a leaf with a random scalar (wrong type / wrong value).
         0 => {
             let scalar = random_scalar(rng);
@@ -100,7 +111,7 @@ fn mutate(rng: &mut SmallRng, body: &mut Value) {
             let _ = body.remove_path(anchor);
         }
         // Structural damage: replace a leaf with a container.
-        _ => {
+        3 => {
             let replacement = if rng.gen_range(0usize..2) == 0 {
                 Value::Seq(vec![random_scalar(rng)])
             } else {
@@ -108,7 +119,23 @@ fn mutate(rng: &mut SmallRng, body: &mut Value) {
             };
             let _ = body.set_path(anchor, replacement);
         }
+        // Move a container-valued root entry to the front, ahead of `kind`:
+        // the stream meets it before it knows the policy root.
+        _ => {
+            let key = ["metadata", "spec"][rng.gen_range(0usize..2)];
+            if let Value::Map(root) = body {
+                if let Some(container) = root.get(key).filter(|value| !value.is_scalar()) {
+                    let mut moved = Mapping::new();
+                    moved.insert(key, container.clone());
+                    for (other, value) in root.iter().filter(|(other, _)| *other != key) {
+                        moved.insert(other, value.clone());
+                    }
+                    *root = moved;
+                }
+            }
+        }
     }
+    class
 }
 
 #[test]
@@ -177,6 +204,9 @@ fn compiled_and_tree_validators_agree_on_mutated_manifests() {
 fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
     let mut checked = 0usize;
     let mut stream_denied = 0usize;
+    // Per mutation class: cases that drew it, then their YAML stream
+    // verdicts — admitted, denied, unparsable.
+    let mut by_class = [[0usize; 4]; MUTATION_CLASSES.len()];
     for operator in Operator::ALL {
         let validator = validator_for(operator);
         let set = ValidatorSet::single(validator.clone());
@@ -185,14 +215,24 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
         for case in 0..cases_per_operator() {
             let base = &bases[rng.gen_range(0usize..bases.len())];
             let mut body = base.body().clone();
+            let mut drawn = [false; MUTATION_CLASSES.len()];
             for _ in 0..rng.gen_range(1usize..MUTATIONS_PER_CASE + 1) {
-                mutate(&mut rng, &mut body);
+                drawn[mutate(&mut rng, &mut body)] = true;
             }
             // The raw path sees wire bytes: emit the mutated document.
             let text = kf_yaml::to_yaml(&body);
             let stream = set.validate_raw(&text);
             let raw_tree = set.validate_raw_tree(&text);
             checked += 1;
+            let outcome = match stream {
+                RawVerdict::Admitted => 1,
+                RawVerdict::Denied { .. } => 2,
+                RawVerdict::Unparsable { .. } => 3,
+            };
+            for (row, _) in by_class.iter_mut().zip(drawn).filter(|(_, drawn)| *drawn) {
+                row[0] += 1;
+                row[outcome] += 1;
+            }
             // What an admission hands the server is the tree of the bytes,
             // in both formats.
             let json = kf_yaml::to_json(&body);
@@ -205,6 +245,7 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
                     operator.name(),
                     format.name()
                 );
+                assert_located(&verdict, operator.name(), case, format.name(), wire);
                 let reference = verdict.is_admitted().then(|| match format {
                     BodyFormat::Json => kf_yaml::parse_json(wire).expect("admitted JSON parses"),
                     _ => kf_yaml::parse(wire).expect("admitted YAML parses"),
@@ -256,14 +297,10 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
                                 "{} case {case}: streaming and tree-walking reports diverged\n{text}",
                                 operator.name()
                             );
-                            // Early-deny position, when the stream decided,
-                            // must point into the payload.
-                            if let Some(location) = location {
-                                assert!(location.line >= 1);
-                                if let Some(offset) = location.offset {
-                                    assert!(offset < text.len());
-                                }
-                            }
+                            // The deciding position points into the payload.
+                            let location = location.expect("every stream denial is located");
+                            assert!(location.line >= 1);
+                            assert!(location.offset.expect("an offset") < text.len());
                         }
                         (s, t) => panic!(
                             "{} case {case}: verdicts diverged (stream {s:?} vs tree {t:?})\n{text}",
@@ -274,8 +311,7 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
                 Err(_) => {
                     // Envelope-broken documents never reach a validator on
                     // either path; both must refuse to admit, with the
-                    // streaming outcome byte-identical to the reference
-                    // (the stream defers every report to it).
+                    // streaming outcome byte-identical to the reference.
                     assert!(
                         !stream.is_admitted(),
                         "{} case {case}: stream admitted an envelope-broken body\n{text}",
@@ -302,32 +338,52 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
         stream_denied > 0,
         "the mutator must exercise the streaming deny path"
     );
+    // A case counts in every class it drew; the verdict is the YAML
+    // stream's.
+    println!(
+        "{:<24} {:>8} {:>8} {:>8} {:>10}",
+        "mutation class", "cases", "admitted", "denied", "unparsable"
+    );
+    for (class, [cases, admitted, denied, unparsable]) in MUTATION_CLASSES.iter().zip(by_class) {
+        println!("{class:<24} {cases:>8} {admitted:>8} {denied:>8} {unparsable:>10}");
+        assert!(cases > 0, "no case drew the mutation class `{class}`");
+    }
+}
+
+/// Every denial the stream serves names the event that decided it.
+fn assert_located(verdict: &RawVerdict, operator: &str, case: usize, format: &str, text: &str) {
+    if let RawVerdict::Denied { location, .. } = verdict {
+        assert!(
+            location.is_some(),
+            "{operator} case {case} ({format}): an unlocated denial\n{text}"
+        );
+    }
 }
 
 /// The document an admission builds is the one the server would have
 /// parsed from the same request — `ApiRequest::materialize_body`, under the
-/// negotiated format — on every path to an admission: the stream's log, the
-/// tree reference the stream defers a container before `kind:` to, bodies
-/// whose format is detected, and a `Content-Type` that overrides the body's
-/// tag.
+/// negotiated format — whatever the body's shape: a container before
+/// `kind:` (the stream's log then starts with it), bodies whose format is
+/// detected, and a `Content-Type` that overrides the body's tag.
 #[test]
 fn admitted_documents_are_the_tree_the_server_would_parse() {
     for operator in Operator::ALL {
         let set = ValidatorSet::single(validator_for(operator));
         let object = &operator.workload().default_objects()[0];
         let body = object.body().as_map().expect("manifests are mappings");
-        let mut prekind = Mapping::new();
-        prekind.insert("metadata", body.get("metadata").expect("named").clone());
+        let mut pre_kind = Mapping::new();
+        pre_kind.insert("metadata", body.get("metadata").expect("named").clone());
         for (key, value) in body.iter().filter(|(key, _)| *key != "metadata") {
-            prekind.insert(key, value.clone());
+            pre_kind.insert(key, value.clone());
         }
-        let prekind = Value::Map(prekind);
+        let pre_kind = Value::Map(pre_kind);
         let (yaml, json) = (
             kf_yaml::to_yaml(object.body()),
             kf_yaml::to_json(object.body()),
         );
-        let (prekind_yaml, prekind_json) = (kf_yaml::to_yaml(&prekind), kf_yaml::to_json(&prekind));
-        assert!(prekind_yaml.starts_with("metadata:"), "{prekind_yaml}");
+        let (pre_kind_yaml, pre_kind_json) =
+            (kf_yaml::to_yaml(&pre_kind), kf_yaml::to_json(&pre_kind));
+        assert!(pre_kind_yaml.starts_with("metadata:"), "{pre_kind_yaml}");
         let raw = |text: &str, format| ApiRequest {
             content_type: None,
             body: RequestBody::Raw(text.to_owned().into(), format),
@@ -338,11 +394,11 @@ fn admitted_documents_are_the_tree_the_server_would_parse() {
             ("json", raw(&json, BodyFormat::Json)),
             (
                 "pre-kind container, yaml",
-                raw(&prekind_yaml, BodyFormat::Yaml),
+                raw(&pre_kind_yaml, BodyFormat::Yaml),
             ),
             (
                 "pre-kind container, json",
-                raw(&prekind_json, BodyFormat::Json),
+                raw(&pre_kind_json, BodyFormat::Json),
             ),
             ("auto-tagged yaml", raw(&yaml, BodyFormat::Auto)),
             ("auto-tagged json", raw(&json, BodyFormat::Auto)),
@@ -519,8 +575,8 @@ fn cross_format_case(
     }
 }
 
-/// Assert a streaming verdict equals its reference verdict, ignoring the
-/// source location the stream adds to denials.
+/// Assert a streaming verdict equals its reference verdict, apart from the
+/// source location the stream adds to every denial.
 fn assert_same_outcome(
     stream: &RawVerdict,
     tree: &RawVerdict,
@@ -529,6 +585,7 @@ fn assert_same_outcome(
     format: &str,
     text: &str,
 ) {
+    assert_located(stream, operator, case, format, text);
     match (stream, tree) {
         (RawVerdict::Admitted, RawVerdict::Admitted) => {}
         (
@@ -544,10 +601,10 @@ fn assert_same_outcome(
             aentries, bentries,
             "{operator} case {case} ({format}): streaming and reference reports diverged\n{text}"
         ),
-        (RawVerdict::Unparsable { reason: a, .. }, RawVerdict::Unparsable { reason: b, .. }) => {
+        (RawVerdict::Unparsable { .. }, RawVerdict::Unparsable { .. }) => {
             assert_eq!(
-                a, b,
-                "{operator} case {case} ({format}): unparsable reasons diverged\n{text}"
+                stream, tree,
+                "{operator} case {case} ({format}): unparsable outcomes diverged\n{text}"
             );
         }
         (s, t) => panic!(

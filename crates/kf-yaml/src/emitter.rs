@@ -31,6 +31,7 @@
 use std::fmt::Write as _;
 use std::iter::Peekable;
 
+use crate::events::is_space;
 use crate::value::Value;
 
 /// Serialize a [`Value`] to YAML text.
@@ -205,13 +206,10 @@ fn string_is_plain(s: &str) -> bool {
         match b {
             b'\n' | b'\t' | b'\'' | b'"' => return false,
             // A `:` before whitespace or at the end would end a key, and a
-            // `#` after whitespace starts a comment. The reader judges each
-            // byte as a Latin-1 character, so its whitespace is the ASCII
-            // kind plus the UTF-8 continuation bytes 0x85 and 0xA0.
-            b':' if matches!(bytes.get(i + 1), None | Some(b'\t'..=b'\r' | b' ')) => return false,
-            b'#' if i > 0 && matches!(bytes[i - 1], b'\t'..=b'\r' | b' ' | 0x85 | 0xa0) => {
-                return false
-            }
+            // `#` after whitespace starts a comment — whitespace as the
+            // reader's line scanner judges it.
+            b':' if bytes.get(i + 1).is_none_or(|&next| is_space(next)) => return false,
+            b'#' if i > 0 && is_space(bytes[i - 1]) => return false,
             _ => {}
         }
     }
@@ -550,10 +548,10 @@ mod tests {
         assert_eq!(roundtrip(&strings), strings);
     }
 
-    /// This crate's reader ends a key at a `:` before any whitespace byte
-    /// and starts a comment at a `#` after one, taking each byte for a
-    /// Latin-1 character — so the UTF-8 continuation bytes 0x85 and 0xA0
-    /// count. A plain string holding such a pair is quoted.
+    /// This crate's reader ends a key at a `:` before an ASCII whitespace
+    /// byte and starts a comment at a `#` after one. A plain string holding
+    /// such a pair is quoted; a multibyte character before a `#` is not
+    /// whitespace, whatever its continuation bytes.
     #[test]
     fn separators_the_reader_finds_are_quoted() {
         for (input, expected) in [
@@ -562,11 +560,11 @@ mod tests {
             ("a:\u{c}b", "\"a:\u{c}b\""),
             ("a\r#b", "\"a\r#b\""),
             ("a\u{c}#b", "\"a\u{c}#b\""),
-            ("你#", "\"你#\""),
-            ("a\u{85}#b", "\"a\u{85}#b\""),
             // Still plain.
             ("a:b", "a:b"),
             ("日#", "日#"),
+            ("你#", "你#"),
+            ("a\u{85}#b", "a\u{85}#b"),
             ("a\u{2028}#b", "a\u{2028}#b"),
         ] {
             assert_eq!(

@@ -561,6 +561,14 @@ fn is_dash(text: &str) -> bool {
     text.starts_with("- ") || text == "-"
 }
 
+/// Whether the line scanner takes byte `b` for whitespace where a `#` may
+/// start a comment and a `:` may end a key: ASCII whitespace only. Read as a
+/// Latin-1 `char`, the UTF-8 continuation bytes 0x85 and 0xA0 would count
+/// too, and split characters such as `你` (E4 BD A0).
+pub(crate) fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
 /// Remove a trailing `# comment`, respecting quoted strings. Escapes inside
 /// double quotes are tracked forward (a backslash escapes the *next* byte),
 /// so `"x\\"` correctly closes the string.
@@ -581,10 +589,7 @@ pub(crate) fn strip_comment(line: &str) -> &str {
             '"' if !in_single => in_double = !in_double,
             // A '#' starts a comment when at start of line or preceded by
             // whitespace.
-            '#' if !in_single
-                && !in_double
-                && (i == 0 || (bytes[i - 1] as char).is_whitespace()) =>
-            {
+            '#' if !in_single && !in_double && (i == 0 || is_space(bytes[i - 1])) => {
                 return &line[..i];
             }
             _ => {}
@@ -616,8 +621,7 @@ pub(crate) fn find_key_split(text: &str) -> Option<(&str, &str)> {
             ']' | '}' if !in_single && !in_double => depth = depth.saturating_sub(1),
             ':' if !in_single && !in_double && depth == 0 => {
                 let at_end = i + 1 == bytes.len();
-                let followed_by_space = !at_end && (bytes[i + 1] as char).is_whitespace();
-                if at_end || followed_by_space {
+                if at_end || is_space(bytes[i + 1]) {
                     let key = text[..i].trim();
                     let rest = if at_end { "" } else { text[i + 1..].trim() };
                     if key.is_empty() {
