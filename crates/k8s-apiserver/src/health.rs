@@ -214,8 +214,8 @@ pub struct HealthReport {
     pub peak_in_flight: usize,
     /// The gate's concurrency bound, `None` when admission is unbounded.
     pub max_in_flight: Option<usize>,
-    /// Shared fsyncs issued by group-commit leaders (0 unless the WAL runs
-    /// `FsyncPolicy::Group`).
+    /// Shared fsyncs issued by group-commit leaders (0 when the WAL runs
+    /// `FsyncPolicy::Os`).
     pub fsync_batches: u64,
     /// Mean records proven per shared fsync — the group-commit
     /// amortization factor (0.0 before the first batch).

@@ -34,11 +34,10 @@
 //!
 //! **The recovery invariant:** after `open`, the store state equals the
 //! pre-crash state at the last fsync'd revision ([`Wal::durable_revision`]).
-//! With [`FsyncPolicy::Always`] and [`FsyncPolicy::Group`] that is the last
-//! acknowledged write; with `Os` the loss window is whatever the page cache
-//! held. A torn or bit-flipped WAL tail (the crash landed mid-`write`) fails
-//! its frame CRC and is **cleanly truncated**, never replayed and never a
-//! panic.
+//! With [`FsyncPolicy::Group`] that is the last acknowledged write; with
+//! `Os` the loss window is whatever the page cache held. A torn or
+//! bit-flipped WAL tail (the crash landed mid-`write`) fails its frame CRC
+//! and is **cleanly truncated**, never replayed and never a panic.
 //!
 //! **Degradation** is a state machine, not a latch: an append or fsync
 //! failure moves the WAL `Healthy → Degraded`, where later appends buffer
@@ -112,24 +111,22 @@ const GROUP_FOLLOWER_SLICE: Duration = Duration::from_millis(5);
 /// When the WAL forces data to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every append — the acknowledged-write-is-durable
-    /// contract etcd ships with. Slowest, loses nothing.
-    Always,
     /// Never `fsync`; the OS flushes the page cache on its own schedule.
     /// Fastest, loses whatever the cache held on a hard crash.
     Os,
-    /// Group commit: every writer appends its frame under the WAL lock,
-    /// then parks on the commit generation; one elected leader issues a
-    /// single fsync covering every waiter in the window. `Always`-grade
-    /// semantics (an acknowledged write is on stable storage;
-    /// `durable_revision` never overstates; a failed shared fsync degrades
-    /// *all* waiters) at a fraction of the fsync count under concurrency.
+    /// Group commit, the WAL's one durable path: every writer appends its
+    /// frame under the WAL lock, then parks on the commit generation; one
+    /// elected leader issues a single fsync covering every waiter in the
+    /// window. An acknowledged write is on stable storage (the contract
+    /// etcd ships with), `durable_revision` never overstates, and a failed
+    /// shared fsync degrades *all* waiters — at a fraction of the fsync
+    /// count under concurrency.
     Group {
         /// Longest the leader holds the fill window open waiting for more
         /// writers, in microseconds. `0` closes the window immediately —
-        /// pure pipelined leader/follower handoff with no added latency
-        /// (and `Always`-identical fsync cadence for a single writer,
-        /// which is what the deterministic chaos schedules use).
+        /// pure pipelined leader/follower handoff with no added latency,
+        /// and one fsync per write for a single writer (the
+        /// [`PersistConfig::new`] default, `max_batch: 1`).
         max_wait_us: u32,
         /// Close the window as soon as this many records are pending
         /// (clamped to at least 1).
@@ -138,12 +135,11 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parse a policy from its spelling: `always`, `os`, or `group` |
+    /// Parse a policy from its spelling: `os`, or `group` |
     /// `group:WAIT_US` | `group:WAIT_US:BATCH` (used by the workload
     /// drivers and the end-to-end benchmark).
     pub fn parse(text: &str) -> Option<FsyncPolicy> {
         match text {
-            "always" => Some(FsyncPolicy::Always),
             "os" => Some(FsyncPolicy::Os),
             "group" => Some(FsyncPolicy::Group {
                 max_wait_us: GROUP_DEFAULT_WAIT_US,
@@ -220,12 +216,16 @@ pub struct PersistConfig {
 }
 
 impl PersistConfig {
-    /// A config persisting under `dir` with [`FsyncPolicy::Always`] and
-    /// default journal geometry.
+    /// A config persisting under `dir` with a closed-window group commit
+    /// (`Group { max_wait_us: 0, max_batch: 1 }`: every acknowledged write
+    /// durable, no added wait) and default journal geometry.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
+            fsync: FsyncPolicy::Group {
+                max_wait_us: 0,
+                max_batch: 1,
+            },
             journal_capacity: 0,
             retry: RetryPolicy::default(),
         }
@@ -405,9 +405,16 @@ fn decode_wal_bytes(bytes: &[u8]) -> WalReplay {
 /// Only filesystem errors; corruption is reported via [`WalReplay::torn`],
 /// never as an error.
 pub fn read_wal_with(io: &dyn StorageIo, path: &Path) -> io::Result<WalReplay> {
+    Ok(read_if_present(io, path)?
+        .map(|bytes| decode_wal_bytes(&bytes))
+        .unwrap_or_default())
+}
+
+/// A whole file's bytes; `Ok(None)` when it does not exist.
+fn read_if_present(io: &dyn StorageIo, path: &Path) -> io::Result<Option<Vec<u8>>> {
     match io.read(path) {
-        Ok(bytes) => Ok(decode_wal_bytes(&bytes)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalReplay::default()),
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -598,8 +605,8 @@ pub struct DurabilityStatus {
     pub transitions: usize,
     /// Records dropped in `FailStop` (never written to the file).
     pub lost_records: u64,
-    /// Group-commit fsyncs issued since open (0 unless the policy is
-    /// [`FsyncPolicy::Group`]).
+    /// Group-commit fsyncs issued since open (0 under
+    /// [`FsyncPolicy::Os`]).
     pub fsync_batches: u64,
     /// Records those group fsyncs covered.
     pub group_records: u64,
@@ -678,8 +685,8 @@ struct WalInner {
     /// Record count among the pending frames.
     pending_count: u32,
     /// Records written to the file but not yet covered by a group-commit
-    /// fsync ([`FsyncPolicy::Group`] only; zeroed by any full fsync).
-    group_pending: u32,
+    /// fsync (zeroed by any full fsync).
+    group_pending: u64,
     machine: DurabilityMachine,
 }
 
@@ -740,8 +747,8 @@ impl GroupTicket {
 /// The open write-ahead log a store appends to.
 ///
 /// Appends are serialized by one mutex — the log is one file — but frames
-/// are encoded **before** the lock is taken, so the critical section is a
-/// `write` (plus the policy's fsync). Store write paths call
+/// are encoded **before** the lock is taken, so the critical section is one
+/// `write`; the group-commit fsync runs outside it. Store write paths call
 /// [`Wal::append`] while holding the written object's shard lock, which is
 /// what makes the on-disk per-key order match the in-memory one.
 ///
@@ -843,8 +850,7 @@ impl Wal {
     /// frames land in the file under the WAL lock, then the writer joins
     /// the group-commit rendezvous and returns once an fsync issued after
     /// its frames landed has succeeded (or the machine has left `Healthy`,
-    /// in which case the durability gap tells the truth — exactly as a
-    /// failed `Always` fsync would).
+    /// in which case the durability gap tells the truth).
     pub fn append(&self, records: &[WalRecord]) {
         if let Some(ticket) = self.append_deferred(records) {
             self.group_commit(ticket);
@@ -852,9 +858,9 @@ impl Wal {
     }
 
     /// [`Wal::append`] with the group-commit wait split off: the frames are
-    /// written (and for non-`Group` policies fsynced) exactly as `append`
-    /// does, but instead of parking, a `Group` write returns its rendezvous
-    /// ticket for the caller to pass to [`Wal::group_commit`] later.
+    /// written exactly as `append` writes them, but instead of parking, the
+    /// write returns its rendezvous ticket for the caller to pass to
+    /// [`Wal::group_commit`] later (`None` when the frames did not land).
     ///
     /// The store's bulk paths use this to append per shard group **inside**
     /// each shard lock but wait once, after every lock is released — the
@@ -880,9 +886,7 @@ impl Wal {
                 self.lost.fetch_add(u64::from(count), Ordering::Relaxed);
             }
             DurabilityState::Healthy => {
-                if self.append_healthy(&mut inner, buf, max_revision, count)
-                    && matches!(self.policy, FsyncPolicy::Group { .. })
-                {
+                if self.append_healthy(&mut inner, buf, max_revision, count) {
                     ticket = Some(GroupTicket {
                         target: inner.append_seq,
                         records: u64::from(count),
@@ -925,7 +929,7 @@ impl Wal {
                 Duration::from_micros(u64::from(max_wait_us)),
                 u64::from(max_batch.max(1)),
             ),
-            _ => return,
+            FsyncPolicy::Os => return,
         };
         let mut state = self.group.state.lock();
         state.fill += records;
@@ -1015,9 +1019,7 @@ impl Wal {
                 self.durable.fetch_max(sync_target, Ordering::AcqRel);
                 self.synced_seq.fetch_max(sync_seq, Ordering::AcqRel);
                 self.group.batches.fetch_add(1, Ordering::Relaxed);
-                self.group
-                    .records
-                    .fetch_add(u64::from(covered), Ordering::Relaxed);
+                self.group.records.fetch_add(covered, Ordering::Relaxed);
             }
             Err(e) => {
                 let mut inner = self.inner.lock();
@@ -1033,8 +1035,8 @@ impl Wal {
         }
     }
 
-    /// Group-commit fsyncs issued since open (0 unless the policy is
-    /// [`FsyncPolicy::Group`]).
+    /// Group-commit fsyncs issued since open (0 under
+    /// [`FsyncPolicy::Os`]).
     pub fn fsync_batches(&self) -> u64 {
         self.group.batches.load(Ordering::Relaxed)
     }
@@ -1050,9 +1052,9 @@ impl Wal {
         inner.pending_count += count;
     }
 
-    /// Returns whether the frames landed in the file (a `Group` writer
-    /// only joins the rendezvous for frames that are physically present —
-    /// a failed write takes the stash-and-degrade path instead).
+    /// Returns whether the frames landed in the file (a writer only joins
+    /// the rendezvous for frames that are physically present — a failed
+    /// write takes the stash-and-degrade path instead).
     fn append_healthy(
         &self,
         inner: &mut WalInner,
@@ -1071,31 +1073,26 @@ impl Wal {
         inner.good_len += buf.len() as u64;
         inner.appended = inner.appended.max(max_revision);
         inner.append_seq += 1;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Os => false,
-            FsyncPolicy::Group { .. } => {
-                inner.group_pending += count;
-                false
-            }
-        };
-        if due {
-            if let Err(e) = inner.file.sync_data() {
-                let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
-                self.note_failure(inner, kind, &e, max_revision);
-            } else {
-                self.mark_synced(inner);
-            }
-        }
+        inner.group_pending += u64::from(count);
         true
     }
 
-    /// A full fsync under the WAL lock just succeeded: everything in the
-    /// file is proven, whichever window it was waiting in.
-    fn mark_synced(&self, inner: &mut WalInner) {
+    /// Fsync the held handle under the WAL lock — the WAL's one sync of its
+    /// own handle. Success proves everything in the file, whichever window
+    /// it was waiting in; a failure is classified and latched against the
+    /// highest appended revision.
+    fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
+        if let Err(e) = inner.file.sync_data() {
+            let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
+            let revision = inner.appended;
+            self.note_failure(inner, kind, &e, revision);
+            self.publish_state(inner);
+            return Err(e);
+        }
         inner.group_pending = 0;
         self.durable.store(inner.appended, Ordering::Release);
         self.synced_seq.store(inner.append_seq, Ordering::Release);
+        Ok(())
     }
 
     fn note_failure(
@@ -1184,12 +1181,11 @@ impl Wal {
             inner.pending_high = 0;
             inner.pending_count = 0;
         }
-        if let Err(e) = inner.file.sync_data() {
-            let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
-            self.note_failure(inner, kind, &e, at_risk);
+        // Every pending frame is in the file now, so `appended` is the
+        // at-risk revision the sync latches a failure against.
+        if self.sync_locked(inner).is_err() {
             return;
         }
-        self.mark_synced(inner);
         let durable = inner.appended;
         let machine = &mut inner.machine;
         machine.consecutive_failures = 0;
@@ -1217,14 +1213,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         match inner.machine.state() {
             DurabilityState::Healthy => {
-                if let Err(e) = inner.file.sync_data() {
-                    let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
-                    let revision = inner.appended;
-                    self.note_failure(&mut inner, kind, &e, revision);
-                    self.publish_state(&inner);
-                    return Err(e);
-                }
-                self.mark_synced(&mut inner);
+                self.sync_locked(&mut inner)?;
                 Ok(self.durable.load(Ordering::Acquire))
             }
             DurabilityState::Degraded => {
@@ -1315,14 +1304,7 @@ impl Wal {
         // Make the current contents readable-back and durable before the
         // rewrite; everything we are about to drop is covered by the
         // already-renamed snapshot.
-        if let Err(e) = inner.file.sync_data() {
-            let kind = StorageErrorKind::classify(&e, StorageErrorKind::Fsync);
-            let revision = inner.appended;
-            self.note_failure(&mut inner, kind, &e, revision);
-            self.publish_state(&inner);
-            return Err(e);
-        }
-        self.mark_synced(&mut inner);
+        self.sync_locked(&mut inner)?;
         let replay = read_wal_with(&*self.io, path)?;
         let mut buf = Vec::new();
         let mut retained = 0usize;
@@ -1394,6 +1376,33 @@ pub struct ManifestData {
     pub entries: Vec<ManifestEntry>,
 }
 
+/// Seal a checkpoint file's payload: `magic | crc32 | payload`.
+fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 12);
+    out.extend_from_slice(magic);
+    binary::put_u32(&mut out, binary::crc32(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload of a file [`seal`] wrote, or [`io::ErrorKind::InvalidData`]
+/// naming the file kind (`what`) when its magic or checksum does not match.
+fn unseal<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> io::Result<&'a [u8]> {
+    if bytes.len() < 12 || &bytes[..8] != magic {
+        return Err(invalid_data(format!("{what} magic mismatch")));
+    }
+    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let payload = &bytes[12..];
+    if binary::crc32(payload) != crc {
+        return Err(invalid_data(format!("{what} checksum mismatch")));
+    }
+    Ok(payload)
+}
+
+fn invalid_data(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
 /// Write one shard's snapshot segment: temp file, fsync, atomic rename, so
 /// a crash mid-checkpoint never leaves a partial segment visible. The
 /// payload is CRC-sealed, so a bit-flipped segment is rejected at load
@@ -1417,13 +1426,9 @@ pub fn write_segment_with(
         binary::put_u64(&mut payload, stored.resource_version);
         binary::put_value(&mut payload, stored.object.body());
     }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(SEGMENT_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
     let name = segment_file(shard);
     let tmp = dir.join(format!("{name}.tmp"));
-    io.write_file(&tmp, &out)?;
+    io.write_file(&tmp, &seal(SEGMENT_MAGIC, &payload))?;
     io.rename(&tmp, &dir.join(name))?;
     io.sync_parent_dir(dir);
     Ok(())
@@ -1438,20 +1443,10 @@ pub fn write_segment_with(
 /// and serves the rest (its records are still in the un-compacted WAL or
 /// were already lost with the device, never silently resurrected).
 pub fn read_segment_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<SegmentData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
+    let Some(bytes) = read_if_present(io, path)? else {
+        return Ok(None);
     };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != SEGMENT_MAGIC {
-        return Err(invalid("segment magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("segment checksum mismatch"));
-    }
+    let payload = unseal(SEGMENT_MAGIC, "segment", &bytes)?;
     let mut cursor = Cursor::new(payload);
     let mut parse = || -> Result<SegmentData, kf_yaml::binary::BinaryError> {
         let shard = cursor.get_u64()? as usize;
@@ -1469,7 +1464,7 @@ pub fn read_segment_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<S
             objects,
         })
     };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
+    parse().map(Some).map_err(|e| invalid_data(e.to_string()))
 }
 
 /// Write the snapshot manifest with rotation: the payload goes to a temp
@@ -1496,13 +1491,9 @@ pub fn write_manifest_with(
         binary::put_u64(&mut payload, entry.shard as u64);
         binary::put_u64(&mut payload, entry.objects);
     }
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    binary::put_u32(&mut out, binary::crc32(&payload));
-    out.extend_from_slice(&payload);
     let current = dir.join(MANIFEST_FILE);
     let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    io.write_file(&tmp, &out)?;
+    io.write_file(&tmp, &seal(MANIFEST_MAGIC, &payload))?;
     match io.rename(&current, &dir.join(MANIFEST_PREV_FILE)) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -1521,20 +1512,10 @@ pub fn write_manifest_with(
 /// manifest — recovery then falls back to [`MANIFEST_PREV_FILE`], and past
 /// that to probing the (self-validating) segment files directly.
 pub fn read_manifest_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<ManifestData>> {
-    let bytes = match io.read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
+    let Some(bytes) = read_if_present(io, path)? else {
+        return Ok(None);
     };
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 12 || &bytes[..8] != MANIFEST_MAGIC {
-        return Err(invalid("manifest magic mismatch"));
-    }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
-        return Err(invalid("manifest checksum mismatch"));
-    }
+    let payload = unseal(MANIFEST_MAGIC, "manifest", &bytes)?;
     let mut cursor = Cursor::new(payload);
     let mut parse = || -> Result<ManifestData, kf_yaml::binary::BinaryError> {
         let horizon = cursor.get_u64()?;
@@ -1552,7 +1533,7 @@ pub fn read_manifest_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<
             entries,
         })
     };
-    parse().map(Some).map_err(|e| invalid(&e.to_string()))
+    parse().map(Some).map_err(|e| invalid_data(e.to_string()))
 }
 
 /// What recovery found and did.
@@ -1617,6 +1598,11 @@ pub struct Persistence {
     dir: PathBuf,
     wal: Arc<Wal>,
     io: Arc<dyn StorageIo>,
+    /// Held across every attempt of [`Persistence::checkpoint`]: a second
+    /// checkpoint publishing its manifest and compacting the WAL while the
+    /// first is still writing a claimed segment would drop that shard's
+    /// records from both.
+    checkpoints: Mutex<()>,
 }
 
 /// Whole-checkpoint attempts before [`Persistence::checkpoint`] gives up.
@@ -1665,7 +1651,6 @@ fn replay_shard(
     seeds: Vec<(u64, Value)>,
     records: Vec<WalRecord>,
 ) -> io::Result<ShardReplayOutcome> {
-    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     type ReplayKey = (usize, String, String);
     let mut state: std::collections::HashMap<ReplayKey, (u64, Option<K8sObject>)> =
         std::collections::HashMap::with_capacity(seeds.len());
@@ -1673,7 +1658,7 @@ fn replay_shard(
     let mut replayed = 0usize;
     for (resource_version, body) in seeds {
         let object = K8sObject::from_shared(Arc::new(body))
-            .map_err(|e| invalid(format!("snapshot object: {e}")))?;
+            .map_err(|e| invalid_data(format!("snapshot object: {e}")))?;
         max_revision = max_revision.max(resource_version);
         let key = (
             object.kind().index(),
@@ -1704,9 +1689,9 @@ fn replay_shard(
             _ => {
                 let body = record
                     .body
-                    .ok_or_else(|| invalid("WAL write record without body".to_owned()))?;
+                    .ok_or_else(|| invalid_data("WAL write record without body".to_owned()))?;
                 let object = K8sObject::from_shared(body)
-                    .map_err(|e| invalid(format!("WAL object: {e}")))?;
+                    .map_err(|e| invalid_data(format!("WAL object: {e}")))?;
                 state.insert(key, (record.revision, Some(object)));
             }
         }
@@ -1913,6 +1898,7 @@ impl Persistence {
                 dir: config.dir,
                 wal,
                 io,
+                checkpoints: Mutex::default(),
             },
             report,
         ))
@@ -1943,13 +1929,15 @@ impl Persistence {
     /// because a transient fault mid-checkpoint is invisible to clients —
     /// only the checkpoint horizon lags; a failed attempt re-marks the
     /// claimed shards dirty so no write is ever dropped from the next
-    /// checkpoint.
+    /// checkpoint. Checkpoints run one at a time: a caller arriving while
+    /// another runs waits for it to finish.
     ///
     /// # Errors
     ///
     /// Filesystem errors writing the segments or manifest or rewriting the
     /// WAL, after retries are exhausted.
     pub fn checkpoint(&self, store: &ObjectStore) -> io::Result<CheckpointReport> {
+        let _one_at_a_time = self.checkpoints.lock();
         let mut last = None;
         for attempt in 1..=CHECKPOINT_ATTEMPTS {
             match self.try_checkpoint(store, attempt) {
@@ -2058,6 +2046,12 @@ mod tests {
     use std::fs;
     use std::sync::atomic::AtomicUsize;
 
+    /// The [`PersistConfig::new`] default: one fsync per lone write.
+    const CLOSED_WINDOW: FsyncPolicy = FsyncPolicy::Group {
+        max_wait_us: 0,
+        max_batch: 1,
+    };
+
     fn temp_dir(label: &str) -> PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -2107,7 +2101,7 @@ mod tests {
     fn wal_records_round_trip_through_the_file() {
         let dir = temp_dir("roundtrip");
         let path = dir.join(WAL_FILE);
-        let wal = Wal::open(&path, FsyncPolicy::Always, 0).expect("open");
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
         let records = vec![
             record(1, WatchEventKind::Added, "default", "a"),
             record(2, WatchEventKind::Modified, "default", "a"),
@@ -2139,7 +2133,7 @@ mod tests {
     fn every_truncation_point_recovers_the_intact_prefix_without_panicking() {
         let dir = temp_dir("torn");
         let path = dir.join(WAL_FILE);
-        let wal = Wal::open(&path, FsyncPolicy::Always, 0).expect("open");
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
         let records: Vec<WalRecord> = (1..=4)
             .map(|r| record(r, WatchEventKind::Added, "default", &format!("pod-{r}")))
             .collect();
@@ -2177,7 +2171,7 @@ mod tests {
     fn corrupt_mid_frame_bytes_cut_the_tail_cleanly() {
         let dir = temp_dir("corrupt");
         let path = dir.join(WAL_FILE);
-        let wal = Wal::open(&path, FsyncPolicy::Always, 0).expect("open");
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
         let records: Vec<WalRecord> = (1..=3)
             .map(|r| record(r, WatchEventKind::Added, "default", &format!("pod-{r}")))
             .collect();
@@ -2202,7 +2196,7 @@ mod tests {
     fn transient_fsync_failure_degrades_then_recovers_without_losing_frames() {
         let dir = temp_dir("transient");
         // Boot fsync is op 0; the op-1 append's fsync fails twice.
-        let wal = faulty_wal(&dir, "fsync@1:transient*2", FsyncPolicy::Always, 8);
+        let wal = faulty_wal(&dir, "fsync@1:transient*2", CLOSED_WINDOW, 8);
         wal.append(&[record(1, WatchEventKind::Added, "default", "a")]);
         assert_eq!(wal.state(), DurabilityState::Degraded);
         assert_eq!(wal.durable_revision(), 0, "failed fsync proves nothing");
@@ -2234,7 +2228,7 @@ mod tests {
         // Write op 0 is the op-1 record's... op 0 is the first append: a
         // short write leaves half a frame on disk; the retry must truncate
         // it before rewriting, or replay would stop at the torn frame.
-        let wal = faulty_wal(&dir, "write@0:short", FsyncPolicy::Always, 8);
+        let wal = faulty_wal(&dir, "write@0:short", CLOSED_WINDOW, 8);
         wal.append(&[record(1, WatchEventKind::Added, "default", "a")]);
         assert_eq!(wal.state(), DurabilityState::Degraded);
         assert_eq!(wal.durable_revision(), 0);
@@ -2251,7 +2245,7 @@ mod tests {
     #[test]
     fn permanent_failure_fail_stops_and_never_overstates_durability() {
         let dir = temp_dir("failstop");
-        let wal = faulty_wal(&dir, "fsync@1:permanent", FsyncPolicy::Always, 3);
+        let wal = faulty_wal(&dir, "fsync@1:permanent", CLOSED_WINDOW, 3);
         for r in 1..=10u64 {
             wal.append(&[record(
                 r,
@@ -2279,7 +2273,7 @@ mod tests {
     #[test]
     fn enospc_is_classified_from_the_error_text() {
         let dir = temp_dir("enospc");
-        let wal = faulty_wal(&dir, "write@0:enospc*1", FsyncPolicy::Always, 8);
+        let wal = faulty_wal(&dir, "write@0:enospc*1", CLOSED_WINDOW, 8);
         wal.append(&[record(1, WatchEventKind::Added, "default", "a")]);
         let latched = wal.last_error().expect("latched");
         assert_eq!(latched.kind, StorageErrorKind::NoSpace);
@@ -2425,8 +2419,93 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_checkpoints_never_compact_past_an_unpublished_write() {
+        // Checkpoint A claims `lost`'s shard and stalls in that shard's
+        // segment write. Checkpoint B claims only a later write's shard; if
+        // it ran meanwhile it would publish a manifest over `lost`'s stale
+        // segment and compact the WAL past `lost`. A crash image taken
+        // while A sleeps must still recover `lost`.
+        let dir = temp_dir("ckpt-overlap");
+        let image = temp_dir("ckpt-overlap-image");
+        // Write op 20 is A's segment write: one WAL append for `seed`, then
+        // 16 segments, the manifest and the WAL rewrite of the full
+        // checkpoint, then one append for `lost`.
+        const STALL_AT: u64 = 20;
+        let io = Arc::new(FaultyIo::over_real(
+            FaultSchedule::parse(&format!("write@{STALL_AT}:latency*1000000")).expect("spec"),
+        ));
+        let (store, persistence, _) =
+            Persistence::open_with_io(PersistConfig::new(&dir), io.clone()).expect("open");
+        store.upsert(pod("ns", "seed", "nginx"));
+        persistence.checkpoint(&store).expect("full checkpoint");
+        store.upsert(pod("ns", "lost", "nginx"));
+        let shard_of =
+            |name: &str| crate::store::shard_index_raw(ResourceKind::Pod.index(), "ns", name);
+        let other = (0..)
+            .map(|n| format!("other-{n}"))
+            .find(|name| shard_of(name) != shard_of("lost"))
+            .expect("a name on another shard");
+        assert_eq!(io.writes(), STALL_AT, "A's segment write is the stalled op");
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| persistence.checkpoint(&store));
+            while io.writes() <= STALL_AT {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            store.upsert(pod("ns", &other, "nginx"));
+            let b = scope.spawn(|| persistence.checkpoint(&store));
+            // Time enough for B to finish if nothing holds it back; then
+            // copy the crash image while A still sleeps.
+            let deadline = Instant::now() + Duration::from_millis(300);
+            while !b.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            for entry in fs::read_dir(&dir).expect("list dir") {
+                let entry = entry.expect("dir entry");
+                fs::copy(entry.path(), image.join(entry.file_name())).expect("copy image");
+            }
+            a.join().expect("A joins").expect("A checkpoints");
+            b.join().expect("B joins").expect("B checkpoints");
+        });
+        let (recovered, _persistence, report) =
+            Persistence::open(PersistConfig::new(&image)).expect("reopen crash image");
+        assert!(
+            recovered.get(ResourceKind::Pod, "ns", "lost").is_some(),
+            "acknowledged write lost: {report:?}"
+        );
+        assert_eq!(StoreBackend::len(&recovered), 3);
+        assert_eq!(report.recovered_revision, 3);
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&image).ok();
+    }
+
+    #[test]
+    fn default_policy_pays_one_group_fsync_per_lone_write() {
+        let dir = temp_dir("cadence");
+        let io = Arc::new(FaultyIo::over_real(FaultSchedule::none()));
+        let (store, persistence, _) =
+            Persistence::open_with_io(PersistConfig::new(&dir), io.clone()).expect("open");
+        const WRITES: u64 = 5;
+        for r in 1..=WRITES {
+            let fsyncs = io.fsyncs();
+            let (revision, _) = store.upsert(pod("ns", &format!("pod-{r}"), "nginx"));
+            assert_eq!(
+                persistence.wal().durable_revision(),
+                revision,
+                "durable on return"
+            );
+            assert_eq!(io.fsyncs() - fsyncs, 1, "one fsync per lone write");
+        }
+        let status = persistence.wal().status();
+        assert_eq!(
+            (status.fsync_batches, status.group_records),
+            (WRITES, WRITES)
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn fsync_policy_parses_its_knob_spellings() {
-        assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
+        assert_eq!(FsyncPolicy::parse("always"), None, "always is `group:0:1`");
         assert_eq!(FsyncPolicy::parse("os"), Some(FsyncPolicy::Os));
         assert_eq!(FsyncPolicy::parse("batch:64"), None, "batch mode is gone");
         assert_eq!(
@@ -2696,6 +2775,77 @@ mod tests {
         assert_eq!(
             prev.horizon, 3,
             "previous complete manifest survives rotation"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealed_files_keep_their_exact_bytes() {
+        // `magic | crc32 | payload`, little-endian throughout: a one-object
+        // segment and a two-entry manifest, byte for byte.
+        let dir = temp_dir("sealed-bytes");
+        let io = RealIo;
+        let object =
+            K8sObject::from_yaml("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: a\n")
+                .expect("config map parses");
+        let stored = [Arc::new(StoredObject {
+            object,
+            resource_version: 5,
+        })];
+        write_segment_with(&io, &dir, 3, 7, &stored).expect("write segment");
+        let manifest = ManifestData {
+            horizon: 7,
+            shard_count: 16,
+            entries: vec![
+                ManifestEntry {
+                    shard: 3,
+                    objects: 1,
+                },
+                ManifestEntry {
+                    shard: 9,
+                    objects: 0,
+                },
+            ],
+        };
+        write_manifest_with(&io, &dir, &manifest).expect("write manifest");
+        let hex = |name: &str| -> String {
+            let bytes = fs::read(dir.join(name)).expect("sealed file");
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        };
+        assert_eq!(
+            hex(&segment_file(3)),
+            concat!(
+                "4b46534547310000", // KFSEG1\0\0
+                "5b4b85f4",         // crc32 of the payload
+                "0300000000000000", // shard
+                "0700000000000000", // horizon
+                "0100000000000000", // objects
+                "0500000000000000", // resource version
+                // The body, `kf_yaml::binary`: a three-entry mapping.
+                "0703000000",
+                "0a00000061706956657273696f6e",
+                "05020000007631",
+                "040000006b696e64",
+                "0509000000436f6e6669674d6170",
+                "080000006d65746164617461",
+                "0701000000",
+                "040000006e616d65",
+                "050100000061",
+            )
+        );
+        assert_eq!(
+            hex(MANIFEST_FILE),
+            concat!(
+                "4b464d414e310000", // KFMAN1\0\0
+                "a75e66fe",         // crc32 of the payload
+                "0700000000000000", // horizon
+                "1000000000000000", // shard count
+                "0200000000000000", // entries
+                "0300000000000000", // shard 3 ...
+                "0100000000000000", // ... holds one object
+                "0900000000000000", // shard 9 ...
+                "0000000000000000", // ... holds none
+            )
         );
         fs::remove_dir_all(&dir).ok();
     }

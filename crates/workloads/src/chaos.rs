@@ -81,7 +81,7 @@ pub struct ChaosOutcome {
     pub schedule: String,
     /// The degradation policy the server ran under.
     pub policy: DegradePolicy,
-    /// The fsync policy the run used (derived from the seed's parity).
+    /// The fsync policy the run used (the [`PersistConfig::new`] default).
     pub fsync: FsyncPolicy,
     /// Write operations attempted through the front door.
     pub ops_attempted: u64,
@@ -106,9 +106,9 @@ pub struct ChaosOutcome {
     pub recovered_revision: u64,
     /// Objects in the recovered store.
     pub recovered_objects: usize,
-    /// Shared group-commit fsyncs the run issued (0 off `group`).
+    /// Shared group-commit fsyncs the run issued.
     pub fsync_batches: u64,
-    /// Mean records per shared fsync (0.0 off `group`).
+    /// Mean records per shared fsync (0.0 before the first).
     pub avg_group_size: f64,
     /// Store shards the mid-run checkpoint claimed (0 when it never ran
     /// or failed).
@@ -161,7 +161,6 @@ impl ChaosReport {
         );
         for o in &self.outcomes {
             let fsync = match o.fsync {
-                FsyncPolicy::Always => "always".to_owned(),
                 FsyncPolicy::Os => "os".to_owned(),
                 FsyncPolicy::Group {
                     max_wait_us,
@@ -236,21 +235,12 @@ impl ChaosDriver {
             fs::remove_dir_all(&dir)?;
         }
         let schedule = FaultSchedule::from_seed(seed);
-        // Two-way policy rotation by seed. Group runs with a zero window
-        // (`group:0:4`): single-threaded drivers close every window
-        // immediately, so transitions stay a pure function of the schedule
-        // while the shared-fsync failure path is still the one exercised.
-        let fsync = match seed % 2 {
-            0 => FsyncPolicy::Always,
-            _ => FsyncPolicy::Group {
-                max_wait_us: 0,
-                max_batch: 4,
-            },
-        };
+        // The default closed-window group commit: a single-threaded driver
+        // closes every window at once, so transitions stay a pure function
+        // of the schedule.
         let faulty = Arc::new(FaultyIo::over_real(schedule.clone()));
-        let config = PersistConfig::new(&dir)
-            .with_fsync(fsync)
-            .with_retry(RetryPolicy::immediate(FAIL_STOP_AFTER));
+        let config = PersistConfig::new(&dir).with_retry(RetryPolicy::immediate(FAIL_STOP_AFTER));
+        let fsync = config.fsync;
         let (store, persistence, _boot) = Persistence::open_with_io(config, faulty.clone())?;
         let server = ApiServer::with_store(store).with_degrade_policy(policy);
 
