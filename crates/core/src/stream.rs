@@ -152,11 +152,13 @@ impl<'a> WireTokenizer<'a> {
     /// `format` must already be resolved (callers run [`BodyFormat::resolve`]
     /// once at the entry point; re-detecting here would rescan the leading
     /// whitespace on every pass).
-    fn new(text: &'a str, format: BodyFormat) -> Result<Self, kf_yaml::Error> {
+    fn new(text: &'a str, format: BodyFormat) -> Self {
         debug_assert!(format != BodyFormat::Auto, "callers resolve Auto");
         match format {
-            BodyFormat::Json => Ok(WireTokenizer::Json(JsonTokenizer::new(text))),
-            _ => Tokenizer::new(text).map(WireTokenizer::Yaml),
+            BodyFormat::Json => WireTokenizer::Json(JsonTokenizer::new(text)),
+            _ => WireTokenizer::Yaml(
+                Tokenizer::new(text).expect("constructing a YAML tokenizer reads nothing"),
+            ),
         }
     }
 
@@ -164,13 +166,6 @@ impl<'a> WireTokenizer<'a> {
         match self {
             WireTokenizer::Yaml(t) => t.next_event(),
             WireTokenizer::Json(t) => t.next_event(),
-        }
-    }
-
-    fn document_count(&self) -> usize {
-        match self {
-            WireTokenizer::Yaml(t) => t.document_count(),
-            WireTokenizer::Json(t) => t.document_count(),
         }
     }
 }
@@ -311,10 +306,7 @@ impl ValidatorSet {
         text: &'a str,
         format: BodyFormat,
     ) -> (RawVerdict, Option<Admitted<'a>>) {
-        let mut tokenizer = match WireTokenizer::new(text, format.resolve(text)) {
-            Ok(tokenizer) => tokenizer,
-            Err(e) => return (unparsable_error(&e), None),
-        };
+        let mut tokenizer = WireTokenizer::new(text, format.resolve(text));
         let mut log = Vec::with_capacity(LOG_INITIAL_EVENTS);
         let fast = EventSource::new(&mut log, &mut tokenizer, true);
         match streaming_verdict(self, fast, Mode::Fast) {
@@ -789,23 +781,19 @@ fn streaming_verdict<'a>(
     // and policy violations — `parse_documents` sees the whole stream before
     // `peek_kind` runs. Drain the tokenizer (building no trees) to reproduce
     // its outcome: the earliest parse error anywhere in the stream, else the
-    // document count.
+    // number of documents.
     source.stop_logging();
-    let mut trailing = false;
+    let mut documents = usize::from(doc_done);
     loop {
         match source.advance() {
-            Ok(true) if doc_done => trailing = true,
-            Ok(true) => doc_done = matches!(source.current(), Event::DocumentEnd),
+            Ok(true) => documents += usize::from(matches!(source.current(), Event::DocumentEnd)),
             Ok(false) => break,
             Err(e) => return StreamFlow::Verdict(unparsable_error(&e)),
         }
     }
-    if trailing || !doc_done {
+    if documents != 1 {
         return StreamFlow::Verdict(RawVerdict::Unparsable {
-            reason: format!(
-                "expected a single YAML document, found {}",
-                source.live.document_count()
-            ),
+            reason: format!("expected a single YAML document, found {documents}"),
             location: None,
         });
     }
@@ -1493,6 +1481,20 @@ spec:
         let text = format!("{doc}---\n{doc}");
         assert!(!set.validate_raw(&text).is_admitted());
         assert!(!set.validate_raw_tree(&text).is_admitted());
+        // The stream counts the documents it drains, empty ones skipped, as
+        // `parse_documents` does.
+        for (text, documents) in [
+            ("---\n# none\n---\n".to_owned(), 0),
+            (format!("{doc}---\n---\nkind: Pod\n"), 2),
+            (format!("kind: Pod\n---\n{doc}---\n{doc}"), 3),
+        ] {
+            let stream = set.validate_raw(&text);
+            assert_eq!(stream, set.validate_raw_tree(&text), "{text}");
+            let RawVerdict::Unparsable { reason, .. } = stream else {
+                panic!("expected unparsable, got {stream:?}");
+            };
+            assert!(reason.ends_with(&format!("found {documents}")), "{reason}");
+        }
         // The JSON analogue of a multi-document body is trailing content.
         let json = request_json("docker.io/bitnami/nginx:1.25", "Always", "3");
         let trailing = format!("{json}{json}");

@@ -15,10 +15,11 @@
 //! (the KubeFence streaming admission plane) drive the tokenizer directly
 //! and stop pulling as soon as their verdict is decided.
 //!
-//! Line preprocessing (comment stripping, indentation accounting, document
-//! splitting) is performed eagerly — it is a cheap byte scan — while all
-//! per-node work (escape handling, flow-collection scanning, scalar typing)
-//! happens lazily as events are pulled.
+//! Nothing is read ahead of the events pulled: the tokenizer moves forward
+//! one significant line at a time, skipping blank and comment lines and
+//! stopping at `---` as it goes, and all per-node work (escape handling,
+//! flow-collection scanning, scalar typing) happens as its line is reached.
+//! What it holds is bounded by nesting depth and line length, not body size.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -181,6 +182,8 @@ enum Frame {
 /// What the state machine does on the next step.
 #[derive(Debug, Clone, Copy)]
 enum Expect {
+    /// Find the next non-empty document, or end the stream.
+    Document,
     /// A new node at exactly this indentation (the current line's indent).
     Node { indent: usize },
     /// Continue the innermost open container (or close the document).
@@ -188,18 +191,24 @@ enum Expect {
 }
 
 /// The pull-based tokenizer. See the module docs for the event model.
+///
+/// It reads the input forward, one significant line at a time: what it
+/// holds besides the input is the current line, the open block containers
+/// and their keys, and the events of the line being lexed — bounded by
+/// nesting depth and line length, never by the size of the body.
 #[derive(Debug)]
 pub struct Tokenizer<'a> {
-    /// Byte address of the input buffer, for slice-offset arithmetic.
-    base: usize,
-    lines: Vec<Line<'a>>,
-    /// Document line ranges (`start..end` into `lines`), in stream order.
-    /// Only non-empty documents are recorded, mirroring the tree parser.
-    docs: Vec<(usize, usize)>,
-    doc_idx: usize,
-    pos: usize,
-    end: usize,
-    active: bool,
+    text: &'a str,
+    /// Byte offset of the first line not yet read.
+    cursor: usize,
+    /// 1-based number of the last line read.
+    number: usize,
+    /// The current significant line of the document; `None` once the
+    /// document's lines are used up (at a `---` separator or the end).
+    line: Option<Line<'a>>,
+    /// Where the document's last significant line read ends: the position
+    /// of a null the document's end completes.
+    last_end: Pos,
     stack: Vec<Frame>,
     /// Shared key stack for duplicate detection; each open mapping owns the
     /// suffix starting at its `keys_start`.
@@ -209,77 +218,25 @@ pub struct Tokenizer<'a> {
 }
 
 impl<'a> Tokenizer<'a> {
-    /// Preprocess the input into significant lines and document ranges.
+    /// A tokenizer over `text`. Construction reads nothing and never fails:
+    /// every syntax error, tabs in indentation included, surfaces as events
+    /// are pulled. The `Result` is kept for the callers that match on it.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Parse`] for tabs in indentation (the only error the
-    /// line scan can detect); all other syntax errors surface as events are
-    /// pulled.
+    /// None; see above.
     pub fn new(text: &'a str) -> Result<Self, Error> {
-        let base = text.as_ptr() as usize;
-        let mut lines: Vec<Line<'a>> = Vec::new();
-        let mut docs = Vec::new();
-        let mut doc_start = 0usize;
-        let mut offset = 0usize;
-        let mut number = 0usize;
-        for raw_full in text.split('\n') {
-            number += 1;
-            let raw = raw_full.strip_suffix('\r').unwrap_or(raw_full);
-            let trimmed = raw.trim_end();
-            // A document separator only counts when the whole line is `---`
-            // (optionally followed by a comment) with no trailing whitespace.
-            if trimmed.trim_start().starts_with("---") && raw.trim_start() == trimmed.trim_start() {
-                let after = trimmed.trim_start().trim_start_matches('-').trim();
-                if (after.is_empty() || after.starts_with('#'))
-                    && trimmed.trim_start().chars().take(3).all(|c| c == '-')
-                {
-                    if lines.len() > doc_start {
-                        docs.push((doc_start, lines.len()));
-                    }
-                    doc_start = lines.len();
-                    offset += raw_full.len() + 1;
-                    continue;
-                }
-            }
-            // Strip comments and blank lines (the tree parser's
-            // `preprocess_line`).
-            let content = strip_comment(trimmed).trim_end();
-            if !content.trim().is_empty() {
-                let indent = content.len() - content.trim_start().len();
-                if content[..indent].contains('\t') {
-                    return Err(Error::parse(number, "tabs are not allowed in indentation"));
-                }
-                lines.push(Line {
-                    indent,
-                    text: content.trim_start(),
-                    number,
-                    offset: offset + indent,
-                });
-            }
-            offset += raw_full.len() + 1;
-        }
-        if lines.len() > doc_start {
-            docs.push((doc_start, lines.len()));
-        }
         Ok(Tokenizer {
-            base,
-            lines,
-            docs,
-            doc_idx: 0,
-            pos: 0,
-            end: 0,
-            active: false,
+            text,
+            cursor: 0,
+            number: 0,
+            line: None,
+            last_end: Pos::default(),
             stack: Vec::new(),
             keys: Vec::new(),
-            expect: Expect::Container,
+            expect: Expect::Document,
             queue: VecDeque::new(),
         })
-    }
-
-    /// Number of (non-empty) documents in the stream.
-    pub fn document_count(&self) -> usize {
-        self.docs.len()
     }
 
     /// Pull the next event, or `None` at the end of the stream.
@@ -287,46 +244,85 @@ impl<'a> Tokenizer<'a> {
     /// # Errors
     ///
     /// Returns [`Error::Parse`] when the input does not conform to the
-    /// supported YAML subset. After an error the tokenizer state is
-    /// unspecified and no further events should be pulled.
+    /// supported YAML subset: the first error in stream order. After an
+    /// error the tokenizer state is unspecified and no further events should
+    /// be pulled.
     pub fn next_event(&mut self) -> Result<Option<Event<'a>>, Error> {
         loop {
             if let Some(event) = self.queue.pop_front() {
                 return Ok(Some(event));
             }
-            if !self.active {
-                let Some(&(start, end)) = self.docs.get(self.doc_idx) else {
-                    return Ok(None);
-                };
-                self.pos = start;
-                self.end = end;
-                self.active = true;
-                self.expect = Expect::Node {
-                    indent: self.lines[start].indent,
-                };
-            }
             match self.expect {
+                Expect::Document => {
+                    // Empty documents (consecutive separators, comments
+                    // only) are skipped, as the tree parser skips them.
+                    while self.line.is_none() {
+                        if self.cursor >= self.text.len() {
+                            return Ok(None);
+                        }
+                        self.advance()?;
+                    }
+                    let indent = self.line.map_or(0, |line| line.indent);
+                    self.expect = Expect::Node { indent };
+                }
                 Expect::Node { indent } => self.step_node(indent)?,
                 Expect::Container => self.step_container()?,
             }
         }
     }
 
-    fn offset_of(&self, slice: &str) -> usize {
-        slice.as_ptr() as usize - self.base
+    /// Move to the next significant line of the document: past blank and
+    /// comment-only lines, to `None` at a `---` separator (which it
+    /// consumes) or at the end of the input.
+    fn advance(&mut self) -> Result<(), Error> {
+        self.line = None;
+        while self.cursor < self.text.len() {
+            let start = self.cursor;
+            let rest = &self.text[start..];
+            let end = rest.find('\n').unwrap_or(rest.len());
+            let raw_full = &rest[..end];
+            self.cursor = (start + end + 1).min(self.text.len());
+            self.number += 1;
+            let raw = raw_full.strip_suffix('\r').unwrap_or(raw_full);
+            if is_separator(raw) {
+                return Ok(());
+            }
+            let content = strip_comment(raw.trim_end()).trim_end();
+            let text = content.trim_start();
+            if text.is_empty() {
+                continue;
+            }
+            let indent = content.len() - text.len();
+            if content[..indent].contains('\t') {
+                return Err(Error::parse(
+                    self.number,
+                    "tabs are not allowed in indentation",
+                ));
+            }
+            let line = Line {
+                indent,
+                text,
+                number: self.number,
+                offset: start + indent,
+            };
+            self.last_end = Pos {
+                line: line.number,
+                offset: line.offset + text.len(),
+            };
+            self.line = Some(line);
+            return Ok(());
+        }
+        Ok(())
     }
 
+    fn offset_of(&self, slice: &str) -> usize {
+        slice.as_ptr() as usize - self.text.as_ptr() as usize
+    }
+
+    /// The current line's position, or the end of the document's last line
+    /// once its lines are used up.
     fn current_pos(&self) -> Pos {
-        if self.pos < self.end {
-            self.lines[self.pos].pos()
-        } else {
-            // End of document; anchor to the last line.
-            let last = self.lines[self.end.saturating_sub(1).min(self.lines.len() - 1)];
-            Pos {
-                line: last.number,
-                offset: last.offset + last.text.len(),
-            }
-        }
+        self.line.map_or(self.last_end, |line| line.pos())
     }
 
     fn push_null(&mut self, pos: Pos) {
@@ -360,12 +356,10 @@ impl<'a> Tokenizer<'a> {
     /// Start the node at the current line, which sits at exactly `indent`
     /// (callers guarantee this) — or is missing/dedented, which yields null.
     fn step_node(&mut self, indent: usize) -> Result<(), Error> {
-        let pos = self.current_pos();
-        if self.pos >= self.end || self.lines[self.pos].indent < indent {
-            self.push_null(pos);
+        let Some(line) = self.line.filter(|line| line.indent >= indent) else {
+            self.push_null(self.current_pos());
             return Ok(());
-        }
-        let line = self.lines[self.pos];
+        };
         if is_dash(line.text) {
             self.queue
                 .push_back(Event::SequenceStart { pos: line.pos() });
@@ -378,7 +372,7 @@ impl<'a> Tokenizer<'a> {
         } else {
             // A bare scalar (or flow collection) on a single line.
             self.scan_value(line.text, line.number)?;
-            self.pos += 1;
+            self.advance()?;
             self.expect = Expect::Container;
         }
         Ok(())
@@ -388,16 +382,14 @@ impl<'a> Tokenizer<'a> {
         match self.stack.last().copied() {
             None => {
                 // The document's root value is complete.
-                if self.pos < self.end {
-                    let line = self.lines[self.pos];
+                if let Some(line) = self.line {
                     return Err(Error::parse(
                         line.number,
                         format!("unexpected content `{}` after document", line.text),
                     ));
                 }
                 self.queue.push_back(Event::DocumentEnd);
-                self.doc_idx += 1;
-                self.active = false;
+                self.expect = Expect::Document;
                 Ok(())
             }
             Some(Frame::Map { indent, keys_start }) => self.step_map(indent, keys_start),
@@ -406,11 +398,10 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn step_map(&mut self, indent: usize, keys_start: usize) -> Result<(), Error> {
-        if self.pos >= self.end || self.lines[self.pos].indent < indent {
+        let Some(line) = self.line.filter(|line| line.indent >= indent) else {
             self.close_frame();
             return Ok(());
-        }
-        let line = self.lines[self.pos];
+        };
         if line.indent > indent {
             return Err(Error::parse(
                 line.number,
@@ -446,41 +437,37 @@ impl<'a> Tokenizer<'a> {
             name: key,
             pos: key_pos,
         });
-        self.pos += 1;
         if !rest.is_empty() {
             self.scan_value(rest, line.number)?;
+            self.advance()?;
             self.expect = Expect::Container;
             return Ok(());
         }
         // The value is on the following lines (nested block), or null.
-        if self.pos < self.end {
-            let next = self.lines[self.pos];
-            if next.indent > indent {
+        self.advance()?;
+        match self.line {
+            Some(next) if next.indent > indent => {
                 self.expect = Expect::Node {
                     indent: next.indent,
                 };
-            } else if next.indent == indent && is_dash(next.text) {
-                // Sequences are conventionally allowed at the same indent as
-                // their key.
+            }
+            // Sequences are conventionally allowed at the same indent as
+            // their key.
+            Some(next) if next.indent == indent && is_dash(next.text) => {
                 self.queue
                     .push_back(Event::SequenceStart { pos: next.pos() });
                 self.open_frame(Frame::Seq { indent }, next.number)?;
-            } else {
-                self.push_null(next.pos());
             }
-        } else {
-            let pos = self.current_pos();
-            self.push_null(pos);
+            _ => self.push_null(self.current_pos()),
         }
         Ok(())
     }
 
     fn step_seq(&mut self, indent: usize) -> Result<(), Error> {
-        if self.pos >= self.end {
+        let Some(line) = self.line else {
             self.close_frame();
             return Ok(());
-        }
-        let line = self.lines[self.pos];
+        };
         if line.indent != indent || !is_dash(line.text) {
             if line.indent > indent {
                 return Err(Error::parse(
@@ -498,14 +485,14 @@ impl<'a> Tokenizer<'a> {
         };
         if content.is_empty() {
             // Nested block on the following lines, or a null item.
-            self.pos += 1;
-            if self.pos < self.end && self.lines[self.pos].indent > indent {
-                let next_indent = self.lines[self.pos].indent;
-                self.expect = Expect::Node {
-                    indent: next_indent,
-                };
-            } else {
-                self.push_null(line.pos());
+            self.advance()?;
+            match self.line {
+                Some(next) if next.indent > indent => {
+                    self.expect = Expect::Node {
+                        indent: next.indent,
+                    };
+                }
+                _ => self.push_null(line.pos()),
             }
         } else {
             // Reinterpret the item content as a regular line at the column
@@ -513,12 +500,12 @@ impl<'a> Tokenizer<'a> {
             // compact `- key: value` mapping items whose remaining keys
             // continue on the following lines.
             let content_col = line.indent + (line.text.len() - content.len());
-            self.lines[self.pos] = Line {
+            self.line = Some(Line {
                 indent: content_col,
                 text: content,
                 number: line.number,
                 offset: self.offset_of(content),
-            };
+            });
             self.expect = Expect::Node {
                 indent: content_col,
             };
@@ -555,6 +542,17 @@ impl<'a> Tokenizer<'a> {
         self.queue.push_back(Event::Scalar { value, pos });
         Ok(())
     }
+}
+
+/// Whether a raw line (line end removed) is a document separator: `---`,
+/// optionally indented, optionally more dashes or a comment after it, and
+/// no trailing whitespace.
+fn is_separator(raw: &str) -> bool {
+    let line = raw.trim_start();
+    let after = line.trim_start_matches('-').trim_start();
+    line.starts_with("---")
+        && line.trim_end().len() == line.len()
+        && (after.is_empty() || after.starts_with('#'))
 }
 
 fn is_dash(text: &str) -> bool {
@@ -1088,6 +1086,24 @@ mod tests {
                 Err(_) => break true,
             }
         });
+    }
+
+    #[test]
+    fn a_tab_in_indentation_surfaces_when_its_line_is_reached() {
+        // Construction reads nothing; the events before the tab's line are
+        // delivered, then its error.
+        let mut tok = Tokenizer::new("a: 1\nb: 2\n\tc: 3\n").unwrap();
+        let mut keys = Vec::new();
+        let err = loop {
+            match tok.next_event() {
+                Ok(Some(Event::Key { name, .. })) => keys.push(name.into_owned()),
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("expected the tab error"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(keys.first().map(String::as_str), Some("a"));
+        assert!(matches!(err, Error::Parse { line: 3, .. }), "{err}");
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl<'a> JsonTokenizer<'a> {
         }
     }
 
-    /// Number of documents in the stream: always 1 (a JSON body is a single
-    /// value). Mirrors [`crate::events::Tokenizer::document_count`].
-    pub fn document_count(&self) -> usize {
-        1
-    }
-
     /// Pull the next event, or `None` at the end of the stream.
     ///
     /// # Errors
