@@ -287,8 +287,9 @@ impl<'a> Tokenizer<'a> {
             if is_separator(raw) {
                 return Ok(());
             }
-            let content = strip_comment(raw.trim_end()).trim_end();
-            let text = content.trim_start();
+            let content =
+                strip_comment(raw.trim_end_matches(is_trimmed)).trim_end_matches(is_trimmed);
+            let text = content.trim_start_matches(is_trimmed);
             if text.is_empty() {
                 continue;
             }
@@ -481,7 +482,7 @@ impl<'a> Tokenizer<'a> {
         let content = if line.text == "-" {
             ""
         } else {
-            line.text[2..].trim_start()
+            line.text[2..].trim_start_matches(is_trimmed)
         };
         if content.is_empty() {
             // Nested block on the following lines, or a null item.
@@ -548,10 +549,10 @@ impl<'a> Tokenizer<'a> {
 /// optionally indented, optionally more dashes or a comment after it, and
 /// no trailing whitespace.
 fn is_separator(raw: &str) -> bool {
-    let line = raw.trim_start();
-    let after = line.trim_start_matches('-').trim_start();
+    let line = raw.trim_start_matches(is_trimmed);
+    let after = line.trim_start_matches('-').trim_start_matches(is_trimmed);
     line.starts_with("---")
-        && line.trim_end().len() == line.len()
+        && !line.ends_with(is_trimmed)
         && (after.is_empty() || after.starts_with('#'))
 }
 
@@ -565,6 +566,17 @@ fn is_dash(text: &str) -> bool {
 /// too, and split characters such as `你` (E4 BD A0).
 pub(crate) fn is_space(b: u8) -> bool {
     matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Whether the reader trims `c` from the edges of a line, key or scalar:
+/// space, tab, line breaks, and the `\v` / `\f` go-yaml does not read as
+/// content either. Other Unicode white space (U+00A0, U+3000, …) is content,
+/// as it is to go-yaml.
+fn is_trimmed(c: char) -> bool {
+    matches!(
+        c,
+        ' ' | '\t' | '\n' | '\r' | '\u{b}' | '\u{c}' | '\u{85}' | '\u{2028}' | '\u{2029}'
+    )
 }
 
 /// Remove a trailing `# comment`, respecting quoted strings. Escapes inside
@@ -620,8 +632,8 @@ pub(crate) fn find_key_split(text: &str) -> Option<(&str, &str)> {
             ':' if !in_single && !in_double && depth == 0 => {
                 let at_end = i + 1 == bytes.len();
                 if at_end || is_space(bytes[i + 1]) {
-                    let key = text[..i].trim();
-                    let rest = if at_end { "" } else { text[i + 1..].trim() };
+                    let key = text[..i].trim_matches(is_trimmed);
+                    let rest = text[i + 1..].trim_matches(is_trimmed);
                     if key.is_empty() {
                         return None;
                     }
@@ -650,7 +662,7 @@ fn unquote_key<'a>(key: &'a str, line: usize) -> Result<Cow<'a, str>, Error> {
 /// parser's: quoted → string, `~`/null/true/false keywords, integers (except
 /// leading zeros), floats, everything else a string.
 pub(crate) fn scan_scalar<'a>(text: &'a str, line: usize) -> Result<ScalarToken<'a>, Error> {
-    let text = text.trim();
+    let text = text.trim_matches(is_trimmed);
     if text.is_empty() {
         return Ok(ScalarToken::Null);
     }
@@ -740,12 +752,7 @@ impl<'a> FlowCursor<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek() {
-            if !c.is_whitespace() {
-                break;
-            }
-            self.i += c.len_utf8();
-        }
+        self.i = self.text.len() - self.text[self.i..].trim_start_matches(is_trimmed).len();
     }
 
     fn pos(&self) -> Pos {
@@ -808,16 +815,8 @@ fn scan_flow_node<'a>(
                     cur.i += 1;
                     break;
                 }
-                let key_pos = {
-                    let mut probe = FlowCursor {
-                        text: cur.text,
-                        i: cur.i,
-                        line: cur.line,
-                        base_offset: cur.base_offset,
-                    };
-                    probe.skip_ws();
-                    probe.pos()
-                };
+                // The loop skipped white space: the key starts here.
+                let key_pos = cur.pos();
                 let key_token = scan_flow_token(cur, &[':'])?;
                 let key: Cow<'a, str> = match key_token {
                     ScalarToken::Str(s) => s,
@@ -898,7 +897,7 @@ fn scan_flow_token<'a>(cur: &mut FlowCursor<'a>, stops: &[char]) -> Result<Scala
     while cur.i < bytes.len() && !stops.contains(&(bytes[cur.i] as char)) {
         cur.i += 1;
     }
-    let raw = cur.text[start..cur.i].trim();
+    let raw = cur.text[start..cur.i].trim_matches(is_trimmed);
     scan_scalar(raw, cur.line)
 }
 

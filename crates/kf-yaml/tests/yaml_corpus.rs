@@ -71,6 +71,17 @@ fn rows(corpus: &str) -> Vec<Row> {
     rows
 }
 
+/// `text` with its non-ASCII white space written as the `yaml:` field's
+/// `\u{HEX}` escape, so no corpus line holds an invisible character.
+fn visible(text: &str) -> String {
+    text.chars()
+        .map(|c| match c {
+            c if c.is_whitespace() && !c.is_ascii() => format!("\\u{{{:X}}}", u32::from(c)),
+            c => c.to_string(),
+        })
+        .collect()
+}
+
 /// What the reader makes of `yaml`, as the corpus writes it.
 fn actual(yaml: &str) -> Vec<String> {
     let documents = match parse_documents(yaml) {
@@ -80,7 +91,7 @@ fn actual(yaml: &str) -> Vec<String> {
     };
     let mut out: Vec<String> = documents
         .iter()
-        .map(|document| format!("doc: {}", to_json(document)))
+        .map(|document| format!("doc: {}", visible(&to_json(document))))
         .collect();
     if out.is_empty() {
         out.push("no documents".to_owned());
