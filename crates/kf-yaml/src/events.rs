@@ -220,11 +220,12 @@ pub struct Tokenizer<'a> {
 impl<'a> Tokenizer<'a> {
     /// A tokenizer over `text`. Construction reads nothing and never fails:
     /// every syntax error, tabs in indentation included, surfaces as events
-    /// are pulled. The `Result` is kept for the callers that match on it.
+    /// are pulled. It keeps its `Result` only because the benchmark's layer
+    /// probes (`benchmark/src/probes.rs`) match on it.
     ///
     /// # Errors
     ///
-    /// None; see above.
+    /// Never; see above.
     pub fn new(text: &'a str) -> Result<Self, Error> {
         Ok(Tokenizer {
             text,
@@ -260,7 +261,7 @@ impl<'a> Tokenizer<'a> {
                         if self.cursor >= self.text.len() {
                             return Ok(None);
                         }
-                        self.advance()?;
+                        self.advance_line()?;
                     }
                     let indent = self.line.map_or(0, |line| line.indent);
                     self.expect = Expect::Node { indent };
@@ -274,7 +275,7 @@ impl<'a> Tokenizer<'a> {
     /// Move to the next significant line of the document: past blank and
     /// comment-only lines, to `None` at a `---` separator (which it
     /// consumes) or at the end of the input.
-    fn advance(&mut self) -> Result<(), Error> {
+    fn advance_line(&mut self) -> Result<(), Error> {
         self.line = None;
         while self.cursor < self.text.len() {
             let start = self.cursor;
@@ -373,7 +374,7 @@ impl<'a> Tokenizer<'a> {
         } else {
             // A bare scalar (or flow collection) on a single line.
             self.scan_value(line.text, line.number)?;
-            self.advance()?;
+            self.advance_line()?;
             self.expect = Expect::Container;
         }
         Ok(())
@@ -440,12 +441,12 @@ impl<'a> Tokenizer<'a> {
         });
         if !rest.is_empty() {
             self.scan_value(rest, line.number)?;
-            self.advance()?;
+            self.advance_line()?;
             self.expect = Expect::Container;
             return Ok(());
         }
         // The value is on the following lines (nested block), or null.
-        self.advance()?;
+        self.advance_line()?;
         match self.line {
             Some(next) if next.indent > indent => {
                 self.expect = Expect::Node {
@@ -486,7 +487,7 @@ impl<'a> Tokenizer<'a> {
         };
         if content.is_empty() {
             // Nested block on the following lines, or a null item.
-            self.advance()?;
+            self.advance_line()?;
             match self.line {
                 Some(next) if next.indent > indent => {
                     self.expect = Expect::Node {

@@ -9,8 +9,9 @@
 //! Since the streaming-admission refactor this module is a thin *tree
 //! builder* over the pull-based event tokenizer
 //! ([`crate::events::Tokenizer`]): both the tree front end and the
-//! validate-while-parse front end consume the same scanner, so they can
-//! never disagree on the accepted syntax or on scalar typing.
+//! validate-while-parse front end consume the same forward scanner, so they
+//! can never disagree on the accepted syntax, on scalar typing, or on which
+//! parse error a malformed stream reports (the first in stream order).
 
 use crate::events::{Event, Tokenizer};
 use crate::value::{Mapping, Value};
