@@ -2193,6 +2193,56 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_retained_frames_byte_for_byte() {
+        let dir = temp_dir("compact-bytes");
+        let path = dir.join(WAL_FILE);
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
+        const HORIZON: u64 = 3;
+        // File order is not revision order (writers on different shards
+        // reach the WAL out of order); revision 3 sits exactly at the
+        // horizon and two deletions carry no body.
+        let records = [
+            record(2, WatchEventKind::Added, "default", "a"),
+            record(5, WatchEventKind::Added, "default", "b"),
+            record(1, WatchEventKind::Added, "default", "c"),
+            record(4, WatchEventKind::Modified, "default", "a"),
+            record(HORIZON, WatchEventKind::Deleted, "default", "c"),
+            record(7, WatchEventKind::Deleted, "default", "b"),
+            record(6, WatchEventKind::Added, "default", "c"),
+        ];
+        for record in &records {
+            wal.append(std::slice::from_ref(record));
+        }
+        let original = fs::read(&path).expect("read WAL");
+        let mut frames = Vec::new();
+        let mut offset = 0;
+        while offset < original.len() {
+            let len = u32::from_le_bytes(original[offset..offset + 4].try_into().unwrap());
+            frames.push(&original[offset..offset + 8 + len as usize]);
+            offset += 8 + len as usize;
+        }
+        assert_eq!(frames.len(), records.len());
+        let kept: Vec<&WalRecord> = records.iter().filter(|r| r.revision > HORIZON).collect();
+        let expected: Vec<u8> = records
+            .iter()
+            .zip(&frames)
+            .filter(|(record, _)| record.revision > HORIZON)
+            .flat_map(|(_, frame)| frame.iter().copied())
+            .collect();
+
+        assert_eq!(wal.compact(&path, HORIZON).expect("compact"), kept.len());
+        assert_eq!(fs::read(&path).expect("read compacted"), expected);
+        let replay = read_wal(&path).expect("read compacted WAL");
+        assert!(replay.torn.is_none());
+        assert_eq!(replay.records.iter().collect::<Vec<_>>(), kept);
+        assert!(
+            replay.records[2].body.is_none(),
+            "a deletion stays bodiless"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn transient_fsync_failure_degrades_then_recovers_without_losing_frames() {
         let dir = temp_dir("transient");
         // Boot fsync is op 0; the op-1 append's fsync fails twice.
