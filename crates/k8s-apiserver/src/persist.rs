@@ -297,12 +297,16 @@ impl WalRecord {
     }
 
     /// Append this record as one framed entry: `len | crc32 | payload`.
+    /// The payload is encoded straight into `out` behind an 8-byte
+    /// placeholder, which is then filled in from it.
     fn encode_frame(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(64);
-        self.encode_payload(&mut payload);
-        binary::put_u32(out, payload.len() as u32);
-        binary::put_u32(out, binary::crc32(&payload));
-        out.extend_from_slice(&payload);
+        let header = out.len();
+        out.extend_from_slice(&[0; 8]);
+        self.encode_payload(out);
+        let payload = &out[header + 8..];
+        let (len, crc) = (payload.len() as u32, binary::crc32(payload));
+        out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+        out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
     }
 
     fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
