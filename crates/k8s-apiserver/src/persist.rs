@@ -56,7 +56,9 @@
 //! **Compaction** ([`Persistence::checkpoint`]) snapshots at the current
 //! revision horizon and rewrites the WAL keeping only records above it —
 //! the same horizon discipline the in-memory journals apply per sub-shard,
-//! extended to disk, with bounded retry around the whole attempt.
+//! extended to disk, with bounded retry around the whole attempt. Kept
+//! frames are copied verbatim through the frame walker recovery uses; a log
+//! whose frames end short of its written length fails the attempt.
 //! See `docs/persistence.md` for the byte layouts.
 
 use std::io;
@@ -70,7 +72,7 @@ use kf_yaml::binary::{self, Cursor};
 use kf_yaml::Value;
 
 use crate::storage_io::{RealIo, StorageFile, StorageIo};
-use crate::store::{ObjectStore, StoreBackend, StoredObject};
+use crate::store::{ObjectStore, StoreBackend, StoredObject, SHARDS};
 use crate::sync::{Condvar, Mutex};
 use crate::watch::WatchEventKind;
 
@@ -296,9 +298,8 @@ impl WalRecord {
         }
     }
 
-    /// Append this record as one framed entry: `len | crc32 | payload`.
-    /// The payload is encoded straight into `out` behind an 8-byte
-    /// placeholder, which is then filled in from it.
+    /// Append this record as one framed entry, `len | crc32 | payload`,
+    /// encoding the payload in place and backfilling the header.
     fn encode_frame(&self, out: &mut Vec<u8>) {
         let header = out.len();
         out.extend_from_slice(&[0; 8]);
@@ -359,46 +360,45 @@ pub struct WalReplay {
     pub torn: Option<TornTail>,
 }
 
+/// Walk a WAL image's `len | crc32 | payload` frames in file order, handing
+/// each whole frame whose length and CRC hold to `visit` with its revision
+/// (the payload's first eight bytes) until `visit` returns `false` or a
+/// frame fails. Returns the bytes consumed. Recovery and compaction both
+/// walk with this, so they agree on where a log ends.
+fn walk_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(u64, &'a [u8]) -> bool) -> usize {
+    let mut offset = 0;
+    while let Some(header) = bytes.get(offset..offset + 8) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let Some(frame) = bytes[offset..].get(..8 + len) else {
+            break;
+        };
+        let payload = &frame[8..];
+        if payload.len() < 8 || binary::crc32(payload).to_le_bytes() != frame[4..8] {
+            break;
+        }
+        let revision = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+        if !visit(revision, frame) {
+            break;
+        }
+        offset += frame.len();
+    }
+    offset
+}
+
+/// Replay a WAL image: every frame [`walk_frames`] accepts and that decodes
+/// cleanly, in file order; the first that fails either marks the torn tail.
 fn decode_wal_bytes(bytes: &[u8]) -> WalReplay {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let remaining = bytes.len() - offset;
-        if remaining == 0 {
-            return WalReplay {
-                records,
-                torn: None,
-            };
-        }
-        // A frame needs its 8-byte header, the announced payload, a CRC
-        // match and a clean payload decode; the first failure marks the torn
-        // tail and ends the replay — later bytes are unframeable noise.
-        let torn = WalReplay {
-            records: Vec::new(),
-            torn: Some(TornTail {
-                valid_len: offset as u64,
-                dropped_bytes: remaining as u64,
-            }),
-        };
-        if remaining < 8 {
-            return WalReplay { records, ..torn };
-        }
-        let len =
-            u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        if len > remaining - 8 {
-            return WalReplay { records, ..torn };
-        }
-        let payload = &bytes[offset + 8..offset + 8 + len];
-        if binary::crc32(payload) != crc {
-            return WalReplay { records, ..torn };
-        }
-        let Some(record) = WalRecord::decode_payload(payload) else {
-            return WalReplay { records, ..torn };
-        };
-        records.push(record);
-        offset += 8 + len;
-    }
+    let valid_len = walk_frames(bytes, |_, frame| {
+        WalRecord::decode_payload(&frame[8..])
+            .map(|record| records.push(record))
+            .is_some()
+    });
+    let torn = (valid_len < bytes.len()).then(|| TornTail {
+        valid_len: valid_len as u64,
+        dropped_bytes: (bytes.len() - valid_len) as u64,
+    });
+    WalReplay { records, torn }
 }
 
 /// Decode a WAL through an explicit I/O without touching it. Missing file:
@@ -476,11 +476,7 @@ pub enum DurabilityState {
 
 impl DurabilityState {
     fn tag(self) -> u8 {
-        match self {
-            DurabilityState::Healthy => 0,
-            DurabilityState::Degraded => 1,
-            DurabilityState::FailStop => 2,
-        }
+        self as u8
     }
 
     fn from_tag(tag: u8) -> DurabilityState {
@@ -1293,9 +1289,12 @@ impl Wal {
     /// Rewrite the log keeping only records with revision strictly above
     /// `horizon` (they are the ones not covered by the snapshot at that
     /// horizon), then swap the rewritten file in atomically and continue
-    /// appending to it. Returns how many records were retained. Refuses to
-    /// run unless the machine is (or recovers to) `Healthy` — compaction
-    /// rewrites the log and must not race a sick device.
+    /// appending to it. Returns how many records were retained. Kept frames
+    /// are copied verbatim from a [`walk_frames`] pass; nothing is decoded.
+    /// Refuses to run unless the machine is (or recovers to) `Healthy` —
+    /// compaction rewrites the log and must not race a sick device — and
+    /// fails with `InvalidData`, the log untouched, when the walk stops
+    /// short of `good_len`: a cut there would drop acknowledged frames.
     fn compact(&self, path: &Path, horizon: u64) -> io::Result<usize> {
         let mut inner = self.inner.lock();
         if inner.machine.state() == DurabilityState::Degraded {
@@ -1309,14 +1308,19 @@ impl Wal {
         // rewrite; everything we are about to drop is covered by the
         // already-renamed snapshot.
         self.sync_locked(&mut inner)?;
-        let replay = read_wal_with(&*self.io, path)?;
+        let bytes = read_if_present(&*self.io, path)?.unwrap_or_default();
         let mut buf = Vec::new();
         let mut retained = 0usize;
-        for record in &replay.records {
-            if record.revision > horizon {
-                record.encode_frame(&mut buf);
+        let walked = walk_frames(&bytes, |revision, frame| {
+            if revision > horizon {
+                buf.extend_from_slice(frame);
                 retained += 1;
             }
+            true
+        });
+        if walked as u64 != inner.good_len || walked != bytes.len() {
+            let at = format!("WAL frames end at byte {walked} of {}", bytes.len());
+            return Err(invalid_data(at));
         }
         let tmp = path.with_extension("kfwal.tmp");
         self.io.write_file(&tmp, &buf)?;
@@ -1395,12 +1399,10 @@ fn unseal<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> io::Result<&'a [u
     if bytes.len() < 12 || &bytes[..8] != magic {
         return Err(invalid_data(format!("{what} magic mismatch")));
     }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    if binary::crc32(payload) != crc {
+    if binary::crc32(&bytes[12..]).to_le_bytes() != bytes[8..12] {
         return Err(invalid_data(format!("{what} checksum mismatch")));
     }
-    Ok(payload)
+    Ok(&bytes[12..])
 }
 
 fn invalid_data(message: String) -> io::Error {
@@ -1625,13 +1627,7 @@ fn replay_worker_count(total_work: usize) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(store_shards())
-}
-
-/// The store's shard count — recovery partitions by the same geometry the
-/// store hashes into (`crate::store::SHARDS`).
-fn store_shards() -> usize {
-    crate::store::SHARDS
+        .min(SHARDS)
 }
 
 /// One shard's replay inputs: its segment seeds and its WAL records in file
@@ -1798,7 +1794,7 @@ impl Persistence {
         // horizon), so probe every shard slot directly rather than trusting
         // the manifest's entry list — this also recovers the case where
         // both manifests are torn but the segments survived.
-        let shards = store_shards();
+        let shards = SHARDS;
         let mut seeds: Vec<Vec<(u64, Value)>> = (0..shards).map(|_| Vec::new()).collect();
         let mut segment_horizon = 0u64;
         for shard_no in 0..shards {
@@ -1995,7 +1991,7 @@ impl Persistence {
 
         // The manifest enumerates whichever segments exist on disk now:
         // the ones just rewritten plus clean shards' earlier segments.
-        let shards = store_shards();
+        let shards = SHARDS;
         let previous =
             read_manifest_with(&*self.io, &self.dir.join(MANIFEST_FILE)).unwrap_or_default();
         let mut entries = Vec::new();
@@ -2530,6 +2526,77 @@ mod tests {
         assert_eq!(report.recovered_revision, 3);
         fs::remove_dir_all(&dir).ok();
         fs::remove_dir_all(&image).ok();
+    }
+
+    #[test]
+    fn compaction_refuses_a_log_with_a_bad_frame_before_its_end() {
+        // A byte flips on disk in the middle of the WAL while a checkpoint
+        // stalls in its segment write, and an acknowledged write lands
+        // above the horizon meanwhile. Cutting the log at the bad frame
+        // would drop that write while the checkpoint reported success; the
+        // checkpoint must fail and leave every byte of the log in place.
+        let dir = temp_dir("ckpt-bad-frame");
+        let wal_path = dir.join(WAL_FILE);
+        // Writes 0 and 1 append `a` and `b`; write 2 is the checkpoint's
+        // first segment write.
+        const STALL_AT: u64 = 2;
+        let io = Arc::new(FaultyIo::over_real(
+            FaultSchedule::parse(&format!("write@{STALL_AT}:latency*1000000")).expect("spec"),
+        ));
+        let config = PersistConfig::new(&dir).with_retry(RetryPolicy::immediate(8));
+        let (store, persistence, _) = Persistence::open_with_io(config, io.clone()).expect("open");
+        store.upsert(pod("ns", "a", "nginx"));
+        store.upsert(pod("ns", "b", "nginx"));
+        assert_eq!(
+            io.writes(),
+            STALL_AT,
+            "the checkpoint's segment write is next"
+        );
+        let damaged = std::thread::scope(|scope| {
+            let checkpoint = scope.spawn(|| persistence.checkpoint(&store));
+            while io.writes() <= STALL_AT {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            store.upsert(pod("ns", "late", "nginx"));
+            assert_eq!(
+                persistence.wal().durable_revision(),
+                3,
+                "`late` is acknowledged"
+            );
+            let mut bytes = fs::read(&wal_path).expect("read WAL");
+            let first_len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+            let flip_at = first_len + 8 + 8 + 10;
+            bytes[flip_at] ^= 0xFF;
+            {
+                use std::io::{Seek, SeekFrom, Write};
+                let mut file = fs::OpenOptions::new()
+                    .write(true)
+                    .open(&wal_path)
+                    .expect("open WAL in place");
+                file.seek(SeekFrom::Start(flip_at as u64)).expect("seek");
+                file.write_all(&bytes[flip_at..=flip_at]).expect("flip");
+            }
+            let error = checkpoint
+                .join()
+                .expect("checkpoint joins")
+                .expect_err("a bad frame mid-log fails the checkpoint");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+            (bytes, flip_at)
+        });
+        let (bytes, flip_at) = damaged;
+        assert_eq!(
+            fs::read(&wal_path).expect("read WAL"),
+            bytes,
+            "WAL untouched"
+        );
+        let mut repaired = bytes;
+        repaired[flip_at] ^= 0xFF;
+        let replay = decode_wal_bytes(&repaired);
+        assert!(replay.torn.is_none());
+        let names: Vec<&str> = replay.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "late"], "the late write is still logged");
+        assert_eq!(persistence.wal().state(), DurabilityState::Healthy);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Exact allocation counts as the regression gate for the accept path: one
-//! admitted create builds one compact tree and nothing copies it. Clocks on
-//! this box move 30 % on their own; these counts repeat exactly, so they
-//! bound what the end-to-end benchmark can only show through noise.
+//! admitted create builds one compact tree and nothing copies it, and a
+//! durable checkpoint decodes no WAL record. Clocks on this box move 30 %
+//! on their own; these counts repeat exactly, so they bound what the
+//! end-to-end benchmark can only show through noise.
 //!
 //! This file is the only place in the repository where `unsafe` appears (the
 //! counting `#[global_allocator]`); the product crates keep
@@ -13,8 +14,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use k8s_apiserver::{
-    ApiRequest, ApiResponse, ApiServer, RequestBody, RequestHandler, ResponseBody,
+    ApiRequest, ApiResponse, ApiServer, PersistConfig, Persistence, RequestBody, RequestHandler,
+    ResponseBody,
 };
+use k8s_model::K8sObject;
 use kf_attacks::AttackExecutor;
 use kf_workloads::{DeploymentDriver, Operator};
 use kf_yaml::{Mapping, Value};
@@ -463,5 +466,61 @@ fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
     assert!(
         held < (capacity as i64) << 11,
         "a full ring of {capacity} holds {held} bytes live"
+    );
+}
+
+/// Write the same 64 pods `rounds` times into a durable store in a fresh
+/// `kf-*` directory (the first round creates them, every later one
+/// rewrites them unchanged), so its WAL holds `64 × rounds` records over
+/// the same keys and its objects are the same whatever `rounds` is; then
+/// checkpoint it. Returns the allocations the checkpoint made and those
+/// per durable write of the last round.
+fn checkpoint_after(rounds: usize) -> (u64, f64) {
+    let dir = std::env::temp_dir().join(format!(
+        "kf-alloc-budget-checkpoint-{rounds}-{}",
+        std::process::id()
+    ));
+    let (store, persistence, _) = Persistence::open(PersistConfig::new(&dir)).unwrap();
+    let pods: Vec<K8sObject> = (0..64)
+        .map(|n| {
+            K8sObject::from_yaml(&format!(
+                "apiVersion: v1\nkind: Pod\nmetadata:\n  name: pod-{n:02}\n  namespace: ns\n\
+                 spec:\n  containers:\n    - name: app\n      image: nginx\n"
+            ))
+            .unwrap()
+        })
+        .collect();
+    let mut per_write = 0.0;
+    for _ in 0..rounds {
+        let ((), made, _) = counted(|| {
+            for pod in &pods {
+                store.upsert(pod.clone());
+            }
+        });
+        per_write = made as f64 / pods.len() as f64;
+    }
+    assert_eq!(persistence.wal().appended_revision(), 64 * rounds as u64);
+    let (report, made, _) = counted(|| persistence.checkpoint(&store));
+    let report = report.unwrap();
+    assert_eq!((report.objects, report.wal_retained), (64, 0));
+    drop((store, persistence));
+    std::fs::remove_dir_all(&dir).unwrap();
+    (made, per_write)
+}
+
+#[test]
+fn a_checkpoint_allocates_the_same_whatever_the_wal_holds() {
+    // Compaction copies the frames above the horizon and decodes none, so
+    // a WAL 32 times longer over the same objects costs the checkpoint no
+    // allocation more: the file is read into one buffer whatever its size.
+    let (short, per_write) = checkpoint_after(1);
+    let (long, per_rewrite) = checkpoint_after(32);
+    println!(
+        "{short} allocations per checkpoint over 64 WAL records, {long} over 2,048; \
+         {per_write:.2} per durable create, {per_rewrite:.2} per durable rewrite"
+    );
+    assert_eq!(
+        short, long,
+        "a checkpoint's allocations grow with the WAL it compacts"
     );
 }
