@@ -2552,7 +2552,7 @@ mod tests {
             STALL_AT,
             "the checkpoint's segment write is next"
         );
-        let damaged = std::thread::scope(|scope| {
+        let (bytes, flip_at) = std::thread::scope(|scope| {
             let checkpoint = scope.spawn(|| persistence.checkpoint(&store));
             while io.writes() <= STALL_AT {
                 std::thread::sleep(Duration::from_millis(1));
@@ -2583,7 +2583,6 @@ mod tests {
             assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
             (bytes, flip_at)
         });
-        let (bytes, flip_at) = damaged;
         assert_eq!(
             fs::read(&wal_path).expect("read WAL"),
             bytes,
