@@ -2243,6 +2243,94 @@ mod tests {
     }
 
     #[test]
+    fn every_write_path_logs_pinned_bytes_and_recovers_its_store() {
+        // One fixed single-threaded script through all six store write
+        // paths; the WAL it leaves is pinned by length and CRC-32, and a
+        // reopen must rebuild exactly the store that wrote it.
+        let dir = temp_dir("write-paths");
+        let (store, persistence, _) = Persistence::open(PersistConfig::new(&dir)).expect("open");
+        assert_eq!(store.create(pod("default", "a", "nginx:1")), Some(1));
+        assert_eq!(store.update(pod("default", "a", "nginx:2")), Some(2));
+        assert_eq!(store.upsert(pod("default", "b", "redis")), (3, true));
+        assert_eq!(store.upsert(pod("default", "a", "nginx:3")), (4, false));
+        assert!(store.delete(ResourceKind::Pod, "default", "b").is_some());
+        // Twelve pods over three namespaces (so store shards hold several
+        // journal sub-shards), a pod that already exists, a service, and
+        // an in-batch duplicate of `batch-2` that must win.
+        let mut batch: Vec<K8sObject> = (0..12)
+            .map(|n| {
+                let namespace = ["default", "kube-system", "team-a"][n % 3];
+                pod(namespace, &format!("batch-{n}"), "busybox")
+            })
+            .collect();
+        batch.push(pod("default", "a", "nginx:4"));
+        batch.push(K8sObject::minimal(ResourceKind::Service, "svc", "default"));
+        batch.push(pod("team-a", "batch-2", "busybox:2"));
+        let journal_shards: Vec<(usize, usize)> = batch
+            .iter()
+            .map(|object| {
+                let kind = object.kind().index();
+                (
+                    crate::store::shard_index_raw(kind, object.namespace(), object.name()),
+                    crate::watch::namespace_shard(
+                        object.namespace(),
+                        crate::DEFAULT_JOURNAL_SHARDS,
+                    ),
+                )
+            })
+            .collect();
+        assert!(
+            journal_shards
+                .iter()
+                .any(|(store_shard, journal_shard)| journal_shards
+                    .iter()
+                    .any(|(s, j)| s == store_shard && j != journal_shard)),
+            "some store shard publishes to two journal sub-shards"
+        );
+        let results = store.apply_batch(batch);
+        assert_eq!(results.len(), 15);
+        assert!(
+            !results[12].1 && !results[14].1,
+            "a rewrite and a duplicate"
+        );
+        assert!(results[2].0 < results[14].0, "the duplicate lands last");
+        assert_eq!(store.delete_collection(ResourceKind::Pod, "default"), 5);
+        assert_eq!(store.revision(), 25);
+
+        const PINNED_LEN: usize = 4_283;
+        const PINNED_CRC: u32 = 0xefcc_b2ac;
+        let bytes = fs::read(dir.join(WAL_FILE)).expect("read WAL");
+        assert_eq!(
+            (bytes.len(), binary::crc32(&bytes)),
+            (PINNED_LEN, PINNED_CRC),
+            "the write paths' WAL bytes changed"
+        );
+        let contents = |store: &ObjectStore| -> Vec<(String, String, u64, Value)> {
+            store
+                .snapshot_objects()
+                .iter()
+                .map(|stored| {
+                    let object = &stored.object;
+                    (
+                        format!("{}/{}", object.kind(), object.namespace()),
+                        object.name().to_owned(),
+                        stored.resource_version,
+                        object.shared_body().as_ref().clone(),
+                    )
+                })
+                .collect()
+        };
+        let before = contents(&store);
+        assert_eq!(before.len(), 9);
+        drop((store, persistence));
+        let (recovered, _persistence, report) =
+            Persistence::open(PersistConfig::new(&dir)).expect("reopen");
+        assert_eq!((report.wal_records, report.recovered_revision), (25, 25));
+        assert_eq!(contents(&recovered), before);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn transient_fsync_failure_degrades_then_recovers_without_losing_frames() {
         let dir = temp_dir("transient");
         // Boot fsync is op 0; the op-1 append's fsync fails twice.
