@@ -13,8 +13,8 @@
 //!   journal's publication stream to disk: every store write appends one
 //!   framed [`WalRecord`] (length + CRC-32 + payload) **while the written
 //!   object's store-shard lock is held**, so the log preserves per-object
-//!   write order exactly as the journal does. The fsync cadence is a
-//!   [`FsyncPolicy`].
+//!   write order exactly as the journal does, and waits for its fsync (a
+//!   [`FsyncPolicy`]) only after releasing that lock.
 //!
 //! All file traffic goes through a [`StorageIo`] seam, so tests and the
 //! chaos workload can run the identical code over a
@@ -270,46 +270,72 @@ const OP_ADDED: u8 = 0;
 const OP_MODIFIED: u8 = 1;
 const OP_DELETED: u8 = 2;
 
-impl WalRecord {
-    fn op_tag(&self) -> u8 {
-        match self.op {
-            WatchEventKind::Added => OP_ADDED,
-            WatchEventKind::Modified => OP_MODIFIED,
-            WatchEventKind::Deleted => OP_DELETED,
-            // Bookmarks are synthesized on the watch wire, never written to
-            // the store, so a bookmark here is a logic error upstream; the
-            // log treats it as a no-op modification of nothing.
-            WatchEventKind::Bookmark => OP_MODIFIED,
+/// WAL frames staged for one append, `len | crc32 | payload` each —
+/// [`Frames::push`] is the one place a write's frame is encoded.
+#[derive(Debug)]
+pub(crate) struct Frames {
+    bytes: Vec<u8>,
+    max_revision: u64,
+    count: u32,
+}
+
+impl Frames {
+    /// Room for about `writes` frames of a small object.
+    pub(crate) fn with_capacity(writes: usize) -> Frames {
+        Frames {
+            bytes: Vec::with_capacity(writes * 96),
+            max_revision: 0,
+            count: 0,
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        binary::put_u64(out, self.revision);
-        binary::put_u8(out, self.kind.index() as u8);
-        binary::put_u8(out, self.op_tag());
-        binary::put_str(out, &self.namespace);
-        binary::put_str(out, &self.name);
-        match &self.body {
+    /// Append one write's frame, encoding the payload in place and
+    /// backfilling the header. `body` is `None` for a deletion: replay only
+    /// needs the key to remove.
+    pub(crate) fn push(
+        &mut self,
+        revision: u64,
+        kind: ResourceKind,
+        op: WatchEventKind,
+        namespace: &str,
+        name: &str,
+        body: Option<&Value>,
+    ) {
+        let out = &mut self.bytes;
+        let header = out.len();
+        out.extend_from_slice(&[0; 8]);
+        binary::put_u64(out, revision);
+        binary::put_u8(out, kind.index() as u8);
+        binary::put_u8(
+            out,
+            match op {
+                WatchEventKind::Added => OP_ADDED,
+                WatchEventKind::Deleted => OP_DELETED,
+                // Bookmarks are synthesized on the watch wire, never
+                // written to the store; the log would read one as a no-op
+                // modification of nothing.
+                WatchEventKind::Modified | WatchEventKind::Bookmark => OP_MODIFIED,
+            },
+        );
+        binary::put_str(out, namespace);
+        binary::put_str(out, name);
+        match body {
             Some(body) => {
                 binary::put_u8(out, 1);
                 binary::put_value(out, body);
             }
             None => binary::put_u8(out, 0),
         }
-    }
-
-    /// Append this record as one framed entry, `len | crc32 | payload`,
-    /// encoding the payload in place and backfilling the header.
-    fn encode_frame(&self, out: &mut Vec<u8>) {
-        let header = out.len();
-        out.extend_from_slice(&[0; 8]);
-        self.encode_payload(out);
         let payload = &out[header + 8..];
         let (len, crc) = (payload.len() as u32, binary::crc32(payload));
         out[header..header + 4].copy_from_slice(&len.to_le_bytes());
         out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+        self.max_revision = self.max_revision.max(revision);
+        self.count += 1;
     }
+}
 
+impl WalRecord {
     fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         let mut cursor = Cursor::new(payload);
         let revision = cursor.get_u64().ok()?;
@@ -401,19 +427,6 @@ fn decode_wal_bytes(bytes: &[u8]) -> WalReplay {
     WalReplay { records, torn }
 }
 
-/// Decode a WAL through an explicit I/O without touching it. Missing file:
-/// empty replay.
-///
-/// # Errors
-///
-/// Only filesystem errors; corruption is reported via [`WalReplay::torn`],
-/// never as an error.
-pub fn read_wal_with(io: &dyn StorageIo, path: &Path) -> io::Result<WalReplay> {
-    Ok(read_if_present(io, path)?
-        .map(|bytes| decode_wal_bytes(&bytes))
-        .unwrap_or_default())
-}
-
 /// A whole file's bytes; `Ok(None)` when it does not exist.
 fn read_if_present(io: &dyn StorageIo, path: &Path) -> io::Result<Option<Vec<u8>>> {
     match io.read(path) {
@@ -423,38 +436,28 @@ fn read_if_present(io: &dyn StorageIo, path: &Path) -> io::Result<Option<Vec<u8>
     }
 }
 
-/// Decode a WAL file without touching it ([`read_wal_with`] over the real
-/// filesystem).
+/// Decode a WAL file without touching it. Missing file: empty replay.
 ///
 /// # Errors
 ///
 /// Only filesystem errors; corruption is reported via [`WalReplay::torn`],
 /// never as an error.
 pub fn read_wal(path: &Path) -> io::Result<WalReplay> {
-    read_wal_with(&RealIo, path)
+    Ok(decode_wal_bytes(
+        &read_if_present(&RealIo, path)?.unwrap_or_default(),
+    ))
 }
 
-/// Decode a WAL and, when the tail is torn, **truncate the file** to the
-/// intact prefix so the next append starts on a frame boundary.
-///
-/// # Errors
-///
-/// Only filesystem errors (reading, or truncating a torn file).
-pub fn recover_wal_with(io: &dyn StorageIo, path: &Path) -> io::Result<WalReplay> {
-    let replay = read_wal_with(io, path)?;
+/// Recovery's read of the WAL: decode it and, when the tail is torn,
+/// **truncate the file** to the intact prefix so the next append starts on
+/// a frame boundary. Errors are filesystem errors only (reading, or
+/// truncating a torn file).
+fn recover_wal(io: &dyn StorageIo, path: &Path) -> io::Result<WalReplay> {
+    let replay = decode_wal_bytes(&read_if_present(io, path)?.unwrap_or_default());
     if let Some(torn) = replay.torn {
         io.truncate(path, torn.valid_len)?;
     }
     Ok(replay)
-}
-
-/// [`recover_wal_with`] over the real filesystem.
-///
-/// # Errors
-///
-/// Only filesystem errors (reading, or truncating a torn file).
-pub fn recover_wal(path: &Path) -> io::Result<WalReplay> {
-    recover_wal_with(&RealIo, path)
 }
 
 /// The durability state machine's states.
@@ -721,8 +724,9 @@ struct GroupCommit {
 
 /// A deferred group-commit rendezvous: the log position (append sequence)
 /// an fsync must cover before the caller acknowledges, plus how many
-/// records the append wrote. Produced by [`Wal::append_deferred`], redeemed
-/// by [`Wal::group_commit`].
+/// records the append wrote. A store write takes one from the WAL append
+/// inside its commit and redeems it with [`Wal::group_commit`] once it
+/// holds no lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupTicket {
     target: u64,
@@ -731,7 +735,7 @@ pub struct GroupTicket {
 
 impl GroupTicket {
     /// Fold two optional tickets into the one covering both (the bulk
-    /// write paths append per shard group and wait once for the latest
+    /// write paths commit per store shard and wait once for the latest
     /// position).
     pub fn merge(a: Option<GroupTicket>, b: Option<GroupTicket>) -> Option<GroupTicket> {
         match (a, b) {
@@ -748,9 +752,11 @@ impl GroupTicket {
 ///
 /// Appends are serialized by one mutex — the log is one file — but frames
 /// are encoded **before** the lock is taken, so the critical section is one
-/// `write`; the group-commit fsync runs outside it. Store write paths call
-/// [`Wal::append`] while holding the written object's shard lock, which is
-/// what makes the on-disk per-key order match the in-memory one.
+/// `write`; the group-commit fsync runs outside it. Every store write
+/// appends its frames from the store's one commit function while holding
+/// the written objects' shard lock, which is what makes the on-disk
+/// per-key order match the in-memory one, and waits in
+/// [`Wal::group_commit`] only after releasing that lock.
 ///
 /// I/O failures do not poison the store: the write stays applied in memory
 /// and the durability state machine takes over — frames buffer while
@@ -770,7 +776,8 @@ pub struct Wal {
     /// Published after `durable`, so a writer that sees its position
     /// synced also sees its revision durable.
     synced_seq: AtomicU64,
-    /// Highest revision ever handed to [`Wal::append`] (acknowledged).
+    /// Highest revision ever handed to the WAL by a store commit: visible
+    /// to readers, and durable once `durable` reaches it.
     submitted: AtomicU64,
     /// Records dropped in `FailStop`.
     lost: AtomicU64,
@@ -841,44 +848,22 @@ impl Wal {
         })
     }
 
-    /// Append records (one frame each, one `write` for the batch), honoring
-    /// the fsync policy. Errors are absorbed by the durability state
-    /// machine, not returned — the store cannot unwind a write it already
-    /// applied under its shard lock.
-    ///
-    /// Under [`FsyncPolicy::Group`] this is where the caller parks: the
-    /// frames land in the file under the WAL lock, then the writer joins
-    /// the group-commit rendezvous and returns once an fsync issued after
-    /// its frames landed has succeeded (or the machine has left `Healthy`,
-    /// in which case the durability gap tells the truth).
-    pub fn append(&self, records: &[WalRecord]) {
-        if let Some(ticket) = self.append_deferred(records) {
-            self.group_commit(ticket);
-        }
-    }
-
-    /// [`Wal::append`] with the group-commit wait split off: the frames are
-    /// written exactly as `append` writes them, but instead of parking, the
-    /// write returns its rendezvous ticket for the caller to pass to
-    /// [`Wal::group_commit`] later (`None` when the frames did not land).
-    ///
-    /// The store's bulk paths use this to append per shard group **inside**
-    /// each shard lock but wait once, after every lock is released — the
-    /// acknowledgement a caller of `apply_batch` gets is still
-    /// durable-on-return, but the batch pays one rendezvous instead of one
-    /// per shard group. Merge tickets with [`GroupTicket::merge`].
-    pub fn append_deferred(&self, records: &[WalRecord]) -> Option<GroupTicket> {
-        if records.is_empty() {
+    /// Write a commit's staged frames in one `write`, absorbing errors into
+    /// the durability state machine — the store cannot unwind a write it
+    /// applies under its shard lock. Returns the group-commit ticket the
+    /// writer redeems with [`Wal::group_commit`] after releasing its locks
+    /// (`None` when no frame landed: an empty commit, or a WAL that has left
+    /// `Healthy`, where the durability gap tells the truth).
+    pub(crate) fn append_frames(&self, frames: Frames) -> Option<GroupTicket> {
+        let Frames {
+            bytes,
+            max_revision,
+            count,
+        } = frames;
+        if count == 0 {
             return None;
         }
-        let mut buf = Vec::with_capacity(records.len() * 96);
-        let mut max_revision = 0;
-        for record in records {
-            record.encode_frame(&mut buf);
-            max_revision = max_revision.max(record.revision);
-        }
         self.submitted.fetch_max(max_revision, Ordering::AcqRel);
-        let count = records.len() as u32;
         let mut ticket = None;
         let mut inner = self.inner.lock();
         match inner.machine.state() {
@@ -886,7 +871,7 @@ impl Wal {
                 self.lost.fetch_add(u64::from(count), Ordering::Relaxed);
             }
             DurabilityState::Healthy => {
-                if self.append_healthy(&mut inner, buf, max_revision, count) {
+                if self.append_healthy(&mut inner, bytes, max_revision, count) {
                     ticket = Some(GroupTicket {
                         target: inner.append_seq,
                         records: u64::from(count),
@@ -894,7 +879,7 @@ impl Wal {
                 }
             }
             DurabilityState::Degraded => {
-                Self::stash(&mut inner, buf, max_revision, count);
+                Self::stash(&mut inner, bytes, max_revision, count);
                 self.try_recover_locked(&mut inner, false);
             }
         }
@@ -1825,7 +1810,7 @@ impl Persistence {
         report.snapshot_revision = snapshot_revision;
         report.snapshot_objects = seeds.iter().map(Vec::len).sum();
 
-        let replay = recover_wal_with(&*io, &wal_path)?;
+        let replay = recover_wal(&*io, &wal_path)?;
         report.wal_records = replay.records.len();
         report.torn_tail = replay.torn;
 
@@ -2083,6 +2068,26 @@ mod tests {
         }
     }
 
+    /// The store commit's WAL half over hand-made records: stage their
+    /// frames, append them in one `write`, and (`append`) wait for the
+    /// group commit.
+    impl Wal {
+        fn append_deferred(&self, records: &[WalRecord]) -> Option<GroupTicket> {
+            let mut frames = Frames::with_capacity(records.len());
+            for r in records {
+                let body = r.body.as_deref();
+                frames.push(r.revision, r.kind, r.op, &r.namespace, &r.name, body);
+            }
+            self.append_frames(frames)
+        }
+
+        fn append(&self, records: &[WalRecord]) {
+            if let Some(ticket) = self.append_deferred(records) {
+                self.group_commit(ticket);
+            }
+        }
+    }
+
     fn faulty_wal(dir: &Path, spec: &str, policy: FsyncPolicy, fail_stop_after: u32) -> Wal {
         let io = Arc::new(FaultyIo::over_real(
             FaultSchedule::parse(spec).expect("spec parses"),
@@ -2152,7 +2157,7 @@ mod tests {
         }
         for cut in 0..full.len() {
             fs::write(&path, &full[..cut]).expect("write truncated WAL");
-            let replay = recover_wal(&path).expect("recover");
+            let replay = recover_wal(&RealIo, &path).expect("recover");
             let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             assert_eq!(replay.records.len(), intact, "cut at {cut}");
             if boundaries.contains(&cut) {
@@ -2183,7 +2188,7 @@ mod tests {
         let second_payload_start = first_len + 8 + 8;
         bytes[second_payload_start + 10] ^= 0xFF;
         fs::write(&path, &bytes).expect("write corrupted");
-        let replay = recover_wal(&path).expect("recover");
+        let replay = recover_wal(&RealIo, &path).expect("recover");
         assert_eq!(replay.records.len(), 1, "only the first frame survives");
         assert_eq!(
             replay.torn.expect("corruption detected").valid_len,

@@ -7,28 +7,32 @@
 //! shard's read lock; whole-store scans (`list`, `count_by_kind`) visit the
 //! shards in order.
 //!
-//! Since the zero-copy refactor the shards hold **`Arc<StoredObject>`
-//! handles**: a write moves the admitted object (whose body is already an
-//! `Arc<Value>` shared with the request that carried it) behind one `Arc`,
-//! and every read — `get`, `list`, `delete` — hands that handle back instead
-//! of cloning the document tree. `list` filters and orders purely by key
-//! (a range scan from the first matching key) and clones only handles, so a
-//! large store pays for the objects it returns, never for the ones it skips.
+//! The shards hold **`Arc<StoredObject>` handles**: a write moves the
+//! admitted object (whose body is already an `Arc<Value>` shared with the
+//! request that carried it) behind one `Arc`, and every read — `get`,
+//! `list`, `delete` — hands that handle back instead of cloning the document
+//! tree. `list` filters and orders purely by key (a range scan from the
+//! first matching key) and clones only handles, so a large store pays for
+//! the objects it returns, never for the ones it skips.
 //!
-//! Since the watch-plane refactor every write also **publishes a
-//! [`WatchEvent`]** into a bounded per-kind journal (`crate::watch`), keyed
-//! by the same global revision counter; [`StoreBackend::events_since`] turns
-//! the store into an incremental event source so watchers replay exactly the
-//! writes they missed instead of re-listing. Published events share the
-//! stored object's `Arc<Value>` — the journal costs handles, not trees.
+//! Every write also **publishes a [`WatchEvent`]** into a bounded per-kind
+//! journal (`crate::watch`, namespace-sharded into `DEFAULT_JOURNAL_SHARDS`
+//! sub-shards per kind), keyed by the same global revision counter;
+//! [`StoreBackend::events_since`] turns the store into an incremental event
+//! source so watchers replay exactly the writes they missed instead of
+//! re-listing. Published events share the stored object's `Arc<Value>` —
+//! the journal costs handles, not trees.
 //!
-//! Since the write-path scale-out the journals are **namespace-sharded**
-//! (`DEFAULT_JOURNAL_SHARDS` sub-shards per kind, see `crate::watch`), so
-//! same-kind writers in different namespaces no longer serialize on one
-//! journal lock — and multi-write operations ([`ObjectStore::apply_batch`],
-//! [`ObjectStore::delete_collection`]) **stage** their events up front and
-//! publish each store shard's batch through one journal critical-section
-//! entry per touched sub-shard, amortizing the remaining lock traffic.
+//! **All six write paths commit one way.** `create`, `update`, `upsert`,
+//! `delete`, `apply_batch` and `delete_collection` stage their writes under
+//! one store shard's write lock and hand them to `ObjectStore::commit`,
+//! which marks the shard dirty, publishes the events (allocating the
+//! revisions, one journal entry per touched sub-shard), appends the WAL
+//! frames in one `write` and applies the map effects. A durable write waits
+//! for its group-commit fsync only **after** releasing every lock: a `get`
+//! or `list` may see a write before it is durable — as a watch subscriber,
+//! fanned out at publication, always could — but the writer is acknowledged
+//! only once an fsync covers its frame or the WAL has left `Healthy`.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -39,8 +43,8 @@ use std::sync::Arc;
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::Value;
 
-use crate::persist::{DurabilityState, DurabilityStatus, GroupTicket, Wal, WalRecord};
-use crate::sync::RwLock;
+use crate::persist::{DurabilityState, DurabilityStatus, Frames, GroupTicket, Wal};
+use crate::sync::{RwLock, RwLockWriteGuard};
 use crate::watch::{
     KindJournals, StagedEvent, WatchDelta, WatchError, WatchEventKind, WatchSubscriber,
     DEFAULT_JOURNAL_CAPACITY, DEFAULT_JOURNAL_SHARDS,
@@ -57,6 +61,50 @@ pub struct StoredObject {
 
 /// Key identifying an object: kind + namespace + name.
 type Key = (ResourceKind, String, String);
+
+/// One store shard's objects, by key.
+type Shard = BTreeMap<Key, Arc<StoredObject>>;
+
+/// One write staged for `ObjectStore::commit`: its key, the watch event it
+/// publishes, and what the key holds afterwards.
+struct Write {
+    key: Key,
+    op: WatchEventKind,
+    /// The tree the watch event carries: the new body, or a deleted
+    /// object's last one (a deletion's WAL frame logs the key alone).
+    body: Arc<Value>,
+    /// The object stored under `key` afterwards; `None` removes the key.
+    object: Option<K8sObject>,
+}
+
+impl Write {
+    /// Store `object` under `key`: `Modified` if the key `exists`, else
+    /// `Added`.
+    fn put(key: Key, exists: bool, object: K8sObject) -> Write {
+        let body = Arc::clone(object.shared_body());
+        Write {
+            key,
+            op: if exists {
+                WatchEventKind::Modified
+            } else {
+                WatchEventKind::Added
+            },
+            body,
+            object: Some(object),
+        }
+    }
+
+    /// Remove `key`; the `Deleted` event carries `stored`'s last tree.
+    fn delete(key: Key, stored: &StoredObject) -> Write {
+        let body = Arc::clone(stored.object.shared_body());
+        Write {
+            key,
+            op: WatchEventKind::Deleted,
+            body,
+            object: None,
+        }
+    }
+}
 
 /// Number of hash shards. A small power of two: enough to spread the five
 /// operator workloads' writes, cheap to scan for list operations. Also the
@@ -107,8 +155,9 @@ pub trait StoreBackend: Send + Sync {
     /// `namespace` is empty), returning how many were removed. Every object
     /// gets its own revision bump and `Deleted` watch event; the default
     /// implementation routes each removal through [`StoreBackend::delete`],
-    /// while [`ObjectStore`] overrides it with a batched-publication path
-    /// (one journal critical-section entry per touched sub-shard).
+    /// while [`ObjectStore`] commits each store shard's removals together
+    /// and waits for durability once, after releasing every lock — the
+    /// commit and wait every single-object write makes.
     fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize {
         let mut deleted = 0;
         for stored in self.list(kind, namespace) {
@@ -126,9 +175,8 @@ pub trait StoreBackend: Send + Sync {
     /// per object aligned to the input order — the bulk-load path workload
     /// seeding and replay use. Semantically identical to calling
     /// [`StoreBackend::upsert`] per object (which is the default
-    /// implementation); [`ObjectStore`] overrides it to stage every event
-    /// up front and publish per store shard through one journal
-    /// critical-section entry per touched sub-shard.
+    /// implementation); [`ObjectStore`] commits each store shard's writes
+    /// together and waits for durability once, after releasing every lock.
     fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)> {
         objects.into_iter().map(|o| self.upsert(o)).collect()
     }
@@ -299,19 +347,20 @@ fn list_key_matches(key: &Key, kind: ResourceKind, namespace: &str) -> bool {
 /// module docs for the copy discipline.
 #[derive(Debug)]
 pub struct ObjectStore {
-    shards: Vec<RwLock<BTreeMap<Key, Arc<StoredObject>>>>,
+    shards: Vec<RwLock<Shard>>,
     /// Global revision counter (number of writes so far). A revision is
     /// allocated inside [`KindJournals::publish`] — under the written kind's
-    /// journal lock, while the affected shard's write lock is held — so
+    /// journal lock, while `commit` holds the affected shard's write lock — so
     /// versions of one object are strictly increasing, globally unique, and
     /// published to the watch journal in allocation order.
     revision: AtomicU64,
     /// Per-kind bounded watch journals; every write publishes one event.
     journals: KindJournals,
-    /// The write-ahead log, when the store is durable: every write path
-    /// appends its record(s) **while holding the written object's shard
-    /// write lock**, so the on-disk per-key order matches the in-memory
-    /// one. `None` (the default) keeps the store purely in-memory.
+    /// The write-ahead log, when the store is durable: `commit` appends a
+    /// write's frames **while holding its shard write lock**, so the
+    /// on-disk per-key order matches the in-memory one, and the writer
+    /// waits for the fsync after unlocking. `None` (the default) keeps the
+    /// store purely in-memory.
     wal: Option<Arc<Wal>>,
     /// Per-shard dirty flags for incremental checkpoints: a write path sets
     /// its shard's flag **after taking the shard write lock and before
@@ -379,7 +428,7 @@ impl ObjectStore {
         }
     }
 
-    /// Attach a write-ahead log: every subsequent write appends its record
+    /// Attach a write-ahead log: every subsequent write appends its frame
     /// before the shard lock drops. Called once at construction time by the
     /// recovery path (`crate::persist::Persistence::open`) — the store is
     /// not yet shared, hence `&mut`.
@@ -392,24 +441,7 @@ impl ObjectStore {
         self.wal.as_ref()
     }
 
-    /// Append one write's WAL record (no-op for in-memory stores). Must be
-    /// called while the written object's shard write lock is held — the
-    /// same contract as [`ObjectStore::publish`] — so per-key log order
-    /// matches map order.
-    fn log_write(&self, key: &Key, op: WatchEventKind, revision: u64, body: Option<&Arc<Value>>) {
-        if let Some(wal) = &self.wal {
-            wal.append(&[WalRecord {
-                revision,
-                kind: key.0,
-                op,
-                namespace: key.1.clone(),
-                name: key.2.clone(),
-                body: body.map(Arc::clone),
-            }]);
-        }
-    }
-
-    fn shard(&self, key: &Key) -> &RwLock<BTreeMap<Key, Arc<StoredObject>>> {
+    fn shard(&self, key: &Key) -> &RwLock<Shard> {
         &self.shards[shard_index(key)]
     }
 
@@ -437,113 +469,116 @@ impl ObjectStore {
         self.shards.iter().all(|shard| shard.read().is_empty())
     }
 
+    /// The one write critical section, entered with shard `shard_no`'s
+    /// write lock, under which the caller staged `writes` (checking each
+    /// one's precondition). In order: mark the shard dirty **before** any
+    /// revision is allocated; publish the watch events, which allocates the
+    /// revisions (written into `revisions`, aligned to `writes`); append
+    /// every write's WAL frame in one `write`; apply the map effects. It
+    /// releases the lock on return and hands back the group-commit ticket,
+    /// which the caller redeems with [`ObjectStore::wait_durable`] once it
+    /// holds no lock at all. Publishing and mapping under the one lock is what
+    /// lets an initial-list scan pair a journal cursor with a consistent
+    /// view of the store (see `docs/watch-plane.md`); appending under it
+    /// keeps the on-disk per-key order the in-memory one.
+    fn commit<W>(
+        &self,
+        shard_no: usize,
+        mut shard: RwLockWriteGuard<'_, Shard>,
+        writes: W,
+        revisions: &mut [u64],
+    ) -> Option<GroupTicket>
+    where
+        W: AsRef<[Write]> + IntoIterator<Item = Write>,
+    {
+        self.mark_dirty(shard_no);
+        let events = writes.as_ref().iter().map(|write| {
+            let (kind, namespace, name) = &write.key;
+            StagedEvent::new(*kind, write.op, namespace, name, &write.body)
+        });
+        self.journals.publish(&self.revision, events, revisions);
+        let ticket = self.wal.as_ref().and_then(|wal| {
+            let mut frames = Frames::with_capacity(revisions.len());
+            for (write, &revision) in writes.as_ref().iter().zip(&*revisions) {
+                let (kind, namespace, name) = &write.key;
+                let body = write.object.as_ref().map(|_| &*write.body);
+                frames.push(revision, *kind, write.op, namespace, name, body);
+            }
+            wal.append_frames(frames)
+        });
+        for (write, &resource_version) in writes.into_iter().zip(&*revisions) {
+            match write.object {
+                Some(object) => {
+                    let stored = StoredObject {
+                        object,
+                        resource_version,
+                    };
+                    shard.insert(write.key, Arc::new(stored));
+                }
+                None => {
+                    shard.remove(&write.key);
+                }
+            }
+        }
+        ticket
+    }
+
+    /// Redeem a commit's group-commit ticket: return once an fsync covers
+    /// its frames, or the WAL has left `Healthy`. Callers hold no lock here,
+    /// so a stalled fsync blocks only the writers waiting on it.
+    fn wait_durable(&self, ticket: Option<GroupTicket>) {
+        if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
+            wal.group_commit(ticket);
+        }
+    }
+
+    /// Store `object` when `admit(exists)` allows it — the body of
+    /// `create`, `update` and `upsert`. Returns the new resource version and
+    /// whether the write created the key.
+    fn put(&self, object: K8sObject, admit: fn(bool) -> bool) -> Option<(u64, bool)> {
+        let key = key_of(&object);
+        let shard_no = shard_index(&key);
+        let shard = self.shards[shard_no].write();
+        let exists = shard.contains_key(&key);
+        if !admit(exists) {
+            return None;
+        }
+        let mut revision = [0];
+        let write = Write::put(key, exists, object);
+        let ticket = self.commit(shard_no, shard, [write], &mut revision);
+        self.wait_durable(ticket);
+        Some((revision[0], !exists))
+    }
+
     /// Create an object. Returns the assigned resource version, or `None` if
     /// an object with the same kind/namespace/name already exists. The
     /// object is **moved** behind the stored handle — its body keeps sharing
     /// whatever tree admission handed in.
     pub fn create(&self, object: K8sObject) -> Option<u64> {
-        let key = key_of(&object);
-        let shard_no = shard_index(&key);
-        let mut shard = self.shards[shard_no].write();
-        if shard.contains_key(&key) {
-            return None;
-        }
-        self.mark_dirty(shard_no);
-        let version = self.publish(&key, WatchEventKind::Added, object.shared_body());
-        self.log_write(
-            &key,
-            WatchEventKind::Added,
-            version,
-            Some(object.shared_body()),
-        );
-        shard.insert(
-            key,
-            Arc::new(StoredObject {
-                object,
-                resource_version: version,
-            }),
-        );
-        Some(version)
+        Some(self.put(object, |exists| !exists)?.0)
     }
 
     /// Update an existing object. Returns the new resource version, or `None`
     /// if the object does not exist.
     pub fn update(&self, object: K8sObject) -> Option<u64> {
-        let key = key_of(&object);
-        let shard_no = shard_index(&key);
-        let mut shard = self.shards[shard_no].write();
-        if !shard.contains_key(&key) {
-            return None;
-        }
-        self.mark_dirty(shard_no);
-        let version = self.publish(&key, WatchEventKind::Modified, object.shared_body());
-        self.log_write(
-            &key,
-            WatchEventKind::Modified,
-            version,
-            Some(object.shared_body()),
-        );
-        shard.insert(
-            key,
-            Arc::new(StoredObject {
-                object,
-                resource_version: version,
-            }),
-        );
-        Some(version)
-    }
-
-    /// Publish a watch event for a write to `key`, allocating its revision.
-    /// Must be called while holding `key`'s shard write lock, and the map
-    /// mutation must complete before that lock is released — this is what
-    /// lets an initial-list scan pair a journal cursor with a consistent
-    /// view of the store (see `docs/watch-plane.md`).
-    fn publish(&self, key: &Key, event: WatchEventKind, body: &Arc<Value>) -> u64 {
-        self.journals.publish(
-            &self.revision,
-            StagedEvent::new(key.0, event, &key.1, &key.2, body),
-        )
+        Some(self.put(object, |exists| exists)?.0)
     }
 
     /// Create the object if absent, update it otherwise (the `kubectl apply`
-    /// behaviour). Returns the new resource version.
-    pub fn apply(&self, object: K8sObject) -> u64 {
-        self.upsert(object).0
-    }
-
-    /// [`ObjectStore::apply`], additionally reporting whether the object was
-    /// created (`true`) or replaced (`false`) — one shard lock, no
-    /// re-admission round trip for the create-on-conflict path.
+    /// behaviour), reporting whether it was created (`true`) or replaced
+    /// (`false`) — one shard lock, no re-admission round trip for the
+    /// create-on-conflict path.
     pub fn upsert(&self, object: K8sObject) -> (u64, bool) {
-        let key = key_of(&object);
-        let shard_no = shard_index(&key);
-        let mut shard = self.shards[shard_no].write();
-        let event = if shard.contains_key(&key) {
-            WatchEventKind::Modified
-        } else {
-            WatchEventKind::Added
-        };
-        self.mark_dirty(shard_no);
-        let version = self.publish(&key, event, object.shared_body());
-        self.log_write(&key, event, version, Some(object.shared_body()));
-        let replaced = shard.insert(
-            key,
-            Arc::new(StoredObject {
-                object,
-                resource_version: version,
-            }),
-        );
-        (version, replaced.is_none())
+        self.put(object, |_| true)
+            .expect("an upsert admits every write")
     }
 
-    /// Upsert a batch of objects with **batched journal publication**: the
-    /// batch is grouped by store shard; per shard, every event envelope is
-    /// staged while classifying Added vs Modified (in-batch earlier writes
-    /// to the same key count as existing), then published through one
-    /// journal critical-section entry per touched sub-shard — all while the
-    /// store shard's write lock is held, so the `ObjectStore::publish`
-    /// ordering contract carries over unchanged. Returns
-    /// `(resource_version, created)` aligned to the input order.
+    /// Upsert a batch of objects, grouped by store shard: each group is
+    /// staged under its shard's write lock (in-batch earlier writes to the
+    /// same key count as existing) and committed in one critical section —
+    /// one journal entry per touched sub-shard, one WAL append — and the
+    /// batch waits for durability once, after the last lock is released.
+    /// Returns `(resource_version, created)` aligned to the input order.
     pub fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)> {
         let mut results = vec![(0u64, false); objects.len()];
         let mut groups: Vec<Vec<(usize, K8sObject)>> = Vec::new();
@@ -556,130 +591,56 @@ impl ObjectStore {
             if group.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[shard_no].write();
-            let mut staged = Vec::with_capacity(group.len());
-            let mut pending: Vec<(usize, K8sObject, Key, bool)> = Vec::with_capacity(group.len());
+            let shard = self.shards[shard_no].write();
+            let mut writes: Vec<Write> = Vec::with_capacity(group.len());
+            let mut slots = Vec::with_capacity(group.len());
             for (index, object) in group {
                 let key = key_of(&object);
-                let exists =
-                    shard.contains_key(&key) || pending.iter().any(|(_, _, seen, _)| *seen == key);
-                let event = if exists {
-                    WatchEventKind::Modified
-                } else {
-                    WatchEventKind::Added
-                };
-                staged.push(StagedEvent::new(
-                    key.0,
-                    event,
-                    &key.1,
-                    &key.2,
-                    object.shared_body(),
-                ));
-                pending.push((index, object, key, !exists));
+                // Same-key events share a sub-shard, so their revisions are
+                // assigned in batch order: the last write wins in the map
+                // AND carries the highest version.
+                let exists = shard.contains_key(&key) || writes.iter().any(|w| w.key == key);
+                slots.push((index, !exists));
+                writes.push(Write::put(key, exists, object));
             }
-            // Same-key events share a sub-shard, so their revisions are
-            // assigned in batch order: the last write wins in the map AND
-            // carries the highest version.
-            self.mark_dirty(shard_no);
-            let revisions = self.journals.publish_batch(&self.revision, staged);
-            let mut logged = self
-                .wal
-                .as_ref()
-                .map(|_| Vec::with_capacity(revisions.len()));
-            for ((index, object, key, created), version) in pending.into_iter().zip(revisions) {
-                results[index] = (version, created);
-                if let Some(records) = &mut logged {
-                    records.push(WalRecord {
-                        revision: version,
-                        kind: key.0,
-                        op: if created {
-                            WatchEventKind::Added
-                        } else {
-                            WatchEventKind::Modified
-                        },
-                        namespace: key.1.clone(),
-                        name: key.2.clone(),
-                        body: Some(Arc::clone(object.shared_body())),
-                    });
-                }
-                shard.insert(
-                    key,
-                    Arc::new(StoredObject {
-                        object,
-                        resource_version: version,
-                    }),
-                );
-            }
-            // One framed append for the whole shard group, still under the
-            // shard write lock — the batch twin of `log_write`. Under
-            // group commit the durability wait is deferred: frames land
-            // here, the rendezvous runs once after every lock is released.
-            if let (Some(wal), Some(records)) = (&self.wal, logged) {
-                ticket = GroupTicket::merge(ticket, wal.append_deferred(&records));
+            let mut revisions = vec![0; writes.len()];
+            let committed = self.commit(shard_no, shard, writes, &mut revisions);
+            ticket = GroupTicket::merge(ticket, committed);
+            for ((index, created), revision) in slots.into_iter().zip(revisions) {
+                results[index] = (revision, created);
             }
         }
-        if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
-            wal.group_commit(ticket);
-        }
+        self.wait_durable(ticket);
         results
     }
 
     /// Delete every object of a kind in a namespace (all namespaces when
-    /// `namespace` is empty) with batched journal publication: per store
-    /// shard, the matching keys are range-scanned and removed, their
-    /// `Deleted` events staged (each carrying the object's last stored
-    /// tree), and the whole shard's batch published through one journal
-    /// critical-section entry per touched sub-shard — before the store
-    /// shard's write lock is released, so a racing re-create of the same
-    /// name is guaranteed a later revision than the deletion it follows.
+    /// `namespace` is empty): per store shard, the matching keys are
+    /// range-scanned under the shard's write lock and committed as one
+    /// batch of `Deleted` writes, each event carrying the object's last
+    /// stored tree — so a racing re-create of the same name is guaranteed a
+    /// later revision than the deletion it follows. Waits for durability
+    /// once, after the last lock is released.
     pub fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize {
         let lower = list_lower_bound(kind, namespace);
         let mut deleted = 0;
         let mut ticket = None;
         for (shard_no, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.write();
-            let keys: Vec<Key> = guard
+            let guard = shard.write();
+            let writes: Vec<Write> = guard
                 .range((Bound::Included(&lower), Bound::Unbounded))
                 .take_while(|(key, _)| list_key_matches(key, kind, namespace))
-                .map(|(key, _)| key.clone())
+                .map(|(key, stored)| Write::delete(key.clone(), stored))
                 .collect();
-            if keys.is_empty() {
+            if writes.is_empty() {
                 continue;
             }
-            let mut staged = Vec::with_capacity(keys.len());
-            for key in &keys {
-                let stored = guard.remove(key).expect("scanned under this write lock");
-                staged.push(StagedEvent::new(
-                    key.0,
-                    WatchEventKind::Deleted,
-                    &key.1,
-                    &key.2,
-                    stored.object.shared_body(),
-                ));
-            }
-            deleted += staged.len();
-            self.mark_dirty(shard_no);
-            let revisions = self.journals.publish_batch(&self.revision, staged);
-            if let Some(wal) = &self.wal {
-                // Deletions log key + revision only; replay removes by key.
-                let records: Vec<WalRecord> = keys
-                    .into_iter()
-                    .zip(revisions)
-                    .map(|(key, revision)| WalRecord {
-                        revision,
-                        kind: key.0,
-                        op: WatchEventKind::Deleted,
-                        namespace: key.1,
-                        name: key.2,
-                        body: None,
-                    })
-                    .collect();
-                ticket = GroupTicket::merge(ticket, wal.append_deferred(&records));
-            }
+            deleted += writes.len();
+            let mut revisions = vec![0; writes.len()];
+            let committed = self.commit(shard_no, guard, writes, &mut revisions);
+            ticket = GroupTicket::merge(ticket, committed);
         }
-        if let (Some(wal), Some(ticket)) = (&self.wal, ticket) {
-            wal.group_commit(ticket);
-        }
+        self.wait_durable(ticket);
         deleted
     }
 
@@ -705,14 +666,11 @@ impl ObjectStore {
     ) -> Option<Arc<StoredObject>> {
         let key = (kind, namespace.to_owned(), name.to_owned());
         let shard_no = shard_index(&key);
-        let mut shard = self.shards[shard_no].write();
-        let removed = shard.remove(&key);
-        if let Some(stored) = &removed {
-            self.mark_dirty(shard_no);
-            let version = self.publish(&key, WatchEventKind::Deleted, stored.object.shared_body());
-            self.log_write(&key, WatchEventKind::Deleted, version, None);
-        }
-        removed
+        let shard = self.shards[shard_no].write();
+        let stored = Arc::clone(shard.get(&key)?);
+        let ticket = self.commit(shard_no, shard, [Write::delete(key, &stored)], &mut [0]);
+        self.wait_durable(ticket);
+        Some(stored)
     }
 
     /// Every watch event after `revision` — see
@@ -1040,8 +998,14 @@ mod tests {
     #[test]
     fn apply_upserts_and_bumps_revision() {
         let store = ObjectStore::new();
-        assert_eq!(store.apply(object(ResourceKind::Secret, "s", "ns")), 1);
-        assert_eq!(store.apply(object(ResourceKind::Secret, "s", "ns")), 2);
+        assert_eq!(
+            store.upsert(object(ResourceKind::Secret, "s", "ns")),
+            (1, true)
+        );
+        assert_eq!(
+            store.upsert(object(ResourceKind::Secret, "s", "ns")),
+            (2, false)
+        );
         assert_eq!(store.len(), 1);
         assert_eq!(store.revision(), 2);
     }
@@ -1121,6 +1085,78 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 400, "versions must be globally unique");
+    }
+
+    #[test]
+    fn a_write_waits_for_its_fsync_holding_no_shard_lock() {
+        // The write's group-commit fsync stalls for a second. A list issued
+        // once its frame is appended must return at once, already showing
+        // the write while it is not yet durable.
+        use crate::persist::{PersistConfig, Persistence};
+        use crate::storage_io::{FaultSchedule, FaultyIo};
+        type Write = fn(&ObjectStore);
+        let rows: [(&str, Write, bool); 3] = [
+            (
+                "upsert",
+                |store| {
+                    store.upsert(object(ResourceKind::Pod, "a", "ns"));
+                },
+                true,
+            ),
+            (
+                "delete",
+                |store| {
+                    store.delete(ResourceKind::Pod, "ns", "a");
+                },
+                false,
+            ),
+            (
+                "apply_batch",
+                |store| {
+                    store.apply_batch(vec![object(ResourceKind::Pod, "a", "ns")]);
+                },
+                true,
+            ),
+        ];
+        for (name, write, present) in rows {
+            let dir = std::env::temp_dir()
+                .join(format!("kf-store-fsync-wait-{name}-{}", std::process::id()));
+            if !present {
+                // What the row deletes, written by an earlier session.
+                let (store, _, _) = Persistence::open(PersistConfig::new(&dir)).expect("seed");
+                store.create(object(ResourceKind::Pod, "a", "ns")).unwrap();
+            }
+            // Fsync 0 is the open's; fsync 1 is the write's group commit.
+            let io = Arc::new(FaultyIo::over_real(
+                FaultSchedule::parse("fsync@1:latency*1000000").expect("spec"),
+            ));
+            let (store, _persistence, _) =
+                Persistence::open_with_io(PersistConfig::new(&dir), io).expect("open");
+            let wal = Arc::clone(store.wal().expect("durable"));
+            let target = wal.appended_revision() + 1;
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| write(&store));
+                while wal.appended_revision() < target {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                let listed = store.list(ResourceKind::Pod, "ns");
+                let (durable, appended) = (wal.durable_revision(), wal.appended_revision());
+                assert_eq!(
+                    listed.is_empty(),
+                    !present,
+                    "{name}: the list shows the write"
+                );
+                assert!(
+                    durable < appended,
+                    "{name}: the list waited out the write's fsync \
+                     (durable {durable}, appended {appended})"
+                );
+                writer.join().expect("writer joins");
+            });
+            assert_eq!(wal.durable_revision(), target, "{name}: durable on return");
+            drop(store);
+            std::fs::remove_dir_all(&dir).expect("remove temp dir");
+        }
     }
 
     /// The etcd-like semantics every [`StoreBackend`] must expose, driven

@@ -9,7 +9,8 @@
 //! originals elsewhere), so a scheduler can intercept them all in one place.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub(crate) use std::sync::RwLockWriteGuard;
+use std::sync::{self, MutexGuard, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Default)]

@@ -704,67 +704,55 @@ impl KindJournals {
         assigned
     }
 
-    /// Publish one staged event, allocating its revision and fanning it
-    /// out inside its sub-shard's critical section.
+    /// Publish staged events, writing each one's revision into the
+    /// matching slot of `assigned`. Within each run of same-kind events the
+    /// touched sub-shards are entered **once** each, in index order, for
+    /// their whole group — the lock is paid per sub-shard, not per event. A
+    /// lone event (every single-object write) skips the grouping. Events for
+    /// the same object stay in input order (one object maps to one
+    /// sub-shard); across sub-shards the revisions of a batch may
+    /// interleave, which the total revision order absorbs.
     ///
-    /// Must be called while holding the written object's store-shard lock
-    /// (see the store write paths), so an initial-list scan that starts
-    /// after a published revision is guaranteed to observe the map effect
-    /// too.
-    pub(crate) fn publish(&self, revision: &AtomicU64, staged: StagedEvent) -> u64 {
-        let shard_index = self.shard_index(staged.kind, &staged.namespace);
-        let mut inner = self.shards[shard_index].write();
-        self.push_locked(&mut inner, shard_index, revision, staged)
-    }
-
-    /// Publish a batch of staged events, entering each touched sub-shard's
-    /// critical section **once** for its whole group — the lock is paid per
-    /// sub-shard, not per event. Returns the assigned revisions aligned to
-    /// the input order. Events for the same object stay in input order (one
-    /// object maps to one sub-shard); across sub-shards the revisions of a
-    /// batch may interleave, which the total revision order absorbs.
-    ///
-    /// The same store-shard-lock contract as [`KindJournals::publish`]
-    /// applies.
-    pub(crate) fn publish_batch(&self, revision: &AtomicU64, staged: Vec<StagedEvent>) -> Vec<u64> {
-        let mut assigned = vec![0u64; staged.len()];
-        // Group input indices by sub-shard, preserving relative order.
-        let mut groups: Vec<Vec<(usize, StagedEvent)>> = Vec::new();
-        groups.resize_with(self.shard_count, Vec::new);
-        let mut kind: Option<ResourceKind> = None;
-        for (index, event) in staged.into_iter().enumerate() {
-            // Batches may span kinds; re-bucket lazily per kind run. The
-            // common callers (delete_collection, apply_batch groups) stay
-            // single-kind, so this loop almost never flushes early.
-            if kind.is_some_and(|k| k != event.kind) {
-                self.flush_groups(revision, kind.expect("checked"), &mut groups, &mut assigned);
-            }
-            kind = Some(event.kind);
-            groups[namespace_shard(&event.namespace, self.shard_count)].push((index, event));
-        }
-        if let Some(kind) = kind {
-            self.flush_groups(revision, kind, &mut groups, &mut assigned);
-        }
-        assigned
-    }
-
-    fn flush_groups(
+    /// Must be called while holding the written objects' store-shard lock
+    /// (the store's one commit function does), so an initial-list scan
+    /// that starts after a published revision is guaranteed to observe the
+    /// map effect too.
+    pub(crate) fn publish(
         &self,
         revision: &AtomicU64,
-        kind: ResourceKind,
-        groups: &mut [Vec<(usize, StagedEvent)>],
+        staged: impl IntoIterator<Item = StagedEvent>,
         assigned: &mut [u64],
     ) {
-        let start = kind.index() * self.shard_count;
-        for (shard, group) in groups.iter_mut().enumerate() {
-            if group.is_empty() {
-                continue;
+        let mut staged = staged.into_iter();
+        if let [slot] = assigned {
+            let event = staged.next().expect("one staged event per slot");
+            let index = self.shard_index(event.kind, &event.namespace);
+            *slot = self.push_locked(&mut self.shards[index].write(), index, revision, event);
+            return;
+        }
+        // Sort by (run of same-kind events, sub-shard, input position), then
+        // enter each sub-shard once per run.
+        let mut order: Vec<(usize, usize, usize, StagedEvent)> = Vec::with_capacity(assigned.len());
+        for (slot, event) in staged.enumerate() {
+            let run = order.last().map_or(0, |(run, _, _, last)| {
+                run + usize::from(last.kind != event.kind)
+            });
+            order.push((
+                run,
+                self.shard_index(event.kind, &event.namespace),
+                slot,
+                event,
+            ));
+        }
+        order.sort_unstable_by_key(|&(run, index, slot, _)| (run, index, slot));
+        let mut entered = None;
+        for (_, index, slot, event) in order {
+            if entered.as_ref().is_none_or(|(at, _)| *at != index) {
+                drop(entered.take());
+                entered = Some((index, self.shards[index].write()));
             }
-            // One critical-section entry for the whole group.
-            let mut inner = self.shards[start + shard].write();
-            for (index, event) in group.drain(..) {
-                assigned[index] = self.push_locked(&mut inner, start + shard, revision, event);
-            }
+            let (_, inner) = entered.as_mut().expect("entered above");
+            assigned[slot] = self.push_locked(inner, index, revision, event);
         }
     }
 
@@ -1091,13 +1079,27 @@ mod tests {
         StagedEvent::new(ResourceKind::Pod, event, ns, name, object)
     }
 
+    impl KindJournals {
+        fn publish_one(&self, revision: &AtomicU64, staged: StagedEvent) -> u64 {
+            let mut assigned = [0];
+            self.publish(revision, [staged], &mut assigned);
+            assigned[0]
+        }
+
+        fn publish_batch(&self, revision: &AtomicU64, staged: Vec<StagedEvent>) -> Vec<u64> {
+            let mut assigned = vec![0; staged.len()];
+            self.publish(revision, staged, &mut assigned);
+            assigned
+        }
+    }
+
     #[test]
     fn publish_assigns_strictly_increasing_revisions() {
         let journals = KindJournals::new(16, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let r1 = journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
-        let r2 = journals.publish(
+        let r1 = journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        let r2 = journals.publish_one(
             &counter,
             staged(WatchEventKind::Modified, "ns", "a", &object),
         );
@@ -1118,7 +1120,7 @@ mod tests {
         let journals = KindJournals::new(16, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
         // Scoped and merged reads both hand out the published tree itself.
         for namespace in ["ns", ""] {
             let events = journals
@@ -1134,8 +1136,8 @@ mod tests {
         let journals = KindJournals::new(16, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let r1 = journals.publish(&counter, staged(WatchEventKind::Added, "ns1", "a", &object));
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
+        let r1 = journals.publish_one(&counter, staged(WatchEventKind::Added, "ns1", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
         assert_eq!(
             journals
                 .events_since(&counter, ResourceKind::Pod, "ns1", 0)
@@ -1180,7 +1182,7 @@ mod tests {
         for round in 0..12 {
             let ns = format!("ns-{}", round % 5);
             expected.push((
-                journals.publish(
+                journals.publish_one(
                     &counter,
                     staged(WatchEventKind::Added, &ns, &format!("obj-{round}"), &object),
                 ),
@@ -1251,7 +1253,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         for i in 0..4 {
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Modified, "ns", &format!("obj-{i}"), &object),
             );
@@ -1301,12 +1303,12 @@ mod tests {
             .map(|i| format!("busy-{i}"))
             .find(|ns| namespace_shard(ns, shard_count) != namespace_shard(&quiet, shard_count))
             .expect("some namespace hashes elsewhere");
-        journals.publish(
+        journals.publish_one(
             &counter,
             staged(WatchEventKind::Added, &quiet, "q", &object),
         );
         for i in 0..6 {
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Added, &busy, &format!("b-{i}"), &object),
             );
@@ -1338,9 +1340,9 @@ mod tests {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
         let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "b", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "b", &object));
         let events = sub.try_recv().unwrap();
         assert_eq!(
             events.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
@@ -1362,8 +1364,8 @@ mod tests {
         let object = tree("a");
         let scoped = journals.subscribe(ResourceKind::Pod, "ns1", 0, 16).unwrap();
         let everything = journals.subscribe(ResourceKind::Pod, "", 0, 16).unwrap();
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns1", "a", &object));
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns1", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns2", "b", &object));
         let scoped_events = scoped.try_recv().unwrap();
         assert_eq!(scoped_events.len(), 1);
         assert_eq!(scoped_events[0].name, "a");
@@ -1383,12 +1385,12 @@ mod tests {
         let stale = tree("hot-old");
         let other = tree("other");
         let newest = tree("hot-new");
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "hot", &stale));
-        journals.publish(
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "hot", &stale));
+        journals.publish_one(
             &counter,
             staged(WatchEventKind::Added, "ns", "other", &other),
         );
-        let r3 = journals.publish(
+        let r3 = journals.publish_one(
             &counter,
             staged(WatchEventKind::Modified, "ns", "hot", &newest),
         );
@@ -1415,12 +1417,12 @@ mod tests {
         // Three distinct objects against a queue bound of two: the third
         // offer cannot coalesce, so the subscriber is evicted.
         for name in ["a", "b", "c"] {
-            journals.publish(&counter, staged(WatchEventKind::Added, "ns", name, &object));
+            journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", name, &object));
         }
         assert!(sub.is_evicted());
         assert!(matches!(sub.try_recv(), Err(WatchError::Gone { .. })));
         // Still Gone on the next drain; later publishes stay ignored.
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "d", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "d", &object));
         assert!(matches!(
             sub.recv_timeout(Duration::from_millis(5)),
             Err(WatchError::Gone { .. })
@@ -1433,7 +1435,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         for i in 0..5 {
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Added, "ns", &format!("obj-{i}"), &object),
             );
@@ -1448,7 +1450,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         for i in 0..4 {
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Added, "ns", &format!("obj-{i}"), &object),
             );
@@ -1473,7 +1475,7 @@ mod tests {
             let counter = Arc::clone(&counter);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(30));
-                journals.publish(
+                journals.publish_one(
                     &counter,
                     staged(WatchEventKind::Added, "ns", "late", &tree("late")),
                 );
@@ -1506,7 +1508,7 @@ mod tests {
         assert_eq!(dispatcher.next_ready(Duration::from_millis(5)), None);
         // A burst surfaces the busy subscription exactly once.
         for name in ["a", "b", "c"] {
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Added, "busy-ns", name, &object),
             );
@@ -1515,7 +1517,7 @@ mod tests {
         assert_eq!(dispatcher.next_ready(Duration::from_millis(5)), None);
         assert_eq!(busy.try_recv().unwrap().len(), 3);
         // Drained: the next event re-arms readiness.
-        journals.publish(
+        journals.publish_one(
             &counter,
             staged(WatchEventKind::Added, "busy-ns", "d", &object),
         );
@@ -1529,7 +1531,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         let object = tree("a");
         let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
         let dispatcher = WatchDispatcher::new();
         dispatcher.register(&sub, 7);
         assert_eq!(dispatcher.next_ready(Duration::from_millis(5)), Some(7));
@@ -1544,7 +1546,7 @@ mod tests {
         let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
         assert_eq!(journals.subscribers[shard_index].lock().len(), 1);
         drop(sub);
-        journals.publish(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
         assert!(journals.subscribers[shard_index].lock().is_empty());
     }
 
@@ -1571,7 +1573,7 @@ mod tests {
         let object = tree("hot");
         for i in 0..200 {
             let name = if i % 2 == 0 { "x" } else { "y" };
-            journals.publish(
+            journals.publish_one(
                 &counter,
                 staged(WatchEventKind::Modified, "ns", name, &object),
             );
