@@ -16,7 +16,8 @@
 //! suffix linearly. Publication is **batched**: events are fully staged
 //! (strings, `Arc` clone) before any journal lock is taken, and multi-write
 //! operations enter each touched sub-shard's critical section **once** for
-//! the whole batch ([`KindJournals::publish_batch`]), amortizing the lock.
+//! the whole batch ([`KindJournals::publish`], which the store's one commit
+//! calls for single writes and batches alike), amortizing the lock.
 //! Revision allocation stays inside the journal critical section, so each
 //! sub-shard remains a gapless-by-construction revision sequence.
 //!

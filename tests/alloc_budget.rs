@@ -1,6 +1,7 @@
 //! Exact allocation counts as the regression gate for the accept path: one
-//! admitted create builds one compact tree and nothing copies it, and a
-//! durable checkpoint decodes no WAL record. Clocks on this box move 30 %
+//! admitted create builds one compact tree and nothing copies it, a durable
+//! write copies its key only where it is kept, and a durable checkpoint
+//! decodes no WAL record. Clocks on this box move 30 %
 //! on their own; these counts repeat exactly, so they bound what the
 //! end-to-end benchmark can only show through noise.
 //!
@@ -522,5 +523,16 @@ fn a_checkpoint_allocates_the_same_whatever_the_wal_holds() {
     assert_eq!(
         short, long,
         "a checkpoint's allocations grow with the WAL it compacts"
+    );
+    // A durable write pays for its map key, its watch event's strings, its
+    // stored handle, one frame buffer and the group fsync's handle; its WAL
+    // frame is encoded straight from the key, so no record copies them.
+    assert!(
+        per_write <= 11.33,
+        "{per_write:.2} allocations per durable create (bound 11.33)"
+    );
+    assert!(
+        per_rewrite <= 11.0,
+        "{per_rewrite:.2} allocations per durable rewrite (bound 11.00)"
     );
 }
