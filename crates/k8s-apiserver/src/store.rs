@@ -1094,8 +1094,8 @@ mod tests {
         // the write while it is not yet durable.
         use crate::persist::{PersistConfig, Persistence};
         use crate::storage_io::{FaultSchedule, FaultyIo};
-        type Write = fn(&ObjectStore);
-        let rows: [(&str, Write, bool); 3] = [
+        type WritePath = fn(&ObjectStore);
+        let rows: [(&str, WritePath, bool); 3] = [
             (
                 "upsert",
                 |store| {

@@ -749,6 +749,7 @@ impl KindJournals {
         let mut entered = None;
         for (_, index, slot, event) in order {
             if entered.as_ref().is_none_or(|(at, _)| *at != index) {
+                // A writer never holds two sub-shard locks at once.
                 drop(entered.take());
                 entered = Some((index, self.shards[index].write()));
             }
