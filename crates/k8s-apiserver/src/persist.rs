@@ -272,7 +272,6 @@ const OP_DELETED: u8 = 2;
 
 /// WAL frames staged for one append, `len | crc32 | payload` each —
 /// [`Frames::push`] is the one place a write's frame is encoded.
-#[derive(Debug)]
 pub(crate) struct Frames {
     bytes: Vec<u8>,
     max_revision: u64,
