@@ -270,8 +270,82 @@ const OP_ADDED: u8 = 0;
 const OP_MODIFIED: u8 = 1;
 const OP_DELETED: u8 = 2;
 
-/// WAL frames staged for one append, `len | crc32 | payload` each —
-/// [`Frames::push`] is the one place a write's frame is encoded.
+/// Encode one write's record payload, `revision | kind | op | namespace |
+/// name | body flag | body`, into a buffer of exactly its size. It is what a
+/// WAL frame carries after its `len | crc32` header and what a watch-journal
+/// entry retains; [`WalRecord::decode_payload`] reads it back. The revision
+/// is left zero for [`set_revision`]: the journal assigns it under its lock.
+/// A journal entry keeps a deletion's last `body`, which the deletion's WAL
+/// frame leaves out ([`Frames::push`]).
+pub(crate) fn encode_payload(
+    kind: ResourceKind,
+    op: WatchEventKind,
+    namespace: &str,
+    name: &str,
+    body: Option<&Value>,
+) -> Box<[u8]> {
+    // Revision (8), kind and op (1 each), two string lengths (4 each), and
+    // the body flag (1) around the variable parts.
+    let len = 19 + namespace.len() + name.len() + body.map_or(0, binary::value_len);
+    let mut out = Vec::with_capacity(len);
+    binary::put_u64(&mut out, 0);
+    binary::put_u8(&mut out, kind.index() as u8);
+    binary::put_u8(
+        &mut out,
+        match op {
+            WatchEventKind::Added => OP_ADDED,
+            WatchEventKind::Deleted => OP_DELETED,
+            // Bookmarks are synthesized on the watch wire, never written to
+            // the store; the log would read one as a no-op modification of
+            // nothing.
+            WatchEventKind::Modified | WatchEventKind::Bookmark => OP_MODIFIED,
+        },
+    );
+    binary::put_str(&mut out, namespace);
+    binary::put_str(&mut out, name);
+    match body {
+        Some(body) => {
+            binary::put_u8(&mut out, 1);
+            binary::put_value(&mut out, body);
+        }
+        None => binary::put_u8(&mut out, 0),
+    }
+    debug_assert_eq!(out.len(), len, "the payload was sized exactly");
+    out.into_boxed_slice()
+}
+
+/// Write `revision` into an encoded payload's first eight bytes.
+pub(crate) fn set_revision(payload: &mut [u8], revision: u64) {
+    payload[..8].copy_from_slice(&revision.to_le_bytes());
+}
+
+/// The key of an encoded payload, borrowed from it: `(op, namespace, name)`
+/// and the offset of its body flag. `None` when the bytes are not a payload.
+pub(crate) fn payload_key(payload: &[u8]) -> Option<(WatchEventKind, &str, &str, usize)> {
+    let op = decode_op(*payload.get(9)?)?;
+    let field = |at: usize| -> Option<(&str, usize)> {
+        let len = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
+        let text = std::str::from_utf8(payload.get(at + 4..at + 4 + len)?).ok()?;
+        Some((text, at + 4 + len))
+    };
+    let (namespace, at) = field(10)?;
+    let (name, flag_at) = field(at)?;
+    Some((op, namespace, name, flag_at))
+}
+
+fn decode_op(code: u8) -> Option<WatchEventKind> {
+    match code {
+        OP_ADDED => Some(WatchEventKind::Added),
+        OP_MODIFIED => Some(WatchEventKind::Modified),
+        OP_DELETED => Some(WatchEventKind::Deleted),
+        _ => None,
+    }
+}
+
+/// WAL frames staged for one append, `len | crc32 | payload` each, around
+/// payloads [`encode_payload`] built. A commit pushes its frames before the
+/// journal assigns revisions and seals them after, so a frame copies its
+/// payload and never encodes the tree a second time.
 pub(crate) struct Frames {
     bytes: Vec<u8>,
     max_revision: u64,
@@ -279,73 +353,61 @@ pub(crate) struct Frames {
 }
 
 impl Frames {
-    /// Room for about `writes` frames of a small object.
-    pub(crate) fn with_capacity(writes: usize) -> Frames {
+    /// Room for `writes` frames around `payload_bytes` of payloads.
+    pub(crate) fn with_capacity(writes: usize, payload_bytes: usize) -> Frames {
         Frames {
-            bytes: Vec::with_capacity(writes * 96),
+            bytes: Vec::with_capacity(writes * 8 + payload_bytes),
             max_revision: 0,
             count: 0,
         }
     }
 
-    /// Append one write's frame, encoding the payload in place and
-    /// backfilling the header. `body` is `None` for a deletion: replay only
+    /// Stage one write's frame around its `payload`. A deletion's frame
+    /// (`log_body` false) ends at the key with an absent body: replay only
     /// needs the key to remove.
-    pub(crate) fn push(
-        &mut self,
-        revision: u64,
-        kind: ResourceKind,
-        op: WatchEventKind,
-        namespace: &str,
-        name: &str,
-        body: Option<&Value>,
-    ) {
-        let out = &mut self.bytes;
-        let header = out.len();
-        out.extend_from_slice(&[0; 8]);
-        binary::put_u64(out, revision);
-        binary::put_u8(out, kind.index() as u8);
-        binary::put_u8(
-            out,
-            match op {
-                WatchEventKind::Added => OP_ADDED,
-                WatchEventKind::Deleted => OP_DELETED,
-                // Bookmarks are synthesized on the watch wire, never
-                // written to the store; the log would read one as a no-op
-                // modification of nothing.
-                WatchEventKind::Modified | WatchEventKind::Bookmark => OP_MODIFIED,
-            },
-        );
-        binary::put_str(out, namespace);
-        binary::put_str(out, name);
-        match body {
-            Some(body) => {
-                binary::put_u8(out, 1);
-                binary::put_value(out, body);
-            }
-            None => binary::put_u8(out, 0),
+    pub(crate) fn push(&mut self, payload: &[u8], log_body: bool) {
+        let header = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 8]);
+        if log_body {
+            self.bytes.extend_from_slice(payload);
+        } else {
+            let (_, _, _, flag_at) = payload_key(payload).expect("an encoded payload");
+            self.bytes.extend_from_slice(&payload[..flag_at]);
+            binary::put_u8(&mut self.bytes, 0);
         }
-        let payload = &out[header + 8..];
-        let (len, crc) = (payload.len() as u32, binary::crc32(payload));
-        out[header..header + 4].copy_from_slice(&len.to_le_bytes());
-        out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
-        self.max_revision = self.max_revision.max(revision);
+        let len = (self.bytes.len() - header - 8) as u32;
+        self.bytes[header..header + 4].copy_from_slice(&len.to_le_bytes());
         self.count += 1;
+    }
+
+    /// Write the staged frames' revisions, one per frame in push order, and
+    /// seal each frame's checksum.
+    pub(crate) fn seal(&mut self, revisions: &[u64]) {
+        debug_assert_eq!(revisions.len(), self.count as usize);
+        let mut header = 0;
+        for &revision in revisions {
+            let len =
+                u32::from_le_bytes(self.bytes[header..header + 4].try_into().expect("4 bytes"))
+                    as usize;
+            let payload = &mut self.bytes[header + 8..header + 8 + len];
+            set_revision(payload, revision);
+            let crc = binary::crc32(payload);
+            self.bytes[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+            self.max_revision = self.max_revision.max(revision);
+            header += 8 + len;
+        }
     }
 }
 
 impl WalRecord {
-    fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+    /// Decode a payload [`encode_payload`] built (and a WAL frame carries);
+    /// `None` when the bytes are not one.
+    pub(crate) fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         let mut cursor = Cursor::new(payload);
         let revision = cursor.get_u64().ok()?;
         let kind_index = cursor.get_u8().ok()? as usize;
         let kind = *ResourceKind::ALL.get(kind_index)?;
-        let op = match cursor.get_u8().ok()? {
-            OP_ADDED => WatchEventKind::Added,
-            OP_MODIFIED => WatchEventKind::Modified,
-            OP_DELETED => WatchEventKind::Deleted,
-            _ => return None,
-        };
+        let op = decode_op(cursor.get_u8().ok()?)?;
         let namespace = cursor.get_str().ok()?;
         let name = cursor.get_str().ok()?;
         let body = match cursor.get_u8().ok()? {
@@ -2072,11 +2134,14 @@ mod tests {
     /// group commit.
     impl Wal {
         fn append_deferred(&self, records: &[WalRecord]) -> Option<GroupTicket> {
-            let mut frames = Frames::with_capacity(records.len());
+            let mut frames = Frames::with_capacity(records.len(), 0);
             for r in records {
                 let body = r.body.as_deref();
-                frames.push(r.revision, r.kind, r.op, &r.namespace, &r.name, body);
+                let payload = encode_payload(r.kind, r.op, &r.namespace, &r.name, body);
+                frames.push(&payload, body.is_some());
             }
+            let revisions: Vec<u64> = records.iter().map(|r| r.revision).collect();
+            frames.seal(&revisions);
             self.append_frames(frames)
         }
 

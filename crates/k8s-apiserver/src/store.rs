@@ -20,19 +20,23 @@
 //! sub-shards per kind), keyed by the same global revision counter;
 //! [`StoreBackend::events_since`] turns the store into an incremental event
 //! source so watchers replay exactly the writes they missed instead of
-//! re-listing. Published events share the stored object's `Arc<Value>` —
-//! the journal costs handles, not trees.
+//! re-listing. Fanned-out events share the stored object's `Arc<Value>`;
+//! the journal retains each event as its encoded payload plus a weak handle
+//! to that tree, so retained history costs bytes, never a tree, while a
+//! read of a current version still hands out the stored tree itself.
 //!
 //! **All six write paths commit one way.** `create`, `update`, `upsert`,
 //! `delete`, `apply_batch` and `delete_collection` stage their writes under
-//! one store shard's write lock and hand them to `ObjectStore::commit`,
-//! which marks the shard dirty, publishes the events (allocating the
-//! revisions, one journal entry per touched sub-shard), appends the WAL
-//! frames in one `write` and applies the map effects. A durable write waits
-//! for its group-commit fsync only **after** releasing every lock: a `get`
-//! or `list` may see a write before it is durable — as a watch subscriber,
-//! fanned out at publication, always could — but the writer is acknowledged
-//! only once an fsync covers its frame or the WAL has left `Healthy`.
+//! one store shard's write lock, encoding each one's record payload once,
+//! and hand them to `ObjectStore::commit`, which marks the shard dirty,
+//! publishes the events (allocating the revisions, one journal entry per
+//! touched sub-shard; the journal keeps the payloads), appends WAL frames
+//! copied from the same payloads in one `write` and applies the map
+//! effects. A durable write waits for its group-commit fsync only **after**
+//! releasing every lock: a `get` or `list` may see a write before it is
+//! durable — as a watch subscriber, fanned out at publication, always
+//! could — but the writer is acknowledged only once an fsync covers its
+//! frame or the WAL has left `Healthy`.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -43,7 +47,7 @@ use std::sync::Arc;
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::Value;
 
-use crate::persist::{DurabilityState, DurabilityStatus, Frames, GroupTicket, Wal};
+use crate::persist::{self, DurabilityState, DurabilityStatus, Frames, GroupTicket, Wal};
 use crate::sync::{RwLock, RwLockWriteGuard};
 use crate::watch::{
     KindJournals, StagedEvent, WatchDelta, WatchError, WatchEventKind, WatchSubscriber,
@@ -73,36 +77,40 @@ struct Write {
     /// The tree the watch event carries: the new body, or a deleted
     /// object's last one (a deletion's WAL frame logs the key alone).
     body: Arc<Value>,
+    /// The write's record payload (`persist::encode_payload`), encoded once
+    /// at staging: the journal retains it and the WAL frame copies it.
+    payload: Box<[u8]>,
     /// The object stored under `key` afterwards; `None` removes the key.
     object: Option<K8sObject>,
 }
 
 impl Write {
+    fn new(key: Key, op: WatchEventKind, body: Arc<Value>, object: Option<K8sObject>) -> Write {
+        let payload = persist::encode_payload(key.0, op, &key.1, &key.2, Some(&body));
+        Write {
+            key,
+            op,
+            body,
+            payload,
+            object,
+        }
+    }
+
     /// Store `object` under `key`: `Modified` if the key `exists`, else
     /// `Added`.
     fn put(key: Key, exists: bool, object: K8sObject) -> Write {
-        let body = Arc::clone(object.shared_body());
-        Write {
-            key,
-            op: if exists {
-                WatchEventKind::Modified
-            } else {
-                WatchEventKind::Added
-            },
-            body,
-            object: Some(object),
-        }
+        let op = if exists {
+            WatchEventKind::Modified
+        } else {
+            WatchEventKind::Added
+        };
+        Write::new(key, op, Arc::clone(object.shared_body()), Some(object))
     }
 
     /// Remove `key`; the `Deleted` event carries `stored`'s last tree.
     fn delete(key: Key, stored: &StoredObject) -> Write {
         let body = Arc::clone(stored.object.shared_body());
-        Write {
-            key,
-            op: WatchEventKind::Deleted,
-            body,
-            object: None,
-        }
+        Write::new(key, WatchEventKind::Deleted, body, None)
     }
 }
 
@@ -185,7 +193,8 @@ pub trait StoreBackend: Send + Sync {
     /// `revision`, restricted to `namespace` when non-empty, in revision
     /// order — plus the journal-head resume cursor ([`WatchDelta`]), so
     /// quiet-namespace watchers advance past foreign churn. Events hand out
-    /// the journal's own object handles.
+    /// the published trees while anything holds them, and trees decoded
+    /// from the journal's bytes after that.
     ///
     /// # Errors
     ///
@@ -471,39 +480,52 @@ impl ObjectStore {
 
     /// The one write critical section, entered with shard `shard_no`'s
     /// write lock, under which the caller staged `writes` (checking each
-    /// one's precondition). In order: mark the shard dirty **before** any
-    /// revision is allocated; publish the watch events, which allocates the
-    /// revisions (written into `revisions`, aligned to `writes`); append
-    /// every write's WAL frame in one `write`; apply the map effects. It
-    /// releases the lock on return and hands back the group-commit ticket,
-    /// which the caller redeems with [`ObjectStore::wait_durable`] once it
-    /// holds no lock at all. Publishing and mapping under the one lock is what
-    /// lets an initial-list scan pair a journal cursor with a consistent
-    /// view of the store (see `docs/watch-plane.md`); appending under it
-    /// keeps the on-disk per-key order the in-memory one.
+    /// one's precondition and encoding its payload). In order: mark the
+    /// shard dirty **before** any revision is allocated; stage each write's
+    /// WAL frame around a copy of its payload; publish the watch events,
+    /// which allocates the revisions (written into `revisions`, aligned to
+    /// `writes`) and moves the payloads into the journal; seal the frames
+    /// with those revisions and append them in one `write`; apply the map
+    /// effects. It releases the lock on return and hands back the
+    /// group-commit ticket, which the caller redeems with
+    /// [`ObjectStore::wait_durable`] once it holds no lock at all.
+    /// Publishing and mapping under the one lock is what lets an
+    /// initial-list scan pair a journal cursor with a consistent view of the
+    /// store (see `docs/watch-plane.md`); appending under it keeps the
+    /// on-disk per-key order the in-memory one.
     fn commit<W>(
         &self,
         shard_no: usize,
         mut shard: RwLockWriteGuard<'_, Shard>,
-        writes: W,
+        mut writes: W,
         revisions: &mut [u64],
     ) -> Option<GroupTicket>
     where
-        W: AsRef<[Write]> + IntoIterator<Item = Write>,
+        W: AsMut<[Write]> + IntoIterator<Item = Write>,
     {
         self.mark_dirty(shard_no);
-        let events = writes.as_ref().iter().map(|write| {
-            let (kind, namespace, name) = &write.key;
-            StagedEvent::new(*kind, write.op, namespace, name, &write.body)
+        let frames = self.wal.as_ref().map(|_| {
+            let staged = writes.as_mut();
+            let bytes = staged.iter().map(|write| write.payload.len()).sum();
+            let mut frames = Frames::with_capacity(staged.len(), bytes);
+            for write in staged.iter() {
+                frames.push(&write.payload, write.object.is_some());
+            }
+            frames
+        });
+        let events = writes.as_mut().iter_mut().map(|write| {
+            let Write {
+                key: (kind, namespace, name),
+                op,
+                body,
+                payload,
+                ..
+            } = write;
+            StagedEvent::new(*kind, *op, namespace, name, body, std::mem::take(payload))
         });
         self.journals.publish(&self.revision, events, revisions);
-        let ticket = self.wal.as_ref().and_then(|wal| {
-            let mut frames = Frames::with_capacity(revisions.len());
-            for (write, &revision) in writes.as_ref().iter().zip(&*revisions) {
-                let (kind, namespace, name) = &write.key;
-                let body = write.object.as_ref().map(|_| &*write.body);
-                frames.push(revision, *kind, write.op, namespace, name, body);
-            }
+        let ticket = self.wal.as_ref().zip(frames).and_then(|(wal, mut frames)| {
+            frames.seal(revisions);
             wal.append_frames(frames)
         });
         for (write, &resource_version) in writes.into_iter().zip(&*revisions) {
@@ -674,8 +696,9 @@ impl ObjectStore {
     }
 
     /// Every watch event after `revision` — see
-    /// [`StoreBackend::events_since`]. Zero-copy: events hand out the
-    /// journal's own `Arc` handles, which are the stored trees themselves.
+    /// [`StoreBackend::events_since`]. Zero-copy while a tree lives: an event
+    /// hands out the stored tree itself, and decodes the journal's bytes
+    /// only for a superseded version nothing holds any more.
     ///
     /// # Errors
     ///

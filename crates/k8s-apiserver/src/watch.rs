@@ -14,19 +14,24 @@
 //! serialize on one journal mutex, and a namespace-scoped subscriber reads
 //! exactly its own sub-shard instead of filtering the whole kind's delta
 //! suffix linearly. Publication is **batched**: events are fully staged
-//! (strings, `Arc` clone) before any journal lock is taken, and multi-write
-//! operations enter each touched sub-shard's critical section **once** for
-//! the whole batch ([`KindJournals::publish`], which the store's one commit
-//! calls for single writes and batches alike), amortizing the lock.
-//! Revision allocation stays inside the journal critical section, so each
+//! (each write's payload encoded) before any journal lock is taken, and
+//! multi-write operations enter each touched sub-shard's critical section
+//! **once** for the whole batch ([`KindJournals::publish`], which the
+//! store's one commit calls for single writes and batches alike), amortizing
+//! the lock. Revision allocation stays inside the journal critical section
+//! (the revision is written into the staged payload there), so each
 //! sub-shard remains a gapless-by-construction revision sequence.
 //!
 //! Two disciplines matter here, both inherited from the zero-copy
 //! persistence plane:
 //!
-//! * **Zero copy** — a published event holds the *same* `Arc<Value>` the
+//! * **Zero copy** — a fanned-out event holds the *same* `Arc<Value>` the
 //!   store holds for the object; delivering an event to any number of
-//!   subscribers never copies a document tree.
+//!   subscribers never copies a document tree. A *retained* event holds
+//!   bytes, not a tree: its payload in the WAL's record layout plus a weak
+//!   handle to the published tree. A read hands out that tree while anything
+//!   still holds it — the store does for every current version — and
+//!   decodes the payload only for history whose tree is gone.
 //! * **Bounded memory** — each sub-shard retains at most `capacity` events.
 //!   Older events are compacted away; a cursor that predates the compaction
 //!   horizon of **any sub-shard it needs** gets [`WatchError::Gone`] and
@@ -64,12 +69,13 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use k8s_model::ResourceKind;
 use kf_yaml::Value;
 
+use crate::persist;
 use crate::sync::{Condvar, Mutex, RwLock};
 
 /// What happened to the watched object.
@@ -119,8 +125,10 @@ pub struct WatchEvent {
     /// Name of the affected object (empty for bookmarks).
     pub name: String,
     /// The object as stored at this revision (for `Deleted`: its last stored
-    /// state). On the zero-copy plane this is **the** stored tree — the same
-    /// `Arc<Value>` the store and every read share. `None` for bookmarks.
+    /// state). While that tree lives — always, for a current version — this
+    /// is **the** stored tree, the same `Arc<Value>` the store and every read
+    /// share; a superseded version nothing holds any more is decoded from
+    /// the journal's bytes. `None` for bookmarks.
     pub object: Option<Arc<Value>>,
 }
 
@@ -188,9 +196,9 @@ impl fmt::Display for WatchError {
 
 /// Default per-sub-shard journal capacity: enough to absorb the bursts the
 /// throughput drivers generate between reconcile ticks, small enough that a
-/// store never holds more than a few thousand event envelopes per sub-shard
-/// (the envelopes are handles — the trees they point at live in the store
-/// anyway).
+/// store never holds more than a few thousand events per sub-shard (each
+/// one encoded payload and a weak handle — no retained event keeps a tree
+/// alive).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Default number of namespace sub-shards per kind journal. A small power of
@@ -538,43 +546,86 @@ impl Drop for WatchSubscriber {
     }
 }
 
-/// A fully-built event envelope waiting for its revision. Everything
-/// allocation-heavy — the namespace/name strings and the `Arc` clone —
-/// happens **before** any journal lock is taken, so the journal critical
-/// section is down to revision allocation and two deque operations.
+/// A write's event waiting for its revision. Everything allocation-heavy —
+/// encoding the payload the journal retains — happens **before** any
+/// journal lock is taken, so the journal critical section is down to
+/// revision allocation, writing that revision into the payload, and two
+/// deque operations. The key and the tree are borrowed from the store's
+/// staged write: a [`WatchEvent`] is built from them only for a fan-out
+/// that has subscribers.
 #[derive(Debug)]
-pub(crate) struct StagedEvent {
+pub(crate) struct StagedEvent<'a> {
     kind: ResourceKind,
     event: WatchEventKind,
-    namespace: String,
-    name: String,
-    object: Arc<Value>,
+    namespace: &'a str,
+    name: &'a str,
+    object: &'a Arc<Value>,
+    /// The write's payload ([`persist::encode_payload`]), revision unset.
+    payload: Box<[u8]>,
 }
 
-impl StagedEvent {
+impl<'a> StagedEvent<'a> {
     pub(crate) fn new(
         kind: ResourceKind,
         event: WatchEventKind,
-        namespace: &str,
-        name: &str,
-        object: &Arc<Value>,
+        namespace: &'a str,
+        name: &'a str,
+        object: &'a Arc<Value>,
+        payload: Box<[u8]>,
     ) -> Self {
         StagedEvent {
             kind,
             event,
-            namespace: namespace.to_owned(),
-            name: name.to_owned(),
-            object: Arc::clone(object),
+            namespace,
+            name,
+            object,
+            payload,
         }
     }
+}
 
-    fn into_event(self, revision: u64) -> WatchEvent {
+/// One retained journal event: its revision, the write's payload in the
+/// WAL's record layout (a deletion's payload keeps the deleted object's
+/// last state), and a weak handle to the published tree. While anything else —
+/// the store, a subscriber queue, a reader — still holds that tree, a read
+/// hands it out; once the last strong handle is gone the tree is freed, and
+/// a read decodes the payload instead. Retained history costs its encoded
+/// bytes, never a tree.
+#[derive(Debug)]
+struct JournalEntry {
+    revision: u64,
+    payload: Box<[u8]>,
+    object: Weak<Value>,
+}
+
+impl JournalEntry {
+    /// The entry's key fields, borrowed from its payload.
+    fn key(&self) -> (WatchEventKind, &str, &str) {
+        let (op, namespace, name, _) =
+            persist::payload_key(&self.payload).expect("the journal holds payloads it encoded");
+        (op, namespace, name)
+    }
+
+    /// Whether the entry passes a namespace filter (empty: every namespace).
+    fn in_namespace(&self, namespace: &str) -> bool {
+        namespace.is_empty() || self.key().1 == namespace
+    }
+
+    /// The event this entry records: the published tree itself while it
+    /// lives, else the tree decoded from the payload.
+    fn to_event(&self) -> WatchEvent {
+        let (kind, namespace, name) = self.key();
+        let object = self.object.upgrade().unwrap_or_else(|| {
+            persist::WalRecord::decode_payload(&self.payload)
+                .and_then(|record| record.body)
+                .expect("the journal holds payloads it encoded, each with a body")
+        });
         WatchEvent {
-            kind: self.event,
-            revision,
-            namespace: self.namespace,
-            name: self.name,
-            object: Some(self.object),
+            kind,
+            revision: self.revision,
+            namespace: namespace.to_owned(),
+            name: name.to_owned(),
+            object: Some(object),
         }
     }
 }
@@ -582,7 +633,7 @@ impl StagedEvent {
 /// One sub-shard's bounded event journal.
 #[derive(Debug, Default)]
 struct JournalInner {
-    events: VecDeque<WatchEvent>,
+    events: VecDeque<JournalEntry>,
     /// Highest revision dropped by compaction (0: nothing dropped yet).
     compacted_through: u64,
     /// Highest revision ever published to this sub-shard (0: none yet).
@@ -595,16 +646,8 @@ impl JournalInner {
     /// point is binary-searched: an up-to-date subscriber pays for its
     /// deltas, not for the whole retained ring.
     fn suffix_start(&self, cursor: u64) -> usize {
-        let (mut lo, mut hi) = (0usize, self.events.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.events[mid].revision <= cursor {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.events
+            .partition_point(|entry| entry.revision <= cursor)
     }
 }
 
@@ -656,14 +699,16 @@ impl KindJournals {
 
     /// Fan one freshly published event into every push subscriber attached
     /// to its sub-shard, pruning subscribers whose handles were dropped.
-    /// Runs inside the sub-shard's publication critical section, so each
-    /// queue receives its sub-shard's events in exact publication order.
-    fn fan_out(&self, shard_index: usize, event: &WatchEvent) {
+    /// The event is built only when the sub-shard has subscribers. Runs
+    /// inside the sub-shard's publication critical section, so each queue
+    /// receives its sub-shard's events in exact publication order.
+    fn fan_out(&self, shard_index: usize, event: impl FnOnce() -> WatchEvent) {
         let mut list = self.subscribers[shard_index].lock();
         if list.is_empty() {
             return;
         }
-        list.retain(|subscriber| subscriber.offer(event));
+        let event = event();
+        list.retain(|subscriber| subscriber.offer(&event));
     }
 
     /// All sub-shards of one kind, in sub-shard order.
@@ -694,13 +739,31 @@ impl KindJournals {
         // loaded value — which is what makes the store's dirty-shard flags
         // (set before allocating) reliable under an incremental checkpoint.
         let assigned = revision.fetch_add(1, Ordering::AcqRel) + 1;
-        let event = staged.into_event(assigned);
-        self.fan_out(shard_index, &event);
+        let StagedEvent {
+            event,
+            namespace,
+            name,
+            object,
+            mut payload,
+            ..
+        } = staged;
+        persist::set_revision(&mut payload, assigned);
+        self.fan_out(shard_index, || WatchEvent {
+            kind: event,
+            revision: assigned,
+            namespace: namespace.to_owned(),
+            name: name.to_owned(),
+            object: Some(Arc::clone(object)),
+        });
         if inner.events.len() == self.capacity {
             let dropped = inner.events.pop_front().expect("capacity > 0");
             inner.compacted_through = dropped.revision;
         }
-        inner.events.push_back(event);
+        inner.events.push_back(JournalEntry {
+            revision: assigned,
+            payload,
+            object: Arc::downgrade(object),
+        });
         inner.last_revision = assigned;
         assigned
     }
@@ -718,16 +781,16 @@ impl KindJournals {
     /// (the store's one commit function does), so an initial-list scan
     /// that starts after a published revision is guaranteed to observe the
     /// map effect too.
-    pub(crate) fn publish(
+    pub(crate) fn publish<'a>(
         &self,
         revision: &AtomicU64,
-        staged: impl IntoIterator<Item = StagedEvent>,
+        staged: impl IntoIterator<Item = StagedEvent<'a>>,
         assigned: &mut [u64],
     ) {
         let mut staged = staged.into_iter();
         if let [slot] = assigned {
             let event = staged.next().expect("one staged event per slot");
-            let index = self.shard_index(event.kind, &event.namespace);
+            let index = self.shard_index(event.kind, event.namespace);
             *slot = self.push_locked(&mut self.shards[index].write(), index, revision, event);
             return;
         }
@@ -740,7 +803,7 @@ impl KindJournals {
             });
             order.push((
                 run,
-                self.shard_index(event.kind, &event.namespace),
+                self.shard_index(event.kind, event.namespace),
                 slot,
                 event,
             ));
@@ -769,8 +832,9 @@ impl KindJournals {
     /// construction because revisions are globally totally ordered. The
     /// resume cursor is the global revision counter read while the scanned
     /// sub-shards are locked: any event published later (to any scanned
-    /// sub-shard) must allocate a strictly larger revision. Delivered events
-    /// are the journal's own handles — no tree is copied.
+    /// sub-shard) must allocate a strictly larger revision. An event whose
+    /// tree still lives hands that tree out — no tree is copied; one whose
+    /// tree is gone decodes it from the entry's payload.
     ///
     /// This stays a read of its own rather than a one-shot subscriber
     /// drain: a subscriber queue coalesces same-object events and orders
@@ -796,8 +860,8 @@ impl KindJournals {
             let events = inner
                 .events
                 .range(inner.suffix_start(cursor)..)
-                .filter(|event| event.namespace == namespace)
-                .cloned()
+                .filter(|entry| entry.in_namespace(namespace))
+                .map(JournalEntry::to_event)
                 .collect();
             return Ok(WatchDelta {
                 events,
@@ -840,7 +904,7 @@ impl KindJournals {
                 .min_by_key(|&(_, revision)| revision)
                 .map(|(i, _)| i)
                 .expect("events remain below total");
-            events.push(guards[next].events[heads[next]].clone());
+            events.push(guards[next].events[heads[next]].to_event());
             heads[next] += 1;
         }
         Ok(WatchDelta {
@@ -920,8 +984,10 @@ impl KindJournals {
                     compacted_through: inner.compacted_through,
                 });
             }
-            for event in inner.events.range(inner.suffix_start(cursor)..) {
-                core.offer(event);
+            for entry in inner.events.range(inner.suffix_start(cursor)..) {
+                if entry.in_namespace(namespace) {
+                    core.offer(&entry.to_event());
+                }
             }
             let mut attached = self.subscribers[index].lock();
             // Prune handles dropped since the last fan-out, so timed-out
@@ -1077,8 +1143,14 @@ mod tests {
         Arc::new(kf_yaml::parse(&format!("kind: Pod\nmetadata:\n  name: {name}\n")).unwrap())
     }
 
-    fn staged(event: WatchEventKind, ns: &str, name: &str, object: &Arc<Value>) -> StagedEvent {
-        StagedEvent::new(ResourceKind::Pod, event, ns, name, object)
+    fn staged<'a>(
+        event: WatchEventKind,
+        ns: &'a str,
+        name: &'a str,
+        object: &'a Arc<Value>,
+    ) -> StagedEvent<'a> {
+        let payload = persist::encode_payload(ResourceKind::Pod, event, ns, name, Some(object));
+        StagedEvent::new(ResourceKind::Pod, event, ns, name, object, payload)
     }
 
     impl KindJournals {
@@ -1130,6 +1202,73 @@ mod tests {
                 .unwrap()
                 .events;
             assert!(Arc::ptr_eq(events[0].object.as_ref().unwrap(), &object));
+        }
+    }
+
+    /// The object of every event each reader returns for `ns`: scoped and
+    /// merged `events_since`, and a fresh subscriber's backfill.
+    fn read_back(journals: &KindJournals, counter: &AtomicU64) -> [Vec<WatchEvent>; 3] {
+        let scoped = journals.events_since(counter, ResourceKind::Pod, "ns", 0);
+        let merged = journals.events_since(counter, ResourceKind::Pod, "", 0);
+        let subscriber = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
+        [
+            scoped.unwrap().events,
+            merged.unwrap().events,
+            subscriber.try_recv().unwrap(),
+        ]
+    }
+
+    #[test]
+    fn retained_history_reads_back_from_its_bytes_once_the_trees_are_gone() {
+        let journals = KindJournals::new(16, DEFAULT_JOURNAL_SHARDS);
+        let counter = AtomicU64::new(0);
+        let (v1, v2) = (tree("v1"), tree("v2"));
+        let (v1_value, v2_value) = ((*v1).clone(), (*v2).clone());
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "obj", &v1));
+        // A subscriber's queue keeps one object's newest event, so the
+        // backfill reads v1 back while v1 is the newest, its tree dropped.
+        drop(v1);
+        for events in read_back(&journals, &counter) {
+            assert_eq!(events[0].object.as_deref(), Some(&v1_value));
+        }
+        journals.publish_one(&counter, staged(WatchEventKind::Modified, "ns", "obj", &v2));
+        // The current version is the published tree itself.
+        for events in read_back(&journals, &counter) {
+            let current = events.last().unwrap();
+            assert!(Arc::ptr_eq(current.object.as_ref().unwrap(), &v2));
+        }
+        journals.publish_one(&counter, staged(WatchEventKind::Deleted, "ns", "obj", &v2));
+        drop(v2);
+        let [scoped, merged, backfill] = read_back(&journals, &counter);
+        for events in [scoped, merged] {
+            let read: Vec<_> = events
+                .iter()
+                .map(|e| (e.kind, e.name.as_str(), e.object.as_deref()))
+                .collect();
+            assert_eq!(
+                read,
+                [
+                    (WatchEventKind::Added, "obj", Some(&v1_value)),
+                    (WatchEventKind::Modified, "obj", Some(&v2_value)),
+                    (WatchEventKind::Deleted, "obj", Some(&v2_value)),
+                ]
+            );
+        }
+        // The deletion carries the object's last state.
+        assert_eq!(backfill.len(), 1);
+        assert_eq!(backfill[0].kind, WatchEventKind::Deleted);
+        assert_eq!(backfill[0].object.as_deref(), Some(&v2_value));
+
+        // A sole owner's `make_mut` moves the tree away from the journal's
+        // weak handle; reads fall back to the bytes, not the mutated tree.
+        let mut w = tree("w");
+        let w_value = (*w).clone();
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "w", &w));
+        *Arc::make_mut(&mut w) = Value::Null;
+        for events in read_back(&journals, &counter) {
+            let read = events.iter().find(|e| e.name == "w").unwrap();
+            assert!(!Arc::ptr_eq(read.object.as_ref().unwrap(), &w));
+            assert_eq!(read.object.as_deref(), Some(&w_value));
         }
     }
 
@@ -1218,15 +1357,12 @@ mod tests {
         let journals = KindJournals::new(16, 2);
         let counter = AtomicU64::new(0);
         let object = tree("a");
-        let batch: Vec<StagedEvent> = (0..6)
-            .map(|i| {
-                staged(
-                    WatchEventKind::Deleted,
-                    &format!("ns-{}", i % 3),
-                    &format!("obj-{i}"),
-                    &object,
-                )
-            })
+        let keys: Vec<(String, String)> = (0..6)
+            .map(|i| (format!("ns-{}", i % 3), format!("obj-{i}")))
+            .collect();
+        let batch: Vec<StagedEvent> = keys
+            .iter()
+            .map(|(ns, name)| staged(WatchEventKind::Deleted, ns, name, &object))
             .collect();
         let revisions = journals.publish_batch(&counter, batch);
         assert_eq!(revisions.len(), 6);

@@ -146,6 +146,23 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
+/// The exact number of bytes [`put_value`] appends for `value`, so a caller
+/// can allocate an encoding's buffer once, at its final size.
+pub fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Null | Value::Bool(_) => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Seq(items) => 5 + items.iter().map(value_len).sum::<usize>(),
+        Value::Map(map) => {
+            5 + map
+                .iter()
+                .map(|(key, item)| 4 + key.len() + value_len(item))
+                .sum::<usize>()
+        }
+    }
+}
+
 /// Encode a [`Value`] into a fresh buffer.
 pub fn value_to_bytes(value: &Value) -> Vec<u8> {
     let mut out = Vec::new();
@@ -373,7 +390,9 @@ mod tests {
     use crate::parse;
 
     fn round_trip(value: &Value) -> Value {
-        value_from_bytes(&value_to_bytes(value)).expect("round trip decodes")
+        let bytes = value_to_bytes(value);
+        assert_eq!(value_len(value), bytes.len(), "value_len is exact");
+        value_from_bytes(&bytes).expect("round trip decodes")
     }
 
     #[test]
@@ -420,6 +439,7 @@ mod tests {
         ))
         .expect("manifest parses");
         let encoded = value_to_bytes(&doc);
+        assert_eq!(value_len(&doc), encoded.len());
         let decoded = value_from_bytes(&encoded).expect("decodes");
         assert_eq!(decoded, doc);
         // Re-encoding the decoded tree reproduces the exact bytes: mapping

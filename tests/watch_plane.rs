@@ -437,6 +437,81 @@ fn watch_batches_share_storage_with_the_store_and_requests() {
     ));
 }
 
+/// The journal retains bytes: a superseded version nothing holds any more
+/// reads back from them, equal to the tree published at its revision,
+/// while the current version is the stored tree itself until the delete.
+#[test]
+fn retained_history_reads_back_from_bytes_once_nothing_holds_its_trees() {
+    let store = ObjectStore::new();
+    let (kind, namespace) = (ResourceKind::Pod, "default");
+    let v1 = pod("web");
+    let v2 = K8sObject::from_yaml(&v1.to_yaml().replace("image: nginx", "image: nginx:2")).unwrap();
+    let (v1_value, v2_value) = (v1.body().clone(), v2.body().clone());
+    assert_ne!(v1_value, v2_value);
+    store.create(v1).unwrap();
+    store.update(v2).unwrap();
+    let read_back = || {
+        let subscriber = store.subscribe(kind, namespace, 0, 16).unwrap();
+        [
+            store.events_since(kind, namespace, 0).unwrap().events,
+            store.events_since(kind, "", 0).unwrap().events,
+            // A subscriber's queue keeps an object's newest event only.
+            subscriber.try_recv().unwrap(),
+        ]
+    };
+
+    // The store dropped v1 when v2 replaced it: v1 reads back from bytes;
+    // v2 is current, so every reader hands out the stored tree.
+    let stored = store.get(kind, namespace, "web").unwrap();
+    for events in read_back() {
+        let current = events.last().unwrap();
+        assert_eq!(current.kind, WatchEventKind::Modified);
+        assert!(Arc::ptr_eq(
+            current.object.as_ref().unwrap(),
+            stored.object.shared_body()
+        ));
+        if events.len() == 2 {
+            assert_eq!(events[0].object.as_deref(), Some(&v1_value));
+        }
+    }
+    drop(stored);
+
+    // After the delete the caller's handle is the last strong one; the
+    // deletion carries the object's last state.
+    let last = store.delete(kind, namespace, "web").unwrap();
+    for events in read_back() {
+        let deleted = events.last().unwrap();
+        assert_eq!(deleted.kind, WatchEventKind::Deleted);
+        assert!(Arc::ptr_eq(
+            deleted.object.as_ref().unwrap(),
+            last.object.shared_body()
+        ));
+    }
+
+    // `make_mut` on the sole strong handle moves the tree away from the
+    // journal's weak handles: every read falls back to the bytes.
+    let mut tree = Arc::try_unwrap(last).unwrap().object.into_body();
+    *Arc::make_mut(&mut tree) = kf_yaml::Value::Null;
+    let [scoped, merged, backfill] = read_back();
+    for events in [scoped, merged] {
+        let read: Vec<_> = events
+            .iter()
+            .map(|e| (e.kind, e.object.as_deref()))
+            .collect();
+        assert_eq!(
+            read,
+            [
+                (WatchEventKind::Added, Some(&v1_value)),
+                (WatchEventKind::Modified, Some(&v2_value)),
+                (WatchEventKind::Deleted, Some(&v2_value)),
+            ]
+        );
+    }
+    assert_eq!(backfill.len(), 1);
+    assert_eq!(backfill[0].object.as_deref(), Some(&v2_value));
+    assert!(!Arc::ptr_eq(backfill[0].object.as_ref().unwrap(), &tree));
+}
+
 /// Watch traffic traverses the hardened surface: learned RBAC authorizes
 /// the watch verb for users that watched during learning and denies it to
 /// everyone else, and every watch lands in the audit trail.
