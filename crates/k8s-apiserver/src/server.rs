@@ -298,9 +298,15 @@ impl<S: StoreBackend> ApiServer<S> {
         }
     }
 
-    fn record_audit(&self, request: &ApiRequest, allowed: bool, body: Option<Arc<Value>>) {
-        // Build the event — the body is an `Arc` handle, not a deep clone —
-        // before taking any lock, then push it into one of the shards.
+    /// Audit `request`, with the body it carries when `with_body`: its wire
+    /// bytes, in the format the server reads them in.
+    fn record_audit(&self, request: &ApiRequest, allowed: bool, with_body: bool) {
+        // Build the event — the body is a handle to the request's buffer,
+        // not a copy — before taking any lock, then push it into one of the
+        // shards.
+        let body = with_body
+            .then(|| request.body.raw().cloned().zip(request.wire_format()))
+            .flatten();
         let sequence = self.audit_seq.fetch_add(1, Ordering::Relaxed);
         let event = AuditEvent {
             sequence,
@@ -322,33 +328,25 @@ impl<S: StoreBackend> ApiServer<S> {
     /// ([`RequestHandler::handle_parsed`]: behind the proxy, the events its
     /// admission pass read); without one — a client talking to the server
     /// directly — the payload is parsed here, once, under the negotiated
-    /// wire format. On refusal the body comes back beside the response (when
-    /// there is one), so a `400` is still audited with what it carried.
+    /// wire format.
     fn admit_object(
         &self,
         request: &ApiRequest,
         parsed: Option<Value>,
-    ) -> Result<K8sObject, (ApiResponse, Option<Arc<Value>>)> {
-        let refuse = |message: String, body: Option<Arc<Value>>| {
-            (
-                ApiResponse::error(ResponseStatus::BadRequest, message),
-                body,
-            )
-        };
+    ) -> Result<K8sObject, ApiResponse> {
+        let refuse = |message: String| ApiResponse::error(ResponseStatus::BadRequest, message);
         let body = match parsed {
             Some(body) => Arc::new(body),
             None => match request.materialize_body() {
-                Err(message) => {
-                    return Err(refuse(format!("invalid request body: {message}"), None))
-                }
-                Ok(None) => return Err(refuse("mutating request without a body".into(), None)),
+                Err(message) => return Err(refuse(format!("invalid request body: {message}"))),
+                Ok(None) => return Err(refuse("mutating request without a body".into())),
                 Ok(Some(body)) => body,
             },
         };
         // The store shares the tree: no part of it is copied.
         let mut object = match self.store.ingest(&body) {
             Ok(object) => object,
-            Err(e) => return Err(refuse(format!("invalid object: {e}"), Some(body))),
+            Err(e) => return Err(refuse(format!("invalid object: {e}"))),
         };
         // From here the object's handle is the only one — the `Arc` was
         // made just above and no caller ever held it — so defaulting below
@@ -360,7 +358,7 @@ impl<S: StoreBackend> ApiServer<S> {
                 object.kind(),
                 request.kind
             );
-            return Err(refuse(message, Some(object.into_body())));
+            return Err(refuse(message));
         }
         // Namespace defaulting, as the admission chain would do.
         if object.kind().is_namespaced() && object.namespace().is_empty() {
@@ -371,7 +369,7 @@ impl<S: StoreBackend> ApiServer<S> {
             };
             if let Err(e) = object.set_namespace(namespace) {
                 let message = format!("admission failure: {e}");
-                return Err(refuse(message, Some(object.into_body())));
+                return Err(refuse(message));
             }
         }
         Ok(object)
@@ -501,17 +499,15 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     /// Admission, persistence and audit of one authorized create, update or
-    /// patch. The audit handle is taken *after* admission, from the admitted
-    /// object: the audit trail shares the stored tree instead of pinning a
-    /// pre-defaulting twin of it.
+    /// patch. The audit event holds the request's wire bytes, refused or
+    /// not: the trail never pins the tree the store holds.
     fn admit_and_persist(&self, request: &ApiRequest, parsed: Option<Value>) -> ApiResponse {
-        let (response, audit_body) = match self.admit_object(request, parsed) {
+        let response = match self.admit_object(request, parsed) {
             Ok(object) => {
-                let audit_body = Arc::clone(object.shared_body());
                 // The vulnerable code runs while the API server (and
                 // downstream components) process the accepted spec.
                 self.record_exploits(request, &object);
-                let response = match request.verb {
+                match request.verb {
                     // `kubectl apply` semantics: create, falling back to
                     // update on conflict — one upsert, no second admission
                     // round trip.
@@ -532,12 +528,11 @@ impl<S: StoreBackend> ApiServer<S> {
                             format!("{} \"{}\" not found", request.kind, request.name),
                         ),
                     },
-                };
-                (response, Some(audit_body))
+                }
             }
             Err(refused) => refused,
         };
-        self.record_audit(request, response.is_success(), audit_body);
+        self.record_audit(request, response.is_success(), true);
         response
     }
 
@@ -546,7 +541,7 @@ impl<S: StoreBackend> ApiServer<S> {
         //    unauthorized traffic never pays for body parsing and its audit
         //    event records no body.
         if let Err(reason) = self.authorize(request) {
-            self.record_audit(request, false, None);
+            self.record_audit(request, false, false);
             return ApiResponse::error(ResponseStatus::Forbidden, reason);
         }
 
@@ -560,7 +555,7 @@ impl<S: StoreBackend> ApiServer<S> {
             && self.store.durability_state() != DurabilityState::Healthy
         {
             self.rejected_writes.fetch_add(1, Ordering::Relaxed);
-            self.record_audit(request, false, None);
+            self.record_audit(request, false, false);
             let status = self.store.durability();
             let detail = match &status.latched {
                 Some(latched) => format!(" ({latched})"),
@@ -631,12 +626,8 @@ impl<S: StoreBackend> ApiServer<S> {
         };
 
         // 3. Audit. These verbs carry no payload; one that does anyway is
-        //    audited with it.
-        let audit_body = match parsed {
-            Some(body) => Some(Arc::new(body)),
-            None => request.materialize_body().ok().flatten(),
-        };
-        self.record_audit(request, response.is_success(), audit_body);
+        //    audited with its bytes, unparsed.
+        self.record_audit(request, response.is_success(), true);
         response
     }
 }
@@ -689,7 +680,7 @@ impl<S: StoreBackend> WatchHub for ApiServer<S> {
             ));
         }
         if let Err(reason) = self.authorize(request) {
-            self.record_audit(request, false, None);
+            self.record_audit(request, false, false);
             return Err(ApiResponse::error(ResponseStatus::Forbidden, reason));
         }
         let (cursor, initial) = match request.resource_version {
@@ -722,7 +713,7 @@ impl<S: StoreBackend> WatchHub for ApiServer<S> {
                 self.watch_queue_capacity,
             )
             .map_err(|error| ApiResponse::error(ResponseStatus::Gone, error.to_string()))?;
-        self.record_audit(request, true, None);
+        self.record_audit(request, true, false);
         Ok(PushWatch {
             initial,
             subscriber,
@@ -1065,9 +1056,11 @@ mod tests {
                 .get("metadata")
                 .and_then(|m| m.get("labels"))
         );
+        // The audit holds the request's own buffer, not the handed tree.
         let log = server.audit_log();
         let event = log.events().last().unwrap();
-        assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), tree));
+        let (audited, _) = event.request_body.as_ref().unwrap();
+        assert_eq!(audited.as_ptr(), request.body.raw().unwrap().as_ptr());
         // A gate in front seats a parsed request like any other.
         let gated = ApiServer::new().with_admission_limit(1, std::time::Duration::ZERO);
         assert!(gated
@@ -1079,8 +1072,9 @@ mod tests {
     #[test]
     fn accepted_requests_share_one_tree_from_admission_to_reads() {
         // The server parses an admitted body once; that tree is the stored
-        // body, what reads return and what the audit event holds — with and
-        // without a namespace for admission to default, in both formats.
+        // body and what reads return, while the audit event holds the
+        // request's own buffer — with and without a namespace for admission
+        // to default, in both formats.
         let server = ApiServer::new();
         for (name, request) in [
             ("a", ApiRequest::create("admin", &pod("a"))),
@@ -1116,7 +1110,8 @@ mod tests {
                 .iter()
                 .find(|e| e.verb == Verb::Create && e.name == name)
                 .unwrap();
-            assert!(Arc::ptr_eq(event.request_body.as_ref().unwrap(), tree));
+            let (audited, _) = event.request_body.as_ref().unwrap();
+            assert_eq!(audited.as_ptr(), request.body.raw().unwrap().as_ptr());
         }
     }
 }

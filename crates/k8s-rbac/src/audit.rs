@@ -7,10 +7,9 @@
 //! policies can only be expressed over the former, which is exactly the
 //! granularity gap KubeFence fills.
 
-use std::sync::Arc;
-
+use bytes::Bytes;
 use k8s_model::{ResourceKind, Verb};
-use kf_yaml::Value;
+use kf_yaml::BodyFormat;
 
 /// One audit event recorded by the API server.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,9 +29,12 @@ pub struct AuditEvent {
     /// Whether the request was allowed.
     pub allowed: bool,
     /// The request body ("available" in the audit log, as the paper notes,
-    /// but not expressible in RBAC policies). Shared with the request that
-    /// produced it — recording an event never deep-clones the document.
-    pub request_body: Option<Arc<Value>>,
+    /// but not expressible in RBAC policies): the wire bytes the client
+    /// sent, with the format the server read them in — what a Kubernetes
+    /// audit `requestObject` records, and what log-driven policy refinement
+    /// reads. A handle to the request's own buffer: recording an event never
+    /// copies it, and never pins the tree the server parsed from it.
+    pub request_body: Option<(Bytes, BodyFormat)>,
 }
 
 /// An in-memory audit log.
@@ -66,7 +68,7 @@ impl AuditLog {
         namespace: &str,
         name: &str,
         allowed: bool,
-        request_body: Option<Arc<Value>>,
+        request_body: Option<(Bytes, BodyFormat)>,
     ) -> &AuditEvent {
         let event = AuditEvent {
             sequence: self.events.len() as u64,
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn request_bodies_are_preserved_when_provided() {
         let mut log = AuditLog::new();
-        let body = kf_yaml::parse("kind: Deployment\nspec:\n  replicas: 1\n").unwrap();
+        let body = Bytes::from("kind: Deployment\nspec:\n  replicas: 1\n");
         log.record(
             "alice",
             Verb::Create,
@@ -158,9 +160,13 @@ mod tests {
             "prod",
             "web",
             true,
-            Some(Arc::new(body.clone())),
+            Some((body.clone(), BodyFormat::Yaml)),
         );
-        assert_eq!(log.events()[0].request_body.as_deref(), Some(&body));
+        let (recorded, format) = log.events()[0].request_body.as_ref().unwrap();
+        assert_eq!(
+            (recorded.as_ptr(), *format),
+            (body.as_ptr(), BodyFormat::Yaml)
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The zero-copy persistence plane, pinned by pointer identity: an admitted
 //! body is parsed once — by the server, or behind the proxy built from the
 //! events its admission pass read — and that one `Arc<Value>` is what the
-//! object store, the watch journal (poll and push), the audit trail, exploit
-//! forensics and every read hold. Plus a concurrent create/update/get/list
-//! stress test pinning revision monotonicity under the `Arc`-handle store.
+//! object store, the watch journal (poll and push), exploit forensics and
+//! every read hold, while the audit trail holds the request's own wire
+//! buffer. Plus a concurrent create/update/get/list stress test pinning
+//! revision monotonicity under the `Arc`-handle store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseStatus, WatchHub};
 use k8s_model::{K8sObject, ResourceKind};
-use kf_yaml::Value;
+use kf_yaml::{BodyFormat, Value};
 use kubefence::{EnforcementProxy, Validator};
 
 /// A pod manifest with an explicit namespace, so admission has nothing to
@@ -23,9 +24,9 @@ fn pod_yaml(name: &str, image: &str) -> String {
 
 /// Send one pod create through `front` (the bare `server`, or a proxy over
 /// it) and require every holder of the admitted object — store, journal
-/// (poll and push), audit event, exploit records, get and list responses —
-/// to share one allocation: the single parse of the wire bytes.
-/// Returns that tree.
+/// (poll and push), exploit records, get and list responses — to share one
+/// allocation: the single parse of the wire bytes; and the audit event to
+/// hold the request's own buffer. Returns that tree.
 fn admit_and_expect_one_tree<H: RequestHandler>(
     front: &H,
     server: &ApiServer,
@@ -56,14 +57,6 @@ fn admit_and_expect_one_tree<H: RequestHandler>(
     let mut holders = vec![
         ("journal (poll)", polled[0].object.as_ref()),
         ("journal (push)", pushed[0].object.as_ref()),
-        (
-            "audit event",
-            audited
-                .events()
-                .iter()
-                .rev()
-                .find_map(|e| e.request_body.as_ref()),
-        ),
         ("get response", get.body.as_ref().and_then(|b| b.object())),
         (
             "list response",
@@ -85,6 +78,17 @@ fn admit_and_expect_one_tree<H: RequestHandler>(
             "{holder} must share the stored tree, not a copy of it"
         );
     }
+    let (audited, _) = audited
+        .events()
+        .iter()
+        .rev()
+        .find_map(|e| e.request_body.as_ref())
+        .expect("the audit event carries the body");
+    assert_eq!(
+        audited.as_ptr(),
+        request.body.raw().unwrap().as_ptr(),
+        "the audit event must hold the request's own buffer, not a copy of it"
+    );
     tree
 }
 
@@ -136,13 +140,12 @@ fn the_proxy_preserves_sharing_end_to_end() {
 
 #[test]
 fn raw_bodies_parse_once_and_share_from_there() {
-    // A request parses exactly once; the store and the audit trail share
-    // that single materialization.
+    // A request parses exactly once, into the tree the store keeps; the
+    // audit trail keeps the request's own bytes and never parses them.
     let server = ApiServer::new();
     let pod = K8sObject::from_yaml(&pod_yaml("raw", "nginx:1.25")).unwrap();
-    assert!(server
-        .handle(&ApiRequest::create("admin", &pod))
-        .is_success());
+    let request = ApiRequest::create("admin", &pod);
+    assert!(server.handle(&request).is_success());
     let stored = server
         .store()
         .get(ResourceKind::Pod, "default", "raw")
@@ -153,13 +156,13 @@ fn raw_bodies_parse_once_and_share_from_there() {
         .iter()
         .find(|e| e.request_body.is_some())
         .unwrap();
-    assert!(
-        Arc::ptr_eq(
-            stored.object.shared_body(),
-            event.request_body.as_ref().unwrap()
-        ),
-        "store and audit must share one materialization of the body"
+    let (audited, format) = event.request_body.as_ref().unwrap();
+    assert_eq!(
+        (audited.as_ptr(), *format),
+        (request.body.raw().unwrap().as_ptr(), BodyFormat::Yaml),
+        "the audit must hold the request's own buffer, in its wire format"
     );
+    assert!(stored.object.body().loosely_equals(pod.body()));
 }
 
 /// What Helm renders: no `metadata.namespace`; admission defaults it.
@@ -198,7 +201,10 @@ fn a_refused_body_is_still_audited_with_what_it_carried() {
     let log = server.audit_log();
     let event = log.events().first().expect("audited");
     assert!(!event.allowed);
-    assert_eq!(event.request_body.as_deref(), Some(pod.body()));
+    let (audited, format) = event.request_body.as_ref().unwrap();
+    assert_eq!(*format, BodyFormat::Yaml);
+    let sent = kf_yaml::parse(std::str::from_utf8(audited).unwrap()).unwrap();
+    assert_eq!(&sent, pod.body());
 }
 
 #[test]
