@@ -16,6 +16,16 @@ pub struct DeploymentOutcome {
     pub response: ApiResponse,
 }
 
+/// The JSON twin of a YAML create `request` for `object`: the same user
+/// and target namespace, with `object` sent as JSON — the deployment or
+/// attack a JSON-speaking client issues.
+pub fn json_twin(request: &ApiRequest, object: &K8sObject) -> ApiRequest {
+    ApiRequest {
+        namespace: request.namespace.clone(),
+        ..ApiRequest::create_json(&request.user, object)
+    }
+}
+
 /// Drives an operator deployment against any request handler (the bare API
 /// server, an RBAC-enforcing API server, or the KubeFence proxy).
 #[derive(Debug, Clone)]
@@ -112,6 +122,18 @@ mod tests {
             if request.kind.is_namespaced() {
                 assert_eq!(request.namespace, "data");
             }
+        }
+    }
+
+    #[test]
+    fn json_twins_keep_the_identity_and_namespace_in_json() {
+        let driver = DeploymentDriver::new(Operator::Postgresql);
+        for (yaml, object) in driver.requests().iter().zip(driver.objects()) {
+            let json = json_twin(yaml, object);
+            assert_eq!((&json.user, &json.namespace), (&yaml.user, &yaml.namespace));
+            assert_eq!(json.wire_format(), Some(kf_yaml::BodyFormat::Json));
+            let sent = json.materialize_body().unwrap().unwrap();
+            assert!(sent.loosely_equals(object.body()));
         }
     }
 

@@ -37,7 +37,7 @@ mod recovery;
 mod throughput;
 
 pub use chaos::{ChaosDriver, ChaosOutcome, ChaosReport};
-pub use driver::{DeploymentDriver, DeploymentOutcome};
+pub use driver::{json_twin, DeploymentDriver, DeploymentOutcome};
 pub use informer::{Informer, PushInformer, RelistGate, RelistPermit};
 pub use operator::{Operator, OperatorWorkload};
 pub use recovery::{RecoveryDriver, ReplayVerdict};

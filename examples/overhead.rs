@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
-use kf_workloads::{DeploymentDriver, Operator};
+use kf_workloads::{json_twin, DeploymentDriver, Operator};
 use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator};
 
 const REPETITIONS: usize = 100;
@@ -47,10 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let json: Vec<ApiRequest> = yaml
             .iter()
             .zip(driver.objects())
-            .map(|(request, object)| ApiRequest {
-                namespace: request.namespace.clone(),
-                ..ApiRequest::create_json(&request.user, object)
-            })
+            .map(|(request, object)| json_twin(request, object))
             .collect();
         workloads.push((operator, validator, [yaml, json]));
     }

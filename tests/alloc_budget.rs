@@ -15,12 +15,12 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use k8s_apiserver::{
-    ApiRequest, ApiResponse, ApiServer, PersistConfig, Persistence, RequestBody, RequestHandler,
-    ResponseBody,
+    ApiRequest, ApiResponse, ApiServer, ObjectStore, PersistConfig, Persistence, RequestBody,
+    RequestHandler, ResponseBody,
 };
-use k8s_model::K8sObject;
+use k8s_model::{K8sObject, ResourceKind};
 use kf_attacks::AttackExecutor;
-use kf_workloads::{DeploymentDriver, Operator};
+use kf_workloads::{json_twin, DeploymentDriver, Operator};
 use kf_yaml::{Mapping, Value};
 use kubefence::{
     BodyFormat, EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet, ViolationReason,
@@ -100,10 +100,7 @@ fn chart_creates() -> Vec<ApiRequest> {
     for operator in Operator::ALL {
         let driver = DeploymentDriver::new(operator);
         for (yaml, object) in driver.requests().into_iter().zip(driver.objects()) {
-            let json = ApiRequest {
-                namespace: yaml.namespace.clone(),
-                ..ApiRequest::create_json(&yaml.user, object)
-            };
+            let json = json_twin(&yaml, object);
             requests.extend([yaml, json]);
         }
     }
@@ -470,6 +467,52 @@ fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
     );
 }
 
+/// A pod of namespace `ns` named `pod-NN`, parsed afresh on every call as
+/// the server parses every request.
+fn ns_pod(n: usize) -> K8sObject {
+    K8sObject::from_yaml(&format!(
+        "apiVersion: v1\nkind: Pod\nmetadata:\n  name: pod-{n:02}\n  namespace: ns\n\
+         spec:\n  containers:\n    - name: app\n      image: nginx\n"
+    ))
+    .unwrap()
+}
+
+#[test]
+fn retained_watch_history_holds_bytes_not_trees() {
+    // Rewrite 64 pods of one namespace, so one journal sub-shard, until its
+    // 256 events fill it. In the last round the sub-shard's deque has room
+    // already and each new tree replaces the stored one, so what the round
+    // leaves live is what its 64 newly superseded versions keep retained.
+    let store = ObjectStore::with_journal_capacity(256);
+    let mut held = 0;
+    for _ in 0..4 {
+        let ((), _, live) = counted(|| {
+            for n in 0..64 {
+                store.upsert(ns_pod(n));
+            }
+        });
+        held = live;
+    }
+    let retained = store.events_since(ResourceKind::Pod, "ns", 0).unwrap();
+    assert_eq!(retained.events.len(), 256, "the sub-shard is full");
+    let per_entry = held as f64 / 64.0;
+    // The entry's buffer: revision, kind and op (10 bytes), the two
+    // length-prefixed key strings, the body flag and the encoded body.
+    let buffer = 10
+        + (4 + "ns".len())
+        + (4 + "pod-00".len())
+        + 1
+        + kf_yaml::binary::value_len(ns_pod(0).body());
+    println!(
+        "{per_entry:.2} bytes live per retained superseded entry ({held} over 64), \
+         whose buffer is {buffer} bytes"
+    );
+    assert!(
+        per_entry <= buffer as f64 + 128.0,
+        "a retained superseded entry holds {per_entry} bytes live, its buffer {buffer}"
+    );
+}
+
 /// Write the same 64 pods `rounds` times into a durable store in a fresh
 /// `kf-*` directory (the first round creates them, every later one
 /// rewrites them unchanged), so its WAL holds `64 × rounds` records over
@@ -482,15 +525,7 @@ fn checkpoint_after(rounds: usize) -> (u64, f64) {
         std::process::id()
     ));
     let (store, persistence, _) = Persistence::open(PersistConfig::new(&dir)).unwrap();
-    let pods: Vec<K8sObject> = (0..64)
-        .map(|n| {
-            K8sObject::from_yaml(&format!(
-                "apiVersion: v1\nkind: Pod\nmetadata:\n  name: pod-{n:02}\n  namespace: ns\n\
-                 spec:\n  containers:\n    - name: app\n      image: nginx\n"
-            ))
-            .unwrap()
-        })
-        .collect();
+    let pods: Vec<K8sObject> = (0..64).map(ns_pod).collect();
     let mut per_write = 0.0;
     for _ in 0..rounds {
         let ((), made, _) = counted(|| {
@@ -524,9 +559,9 @@ fn a_checkpoint_allocates_the_same_whatever_the_wal_holds() {
         short, long,
         "a checkpoint's allocations grow with the WAL it compacts"
     );
-    // A durable write pays for its map key, its watch event's strings, its
-    // stored handle, one frame buffer and the group fsync's handle; its WAL
-    // frame is encoded straight from the key, so no record copies them.
+    // A durable write pays for its map key, its record payload (encoded
+    // once: the journal keeps it and the WAL frame copies it), its stored
+    // handle, one frame buffer and the group fsync's handle.
     assert!(
         per_write <= 11.33,
         "{per_write:.2} allocations per durable create (bound 11.33)"

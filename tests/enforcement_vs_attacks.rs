@@ -9,7 +9,7 @@
 use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions};
 use kf_attacks::AttackExecutor;
-use kf_workloads::{DeploymentDriver, Operator};
+use kf_workloads::{json_twin, DeploymentDriver, Operator};
 use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator};
 
 /// Learn the per-operator RBAC policy the way the paper does: run the
@@ -41,13 +41,7 @@ fn json_attacks(executor: &AttackExecutor) -> Vec<(String, ApiRequest)> {
         .requests()
         .into_iter()
         .zip(executor.malicious_objects())
-        .map(|((spec, yaml), (_, object))| {
-            let json = ApiRequest {
-                namespace: yaml.namespace,
-                ..ApiRequest::create_json(&yaml.user, &object)
-            };
-            (spec.id, json)
-        })
+        .map(|((spec, yaml), (_, object))| (spec.id, json_twin(&yaml, &object)))
         .collect();
     assert_eq!(attacks.len(), 15);
     attacks
