@@ -1,9 +1,9 @@
 //! Exact allocation counts as the regression gate for the accept path: one
 //! admitted create builds one compact tree and nothing copies it, a durable
-//! write copies its key only where it is kept, and a durable checkpoint
-//! decodes no WAL record. Clocks on this box move 30 %
-//! on their own; these counts repeat exactly, so they bound what the
-//! end-to-end benchmark can only show through noise.
+//! write copies its key only where it is kept, a durable checkpoint decodes
+//! no WAL record, and retained watch history holds bytes, not trees. Clocks
+//! on this box move 30 % on their own; these counts repeat exactly, so they
+//! bound what the end-to-end benchmark can only show through noise.
 //!
 //! This file is the only place in the repository where `unsafe` appears (the
 //! counting `#[global_allocator]`); the product crates keep
