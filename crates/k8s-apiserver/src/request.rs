@@ -8,6 +8,8 @@ use bytes::Bytes;
 use k8s_model::{K8sObject, ResourceKind, Verb};
 use kf_yaml::{BodyFormat, Value};
 
+use crate::StoredObject;
+
 /// The payload of an API request as it travels through the admission path:
 /// the bytes the client put on the wire — YAML or JSON, tagged with their
 /// [`BodyFormat`] — and nothing else. The enforcement proxy validates them
@@ -356,20 +358,22 @@ impl ResponseStatus {
 }
 
 /// The payload of an [`ApiResponse`], held as shared handles: a `get`
-/// returns the stored object's tree, a `list` returns one handle per stored
-/// object — serving a read **never copies a document**, which is the read
-/// half of the zero-copy persistence plane.
+/// returns the stored object's handle, a `list` returns one handle per
+/// stored object — serving a read **never copies a document**, which is the
+/// read half of the zero-copy persistence plane. A stored object caches its
+/// wire text per format ([`K8sObject::wire`]), so only the first read of a
+/// version renders it and later reads copy the text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// A single object (get responses).
-    Object(Arc<Value>),
+    Object(Arc<StoredObject>),
     /// A collection (list responses): the `<Kind>List` envelope kind and
     /// the item handles, in key order.
     List {
         /// The list kind (`PodList`, `DeploymentList`, …).
         kind: String,
-        /// The stored objects' shared trees.
-        items: Vec<Arc<Value>>,
+        /// The stored objects' handles.
+        items: Vec<Arc<StoredObject>>,
     },
     /// One batch of a watch stream: the events published since the client's
     /// cursor (ending with a bookmark), plus the cursor to resume from. The
@@ -386,16 +390,16 @@ pub enum ResponseBody {
 }
 
 impl ResponseBody {
-    /// The object tree, for single-object responses.
+    /// The stored object's tree, for single-object responses.
     pub fn object(&self) -> Option<&Arc<Value>> {
         match self {
-            ResponseBody::Object(value) => Some(value),
+            ResponseBody::Object(stored) => Some(stored.object.shared_body()),
             _ => None,
         }
     }
 
-    /// The item handles, for collection responses.
-    pub fn items(&self) -> Option<&[Arc<Value>]> {
+    /// The stored item handles, for collection responses.
+    pub fn items(&self) -> Option<&[Arc<StoredObject>]> {
         match self {
             ResponseBody::List { items, .. } => Some(items),
             _ => None,
@@ -418,13 +422,18 @@ impl ResponseBody {
     /// serving path.
     pub fn to_value(&self) -> Value {
         match self {
-            ResponseBody::Object(value) => (**value).clone(),
+            ResponseBody::Object(stored) => stored.object.body().clone(),
             ResponseBody::List { kind, items } => {
                 let mut body = kf_yaml::Mapping::new();
                 body.insert("kind", Value::from(kind.as_str()));
                 body.insert(
                     "items",
-                    Value::Seq(items.iter().map(|item| (**item).clone()).collect()),
+                    Value::Seq(
+                        items
+                            .iter()
+                            .map(|item| item.object.body().clone())
+                            .collect(),
+                    ),
                 );
                 Value::Map(body)
             }
@@ -445,112 +454,163 @@ impl ResponseBody {
         }
     }
 
-    /// Serialize the body to its wire text **straight from the shared item
-    /// handles** — no envelope tree, no deep copies. Byte-identical to
-    /// rendering [`ResponseBody::to_value`] with [`kf_yaml::to_yaml`] /
-    /// [`kf_yaml::to_json`] (pinned by test), which is what it replaces:
-    /// the last place the read path copied whole documents.
+    /// Serialize the body to its wire text **from the shared handles** — no
+    /// envelope tree, no deep copies. Byte-identical to rendering
+    /// [`ResponseBody::to_value`] with [`kf_yaml::to_yaml`] /
+    /// [`kf_yaml::to_json`] (pinned by test). A get is a copy of the stored
+    /// object's cached text and a list splices its items' cached texts into
+    /// one buffer sized up front; an object read for the first time in a
+    /// format is rendered and cached on the way. Watch batches are rendered
+    /// from the journal's trees.
     pub fn to_wire(&self, format: BodyFormat) -> String {
-        match format {
-            BodyFormat::Json => self.to_wire_json(),
-            // Responses have no bytes to sniff: `Auto` falls back to the
-            // canonical YAML rendering.
-            _ => self.to_wire_yaml(),
-        }
-    }
-
-    fn to_wire_yaml(&self) -> String {
-        let mut out = String::new();
+        // Responses have no bytes to sniff: `Auto` falls back to the
+        // canonical YAML rendering.
+        let json = format == BodyFormat::Json;
         match self {
-            ResponseBody::Object(value) => return kf_yaml::to_yaml(value),
-            ResponseBody::List { kind, items } => {
-                push_yaml_kind(kind, &mut out);
-                if items.is_empty() {
-                    out.push_str("items: []\n");
-                } else {
-                    out.push_str("items:\n");
-                    for item in items {
-                        kf_yaml::emit_seq_item(item, 2, &mut out);
-                    }
-                }
+            ResponseBody::Object(stored) => {
+                let mut out = String::new();
+                stored.object.write_wire(format, &mut out);
+                out
             }
+            ResponseBody::List { kind, items } if json => list_json(kind, items),
+            ResponseBody::List { kind, items } => list_yaml(kind, items),
             ResponseBody::WatchBatch {
                 kind,
                 events,
                 cursor,
-            } => {
-                push_yaml_kind(kind, &mut out);
-                let _ = writeln!(out, "resourceVersion: {}", *cursor as i64);
-                if events.is_empty() {
-                    out.push_str("events: []\n");
-                } else {
-                    out.push_str("events:\n");
-                    for event in events {
-                        // The event envelope in the emitter's compact
-                        // sequence form: first entry on the dash line, the
-                        // rest at the same column, the object's stored tree
-                        // emitted in place. Event types are bare words.
-                        let _ = writeln!(
-                            out,
-                            "  - type: {}\n    revision: {}",
-                            event.kind.as_str(),
-                            event.revision as i64
-                        );
-                        if let Some(object) = &event.object {
-                            kf_yaml::emit_entry("object", object, 4, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn to_wire_json(&self) -> String {
-        let mut out = String::new();
-        match self {
-            ResponseBody::Object(value) => kf_yaml::write_json(value, &mut out),
-            ResponseBody::List { kind, items } => {
-                out.push_str("{\"kind\":");
-                push_json_kind(kind, &mut out);
-                out.push_str(",\"items\":[");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    kf_yaml::write_json(item, &mut out);
-                }
-                out.push_str("]}");
-            }
+            } if json => watch_batch_json(kind, events, *cursor),
             ResponseBody::WatchBatch {
                 kind,
                 events,
                 cursor,
-            } => {
-                out.push_str("{\"kind\":");
-                push_json_kind(kind, &mut out);
-                let _ = write!(out, ",\"resourceVersion\":{cursor},\"events\":[");
-                for (i, event) in events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"{}\",\"revision\":{}",
-                        event.kind.as_str(),
-                        event.revision
-                    );
-                    if let Some(object) = &event.object {
-                        out.push_str(",\"object\":");
-                        kf_yaml::write_json(object, &mut out);
-                    }
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
+            } => watch_batch_yaml(kind, events, *cursor),
         }
-        out
     }
+}
+
+/// Bytes reserved for a list envelope around its items: the `kind` entry,
+/// with room to quote it, and the `items` key.
+fn envelope_len(kind: &str) -> usize {
+    2 * kind.len() + 24
+}
+
+/// A YAML list: each item's cached root text re-indented as a sequence
+/// element, in a buffer reserved for all of them.
+fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
+    // A cached item grows by the four columns of `  - ` / `    ` on each of
+    // its lines: a quarter more covers lines of 16 bytes and longer, without
+    // a pass to count them (a manifest's lines average about 24). An
+    // uncached item is estimated from its binary encoding.
+    let items_len: usize = items
+        .iter()
+        .map(|item| match item.object.cached_wire(BodyFormat::Yaml) {
+            Some(text) => text.len() + text.len() / 4,
+            None => kf_yaml::binary::value_len(item.object.body()),
+        })
+        .sum();
+    let mut out = String::with_capacity(envelope_len(kind) + items_len);
+    push_yaml_kind(kind, &mut out);
+    if items.is_empty() {
+        out.push_str("items: []\n");
+        return out;
+    }
+    out.push_str("items:\n");
+    // A first read renders the item's root text here, caching it, and
+    // splices it like a cached one.
+    let mut scratch = String::new();
+    for item in items {
+        let object = &item.object;
+        if object.body().as_map().is_none_or(|map| map.is_empty()) {
+            // No first entry to put on the dash line: write the tree.
+            kf_yaml::emit_seq_item(object.body(), 2, &mut out);
+            continue;
+        }
+        let text = match object.cached_wire(BodyFormat::Yaml) {
+            Some(text) => text,
+            None => {
+                scratch.clear();
+                object.write_wire(BodyFormat::Yaml, &mut scratch);
+                &scratch
+            }
+        };
+        kf_yaml::emit_rendered_seq_item(text, 2, &mut out);
+    }
+    out
+}
+
+/// A JSON list: the items' cached texts joined inside the envelope, in a
+/// buffer reserved for all of them.
+fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
+    let items_len: usize = items
+        .iter()
+        .map(|item| match item.object.cached_wire(BodyFormat::Json) {
+            Some(text) => text.len() + 1,
+            None => kf_yaml::binary::value_len(item.object.body()),
+        })
+        .sum();
+    let mut out = String::with_capacity(envelope_len(kind) + items_len);
+    out.push_str("{\"kind\":");
+    push_json_kind(kind, &mut out);
+    out.push_str(",\"items\":[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.object.write_wire(BodyFormat::Json, &mut out);
+    }
+    out.push_str("]}");
+    out
+}
+
+fn watch_batch_yaml(kind: &str, events: &[crate::WatchEvent], cursor: u64) -> String {
+    let mut out = String::new();
+    push_yaml_kind(kind, &mut out);
+    let _ = writeln!(out, "resourceVersion: {}", cursor as i64);
+    if events.is_empty() {
+        out.push_str("events: []\n");
+        return out;
+    }
+    out.push_str("events:\n");
+    for event in events {
+        // The event envelope in the emitter's compact sequence form: first
+        // entry on the dash line, the rest at the same column, the object's
+        // stored tree emitted in place. Event types are bare words.
+        let _ = writeln!(
+            out,
+            "  - type: {}\n    revision: {}",
+            event.kind.as_str(),
+            event.revision as i64
+        );
+        if let Some(object) = &event.object {
+            kf_yaml::emit_entry("object", object, 4, &mut out);
+        }
+    }
+    out
+}
+
+fn watch_batch_json(kind: &str, events: &[crate::WatchEvent], cursor: u64) -> String {
+    let mut out = String::new();
+    out.push_str("{\"kind\":");
+    push_json_kind(kind, &mut out);
+    let _ = write!(out, ",\"resourceVersion\":{cursor},\"events\":[");
+    for (i, event) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"type\":\"{}\",\"revision\":{}",
+            event.kind.as_str(),
+            event.revision
+        );
+        if let Some(object) = &event.object {
+            out.push_str(",\"object\":");
+            kf_yaml::write_json(object, &mut out);
+        }
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Whether `kind` is an envelope kind as a server names one — `<Kind>List`
@@ -597,18 +657,6 @@ fn watch_event_value(event: &crate::WatchEvent) -> Value {
     Value::Map(map)
 }
 
-impl From<Value> for ResponseBody {
-    fn from(value: Value) -> Self {
-        ResponseBody::Object(Arc::new(value))
-    }
-}
-
-impl From<Arc<Value>> for ResponseBody {
-    fn from(value: Arc<Value>) -> Self {
-        ResponseBody::Object(value)
-    }
-}
-
 /// The response to an [`ApiRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiResponse {
@@ -618,7 +666,7 @@ pub struct ApiResponse {
     /// proxy for auditing and forensics).
     pub message: String,
     /// Response body, when the request returns objects — shared handles to
-    /// the stored trees, never copies.
+    /// the stored objects, never copies.
     pub body: Option<ResponseBody>,
 }
 
@@ -651,8 +699,8 @@ impl ApiResponse {
     }
 
     /// Attach a response body, builder style.
-    pub fn with_body(mut self, body: impl Into<ResponseBody>) -> Self {
-        self.body = Some(body.into());
+    pub fn with_body(mut self, body: ResponseBody) -> Self {
+        self.body = Some(body);
         self
     }
 
@@ -831,17 +879,18 @@ mod tests {
     #[test]
     fn response_bodies_are_shared_handles() {
         let tree = Arc::new(kf_yaml::parse("kind: Pod\nmetadata:\n  name: x\n").unwrap());
-        let response = ApiResponse::ok("ok").with_body(Arc::clone(&tree));
+        let stored = StoredObject::shared(K8sObject::from_shared(Arc::clone(&tree)).unwrap(), 1);
+        let response = ApiResponse::ok("ok").with_body(ResponseBody::Object(Arc::clone(&stored)));
         let body = response.body.as_ref().unwrap();
         assert!(Arc::ptr_eq(body.object().unwrap(), &tree));
         assert!(body.items().is_none());
         let list = ApiResponse::ok("ok").with_body(ResponseBody::List {
             kind: "PodList".to_owned(),
-            items: vec![Arc::clone(&tree), Arc::clone(&tree)],
+            items: vec![Arc::clone(&stored), Arc::clone(&stored)],
         });
         let body = list.body.as_ref().unwrap();
         assert_eq!(body.items().unwrap().len(), 2);
-        assert!(Arc::ptr_eq(&body.items().unwrap()[0], &tree));
+        assert!(Arc::ptr_eq(&body.items().unwrap()[0], &stored));
         // The streaming serializer carries the wire shape without touching
         // the reference (deep-copying) renderer.
         let rendered = kf_yaml::parse(&body.to_wire(BodyFormat::Yaml)).unwrap();
@@ -873,11 +922,14 @@ mod tests {
             name: "s".into(),
             object: Some(Arc::clone(&svc)),
         };
+        let stored = |tree: &Arc<Value>| {
+            StoredObject::shared(K8sObject::from_shared(Arc::clone(tree)).unwrap(), 1)
+        };
         vec![
-            ResponseBody::Object(Arc::clone(&pod)),
+            ResponseBody::Object(stored(&pod)),
             ResponseBody::List {
                 kind: "PodList".into(),
-                items: vec![Arc::clone(&pod), Arc::clone(&svc)],
+                items: vec![stored(&pod), stored(&svc)],
             },
             ResponseBody::List {
                 kind: "PodList".into(),
@@ -922,7 +974,10 @@ mod tests {
     fn envelope_kinds_are_written_as_the_emitter_writes_them() {
         // Bare server-named kinds and every string that must take the
         // emitter's quoting instead.
-        let item = Arc::new(kf_yaml::parse("kind: Pod\n").unwrap());
+        let item = StoredObject::shared(
+            K8sObject::from_yaml("kind: Pod\nmetadata:\n  name: x\n").unwrap(),
+            1,
+        );
         for kind in [
             "PodList",
             "NetworkPolicyWatchBatch",
@@ -969,7 +1024,7 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert!(batch.object().is_none());
         assert!(batch.items().is_none());
-        let object = ResponseBody::Object(Arc::new(kf_yaml::parse("a: 1\n").unwrap()));
+        let object = ResponseBody::Object(StoredObject::shared(pod(), 1));
         assert!(object.watch_events().is_none());
     }
 

@@ -579,28 +579,17 @@ impl<S: StoreBackend> ApiServer<S> {
                 .store
                 .get(request.kind, &request.namespace, &request.name)
             {
-                // A shared handle to the stored tree — the read path copies
-                // nothing.
-                Some(stored) => {
-                    ApiResponse::ok("ok").with_body(Arc::clone(stored.object.shared_body()))
-                }
+                // The stored handle itself — the read path copies nothing.
+                Some(stored) => ApiResponse::ok("ok").with_body(ResponseBody::Object(stored)),
                 None => ApiResponse::error(
                     ResponseStatus::NotFound,
                     format!("{} \"{}\" not found", request.kind, request.name),
                 ),
             },
-            Verb::List => {
-                let items: Vec<Arc<Value>> = self
-                    .store
-                    .list(request.kind, &request.namespace)
-                    .into_iter()
-                    .map(|stored| Arc::clone(stored.object.shared_body()))
-                    .collect();
-                ApiResponse::ok("ok").with_body(ResponseBody::List {
-                    kind: format!("{}List", request.kind),
-                    items,
-                })
-            }
+            Verb::List => ApiResponse::ok("ok").with_body(ResponseBody::List {
+                kind: format!("{}List", request.kind),
+                items: self.store.list(request.kind, &request.namespace),
+            }),
             Verb::Watch => self.handle_watch(request),
             Verb::Delete => {
                 match self
@@ -877,6 +866,42 @@ mod tests {
         // The body has no namespace; the endpoint namespace wins.
         assert!(server.handle(&request).is_success());
         assert!(server.store().get(ResourceKind::Pod, "prod", "a").is_some());
+    }
+
+    #[test]
+    fn a_read_after_an_update_serves_the_new_body() {
+        // The first get fills the stored version's cached text; the update
+        // stores a new version, and the next get and list render that one.
+        let server = ApiServer::new();
+        assert!(server
+            .handle(&ApiRequest::create("admin", &pod("a")))
+            .is_success());
+        let get = || server.handle(&ApiRequest::get("admin", ResourceKind::Pod, "default", "a"));
+        let list = || server.handle(&ApiRequest::list("admin", ResourceKind::Pod, "default"));
+        let formats = [kf_yaml::BodyFormat::Yaml, kf_yaml::BodyFormat::Json];
+        let before: Vec<String> = formats
+            .iter()
+            .map(|&format| get().body.unwrap().to_wire(format))
+            .collect();
+        let updated = K8sObject::from_yaml(&pod_yaml("a", "  hostname: edited\n")).unwrap();
+        assert!(server
+            .handle(&ApiRequest::update("admin", &updated))
+            .is_success());
+        for (format, before) in formats.into_iter().zip(before) {
+            for response in [get(), list()] {
+                let body = response.body.unwrap();
+                let wire = body.to_wire(format);
+                assert_ne!(wire, before, "{format:?}");
+                assert!(wire.contains("edited"), "{format:?}: {wire}");
+                assert_eq!(
+                    wire,
+                    match format {
+                        kf_yaml::BodyFormat::Json => kf_yaml::to_json(&body.to_value()),
+                        _ => kf_yaml::to_yaml(&body.to_value()),
+                    }
+                );
+            }
+        }
     }
 
     #[test]

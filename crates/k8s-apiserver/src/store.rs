@@ -63,6 +63,19 @@ pub struct StoredObject {
     pub resource_version: u64,
 }
 
+impl StoredObject {
+    /// `object` at `resource_version` as a shared handle: what the store
+    /// holds, what reads return and what a [`ResponseBody`] carries.
+    ///
+    /// [`ResponseBody`]: crate::ResponseBody
+    pub fn shared(object: K8sObject, resource_version: u64) -> Arc<StoredObject> {
+        Arc::new(StoredObject {
+            object,
+            resource_version,
+        })
+    }
+}
+
 /// Key identifying an object: kind + namespace + name.
 type Key = (ResourceKind, String, String);
 
@@ -531,11 +544,7 @@ impl ObjectStore {
         for (write, &resource_version) in writes.into_iter().zip(&*revisions) {
             match write.object {
                 Some(object) => {
-                    let stored = StoredObject {
-                        object,
-                        resource_version,
-                    };
-                    shard.insert(write.key, Arc::new(stored));
+                    shard.insert(write.key, StoredObject::shared(object, resource_version));
                 }
                 None => {
                     shard.remove(&write.key);
@@ -1073,6 +1082,41 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn racing_first_reads_of_a_stored_version_serve_identical_bytes() {
+        // Two readers make the first read of each version at once. The one
+        // that loses the race to fill the cache keeps its own rendering and
+        // waits for nobody; both serve the bytes of the stored tree.
+        let store = ObjectStore::new();
+        let start = std::sync::Barrier::new(2);
+        let replicas = kf_yaml::Path::parse("spec.replicas").unwrap();
+        for round in 0..32 {
+            let mut pod = object(ResourceKind::Pod, "racy", "ns");
+            pod.set_field(&replicas, Value::Int(round)).unwrap();
+            store.upsert(pod);
+            let stored = store.get(ResourceKind::Pod, "ns", "racy").unwrap();
+            for format in [kf_yaml::BodyFormat::Yaml, kf_yaml::BodyFormat::Json] {
+                let get = crate::ResponseBody::Object(Arc::clone(&stored));
+                let read = || {
+                    start.wait();
+                    get.to_wire(format)
+                };
+                let (a, b) = std::thread::scope(|scope| {
+                    let a = scope.spawn(read);
+                    let b = scope.spawn(read);
+                    (a.join().unwrap(), b.join().unwrap())
+                });
+                let expected = match format {
+                    kf_yaml::BodyFormat::Json => kf_yaml::to_json(stored.object.body()),
+                    _ => kf_yaml::to_yaml(stored.object.body()),
+                };
+                assert_eq!(a, b, "round {round}, {format:?}");
+                assert_eq!(a, expected, "round {round}, {format:?}");
+                assert_eq!(stored.object.cached_wire(format), Some(expected.as_str()));
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Typed view over a Kubernetes manifest.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use kf_yaml::{Path, Value};
+use kf_yaml::{BodyFormat, Path, Value};
 
 use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 
@@ -20,12 +21,61 @@ use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 /// Only what the store key needs is cached beside the body — kind, name and
 /// namespace; labels and annotations are read from the body on demand
 /// ([`K8sObject::metadata`]).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The body's wire text is cached too, once per format and only once read
+/// ([`K8sObject::wire`]): a stored version is rendered on its first read and
+/// every later read copies the text. [`K8sObject::body_mut`] — the only
+/// mutable path to the tree — drops it, so the text never outlives the tree
+/// it was rendered from. Equality and `Debug` ignore the cache; a clone
+/// shares whatever text was rendered before it was made.
+#[derive(Clone)]
 pub struct K8sObject {
     kind: ResourceKind,
     name: String,
     namespace: String,
     body: Arc<Value>,
+    wire: WireText,
+}
+
+/// The lazily rendered wire text of a body: one slot per format, filled by
+/// the first read in that format. A reader that finds its slot empty
+/// renders its own copy and offers it with `set`; it never waits for
+/// another reader's rendering.
+#[derive(Clone, Default)]
+struct WireText {
+    json: OnceLock<Arc<str>>,
+    yaml: OnceLock<Arc<str>>,
+}
+
+impl WireText {
+    /// The slot of `format`. Responses have no bytes to sniff, so `Auto`
+    /// renders as YAML, like every other response writer.
+    fn slot(&self, format: BodyFormat) -> &OnceLock<Arc<str>> {
+        match format {
+            BodyFormat::Json => &self.json,
+            _ => &self.yaml,
+        }
+    }
+}
+
+impl PartialEq for K8sObject {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.name == other.name
+            && self.namespace == other.namespace
+            && self.body == other.body
+    }
+}
+
+impl fmt::Debug for K8sObject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("K8sObject")
+            .field("kind", &self.kind)
+            .field("name", &self.name)
+            .field("namespace", &self.namespace)
+            .field("body", &self.body)
+            .finish()
+    }
 }
 
 /// The string at `metadata.<key>` of a manifest (`""` when absent).
@@ -63,6 +113,7 @@ impl K8sObject {
             name: metadata_text(&body, "name").to_owned(),
             namespace: metadata_text(&body, "namespace").to_owned(),
             body,
+            wire: WireText::default(),
         })
     }
 
@@ -130,6 +181,7 @@ impl K8sObject {
             name: meta.name,
             namespace: meta.namespace,
             body: Arc::new(body),
+            wire: WireText::default(),
         }
     }
 
@@ -181,8 +233,9 @@ impl K8sObject {
     /// is shared (stored object, audit event, replay pool…), a private copy
     /// is split off first and other holders keep the original unchanged.
     /// The cached name and namespace are refreshed by
-    /// [`K8sObject::sync_metadata`].
+    /// [`K8sObject::sync_metadata`]; the cached wire text is dropped here.
     pub fn body_mut(&mut self) -> &mut Value {
+        self.wire = WireText::default();
         Arc::make_mut(&mut self.body)
     }
 
@@ -260,6 +313,45 @@ impl K8sObject {
     /// Serialize back to YAML.
     pub fn to_yaml(&self) -> String {
         kf_yaml::to_yaml(&self.body)
+    }
+
+    /// The body's wire text in `format` — [`kf_yaml::to_json`] for JSON,
+    /// [`kf_yaml::to_yaml`] otherwise — rendered on the first call and
+    /// cached until the body is next mutated.
+    pub fn wire(&self, format: BodyFormat) -> &str {
+        if self.cached_wire(format).is_none() {
+            self.render_wire(format, &mut String::new());
+        }
+        self.cached_wire(format).expect("rendering fills the slot")
+    }
+
+    /// The body's wire text in `format` if a read has already rendered it.
+    pub fn cached_wire(&self, format: BodyFormat) -> Option<&str> {
+        self.wire.slot(format).get().map(|text| &**text)
+    }
+
+    /// Append the body's wire text in `format` to `out`: a copy of the
+    /// cached text, or on the first read a rendering straight into `out`,
+    /// which then fills the cache.
+    pub fn write_wire(&self, format: BodyFormat, out: &mut String) {
+        match self.cached_wire(format) {
+            Some(text) => out.push_str(text),
+            None => self.render_wire(format, out),
+        }
+    }
+
+    /// Render the body into `out`, first reserving its binary encoding's
+    /// length (close to either text's, and cheap to count), and offer a copy
+    /// to the cache. A reader that lost the race keeps its own rendering;
+    /// both are the same bytes.
+    fn render_wire(&self, format: BodyFormat, out: &mut String) {
+        let start = out.len();
+        out.reserve(kf_yaml::binary::value_len(&self.body));
+        match format {
+            BodyFormat::Json => kf_yaml::write_json(&self.body, out),
+            _ => kf_yaml::write_yaml(&self.body, out),
+        }
+        let _ = self.wire.slot(format).set(Arc::from(&out[start..]));
     }
 }
 
@@ -428,5 +520,73 @@ spec:
         let obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
         let reparsed = K8sObject::from_yaml(&obj.to_yaml()).unwrap();
         assert!(reparsed.body().loosely_equals(obj.body()));
+    }
+
+    #[test]
+    fn wire_text_is_rendered_once_and_shared_by_clones() {
+        let obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+        assert_eq!(obj.cached_wire(BodyFormat::Yaml), None);
+        let yaml = obj.wire(BodyFormat::Yaml);
+        assert_eq!(yaml, kf_yaml::to_yaml(obj.body()));
+        // `Auto` is the YAML slot, and a second read is the same text.
+        assert!(std::ptr::eq(obj.wire(BodyFormat::Auto), yaml));
+        assert_eq!(obj.cached_wire(BodyFormat::Json), None);
+        let mut out = String::from("[");
+        obj.write_wire(BodyFormat::Json, &mut out);
+        assert_eq!(out, format!("[{}", kf_yaml::to_json(obj.body())));
+        assert_eq!(obj.cached_wire(BodyFormat::Json), Some(&out[1..]));
+        // A clone shares the rendered text, and equality ignores the cache.
+        let clone = obj.clone();
+        assert!(std::ptr::eq(
+            clone.cached_wire(BodyFormat::Yaml).unwrap(),
+            yaml
+        ));
+        assert_eq!(clone, K8sObject::from_yaml(DEPLOYMENT).unwrap());
+        assert_eq!(
+            format!("{clone:?}"),
+            format!("{:?}", K8sObject::from_yaml(DEPLOYMENT).unwrap())
+        );
+    }
+
+    #[test]
+    fn cached_wire_text_never_outlives_its_tree() {
+        let replicas = Path::parse("spec.replicas").unwrap();
+        type Edit = fn(&mut K8sObject);
+        let edits: [(&str, Edit); 3] = [
+            ("body_mut", |obj| {
+                obj.body_mut()
+                    .set_path(&Path::parse("spec.replicas").unwrap(), Value::Int(7))
+                    .unwrap();
+            }),
+            ("set_field", |obj| {
+                obj.set_field(&Path::parse("spec.replicas").unwrap(), Value::Int(7))
+                    .unwrap();
+            }),
+            ("set_namespace", |obj| obj.set_namespace("edited").unwrap()),
+        ];
+        for (name, edit) in edits {
+            for format in [BodyFormat::Yaml, BodyFormat::Json] {
+                let render = |obj: &K8sObject| match format {
+                    BodyFormat::Json => kf_yaml::to_json(obj.body()),
+                    _ => kf_yaml::to_yaml(obj.body()),
+                };
+                let mut obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+                let before = obj.wire(format).to_owned();
+                let clone = obj.clone();
+                edit(&mut obj);
+                assert_eq!(obj.cached_wire(format), None, "{name} keeps stale text");
+                assert_ne!(obj.wire(format), before, "{name}: {format:?}");
+                assert_eq!(obj.wire(format), render(&obj), "{name}: {format:?}");
+                // The clone rendered before the edit keeps the old tree and
+                // its text.
+                assert_eq!(clone.cached_wire(format), Some(before.as_str()));
+                assert_eq!(clone.wire(format), render(&clone));
+                assert_eq!(
+                    clone.field(&replicas).and_then(Value::as_i64),
+                    Some(2),
+                    "{name}"
+                );
+            }
+        }
     }
 }

@@ -16,16 +16,18 @@
 //! [`emit_entry`], [`emit_entry_inline`] and [`emit_seq_item`] let a caller
 //! write an envelope around borrowed subtrees, one entry or element at a
 //! time, without building an owned envelope tree (the API server's read
-//! responses are written this way). Their contract:
+//! responses are written this way). [`emit_rendered_seq_item`] writes an
+//! element from a mapping's cached [`to_yaml`] text instead of its tree.
+//! Their contract:
 //!
 //! * each appends exactly the bytes [`to_yaml`] writes for that entry or
 //!   element inside an enclosing block mapping or sequence, so a sequence of
 //!   fragments is byte-identical to rendering the whole document;
 //! * `indent` is the column of the key or the dash; nested blocks sit two
 //!   columns deeper, and empty containers are written inline as `{}` / `[]`;
-//! * [`emit_entry`] and [`emit_seq_item`] write whole lines, indentation
-//!   included; [`emit_entry_inline`] continues a line the caller started
-//!   (such as `- `) and ends it;
+//! * [`emit_entry`], [`emit_seq_item`] and [`emit_rendered_seq_item`] write
+//!   whole lines, indentation included; [`emit_entry_inline`] continues a
+//!   line the caller started (such as `- `) and ends it;
 //! * none of them allocates beyond growing `out`.
 
 use std::fmt::Write as _;
@@ -46,8 +48,15 @@ use crate::value::Value;
 /// the same way.
 pub fn to_yaml(value: &Value) -> String {
     let mut out = String::new();
-    emit_block(value, 0, &mut out);
+    write_yaml(value, &mut out);
     out
+}
+
+/// Append `value`'s YAML rendering to `out` — the appending twin of
+/// [`to_yaml`], as [`write_json`](crate::write_json) is of
+/// [`to_json`](crate::to_json).
+pub fn write_yaml(value: &Value, out: &mut String) {
+    emit_block(value, 0, out);
 }
 
 /// The run of spaces indentation is sliced from.
@@ -124,6 +133,26 @@ pub fn emit_seq_item(item: &Value, indent: usize, out: &mut String) {
             emit_inline(inline, out);
             out.push('\n');
         }
+    }
+}
+
+/// Emit one element of a block sequence whose dashes sit at column `indent`
+/// from `rendered`, the [`to_yaml`] text of a **non-empty mapping**: exactly
+/// the bytes [`emit_seq_item`] writes for that mapping, without its tree.
+///
+/// The emitter never writes a raw line break inside a scalar — a string
+/// holding `\n` is double-quoted and escaped — so every `\n` of `rendered`
+/// ends one of its lines, and the element is those lines shifted right: the
+/// first behind `indent` spaces and a dash, the rest behind `indent + 2`
+/// spaces. That is where [`emit_seq_item`]'s compact form puts them.
+pub fn emit_rendered_seq_item(rendered: &str, indent: usize, out: &mut String) {
+    let mut lines = rendered.split_inclusive('\n');
+    push_indent(indent, out);
+    out.push_str("- ");
+    out.push_str(lines.next().unwrap_or_default());
+    for line in lines {
+        push_indent(indent + 2, out);
+        out.push_str(line);
     }
 }
 
@@ -346,6 +375,119 @@ mod tests {
         parse(&to_yaml(v)).expect("emitted YAML must re-parse")
     }
 
+    /// One string per quoting and escaping branch, with its pinned rendering.
+    const QUOTING_STRINGS: &[(&str, &str)] = &[
+        // Whitespace and the separators a plain scalar cannot hold.
+        ("", "\"\""),
+        (" lead", "\" lead\""),
+        ("trail ", "\"trail \""),
+        ("a: b", "\"a: b\""),
+        ("trail:", "\"trail:\""),
+        ("a #b", "\"a #b\""),
+        ("a:b", "a:b"),
+        ("a#b", "a#b"),
+        // Quotes, line breaks, tabs, backslashes, control bytes.
+        ("it's", "\"it's\""),
+        ("say \"hi\"", "\"say \\\"hi\\\"\""),
+        ("two\nlines", "\"two\\nlines\""),
+        ("tab\there", "\"tab\\there\""),
+        ("cr\rhere", "cr\rhere"),
+        ("back\\slash", "back\\slash"),
+        ("\\: x", "\"\\\\: x\""),
+        ("bell\u{7}", "bell\u{7}"),
+        (" \u{1}\"\\\n\t", "\" \u{1}\\\"\\\\\\n\\t\""),
+        // Indicator first characters.
+        ("-x", "\"-x\""),
+        ("?x", "\"?x\""),
+        (":x", "\":x\""),
+        (",x", "\",x\""),
+        ("[x", "\"[x\""),
+        ("]x", "\"]x\""),
+        ("{x", "\"{x\""),
+        ("}x", "\"}x\""),
+        ("#x", "\"#x\""),
+        ("&x", "\"&x\""),
+        ("*x", "\"*x\""),
+        ("!x", "\"!x\""),
+        ("|x", "\"|x\""),
+        (">x", "\">x\""),
+        ("%x", "\"%x\""),
+        ("@x", "\"@x\""),
+        ("`x", "\"`x\""),
+        // Words read as another type.
+        ("null", "\"null\""),
+        ("True", "\"True\""),
+        ("~", "\"~\""),
+        ("{}", "\"{}\""),
+        ("[]", "\"[]\""),
+        // Numbers, and lookalikes that stay strings.
+        ("42", "\"42\""),
+        ("+1", "\"+1\""),
+        ("1e5", "\"1e5\""),
+        (".5", "\".5\""),
+        ("5.", "\"5.\""),
+        ("inf", "\"inf\""),
+        ("NaN", "\"NaN\""),
+        ("infinity", "\"infinity\""),
+        ("1.2.3", "1.2.3"),
+        ("nginx:1.25", "nginx:1.25"),
+        ("v1", "v1"),
+        ("1a", "1a"),
+        ("index", "index"),
+        // A multibyte first character.
+        ("ñame", "ñame"),
+        ("日本 語", "日本 語"),
+        ("\u{a0}lead", "\"\u{a0}lead\""),
+    ];
+
+    /// Strings a YAML 1.1 reader resolves to another type, and lookalikes
+    /// that stay plain, with their pinned renderings.
+    const YAML_1_1_STRINGS: &[(&str, &str)] = &[
+        ("yes", "\"yes\""),
+        ("Yes", "\"Yes\""),
+        ("YES", "\"YES\""),
+        ("no", "\"no\""),
+        ("No", "\"No\""),
+        ("NO", "\"NO\""),
+        ("on", "\"on\""),
+        ("On", "\"On\""),
+        ("ON", "\"ON\""),
+        ("off", "\"off\""),
+        ("Off", "\"Off\""),
+        ("OFF", "\"OFF\""),
+        ("y", "\"y\""),
+        ("Y", "\"Y\""),
+        ("n", "\"n\""),
+        ("N", "\"N\""),
+        ("0x1F", "\"0x1F\""),
+        ("0Xff", "\"0Xff\""),
+        ("0o17", "\"0o17\""),
+        ("0b101", "\"0b101\""),
+        ("+0b1", "\"+0b1\""),
+        ("1_000", "\"1_000\""),
+        ("0x_1F", "\"0x_1F\""),
+        ("1_000.5", "\"1_000.5\""),
+        ("+1_0e1_0", "\"+1_0e1_0\""),
+        (".inf", "\".inf\""),
+        (".Inf", "\".Inf\""),
+        ("+.INF", "\"+.INF\""),
+        (".nan", "\".nan\""),
+        (".NaN", "\".NaN\""),
+        ("<<", "\"<<\""),
+        // Lookalikes.
+        ("yess", "yess"),
+        ("onion", "onion"),
+        ("NOPE", "NOPE"),
+        ("0x", "0x"),
+        ("0xG", "0xG"),
+        ("0b102", "0b102"),
+        ("_1", "_1"),
+        ("1_a", "1_a"),
+        (".info", ".info"),
+        ("<<x", "<<x"),
+        ("1:20", "1:20"),
+    ];
+
     #[test]
     fn emits_scalars() {
         assert_eq!(to_yaml(&Value::Null), "null\n");
@@ -367,70 +509,7 @@ mod tests {
     /// rewrite of the writer can be checked against them unedited.
     #[test]
     fn every_quoting_and_escaping_branch_writes_pinned_bytes() {
-        let strings: &[(&str, &str)] = &[
-            // Whitespace and the separators a plain scalar cannot hold.
-            ("", "\"\""),
-            (" lead", "\" lead\""),
-            ("trail ", "\"trail \""),
-            ("a: b", "\"a: b\""),
-            ("trail:", "\"trail:\""),
-            ("a #b", "\"a #b\""),
-            ("a:b", "a:b"),
-            ("a#b", "a#b"),
-            // Quotes, line breaks, tabs, backslashes, control bytes.
-            ("it's", "\"it's\""),
-            ("say \"hi\"", "\"say \\\"hi\\\"\""),
-            ("two\nlines", "\"two\\nlines\""),
-            ("tab\there", "\"tab\\there\""),
-            ("cr\rhere", "cr\rhere"),
-            ("back\\slash", "back\\slash"),
-            ("\\: x", "\"\\\\: x\""),
-            ("bell\u{7}", "bell\u{7}"),
-            (" \u{1}\"\\\n\t", "\" \u{1}\\\"\\\\\\n\\t\""),
-            // Indicator first characters.
-            ("-x", "\"-x\""),
-            ("?x", "\"?x\""),
-            (":x", "\":x\""),
-            (",x", "\",x\""),
-            ("[x", "\"[x\""),
-            ("]x", "\"]x\""),
-            ("{x", "\"{x\""),
-            ("}x", "\"}x\""),
-            ("#x", "\"#x\""),
-            ("&x", "\"&x\""),
-            ("*x", "\"*x\""),
-            ("!x", "\"!x\""),
-            ("|x", "\"|x\""),
-            (">x", "\">x\""),
-            ("%x", "\"%x\""),
-            ("@x", "\"@x\""),
-            ("`x", "\"`x\""),
-            // Words read as another type.
-            ("null", "\"null\""),
-            ("True", "\"True\""),
-            ("~", "\"~\""),
-            ("{}", "\"{}\""),
-            ("[]", "\"[]\""),
-            // Numbers, and lookalikes that stay strings.
-            ("42", "\"42\""),
-            ("+1", "\"+1\""),
-            ("1e5", "\"1e5\""),
-            (".5", "\".5\""),
-            ("5.", "\"5.\""),
-            ("inf", "\"inf\""),
-            ("NaN", "\"NaN\""),
-            ("infinity", "\"infinity\""),
-            ("1.2.3", "1.2.3"),
-            ("nginx:1.25", "nginx:1.25"),
-            ("v1", "v1"),
-            ("1a", "1a"),
-            ("index", "index"),
-            // A multibyte first character.
-            ("ñame", "ñame"),
-            ("日本 語", "日本 語"),
-            ("\u{a0}lead", "\"\u{a0}lead\""),
-        ];
-        for (input, expected) in strings {
+        for (input, expected) in QUOTING_STRINGS {
             assert_eq!(
                 to_yaml(&Value::from(*input)),
                 format!("{expected}\n"),
@@ -475,52 +554,7 @@ mod tests {
     /// value and as a key; lookalikes stay plain.
     #[test]
     fn yaml_1_1_non_strings_are_quoted() {
-        let values: &[(&str, &str)] = &[
-            ("yes", "\"yes\""),
-            ("Yes", "\"Yes\""),
-            ("YES", "\"YES\""),
-            ("no", "\"no\""),
-            ("No", "\"No\""),
-            ("NO", "\"NO\""),
-            ("on", "\"on\""),
-            ("On", "\"On\""),
-            ("ON", "\"ON\""),
-            ("off", "\"off\""),
-            ("Off", "\"Off\""),
-            ("OFF", "\"OFF\""),
-            ("y", "\"y\""),
-            ("Y", "\"Y\""),
-            ("n", "\"n\""),
-            ("N", "\"N\""),
-            ("0x1F", "\"0x1F\""),
-            ("0Xff", "\"0Xff\""),
-            ("0o17", "\"0o17\""),
-            ("0b101", "\"0b101\""),
-            ("+0b1", "\"+0b1\""),
-            ("1_000", "\"1_000\""),
-            ("0x_1F", "\"0x_1F\""),
-            ("1_000.5", "\"1_000.5\""),
-            ("+1_0e1_0", "\"+1_0e1_0\""),
-            (".inf", "\".inf\""),
-            (".Inf", "\".Inf\""),
-            ("+.INF", "\"+.INF\""),
-            (".nan", "\".nan\""),
-            (".NaN", "\".NaN\""),
-            ("<<", "\"<<\""),
-            // Lookalikes.
-            ("yess", "yess"),
-            ("onion", "onion"),
-            ("NOPE", "NOPE"),
-            ("0x", "0x"),
-            ("0xG", "0xG"),
-            ("0b102", "0b102"),
-            ("_1", "_1"),
-            ("1_a", "1_a"),
-            (".info", ".info"),
-            ("<<x", "<<x"),
-            ("1:20", "1:20"),
-        ];
-        for (snippet, bytes) in values {
+        for (snippet, bytes) in YAML_1_1_STRINGS {
             assert_eq!(
                 to_yaml(&Value::from(*snippet)),
                 format!("{bytes}\n"),
@@ -544,7 +578,12 @@ mod tests {
         // This crate reads quoted and plain text alike: nothing changes on
         // the way back.
         assert_eq!(roundtrip(&doc), doc);
-        let strings = Value::Seq(values.iter().map(|(s, _)| Value::from(*s)).collect());
+        let strings = Value::Seq(
+            YAML_1_1_STRINGS
+                .iter()
+                .map(|(s, _)| Value::from(*s))
+                .collect(),
+        );
         assert_eq!(roundtrip(&strings), strings);
     }
 
@@ -660,5 +699,70 @@ spec:
         let doc = parse(text).unwrap();
         let rt = roundtrip(&doc);
         assert!(rt.loosely_equals(&doc));
+    }
+
+    /// The rendered-text fragment against the tree fragment, at several
+    /// columns (one past the static run of spaces), over the corpus above:
+    /// every string as a value and as a key, on the dash line and below it,
+    /// nested in a block and as the whole of a one-entry mapping, plus empty
+    /// containers, sequences of sequences and a realistic manifest.
+    #[test]
+    fn a_rendered_mapping_splices_as_the_sequence_item_its_tree_writes() {
+        let mut corpus = Vec::new();
+        let extra = [
+            "two\nlines",
+            "cr\rhere",
+            "  lead",
+            "a: b",
+            "日本 語",
+            "a\u{2028}b",
+        ];
+        let strings = QUOTING_STRINGS
+            .iter()
+            .chain(YAML_1_1_STRINGS)
+            .map(|(s, _)| *s)
+            .chain(extra);
+        for s in strings {
+            let mut map = Mapping::new();
+            map.insert(s, Value::from(s));
+            map.insert("next", Value::from(s));
+            let mut nested = Mapping::new();
+            nested.insert("inner", Value::Map(map.clone()));
+            nested.insert(
+                "list",
+                Value::Seq(vec![Value::from(s), Value::Map(map.clone())]),
+            );
+            corpus.push(Value::Map(map));
+            corpus.push(Value::Map(nested));
+        }
+        let mut edges = Mapping::new();
+        edges.insert("emptyMap", Value::empty_map());
+        edges.insert("emptySeq", Value::empty_seq());
+        edges.insert(
+            "seqOfSeqs",
+            Value::Seq(vec![
+                Value::Seq(vec![Value::from(1), Value::Seq(vec![Value::Null])]),
+                Value::empty_seq(),
+            ]),
+        );
+        let mut block_first = Mapping::new();
+        block_first.insert("spec", Value::Map(edges.clone()));
+        corpus.push(Value::Map(edges));
+        corpus.push(Value::Map(block_first));
+        corpus.push(
+            parse(
+                "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: nginx\nspec:\n  template:\n    spec:\n      containers:\n        - name: nginx\n          args: [\"-c\", \"a: b\"]\n          ports:\n            - containerPort: 8080\n      volumes:\n        - name: tmp\n          emptyDir: {}\n",
+            )
+            .unwrap(),
+        );
+        for value in &corpus {
+            let rendered = to_yaml(value);
+            for indent in [0, 2, 4, 63, 70] {
+                let (mut spliced, mut emitted) = ("x\n".to_owned(), "x\n".to_owned());
+                emit_rendered_seq_item(&rendered, indent, &mut spliced);
+                emit_seq_item(value, indent, &mut emitted);
+                assert_eq!(spliced, emitted, "{value:?} at column {indent}");
+            }
+        }
     }
 }

@@ -48,7 +48,9 @@ mod parser;
 mod path;
 mod value;
 
-pub use emitter::{emit_entry, emit_entry_inline, emit_seq_item, to_yaml};
+pub use emitter::{
+    emit_entry, emit_entry_inline, emit_rendered_seq_item, emit_seq_item, to_yaml, write_yaml,
+};
 pub use error::Error;
 pub use format::BodyFormat;
 pub use json::{parse_json, to_json, write_json};

@@ -1,7 +1,9 @@
 //! Exact allocation counts as the regression gate for the accept path: one
 //! admitted create builds one compact tree and nothing copies it, a durable
 //! write copies its key only where it is kept, a durable checkpoint decodes
-//! no WAL record, and retained watch history holds bytes, not trees. Clocks
+//! no WAL record, and retained watch history holds bytes, not trees. On the
+//! read path a stored version is rendered once per format and a cached read
+//! is one buffer. Clocks
 //! on this box move 30 % on their own; these counts repeat exactly, so they
 //! bound what the end-to-end benchmark can only show through noise.
 //!
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use k8s_apiserver::{
     ApiRequest, ApiResponse, ApiServer, ObjectStore, PersistConfig, Persistence, RequestBody,
-    RequestHandler, ResponseBody,
+    RequestHandler, ResponseBody, StoredObject,
 };
 use k8s_model::{K8sObject, ResourceKind};
 use kf_attacks::AttackExecutor;
@@ -201,48 +203,72 @@ fn materializing_a_body_is_compact_without_extra_churn() {
     );
 }
 
+/// The 50 chart objects as fresh stored handles, none of them read yet.
+fn stored_chart_objects() -> Vec<Arc<StoredObject>> {
+    let objects: Vec<_> = Operator::ALL
+        .into_iter()
+        .flat_map(|operator| DeploymentDriver::new(operator).objects().to_vec())
+        .map(|object| StoredObject::shared(object, 1))
+        .collect();
+    assert_eq!(objects.len(), 50, "five charts, 50 manifests");
+    objects
+}
+
+/// The allocation calls `body.to_wire(format)` makes.
+fn wire_calls(body: &ResponseBody, format: BodyFormat) -> u64 {
+    let (wire, made, _) = counted(|| body.to_wire(format));
+    assert!(wire.len() > 100);
+    made
+}
+
 #[test]
 fn rendering_a_response_allocates_only_its_buffer() {
     // Each chart object served as a get, and seventeen of them as one list
-    // (a `reconcile_watch` list holds about that many): the writers append
-    // into the response's `String`, so what is counted is that buffer's
-    // growth and nothing per line, key or scalar.
-    let objects: Vec<_> = Operator::ALL
-        .into_iter()
-        .flat_map(|operator| {
-            DeploymentDriver::new(operator)
-                .objects()
-                .iter()
-                .map(|object| Arc::clone(object.shared_body()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    assert_eq!(objects.len(), 50, "five charts, 50 manifests");
-    let list = ResponseBody::List {
-        kind: "DeploymentList".into(),
-        items: objects[..17].to_vec(),
-    };
+    // (a `reconcile_watch` list holds about that many). The first read of
+    // a stored object renders it into the response's buffer, sized up
+    // front, and copies the text into the object's cache: nothing per line,
+    // key or scalar. Every later read copies cached text into one buffer.
     for format in [BodyFormat::Yaml, BodyFormat::Json] {
-        let mut calls = 0;
-        for object in &objects {
-            let get = ResponseBody::Object(Arc::clone(object));
-            let (wire, made, _) = counted(|| get.to_wire(format));
-            assert!(wire.len() > 100);
-            calls += made;
-        }
-        let per_get = calls as f64 / objects.len() as f64;
-        let (wire, per_list, _) = counted(|| list.to_wire(format));
-        assert!(wire.len() > 1_000);
+        let objects = stored_chart_objects();
+        let gets: Vec<_> = objects
+            .iter()
+            .map(|stored| ResponseBody::Object(Arc::clone(stored)))
+            .collect();
+        let list = |items: &[Arc<StoredObject>]| ResponseBody::List {
+            kind: "DeploymentList".into(),
+            items: items[..17].to_vec(),
+        };
+        let first: u64 = gets.iter().map(|get| wire_calls(get, format)).sum();
+        let per_first_get = first as f64 / gets.len() as f64;
+        let cached: u64 = gets.iter().map(|get| wire_calls(get, format)).sum();
+        let per_cached_get = cached as f64 / gets.len() as f64;
+        let cached_list = wire_calls(&list(&objects), format);
+        // A list of objects no read has rendered fills one cache slot per
+        // item, each its own allocation, beside its buffer.
+        let unread = stored_chart_objects();
+        let first_list = wire_calls(&list(&unread), format);
+        let first_list_buffer = first_list - 17;
         println!(
-            "{format:?}: {per_get:.2} allocations per rendered get, {per_list} per 17-item list"
+            "{format:?}: {per_first_get:.2} allocations per first get, {per_cached_get:.2} per \
+             cached get; {first_list} per first 17-item list ({first_list_buffer} beside its 17 \
+             cache slots), {cached_list} per cached list"
         );
         assert!(
-            per_get <= 8.0,
-            "{format:?}: {per_get} allocations per rendered get (budget 8)"
+            per_first_get <= 8.0,
+            "{format:?}: {per_first_get} allocations per first get (budget 8)"
+        );
+        assert_eq!(
+            cached, 50,
+            "{format:?}: a cached get allocates its buffer and nothing else"
         );
         assert!(
-            per_list <= 16,
-            "{format:?}: {per_list} allocations per rendered 17-item list (budget 16)"
+            first_list_buffer <= 16,
+            "{format:?}: {first_list_buffer} allocations beside the cache slots per first \
+             17-item list (budget 16)"
+        );
+        assert!(
+            cached_list <= 2,
+            "{format:?}: {cached_list} allocations per cached 17-item list (budget 2)"
         );
     }
 }

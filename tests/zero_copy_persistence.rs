@@ -60,9 +60,12 @@ fn admit_and_expect_one_tree<H: RequestHandler>(
         ("get response", get.body.as_ref().and_then(|b| b.object())),
         (
             "list response",
-            list.body
-                .as_ref()
-                .and_then(|b| b.items()?.iter().find(|item| Arc::ptr_eq(item, &tree))),
+            list.body.as_ref().and_then(|b| {
+                b.items()?
+                    .iter()
+                    .map(|item| item.object.shared_body())
+                    .find(|body| Arc::ptr_eq(body, &tree))
+            }),
         ),
     ];
     holders.extend(
