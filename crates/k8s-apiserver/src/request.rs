@@ -463,28 +463,84 @@ impl ResponseBody {
     /// format is rendered and cached on the way. Watch batches are rendered
     /// from the journal's trees.
     pub fn to_wire(&self, format: BodyFormat) -> String {
-        // Responses have no bytes to sniff: `Auto` falls back to the
-        // canonical YAML rendering.
-        let json = format == BodyFormat::Json;
-        match self {
-            ResponseBody::Object(stored) => {
-                let mut out = String::new();
-                stored.object.write_wire(format, &mut out);
-                out
-            }
-            ResponseBody::List { kind, items } if json => list_json(kind, items),
-            ResponseBody::List { kind, items } => list_yaml(kind, items),
-            ResponseBody::WatchBatch {
-                kind,
-                events,
-                cursor,
-            } if json => watch_batch_json(kind, events, *cursor),
-            ResponseBody::WatchBatch {
-                kind,
-                events,
-                cursor,
-            } => watch_batch_yaml(kind, events, *cursor),
+        match format {
+            BodyFormat::Json => self.to_wire_json(),
+            // Responses have no bytes to sniff: `Auto` falls back to the
+            // canonical YAML rendering.
+            _ => self.to_wire_yaml(),
         }
+    }
+
+    fn to_wire_yaml(&self) -> String {
+        let mut out = String::new();
+        match self {
+            ResponseBody::Object(stored) => stored.object.write_wire(BodyFormat::Yaml, &mut out),
+            ResponseBody::List { kind, items } => return list_yaml(kind, items),
+            ResponseBody::WatchBatch {
+                kind,
+                events,
+                cursor,
+            } => {
+                push_yaml_kind(kind, &mut out);
+                let _ = writeln!(out, "resourceVersion: {}", *cursor as i64);
+                if events.is_empty() {
+                    out.push_str("events: []\n");
+                } else {
+                    out.push_str("events:\n");
+                    for event in events {
+                        // The event envelope in the emitter's compact
+                        // sequence form: first entry on the dash line, the
+                        // rest at the same column, the object's stored tree
+                        // emitted in place. Event types are bare words.
+                        let _ = writeln!(
+                            out,
+                            "  - type: {}\n    revision: {}",
+                            event.kind.as_str(),
+                            event.revision as i64
+                        );
+                        if let Some(object) = &event.object {
+                            kf_yaml::emit_entry("object", object, 4, &mut out);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn to_wire_json(&self) -> String {
+        let mut out = String::new();
+        match self {
+            ResponseBody::Object(stored) => stored.object.write_wire(BodyFormat::Json, &mut out),
+            ResponseBody::List { kind, items } => return list_json(kind, items),
+            ResponseBody::WatchBatch {
+                kind,
+                events,
+                cursor,
+            } => {
+                out.push_str("{\"kind\":");
+                push_json_kind(kind, &mut out);
+                let _ = write!(out, ",\"resourceVersion\":{cursor},\"events\":[");
+                for (i, event) in events.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"{}\",\"revision\":{}",
+                        event.kind.as_str(),
+                        event.revision
+                    );
+                    if let Some(object) = &event.object {
+                        out.push_str(",\"object\":");
+                        kf_yaml::write_json(object, &mut out);
+                    }
+                    out.push('}');
+                }
+                out.push_str("]}");
+            }
+        }
+        out
     }
 }
 
@@ -557,57 +613,6 @@ fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
             out.push(',');
         }
         item.object.write_wire(BodyFormat::Json, &mut out);
-    }
-    out.push_str("]}");
-    out
-}
-
-fn watch_batch_yaml(kind: &str, events: &[crate::WatchEvent], cursor: u64) -> String {
-    let mut out = String::new();
-    push_yaml_kind(kind, &mut out);
-    let _ = writeln!(out, "resourceVersion: {}", cursor as i64);
-    if events.is_empty() {
-        out.push_str("events: []\n");
-        return out;
-    }
-    out.push_str("events:\n");
-    for event in events {
-        // The event envelope in the emitter's compact sequence form: first
-        // entry on the dash line, the rest at the same column, the object's
-        // stored tree emitted in place. Event types are bare words.
-        let _ = writeln!(
-            out,
-            "  - type: {}\n    revision: {}",
-            event.kind.as_str(),
-            event.revision as i64
-        );
-        if let Some(object) = &event.object {
-            kf_yaml::emit_entry("object", object, 4, &mut out);
-        }
-    }
-    out
-}
-
-fn watch_batch_json(kind: &str, events: &[crate::WatchEvent], cursor: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\"kind\":");
-    push_json_kind(kind, &mut out);
-    let _ = write!(out, ",\"resourceVersion\":{cursor},\"events\":[");
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"type\":\"{}\",\"revision\":{}",
-            event.kind.as_str(),
-            event.revision
-        );
-        if let Some(object) = &event.object {
-            out.push_str(",\"object\":");
-            kf_yaml::write_json(object, &mut out);
-        }
-        out.push('}');
     }
     out.push_str("]}");
     out

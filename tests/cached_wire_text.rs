@@ -152,3 +152,31 @@ fn the_edge_object_quotes_what_it_must() {
     let json = edge.wire(BodyFormat::Json);
     assert!(json.contains("\"two\\nlines\""), "{json}");
 }
+
+#[test]
+fn a_body_edited_into_no_mapping_is_served_from_its_tree() {
+    // `body_mut` can leave a body that is no non-empty mapping, which has
+    // no first entry for a list's dash line; a list writes such an item
+    // from its tree.
+    let mut objects = unread_objects();
+    for (i, body) in [
+        Value::empty_map(),
+        Value::from("scalar"),
+        Value::Seq(vec![Value::from(1)]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut object = edge_object();
+        *object.body_mut() = body;
+        objects.insert(i * 2, StoredObject::shared(object, 1));
+    }
+    for format in [BodyFormat::Yaml, BodyFormat::Json] {
+        for read in ["first", "cached"] {
+            assert_serves_reference(&list(&objects), format, read);
+            for get in gets(&objects[..6]) {
+                assert_serves_reference(&get, format, read);
+            }
+        }
+    }
+}
