@@ -458,10 +458,11 @@ impl ResponseBody {
     /// envelope tree, no deep copies. Byte-identical to rendering
     /// [`ResponseBody::to_value`] with [`kf_yaml::to_yaml`] /
     /// [`kf_yaml::to_json`] (pinned by test). A get is a copy of the stored
-    /// object's cached text and a list splices its items' cached texts into
-    /// one buffer sized up front; an object read for the first time in a
-    /// format is rendered and cached on the way. Watch batches are rendered
-    /// from the journal's trees.
+    /// object's cached text; the first get of a version in a format renders
+    /// and caches it. A list splices its items' cached texts into one buffer
+    /// sized up front and renders an uncached item from its tree straight
+    /// into that buffer, caching nothing. Watch batches are rendered from
+    /// the journal's trees.
     pub fn to_wire(&self, format: BodyFormat) -> String {
         match format {
             BodyFormat::Json => self.to_wire_json(),
@@ -551,7 +552,8 @@ fn envelope_len(kind: &str) -> usize {
 }
 
 /// A YAML list: each item's cached root text re-indented as a sequence
-/// element, in a buffer reserved for all of them.
+/// element, an uncached item written from its tree, in a buffer reserved
+/// for all of them.
 fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
     // A cached item grows by the four columns of `  - ` / `    ` on each of
     // its lines: a quarter more covers lines of 16 bytes and longer, without
@@ -571,31 +573,23 @@ fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
         return out;
     }
     out.push_str("items:\n");
-    // A first read renders the item's root text here, caching it, and
-    // splices it like a cached one.
-    let mut scratch = String::new();
     for item in items {
         let object = &item.object;
-        if object.body().as_map().is_none_or(|map| map.is_empty()) {
-            // No first entry to put on the dash line: write the tree.
-            kf_yaml::emit_seq_item(object.body(), 2, &mut out);
-            continue;
+        // Only a non-empty mapping has a first entry to put on the dash
+        // line; any other body (only `body_mut` makes one) is written from
+        // its tree, like an uncached item.
+        let spliceable = object.body().as_map().is_some_and(|map| !map.is_empty());
+        match object.cached_wire(BodyFormat::Yaml) {
+            Some(text) if spliceable => kf_yaml::emit_rendered_seq_item(text, 2, &mut out),
+            _ => kf_yaml::emit_seq_item(object.body(), 2, &mut out),
         }
-        let text = match object.cached_wire(BodyFormat::Yaml) {
-            Some(text) => text,
-            None => {
-                scratch.clear();
-                object.write_wire(BodyFormat::Yaml, &mut scratch);
-                &scratch
-            }
-        };
-        kf_yaml::emit_rendered_seq_item(text, 2, &mut out);
     }
     out
 }
 
-/// A JSON list: the items' cached texts joined inside the envelope, in a
-/// buffer reserved for all of them.
+/// A JSON list: the items' cached texts joined inside the envelope, an
+/// uncached item written from its tree, in a buffer reserved for all of
+/// them.
 fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
     let items_len: usize = items
         .iter()
@@ -612,7 +606,10 @@ fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
         if i > 0 {
             out.push(',');
         }
-        item.object.write_wire(BodyFormat::Json, &mut out);
+        match item.object.cached_wire(BodyFormat::Json) {
+            Some(text) => out.push_str(text),
+            None => kf_yaml::write_json(item.object.body(), &mut out),
+        }
     }
     out.push_str("]}");
     out

@@ -23,8 +23,8 @@ use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 /// ([`K8sObject::metadata`]).
 ///
 /// The body's wire text is cached too, once per format and only once read
-/// ([`K8sObject::wire`]): a stored version is rendered on its first read and
-/// every later read copies the text. [`K8sObject::body_mut`] — the only
+/// ([`K8sObject::write_wire`]): a stored version is rendered on its first get
+/// and every later read copies the text. [`K8sObject::body_mut`] — the only
 /// mutable path to the tree — drops it, so the text never outlives the tree
 /// it was rendered from. Equality and `Debug` ignore the cache; a clone
 /// shares whatever text was rendered before it was made.
@@ -39,8 +39,9 @@ pub struct K8sObject {
 
 /// The lazily rendered wire text of a body: one slot per format, filled by
 /// the first read in that format. A reader that finds its slot empty
-/// renders its own copy and offers it with `set`; it never waits for
-/// another reader's rendering.
+/// renders its own copy and offers it with `set`, so it waits for no other
+/// reader's rendering; `set` can only wait, briefly, while a racing winner
+/// stores its pointer.
 #[derive(Clone, Default)]
 struct WireText {
     json: OnceLock<Arc<str>>,
@@ -316,16 +317,8 @@ impl K8sObject {
     }
 
     /// The body's wire text in `format` — [`kf_yaml::to_json`] for JSON,
-    /// [`kf_yaml::to_yaml`] otherwise — rendered on the first call and
-    /// cached until the body is next mutated.
-    pub fn wire(&self, format: BodyFormat) -> &str {
-        if self.cached_wire(format).is_none() {
-            self.render_wire(format, &mut String::new());
-        }
-        self.cached_wire(format).expect("rendering fills the slot")
-    }
-
-    /// The body's wire text in `format` if a read has already rendered it.
+    /// [`kf_yaml::to_yaml`] otherwise — if [`K8sObject::write_wire`] has
+    /// rendered it since the body was last mutated.
     pub fn cached_wire(&self, format: BodyFormat) -> Option<&str> {
         self.wire.slot(format).get().map(|text| &**text)
     }
@@ -522,14 +515,32 @@ spec:
         assert!(reparsed.body().loosely_equals(obj.body()));
     }
 
+    /// Serve `obj` in `format` as a get does: into an empty buffer.
+    fn wire(obj: &K8sObject, format: BodyFormat) -> String {
+        let mut out = String::new();
+        obj.write_wire(format, &mut out);
+        out
+    }
+
     #[test]
     fn wire_text_is_rendered_once_and_shared_by_clones() {
         let obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
         assert_eq!(obj.cached_wire(BodyFormat::Yaml), None);
-        let yaml = obj.wire(BodyFormat::Yaml);
+        assert_eq!(wire(&obj, BodyFormat::Yaml), kf_yaml::to_yaml(obj.body()));
+        let yaml = obj
+            .cached_wire(BodyFormat::Yaml)
+            .expect("a read fills the slot");
         assert_eq!(yaml, kf_yaml::to_yaml(obj.body()));
-        // `Auto` is the YAML slot, and a second read is the same text.
-        assert!(std::ptr::eq(obj.wire(BodyFormat::Auto), yaml));
+        // `Auto` is the YAML slot, and a second read copies the same text.
+        assert!(std::ptr::eq(
+            obj.cached_wire(BodyFormat::Auto).unwrap(),
+            yaml
+        ));
+        assert_eq!(wire(&obj, BodyFormat::Auto), yaml);
+        assert!(std::ptr::eq(
+            obj.cached_wire(BodyFormat::Yaml).unwrap(),
+            yaml
+        ));
         assert_eq!(obj.cached_wire(BodyFormat::Json), None);
         let mut out = String::from("[");
         obj.write_wire(BodyFormat::Json, &mut out);
@@ -571,16 +582,16 @@ spec:
                     _ => kf_yaml::to_yaml(obj.body()),
                 };
                 let mut obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
-                let before = obj.wire(format).to_owned();
+                let before = wire(&obj, format);
                 let clone = obj.clone();
                 edit(&mut obj);
                 assert_eq!(obj.cached_wire(format), None, "{name} keeps stale text");
-                assert_ne!(obj.wire(format), before, "{name}: {format:?}");
-                assert_eq!(obj.wire(format), render(&obj), "{name}: {format:?}");
+                assert_ne!(wire(&obj, format), before, "{name}: {format:?}");
+                assert_eq!(wire(&obj, format), render(&obj), "{name}: {format:?}");
                 // The clone rendered before the edit keeps the old tree and
                 // its text.
                 assert_eq!(clone.cached_wire(format), Some(before.as_str()));
-                assert_eq!(clone.wire(format), render(&clone));
+                assert_eq!(wire(&clone, format), render(&clone));
                 assert_eq!(
                     clone.field(&replicas).and_then(Value::as_i64),
                     Some(2),
