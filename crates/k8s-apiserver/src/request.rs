@@ -361,8 +361,8 @@ impl ResponseStatus {
 /// returns the stored object's handle, a `list` returns one handle per
 /// stored object — serving a read **never copies a document**, which is the
 /// read half of the zero-copy persistence plane. A stored object caches its
-/// wire text per format ([`K8sObject::wire`]), so only the first read of a
-/// version renders it and later reads copy the text.
+/// wire text per format ([`K8sObject::write_wire`]), so only the first get
+/// of a version renders it and later reads copy the text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// A single object (get responses).
@@ -460,9 +460,10 @@ impl ResponseBody {
     /// [`kf_yaml::to_json`] (pinned by test). A get is a copy of the stored
     /// object's cached text; the first get of a version in a format renders
     /// and caches it. A list splices its items' cached texts into one buffer
-    /// sized up front and renders an uncached item from its tree straight
-    /// into that buffer, caching nothing. Watch batches are rendered from
-    /// the journal's trees.
+    /// sized up front. It caches an uncached item's text only if the version
+    /// was served before, in the other format; an item no read has rendered
+    /// is written from its tree straight into the buffer. Watch batches are
+    /// rendered from the journal's trees.
     pub fn to_wire(&self, format: BodyFormat) -> String {
         match format {
             BodyFormat::Json => self.to_wire_json(),
@@ -551,9 +552,18 @@ fn envelope_len(kind: &str) -> usize {
     2 * kind.len() + 24
 }
 
+/// Whether a read has rendered `object` in either format. A list fills an
+/// item's cache slot only then: a version read once is likely read again,
+/// while one no read has touched (most of a write-heavy store) would pay an
+/// allocation per item for text that is replaced before it is read.
+fn served_before(object: &K8sObject) -> bool {
+    object.cached_wire(BodyFormat::Json).is_some() || object.cached_wire(BodyFormat::Yaml).is_some()
+}
+
 /// A YAML list: each item's cached root text re-indented as a sequence
-/// element, an uncached item written from its tree, in a buffer reserved
-/// for all of them.
+/// element, in a buffer reserved for all of them. An item served before in
+/// JSON is rendered and cached here; an item never served is written from
+/// its tree.
 fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
     // A cached item grows by the four columns of `  - ` / `    ` on each of
     // its lines: a quarter more covers lines of 16 bytes and longer, without
@@ -573,23 +583,33 @@ fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
         return out;
     }
     out.push_str("items:\n");
+    let mut scratch = String::new();
     for item in items {
         let object = &item.object;
         // Only a non-empty mapping has a first entry to put on the dash
         // line; any other body (only `body_mut` makes one) is written from
-        // its tree, like an uncached item.
+        // its tree, like an item never served.
         let spliceable = object.body().as_map().is_some_and(|map| !map.is_empty());
-        match object.cached_wire(BodyFormat::Yaml) {
-            Some(text) if spliceable => kf_yaml::emit_rendered_seq_item(text, 2, &mut out),
-            _ => kf_yaml::emit_seq_item(object.body(), 2, &mut out),
-        }
+        let text = match object.cached_wire(BodyFormat::Yaml) {
+            Some(text) if spliceable => text,
+            None if spliceable && served_before(object) => {
+                scratch.clear();
+                object.write_wire(BodyFormat::Yaml, &mut scratch);
+                &scratch
+            }
+            _ => {
+                kf_yaml::emit_seq_item(object.body(), 2, &mut out);
+                continue;
+            }
+        };
+        kf_yaml::emit_rendered_seq_item(text, 2, &mut out);
     }
     out
 }
 
-/// A JSON list: the items' cached texts joined inside the envelope, an
-/// uncached item written from its tree, in a buffer reserved for all of
-/// them.
+/// A JSON list: the items' cached texts joined inside the envelope, in a
+/// buffer reserved for all of them. An item served before in YAML is
+/// rendered and cached here; an item never served is written from its tree.
 fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
     let items_len: usize = items
         .iter()
@@ -606,9 +626,11 @@ fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
         if i > 0 {
             out.push(',');
         }
-        match item.object.cached_wire(BodyFormat::Json) {
+        let object = &item.object;
+        match object.cached_wire(BodyFormat::Json) {
             Some(text) => out.push_str(text),
-            None => kf_yaml::write_json(item.object.body(), &mut out),
+            None if served_before(object) => object.write_wire(BodyFormat::Json, &mut out),
+            None => kf_yaml::write_json(object.body(), &mut out),
         }
     }
     out.push_str("]}");

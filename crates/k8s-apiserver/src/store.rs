@@ -1088,7 +1088,7 @@ mod tests {
     fn racing_first_reads_of_a_stored_version_serve_identical_bytes() {
         // Two readers make the first read of each version at once. The one
         // that loses the race to fill the cache keeps its own rendering and
-        // waits for nobody; both serve the bytes of the stored tree.
+        // waits for no one's; both serve the bytes of the stored tree.
         let store = ObjectStore::new();
         let start = std::sync::Barrier::new(2);
         let replicas = kf_yaml::Path::parse("spec.replicas").unwrap();

@@ -38,7 +38,7 @@ pub struct K8sObject {
 }
 
 /// The lazily rendered wire text of a body: one slot per format, filled by
-/// the first read in that format. A reader that finds its slot empty
+/// the first [`K8sObject::write_wire`] in that format. A reader that finds its slot empty
 /// renders its own copy and offers it with `set`, so it waits for no other
 /// reader's rendering; `set` can only wait, briefly, while a racing winner
 /// stores its pointer.
@@ -324,8 +324,9 @@ impl K8sObject {
     }
 
     /// Append the body's wire text in `format` to `out`: a copy of the
-    /// cached text, or on the first read a rendering straight into `out`,
-    /// which then fills the cache.
+    /// cached text, or on the first call a rendering straight into `out`,
+    /// which then fills the cache. A get serves through this; a list only
+    /// reads [`K8sObject::cached_wire`].
     pub fn write_wire(&self, format: BodyFormat, out: &mut String) {
         match self.cached_wire(format) {
             Some(text) => out.push_str(text),

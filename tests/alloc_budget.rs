@@ -226,8 +226,9 @@ fn rendering_a_response_allocates_only_its_buffer() {
     // Each chart object served as a get, and seventeen of them as one list
     // (a `reconcile_watch` list holds about that many). The first get of a
     // stored object renders it into the response's buffer, sized up front,
-    // and copies the text into the object's cache; a list renders an
-    // uncached item into its own buffer and caches nothing. Nothing is
+    // and copies the text into the object's cache. A list renders an item
+    // no read has served into its own buffer and caches nothing; it fills
+    // the slot of an item a get served in the other format. Nothing is
     // allocated per line, key or scalar, and every cached read copies text
     // into one buffer.
     for format in [BodyFormat::Yaml, BodyFormat::Json] {
@@ -246,9 +247,19 @@ fn rendering_a_response_allocates_only_its_buffer() {
         let per_cached_get = cached as f64 / gets.len() as f64;
         let cached_list = wire_calls(&list(&objects), format);
         let first_list = wire_calls(&list(&stored_chart_objects()), format);
+        let served = stored_chart_objects();
+        let other = match format {
+            BodyFormat::Json => BodyFormat::Yaml,
+            _ => BodyFormat::Json,
+        };
+        for stored in &served {
+            wire_calls(&ResponseBody::Object(Arc::clone(stored)), other);
+        }
+        let filling_list = wire_calls(&list(&served), format) - 17;
         println!(
             "{format:?}: {per_first_get:.2} allocations per first get, {per_cached_get:.2} per \
-             cached get; {first_list} per first 17-item list, {cached_list} per cached list"
+             cached get; {first_list} per first 17-item list, {cached_list} per cached list, \
+             {filling_list} beside the 17 slots a list fills"
         );
         assert!(
             per_first_get <= 8.0,
@@ -261,6 +272,11 @@ fn rendering_a_response_allocates_only_its_buffer() {
         assert!(
             first_list <= 16,
             "{format:?}: {first_list} allocations per first 17-item list (budget 16)"
+        );
+        assert!(
+            filling_list <= 16,
+            "{format:?}: {filling_list} allocations beside its 17 cache slots per 17-item list \
+             of items served in the other format (budget 16)"
         );
         assert!(
             cached_list <= 2,

@@ -111,23 +111,40 @@ fn gets_serve_the_emitters_bytes_on_first_and_cached_reads() {
 #[test]
 fn lists_serve_the_emitters_bytes_on_first_and_cached_reads() {
     for format in [BodyFormat::Yaml, BodyFormat::Json, BodyFormat::Auto] {
+        let other = match format {
+            BodyFormat::Json => BodyFormat::Yaml,
+            _ => BodyFormat::Json,
+        };
         let objects = unread_objects();
+        let cached = |format| {
+            objects
+                .iter()
+                .filter(|stored| stored.object.cached_wire(format).is_some())
+                .count()
+        };
         let body = list(&objects);
-        // A list renders unread items from their trees and caches nothing.
+        // A list writes items no read has served from their trees and
+        // caches nothing.
         for read in ["first", "second"] {
             assert_serves_reference(&body, format, read);
         }
-        assert!(
-            objects
-                .iter()
-                .all(|stored| stored.object.cached_wire(format).is_none()),
-            "{format:?}: a list filled the cache"
+        assert_eq!(
+            cached(format),
+            0,
+            "{format:?}: a first list filled the cache"
         );
-        // Gets cache the text, and the list splices it.
+        // Once gets have served them in the other format, a list caches
+        // their text in its own...
         for get in gets(&objects) {
-            assert_serves_reference(&get, format, "first");
+            get.to_wire(other);
         }
+        assert_serves_reference(&body, format, "filling");
+        assert_eq!(cached(format), objects.len(), "{format:?}");
         assert_serves_reference(&body, format, "cached");
+        // ...and a get serves what the list cached.
+        for get in gets(&objects) {
+            assert_serves_reference(&get, format, "cached");
+        }
         // A list mixing cached and unread items.
         let mut mixed = unread_objects();
         mixed.rotate_left(25);
