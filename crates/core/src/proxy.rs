@@ -501,9 +501,9 @@ impl<H: RequestHandler> EnforcementProxy<H> {
     /// An admitted request goes upstream with the tree built from the
     /// events that pass read ([`RequestHandler::handle_parsed`]), so the
     /// server stores what was validated instead of parsing the bytes again;
-    /// a denial report is synthesized from matcher state by a collect pass
-    /// that replays those events (no tree parse; see `kubefence::stream`
-    /// for the two-phase design).
+    /// a denial report is synthesized from matcher state on the same pass,
+    /// by resuming matchers from where they died (no tree parse; see
+    /// `kubefence::stream`).
     fn handle_raw(&self, request: &ApiRequest, bytes: &[u8], format: BodyFormat) -> ApiResponse {
         let started = Instant::now();
         let (verdict, admitted) = match std::str::from_utf8(bytes) {

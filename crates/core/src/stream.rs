@@ -21,19 +21,24 @@
 //!   admitted body's log is fed to [`kf_yaml::TreeBuilder`], and that tree
 //!   is the document the API server stores
 //!   ([`ValidatorSet::admit_raw_format`]); nothing parses the bytes again;
-//! * denials are reported **from matcher state**, and a refusal pays only
-//!   for what it reports: on the collect pass each matcher records a
-//!   violation as a compact, unrendered *site* — the id of a snapshot of the
-//!   shared document position (taken at most once per violating event, keys
-//!   borrowed from the wire buffer) plus a compiled-node reference — and
-//!   only the sites of the matcher whose report is served (fewest sites,
-//!   first wins) are rendered into the exact [`Violation`]s the compiled
-//!   tree walk would report. The collect pass replays the die-fast pass's
-//!   log and then carries on with the *same* tokenizer, so it reads the
-//!   identical event sequence without tokenizing the prefix twice. The
-//!   stream keeps tokenizing to the end of the document to collect the
-//!   complete report and to honor the reference precedence of
-//!   parse/multi-document/envelope defects over policy violations;
+//! * a refused body is **read once too**, and a refusal pays only for what
+//!   it reports. A die-fast matcher that dies keeps its state and a record
+//!   of the violation it died of, so it can be resumed from there. When the
+//!   last one dies, the one that died last resumes in collect mode over
+//!   the log from its own death, then reads on with the same tokenizer to
+//!   the end of the document; it records each violation as a compact,
+//!   unrendered *site* — the id of a snapshot of the shared document
+//!   position (taken at most once per violating event, keys borrowed from
+//!   the wire buffer) plus a compiled-node reference. The served report is
+//!   the reference's closest match (fewest sites, first wins): every other
+//!   matcher resumes counting, without recording, over the log and then a
+//!   clone of the tokenizer kept at the decision, and stops once it cannot
+//!   beat the best count. Only a matcher that does beat it is resumed
+//!   again, to collect, and only the winner's sites are rendered into the
+//!   exact [`Violation`]s the compiled tree walk would report. The stream
+//!   reads to the end of the document to collect the report and to honor
+//!   the reference precedence of parse/multi-document/envelope defects over
+//!   policy violations;
 //! * envelope defects — a root that is not a mapping, a missing, non-string
 //!   or unknown `kind`, an empty `metadata.name` — are decided at the end of
 //!   the document and worded with the [`k8s_model::Error`] that
@@ -51,6 +56,7 @@
 //! See `docs/streaming-admission.md`.
 
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::fmt::Write as _;
 
 use k8s_model::{K8sObject, ResourceKind};
@@ -142,7 +148,10 @@ fn missing_field(field: &str) -> k8s_model::Error {
 }
 
 /// One tokenizer front end behind a common pull interface; which one runs is
-/// the only format-specific decision the streaming plane ever makes.
+/// the only format-specific decision the streaming plane ever makes. A
+/// clone reads on from where the original stands: a refusal keeps one made
+/// at its decision, for matchers that resume past the event log.
+#[derive(Clone)]
 enum WireTokenizer<'a> {
     Yaml(Tokenizer<'a>),
     Json(JsonTokenizer<'a>),
@@ -168,52 +177,56 @@ impl<'a> WireTokenizer<'a> {
             WireTokenizer::Json(t) => t.next_event(),
         }
     }
+
+    /// The next event of the current document; `None` at its end. Only
+    /// for a stream read to its end without error before.
+    fn next_in_document(&mut self) -> Option<Event<'a>> {
+        match self.next_event() {
+            Ok(Some(Event::DocumentEnd)) => None,
+            Ok(event) => event,
+            Err(_) => unreachable!("a report is served only for a well-formed stream"),
+        }
+    }
 }
 
-/// What the die-fast pass's event log starts with room for. It grows only
+/// What the admission pass's event log starts with room for. It grows only
 /// as the pass reads further, so a refusal decided in the first lines of a
 /// 1 MiB body logs a prefix, never the body. The five charts' manifests
 /// are 23–239 events, 48 at the median.
 const LOG_INITIAL_EVENTS: usize = 64;
 
-/// Where a streaming pass reads its events: first the ones already in the
-/// log (the collect pass re-reads what the die-fast pass logged), then the
-/// live tokenizer, carrying on from where that pass stopped. While logging
-/// — the die-fast pass, until nothing it reads can be admitted or replayed
-/// — each live event is moved into the log and read from there.
+/// Where the admission pass reads its events: the live tokenizer. While
+/// logging — until the denial is decided, or nothing read can be admitted —
+/// each event is moved into the log and read from there.
 struct EventSource<'p, 'a> {
     log: &'p mut Vec<Event<'a>>,
-    /// How many of the log's events this pass has read.
-    read: usize,
     live: &'p mut WireTokenizer<'a>,
     logging: bool,
-    /// The current event, once the pass reads past the log unlogged.
+    /// How many events the pass has read.
+    read: usize,
+    /// The current event, once the pass reads on unlogged.
     unlogged: Option<Event<'a>>,
 }
 
 impl<'p, 'a> EventSource<'p, 'a> {
-    fn new(log: &'p mut Vec<Event<'a>>, live: &'p mut WireTokenizer<'a>, logging: bool) -> Self {
+    fn new(log: &'p mut Vec<Event<'a>>, live: &'p mut WireTokenizer<'a>) -> Self {
         EventSource {
             log,
-            read: 0,
             live,
-            logging,
+            logging: true,
+            read: 0,
             unlogged: None,
         }
     }
 
     /// Move to the next event; `false` at the end of the stream.
     fn advance(&mut self) -> Result<bool, kf_yaml::Error> {
-        if self.read < self.log.len() {
-            self.read += 1;
-            return Ok(true);
-        }
         let Some(event) = self.live.next_event()? else {
             return Ok(false);
         };
+        self.read += 1;
         if self.logging {
             self.log.push(event);
-            self.read += 1;
         } else {
             self.unlogged = Some(event);
         }
@@ -225,8 +238,13 @@ impl<'p, 'a> EventSource<'p, 'a> {
         // Logged events are read before any unlogged one.
         match &self.unlogged {
             Some(event) => event,
-            None => &self.log[self.read - 1],
+            None => self.log.last().expect("an event was read"),
         }
+    }
+
+    /// The current event's index, counted from the stream's first event.
+    fn index(&self) -> usize {
+        self.read - 1
     }
 
     /// Every event this pass has read, oldest first, while each was logged:
@@ -234,11 +252,11 @@ impl<'p, 'a> EventSource<'p, 'a> {
     /// late.
     fn read_so_far(&self) -> &[Event<'a>] {
         debug_assert!(self.unlogged.is_none(), "the log covers what was read");
-        &self.log[..self.read]
+        self.log
     }
 
     /// Log nothing more: no event read from here on can be admitted or
-    /// need replaying.
+    /// need resuming from the log.
     fn stop_logging(&mut self) {
         self.logging = false;
     }
@@ -276,15 +294,17 @@ impl ValidatorSet {
     /// formats drive the same `StreamMatcher`s; only the tokenizer
     /// differs.
     ///
-    /// Two-phase: a **die-fast** pass runs first — matchers stop at their
-    /// first violation, exactly the cost profile of the compiled boolean
-    /// fast path, so accepted traffic pays nothing for reporting — and keeps
-    /// the events it reads. Only when that pass decides a denial does a
-    /// **collect** pass run (still building no tree), with matchers
-    /// recording the full violation lists the reference would report: it
-    /// re-reads the logged events, then tokenizes on from where the die-fast
-    /// pass stopped. This is [`ValidatorSet::admit_raw_format`] without
-    /// building the admitted document.
+    /// One pass: matchers **die fast** — each stops at its first violation,
+    /// exactly the cost profile of the compiled boolean fast path, so
+    /// accepted traffic pays nothing for reporting — and the pass keeps the
+    /// events it reads. Once every matcher has died, the denial is decided
+    /// and the report is collected on the same pass, building no tree: the
+    /// matcher that died last resumes from its death recording the full
+    /// violation list the reference would report, reading the logged events
+    /// after it and then tokenizing on; the others resume only to count,
+    /// until they cannot report fewer. This is
+    /// [`ValidatorSet::admit_raw_format`] without building the admitted
+    /// document.
     pub fn validate_raw_format(&self, text: &str, format: BodyFormat) -> RawVerdict {
         self.admission(text, format).0
     }
@@ -308,19 +328,9 @@ impl ValidatorSet {
     ) -> (RawVerdict, Option<Admitted<'a>>) {
         let mut tokenizer = WireTokenizer::new(text, format.resolve(text));
         let mut log = Vec::with_capacity(LOG_INITIAL_EVENTS);
-        let fast = EventSource::new(&mut log, &mut tokenizer, true);
-        match streaming_verdict(self, fast, Mode::Fast) {
-            StreamFlow::Verdict(RawVerdict::Admitted) => {
-                (RawVerdict::Admitted, Some(Admitted(log)))
-            }
-            StreamFlow::Verdict(verdict) => (verdict, None),
-            StreamFlow::Report => {
-                let collect = EventSource::new(&mut log, &mut tokenizer, false);
-                match streaming_verdict(self, collect, Mode::Collect) {
-                    StreamFlow::Verdict(verdict) => (verdict, None),
-                    StreamFlow::Report => unreachable!("collect mode produces verdicts"),
-                }
-            }
+        match streaming_verdict(self, EventSource::new(&mut log, &mut tokenizer)) {
+            RawVerdict::Admitted => (RawVerdict::Admitted, Some(Admitted(log))),
+            verdict => (verdict, None),
         }
     }
 
@@ -447,8 +457,8 @@ struct Site {
 }
 
 /// Tracks the dotted path of the value the next event contributes to, and
-/// keeps the positions violations were recorded at. Maintained by the
-/// collect pass only.
+/// keeps the positions violations were recorded at. Maintained for the
+/// collecting matcher only.
 #[derive(Debug, Default)]
 struct PathTracker<'a> {
     frames: Vec<TrackFrame<'a>>,
@@ -571,92 +581,167 @@ impl<'a> PathTracker<'a> {
     }
 }
 
-/// The per-event snapshot, taken at most once no matter how many matchers
-/// record a violation at the event. The fast (verdict-only) pass runs
-/// without a tracker — no matcher records a site there, so none is kept.
+/// The event a matcher is fed, and its snapshot, taken at most once no
+/// matter how many matchers record a violation at the event. Only a
+/// collecting matcher records a site; the die-fast and counting runs have
+/// no tracker, so none is kept.
 struct SiteAtEvent<'p, 'a> {
     tracker: Option<&'p mut PathTracker<'a>>,
     event: &'p Event<'a>,
+    /// The event's index, counted from the stream's first event: where a
+    /// die-fast matcher records its death.
+    index: usize,
     snapshot: Option<u32>,
 }
 
-impl SiteAtEvent<'_, '_> {
+impl<'p, 'a> SiteAtEvent<'p, 'a> {
+    fn new(tracker: Option<&'p mut PathTracker<'a>>, event: &'p Event<'a>, index: usize) -> Self {
+        SiteAtEvent {
+            tracker,
+            event,
+            index,
+            snapshot: None,
+        }
+    }
+
     fn snapshot(&mut self) -> u32 {
         match (self.snapshot, self.tracker.as_mut()) {
             (Some(id), _) => id,
             (None, Some(tracker)) => *self.snapshot.insert(tracker.snapshot(self.event)),
-            // Only Mode::Collect matchers record sites, and the collect
-            // pass always runs with a tracker.
+            // Only a collecting matcher takes snapshots, and it always runs
+            // with a tracker.
             (None, None) => 0,
         }
     }
 }
 
-/// Drive one event through the shared path tracker (when one is maintained
-/// — the collect pass only) and every matcher, in the order the path
-/// semantics require. Returns where the denial is decided when every
-/// matcher has now failed: the event's position, or — when a built
-/// container closed at it — the container's first event.
-fn drive<'a>(
-    matchers: &mut [StreamMatcher<'_>],
-    mut tracker: Option<&mut PathTracker<'a>>,
-    event: &Event<'a>,
-) -> Option<Pos> {
-    // Fast pass (`tracker` is `None`): matchers only reach verdicts, so the
-    // document position bookkeeping is skipped entirely.
-    if let Some(tracker) = tracker.as_mut() {
-        tracker.before_event(event);
-    }
+/// Drive one event through every die-fast matcher. Returns where the denial
+/// is decided when every matcher has now failed: the event's position, or —
+/// when a built container closed at it — the container's first event.
+fn drive(matchers: &mut [StreamMatcher<'_>], event: &Event<'_>, index: usize) -> Option<Pos> {
     let mut all_failed = true;
     let mut pos = event_pos(event);
-    {
-        let mut at = SiteAtEvent {
-            tracker: tracker.as_deref_mut(),
-            event,
-            snapshot: None,
-        };
-        for matcher in matchers.iter_mut() {
-            if let Some(opened) = matcher.feed(event, &mut at) {
-                pos = opened;
-            }
-            all_failed &= matcher.failed();
+    let mut at = SiteAtEvent::new(None, event, index);
+    for matcher in matchers.iter_mut() {
+        if let Some(opened) = matcher.feed(event, &mut at) {
+            pos = opened;
         }
-    }
-    if let Some(tracker) = tracker {
-        tracker.after_event(event);
+        all_failed &= matcher.failed();
     }
     all_failed.then_some(pos)
 }
 
-/// How the matchers run over the stream.
+/// Feed one event to a collecting matcher, through the path tracker it
+/// records its sites in.
+fn collect_event<'a>(
+    matcher: &mut StreamMatcher<'_>,
+    tracker: &mut PathTracker<'a>,
+    event: &Event<'a>,
+    index: usize,
+) {
+    tracker.before_event(event);
+    matcher.feed(
+        event,
+        &mut SiteAtEvent::new(Some(&mut *tracker), event, index),
+    );
+    tracker.after_event(event);
+}
+
+/// How a matcher runs over the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Stop each matcher at its first violation and record nothing — the
-    /// cheapest way to reach the admit/deny verdict. Every request starts
-    /// here.
+    /// Stop at the first violation and record only where and why the
+    /// matcher died — the cheapest way to reach the admit/deny verdict.
+    /// Every matcher starts here.
     Fast,
-    /// Record every violation as a [`Site`]. Runs only after the fast pass
-    /// decided a denial, to synthesize the report without building a tree.
+    /// Record every violation as a [`Site`]. Only the matcher whose report
+    /// is served runs so, resumed from where it died.
     Collect,
+    /// Count violations and record nothing: a matcher resumed from where it
+    /// died, to learn whether its report would be served instead.
+    Count,
 }
 
-/// The outcome of one streaming pass.
-enum StreamFlow {
-    /// A final verdict.
-    Verdict(RawVerdict),
-    /// The denial was decided, but the report was not collected
-    /// ([`Mode::Fast`] only): run a [`Mode::Collect`] pass over the same
-    /// events — the log, then the rest of the tokenizer — which re-derives
-    /// the deciding position along with the report.
-    Report,
+/// A denial decided by the die-fast matchers, and its report being
+/// collected.
+struct Decision<'a> {
+    /// Where every matcher had failed: the denial's location.
+    pos: Pos,
+    /// The matcher that died last (the first of them in validator order),
+    /// resumed to collect its report as the stream reads on: the likeliest
+    /// to report fewest violations, having matched the longest prefix.
+    candidate: usize,
+    tracker: PathTracker<'a>,
+    /// The live tokenizer as it stood at the decision, where the log ends;
+    /// kept when there are other matchers to resume past the log.
+    checkpoint: Option<WireTokenizer<'a>>,
 }
 
-/// Run the streaming matchers over the events `source` reads.
-fn streaming_verdict<'a>(
-    set: &ValidatorSet,
-    mut source: EventSource<'_, 'a>,
-    mode: Mode,
-) -> StreamFlow {
+impl<'a> Decision<'a> {
+    /// Every matcher has failed at the current event: stop logging, keep
+    /// the tokenizer where it stands, and resume the matcher that died last
+    /// in collect mode over the log.
+    fn new(matchers: &mut [StreamMatcher<'_>], pos: Pos, source: &mut EventSource<'_, 'a>) -> Self {
+        let checkpoint = (matchers.len() > 1).then(|| source.live.clone());
+        source.stop_logging();
+        let candidate = (0..matchers.len())
+            .max_by_key(|&index| (matchers[index].died_at(), Reverse(index)))
+            .expect("a decided denial has at least one matcher");
+        let mut tracker = PathTracker::default();
+        matchers[candidate].resume(source.log, &mut tracker);
+        Decision {
+            pos,
+            candidate,
+            tracker,
+            checkpoint,
+        }
+    }
+
+    /// The served report, once the stream read the whole document: the
+    /// closest match, fewest violations and first in validator order on a
+    /// tie, mirroring `ValidatorSet::validate_kind_body`. The candidate read
+    /// the document to its end; every other matcher resumes counting from
+    /// where it died and stops once it cannot beat the best count so far.
+    /// Only a matcher that does beat it is resumed again to collect.
+    fn report(self, matchers: &mut [StreamMatcher<'_>], log: &[Event<'a>]) -> RawVerdict {
+        let Decision {
+            pos,
+            candidate,
+            mut tracker,
+            checkpoint,
+        } = self;
+        let mut best = (matchers[candidate].sites.len(), candidate);
+        let mut stack = Vec::new();
+        for (index, rival) in matchers.iter().enumerate() {
+            if index != candidate {
+                if let Some(count) =
+                    rival.count_to_beat(index, best, log, checkpoint.as_ref(), &mut stack)
+                {
+                    best = (count, index);
+                }
+            }
+        }
+        let winner = best.1;
+        if winner != candidate {
+            let live = checkpoint.expect("rivals resume only beside a checkpoint");
+            tracker = PathTracker::default();
+            matchers[winner].collect_from(log, live, &mut tracker);
+        }
+        let winner = &matchers[winner];
+        RawVerdict::Denied {
+            violations: winner
+                .sites
+                .iter()
+                .map(|&site| tracker.violation(site, winner.compiled))
+                .collect(),
+            location: Some(pos.into()),
+        }
+    }
+}
+
+/// Run the die-fast matchers over the events `source` reads, and on a
+/// denial collect the served report on the same pass.
+fn streaming_verdict<'a>(set: &ValidatorSet, mut source: EventSource<'_, 'a>) -> RawVerdict {
     let mut depth = 0usize;
     let mut doc_done = false;
     // Root-level key whose value has not started yet.
@@ -665,11 +750,8 @@ fn streaming_verdict<'a>(
     // for it; `None` while no root `kind` was read.
     let mut kind: Option<Result<(ResourceKind, Pos), k8s_model::Error>> = None;
     let mut matchers: Vec<StreamMatcher<'_>> = Vec::new();
-    // Only the collect pass renders document paths; the fast pass skips the
-    // position bookkeeping altogether (it can only ever answer admit/deny).
-    let mut tracker = (mode == Mode::Collect).then(PathTracker::default);
-    // Where every candidate matcher had failed.
-    let mut decided_at: Option<Pos> = None;
+    // Set once every matcher has failed.
+    let mut decision: Option<Decision<'a>> = None;
     // Envelope tracking: `metadata.name` must be a non-empty string.
     let mut metadata_open: Option<usize> = None;
     let mut pending_name = false;
@@ -679,11 +761,13 @@ fn streaming_verdict<'a>(
         match source.advance() {
             Ok(true) => {}
             Ok(false) => break,
-            Err(e) => return StreamFlow::Verdict(unparsable_error(&e)),
+            Err(e) => return unparsable_error(&e),
         }
         let event = source.current();
-        // What the matchers are fed: this event — or, at the `kind:` that
-        // creates them, every event of the document so far.
+        // What the matchers are fed, from the index of its first event:
+        // this event — or, at the `kind:` that creates them, every event of
+        // the document so far.
+        let mut first = source.index();
         let mut fed = if matchers.is_empty() {
             &[][..]
         } else {
@@ -727,12 +811,15 @@ fn streaming_verdict<'a>(
                             let root = compiled
                                 .kind_root(resolved)
                                 .expect("routing table lists only covering validators");
-                            matchers.push(StreamMatcher::new(compiled, root, mode));
+                            matchers.push(StreamMatcher::new(compiled, root));
                         }
                         // The fresh matchers start at the root mapping, so
                         // an early deny is stamped with the position of the
                         // field that decided it, before `kind:` or not.
-                        fed = source.read_so_far();
+                        if !matchers.is_empty() {
+                            fed = source.read_so_far();
+                            first = 0;
+                        }
                     }
                     kind = Some(resolved.map(|resolved| (resolved, *pos)));
                 } else if metadata_open == Some(depth) && pending_name {
@@ -751,23 +838,28 @@ fn streaming_verdict<'a>(
                 fed = &[];
             }
         }
-        for event in fed {
-            if let (None, Some(pos)) = (decided_at, drive(&mut matchers, tracker.as_mut(), event)) {
-                if mode == Mode::Fast {
-                    // Every candidate has failed: the denial is decided
-                    // here and tokenization stops. The collect pass
-                    // re-reads the log up to this event, then tokenizes on
-                    // (building no tree) for the report and for the
-                    // reference precedence of later parse errors.
-                    return StreamFlow::Report;
-                }
+        let mut decided_at = None;
+        for (index, event) in (first..).zip(fed) {
+            if let Some(decision) = decision.as_mut() {
+                let candidate = &mut matchers[decision.candidate];
+                collect_event(candidate, &mut decision.tracker, event, index);
+            } else if let Some(pos) = drive(&mut matchers, event, index) {
                 decided_at = Some(pos);
+                break;
             }
+        }
+        if let Some(pos) = decided_at {
+            // Every matcher has failed: the denial is decided here. The
+            // stream reads on (building no tree) for the report and for the
+            // reference precedence of later parse errors; the log holds the
+            // events the decision's candidate reads again, from the one it
+            // died at, and so the rest of `fed` too.
+            decision = Some(Decision::new(&mut matchers, pos, &mut source));
         }
         if matchers.is_empty() && kind.is_some() {
             // No matcher will run: nothing read from here on is admitted
-            // or replayed. Once the envelope is decided too, the rest of
-            // the document can only contribute parse defects or a document
+            // or resumed. Once the envelope is decided too, the rest of the
+            // document can only contribute parse defects or a document
             // count; the drain below scans it without bookkeeping.
             source.stop_logging();
             if name_ok || matches!(kind, Some(Err(_))) {
@@ -788,63 +880,43 @@ fn streaming_verdict<'a>(
         match source.advance() {
             Ok(true) => documents += usize::from(matches!(source.current(), Event::DocumentEnd)),
             Ok(false) => break,
-            Err(e) => return StreamFlow::Verdict(unparsable_error(&e)),
+            Err(e) => return unparsable_error(&e),
         }
     }
     if documents != 1 {
-        return StreamFlow::Verdict(RawVerdict::Unparsable {
+        return RawVerdict::Unparsable {
             reason: format!("expected a single YAML document, found {documents}"),
             location: None,
-        });
+        };
     }
     // The envelope, in `K8sObject::peek_kind`'s order. A root that is not a
     // mapping has no root `kind`.
     let (kind, kind_pos) = match kind {
-        None => return StreamFlow::Verdict(unparsable_envelope(missing_field("kind"))),
-        Some(Err(error)) => return StreamFlow::Verdict(unparsable_envelope(error)),
+        None => return unparsable_envelope(missing_field("kind")),
+        Some(Err(error)) => return unparsable_envelope(error),
         Some(Ok(kind)) => kind,
     };
     if !name_ok {
-        return StreamFlow::Verdict(unparsable_envelope(missing_field("metadata.name")));
+        return unparsable_envelope(missing_field("metadata.name"));
     }
     if matchers.is_empty() {
         // No validator covers the kind: exactly the reference's report for
         // a covered envelope of an uncovered kind.
-        return StreamFlow::Verdict(RawVerdict::Denied {
+        return RawVerdict::Denied {
             violations: vec![Violation {
                 path: kind.as_str().to_owned(),
                 reason: ViolationReason::UnknownKind,
             }],
             location: Some(kind_pos.into()),
-        });
+        };
     }
-    let Some(pos) = decided_at else {
-        debug_assert!(matchers.iter().any(|m| !m.failed()));
-        return StreamFlow::Verdict(RawVerdict::Admitted);
-    };
-    debug_assert_eq!(mode, Mode::Collect, "fast mode returns before this point");
-    // Denied: report the closest match (fewest violations, first wins),
-    // mirroring `ValidatorSet::validate_kind_body`. Only the served report
-    // is rendered; the losers' sites are dropped as recorded.
-    let winner = matchers
-        .iter()
-        .reduce(|best, candidate| {
-            if candidate.sites.len() < best.sites.len() {
-                candidate
-            } else {
-                best
-            }
-        })
-        .expect("a decided denial has at least one matcher");
-    let tracker = tracker.as_ref().expect("the collect pass keeps a tracker");
-    StreamFlow::Verdict(RawVerdict::Denied {
-        violations: winner
-            .sites
-            .iter()
-            .map(|&site| tracker.violation(site, winner.compiled))
-            .collect(),
-        location: Some(pos.into()),
-    })
+    match decision {
+        Some(decision) => decision.report(&mut matchers, source.log),
+        None => {
+            debug_assert!(matchers.iter().any(|m| !m.failed()));
+            RawVerdict::Admitted
+        }
+    }
 }
 
 fn event_pos(event: &Event<'_>) -> Pos {
@@ -871,7 +943,7 @@ enum MFrame {
 }
 
 /// Where the next value event lands.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Target {
     Skip,
     Node(u32),
@@ -889,12 +961,56 @@ struct Capture {
     /// a container, so none could match.
     decided: bool,
     /// The container's first event: where the violation is recorded and
-    /// located.
+    /// located (its snapshot when collecting, its index when dying fast).
     snapshot: u32,
+    first: usize,
     pos: Pos,
     /// The matcher's stack depth with the container's frame on it.
     depth: usize,
     builder: TreeBuilder,
+}
+
+impl Capture {
+    /// Start building the container that opens at `event`.
+    fn new(reason: SiteReason, decided: bool, at: &mut SiteAtEvent<'_, '_>, depth: usize) -> Self {
+        Capture {
+            reason,
+            decided,
+            snapshot: at.snapshot(),
+            first: at.index,
+            pos: event_pos(at.event),
+            depth,
+            builder: TreeBuilder::default(),
+        }
+    }
+}
+
+/// Where and of what a die-fast matcher died. Its state stays as the
+/// violation left it — a collecting matcher's state, less that one site —
+/// so the matcher can be resumed after the event it died at.
+#[derive(Debug)]
+struct Death {
+    /// The event it died at, counted from the stream's first event.
+    event: usize,
+    fatal: Fatal,
+}
+
+/// The violation a die-fast matcher died of.
+#[derive(Debug)]
+enum Fatal {
+    /// The dying event violates.
+    Event(SiteReason),
+    /// A constant, enumeration or pattern node with no container among its
+    /// values met a container: decided at its first event, the dying one. A
+    /// collecting matcher builds the container to render it.
+    Container(SiteReason),
+    /// A container the matcher built closed at the dying event, not
+    /// allowed: its first event, where the site is, and what it held.
+    Closed {
+        reason: SiteReason,
+        first: usize,
+        built: Value,
+    },
 }
 
 /// A state machine that advances compiled-arena node ids as tokenizer events
@@ -913,46 +1029,181 @@ pub(crate) struct StreamMatcher<'c> {
     /// Violations recorded so far ([`Mode::Collect`] only), in document
     /// order (the tree walk's order).
     sites: Vec<Site>,
-    /// Cleared at the first violation in [`Mode::Fast`], and in either mode
-    /// on an event a well-formed stream cannot produce; a dead matcher does
-    /// no further work and never admits.
+    /// Violations counted so far ([`Mode::Count`] only).
+    count: usize,
+    /// Cleared at the first violation in [`Mode::Fast`], and in any mode on
+    /// an event a well-formed stream cannot produce; a dead matcher does no
+    /// further work and never admits.
     alive: bool,
+    /// Where a [`Mode::Fast`] matcher died of a violation; `None` while it
+    /// lives, and for one that failed closed, which has no site (and
+    /// reports none, as a collecting matcher would).
+    death: Option<Death>,
     /// The container being built, if any (see [`Capture`]); boxed, as
     /// only a few bodies ever build one.
     capture: Option<Box<Capture>>,
 }
 
 impl<'c> StreamMatcher<'c> {
-    fn new(compiled: &'c CompiledValidator, root: u32, mode: Mode) -> Self {
+    /// A die-fast matcher at the root of a document.
+    fn new(compiled: &'c CompiledValidator, root: u32) -> Self {
         StreamMatcher {
             compiled,
-            mode,
+            mode: Mode::Fast,
             stack: Vec::with_capacity(16),
             pending: Some(Target::Node(root)),
             sites: Vec::new(),
+            count: 0,
             alive: true,
+            death: None,
             capture: None,
         }
     }
 
-    /// Whether this matcher has rejected the document.
+    /// Whether this matcher has rejected the document (die-fast only).
     fn failed(&self) -> bool {
-        !self.alive || !self.sites.is_empty()
+        !self.alive
     }
 
-    /// A violation occurred at the current event.
+    /// The event a die-fast matcher died at; `None` while it lives or when
+    /// it failed closed.
+    fn died_at(&self) -> Option<usize> {
+        self.death.as_ref().map(|death| death.event)
+    }
+
+    fn die(&mut self, event: usize, fatal: Fatal) {
+        self.alive = false;
+        self.death = Some(Death { event, fatal });
+    }
+
+    /// A violation occurred at the current event: a die-fast matcher dies,
+    /// a collecting one records its site, a counting one counts it — no
+    /// string is built in any mode.
     fn violate(&mut self, at: &mut SiteAtEvent<'_, '_>, reason: SiteReason) {
-        self.record(at.snapshot(), reason);
+        match self.mode {
+            Mode::Fast => self.die(at.index, Fatal::Event(reason)),
+            Mode::Collect => self.sites.push(Site {
+                snapshot: at.snapshot(),
+                reason,
+            }),
+            Mode::Count => self.count += 1,
+        }
     }
 
-    /// A violation occurred: in fast mode the matcher simply dies; in
-    /// collect mode its site is recorded — no string is built on either
-    /// pass.
-    fn record(&mut self, snapshot: u32, reason: SiteReason) {
-        match self.mode {
-            Mode::Fast => self.alive = false,
-            Mode::Collect => self.sites.push(Site { snapshot, reason }),
+    /// Resume a dead die-fast matcher in collect mode: replay `log` — the
+    /// document's events up to where the stream stands — through `tracker`,
+    /// record the site the matcher died of where it lies, and feed the
+    /// matcher every event after the one it died at. One that failed
+    /// closed stays dead with no site.
+    fn resume<'a>(&mut self, log: &[Event<'a>], tracker: &mut PathTracker<'a>) {
+        self.mode = Mode::Collect;
+        let Some(Death { event: died, fatal }) = self.death.take() else {
+            return;
+        };
+        self.alive = true;
+        let (site, reason) = match fatal {
+            Fatal::Event(reason) | Fatal::Container(reason) => (died, reason),
+            Fatal::Closed { reason, first, .. } => (first, reason),
+        };
+        let mut fatal = Some(fatal);
+        for (index, event) in log.iter().enumerate() {
+            if index > died {
+                collect_event(self, tracker, event, index);
+                continue;
+            }
+            tracker.before_event(event);
+            if index == site {
+                let mut at = SiteAtEvent::new(Some(&mut *tracker), event, index);
+                let snapshot = at.snapshot();
+                self.sites.push(Site { snapshot, reason });
+                match fatal.take() {
+                    Some(Fatal::Container(_)) => {
+                        // The container opened at the dying event: build
+                        // it from there, as a collecting matcher does.
+                        let mut capture = Capture::new(reason, true, &mut at, self.stack.len());
+                        capture.builder.feed(event.clone());
+                        self.capture = Some(Box::new(capture));
+                    }
+                    Some(Fatal::Closed { built, .. }) => {
+                        tracker.snapshots[snapshot as usize].found = Found::Built(built);
+                    }
+                    _ => {}
+                }
+            }
+            tracker.after_event(event);
         }
+    }
+
+    /// [`StreamMatcher::resume`] over `log`, then on through `live` to the
+    /// end of the document.
+    fn collect_from<'a>(
+        &mut self,
+        log: &[Event<'a>],
+        mut live: WireTokenizer<'a>,
+        tracker: &mut PathTracker<'a>,
+    ) {
+        self.resume(log, tracker);
+        for (index, event) in (log.len()..).zip(std::iter::from_fn(|| live.next_in_document())) {
+            collect_event(self, tracker, &event, index);
+        }
+    }
+
+    /// The count of violations this dead die-fast matcher, the `index`-th,
+    /// would report, when it beats `best` — the (count, index) of the best
+    /// report so far, the lower the better. It resumes counting from where
+    /// it died, over the rest of `log`, then, still undecided, over a clone
+    /// of `checkpoint` to the end of the document, and stops as soon as it
+    /// cannot win. `stack` is scratch room for its frames.
+    fn count_to_beat<'a>(
+        &self,
+        index: usize,
+        best: (usize, usize),
+        log: &[Event<'a>],
+        checkpoint: Option<&WireTokenizer<'a>>,
+        stack: &mut Vec<MFrame>,
+    ) -> Option<usize> {
+        let loses = |count: usize| (count, index) > best;
+        let Some(death) = &self.death else {
+            // Failed closed: no site to count.
+            return (!loses(0)).then_some(0);
+        };
+        if loses(1) {
+            return None;
+        }
+        stack.clone_from(&self.stack);
+        let mut rival = StreamMatcher {
+            compiled: self.compiled,
+            mode: Mode::Count,
+            stack: std::mem::take(stack),
+            pending: self.pending,
+            sites: Vec::new(),
+            count: 1,
+            alive: true,
+            death: None,
+            capture: None,
+        };
+        let undecided = |rival: &mut StreamMatcher<'_>, event: &Event<'a>, index: usize| {
+            rival.feed(event, &mut SiteAtEvent::new(None, event, index));
+            rival.alive && !loses(rival.count)
+        };
+        let past_log = log
+            .iter()
+            .enumerate()
+            .skip(death.event + 1)
+            .all(|(index, event)| undecided(&mut rival, event, index));
+        if past_log {
+            let mut live = checkpoint
+                .expect("a rival resumes beside a checkpoint")
+                .clone();
+            for (index, event) in (log.len()..).zip(std::iter::from_fn(|| live.next_in_document()))
+            {
+                if !undecided(&mut rival, &event, index) {
+                    break;
+                }
+            }
+        }
+        *stack = std::mem::take(&mut rival.stack);
+        (!loses(rival.count)).then_some(rival.count)
     }
 
     fn value_target(&mut self) -> Target {
@@ -1008,7 +1259,7 @@ impl<'c> StreamMatcher<'c> {
         };
         self.stack.push(MFrame::Skip);
         if let Some(reason) = value_check {
-            self.capture(reason, event_pos(event), at);
+            self.capture(reason, at);
         }
     }
 
@@ -1025,42 +1276,65 @@ impl<'c> StreamMatcher<'c> {
 
     /// A constant, enumeration or pattern node meets the container just
     /// pushed. With no container among the node's values the verdict is
-    /// certain here, and only the collect pass builds the container, to
-    /// render it; otherwise both passes build it and decide when it closes.
-    fn capture(&mut self, reason: SiteReason, pos: Pos, at: &mut SiteAtEvent<'_, '_>) {
-        let snapshot = at.snapshot();
+    /// certain here, and only a collecting matcher builds the container, to
+    /// render it; otherwise every mode builds it and decides when it closes.
+    fn capture(&mut self, reason: SiteReason, at: &mut SiteAtEvent<'_, '_>) {
         let decided = self.allowed_values(reason).iter().all(Value::is_scalar);
         if decided {
-            self.record(snapshot, reason);
-            if self.mode == Mode::Fast {
-                return;
+            match self.mode {
+                Mode::Fast => return self.die(at.index, Fatal::Container(reason)),
+                Mode::Count => {
+                    self.count += 1;
+                    return;
+                }
+                Mode::Collect => {}
             }
         }
-        self.capture = Some(Box::new(Capture {
-            reason,
-            decided,
-            snapshot,
-            pos,
-            depth: self.stack.len(),
-            builder: TreeBuilder::default(),
-        }));
+        let capture = Capture::new(reason, decided, at, self.stack.len());
+        if decided {
+            self.sites.push(Site {
+                snapshot: capture.snapshot,
+                reason,
+            });
+        }
+        self.capture = Some(Box::new(capture));
     }
 
-    /// The captured container closed: check it as the tree walk does
-    /// ([`Value::loosely_equals`]) unless already decided, and keep it for
-    /// the report to render. Returns the container's position.
+    /// The captured container closed at the current event: check it as the
+    /// tree walk does ([`Value::loosely_equals`]) unless already decided,
+    /// and keep it for the report to render. Returns the container's
+    /// position.
     fn close(&mut self, mut capture: Capture, at: &mut SiteAtEvent<'_, '_>) -> Pos {
         let built = capture
             .builder
             .feed(Event::DocumentEnd)
             .unwrap_or(Value::Null);
-        let allowed = || {
-            self.allowed_values(capture.reason)
+        let allowed = capture.decided
+            || self
+                .allowed_values(capture.reason)
                 .iter()
-                .any(|value| built.loosely_equals(value))
-        };
-        if !capture.decided && !allowed() {
-            self.record(capture.snapshot, capture.reason);
+                .any(|value| built.loosely_equals(value));
+        if !allowed {
+            let reason = capture.reason;
+            match self.mode {
+                Mode::Fast => {
+                    let first = capture.first;
+                    self.die(
+                        at.index,
+                        Fatal::Closed {
+                            reason,
+                            first,
+                            built,
+                        },
+                    );
+                    return capture.pos;
+                }
+                Mode::Collect => self.sites.push(Site {
+                    snapshot: capture.snapshot,
+                    reason,
+                }),
+                Mode::Count => self.count += 1,
+            }
         }
         if let Some(tracker) = at.tracker.as_deref_mut() {
             tracker.snapshots[capture.snapshot as usize].found = Found::Built(built);
@@ -1347,7 +1621,7 @@ spec:
 
     #[test]
     fn stream_denials_synthesize_single_violation_reports() {
-        // The collect pass must produce the exact single-violation report —
+        // The collecting matcher must produce the exact single-violation report —
         // path in the tree walker's notation included — from matcher state.
         // (That no document tree is parsed on this path is a property of
         // the code shape, measured by `kubefence.stream.deny_us_p50` in
@@ -1658,6 +1932,237 @@ spec:
             panic!("expected JSON denial");
         };
         assert_eq!(violations, json_violations);
+    }
+
+    /// A set of Deployment validators, in this order, each admitting one
+    /// manifest with `spec` as given.
+    fn rivals(specs: &[&str]) -> ValidatorSet {
+        let mut set = ValidatorSet::new();
+        for (index, spec) in specs.iter().enumerate() {
+            let manifest = format!("kind: Deployment\nmetadata:\n  name: web\nspec: {spec}\n");
+            let manifest = kf_yaml::parse(&manifest).unwrap();
+            set.push(Validator::from_manifests(&format!("v{index}"), &[manifest]).unwrap());
+        }
+        set
+    }
+
+    /// A `kind:`-first YAML body's die-fast matchers, as they stand once
+    /// every one has failed.
+    fn die_fast<'s>(set: &'s ValidatorSet, text: &str) -> Vec<StreamMatcher<'s>> {
+        let mut matchers: Vec<_> = set
+            .validators_for(ResourceKind::Deployment)
+            .iter()
+            .map(|&index| {
+                let compiled = set.validators()[index as usize].compiled();
+                StreamMatcher::new(
+                    compiled,
+                    compiled.kind_root(ResourceKind::Deployment).unwrap(),
+                )
+            })
+            .collect();
+        let mut tokenizer = Tokenizer::new(text).unwrap();
+        let mut index = 0;
+        while let Some(event) = tokenizer.next_event().unwrap() {
+            if drive(&mut matchers, &event, index).is_some() {
+                return matchers;
+            }
+            index += 1;
+        }
+        panic!("no denial decided in {text}");
+    }
+
+    /// The stream's denial of `text`, in both formats, asserted equal to
+    /// the reference's.
+    fn denial(set: &ValidatorSet, text: &str) -> Vec<Violation> {
+        let json = kf_yaml::to_json(&kf_yaml::parse(text).unwrap());
+        let mut reports =
+            [(text, BodyFormat::Yaml), (&json, BodyFormat::Json)].map(|(text, format)| {
+                let verdict = set.validate_raw_format(text, format);
+                let RawVerdict::Denied {
+                    violations,
+                    location,
+                } = verdict
+                else {
+                    panic!("{format:?}: expected a denial, got {verdict:?}\n{text}");
+                };
+                assert!(location.is_some(), "{format:?}: located");
+                let RawVerdict::Denied {
+                    violations: reference,
+                    ..
+                } = set.validate_raw_tree_format(text, format)
+                else {
+                    panic!("{format:?}: the reference denies");
+                };
+                assert_eq!(violations, reference, "{format:?}\n{text}");
+                violations
+            });
+        assert_eq!(reports[0], reports[1]);
+        std::mem::take(&mut reports[0])
+    }
+
+    fn paths(violations: &[Violation]) -> Vec<&str> {
+        violations.iter().map(|v| v.path.as_str()).collect()
+    }
+
+    /// The matcher that died last resumes at the container it died at —
+    /// decided at its first event, or closed not allowed — and reads on to
+    /// the end of the document, where later violations are reported too.
+    #[test]
+    fn the_candidate_resumes_at_the_container_it_died_at() {
+        let decided = request("docker.io/bitnami/nginx:1.25", "{a: 1}", "3") + "  paused: true\n";
+        let set = set();
+        let matchers = die_fast(&set, &decided);
+        assert!(matches!(
+            matchers[0].death,
+            Some(Death {
+                fatal: Fatal::Container(_),
+                ..
+            })
+        ));
+        let violations = denial(&set, &decided);
+        assert_eq!(
+            paths(&violations),
+            [
+                "spec.template.spec.containers[0].imagePullPolicy",
+                "spec.paused"
+            ]
+        );
+        assert!(
+            violations[0].to_string().contains("a: 1"),
+            "{}",
+            violations[0]
+        );
+
+        let mut validator = validator();
+        validator.apply_security_locks(&SecurityLocks::none().with_lock(SecurityLock {
+            field: "containers[].securityContext.capabilities".to_owned(),
+            locked_value: kf_yaml::parse("drop: [ALL]").unwrap(),
+            add_if_missing: true,
+            rationale: "a container-valued lock".to_owned(),
+        }));
+        let locked = ValidatorSet::single(validator);
+        let closed = request("docker.io/bitnami/nginx:1.25", "Always", "3")
+            + "          securityContext:\n            capabilities: {drop: [NET_RAW]}\n"
+            + "          debug: true\n";
+        let matchers = die_fast(&locked, &closed);
+        assert!(matches!(
+            matchers[0].death,
+            Some(Death {
+                fatal: Fatal::Closed { .. },
+                ..
+            })
+        ));
+        let violations = denial(&locked, &closed);
+        assert_eq!(
+            paths(&violations),
+            [
+                "spec.template.spec.containers[0].securityContext.capabilities",
+                "spec.template.spec.containers[0].debug"
+            ]
+        );
+        assert!(
+            violations[0].to_string().contains("NET_RAW"),
+            "{}",
+            violations[0]
+        );
+    }
+
+    /// The matcher that died last is only the likeliest winner. A rival
+    /// that died earlier with fewer violations is served instead, and so is
+    /// one that ties it from earlier in validator order; one whose losing
+    /// violation lies past the decision reads on to find it.
+    #[test]
+    fn rivals_that_died_earlier_are_counted_against_the_candidate() {
+        let body = |spec: &str| format!("kind: Deployment\nmetadata:\n  name: web\nspec:\n{spec}");
+        let cases: [(&[&str], &str, &[&str]); 3] = [
+            // v0 dies at `minReadySeconds`, one violation; v1 dies later,
+            // at `paused`, with three.
+            (
+                &[
+                    "{paused: true, replicas: 3, revisionHistoryLimit: 2}",
+                    "{minReadySeconds: 1}",
+                ],
+                "  minReadySeconds: 1\n  paused: true\n  replicas: 3\n  revisionHistoryLimit: 2\n",
+                &["spec.minReadySeconds"],
+            ),
+            // One violation each: the tie goes to v0, which died first.
+            (
+                &["{paused: true}", "{minReadySeconds: 1}"],
+                "  minReadySeconds: 1\n  paused: true\n",
+                &["spec.minReadySeconds"],
+            ),
+            // v0's second violation comes after the decision at `paused`.
+            (
+                &["{paused: true}", "{minReadySeconds: 1, replicas: 3}"],
+                "  minReadySeconds: 1\n  paused: true\n  replicas: 3\n",
+                &["spec.paused"],
+            ),
+        ];
+        for (specs, spec, served) in cases {
+            let set = rivals(specs);
+            let text = body(spec);
+            let matchers = die_fast(&set, &text);
+            assert!(matchers[0].died_at() < matchers[1].died_at(), "{text}");
+            assert_eq!(paths(&denial(&set, &text)), served, "{text}");
+        }
+    }
+
+    /// A matcher fed an event a well-formed stream cannot produce fails
+    /// closed: it has no site, never resumes, and counts as a report of
+    /// none — which beats every rival that has a site, as it does when all
+    /// of them collect.
+    #[test]
+    fn a_matcher_that_failed_closed_counts_as_no_violations() {
+        let set = rivals(&["{paused: true}", "{paused: true}"]);
+        let text = "kind: Deployment\nmetadata:\n  name: web\nspec:\n  paused: false\n";
+        let mut matchers = die_fast(&set, text);
+        let compiled = matchers[0].compiled;
+        let root = compiled.kind_root(ResourceKind::Deployment).unwrap();
+        let mut closed = StreamMatcher::new(compiled, root);
+        let root = Event::MappingStart {
+            pos: Pos::default(),
+        };
+        let stray = Event::Scalar {
+            value: ScalarToken::Null,
+            pos: Pos::default(),
+        };
+        for (index, event) in [root, stray].iter().enumerate() {
+            closed.feed(event, &mut SiteAtEvent::new(None, event, index));
+        }
+        assert!(closed.failed() && closed.died_at().is_none());
+        matchers[0] = closed;
+
+        let log: Vec<_> = {
+            let mut tokenizer = Tokenizer::new(text).unwrap();
+            std::iter::from_fn(|| tokenizer.next_event().unwrap())
+                .take_while(|event| !matches!(event, Event::DocumentEnd))
+                .collect()
+        };
+        let mut tracker = PathTracker::default();
+        let mut stack = Vec::new();
+        assert_eq!(
+            matchers[0].count_to_beat(0, (1, 1), &log, None, &mut stack),
+            Some(0)
+        );
+        assert_eq!(
+            matchers[0].count_to_beat(0, (0, 1), &log, None, &mut stack),
+            Some(0)
+        );
+        matchers[1].resume(&log, &mut tracker);
+        assert_eq!(matchers[1].sites.len(), 1);
+        matchers[0].resume(&log, &mut tracker);
+        assert!(matchers[0].failed() && matchers[0].sites.is_empty());
+
+        let decision = Decision {
+            pos: Pos::default(),
+            candidate: 1,
+            tracker,
+            checkpoint: Some(WireTokenizer::new("", BodyFormat::Yaml)),
+        };
+        let RawVerdict::Denied { violations, .. } = decision.report(&mut matchers, &log) else {
+            panic!("a report");
+        };
+        assert!(violations.is_empty());
     }
 
     /// A container-valued constant in front of the stream, two ways: a

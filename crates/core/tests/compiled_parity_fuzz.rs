@@ -526,6 +526,51 @@ fn cross_format_streaming_verdicts_agree() {
     );
 }
 
+/// The serving configuration: one set over all five charts, where a kind
+/// two charts deploy has a matcher per chart and a denial serves the closest
+/// match — fewest violations, first in validator order on a tie. Mutated
+/// manifests of every chart, in both formats, must get the reference's
+/// violations from the stream, with a location.
+#[test]
+fn the_five_chart_set_serves_the_references_closest_match() {
+    let mut set = ValidatorSet::new();
+    for operator in Operator::ALL {
+        set.push(validator_for(operator));
+    }
+    let mut checked = 0usize;
+    let mut contested = 0usize;
+    for operator in Operator::ALL {
+        let bases = operator.workload().default_objects();
+        let mut rng = SmallRng::seed_from_u64(0x0005_E70F_F1FE ^ operator.name().len() as u64);
+        for case in 0..cases_per_operator() {
+            let base = &bases[rng.gen_range(0usize..bases.len())];
+            let mut body = base.body().clone();
+            for _ in 0..rng.gen_range(1usize..MUTATIONS_PER_CASE + 1) {
+                mutate(&mut rng, &mut body);
+            }
+            let matchers =
+                K8sObject::peek_kind(&body).map_or(0, |kind| set.validators_for(kind).len());
+            for (text, format) in [
+                (kf_yaml::to_yaml(&body), BodyFormat::Yaml),
+                (kf_yaml::to_json(&body), BodyFormat::Json),
+            ] {
+                let stream = set.validate_raw_format(&text, format);
+                let tree = set.validate_raw_tree_format(&text, format);
+                assert_same_outcome(&stream, &tree, operator.name(), case, format.name(), &text);
+                checked += 1;
+                if matchers > 1 && matches!(stream, RawVerdict::Denied { .. }) {
+                    contested += 1;
+                }
+            }
+        }
+    }
+    println!("{checked} bodies, {contested} denials among several matchers");
+    assert!(
+        contested > 0,
+        "the mutator must reach denials that choose among matchers"
+    );
+}
+
 /// One cross-format parity case: each format's streaming verdict equals its
 /// own tree reference, the verdict class is identical across formats, and
 /// denial violation lists are byte-identical. Returns whether both formats

@@ -22,7 +22,7 @@
 //! What it holds is bounded by nesting depth and line length, not body size.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use crate::value::Value;
 use crate::Error;
@@ -169,11 +169,83 @@ pub(crate) fn too_deep(line: usize) -> Error {
     )
 }
 
+/// How many keys a mapping compares a new key with one by one. Chart
+/// mappings hold tens of keys. Past this many, a mapping keeps its keys in
+/// a hash set instead (SipHash, so a body cannot aim its keys at one
+/// bucket), and each further key costs one probe: a wide mapping is checked
+/// in time linear in its keys, not quadratic.
+const SCANNED_KEYS: usize = 32;
+
+/// The keys of every open mapping of one document, for duplicate
+/// detection, shared by the YAML (block and flow) and JSON tokenizers.
+/// Each open mapping owns the suffix of `keys` from the start
+/// [`OpenKeys::open`] returned for it, or, once wide, its entry in `wide`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpenKeys<'a> {
+    keys: Vec<Cow<'a, str>>,
+    /// The open mappings that outgrew [`SCANNED_KEYS`], innermost last:
+    /// each one's start, and all of its keys. Such a mapping keeps its
+    /// first keys in `keys` too, so a mapping opened inside it starts past
+    /// its start.
+    wide: Vec<(usize, HashSet<Cow<'a, str>>)>,
+}
+
+impl<'a> OpenKeys<'a> {
+    /// Open a mapping inside the innermost open one; returns its start.
+    pub(crate) fn open(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Add `key` to the innermost open mapping, opened at `start`; `false`
+    /// when the mapping already holds it.
+    pub(crate) fn insert(&mut self, start: usize, key: Cow<'a, str>) -> bool {
+        if let Some((_, set)) = self.wide.last_mut().filter(|(wide, _)| *wide == start) {
+            count_comparisons(1);
+            return set.insert(key);
+        }
+        let own = &self.keys[start..];
+        count_comparisons(own.len());
+        if own.contains(&key) {
+            return false;
+        }
+        if own.len() < SCANNED_KEYS {
+            self.keys.push(key);
+        } else {
+            let set = own.iter().cloned().chain([key]).collect();
+            self.wide.push((start, set));
+        }
+        true
+    }
+
+    /// Close the innermost open mapping, opened at `start`.
+    pub(crate) fn close(&mut self, start: usize) {
+        self.keys.truncate(start);
+        if self.wide.last().is_some_and(|(wide, _)| *wide == start) {
+            self.wide.pop();
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Key comparisons made by duplicate detection on this thread: one per
+    /// earlier key scanned, one per hash-set probe.
+    static KEY_COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_comparisons(n: usize) {
+    KEY_COMPARISONS.with(|count| count.set(count.get() + n));
+}
+
+#[cfg(not(test))]
+fn count_comparisons(_: usize) {}
+
 /// An open block container on the tokenizer stack.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
-    /// A block mapping at this indentation; `keys_start` marks the start of
-    /// its slice of the shared duplicate-detection key stack.
+    /// A block mapping at this indentation; `keys_start` is its start in
+    /// the tokenizer's [`OpenKeys`].
     Map { indent: usize, keys_start: usize },
     /// A block sequence at this indentation.
     Seq { indent: usize },
@@ -196,7 +268,8 @@ enum Expect {
 /// holds besides the input is the current line, the open block containers
 /// and their keys, and the events of the line being lexed — bounded by
 /// nesting depth and line length, never by the size of the body.
-#[derive(Debug)]
+/// A clone reads on from where the original stands.
+#[derive(Debug, Clone)]
 pub struct Tokenizer<'a> {
     text: &'a str,
     /// Byte offset of the first line not yet read.
@@ -210,9 +283,8 @@ pub struct Tokenizer<'a> {
     /// of a null the document's end completes.
     last_end: Pos,
     stack: Vec<Frame>,
-    /// Shared key stack for duplicate detection; each open mapping owns the
-    /// suffix starting at its `keys_start`.
-    keys: Vec<Cow<'a, str>>,
+    /// Duplicate detection, for block and flow mappings alike.
+    keys: OpenKeys<'a>,
     expect: Expect,
     queue: VecDeque<Event<'a>>,
 }
@@ -234,7 +306,7 @@ impl<'a> Tokenizer<'a> {
             line: None,
             last_end: Pos::default(),
             stack: Vec::new(),
-            keys: Vec::new(),
+            keys: OpenKeys::default(),
             expect: Expect::Document,
             queue: VecDeque::new(),
         })
@@ -348,7 +420,7 @@ impl<'a> Tokenizer<'a> {
     fn close_frame(&mut self) {
         if let Some(frame) = self.stack.pop() {
             if let Frame::Map { keys_start, .. } = frame {
-                self.keys.truncate(keys_start);
+                self.keys.close(keys_start);
             }
             self.queue.push_back(Event::End);
         }
@@ -369,7 +441,7 @@ impl<'a> Tokenizer<'a> {
         } else if find_key_split(line.text).is_some() {
             self.queue
                 .push_back(Event::MappingStart { pos: line.pos() });
-            let keys_start = self.keys.len();
+            let keys_start = self.keys.open();
             self.open_frame(Frame::Map { indent, keys_start }, line.number)?;
         } else {
             // A bare scalar (or flow collection) on a single line.
@@ -428,13 +500,12 @@ impl<'a> Tokenizer<'a> {
             offset: self.offset_of(key_raw),
         };
         let key = unquote_key(key_raw, line.number)?;
-        if self.keys[keys_start..].contains(&key) {
+        if !self.keys.insert(keys_start, key.clone()) {
             return Err(Error::parse(
                 line.number,
                 format!("duplicate mapping key `{key}`"),
             ));
         }
-        self.keys.push(key.clone());
         self.queue.push_back(Event::Key {
             name: key,
             pos: key_pos,
@@ -526,7 +597,12 @@ impl<'a> Tokenizer<'a> {
                 line,
                 base_offset,
             };
-            scan_flow_node(&mut cursor, &mut self.queue, self.stack.len())?;
+            scan_flow_node(
+                &mut cursor,
+                &mut self.queue,
+                &mut self.keys,
+                self.stack.len(),
+            )?;
             cursor.skip_ws();
             if cursor.i != text.len() {
                 return Err(Error::parse(
@@ -767,10 +843,11 @@ impl<'a> FlowCursor<'a> {
 /// Scan one flow node (`[...]`, `{...}` or a scalar token), emitting events.
 /// `depth` is the number of containers (block and flow) already open around
 /// it; the scan recurses per flow level, so it refuses to open a collection
-/// past [`MAX_NESTING_DEPTH`].
+/// past [`MAX_NESTING_DEPTH`]. Flow mappings open in `keys` like block ones.
 fn scan_flow_node<'a>(
     cur: &mut FlowCursor<'a>,
     queue: &mut VecDeque<Event<'a>>,
+    keys: &mut OpenKeys<'a>,
     depth: usize,
 ) -> Result<(), Error> {
     cur.skip_ws();
@@ -787,7 +864,7 @@ fn scan_flow_node<'a>(
                     cur.i += 1;
                     break;
                 }
-                scan_flow_node(cur, queue, depth + 1)?;
+                scan_flow_node(cur, queue, keys, depth + 1)?;
                 cur.skip_ws();
                 match cur.peek() {
                     Some(',') => cur.i += 1,
@@ -809,7 +886,7 @@ fn scan_flow_node<'a>(
         Some('{') => {
             queue.push_back(Event::MappingStart { pos: cur.pos() });
             cur.i += 1;
-            let mut seen: Vec<String> = Vec::new();
+            let start = keys.open();
             loop {
                 cur.skip_ws();
                 if cur.peek() == Some('}') {
@@ -823,13 +900,12 @@ fn scan_flow_node<'a>(
                     ScalarToken::Str(s) => s,
                     other => Cow::Owned(other.render()),
                 };
-                if seen.iter().any(|k| *k == key.as_ref()) {
+                if !keys.insert(start, key.clone()) {
                     return Err(Error::parse(
                         cur.line,
                         format!("duplicate mapping key `{key}` in flow mapping"),
                     ));
                 }
-                seen.push(key.to_string());
                 cur.skip_ws();
                 if cur.peek() != Some(':') {
                     return Err(Error::parse(cur.line, "expected `:` in flow mapping"));
@@ -839,7 +915,7 @@ fn scan_flow_node<'a>(
                     name: key,
                     pos: key_pos,
                 });
-                scan_flow_node(cur, queue, depth + 1)?;
+                scan_flow_node(cur, queue, keys, depth + 1)?;
                 cur.skip_ws();
                 match cur.peek() {
                     Some(',') => cur.i += 1,
@@ -855,6 +931,7 @@ fn scan_flow_node<'a>(
                     }
                 }
             }
+            keys.close(start);
             queue.push_back(Event::End);
             Ok(())
         }
@@ -1063,6 +1140,69 @@ mod tests {
             }
         }
         assert!(saw_err);
+    }
+
+    /// Duplicate detection costs a constant per key once a mapping is
+    /// wide: twice the keys make at most about twice the comparisons, in
+    /// block, flow and JSON form, and a duplicate far past the scanned
+    /// keys is still refused.
+    #[test]
+    fn duplicate_detection_is_linear_in_a_mappings_keys() {
+        fn comparisons(text: &str, json: bool) -> Result<usize, Error> {
+            KEY_COMPARISONS.with(|count| count.set(0));
+            if json {
+                let mut tok = crate::json::JsonTokenizer::new(text);
+                while tok.next_event()?.is_some() {}
+            } else {
+                let mut tok = Tokenizer::new(text)?;
+                while tok.next_event()?.is_some() {}
+            }
+            Ok(KEY_COMPARISONS.with(std::cell::Cell::get))
+        }
+        /// `key: 0` entries for `k0`, `k1`, … `k{n - 1}`, then `k5` again
+        /// when `duplicate`.
+        fn entries(n: usize, duplicate: bool, json: bool) -> Vec<String> {
+            (0..n)
+                .chain(duplicate.then_some(5))
+                .map(|i| match json {
+                    true => format!("\"k{i}\": 0"),
+                    false => format!("k{i}: 0"),
+                })
+                .collect()
+        }
+        type Render = fn(Vec<String>) -> String;
+        let forms: [(&str, bool, Render); 3] = [
+            ("block", false, |entries| entries.join("\n") + "\n"),
+            ("flow", false, |entries| {
+                format!("m: {{{}}}\n", entries.join(", "))
+            }),
+            ("json", true, |entries| format!("{{{}}}", entries.join(","))),
+        ];
+        for (form, json, render) in forms {
+            let count = |n: usize| comparisons(&render(entries(n, false, json)), json).unwrap();
+            let (half, full) = (count(32 << 10), count(64 << 10));
+            assert!(
+                full as f64 <= 2.2 * half as f64,
+                "{form}: {full} comparisons for 64k keys, {half} for 32k"
+            );
+            let duplicated = render(entries(SCANNED_KEYS * 4, true, json));
+            let err = comparisons(&duplicated, json).unwrap_err();
+            assert!(err.to_string().contains("duplicate"), "{form}: {err}");
+        }
+        // A mapping opened inside a wide one holds keys of its own.
+        let wide: Vec<String> = (0..SCANNED_KEYS * 2).map(|i| format!("k{i}: 0")).collect();
+        let block = format!(
+            "{}\nn:\n  k0: 0\n  k1: {{k2: 0}}\nk99: 0\n",
+            wide.join("\n")
+        );
+        assert!(comparisons(&block, false).is_ok());
+        let refused = comparisons(&format!("{block}k1: 0\n"), false).unwrap_err();
+        assert!(matches!(refused, Error::Parse { line, .. } if line == SCANNED_KEYS * 2 + 5));
+        let flow = format!(
+            "m: {{{}, n: {{k0: 0, k1: [{{k2: 0}}]}}, k99: 0}}\n",
+            wide.join(", ")
+        );
+        assert!(comparisons(&flow, false).is_ok());
     }
 
     #[test]

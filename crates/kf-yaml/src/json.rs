@@ -25,15 +25,15 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::events::{too_deep, Event, Pos, ScalarToken, MAX_NESTING_DEPTH};
+use crate::events::{too_deep, Event, OpenKeys, Pos, ScalarToken, MAX_NESTING_DEPTH};
 use crate::value::Value;
 use crate::Error;
 
 /// An open JSON container on the tokenizer stack.
 #[derive(Debug, Clone, Copy)]
 enum JFrame {
-    /// An object; `keys_start` marks the start of its slice of the shared
-    /// duplicate-detection key stack.
+    /// An object; `keys_start` is its start in the tokenizer's
+    /// [`OpenKeys`].
     Obj { keys_start: usize },
     /// An array.
     Arr,
@@ -58,15 +58,15 @@ enum JState {
 }
 
 /// The pull-based JSON tokenizer. See the module docs for the event model.
-#[derive(Debug)]
+/// A clone reads on from where the original stands.
+#[derive(Debug, Clone)]
 pub struct JsonTokenizer<'a> {
     text: &'a str,
     i: usize,
     line: usize,
     stack: Vec<JFrame>,
-    /// Shared key stack for duplicate detection; each open object owns the
-    /// suffix starting at its `keys_start`.
-    keys: Vec<Cow<'a, str>>,
+    /// Duplicate detection.
+    keys: OpenKeys<'a>,
     state: JState,
 }
 
@@ -79,7 +79,7 @@ impl<'a> JsonTokenizer<'a> {
             i: 0,
             line: 1,
             stack: Vec::new(),
-            keys: Vec::new(),
+            keys: OpenKeys::default(),
             state: JState::Value,
         }
     }
@@ -190,7 +190,7 @@ impl<'a> JsonTokenizer<'a> {
 
     fn close_frame(&mut self) -> Event<'a> {
         if let Some(JFrame::Obj { keys_start }) = self.stack.pop() {
-            self.keys.truncate(keys_start);
+            self.keys.close(keys_start);
         }
         self.state = JState::AfterValue;
         Event::End
@@ -206,7 +206,7 @@ impl<'a> JsonTokenizer<'a> {
             Some(b'{') => {
                 self.i += 1;
                 self.stack.push(JFrame::Obj {
-                    keys_start: self.keys.len(),
+                    keys_start: self.keys.open(),
                 });
                 self.state = JState::KeyOrClose;
                 Ok(Event::MappingStart { pos })
@@ -256,10 +256,9 @@ impl<'a> JsonTokenizer<'a> {
             Some(JFrame::Obj { keys_start }) => *keys_start,
             _ => unreachable!("keys are only scanned inside objects"),
         };
-        if self.keys[keys_start..].contains(&name) {
+        if !self.keys.insert(keys_start, name.clone()) {
             return Err(self.err(format!("duplicate object key `{name}`")));
         }
-        self.keys.push(name.clone());
         self.state = JState::Value;
         Ok(Event::Key { name, pos })
     }
