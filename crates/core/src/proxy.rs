@@ -930,8 +930,9 @@ spec:
 
     /// The reader's whitespace is ASCII only: a `#` after a multibyte
     /// character does not start a comment, whatever the character's UTF-8
-    /// continuation bytes (`你` is E4 BD A0). The parser and the tree an
-    /// admitted request is stored as both keep the whole value.
+    /// continuation bytes (`你` is E4 BD A0, `ą` C4 85). The parser and the
+    /// tree an admitted request is stored as both keep the whole value.
+    /// (U+0085 itself is a line break, which the reader refuses.)
     #[test]
     fn a_hash_after_a_multibyte_character_is_read_as_text() {
         let policy = allowed_manifest().replace("docker.io/bitnami/nginx:1.25", "string");
@@ -941,7 +942,7 @@ spec:
         for (written, read) in [
             ("x你#y", "x你#y"),
             ("x\u{a0}#y", "x\u{a0}#y"),
-            ("x\u{85}#y", "x\u{85}#y"),
+            ("x\u{105}#y", "x\u{105}#y"),
             ("x #y", "x"),
         ] {
             let parsed = kf_yaml::parse(&format!("a: {written}\n")).unwrap();

@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::iter::Peekable;
 
-use crate::events::is_space;
+use crate::events::{is_space, line_break};
 use crate::value::Value;
 
 /// Serialize a [`Value`] to YAML text.
@@ -233,7 +233,9 @@ fn string_is_plain(s: &str) -> bool {
     }
     for (i, &b) in bytes.iter().enumerate() {
         match b {
-            b'\n' | b'\t' | b'\'' | b'"' => return false,
+            b'\n' | b'\r' | b'\t' | b'\'' | b'"' => return false,
+            // U+0085, U+2028 and U+2029 break a line for other readers.
+            0xC2 | 0xE2 if line_break(bytes, i).is_some() => return false,
             // A `:` before whitespace or at the end would end a key, and a
             // `#` after whitespace starts a comment — whitespace as the
             // reader's line scanner judges it.
@@ -345,22 +347,31 @@ fn skip_digits(bytes: &mut Peekable<impl Iterator<Item = u8>>) -> bool {
     any
 }
 
-/// Write `s` double-quoted, copying the runs between the bytes that need an
-/// escape.
+/// Write `s` double-quoted, copying the runs between the characters that
+/// need an escape. The line breaks the reader refuses inside a line (CR,
+/// U+0085, U+2028, U+2029) are written as go-yaml's `\r`, `\N`, `\L`, `\P`.
 fn quote(s: &str, out: &mut String) {
     out.push('"');
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         let escape = match b {
             b'"' => "\\\"",
             b'\\' => "\\\\",
             b'\n' => "\\n",
+            b'\r' => "\\r",
             b'\t' => "\\t",
+            0xC2 | 0xE2 => match line_break(bytes, i) {
+                Some('\u{85}') => "\\N",
+                Some('\u{2028}') => "\\L",
+                Some('\u{2029}') => "\\P",
+                _ => continue,
+            },
             _ => continue,
         };
         out.push_str(&s[run..i]);
         out.push_str(escape);
-        run = i + 1;
+        run = i + s[i..].chars().next().map_or(1, char::len_utf8);
     }
     out.push_str(&s[run..]);
     out.push('"');
@@ -391,7 +402,8 @@ mod tests {
         ("say \"hi\"", "\"say \\\"hi\\\"\""),
         ("two\nlines", "\"two\\nlines\""),
         ("tab\there", "\"tab\\there\""),
-        ("cr\rhere", "cr\rhere"),
+        ("cr\rhere", "\"cr\\rhere\""),
+        ("nel\u{85}ls\u{2028}ps\u{2029}", "\"nel\\Nls\\Lps\\P\""),
         ("back\\slash", "back\\slash"),
         ("\\: x", "\"\\\\: x\""),
         ("bell\u{7}", "bell\u{7}"),
@@ -590,21 +602,25 @@ mod tests {
     /// This crate's reader ends a key at a `:` before an ASCII whitespace
     /// byte and starts a comment at a `#` after one. A plain string holding
     /// such a pair is quoted; a multibyte character before a `#` is not
-    /// whitespace, whatever its continuation bytes.
+    /// whitespace, whatever its continuation bytes. A string holding a line
+    /// break the reader refuses inside a line is quoted and escaped.
     #[test]
     fn separators_the_reader_finds_are_quoted() {
         for (input, expected) in [
-            ("a:\rb", "\"a:\rb\""),
+            ("a:\rb", "\"a:\\rb\""),
             ("a:\u{b}b", "\"a:\u{b}b\""),
             ("a:\u{c}b", "\"a:\u{c}b\""),
-            ("a\r#b", "\"a\r#b\""),
+            ("a\r#b", "\"a\\r#b\""),
             ("a\u{c}#b", "\"a\u{c}#b\""),
             // Still plain.
             ("a:b", "a:b"),
             ("日#", "日#"),
+            ("é#", "é#"),
             ("你#", "你#"),
-            ("a\u{85}#b", "a\u{85}#b"),
-            ("a\u{2028}#b", "a\u{2028}#b"),
+            ("a\u{85}#b", "\"a\\N#b\""),
+            ("a\u{2028}#b", "\"a\\L#b\""),
+            ("a\u{2029}b", "\"a\\Pb\""),
+            ("é©…", "é©…"),
         ] {
             assert_eq!(
                 to_yaml(&Value::from(input)),

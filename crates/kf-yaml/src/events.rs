@@ -36,6 +36,12 @@ pub struct Pos {
     pub offset: usize,
 }
 
+impl Pos {
+    pub(crate) fn new(line: usize, offset: usize) -> Pos {
+        Pos { line, offset }
+    }
+}
+
 /// A scalar lexed from the stream.
 ///
 /// String payloads borrow from the input buffer unless unescaping forced an
@@ -142,14 +148,15 @@ struct Line<'a> {
     number: usize,
     /// Byte offset of `text` within the input buffer.
     offset: usize,
+    /// Where `text` splits as `key: rest` (at its first `:` before white
+    /// space or the line end, outside quotes and flow brackets, when the key
+    /// is not empty): the trimmed key's end and the rest's start in `text`.
+    split: Option<(usize, usize)>,
 }
 
 impl<'a> Line<'a> {
     fn pos(&self) -> Pos {
-        Pos {
-            line: self.number,
-            offset: self.offset,
-        }
+        Pos::new(self.number, self.offset)
     }
 }
 
@@ -346,51 +353,92 @@ impl<'a> Tokenizer<'a> {
 
     /// Move to the next significant line of the document: past blank and
     /// comment-only lines, to `None` at a `---` separator (which it
-    /// consumes) or at the end of the input.
+    /// consumes) or at the end of the input. One forward pass over [`CLASS`]
+    /// reads a line's indent, comment start (a `#` at its start or after a
+    /// blank, outside quotes), trimmed end, first key split and end, and
+    /// refuses a line break other than LF or CRLF anywhere in it.
     fn advance_line(&mut self) -> Result<(), Error> {
         self.line = None;
-        while self.cursor < self.text.len() {
-            let start = self.cursor;
-            let rest = &self.text[start..];
-            let end = rest.find('\n').unwrap_or(rest.len());
-            let raw_full = &rest[..end];
-            self.cursor = (start + end + 1).min(self.text.len());
-            self.number += 1;
-            let raw = raw_full.strip_suffix('\r').unwrap_or(raw_full);
-            if is_separator(raw) {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        while self.cursor < bytes.len() {
+            let (start, number) = (self.cursor, self.number + 1);
+            let (mut i, mut tab_in_indent) = (start, false);
+            while bytes.get(i).is_some_and(|&b| is_blank(b)) {
+                tab_in_indent |= bytes[i] == b'\t';
+                i += 1;
+            }
+            let indent = i;
+            let (mut end, mut split) = (i, None);
+            let (mut single, mut double, mut depth, mut comment) = (false, false, 0usize, false);
+            let raw_end = loop {
+                let Some(&byte) = bytes.get(i) else { break i };
+                match CLASS[byte as usize] {
+                    BLANK => {}
+                    BREAK => match line_break(bytes, i) {
+                        Some(c) => {
+                            return fail(number, format!("line break U+{:04X} in a line", c as u32))
+                        }
+                        None if byte == b'\n' => break i,
+                        None if byte == b'\r' => {
+                            i += 1;
+                            break i - 1;
+                        }
+                        None if !comment => end = i + 1,
+                        None => {}
+                    },
+                    _ if comment => {}
+                    PLAIN => end = i + 1,
+                    _ => {
+                        let (quoted, next) = (single || double, bytes.get(i + 1).copied());
+                        match byte {
+                            b'#' if !quoted && (i == start || is_space(bytes[i - 1])) => {
+                                comment = true;
+                            }
+                            b':' if !quoted && depth == 0 && next.is_none_or(is_space) => {
+                                if split.is_none() {
+                                    let blanks =
+                                        bytes[i + 1..].iter().take_while(|&&b| is_blank(b));
+                                    split = Some((end - indent, i + 1 + blanks.count() - indent));
+                                }
+                            }
+                            b'\'' if !double => single = !single,
+                            b'"' if !single => double = !double,
+                            b'[' | b'{' if !quoted => depth += 1,
+                            b']' | b'}' if !quoted => depth = depth.saturating_sub(1),
+                            // An escaped content byte is plain; an escaped
+                            // blank or line break is read as itself.
+                            b'\\' if double && next.is_some_and(|b| CLASS[b as usize] <= MARK) => {
+                                i += 1
+                            }
+                            _ => {}
+                        }
+                        end = if comment { end } else { i + 1 };
+                    }
+                }
+                i += 1;
+            };
+            (self.cursor, self.number) = ((i + 1).min(bytes.len()), number);
+            if is_separator(&bytes[indent..raw_end]) {
                 return Ok(());
             }
-            let content =
-                strip_comment(raw.trim_end_matches(is_trimmed)).trim_end_matches(is_trimmed);
-            let text = content.trim_start_matches(is_trimmed);
-            if text.is_empty() {
+            if end == indent {
                 continue;
             }
-            let indent = content.len() - text.len();
-            if content[..indent].contains('\t') {
-                return Err(Error::parse(
-                    self.number,
-                    "tabs are not allowed in indentation",
-                ));
+            if tab_in_indent {
+                return fail(number, "tabs are not allowed in indentation");
             }
-            let line = Line {
-                indent,
-                text,
-                number: self.number,
-                offset: start + indent,
-            };
-            self.last_end = Pos {
-                line: line.number,
-                offset: line.offset + text.len(),
-            };
-            self.line = Some(line);
+            self.last_end = Pos::new(number, end);
+            self.line = Some(Line {
+                indent: indent - start,
+                text: &text[indent..end],
+                number,
+                offset: indent,
+                // A first split with an empty key is none: the search stops there.
+                split: split.filter(|&(key_end, _)| key_end > 0),
+            });
             return Ok(());
         }
         Ok(())
-    }
-
-    fn offset_of(&self, slice: &str) -> usize {
-        slice.as_ptr() as usize - self.text.as_ptr() as usize
     }
 
     /// The current line's position, or the end of the document's last line
@@ -438,16 +486,14 @@ impl<'a> Tokenizer<'a> {
             self.queue
                 .push_back(Event::SequenceStart { pos: line.pos() });
             self.open_frame(Frame::Seq { indent }, line.number)?;
-        } else if find_key_split(line.text).is_some() {
+        } else if line.split.is_some() {
             self.queue
                 .push_back(Event::MappingStart { pos: line.pos() });
             let keys_start = self.keys.open();
             self.open_frame(Frame::Map { indent, keys_start }, line.number)?;
         } else {
             // A bare scalar (or flow collection) on a single line.
-            self.scan_value(line.text, line.number)?;
-            self.advance_line()?;
-            self.expect = Expect::Container;
+            self.scan_value(line.text, line.pos())?;
         }
         Ok(())
     }
@@ -457,10 +503,10 @@ impl<'a> Tokenizer<'a> {
             None => {
                 // The document's root value is complete.
                 if let Some(line) = self.line {
-                    return Err(Error::parse(
+                    return fail(
                         line.number,
                         format!("unexpected content `{}` after document", line.text),
-                    ));
+                    );
                 }
                 self.queue.push_back(Event::DocumentEnd);
                 self.expect = Expect::Document;
@@ -477,46 +523,45 @@ impl<'a> Tokenizer<'a> {
             return Ok(());
         };
         if line.indent > indent {
-            return Err(Error::parse(
+            return fail(
                 line.number,
                 format!(
                     "unexpected indentation (expected {indent}, found {})",
                     line.indent
                 ),
-            ));
+            );
         }
         if is_dash(line.text) {
             self.close_frame();
             return Ok(());
         }
-        let Some((key_raw, rest)) = find_key_split(line.text) else {
-            return Err(Error::parse(
+        let Some((key_end, rest)) = line.split else {
+            return fail(
                 line.number,
                 format!("expected `key: value`, found `{}`", line.text),
-            ));
+            );
         };
-        let key_pos = Pos {
-            line: line.number,
-            offset: self.offset_of(key_raw),
-        };
-        let key = unquote_key(key_raw, line.number)?;
+        let key = unquote_key(&line.text[..key_end], line.number)?;
+        let value = line.text.get(rest..).unwrap_or("");
         if !self.keys.insert(keys_start, key.clone()) {
-            return Err(Error::parse(
-                line.number,
-                format!("duplicate mapping key `{key}`"),
-            ));
+            return fail(line.number, format!("duplicate mapping key `{key}`"));
         }
         self.queue.push_back(Event::Key {
             name: key,
-            pos: key_pos,
+            pos: line.pos(),
         });
-        if !rest.is_empty() {
-            self.scan_value(rest, line.number)?;
-            self.advance_line()?;
-            self.expect = Expect::Container;
-            return Ok(());
+        if value.is_empty() {
+            self.step_nested(indent, None)
+        } else {
+            self.scan_value(value, Pos::new(line.number, line.offset + rest))
         }
-        // The value is on the following lines (nested block), or null.
+    }
+
+    /// Start the value of a key or item at `indent` whose own line holds
+    /// none: a block on the deeper lines that follow; after a key, also a
+    /// sequence at the key's indent, as is conventional; otherwise a null,
+    /// at `item` for an item and where the lines stop for a key.
+    fn step_nested(&mut self, indent: usize, item: Option<Pos>) -> Result<(), Error> {
         self.advance_line()?;
         match self.line {
             Some(next) if next.indent > indent => {
@@ -524,14 +569,12 @@ impl<'a> Tokenizer<'a> {
                     indent: next.indent,
                 };
             }
-            // Sequences are conventionally allowed at the same indent as
-            // their key.
-            Some(next) if next.indent == indent && is_dash(next.text) => {
+            Some(next) if item.is_none() && next.indent == indent && is_dash(next.text) => {
                 self.queue
                     .push_back(Event::SequenceStart { pos: next.pos() });
                 self.open_frame(Frame::Seq { indent }, next.number)?;
             }
-            _ => self.push_null(self.current_pos()),
+            _ => self.push_null(item.unwrap_or(self.current_pos())),
         }
         Ok(())
     }
@@ -543,41 +586,35 @@ impl<'a> Tokenizer<'a> {
         };
         if line.indent != indent || !is_dash(line.text) {
             if line.indent > indent {
-                return Err(Error::parse(
-                    line.number,
-                    "unexpected indentation inside sequence".to_string(),
-                ));
+                return fail(line.number, "unexpected indentation inside sequence");
             }
             self.close_frame();
             return Ok(());
         }
-        let content = if line.text == "-" {
-            ""
-        } else {
-            line.text[2..].trim_start_matches(is_trimmed)
+        // The item starts past the dash and the blanks after it.
+        let skip = match line.text.len() {
+            1 => 1,
+            _ => 2 + line.text[2..].bytes().take_while(|&b| is_blank(b)).count(),
         };
+        let content = &line.text[skip..];
         if content.is_empty() {
-            // Nested block on the following lines, or a null item.
-            self.advance_line()?;
-            match self.line {
-                Some(next) if next.indent > indent => {
-                    self.expect = Expect::Node {
-                        indent: next.indent,
-                    };
-                }
-                _ => self.push_null(line.pos()),
-            }
+            self.step_nested(indent, Some(line.pos()))?;
         } else {
             // Reinterpret the item content as a regular line at the column
             // where it starts; this uniformly handles both scalar items and
             // compact `- key: value` mapping items whose remaining keys
-            // continue on the following lines.
-            let content_col = line.indent + (line.text.len() - content.len());
+            // continue on the following lines. The dash line's split is the
+            // item's (no quote precedes it), unless the item's key is empty.
+            let content_col = line.indent + skip;
             self.line = Some(Line {
                 indent: content_col,
                 text: content,
                 number: line.number,
-                offset: self.offset_of(content),
+                offset: line.offset + skip,
+                split: line
+                    .split
+                    .filter(|&(key_end, _)| key_end > skip)
+                    .map(|(key_end, rest)| (key_end - skip, rest - skip)),
             });
             self.expect = Expect::Node {
                 indent: content_col,
@@ -587,15 +624,15 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Queue the events of an inline value: a flow collection when the text
-    /// opens with `[` or `{`, a scalar token otherwise.
-    fn scan_value(&mut self, text: &'a str, line: usize) -> Result<(), Error> {
+    /// opens with `[` or `{`, a scalar token otherwise. Then move on to the
+    /// next line and the container around the value.
+    fn scan_value(&mut self, text: &'a str, pos: Pos) -> Result<(), Error> {
         if text.starts_with('[') || text.starts_with('{') {
-            let base_offset = self.offset_of(text);
             let mut cursor = FlowCursor {
                 text,
                 i: 0,
-                line,
-                base_offset,
+                line: pos.line,
+                base_offset: pos.offset,
             };
             scan_flow_node(
                 &mut cursor,
@@ -605,32 +642,65 @@ impl<'a> Tokenizer<'a> {
             )?;
             cursor.skip_ws();
             if cursor.i != text.len() {
-                return Err(Error::parse(
-                    line,
-                    "trailing characters after flow collection",
-                ));
+                return fail(pos.line, "trailing characters after flow collection");
             }
-            return Ok(());
+        } else {
+            let value = scan_scalar(text, pos.line)?;
+            self.queue.push_back(Event::Scalar { value, pos });
         }
-        let pos = Pos {
-            line,
-            offset: self.offset_of(text),
-        };
-        let value = scan_scalar(text, line)?;
-        self.queue.push_back(Event::Scalar { value, pos });
-        Ok(())
+        self.expect = Expect::Container;
+        self.advance_line()
     }
 }
 
-/// Whether a raw line (line end removed) is a document separator: `---`,
-/// optionally indented, optionally more dashes or a comment after it, and
-/// no trailing whitespace.
-fn is_separator(raw: &str) -> bool {
-    let line = raw.trim_start_matches(is_trimmed);
-    let after = line.trim_start_matches('-').trim_start_matches(is_trimmed);
-    line.starts_with("---")
-        && !line.ends_with(is_trimmed)
-        && (after.is_empty() || after.starts_with('#'))
+/// The line scanner's byte classes: plain content; content that may carry
+/// structure (`#:'"\[]{}`); a blank (space, tab, `\v`, `\f`, trimmed from
+/// a line's edges as go-yaml does); a byte that may break the line (LF, CR,
+/// and C2 / E2, which lead U+0085 / U+2028 and U+2029, not `é` or `©`).
+const PLAIN: u8 = 0;
+const MARK: u8 = 1;
+const BLANK: u8 = 2;
+const BREAK: u8 = 3;
+
+/// The class of every byte, indexed by the byte.
+static CLASS: [u8; 256] = {
+    let mut class = [PLAIN; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'#' | b':' | b'\'' | b'"' | b'\\' | b'[' | b']' | b'{' | b'}' => MARK,
+            b' ' | b'\t' | 0x0B | 0x0C => BLANK,
+            b'\n' | b'\r' | 0xC2 | 0xE2 => BREAK,
+            _ => PLAIN,
+        };
+        b += 1;
+    }
+    class
+};
+
+/// The line break other than LF or CRLF that starts at `bytes[i]`, if one
+/// does: a CR not before LF, U+0085, U+2028 or U+2029.
+pub(crate) fn line_break(bytes: &[u8], i: usize) -> Option<char> {
+    match (bytes[i], bytes.get(i + 1), bytes.get(i + 2)) {
+        (b'\r', Some(b'\n'), _) => None,
+        (b'\r', ..) => Some('\r'),
+        (0xC2, Some(0x85), _) => Some('\u{85}'),
+        (0xE2, Some(0x80), Some(0xA8)) => Some('\u{2028}'),
+        (0xE2, Some(0x80), Some(0xA9)) => Some('\u{2029}'),
+        _ => None,
+    }
+}
+
+/// Whether a line, indent and line end removed, is a document separator:
+/// `---`, optionally more dashes, then nothing or blanks and a comment, with
+/// no blank at its end.
+fn is_separator(line: &[u8]) -> bool {
+    if !line.starts_with(b"---") || line.last().is_some_and(|&b| is_space(b)) {
+        return false;
+    }
+    let dashes = line.iter().take_while(|&&b| b == b'-').count();
+    let blanks = line[dashes..].iter().take_while(|&&b| is_space(b)).count();
+    line.get(dashes + blanks).is_none_or(|&b| b == b'#')
 }
 
 fn is_dash(text: &str) -> bool {
@@ -645,107 +715,42 @@ pub(crate) fn is_space(b: u8) -> bool {
     matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-/// Whether the reader trims `c` from the edges of a line, key or scalar:
-/// space, tab, line breaks, and the `\v` / `\f` go-yaml does not read as
-/// content either. Other Unicode white space (U+00A0, U+3000, …) is content,
-/// as it is to go-yaml.
-fn is_trimmed(c: char) -> bool {
-    matches!(
-        c,
-        ' ' | '\t' | '\n' | '\r' | '\u{b}' | '\u{c}' | '\u{85}' | '\u{2028}' | '\u{2029}'
-    )
+/// Whether the reader trims byte `b` from the edges of a line, key, scalar
+/// or flow item: space, tab, `\v` and `\f`. Other Unicode white space
+/// (U+00A0, U+3000, …) is content, as it is to go-yaml.
+fn is_blank(b: u8) -> bool {
+    CLASS[b as usize] == BLANK
 }
 
-/// Remove a trailing `# comment`, respecting quoted strings. Escapes inside
-/// double quotes are tracked forward (a backslash escapes the *next* byte),
-/// so `"x\\"` correctly closes the string.
-pub(crate) fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_single = false;
-    let mut in_double = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if in_double && c == '\\' {
-            // Skip the escaped byte (quote, backslash, …) entirely.
-            i += 2;
-            continue;
-        }
-        match c {
-            '\'' if !in_double => in_single = !in_single,
-            '"' if !in_single => in_double = !in_double,
-            // A '#' starts a comment when at start of line or preceded by
-            // whitespace.
-            '#' if !in_single && !in_double && (i == 0 || is_space(bytes[i - 1])) => {
-                return &line[..i];
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    line
-}
-
-/// Split `key: rest` at the first unquoted `:` that is followed by a space or
-/// ends the line. Returns `(key, rest)` with `rest` trimmed.
-pub(crate) fn find_key_split(text: &str) -> Option<(&str, &str)> {
-    let bytes = text.as_bytes();
-    let mut in_single = false;
-    let mut in_double = false;
-    let mut depth = 0usize; // inside flow collections `:` does not split
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if in_double && c == '\\' {
-            // Forward escape tracking: the next byte cannot close the quote.
-            i += 2;
-            continue;
-        }
-        match c {
-            '\'' if !in_double => in_single = !in_single,
-            '"' if !in_single => in_double = !in_double,
-            '[' | '{' if !in_single && !in_double => depth += 1,
-            ']' | '}' if !in_single && !in_double => depth = depth.saturating_sub(1),
-            ':' if !in_single && !in_double && depth == 0 => {
-                let at_end = i + 1 == bytes.len();
-                if at_end || is_space(bytes[i + 1]) {
-                    let key = text[..i].trim_matches(is_trimmed);
-                    let rest = text[i + 1..].trim_matches(is_trimmed);
-                    if key.is_empty() {
-                        return None;
-                    }
-                    return Some((key, rest));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
+/// The positioned parse error at `line`, as a result.
+fn fail<T>(line: usize, message: impl Into<String>) -> Result<T, Error> {
+    Err(Error::parse(line, message))
 }
 
 /// Unquote a mapping key if it is quoted; plain keys borrow.
 fn unquote_key<'a>(key: &'a str, line: usize) -> Result<Cow<'a, str>, Error> {
-    if (key.starts_with('"') && key.ends_with('"') && key.len() >= 2)
-        || (key.starts_with('\'') && key.ends_with('\'') && key.len() >= 2)
-    {
+    if is_quoted(key) {
         scan_quoted(key, line)
     } else {
         Ok(Cow::Borrowed(key))
     }
 }
 
-/// Lex a plain or quoted scalar into a token. The typing rules are the tree
-/// parser's: quoted → string, `~`/null/true/false keywords, integers (except
-/// leading zeros), floats, everything else a string.
-pub(crate) fn scan_scalar<'a>(text: &'a str, line: usize) -> Result<ScalarToken<'a>, Error> {
-    let text = text.trim_matches(is_trimmed);
+/// Whether `text` is one quoted string: it opens and closes with the same
+/// quote.
+fn is_quoted(text: &str) -> bool {
+    text.len() >= 2 && matches!(text.as_bytes()[0], b'"' | b'\'') && text.ends_with(&text[..1])
+}
+
+/// Lex a plain or quoted scalar, trimmed by its caller, into a token. The
+/// typing rules are the tree parser's: quoted → string, `~`/null/true/false
+/// keywords, integers (except leading zeros), floats, everything else a
+/// string.
+fn scan_scalar<'a>(text: &'a str, line: usize) -> Result<ScalarToken<'a>, Error> {
     if text.is_empty() {
         return Ok(ScalarToken::Null);
     }
-    if (text.starts_with('"') && text.ends_with('"') && text.len() >= 2)
-        || (text.starts_with('\'') && text.ends_with('\'') && text.len() >= 2)
-    {
+    if is_quoted(text) {
         return scan_quoted(text, line).map(ScalarToken::Str);
     }
     match text {
@@ -753,6 +758,10 @@ pub(crate) fn scan_scalar<'a>(text: &'a str, line: usize) -> Result<ScalarToken<
         "true" | "True" | "TRUE" => return Ok(ScalarToken::Bool(true)),
         "false" | "False" | "FALSE" => return Ok(ScalarToken::Bool(false)),
         _ => {}
+    }
+    // Only a sign or a digit can start an integer or a float.
+    if !matches!(text.as_bytes()[0], b'0'..=b'9' | b'-' | b'+') {
+        return Ok(ScalarToken::Str(Cow::Borrowed(text)));
     }
     if let Ok(i) = text.parse::<i64>() {
         // Leading zeros (e.g. "0755") are kept as strings to avoid octal
@@ -769,14 +778,13 @@ pub(crate) fn scan_scalar<'a>(text: &'a str, line: usize) -> Result<ScalarToken<
     Ok(ScalarToken::Str(Cow::Borrowed(text)))
 }
 
+/// Whether `text` reads `-?[0-9]+\.[0-9]+`.
 fn looks_like_float(text: &str) -> bool {
-    let t = text.strip_prefix('-').unwrap_or(text);
-    !t.is_empty()
-        && t.contains('.')
-        && t.chars().all(|c| c.is_ascii_digit() || c == '.')
-        && t.chars().filter(|c| *c == '.').count() == 1
-        && !t.starts_with('.')
-        && !t.ends_with('.')
+    let digits = |part: &str| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = text.strip_prefix('-').unwrap_or(text);
+    unsigned
+        .split_once('.')
+        .is_some_and(|(whole, fraction)| digits(whole) && digits(fraction))
 }
 
 /// Unquote a quoted scalar, borrowing when no escape processing is needed.
@@ -799,14 +807,18 @@ fn scan_quoted<'a>(text: &'a str, line: usize) -> Result<Cow<'a, str>, Error> {
         if c == '\\' {
             match chars.next() {
                 Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
                 Some('t') => out.push('\t'),
+                Some('N') => out.push('\u{85}'),
+                Some('L') => out.push('\u{2028}'),
+                Some('P') => out.push('\u{2029}'),
                 Some('"') => out.push('"'),
                 Some('\\') => out.push('\\'),
                 Some(other) => {
                     out.push('\\');
                     out.push(other);
                 }
-                None => return Err(Error::parse(line, "dangling escape in quoted string")),
+                None => return fail(line, "dangling escape in quoted string"),
             }
         } else {
             out.push(c);
@@ -829,14 +841,12 @@ impl<'a> FlowCursor<'a> {
     }
 
     fn skip_ws(&mut self) {
-        self.i = self.text.len() - self.text[self.i..].trim_start_matches(is_trimmed).len();
+        let bytes = &self.text.as_bytes()[self.i..];
+        self.i += bytes.iter().take_while(|&&b| is_blank(b)).count();
     }
 
     fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            offset: self.base_offset + self.i,
-        }
+        Pos::new(self.line, self.base_offset + self.i)
     }
 }
 
@@ -872,12 +882,7 @@ fn scan_flow_node<'a>(
                         cur.i += 1;
                         break;
                     }
-                    _ => {
-                        return Err(Error::parse(
-                            cur.line,
-                            "expected `,` or `]` in flow sequence",
-                        ))
-                    }
+                    _ => return fail(cur.line, "expected `,` or `]` in flow sequence"),
                 }
             }
             queue.push_back(Event::End);
@@ -901,14 +906,14 @@ fn scan_flow_node<'a>(
                     other => Cow::Owned(other.render()),
                 };
                 if !keys.insert(start, key.clone()) {
-                    return Err(Error::parse(
+                    return fail(
                         cur.line,
                         format!("duplicate mapping key `{key}` in flow mapping"),
-                    ));
+                    );
                 }
                 cur.skip_ws();
                 if cur.peek() != Some(':') {
-                    return Err(Error::parse(cur.line, "expected `:` in flow mapping"));
+                    return fail(cur.line, "expected `:` in flow mapping");
                 }
                 cur.i += 1;
                 queue.push_back(Event::Key {
@@ -923,12 +928,7 @@ fn scan_flow_node<'a>(
                         cur.i += 1;
                         break;
                     }
-                    _ => {
-                        return Err(Error::parse(
-                            cur.line,
-                            "expected `,` or `}` in flow mapping",
-                        ))
-                    }
+                    _ => return fail(cur.line, "expected `,` or `}` in flow mapping"),
                 }
             }
             keys.close(start);
@@ -942,7 +942,7 @@ fn scan_flow_node<'a>(
             queue.push_back(Event::Scalar { value, pos });
             Ok(())
         }
-        None => Err(Error::parse(cur.line, "unexpected end of flow collection")),
+        None => fail(cur.line, "unexpected end of flow collection"),
     }
 }
 
@@ -969,13 +969,13 @@ fn scan_flow_token<'a>(cur: &mut FlowCursor<'a>, stops: &[char]) -> Result<Scala
             }
             cur.i += 1;
         }
-        return Err(Error::parse(cur.line, "unterminated quoted string"));
+        return fail(cur.line, "unterminated quoted string");
     }
     let start = cur.i;
     while cur.i < bytes.len() && !stops.contains(&(bytes[cur.i] as char)) {
         cur.i += 1;
     }
-    let raw = cur.text[start..cur.i].trim_matches(is_trimmed);
+    let raw = cur.text[start..cur.i].trim_matches(|c: char| c.is_ascii() && is_blank(c as u8));
     scan_scalar(raw, cur.line)
 }
 

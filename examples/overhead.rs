@@ -1,20 +1,52 @@
 //! Reproduce the runtime-overhead measurement (Table IV): the time of a full
 //! operator deployment sent as wire bytes (YAML and JSON) to the API server
-//! directly and through the KubeFence proxy, plus the proxy's resource
-//! footprint. Every figure is measured in this run unless labelled as the
-//! paper's.
+//! directly and through the KubeFence proxy, the tokenize cost per wire byte
+//! of each format, and the proxy's resource footprint. Every figure is
+//! measured in this run unless labelled as the paper's.
 //!
 //! ```bash
 //! cargo run --release --example overhead
 //! ```
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
 use kf_workloads::{json_twin, DeploymentDriver, Operator};
+use kf_yaml::events::Tokenizer;
+use kf_yaml::json::JsonTokenizer;
 use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator};
 
 const REPETITIONS: usize = 100;
+
+/// Rounds of the tokenize measurement; the two formats alternate in each.
+const TOKENIZE_ROUNDS: usize = 41;
+
+/// Drain a tokenizer over every body; returns the events read.
+fn tokenize(bodies: &[String], json: bool) -> usize {
+    let mut events = 0;
+    for body in bodies {
+        if json {
+            let mut tokenizer = JsonTokenizer::new(body);
+            while let Some(event) = tokenizer.next_event().expect("chart bodies tokenize") {
+                black_box(event);
+                events += 1;
+            }
+        } else {
+            let mut tokenizer = Tokenizer::new(body).expect("construction never fails");
+            while let Some(event) = tokenizer.next_event().expect("chart bodies tokenize") {
+                black_box(event);
+                events += 1;
+            }
+        }
+    }
+    events
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 /// Send a whole deployment through `handler`; every request must succeed.
 fn deployment_time<H: RequestHandler>(requests: &[ApiRequest], handler: &H) -> Duration {
@@ -100,6 +132,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("i.e. +12.6% to +26.6% over RBAC-only baselines of 168-386 ms.");
     println!("The figures above contain no network hop, so they are not an RTT: a true");
     println!("RTT waits for the wire front end (ROADMAP, parked).");
+
+    // The reader's share of that cost: the same manifests, tokenized alone.
+    println!("\n== Tokenize cost per wire byte, the 50 manifests in each format ==");
+    let bodies: Vec<Vec<String>> = (0..2)
+        .map(|index| {
+            let requests = workloads.iter().flat_map(|(.., requests)| &requests[index]);
+            let payload = |request: &ApiRequest| String::from_utf8(request.payload().to_vec());
+            requests.map(payload).collect::<Result<_, _>>()
+        })
+        .collect::<Result<_, _>>()?;
+    let mut ns_per_byte = [Vec::new(), Vec::new()];
+    for _ in 0..TOKENIZE_ROUNDS {
+        for (index, bodies) in bodies.iter().enumerate() {
+            let bytes: usize = bodies.iter().map(String::len).sum();
+            let started = Instant::now();
+            assert!(tokenize(bodies, index == 1) > 0);
+            ns_per_byte[index].push(started.elapsed().as_nanos() as f64 / bytes as f64);
+        }
+    }
+    let [yaml, json] = ns_per_byte.map(|mut samples| median(&mut samples));
+    println!("(median of {TOKENIZE_ROUNDS} interleaved rounds)");
+    println!(
+        "YAML {yaml:.2} ns/B, JSON {json:.2} ns/B, YAML / JSON {:.2}",
+        yaml / json
+    );
 
     // Resource footprint of the proxy (§VI-E): validator size stands in for
     // the paper's CPU/memory counters.

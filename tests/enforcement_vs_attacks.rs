@@ -6,11 +6,12 @@
 //! wire bytes the proxy serves, as a YAML-speaking attacker (what `execute`
 //! sends) and as a JSON-speaking one.
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler, ResponseStatus};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{json_twin, DeploymentDriver, Operator};
-use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator};
+use kf_yaml::BodyFormat;
+use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet};
 
 /// Learn the per-operator RBAC policy the way the paper does: run the
 /// attack-free deployment with audit logging enabled, then feed the audit log
@@ -166,4 +167,59 @@ fn kubefence_still_serves_the_legitimate_workload_while_under_attack() {
     }
     assert!(denied > 0);
     assert_eq!(proxy.upstream().store().len(), legit_requests.len());
+}
+
+/// go-yaml, the reader behind an API server, ends a line at a lone CR, at
+/// U+0085, at U+2028 and at U+2029. Hidden behind any of them after the
+/// nginx Deployment's image, `hostNetwork: true` would be a key of the pod
+/// spec to the server and part of the image string to a reader that keeps
+/// them inside the line, which is how the five-chart set once admitted these
+/// bodies. Each is refused as unparsable instead, and the clean body is
+/// still admitted.
+#[test]
+fn a_key_hidden_behind_a_line_break_go_yaml_sees_is_refused() {
+    let mut validators = ValidatorSet::new();
+    let mut server = ApiServer::new();
+    for operator in Operator::ALL {
+        let config = GeneratorConfig::for_release(operator.release_name());
+        validators.push(
+            PolicyGenerator::new(config)
+                .generate(&operator.chart())
+                .unwrap(),
+        );
+        server = server.with_admin(&operator.user());
+    }
+    let proxy = EnforcementProxy::with_validators(server, validators);
+    const IMAGE: &str = "nginx:1.25.3-debian-11-r2";
+    let (request, text) = DeploymentDriver::new(Operator::Nginx)
+        .requests()
+        .into_iter()
+        .find_map(|request| {
+            let text = String::from_utf8(request.payload().to_vec()).unwrap();
+            text.contains(IMAGE).then_some((request, text))
+        })
+        .expect("the nginx chart deploys its image");
+    assert!(proxy.handle(&request).is_success());
+    let image_end = text.find(IMAGE).unwrap() + IMAGE.len();
+    for line_break in ["\r", "\u{85}", "\u{2028}", "\u{2029}"] {
+        let body = format!(
+            "{}{line_break}      hostNetwork: true{}",
+            &text[..image_end],
+            &text[image_end..]
+        );
+        let hidden = ApiRequest {
+            body: RequestBody::Raw(body.into(), BodyFormat::Yaml),
+            ..request.clone()
+        };
+        let response = proxy.handle(&hidden);
+        assert_eq!(response.status, ResponseStatus::Forbidden, "{line_break:?}");
+        assert!(
+            response
+                .message
+                .contains("not a recognizable Kubernetes object")
+                && response.message.contains("line break"),
+            "{line_break:?}: {}",
+            response.message
+        );
+    }
 }
