@@ -395,11 +395,9 @@ impl<'a> Tokenizer<'a> {
                                 comment = true;
                             }
                             b':' if !quoted && depth == 0 && next.is_none_or(is_space) => {
-                                if split.is_none() {
-                                    let blanks =
-                                        bytes[i + 1..].iter().take_while(|&&b| is_blank(b));
-                                    split = Some((end - indent, i + 1 + blanks.count() - indent));
-                                }
+                                let blanks = bytes[i + 1..].iter().take_while(|&&b| is_blank(b));
+                                split =
+                                    split.or(Some((end - indent, i + 1 + blanks.count() - indent)));
                             }
                             b'\'' if !double => single = !single,
                             b'"' if !single => double = !double,

@@ -157,12 +157,14 @@ fn lists_serve_the_emitters_bytes_on_first_and_cached_reads() {
 #[test]
 fn the_edge_object_quotes_what_it_must() {
     // The edge object exercises what it is meant to: quoted keys, escaped
-    // line breaks, a raw carriage return, and empty containers inline.
+    // line breaks (a carriage return and U+2028 among them), and empty
+    // containers inline.
     let edge = ResponseBody::Object(StoredObject::shared(edge_object(), 1));
     let yaml = edge.to_wire(BodyFormat::Yaml);
     for fragment in [
         "\"two\\nlines\"",
-        "cr\rhere",
+        "\"cr\\rhere\"",
+        "\"a\\Lb\\Nc\"",
         "\"needs quoting\": \"true\"",
         "\"123\": \"0x1F\"",
         "emptyMap: {}",
