@@ -1,4 +1,10 @@
 //! The API request/response model.
+//!
+//! A request carries wire bytes; a response carries shared handles to the
+//! stored objects and is written to wire text by [`ResponseBody::to_wire`].
+//! A cached read is a copy: a get copies the object's cached document text,
+//! and a list copies each item's cached text, in YAML the element form
+//! cached beside the document, into one buffer reserved to the byte.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -361,8 +367,9 @@ impl ResponseStatus {
 /// returns the stored object's handle, a `list` returns one handle per
 /// stored object — serving a read **never copies a document**, which is the
 /// read half of the zero-copy persistence plane. A stored object caches its
-/// wire text per format ([`K8sObject::write_wire`]), so only the first get
-/// of a version renders it and later reads copy the text.
+/// wire text per format ([`K8sObject::write_wire`]), and its YAML text also
+/// as a list element, so only the first read of a version in a format
+/// renders it and later gets and lists copy the text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// A single object (get responses).
@@ -459,11 +466,13 @@ impl ResponseBody {
     /// [`ResponseBody::to_value`] with [`kf_yaml::to_yaml`] /
     /// [`kf_yaml::to_json`] (pinned by test). A get is a copy of the stored
     /// object's cached text; the first get of a version in a format renders
-    /// and caches it. A list splices its items' cached texts into one buffer
-    /// sized up front. It caches an uncached item's text only if the version
-    /// was served before, in the other format; an item no read has rendered
-    /// is written from its tree straight into the buffer. Watch batches are
-    /// rendered from the journal's trees.
+    /// and caches it. A list copies its items' cached texts into one buffer
+    /// sized up front: in JSON the document text, in YAML the element text
+    /// the same fill cached beside it ([`K8sObject::cached_yaml_item`]), so
+    /// neither format re-indents anything. A list caches an uncached item's
+    /// text only if the version was served before, in the other format; an
+    /// item no read has rendered is written from its tree straight into the
+    /// buffer. Watch batches are rendered from the journal's trees.
     pub fn to_wire(&self, format: BodyFormat) -> String {
         match format {
             BodyFormat::Json => self.to_wire_json(),
@@ -560,19 +569,25 @@ fn served_before(object: &K8sObject) -> bool {
     object.cached_wire(BodyFormat::Json).is_some() || object.cached_wire(BodyFormat::Yaml).is_some()
 }
 
-/// A YAML list: each item's cached root text re-indented as a sequence
-/// element, in a buffer reserved for all of them. An item served before in
-/// JSON is rendered and cached here; an item never served is written from
-/// its tree.
+/// A YAML list: each item's cached element text copied under `items:`, in
+/// a buffer reserved for all of them. An item served before in JSON is
+/// rendered and cached here; an item never served, or whose body is no
+/// non-empty mapping and so has no element text, is written from its tree.
 fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
-    // A cached item grows by the four columns of `  - ` / `    ` on each of
-    // its lines: a quarter more covers lines of 16 bytes and longer, without
-    // a pass to count them (a manifest's lines average about 24). An
-    // uncached item is estimated from its binary encoding.
+    // Fill first, so every cached element's length is known exactly; an
+    // item written from its tree is estimated from its binary encoding.
+    let mut scratch = String::new();
+    for item in items {
+        let object = &item.object;
+        if object.cached_wire(BodyFormat::Yaml).is_none() && served_before(object) {
+            scratch.clear();
+            object.write_wire(BodyFormat::Yaml, &mut scratch);
+        }
+    }
     let items_len: usize = items
         .iter()
-        .map(|item| match item.object.cached_wire(BodyFormat::Yaml) {
-            Some(text) => text.len() + text.len() / 4,
+        .map(|item| match item.object.cached_yaml_item() {
+            Some(text) => text.len(),
             None => kf_yaml::binary::value_len(item.object.body()),
         })
         .sum();
@@ -583,26 +598,8 @@ fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
         return out;
     }
     out.push_str("items:\n");
-    let mut scratch = String::new();
     for item in items {
-        let object = &item.object;
-        // Only a non-empty mapping has a first entry to put on the dash
-        // line; any other body (only `body_mut` makes one) is written from
-        // its tree, like an item never served.
-        let spliceable = object.body().as_map().is_some_and(|map| !map.is_empty());
-        let text = match object.cached_wire(BodyFormat::Yaml) {
-            Some(text) if spliceable => text,
-            None if spliceable && served_before(object) => {
-                scratch.clear();
-                object.write_wire(BodyFormat::Yaml, &mut scratch);
-                &scratch
-            }
-            _ => {
-                kf_yaml::emit_seq_item(object.body(), 2, &mut out);
-                continue;
-            }
-        };
-        kf_yaml::emit_rendered_seq_item(text, 2, &mut out);
+        item.object.write_yaml_item(&mut out);
     }
     out
 }

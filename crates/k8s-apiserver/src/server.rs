@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use k8s_model::{K8sObject, ResourceKind, Verb};
-use k8s_rbac::{AccessReview, AuditEvent, AuditLog, RbacPolicySet};
+use k8s_rbac::{AccessDecision, AccessReview, AuditEvent, AuditLog, RbacPolicySet};
 use kf_yaml::Value;
 
 use crate::health::{AdmissionGate, DegradePolicy, HealthReport};
@@ -270,31 +270,36 @@ impl<S: StoreBackend> ApiServer<S> {
         self.exploits.lock().clear();
     }
 
+    /// Authorize `request` under the installed policy. The yes/no question
+    /// allocates nothing; only a denial builds an [`AccessReview`], to word
+    /// its reason.
     fn authorize(&self, request: &ApiRequest) -> Result<(), String> {
         if self.admins.iter().any(|a| a == &request.user) {
             return Ok(());
         }
         let rbac = self.rbac.read();
-        match rbac.as_ref() {
-            None => Ok(()),
-            Some(policy) => {
-                let review = AccessReview::new(
-                    &request.user,
-                    request.verb,
-                    request.kind,
-                    &request.namespace,
-                    &request.name,
-                );
-                let decision = policy.authorize(&review);
-                if decision.is_allowed() {
-                    Ok(())
-                } else {
-                    Err(match decision {
-                        k8s_rbac::AccessDecision::Deny { reason } => reason,
-                        k8s_rbac::AccessDecision::Allow { .. } => unreachable!(),
-                    })
-                }
-            }
+        let Some(policy) = rbac.as_ref() else {
+            return Ok(());
+        };
+        if policy.allows(
+            &request.user,
+            request.verb,
+            request.kind,
+            &request.namespace,
+            &request.name,
+        ) {
+            return Ok(());
+        }
+        let review = AccessReview::new(
+            &request.user,
+            request.verb,
+            request.kind,
+            &request.namespace,
+            &request.name,
+        );
+        match policy.authorize(&review) {
+            AccessDecision::Allow { .. } => Ok(()),
+            AccessDecision::Deny { reason } => Err(reason),
         }
     }
 
@@ -776,6 +781,51 @@ mod tests {
         let log = server.audit_log();
         assert_eq!(log.denied().len(), 2);
         assert!(log.denied().iter().all(|e| e.request_body.is_none()));
+    }
+
+    #[test]
+    fn a_denial_is_worded_byte_for_byte() {
+        let server = ApiServer::new();
+        let mut policy = RbacPolicySet::new();
+        policy.add_role(k8s_rbac::Role::namespaced("reader", "web").with_rule(
+            k8s_rbac::PolicyRule::for_kind(ResourceKind::Pod, [Verb::Get]),
+        ));
+        policy.add_binding(
+            k8s_rbac::RoleBinding::namespaced("reader-binding", "web", "reader")
+                .with_subject(k8s_rbac::Subject::user("operator:nginx")),
+        );
+        server.set_rbac_policy(Some(policy));
+        // An allowed read of a missing object gets past RBAC.
+        let allowed = ApiRequest::get("operator:nginx", ResourceKind::Pod, "web", "x");
+        assert_eq!(server.handle(&allowed).status, ResponseStatus::NotFound);
+        for (request, message) in [
+            (
+                ApiRequest::get("operator:nginx", ResourceKind::Secret, "web", "tls"),
+                "no RBAC rule allows user \"operator:nginx\" to get secrets in namespace \"web\"",
+            ),
+            (
+                ApiRequest::get("operator:nginx", ResourceKind::Pod, "data", "x"),
+                "no RBAC rule allows user \"operator:nginx\" to get pods in namespace \"data\"",
+            ),
+            (
+                ApiRequest::create("mallory", &pod("x")),
+                "no RBAC rule allows user \"mallory\" to create pods in namespace \"default\"",
+            ),
+            (
+                ApiRequest::list("", ResourceKind::ClusterRole, ""),
+                "no RBAC rule allows user \"\" to list clusterroles in namespace \"\"",
+            ),
+        ] {
+            let response = server.handle(&request);
+            assert_eq!(response.status, ResponseStatus::Forbidden);
+            assert_eq!(response.message, message);
+        }
+        let watch = ApiRequest::watch("mallory", ResourceKind::Pod, "web", None);
+        let refused = server.subscribe_push(&watch).expect_err("a denial");
+        assert_eq!(
+            refused.message,
+            "no RBAC rule allows user \"mallory\" to watch pods in namespace \"web\""
+        );
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! could — but the writer is acknowledged only once an fsync covers its
 //! frame or the WAL has left `Healthy`.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Bound;
@@ -78,6 +79,51 @@ impl StoredObject {
 
 /// Key identifying an object: kind + namespace + name.
 type Key = (ResourceKind, String, String);
+
+/// A key's parts, borrowed: what a point lookup probes a shard with, so a
+/// `get` builds no owned [`Key`]. A `Key` borrows as a `dyn KeyView`, and
+/// views compare by their parts, which is the tuple's own order.
+trait KeyView {
+    fn parts(&self) -> (ResourceKind, &str, &str);
+}
+
+impl KeyView for Key {
+    fn parts(&self) -> (ResourceKind, &str, &str) {
+        (self.0, &self.1, &self.2)
+    }
+}
+
+impl KeyView for (ResourceKind, &str, &str) {
+    fn parts(&self) -> (ResourceKind, &str, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
 
 /// One store shard's objects, by key.
 type Shard = BTreeMap<Key, Arc<StoredObject>>;
@@ -463,10 +509,6 @@ impl ObjectStore {
         self.wal.as_ref()
     }
 
-    fn shard(&self, key: &Key) -> &RwLock<Shard> {
-        &self.shards[shard_index(key)]
-    }
-
     /// Flag a shard as touched since the last checkpoint. Must be called
     /// while holding the shard's write lock and **before** allocating the
     /// write's revision — that ordering (plus the horizon-before-swap read
@@ -659,7 +701,7 @@ impl ObjectStore {
         for (shard_no, shard) in self.shards.iter().enumerate() {
             let guard = shard.write();
             let writes: Vec<Write> = guard
-                .range((Bound::Included(&lower), Bound::Unbounded))
+                .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
                 .take_while(|(key, _)| list_key_matches(key, kind, namespace))
                 .map(|(key, stored)| Write::delete(key.clone(), stored))
                 .collect();
@@ -676,15 +718,19 @@ impl ObjectStore {
     }
 
     /// Fetch an object by kind, namespace and name. Returns a shared handle
-    /// — no part of the document tree is copied.
+    /// — no part of the document tree is copied — and allocates nothing:
+    /// the shard is probed with the borrowed parts.
     pub fn get(
         &self,
         kind: ResourceKind,
         namespace: &str,
         name: &str,
     ) -> Option<Arc<StoredObject>> {
-        let key = (kind, namespace.to_owned(), name.to_owned());
-        self.shard(&key).read().get(&key).map(Arc::clone)
+        let probe = (kind, namespace, name);
+        self.shards[shard_index_raw(kind.index(), namespace, name)]
+            .read()
+            .get(&probe as &dyn KeyView)
+            .map(Arc::clone)
     }
 
     /// Delete an object; returns its handle if it existed. The published
@@ -757,7 +803,7 @@ impl ObjectStore {
             let guard = shard.read();
             out.extend(
                 guard
-                    .range((Bound::Included(&lower), Bound::Unbounded))
+                    .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
                     .take_while(|(key, _)| list_key_matches(key, kind, namespace))
                     .map(|(_, stored)| Arc::clone(stored)),
             );
@@ -1085,6 +1131,44 @@ mod tests {
     }
 
     #[test]
+    fn a_borrowed_probe_orders_and_finds_as_the_owned_key() {
+        let parts = [
+            (ResourceKind::Pod, "", ""),
+            (ResourceKind::Pod, "a", "bc"),
+            (ResourceKind::Pod, "ab", "c"),
+            (ResourceKind::Pod, "ab", ""),
+            (ResourceKind::Deployment, "ab", "c"),
+            (ResourceKind::Pod, "é", "x"),
+        ];
+        let owned = |(kind, namespace, name): (ResourceKind, &str, &str)| -> Key {
+            (kind, namespace.to_owned(), name.to_owned())
+        };
+        for a in parts {
+            for b in parts {
+                let (probe_a, probe_b): (&dyn KeyView, &dyn KeyView) = (&a, &b);
+                assert_eq!(probe_a.cmp(probe_b), owned(a).cmp(&owned(b)), "{a:?} {b:?}");
+            }
+        }
+        let shard: Shard = parts
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                (
+                    owned(key),
+                    StoredObject::shared(object(ResourceKind::Pod, "p", "ns"), i as u64),
+                )
+            })
+            .collect();
+        for (i, key) in parts.iter().enumerate() {
+            let found = shard
+                .get(key as &dyn KeyView)
+                .expect("stored under its parts");
+            assert_eq!(found.resource_version, i as u64);
+        }
+        assert!(!shard.contains_key(&(ResourceKind::Pod, "a", "b") as &dyn KeyView));
+    }
+
+    #[test]
     fn racing_first_reads_of_a_stored_version_serve_identical_bytes() {
         // Two readers make the first read of each version at once. The one
         // that loses the race to fill the cache keeps its own rendering and
@@ -1116,6 +1200,38 @@ mod tests {
                 assert_eq!(a, expected, "round {round}, {format:?}");
                 assert_eq!(stored.object.cached_wire(format), Some(expected.as_str()));
             }
+            // A YAML list races the first YAML get of a new version: one
+            // served before in JSON on even rounds, so both fill the slot,
+            // and one never served on odd rounds, so the list may find the
+            // element cached or write the item from its tree.
+            pod = object(ResourceKind::Pod, "racy", "ns");
+            pod.set_field(&replicas, Value::Int(round + 100)).unwrap();
+            store.upsert(pod);
+            let stored = store.get(ResourceKind::Pod, "ns", "racy").unwrap();
+            if round % 2 == 0 {
+                crate::ResponseBody::Object(Arc::clone(&stored)).to_wire(kf_yaml::BodyFormat::Json);
+            }
+            let get = crate::ResponseBody::Object(Arc::clone(&stored));
+            let list = crate::ResponseBody::List {
+                kind: "PodList".into(),
+                items: vec![Arc::clone(&stored)],
+            };
+            let (got, listed) = std::thread::scope(|scope| {
+                let got = scope.spawn(|| {
+                    start.wait();
+                    get.to_wire(kf_yaml::BodyFormat::Yaml)
+                });
+                let listed = scope.spawn(|| {
+                    start.wait();
+                    list.to_wire(kf_yaml::BodyFormat::Yaml)
+                });
+                (got.join().unwrap(), listed.join().unwrap())
+            });
+            assert_eq!(got, kf_yaml::to_yaml(stored.object.body()), "round {round}");
+            assert_eq!(listed, kf_yaml::to_yaml(&list.to_value()), "round {round}");
+            let mut element = String::new();
+            kf_yaml::emit_seq_item(stored.object.body(), 2, &mut element);
+            assert_eq!(stored.object.cached_yaml_item(), Some(element.as_str()));
         }
     }
 

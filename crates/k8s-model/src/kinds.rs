@@ -127,10 +127,11 @@ impl ResourceKind {
         }
     }
 
-    /// The group/version/kind served by the (simulated) API server for this
-    /// resource kind.
-    pub fn gvk(&self) -> GroupVersionKind {
-        let (group, version) = match self {
+    /// The API group and version served by the (simulated) API server for
+    /// this resource kind: the one table [`ResourceKind::gvk`] and
+    /// [`ResourceKind::api_group`] read.
+    fn group_version(&self) -> (&'static str, &'static str) {
+        match self {
             ResourceKind::Deployment | ResourceKind::StatefulSet => ("apps", "v1"),
             ResourceKind::Pod
             | ResourceKind::Service
@@ -149,13 +150,21 @@ impl ResourceKind {
             | ResourceKind::RoleBinding
             | ResourceKind::ClusterRole
             | ResourceKind::ClusterRoleBinding => ("rbac.authorization.k8s.io", "v1"),
-        };
+        }
+    }
+
+    /// The group/version/kind served by the (simulated) API server for this
+    /// resource kind.
+    pub fn gvk(&self) -> GroupVersionKind {
+        let (group, version) = self.group_version();
         GroupVersionKind::new(group, version, self.as_str())
     }
 
-    /// The API group (empty string for the core group), as used by RBAC rules.
-    pub fn api_group(&self) -> String {
-        self.gvk().group
+    /// The API group (empty string for the core group), as used by RBAC
+    /// rules. A static string: an authorization check reads it without
+    /// building a [`GroupVersionKind`].
+    pub fn api_group(&self) -> &'static str {
+        self.group_version().0
     }
 
     /// Whether objects of this kind live in a namespace.

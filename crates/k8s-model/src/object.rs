@@ -1,4 +1,8 @@
-//! Typed view over a Kubernetes manifest.
+//! Typed view over a Kubernetes manifest, with the wire text of its body
+//! cached per format once a read has rendered it. The YAML text is cached
+//! twice in one allocation: as a document and as an element of a list
+//! response's `items:`, so a get and a list both serve a stored version by
+//! copying text.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -24,10 +28,13 @@ use crate::{Error, GroupVersionKind, ObjectMeta, ResourceKind, Result};
 ///
 /// The body's wire text is cached too, once per format and only once read
 /// ([`K8sObject::write_wire`]): a stored version is rendered on its first get
-/// and every later read copies the text. [`K8sObject::body_mut`] — the only
-/// mutable path to the tree — drops it, so the text never outlives the tree
-/// it was rendered from. Equality and `Debug` ignore the cache; a clone
-/// shares whatever text was rendered before it was made.
+/// and every later read copies the text. The YAML slot also holds the same
+/// text as a list element ([`K8sObject::cached_yaml_item`]), built in the
+/// same fill, so a YAML list copies each item as a JSON list does.
+/// [`K8sObject::body_mut`] — the only mutable path to the tree — drops both
+/// slots, so no text outlives the tree it was rendered from. Equality and
+/// `Debug` ignore the cache; a clone shares whatever text was rendered
+/// before it was made.
 #[derive(Clone)]
 pub struct K8sObject {
     kind: ResourceKind,
@@ -41,23 +48,27 @@ pub struct K8sObject {
 /// the first [`K8sObject::write_wire`] in that format. A reader that finds its slot empty
 /// renders its own copy and offers it with `set`, so it waits for no other
 /// reader's rendering; `set` can only wait, briefly, while a racing winner
-/// stores its pointer.
+/// stores its pointer. Responses have no bytes to sniff, so `Auto` reads
+/// the YAML slot, like every other response writer.
 #[derive(Clone, Default)]
 struct WireText {
     json: OnceLock<Arc<str>>,
-    yaml: OnceLock<Arc<str>>,
+    yaml: OnceLock<YamlText>,
 }
 
-impl WireText {
-    /// The slot of `format`. Responses have no bytes to sniff, so `Auto`
-    /// renders as YAML, like every other response writer.
-    fn slot(&self, format: BodyFormat) -> &OnceLock<Arc<str>> {
-        match format {
-            BodyFormat::Json => &self.json,
-            _ => &self.yaml,
-        }
-    }
+/// The YAML slot: the body's document text followed, for a body that is a
+/// non-empty mapping, by its text as a list element, in one allocation.
+#[derive(Clone)]
+struct YamlText {
+    text: Arc<str>,
+    /// Where the document ends and the element begins; `text.len()` when
+    /// the body has no element form.
+    split: usize,
 }
+
+/// The column of a list response's item dashes: `items:` is an entry of
+/// the envelope's root mapping, so its elements sit two columns in.
+const LIST_ITEM_INDENT: usize = 2;
 
 impl PartialEq for K8sObject {
     fn eq(&self, other: &Self) -> bool {
@@ -320,7 +331,32 @@ impl K8sObject {
     /// [`kf_yaml::to_yaml`] otherwise — if [`K8sObject::write_wire`] has
     /// rendered it since the body was last mutated.
     pub fn cached_wire(&self, format: BodyFormat) -> Option<&str> {
-        self.wire.slot(format).get().map(|text| &**text)
+        match format {
+            BodyFormat::Json => self.wire.json.get().map(|text| &**text),
+            _ => self.wire.yaml.get().map(|yaml| &yaml.text[..yaml.split]),
+        }
+    }
+
+    /// The body's YAML text as an element of a list response's `items:` —
+    /// the bytes [`kf_yaml::emit_seq_item`] writes for the body with its
+    /// dash at column 2 — if [`K8sObject::write_wire`] has filled the YAML
+    /// slot since the body was last mutated and the body is a non-empty
+    /// mapping. Any other body has no first entry to put on the dash line,
+    /// and a list writes it from its tree.
+    pub fn cached_yaml_item(&self) -> Option<&str> {
+        let yaml = self.wire.yaml.get()?;
+        Some(&yaml.text[yaml.split..]).filter(|item| !item.is_empty())
+    }
+
+    /// Append the body to `out` as an element of a list response's
+    /// `items:`: a copy of [`K8sObject::cached_yaml_item`] when it is
+    /// cached, else written from the tree with [`kf_yaml::emit_seq_item`].
+    /// Either way the bytes are the same.
+    pub fn write_yaml_item(&self, out: &mut String) {
+        match self.cached_yaml_item() {
+            Some(text) => out.push_str(text),
+            None => kf_yaml::emit_seq_item(&self.body, LIST_ITEM_INDENT, out),
+        }
     }
 
     /// Append the body's wire text in `format` to `out`: a copy of the
@@ -336,16 +372,29 @@ impl K8sObject {
 
     /// Render the body into `out`, first reserving its binary encoding's
     /// length (close to either text's, and cheap to count), and offer a copy
-    /// to the cache. A reader that lost the race keeps its own rendering;
-    /// both are the same bytes.
+    /// to the cache. For YAML the list element is built behind the document
+    /// in `out` itself, both are copied into the slot's one allocation, and
+    /// `out` is cut back to the document. A reader that lost the race keeps
+    /// its own rendering; both are the same bytes.
     fn render_wire(&self, format: BodyFormat, out: &mut String) {
         let start = out.len();
         out.reserve(kf_yaml::binary::value_len(&self.body));
-        match format {
-            BodyFormat::Json => kf_yaml::write_json(&self.body, out),
-            _ => kf_yaml::write_yaml(&self.body, out),
+        if format == BodyFormat::Json {
+            kf_yaml::write_json(&self.body, out);
+            let _ = self.wire.json.set(Arc::from(&out[start..]));
+            return;
         }
-        let _ = self.wire.slot(format).set(Arc::from(&out[start..]));
+        kf_yaml::write_yaml(&self.body, out);
+        let end = out.len();
+        if self.body.as_map().is_some_and(|map| !map.is_empty()) {
+            kf_yaml::emit_rendered_seq_item(start, LIST_ITEM_INDENT, out);
+        }
+        let text = Arc::from(&out[start..]);
+        out.truncate(end);
+        let _ = self.wire.yaml.set(YamlText {
+            text,
+            split: end - start,
+        });
     }
 }
 
@@ -560,11 +609,11 @@ spec:
         );
     }
 
-    #[test]
-    fn cached_wire_text_never_outlives_its_tree() {
-        let replicas = Path::parse("spec.replicas").unwrap();
-        type Edit = fn(&mut K8sObject);
-        let edits: [(&str, Edit); 3] = [
+    type Edit = fn(&mut K8sObject);
+
+    /// The three mutable paths to a body, each changing the text it renders.
+    fn edits() -> [(&'static str, Edit); 3] {
+        [
             ("body_mut", |obj| {
                 obj.body_mut()
                     .set_path(&Path::parse("spec.replicas").unwrap(), Value::Int(7))
@@ -575,8 +624,13 @@ spec:
                     .unwrap();
             }),
             ("set_namespace", |obj| obj.set_namespace("edited").unwrap()),
-        ];
-        for (name, edit) in edits {
+        ]
+    }
+
+    #[test]
+    fn cached_wire_text_never_outlives_its_tree() {
+        let replicas = Path::parse("spec.replicas").unwrap();
+        for (name, edit) in edits() {
             for format in [BodyFormat::Yaml, BodyFormat::Json] {
                 let render = |obj: &K8sObject| match format {
                     BodyFormat::Json => kf_yaml::to_json(obj.body()),
@@ -599,6 +653,68 @@ spec:
                     "{name}"
                 );
             }
+        }
+    }
+
+    /// What a list writes for `obj` from its tree: the element form the
+    /// YAML slot caches beside the document.
+    fn item(obj: &K8sObject) -> String {
+        let mut out = String::new();
+        kf_yaml::emit_seq_item(obj.body(), LIST_ITEM_INDENT, &mut out);
+        out
+    }
+
+    #[test]
+    fn the_list_element_is_cached_with_its_document_and_dropped_with_it() {
+        for format in [BodyFormat::Yaml, BodyFormat::Auto] {
+            let obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+            assert_eq!(obj.cached_yaml_item(), None);
+            assert_eq!(wire(&obj, format), kf_yaml::to_yaml(obj.body()));
+            assert_eq!(obj.cached_yaml_item(), Some(item(&obj).as_str()));
+            // One allocation: the element follows the document in it.
+            let document = obj.cached_wire(BodyFormat::Yaml).unwrap();
+            let element = obj.cached_yaml_item().unwrap();
+            assert!(std::ptr::eq(
+                document.as_ptr().wrapping_add(document.len()),
+                element.as_ptr()
+            ));
+        }
+        // A JSON fill caches no YAML element.
+        let json = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+        wire(&json, BodyFormat::Json);
+        assert_eq!(json.cached_yaml_item(), None);
+        for (name, edit) in edits() {
+            let mut obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+            let document = wire(&obj, BodyFormat::Yaml);
+            let element = item(&obj);
+            let clone = obj.clone();
+            edit(&mut obj);
+            assert_eq!(obj.cached_wire(BodyFormat::Yaml), None, "{name}");
+            assert_eq!(obj.cached_yaml_item(), None, "{name} keeps a stale element");
+            wire(&obj, BodyFormat::Yaml);
+            assert_ne!(item(&obj), element, "{name}");
+            assert_eq!(obj.cached_yaml_item(), Some(item(&obj).as_str()), "{name}");
+            // The clone made before the edit keeps both of its texts.
+            assert_eq!(clone.cached_wire(BodyFormat::Yaml), Some(document.as_str()));
+            assert_eq!(clone.cached_yaml_item(), Some(element.as_str()), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_body_with_no_first_entry_caches_its_document_alone() {
+        for body in [
+            Value::empty_map(),
+            Value::from("scalar"),
+            Value::Seq(vec![Value::from(1)]),
+        ] {
+            let mut obj = K8sObject::from_yaml(DEPLOYMENT).unwrap();
+            *obj.body_mut() = body;
+            assert_eq!(wire(&obj, BodyFormat::Yaml), kf_yaml::to_yaml(obj.body()));
+            assert_eq!(
+                obj.cached_wire(BodyFormat::Yaml),
+                Some(kf_yaml::to_yaml(obj.body()).as_str())
+            );
+            assert_eq!(obj.cached_yaml_item(), None, "{:?}", obj.body());
         }
     }
 }

@@ -108,36 +108,73 @@ impl RbacPolicySet {
     /// The evaluation follows the upstream semantics: a namespaced
     /// RoleBinding grants access only inside its namespace (whether it
     /// references a Role or a ClusterRole), while a ClusterRoleBinding grants
-    /// access in every namespace and at cluster scope.
+    /// access in every namespace and at cluster scope. The decision is the
+    /// one [`RbacPolicySet::allows`] gives, worded: the granting binding and
+    /// role, or the reason for a denial.
     pub fn authorize(&self, review: &AccessReview) -> AccessDecision {
-        let api_group = review.kind.api_group();
-        let resource = review.kind.plural();
-        let verb = review.verb.as_str();
-        for binding in &self.bindings {
-            if !binding.binds_user(&review.user) {
-                continue;
-            }
+        match self.grant(
+            &review.user,
+            review.verb,
+            review.kind,
+            &review.namespace,
+            &review.name,
+        ) {
+            Some((binding, role)) => AccessDecision::Allow {
+                granted_by: format!("{}/{}", binding.name, role.name),
+            },
+            None => AccessDecision::Deny {
+                reason: format!(
+                    "no RBAC rule allows user \"{}\" to {} {} in namespace \"{}\"",
+                    review.user,
+                    review.verb.as_str(),
+                    review.kind.plural(),
+                    review.namespace
+                ),
+            },
+        }
+    }
+
+    /// Whether `user` may perform `verb` on `kind` in `namespace` (on the
+    /// object `name`, or on the collection when it is empty): exactly
+    /// `authorize(&AccessReview::new(..)).is_allowed()`, from the same
+    /// evaluation, without building the review or wording the decision. It
+    /// allocates nothing, so a server asks this on every request and calls
+    /// [`RbacPolicySet::authorize`] only to word a denial.
+    pub fn allows(
+        &self,
+        user: &str,
+        verb: Verb,
+        kind: ResourceKind,
+        namespace: &str,
+        name: &str,
+    ) -> bool {
+        self.grant(user, verb, kind, namespace, name).is_some()
+    }
+
+    /// The first binding of `user`, in policy order, whose role grants the
+    /// access, with that role: the one evaluation behind
+    /// [`RbacPolicySet::allows`] and [`RbacPolicySet::authorize`].
+    fn grant(
+        &self,
+        user: &str,
+        verb: Verb,
+        kind: ResourceKind,
+        namespace: &str,
+        name: &str,
+    ) -> Option<(&RoleBinding, &Role)> {
+        let (api_group, resource, verb) = (kind.api_group(), kind.plural(), verb.as_str());
+        self.bindings.iter().find_map(|binding| {
             // Namespaced bindings only apply within their own namespace.
-            if binding.scope == RoleScope::Namespaced && binding.namespace != review.namespace {
-                continue;
+            if !binding.binds_user(user)
+                || (binding.scope == RoleScope::Namespaced && binding.namespace != namespace)
+            {
+                return None;
             }
             let role =
-                match self.find_role(&binding.role_name, binding.role_scope, &binding.namespace) {
-                    Some(role) => role,
-                    None => continue,
-                };
-            if role.allows(&api_group, resource, verb, &review.name) {
-                return AccessDecision::Allow {
-                    granted_by: format!("{}/{}", binding.name, role.name),
-                };
-            }
-        }
-        AccessDecision::Deny {
-            reason: format!(
-                "no RBAC rule allows user \"{}\" to {} {} in namespace \"{}\"",
-                review.user, verb, resource, review.namespace
-            ),
-        }
+                self.find_role(&binding.role_name, binding.role_scope, &binding.namespace)?;
+            role.allows(api_group, resource, verb, name)
+                .then_some((binding, role))
+        })
     }
 
     /// The set of (kind, verb) pairs a user may exercise in a namespace.
@@ -147,8 +184,7 @@ impl RbacPolicySet {
         let mut out = Vec::new();
         for kind in ResourceKind::ALL {
             for verb in Verb::ALL {
-                let review = AccessReview::new(user, verb, kind, namespace, "");
-                if self.authorize(&review).is_allowed() {
+                if self.allows(user, verb, kind, namespace, "") {
                     out.push((kind, verb));
                 }
             }

@@ -45,7 +45,7 @@ impl PolicyRule {
     /// A rule allowing the given verbs on one resource kind.
     pub fn for_kind(kind: ResourceKind, verbs: impl IntoIterator<Item = Verb>) -> Self {
         PolicyRule {
-            api_groups: vec![kind.api_group()],
+            api_groups: vec![kind.api_group().to_owned()],
             resources: vec![kind.plural().to_owned()],
             verbs: verbs.into_iter().map(|v| v.as_str().to_owned()).collect(),
             resource_names: Vec::new(),
@@ -218,13 +218,16 @@ impl Subject {
     }
 
     /// Whether this subject matches an authenticated user name. Service
-    /// accounts use the `system:serviceaccount:<ns>:<name>` convention.
+    /// accounts use the `system:serviceaccount:<ns>:<name>` convention; the
+    /// user is compared with it part by part, so nothing is formatted.
     pub fn matches_user(&self, user: &str) -> bool {
         match self.kind {
             SubjectKind::User | SubjectKind::Group => self.name == user,
-            SubjectKind::ServiceAccount => {
-                user == format!("system:serviceaccount:{}:{}", self.namespace, self.name)
-            }
+            SubjectKind::ServiceAccount => user
+                .strip_prefix("system:serviceaccount:")
+                .and_then(|rest| rest.strip_prefix(self.namespace.as_str()))
+                .and_then(|rest| rest.strip_prefix(':'))
+                .is_some_and(|name| name == self.name),
         }
     }
 }
@@ -353,6 +356,48 @@ mod tests {
         let sa = Subject::service_account("operator", "prod");
         assert!(sa.matches_user("system:serviceaccount:prod:operator"));
         assert!(!sa.matches_user("operator"));
+    }
+
+    #[test]
+    fn service_accounts_match_exactly_their_formatted_user_name() {
+        // The part-by-part comparison against the formatted name, over
+        // near-misses and parts that hold the separator themselves.
+        let subjects = [
+            Subject::service_account("operator", "prod"),
+            Subject::service_account("a:b", "prod"),
+            Subject::service_account("b", "prod:a"),
+            Subject::service_account("", "prod"),
+            Subject::service_account("operator", ""),
+            Subject::service_account("", ""),
+        ];
+        let users = [
+            "system:serviceaccount:prod:operator",
+            "system:serviceaccount:prod:a:b",
+            "system:serviceaccount:prod:a:b:",
+            "system:serviceaccount:prod:",
+            "system:serviceaccount::operator",
+            "system:serviceaccount::",
+            "system:serviceaccount:prod",
+            "system:serviceaccount:prod::operator",
+            "system:serviceaccount:prodoperator",
+            "system:serviceaccount:",
+            "system:serviceaccounts:prod:operator",
+            "operator",
+            "",
+        ];
+        for subject in &subjects {
+            for user in users {
+                let formatted = format!(
+                    "system:serviceaccount:{}:{}",
+                    subject.namespace, subject.name
+                );
+                assert_eq!(
+                    subject.matches_user(user),
+                    user == formatted,
+                    "{subject:?} against {user:?}"
+                );
+            }
+        }
     }
 
     #[test]

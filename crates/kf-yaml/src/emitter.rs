@@ -17,7 +17,8 @@
 //! write an envelope around borrowed subtrees, one entry or element at a
 //! time, without building an owned envelope tree (the API server's read
 //! responses are written this way). [`emit_rendered_seq_item`] writes an
-//! element from a mapping's cached [`to_yaml`] text instead of its tree.
+//! element from a mapping's [`to_yaml`] text, read from the buffer it
+//! appends to, instead of its tree (a stored object caches both texts).
 //! Their contract:
 //!
 //! * each appends exactly the bytes [`to_yaml`] writes for that entry or
@@ -136,23 +137,41 @@ pub fn emit_seq_item(item: &Value, indent: usize, out: &mut String) {
     }
 }
 
-/// Emit one element of a block sequence whose dashes sit at column `indent`
-/// from `rendered`, the [`to_yaml`] text of a **non-empty mapping**: exactly
-/// the bytes [`emit_seq_item`] writes for that mapping, without its tree.
+/// Append to `out` one element of a block sequence whose dashes sit at
+/// column `indent`, made from `out[rendered_from..]`: the [`to_yaml`] text
+/// of a **non-empty mapping**, already in the buffer. What is appended is
+/// exactly the bytes [`emit_seq_item`] writes for that mapping, without its
+/// tree; the rendered text before it stays as it was, so a caller can keep
+/// the text and its element side by side and cut the element off again.
 ///
 /// The emitter never writes a raw line break inside a scalar — a string
-/// holding `\n` is double-quoted and escaped — so every `\n` of `rendered`
+/// holding `\n` is double-quoted and escaped — so every `\n` of the text
 /// ends one of its lines, and the element is those lines shifted right: the
 /// first behind `indent` spaces and a dash, the rest behind `indent + 2`
 /// spaces. That is where [`emit_seq_item`]'s compact form puts them.
-pub fn emit_rendered_seq_item(rendered: &str, indent: usize, out: &mut String) {
-    let mut lines = rendered.split_inclusive('\n');
+///
+/// # Panics
+///
+/// If `rendered_from` is past the end of `out` or not on a character
+/// boundary.
+pub fn emit_rendered_seq_item(rendered_from: usize, indent: usize, out: &mut String) {
+    let end = out.len();
+    // Grow `out` once, to the element's exact length: each line gains
+    // `indent + 2` columns, and a text that does not end in a line break
+    // has one more line than it has breaks.
+    let text = &out.as_bytes()[rendered_from..];
+    let lines = text.iter().filter(|&&b| b == b'\n').count() + usize::from(!text.ends_with(b"\n"));
+    out.reserve(text.len() + lines * (indent + 2));
+    let line_end = |out: &str, from: usize| out[from..end].find('\n').map_or(end, |i| from + i + 1);
     push_indent(indent, out);
     out.push_str("- ");
-    out.push_str(lines.next().unwrap_or_default());
-    for line in lines {
+    let mut to = line_end(out, rendered_from);
+    out.extend_from_within(rendered_from..to);
+    while to < end {
+        let from = to;
+        to = line_end(out, from);
         push_indent(indent + 2, out);
-        out.push_str(line);
+        out.extend_from_within(from..to);
     }
 }
 
@@ -774,10 +793,10 @@ spec:
         for value in &corpus {
             let rendered = to_yaml(value);
             for indent in [0, 2, 4, 63, 70] {
-                let (mut spliced, mut emitted) = ("x\n".to_owned(), "x\n".to_owned());
-                emit_rendered_seq_item(&rendered, indent, &mut spliced);
+                let (mut spliced, mut emitted) = (format!("x\n{rendered}"), rendered.clone());
+                emit_rendered_seq_item(2, indent, &mut spliced);
                 emit_seq_item(value, indent, &mut emitted);
-                assert_eq!(spliced, emitted, "{value:?} at column {indent}");
+                assert_eq!(spliced[2..], emitted, "{value:?} at column {indent}");
             }
         }
     }

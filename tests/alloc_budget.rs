@@ -21,6 +21,7 @@ use k8s_apiserver::{
     RequestHandler, ResponseBody, StoredObject,
 };
 use k8s_model::{K8sObject, ResourceKind};
+use k8s_rbac::{audit2rbac, Audit2RbacOptions, RbacPolicySet};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{json_twin, DeploymentDriver, Operator};
 use kf_yaml::{Mapping, Value};
@@ -610,4 +611,100 @@ fn a_checkpoint_allocates_the_same_whatever_the_wal_holds() {
         per_rewrite <= 11.0,
         "{per_rewrite:.2} allocations per durable rewrite (bound 11.00)"
     );
+}
+
+/// A server holding the five charts' objects under the RBAC policy
+/// `audit2rbac` learns from an admin replay of their creates, gets and
+/// lists, with the audit trail on; and the gets and lists each operator
+/// made, now subject to that policy.
+fn policed_reads() -> (ApiServer, Vec<ApiRequest>, Vec<ApiRequest>) {
+    let mut learning = ApiServer::new();
+    for operator in Operator::ALL {
+        learning = learning.with_admin(&operator.user());
+    }
+    let (mut creates, mut gets, mut lists) = (Vec::new(), Vec::new(), Vec::new());
+    for operator in Operator::ALL {
+        let user = operator.user();
+        for request in DeploymentDriver::new(operator).requests() {
+            let (kind, namespace) = (request.kind, request.namespace.clone());
+            gets.push(ApiRequest::get(&user, kind, &namespace, &request.name));
+            let list = ApiRequest::list(&user, kind, &namespace);
+            if !lists.contains(&list) {
+                lists.push(list);
+            }
+            creates.push(request);
+        }
+    }
+    for request in creates.iter().chain(&gets).chain(&lists) {
+        assert!(learning.handle(request).is_success(), "{request:?}");
+    }
+    let mut policy = RbacPolicySet::new();
+    for operator in Operator::ALL {
+        let learned = audit2rbac(
+            learning.audit_log().events(),
+            &operator.user(),
+            &Audit2RbacOptions::default(),
+        );
+        learned
+            .roles()
+            .iter()
+            .cloned()
+            .for_each(|r| policy.add_role(r));
+        learned
+            .bindings()
+            .iter()
+            .cloned()
+            .for_each(|b| policy.add_binding(b));
+    }
+    let server = ApiServer::new();
+    server.set_rbac_policy(Some(policy));
+    for request in &creates {
+        assert!(server.handle(request).is_success(), "{request:?}");
+    }
+    (server, gets, lists)
+}
+
+/// The allocation calls per request of serving `requests` through the
+/// server and writing each response in `format`.
+fn per_read(server: &ApiServer, requests: &[ApiRequest], format: BodyFormat) -> f64 {
+    let mut calls = 0;
+    for request in requests {
+        let (wire, made, _) = counted(|| {
+            let response = server.handle(request);
+            assert!(response.is_success(), "{request:?}: {}", response.message);
+            response.body.expect("a read body").to_wire(format)
+        });
+        assert!(wire.len() > 20);
+        calls += made;
+    }
+    calls as f64 / requests.len() as f64
+}
+
+#[test]
+fn a_cached_read_through_the_server_allocates_its_copy_and_its_audit_record() {
+    // Every read passes RBAC under a learned policy and is audited. With
+    // each version's text cached, a get allocates its response buffer, the
+    // `"ok"` message and the audit event's three strings: the RBAC check
+    // and the store lookup allocate nothing. A list adds its envelope kind
+    // and its item handles.
+    let (server, gets, lists) = policed_reads();
+    for format in [BodyFormat::Yaml, BodyFormat::Json] {
+        // The first pass renders each version and fills its cache.
+        per_read(&server, &gets, format);
+        per_read(&server, &lists, format);
+        let per_get = per_read(&server, &gets, format);
+        let per_list = per_read(&server, &lists, format);
+        println!(
+            "{format:?}: {per_get:.2} allocations per cached get, {per_list:.2} per cached \
+             list, through the server under RBAC with audit"
+        );
+        assert!(
+            per_get <= 6.0,
+            "{format:?}: {per_get} allocations per cached get through the server (budget 6)"
+        );
+        assert!(
+            per_list <= 10.0,
+            "{format:?}: {per_list} allocations per cached list through the server (budget 10)"
+        );
+    }
 }

@@ -205,3 +205,88 @@ fn a_body_edited_into_no_mapping_is_served_from_its_tree() {
         }
     }
 }
+
+/// How many of `objects` have their YAML list element cached.
+fn cached_items(objects: &[Arc<StoredObject>]) -> usize {
+    objects
+        .iter()
+        .filter(|stored| stored.object.cached_yaml_item().is_some())
+        .count()
+}
+
+#[test]
+fn yaml_lists_copy_the_element_cached_beside_each_document() {
+    for format in [BodyFormat::Yaml, BodyFormat::Auto] {
+        // Never served: every item is written from its tree and nothing is
+        // cached.
+        let unread = unread_objects();
+        assert_serves_reference(&list(&unread), format, "never served");
+        assert_eq!(cached_items(&unread), 0, "{format:?}");
+        // After YAML gets every element is cached beside its document; a
+        // list copies them and fills nothing.
+        let read = unread_objects();
+        for get in gets(&read) {
+            get.to_wire(format);
+        }
+        assert_eq!(cached_items(&read), read.len(), "{format:?}");
+        let elements: Vec<*const u8> = read
+            .iter()
+            .map(|stored| stored.object.cached_yaml_item().unwrap().as_ptr())
+            .collect();
+        for pass in ["after YAML gets", "again"] {
+            assert_serves_reference(&list(&read), format, pass);
+        }
+        for (stored, element) in read.iter().zip(elements) {
+            assert_eq!(stored.object.cached_yaml_item().unwrap().as_ptr(), element);
+            assert_eq!(stored.object.cached_wire(BodyFormat::Json), None);
+        }
+        // After JSON gets a list fills each YAML slot, element included,
+        // and the next list copies what it filled.
+        let served = unread_objects();
+        for get in gets(&served) {
+            get.to_wire(BodyFormat::Json);
+        }
+        assert_serves_reference(&list(&served), format, "filling");
+        assert_eq!(cached_items(&served), served.len(), "{format:?}");
+        assert_serves_reference(&list(&served), format, "filled");
+    }
+}
+
+#[test]
+fn yaml_lists_write_a_body_edited_into_no_mapping_from_its_tree() {
+    // A body edited into `{}`, a scalar or a sequence, after a YAML get
+    // cached its element: never read again, read again in YAML (the slot
+    // holds a document and no element) and read again in JSON (a list
+    // fills the YAML slot).
+    let mut objects = unread_objects();
+    for body in [
+        Value::empty_map(),
+        Value::from("scalar"),
+        Value::Seq(vec![Value::from(1)]),
+    ] {
+        for reread in [None, Some(BodyFormat::Yaml), Some(BodyFormat::Json)] {
+            let mut object = edge_object();
+            let mut served = String::new();
+            object.write_wire(BodyFormat::Yaml, &mut served);
+            assert!(object.cached_yaml_item().is_some());
+            *object.body_mut() = body.clone();
+            assert_eq!(object.cached_yaml_item(), None);
+            let stored = StoredObject::shared(object, 1);
+            if let Some(format) = reread {
+                ResponseBody::Object(Arc::clone(&stored)).to_wire(format);
+            }
+            objects.insert(objects.len() / 2, stored);
+        }
+    }
+    for format in [BodyFormat::Yaml, BodyFormat::Auto] {
+        for read in ["first", "cached"] {
+            assert_serves_reference(&list(&objects), format, read);
+        }
+    }
+    let edited = objects
+        .iter()
+        .filter(|stored| stored.object.cached_wire(BodyFormat::Yaml).is_some())
+        .filter(|stored| stored.object.cached_yaml_item().is_none())
+        .count();
+    assert_eq!(edited, 6, "the re-read edited bodies cache no element");
+}
