@@ -139,6 +139,7 @@ pub fn load_validator_set(path: &Path) -> io::Result<Option<ValidatorSet>> {
 mod tests {
     use super::*;
     use k8s_model::{K8sObject, ResourceKind};
+    use kf_yaml::BodyFormat;
 
     fn sample_set() -> ValidatorSet {
         let manifests = vec![kf_yaml::parse(
@@ -171,8 +172,18 @@ mod tests {
         assert_eq!(loaded.validators()[0].workload(), "demo");
         // Kind routing works off the compiled coverage of the restored arena.
         assert_eq!(loaded.validators_for(ResourceKind::Deployment).len(), 1);
-        assert!(loaded.validate(&deployment("3")).is_ok());
-        assert!(loaded.validate(&deployment("\"three\"")).is_err());
+        // The stream serves the restored set the original set's verdicts.
+        for (replicas, admits) in [("3", true), ("\"three\"", false)] {
+            let body = deployment(replicas);
+            for (text, format) in [
+                (kf_yaml::to_yaml(body.body()), BodyFormat::Yaml),
+                (kf_yaml::to_json(body.body()), BodyFormat::Json),
+            ] {
+                let verdict = loaded.validate_raw_format(&text, format);
+                assert_eq!(verdict, set.validate_raw_format(&text, format), "{text}");
+                assert_eq!(verdict.is_admitted(), admits, "{text}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,10 +1,13 @@
 //! The compiled admission plane: an offline lowering of [`PolicyNode`] trees
-//! into a flat, cache-friendly arena that the enforcement hot path evaluates
-//! without pointer chasing, map walks or pattern re-parsing.
+//! into a flat, cache-friendly arena that the streaming matcher
+//! ([`crate::stream`]) evaluates without pointer chasing, map walks or
+//! pattern re-parsing.
 //!
 //! The tree representation ([`PolicyNode`]) remains the *authoring* form —
-//! it is what manifest consolidation, merging and security locks operate on.
-//! Before enforcement, [`compile`] lowers the per-kind trees of a
+//! it is what manifest consolidation, merging and security locks operate on —
+//! and its walk ([`Validator::validate_tree`](crate::Validator::validate_tree))
+//! is the reference the parity suites pin the stream to. Before enforcement,
+//! [`compile`] lowers the per-kind trees of a
 //! [`Validator`](crate::Validator) into one [`CompiledValidator`]:
 //!
 //! * every node becomes one entry of a flat `Vec<CompiledNode>` addressed by
@@ -17,16 +20,15 @@
 //! * the per-kind policy roots live in a dense table indexed by
 //!   [`ResourceKind::index`], making kind dispatch a single array load.
 //!
-//! See `docs/compiled-layout.md` for the memory-layout invariants.
+//! The arena has no walk of its own: only the stream reads it. See
+//! `docs/compiled-layout.md` for the memory-layout invariants.
 
 use std::collections::HashMap;
 
-use k8s_model::{K8sObject, ResourceKind};
+use k8s_model::ResourceKind;
 use kf_yaml::{binary, Value};
 
-use crate::validator::{
-    pattern_pieces, pieces_match, PatternPiece, PolicyNode, TypeTag, Violation, ViolationReason,
-};
+use crate::validator::{pattern_pieces, pieces_match, PatternPiece, PolicyNode, TypeTag};
 
 /// Sentinel for "this kind has no policy" in the kind-root table.
 const NO_ROOT: u32 = u32::MAX;
@@ -172,44 +174,6 @@ impl CompiledValidator {
         self.strings.len()
     }
 
-    /// Whether the object complies with the policy. This is the boolean fast
-    /// path: it short-circuits on the first violation and allocates nothing.
-    pub fn allows(&self, object: &K8sObject) -> bool {
-        self.allows_kind_body(object.kind(), object.body())
-    }
-
-    /// [`CompiledValidator::allows`] over a borrowed body — the proxy's
-    /// zero-copy entry point (no [`K8sObject`] is materialized on the wire
-    /// path).
-    pub fn allows_kind_body(&self, kind: ResourceKind, body: &Value) -> bool {
-        let root = self.kind_roots[kind.index()];
-        if root == NO_ROOT {
-            return false;
-        }
-        self.complies(root, body)
-    }
-
-    /// Validate an object, producing the same violations (paths, reasons,
-    /// messages) as the tree-walking
-    /// [`Validator::validate_tree`](crate::Validator::validate_tree).
-    pub fn validate(&self, object: &K8sObject) -> Vec<Violation> {
-        self.validate_kind_body(object.kind(), object.body())
-    }
-
-    /// [`CompiledValidator::validate`] over a borrowed body.
-    pub fn validate_kind_body(&self, kind: ResourceKind, body: &Value) -> Vec<Violation> {
-        let root = self.kind_roots[kind.index()];
-        if root == NO_ROOT {
-            return vec![Violation {
-                path: kind.as_str().to_owned(),
-                reason: ViolationReason::UnknownKind,
-            }];
-        }
-        let mut violations = Vec::new();
-        self.validate_into(root, body, "", &mut violations);
-        violations
-    }
-
     pub(crate) fn entries(&self, start: u32, len: u32) -> &[MapEntry] {
         &self.map_entries[start as usize..(start + len) as usize]
     }
@@ -246,149 +210,6 @@ impl CompiledValidator {
     /// The pre-split pattern at `index`.
     pub(crate) fn pattern(&self, index: u32) -> &CompiledPattern {
         &self.patterns[index as usize]
-    }
-
-    fn complies(&self, index: u32, value: &Value) -> bool {
-        match self.nodes[index as usize] {
-            CompiledNode::Any => true,
-            CompiledNode::Type(tag) => tag.matches(value),
-            CompiledNode::Const { value: id } => value.loosely_equals(&self.values[id as usize]),
-            CompiledNode::Enum { start, len } => self.values
-                [start as usize..(start + len) as usize]
-                .iter()
-                .any(|option| value.loosely_equals(option)),
-            CompiledNode::Pattern { pattern } => value
-                .as_str()
-                .map(|text| self.patterns[pattern as usize].matches(text))
-                .unwrap_or(false),
-            CompiledNode::Map { entries_start, len } => match value {
-                Value::Map(map) => {
-                    let entries = self.entries(entries_start, len);
-                    map.iter().all(|(key, child_value)| {
-                        self.lookup(entries, key)
-                            .map(|entry| self.complies(entry.child, child_value))
-                            .unwrap_or(false)
-                    })
-                }
-                _ => false,
-            },
-            CompiledNode::Seq { element } => match value {
-                Value::Seq(items) => items.iter().all(|item| self.complies(element, item)),
-                _ => false,
-            },
-        }
-    }
-
-    fn validate_into(
-        &self,
-        index: u32,
-        value: &Value,
-        path: &str,
-        violations: &mut Vec<Violation>,
-    ) {
-        match self.nodes[index as usize] {
-            CompiledNode::Any => {}
-            CompiledNode::Type(tag) => {
-                if !tag.matches(value) {
-                    violations.push(Violation {
-                        path: path.to_owned(),
-                        reason: ViolationReason::TypeMismatch {
-                            expected: tag.placeholder().to_owned(),
-                            found: value.type_name().to_owned(),
-                        },
-                    });
-                }
-            }
-            CompiledNode::Const { value: id } => {
-                let expected = &self.values[id as usize];
-                if !value.loosely_equals(expected) {
-                    violations.push(Violation {
-                        path: path.to_owned(),
-                        reason: ViolationReason::ValueNotAllowed {
-                            allowed: expected.scalar_to_string(),
-                            found: value.scalar_to_string(),
-                        },
-                    });
-                }
-            }
-            CompiledNode::Enum { start, len } => {
-                let options = &self.values[start as usize..(start + len) as usize];
-                if !options.iter().any(|option| value.loosely_equals(option)) {
-                    violations.push(Violation {
-                        path: path.to_owned(),
-                        reason: ViolationReason::ValueNotAllowed {
-                            allowed: options
-                                .iter()
-                                .map(Value::scalar_to_string)
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            found: value.scalar_to_string(),
-                        },
-                    });
-                }
-            }
-            CompiledNode::Pattern { pattern } => {
-                let pattern = &self.patterns[pattern as usize];
-                let ok = value
-                    .as_str()
-                    .map(|text| pattern.matches(text))
-                    .unwrap_or(false);
-                if !ok {
-                    violations.push(Violation {
-                        path: path.to_owned(),
-                        reason: ViolationReason::ValueNotAllowed {
-                            allowed: pattern.source().to_owned(),
-                            found: value.scalar_to_string(),
-                        },
-                    });
-                }
-            }
-            CompiledNode::Map { entries_start, len } => match value {
-                Value::Map(map) => {
-                    let entries = self.entries(entries_start, len);
-                    for (key, child_value) in map.iter() {
-                        let child_path = if path.is_empty() {
-                            key.to_owned()
-                        } else {
-                            format!("{path}.{key}")
-                        };
-                        match self.lookup(entries, key) {
-                            Some(entry) => self.validate_into(
-                                entry.child,
-                                child_value,
-                                &child_path,
-                                violations,
-                            ),
-                            None => violations.push(Violation {
-                                path: child_path,
-                                reason: ViolationReason::UnknownField,
-                            }),
-                        }
-                    }
-                }
-                other => violations.push(Violation {
-                    path: path.to_owned(),
-                    reason: ViolationReason::StructureMismatch {
-                        expected: "mapping".to_owned(),
-                        found: other.type_name().to_owned(),
-                    },
-                }),
-            },
-            CompiledNode::Seq { element } => match value {
-                Value::Seq(items) => {
-                    for (i, item) in items.iter().enumerate() {
-                        self.validate_into(element, item, &format!("{path}[{i}]"), violations);
-                    }
-                }
-                other => violations.push(Violation {
-                    path: path.to_owned(),
-                    reason: ViolationReason::StructureMismatch {
-                        expected: "sequence".to_owned(),
-                        found: other.type_name().to_owned(),
-                    },
-                }),
-            },
-        }
     }
 }
 
@@ -734,7 +555,10 @@ impl CompiledValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validator::Validator;
+    use crate::validator::{Validator, ValidatorSet, ViolationReason};
+    use crate::RawVerdict;
+    use k8s_model::K8sObject;
+    use kf_yaml::BodyFormat;
 
     fn validator() -> Validator {
         let manifests = vec![
@@ -816,24 +640,71 @@ spec:
         assert!(compiled.interned_strings() > 0);
     }
 
+    /// The stream's verdict on a set restored from `arena` is the one it
+    /// serves for the original validator, and agrees with the tree walk, in
+    /// both formats. Returns whether the object was admitted.
+    fn assert_arena_verdicts(
+        original: &Validator,
+        arena: &CompiledValidator,
+        object: &K8sObject,
+    ) -> bool {
+        let authored = ValidatorSet::single(original.clone());
+        let restored = ValidatorSet::single(Validator::from_arena("restored", arena.clone()));
+        let mut admitted = Vec::new();
+        for (text, format) in [
+            (kf_yaml::to_yaml(object.body()), BodyFormat::Yaml),
+            (kf_yaml::to_json(object.body()), BodyFormat::Json),
+        ] {
+            let served = restored.validate_raw_format(&text, format);
+            assert_eq!(
+                served,
+                authored.validate_raw_format(&text, format),
+                "{text}"
+            );
+            match (&served, authored.validate_raw_tree_format(&text, format)) {
+                (RawVerdict::Admitted, RawVerdict::Admitted) => {}
+                (
+                    RawVerdict::Denied { violations, .. },
+                    RawVerdict::Denied {
+                        violations: tree, ..
+                    },
+                ) => {
+                    assert_eq!(violations, &tree, "{text}")
+                }
+                (served, tree) => panic!("stream {served:?} vs tree {tree:?}\n{text}"),
+            }
+            admitted.push(served.is_admitted());
+        }
+        assert_eq!(
+            admitted[0],
+            admitted[1],
+            "formats disagree on {}",
+            object.name()
+        );
+        admitted[0]
+    }
+
     #[test]
     fn compiled_verdicts_match_tree_verdicts() {
         let v = validator();
         let cases = [
-            request("docker.io/bitnami/nginx:1.25", "Always", "3"),
-            request("docker.io/bitnami/nginx:1.25", "Never", "3"),
-            request("evil.example/pwn:latest", "Always", "3"),
-            request("docker.io/bitnami/nginx:1.25", "Always", "\"not a number\""),
-            K8sObject::minimal(ResourceKind::Secret, "s", "default"),
+            (request("docker.io/bitnami/nginx:1.25", "Always", "3"), true),
+            (request("docker.io/bitnami/nginx:1.25", "Never", "3"), false),
+            (request("evil.example/pwn:latest", "Always", "3"), false),
+            (
+                request("docker.io/bitnami/nginx:1.25", "Always", "\"not a number\""),
+                false,
+            ),
+            (
+                K8sObject::minimal(ResourceKind::Secret, "s", "default"),
+                false,
+            ),
         ];
-        for object in &cases {
-            let tree = v.validate_tree(object);
-            let compiled = v.compiled().validate(object);
-            assert_eq!(tree, compiled, "violations diverged for {}", object.name());
+        for (object, admits) in &cases {
             assert_eq!(
-                tree.is_empty(),
-                v.compiled().allows(object),
-                "fast-path verdict diverged for {}",
+                assert_arena_verdicts(&v, v.compiled(), object),
+                *admits,
+                "{}",
                 object.name()
             );
         }
@@ -845,11 +716,13 @@ spec:
         for kind in ResourceKind::ALL {
             assert!(!empty.covers(kind));
         }
-        assert!(!empty.allows(&K8sObject::minimal(ResourceKind::Pod, "p", "ns")));
-        assert_eq!(
-            empty.validate(&K8sObject::minimal(ResourceKind::Pod, "p", "ns"))[0].reason,
-            crate::validator::ViolationReason::UnknownKind
-        );
+        let set = ValidatorSet::single(Validator::from_arena("empty", empty));
+        let pod = K8sObject::minimal(ResourceKind::Pod, "p", "ns");
+        let RawVerdict::Denied { violations, .. } = set.validate_raw(&kf_yaml::to_yaml(pod.body()))
+        else {
+            panic!("an uncovered kind is denied");
+        };
+        assert_eq!(violations[0].reason, ViolationReason::UnknownKind);
     }
 
     #[test]
@@ -875,9 +748,8 @@ spec:
         // The decoded arena must produce the same verdicts on live objects.
         let good = request("docker.io/bitnami/nginx:1.25", "Always", "3");
         let bad = request("evil.example/pwn:latest", "Always", "3");
-        assert!(decoded.allows(&good));
-        assert!(!decoded.allows(&bad));
-        assert_eq!(decoded.validate(&bad), compiled.validate(&bad));
+        assert!(assert_arena_verdicts(&v, &decoded, &good));
+        assert!(!assert_arena_verdicts(&v, &decoded, &bad));
     }
 
     #[test]

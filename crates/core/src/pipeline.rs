@@ -244,21 +244,24 @@ spec:
                 "apiVersion: v1\nkind: Service\nmetadata:\n  name: web-nginx\nspec:\n  type: {service_type}\n  ports:\n    - port: 8080\n"
             );
             let object = K8sObject::from_yaml(&manifest).unwrap();
-            assert!(validator.allows(&object), "{service_type} must be allowed");
+            assert!(
+                validator.validate_tree(&object).is_empty(),
+                "{service_type} must be allowed"
+            );
         }
         // …but a type outside the enumeration is not.
         let node_port = K8sObject::from_yaml(
             "apiVersion: v1\nkind: Service\nmetadata:\n  name: web-nginx\nspec:\n  type: NodePort\n  ports:\n    - port: 8080\n",
         )
         .unwrap();
-        assert!(!validator.allows(&node_port));
+        assert!(!validator.validate_tree(&node_port).is_empty());
         // The metrics service (rendered only in the enabled variant) is part
         // of the allowed configuration space.
         let metrics = K8sObject::from_yaml(
             "apiVersion: v1\nkind: Service\nmetadata:\n  name: web-nginx-metrics\nspec:\n  ports:\n    - port: 9113\n",
         )
         .unwrap();
-        assert!(validator.allows(&metrics));
+        assert!(validator.validate_tree(&metrics).is_empty());
     }
 
     #[test]
@@ -286,7 +289,7 @@ spec:
 "#,
         )
         .unwrap();
-        let violations = validator.validate(&exploit);
+        let violations = validator.validate_tree(&exploit);
         assert!(violations
             .iter()
             .any(|v| v.path == "spec.template.spec.hostNetwork"));
@@ -316,6 +319,6 @@ spec:
 "#,
         )
         .unwrap();
-        assert!(validator.validate(&legitimate).is_empty());
+        assert!(validator.validate_tree(&legitimate).is_empty());
     }
 }

@@ -50,7 +50,9 @@
 //!   report's rendering of the container waits for it to close.
 //!
 //! [`ValidatorSet::validate_raw_tree_format`] is the parse-then-validate
-//! reference the parity suites pin the stream to; no serving path calls it.
+//! reference the parity suites pin the stream to: it walks the policy trees
+//! ([`PolicyNode`](crate::PolicyNode)), not the arena the stream runs on, and
+//! no serving path calls it.
 //! `validate_raw` / `validate_raw_tree` return byte-identical outcomes —
 //! the stream only *adds* the deciding event's source location to denials.
 //! See `docs/streaming-admission.md`.
@@ -699,7 +701,8 @@ impl<'a> Decision<'a> {
 
     /// The served report, once the stream read the whole document: the
     /// closest match, fewest violations and first in validator order on a
-    /// tie, mirroring `ValidatorSet::validate_kind_body`. The candidate read
+    /// tie, the rule of the routed tree walk the reference runs
+    /// (`ValidatorSet::validate_kind_body`). The candidate read
     /// the document to its end; every other matcher resumes counting from
     /// where it died and stops once it cannot beat the best count so far.
     /// Only a matcher that does beat it is resumed again to collect.
@@ -1014,8 +1017,8 @@ enum Fatal {
 }
 
 /// A state machine that advances compiled-arena node ids as tokenizer events
-/// arrive, recording one [`Site`] exactly where the compiled tree walk
-/// ([`CompiledValidator::validate_kind_body`](crate::compile::CompiledValidator::validate_kind_body))
+/// arrive, recording one [`Site`] exactly where the policy tree walk
+/// ([`Validator::validate_tree`](crate::Validator::validate_tree))
 /// would report a violation — without a document tree. A matcher with no
 /// sites at end of document admits.
 #[derive(Debug)]
@@ -1472,7 +1475,6 @@ fn token_loosely_equals(token: &ScalarToken<'_>, value: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
     use crate::security::{SecurityLock, SecurityLocks};
     use crate::validator::{PolicyNode, Validator, ViolationReason};
 
@@ -2167,7 +2169,7 @@ spec:
 
     /// A container-valued constant in front of the stream, two ways: a
     /// security lock pinning a mapping, and an enumeration of two mappings
-    /// compiled straight into an arena. The stream builds the container it
+    /// written straight into a policy tree. The stream builds the container it
     /// meets and compares it as the tree walk does.
     #[test]
     fn container_valued_constants_are_decided_in_stream() {
@@ -2197,8 +2199,10 @@ spec:
                 "strategy".to_owned(),
                 PolicyNode::Enum(options.map(|o| kf_yaml::parse(o).unwrap()).to_vec()),
             );
-            let compiled = compile([(ResourceKind::Deployment, &policy)]);
-            ValidatorSet::single(Validator::from_arena("enumerated", compiled))
+            ValidatorSet::single(Validator::from_policies(
+                "enumerated",
+                [(ResourceKind::Deployment, policy)],
+            ))
         };
         let base = request("docker.io/bitnami/nginx:1.25", "Always", "3");
         let capabilities = |value: &str| {

@@ -355,9 +355,10 @@ impl fmt::Display for Violation {
 /// workload is allowed to manage.
 ///
 /// The tree ([`PolicyNode`]) is the authoring representation: manifests merge
-/// into it and security locks rewrite it. Enforcement runs on the compiled
-/// form (see [`crate::compile`]), built lazily on first use and invalidated
-/// whenever the tree is mutated.
+/// into it and security locks rewrite it, and its walk
+/// ([`Validator::validate_tree`]) is the reference verdict. The stream
+/// enforces on the compiled form (see [`crate::compile`]), built lazily on
+/// first use and invalidated whenever the tree is mutated.
 #[derive(Debug, Clone)]
 pub struct Validator {
     workload: String,
@@ -422,9 +423,12 @@ impl Validator {
     /// policy cache; see [`crate::aot`]). The compiled form is primed
     /// directly, so enforcement starts without ever touching the authoring
     /// tree — which is empty for such a validator. Tree-side operations
-    /// ([`Validator::validate_tree`], [`Validator::apply_security_locks`],
-    /// [`Validator::to_yaml`]) see that empty tree; arena-restored
-    /// validators are an enforcement-only form.
+    /// ([`Validator::apply_security_locks`], [`Validator::to_yaml`]) see that
+    /// empty tree, and there is no reference verdict: the tree walk
+    /// ([`Validator::validate_tree`], and so
+    /// [`ValidatorSet::validate_raw_tree_format`]) reports `UnknownKind` for
+    /// every kind. Arena-restored validators are an enforcement-only form:
+    /// only the stream decides for them.
     pub fn from_arena(workload: &str, compiled: CompiledValidator) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(compiled);
@@ -432,6 +436,20 @@ impl Validator {
             workload: workload.to_owned(),
             kinds: BTreeMap::new(),
             compiled: cell,
+        }
+    }
+
+    /// A validator over hand-built policy trees, for tests that need a node
+    /// shape no chart renders (an enumeration of containers).
+    #[cfg(test)]
+    pub(crate) fn from_policies(
+        workload: &str,
+        kinds: impl IntoIterator<Item = (ResourceKind, PolicyNode)>,
+    ) -> Self {
+        Validator {
+            workload: workload.to_owned(),
+            kinds: kinds.into_iter().collect(),
+            compiled: OnceLock::new(),
         }
     }
 
@@ -479,31 +497,21 @@ impl Validator {
             .get_or_init(|| compile(self.kinds.iter().map(|(kind, node)| (*kind, node))))
     }
 
-    /// Validate an object against the policy; an empty vector means the
-    /// request complies. Runs on the compiled form.
-    pub fn validate(&self, object: &K8sObject) -> Vec<Violation> {
-        self.compiled().validate(object)
+    /// Validate by walking the authoring tree; an empty vector means the
+    /// object complies. This is the reference the parity suites pin the
+    /// stream to; no serving path calls it.
+    pub fn validate_tree(&self, object: &K8sObject) -> Vec<Violation> {
+        self.walk(object.kind(), object.body())
     }
 
-    /// Validate by walking the authoring tree directly. Kept as the reference
-    /// implementation: differential and fuzz tests assert the compiled plane
-    /// produces identical verdicts.
-    pub fn validate_tree(&self, object: &K8sObject) -> Vec<Violation> {
-        let Some(policy) = self.kinds.get(&object.kind()) else {
-            return vec![Violation {
-                path: object.kind().as_str().to_owned(),
-                reason: ViolationReason::UnknownKind,
-            }];
+    /// [`Validator::validate_tree`] over a borrowed body.
+    fn walk(&self, kind: ResourceKind, body: &Value) -> Vec<Violation> {
+        let Some(policy) = self.kinds.get(&kind) else {
+            return vec![unknown_kind(kind)];
         };
         let mut violations = Vec::new();
-        validate_node(policy, object.body(), "", &mut violations);
+        validate_node(policy, body, "", &mut violations);
         violations
-    }
-
-    /// Whether the object complies with the policy. Short-circuits on the
-    /// compiled form without allocating.
-    pub fn allows(&self, object: &K8sObject) -> bool {
-        self.compiled().allows(object)
     }
 
     /// The collapsed field paths allowed for a kind (used by the
@@ -599,69 +607,23 @@ impl ValidatorSet {
         &self.routes()[kind.index()]
     }
 
-    /// Validate an object: returns `Ok(())` when some member validator allows
-    /// it, otherwise the violations reported by the closest matching
-    /// *covering* validator (fewest violations), which is what the proxy
-    /// logs.
+    /// The reference verdict on a parsed body: the routed tree walk. Each
+    /// member covering `kind` ([`ValidatorSet::validators_for`], in insertion
+    /// order) walks its policy tree, and the first that reports nothing
+    /// admits. Otherwise the closest match is reported — fewest violations,
+    /// the earlier validator on a tie — which is the report the stream
+    /// serves. With no covering member the answer is `UnknownKind`.
     ///
-    /// Dispatch is two-tier: the kind-routing table narrows the candidate
-    /// validators to those covering the object's kind (an O(1) indexed
-    /// lookup), and the admit decision runs each candidate's compiled
-    /// fast path, which neither allocates nor builds violation reports.
-    /// Violations are collected only after all candidates denied — the
-    /// denial path is the rare one.
-    pub fn validate(&self, object: &K8sObject) -> std::result::Result<(), Vec<Violation>> {
-        self.validate_kind_body(object.kind(), object.body())
-    }
-
-    /// [`ValidatorSet::validate`] over a borrowed body — the proxy's
-    /// zero-copy entry point.
+    /// [`ValidatorSet::validate_raw_tree_format`] runs this after parsing;
+    /// no serving path calls either.
     pub fn validate_kind_body(
         &self,
         kind: ResourceKind,
         body: &Value,
     ) -> std::result::Result<(), Vec<Violation>> {
-        let route = self.validators_for(kind);
-        // Fast path: any covering validator that admits ends the request.
-        for &index in route {
-            if self.validators[index as usize]
-                .compiled()
-                .allows_kind_body(kind, body)
-            {
-                return Ok(());
-            }
-        }
-        if route.is_empty() {
-            return Err(vec![Violation {
-                path: kind.as_str().to_owned(),
-                reason: ViolationReason::UnknownKind,
-            }]);
-        }
-        // Denial path: collect per-validator violations and report the
-        // closest match among the validators that actually cover the kind.
         let mut best: Option<Vec<Violation>> = None;
-        for &index in route {
-            let violations = self.validators[index as usize]
-                .compiled()
-                .validate_kind_body(kind, body);
-            match &best {
-                Some(existing) if existing.len() <= violations.len() => {}
-                _ => best = Some(violations),
-            }
-        }
-        Err(best.expect("route is non-empty"))
-    }
-
-    /// The pre-compilation reference semantics: try every member validator in
-    /// turn with the tree-walking validator. Differential tests assert the
-    /// kind-indexed [`ValidatorSet::validate`] admits and denies identically.
-    pub fn validate_tree_scan(
-        &self,
-        object: &K8sObject,
-    ) -> std::result::Result<(), Vec<Violation>> {
-        let mut best: Option<Vec<Violation>> = None;
-        for validator in &self.validators {
-            let violations = validator.validate_tree(object);
+        for &index in self.validators_for(kind) {
+            let violations = self.validators[index as usize].walk(kind, body);
             if violations.is_empty() {
                 return Ok(());
             }
@@ -670,12 +632,15 @@ impl ValidatorSet {
                 _ => best = Some(violations),
             }
         }
-        Err(best.unwrap_or_else(|| {
-            vec![Violation {
-                path: object.kind().as_str().to_owned(),
-                reason: ViolationReason::UnknownKind,
-            }]
-        }))
+        Err(best.unwrap_or_else(|| vec![unknown_kind(kind)]))
+    }
+}
+
+/// The violation for a kind no policy covers.
+fn unknown_kind(kind: ResourceKind) -> Violation {
+    Violation {
+        path: kind.as_str().to_owned(),
+        reason: ViolationReason::UnknownKind,
     }
 }
 
@@ -1028,9 +993,9 @@ spec:
         // The two manifests differ only in imagePullPolicy; both options must
         // be allowed and anything else rejected.
         let ok = K8sObject::from_value(request_manifest("Always")).unwrap();
-        assert!(v.allows(&ok));
+        assert!(v.validate_tree(&ok).is_empty());
         let bad = K8sObject::from_value(request_manifest("Never")).unwrap();
-        let violations = v.validate(&bad);
+        let violations = v.validate_tree(&bad);
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             violations[0].reason,
@@ -1048,7 +1013,7 @@ spec:
         )
         .unwrap();
         let object = K8sObject::from_value(body).unwrap();
-        let violations = v.validate(&object);
+        let violations = v.validate_tree(&object);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].path, "spec.template.spec.hostNetwork");
         assert!(matches!(
@@ -1061,7 +1026,7 @@ spec:
     fn unknown_kinds_are_rejected() {
         let v = validator();
         let secret = K8sObject::minimal(ResourceKind::Secret, "s", "default");
-        let violations = v.validate(&secret);
+        let violations = v.validate_tree(&secret);
         assert!(matches!(violations[0].reason, ViolationReason::UnknownKind));
     }
 
@@ -1074,13 +1039,15 @@ spec:
             Value::from(7),
         )
         .unwrap();
-        assert!(v.allows(&K8sObject::from_value(body.clone()).unwrap()));
+        assert!(v
+            .validate_tree(&K8sObject::from_value(body.clone()).unwrap())
+            .is_empty());
         body.set_path(
             &kf_yaml::Path::parse("spec.replicas").unwrap(),
             Value::from("a lot"),
         )
         .unwrap();
-        let violations = v.validate(&K8sObject::from_value(body).unwrap());
+        let violations = v.validate_tree(&K8sObject::from_value(body).unwrap());
         assert!(matches!(
             violations[0].reason,
             ViolationReason::TypeMismatch { .. }
@@ -1105,7 +1072,7 @@ spec:
             )
             .unwrap();
         containers.push(second);
-        let violations = v.validate(&K8sObject::from_value(body).unwrap());
+        let violations = v.validate_tree(&K8sObject::from_value(body).unwrap());
         assert_eq!(violations.len(), 1);
         assert!(violations[0].path.contains("containers[1]"));
     }
@@ -1122,7 +1089,7 @@ spec:
             Value::Bool(false),
         )
         .unwrap();
-        let violations = v.validate(&K8sObject::from_value(body).unwrap());
+        let violations = v.validate_tree(&K8sObject::from_value(body).unwrap());
         assert_eq!(violations.len(), 1);
         assert!(matches!(
             violations[0].reason,
@@ -1139,7 +1106,9 @@ spec:
             Value::Bool(false),
         )
         .unwrap();
-        assert!(v.allows(&K8sObject::from_value(body.clone()).unwrap()));
+        assert!(v
+            .validate_tree(&K8sObject::from_value(body.clone()).unwrap())
+            .is_empty());
         body.set_path(
             &kf_yaml::Path::parse(
                 "spec.template.spec.containers[0].securityContext.allowPrivilegeEscalation",
@@ -1148,7 +1117,9 @@ spec:
             Value::Bool(true),
         )
         .unwrap();
-        assert!(!v.allows(&K8sObject::from_value(body).unwrap()));
+        assert!(!v
+            .validate_tree(&K8sObject::from_value(body).unwrap())
+            .is_empty());
     }
 
     #[test]
@@ -1172,9 +1143,11 @@ spec:
         set.push(Validator::empty("other"));
         set.push(set_validator);
         let ok = K8sObject::from_value(request_manifest("Always")).unwrap();
-        assert!(set.validate(&ok).is_ok());
+        assert!(set.validate_kind_body(ok.kind(), ok.body()).is_ok());
         let secret = K8sObject::minimal(ResourceKind::Secret, "s", "default");
-        assert!(set.validate(&secret).is_err());
+        assert!(set
+            .validate_kind_body(secret.kind(), secret.body())
+            .is_err());
     }
 
     #[test]

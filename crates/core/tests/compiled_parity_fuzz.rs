@@ -1,13 +1,14 @@
-//! Fuzz test: the compiled admission plane must reach exactly the same
-//! verdicts — and report exactly the same violations — as the tree-walking
-//! reference validator, on randomly mutated manifests.
+//! Fuzz test: the streaming admission plane must reach exactly the same
+//! verdicts — and report exactly the same violations — as the reference,
+//! the routed walk of the policy trees (`ValidatorSet::validate_raw_tree_format`),
+//! on randomly mutated manifests.
 //!
 //! The build environment has no crates-registry access, so instead of
 //! `proptest` this uses a hand-rolled, seeded mutator: starting from every
 //! operator's legitimate objects, each case applies a random sequence of
 //! field overwrites, insertions and deletions (the shapes real attacks take:
 //! unknown fields, wrong types, out-of-enumeration values, structural
-//! damage), then checks tree/compiled parity. Failures print the case seed
+//! damage), then checks stream/tree parity. Failures print the case seed
 //! and the mutated document.
 
 use k8s_apiserver::{ApiRequest, RequestBody};
@@ -138,68 +139,11 @@ fn mutate(rng: &mut SmallRng, body: &mut Value) -> usize {
     class
 }
 
-#[test]
-fn compiled_and_tree_validators_agree_on_mutated_manifests() {
-    for operator in Operator::ALL {
-        let validator = validator_for(operator);
-        let bases = operator.workload().default_objects();
-        let mut rng = SmallRng::seed_from_u64(0xF0CCAC1A ^ operator.name().len() as u64);
-        let mut admitted = 0usize;
-        let mut denied = 0usize;
-        for case in 0..cases_per_operator() {
-            let base = &bases[rng.gen_range(0usize..bases.len())];
-            let mut body = base.body().clone();
-            for _ in 0..rng.gen_range(1usize..MUTATIONS_PER_CASE + 1) {
-                mutate(&mut rng, &mut body);
-            }
-            // Mutations can destroy the object envelope (kind/name); those
-            // documents never reach a validator, the proxy rejects them
-            // earlier.
-            let Ok(object) = K8sObject::from_value(body.clone()) else {
-                continue;
-            };
-            let tree = validator.validate_tree(&object);
-            let compiled = validator.compiled().validate(&object);
-            assert_eq!(
-                tree,
-                compiled,
-                "violations diverged: {} case {case}\n--- document ---\n{}",
-                operator.name(),
-                kf_yaml::to_yaml(&body)
-            );
-            assert_eq!(
-                tree.is_empty(),
-                validator.compiled().allows(&object),
-                "fast-path verdict diverged: {} case {case}",
-                operator.name()
-            );
-            if tree.is_empty() {
-                admitted += 1;
-            } else {
-                denied += 1;
-            }
-        }
-        // The mutator must exercise both sides of the verdict for the
-        // parity claim to mean anything.
-        assert!(
-            denied > 0,
-            "{}: no mutated manifest was denied",
-            operator.name()
-        );
-        assert!(
-            admitted + denied > cases_per_operator() / 2,
-            "{}: too many cases discarded ({admitted} admitted, {denied} denied)",
-            operator.name()
-        );
-    }
-}
-
 /// Round-trip every mutated manifest through the emitter and validate the
-/// wire bytes on the streaming path: the streaming verdict, the raw tree
-/// path (parse-then-validate on the compiled plane) and the legacy
-/// tree-walking validator must all agree — including early-deny cases,
-/// where the stream stops at the first fatal violation but must still
-/// report the tree path's exact violation list.
+/// wire bytes on the streaming path: the streaming verdict and the raw tree
+/// path (parse, then walk the policy trees) must agree — including
+/// early-deny cases, where the stream stops at the first fatal violation but
+/// must still report the tree path's exact violation list.
 #[test]
 fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
     let mut checked = 0usize;
@@ -208,8 +152,7 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
     // verdicts — admitted, denied, unparsable.
     let mut by_class = [[0usize; 4]; MUTATION_CLASSES.len()];
     for operator in Operator::ALL {
-        let validator = validator_for(operator);
-        let set = ValidatorSet::single(validator.clone());
+        let set = ValidatorSet::single(validator_for(operator));
         let bases = operator.workload().default_objects();
         let mut rng = SmallRng::seed_from_u64(0x5EED_57E4 ^ operator.name().len() as u64);
         for case in 0..cases_per_operator() {
@@ -259,55 +202,37 @@ fn streaming_verdicts_match_tree_verdicts_on_mutated_manifests() {
                 );
             }
             match K8sObject::from_value(body.clone()) {
-                Ok(_envelope_intact) => {
+                Ok(_envelope_intact) => match (&stream, &raw_tree) {
                     // Envelope-intact documents: full verdict + violation
-                    // parity. The emitted text reparses to a loosely-equal
-                    // tree, which is what both tree planes see.
-                    let reparsed = kf_yaml::parse(&text).expect("emitted YAML must reparse");
-                    let legacy_object = K8sObject::from_value(reparsed)
-                        .expect("envelope survives the emitter round-trip");
-                    let legacy = validator.validate_tree(&legacy_object);
-                    match (&stream, &raw_tree) {
-                        (RawVerdict::Admitted, RawVerdict::Admitted) => {
-                            assert!(
-                                legacy.is_empty(),
-                                "{} case {case}: tree-walking plane denies an admitted body\n{text}",
-                                operator.name()
-                            );
-                        }
-                        (
-                            RawVerdict::Denied {
-                                violations: stream_violations,
-                                location,
-                            },
-                            RawVerdict::Denied {
-                                violations: tree_violations,
-                                ..
-                            },
-                        ) => {
-                            stream_denied += 1;
-                            assert_eq!(
-                                stream_violations,
-                                tree_violations,
-                                "{} case {case}: streaming and raw-tree reports diverged\n{text}",
-                                operator.name()
-                            );
-                            assert_eq!(
-                                stream_violations, &legacy,
-                                "{} case {case}: streaming and tree-walking reports diverged\n{text}",
-                                operator.name()
-                            );
-                            // The deciding position points into the payload.
-                            let location = location.expect("every stream denial is located");
-                            assert!(location.line >= 1);
-                            assert!(location.offset.expect("an offset") < text.len());
-                        }
-                        (s, t) => panic!(
-                            "{} case {case}: verdicts diverged (stream {s:?} vs tree {t:?})\n{text}",
+                    // parity.
+                    (RawVerdict::Admitted, RawVerdict::Admitted) => {}
+                    (
+                        RawVerdict::Denied {
+                            violations: stream_violations,
+                            location,
+                        },
+                        RawVerdict::Denied {
+                            violations: tree_violations,
+                            ..
+                        },
+                    ) => {
+                        stream_denied += 1;
+                        assert_eq!(
+                            stream_violations,
+                            tree_violations,
+                            "{} case {case}: streaming and tree reports diverged\n{text}",
                             operator.name()
-                        ),
+                        );
+                        // The deciding position points into the payload.
+                        let location = location.expect("every stream denial is located");
+                        assert!(location.line >= 1);
+                        assert!(location.offset.expect("an offset") < text.len());
                     }
-                }
+                    (s, t) => panic!(
+                        "{} case {case}: verdicts diverged (stream {s:?} vs tree {t:?})\n{text}",
+                        operator.name()
+                    ),
+                },
                 Err(_) => {
                     // Envelope-broken documents never reach a validator on
                     // either path; both must refuse to admit, with the
@@ -467,7 +392,7 @@ fn multi_document_raw_bodies_never_admit() {
 
 /// Cross-format parity: every mutated manifest is serialized as **both**
 /// YAML and JSON wire bytes, and the streaming-JSON, streaming-YAML and
-/// compiled-tree verdicts must agree — with byte-identical violation lists
+/// tree-reference verdicts must agree — with byte-identical violation lists
 /// on denials. Locations and unparsable reasons are format-specific (line
 /// numbers differ between serializations) and are excluded from the
 /// byte-identity claim.
@@ -752,20 +677,27 @@ fn early_deny_ordering_matches_across_formats() {
 #[test]
 fn unmutated_manifests_are_admitted_by_both_planes() {
     for operator in Operator::ALL {
-        let validator = validator_for(operator);
+        let set = ValidatorSet::single(validator_for(operator));
         for object in operator.workload().default_objects() {
-            assert!(
-                validator.validate_tree(&object).is_empty(),
-                "{}: tree plane rejects the legitimate {}",
-                operator.name(),
-                object.name()
-            );
-            assert!(
-                validator.compiled().allows(&object),
-                "{}: compiled plane rejects the legitimate {}",
-                operator.name(),
-                object.name()
-            );
+            for (text, format) in [
+                (kf_yaml::to_yaml(object.body()), BodyFormat::Yaml),
+                (kf_yaml::to_json(object.body()), BodyFormat::Json),
+            ] {
+                assert!(
+                    set.validate_raw_format(&text, format).is_admitted(),
+                    "{}: the stream refuses the legitimate {} ({})",
+                    operator.name(),
+                    object.name(),
+                    format.name()
+                );
+                assert!(
+                    set.validate_raw_tree_format(&text, format).is_admitted(),
+                    "{}: the tree reference refuses the legitimate {} ({})",
+                    operator.name(),
+                    object.name(),
+                    format.name()
+                );
+            }
         }
     }
 }

@@ -15,7 +15,7 @@ use kf_workloads::Operator;
 use kubefence::schema_gen::ValuesSchemaGenerator;
 use kubefence::{
     ConfigurationExplorer, EnforcementProxy, GeneratorConfig, PolicyGenerator, SecurityLocks,
-    Validator,
+    Validator, ValidatorSet,
 };
 
 /// Generate a validator for the operator's chart under `security_locks`.
@@ -63,6 +63,7 @@ fn ablation_flat_vs_tree() {
         .flat_map(|kind| validator.field_paths(kind))
         .filter_map(|path| path.rsplit('.').next().map(str::to_owned))
         .collect();
+    let set = ValidatorSet::single(validator);
 
     let mut flat_missed = 0usize;
     let mut tree_caught = 0usize;
@@ -74,7 +75,10 @@ fn ablation_flat_vs_tree() {
         let Some(malicious) = spec.inject(base) else {
             continue;
         };
-        let tree_blocks = !validator.allows(&malicious);
+        // Tree check: what the proxy serves, the stream over the wire text.
+        let tree_blocks = !set
+            .validate_raw(&kf_yaml::to_yaml(malicious.body()))
+            .is_admitted();
         // Flat check: every *leaf field name* in the request must be a known
         // field name somewhere in the policy (no structure, no values).
         let flat_blocks = malicious.field_paths().iter().any(|path| {

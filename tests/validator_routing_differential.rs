@@ -1,11 +1,11 @@
 //! Differential test for `ValidatorSet` multi-workload routing: the
-//! kind-indexed dispatch introduced with the compiled admission plane must
-//! admit and deny exactly like the original linear scan over tree-walking
-//! validators (`ValidatorSet::validate_tree_scan`).
+//! kind-indexed dispatch — the stream (`validate_raw_format`) and the routed
+//! tree walk (`validate_raw_tree_format`) — must admit and deny exactly like
+//! an unrouted linear scan over every member's tree walk ([`scan_admits`]).
 
 use k8s_model::{K8sObject, ResourceKind};
 use kf_workloads::{Operator, ThroughputDriver};
-use kubefence::{GeneratorConfig, PolicyGenerator, Validator, ValidatorSet};
+use kubefence::{BodyFormat, GeneratorConfig, PolicyGenerator, Validator, ValidatorSet};
 
 fn validator_for(operator: Operator) -> Validator {
     PolicyGenerator::new(GeneratorConfig::for_release(operator.release_name()))
@@ -43,6 +43,36 @@ spec:
     set
 }
 
+/// The unrouted reference: every member in insertion order, each with its
+/// own tree walk, whatever kinds it covers; the set admits when one member
+/// reports nothing.
+fn scan_admits(set: &ValidatorSet, object: &K8sObject) -> bool {
+    set.validators()
+        .iter()
+        .any(|validator| validator.validate_tree(object).is_empty())
+}
+
+/// The routed verdicts on the object's wire text — the stream's and the
+/// routed tree walk's, in YAML and in JSON — which must all agree; returns
+/// whether they admit.
+fn routed_admits(set: &ValidatorSet, object: &K8sObject) -> bool {
+    let mut verdicts = Vec::new();
+    for (text, format) in [
+        (kf_yaml::to_yaml(object.body()), BodyFormat::Yaml),
+        (kf_yaml::to_json(object.body()), BodyFormat::Json),
+    ] {
+        verdicts.push(set.validate_raw_format(&text, format).is_admitted());
+        verdicts.push(set.validate_raw_tree_format(&text, format).is_admitted());
+    }
+    assert!(
+        verdicts.iter().all(|admits| *admits == verdicts[0]),
+        "routed verdicts disagree on {} {}: {verdicts:?} (stream, tree; yaml, json)",
+        object.kind(),
+        object.name()
+    );
+    verdicts[0]
+}
+
 fn kf_yaml_parse(text: &str) -> kf_yaml::Value {
     kf_yaml::parse(text).unwrap()
 }
@@ -74,17 +104,17 @@ fn overlapping_kinds_admit_through_either_member() {
     let via_a = deployment("registry.one/app:1.0");
     let via_b = deployment("registry.two/app:2.3");
     let via_none = deployment("evil.example/pwn:latest");
-    assert!(set.validate(&via_a).is_ok());
-    assert!(set.validate(&via_b).is_ok());
-    assert!(set.validate(&via_none).is_err());
-    // And identically under the legacy linear scan.
-    assert!(set.validate_tree_scan(&via_a).is_ok());
-    assert!(set.validate_tree_scan(&via_b).is_ok());
-    assert!(set.validate_tree_scan(&via_none).is_err());
+    assert!(routed_admits(&set, &via_a));
+    assert!(routed_admits(&set, &via_b));
+    assert!(!routed_admits(&set, &via_none));
+    // And identically under the unrouted scan.
+    assert!(scan_admits(&set, &via_a));
+    assert!(scan_admits(&set, &via_b));
+    assert!(!scan_admits(&set, &via_none));
     // A kind neither workload uses is denied by both dispatchers.
     let secret = K8sObject::minimal(ResourceKind::Secret, "s", "default");
-    assert!(set.validate(&secret).is_err());
-    assert!(set.validate_tree_scan(&secret).is_err());
+    assert!(!routed_admits(&set, &secret));
+    assert!(!scan_admits(&set, &secret));
 }
 
 #[test]
@@ -105,8 +135,8 @@ fn routed_and_scanned_dispatch_agree_across_all_operator_traffic() {
             let Some(object) = request.object() else {
                 continue;
             };
-            let routed = set.validate(&object).is_ok();
-            let scanned = set.validate_tree_scan(&object).is_ok();
+            let routed = routed_admits(&set, &object);
+            let scanned = scan_admits(&set, &object);
             assert_eq!(
                 routed,
                 scanned,
@@ -132,7 +162,7 @@ fn routing_tables_rebuild_after_push() {
     let mut set = ValidatorSet::new();
     assert!(set.validators_for(ResourceKind::Deployment).is_empty());
     let deployment_object = deployment("registry.one/app:1.0");
-    assert!(set.validate(&deployment_object).is_err());
+    assert!(!routed_admits(&set, &deployment_object));
     // Adding a covering validator after the table was first built must
     // invalidate and rebuild it.
     set.push(
@@ -156,5 +186,5 @@ spec:
         .unwrap(),
     );
     assert_eq!(set.validators_for(ResourceKind::Deployment).len(), 1);
-    assert!(set.validate(&deployment_object).is_ok());
+    assert!(routed_admits(&set, &deployment_object));
 }
