@@ -189,8 +189,8 @@ impl std::fmt::Display for ShedError {
 }
 
 /// A point-in-time health summary of the server: the store's durability
-/// status, the serving policy reacting to it, and the admission gate's
-/// load counters.
+/// status, the serving policy reacting to it, the admission gate's load
+/// counters and what the bounded audit log dropped.
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// The store's durability status (state, gap, latched error,
@@ -224,6 +224,9 @@ pub struct HealthReport {
     /// before the first checkpoint, and for backends without incremental
     /// checkpoints).
     pub checkpoint_dirty_shards: usize,
+    /// Audit events overwritten by newer ones since the audit log was last
+    /// cleared (see [`crate::AUDIT_LOG_CAPACITY`]).
+    pub audit_dropped: u64,
 }
 
 impl HealthReport {

@@ -64,7 +64,10 @@ pub use persist::{
     WalRecord, MANIFEST_FILE, MANIFEST_PREV_FILE,
 };
 pub use request::{ApiRequest, ApiResponse, RequestBody, ResponseBody, ResponseStatus};
-pub use server::{ApiServer, ExploitEvent, PushWatch, RequestHandler, WatchHub};
+pub use server::{
+    ApiServer, ExploitEvent, PushWatch, RequestHandler, WatchHub, AUDIT_LOG_CAPACITY,
+    EXPLOIT_LOG_CAPACITY,
+};
 pub use storage_io::{
     FaultKind, FaultOp, FaultSchedule, FaultyIo, PlannedFault, RealIo, StorageIo,
 };

@@ -57,6 +57,146 @@ pub struct ExploitEvent {
     pub spec: Arc<Value>,
 }
 
+/// Audit events the server retains: the newest 4,096, in 8 shards of 512
+/// slots. Every learning replay in this repository audits fewer (the
+/// benchmark's 944 at most); a longer one shows in
+/// [`ApiServer::audit_dropped`].
+pub const AUDIT_LOG_CAPACITY: usize = RING_SHARDS * 512;
+
+/// Exploitation events the server retains: the newest 256, in 8 shards of
+/// 32 slots.
+pub const EXPLOIT_LOG_CAPACITY: usize = RING_SHARDS * 32;
+
+/// Independently locked shards per ring (matches the store's
+/// write-parallelism scale).
+const RING_SHARDS: usize = 8;
+
+/// What each string buffer of a fresh slot starts with: room for the
+/// longest namespace Kubernetes allows (63 bytes) and for most users and
+/// object names. A slot whose buffers started empty would grow them
+/// whenever a longer name than any it held came round, so the ring's
+/// bytes would creep up with request count long after it wrapped.
+const SLOT_STRING_INITIAL_BYTES: usize = 64;
+
+/// The most bytes a ring slot keeps allocated for one of its strings once
+/// the value it held is overwritten. A longer user, namespace or name is
+/// retained whole while its event is; the next event that fits lets the
+/// buffer go, so one long name does not pin memory for the ring's life.
+const SLOT_STRING_BYTES: usize = 256;
+
+/// A fresh slot's string buffer.
+fn slot_string() -> String {
+    String::with_capacity(SLOT_STRING_INITIAL_BYTES)
+}
+
+/// Overwrite a slot's string with `text`, reusing its buffer.
+fn overwrite(slot: &mut String, text: &str) {
+    if slot.capacity() > SLOT_STRING_BYTES && text.len() <= SLOT_STRING_BYTES {
+        *slot = slot_string();
+    }
+    slot.clear();
+    slot.push_str(text);
+}
+
+/// One shard of a [`SlotRing`].
+#[derive(Debug)]
+struct RingShard<T> {
+    /// Every slot filled so far, with its global order stamp. Grows to the
+    /// shard's bound once; a clear keeps the slots for reuse.
+    slots: Vec<(u64, T)>,
+    /// How many slots hold retained values: `slots[..len]`.
+    len: usize,
+    /// The slot the next value is written to.
+    next: usize,
+}
+
+/// A fixed-capacity ring of reused slots, spread over [`RING_SHARDS`]
+/// independently locked shards by a global sequence number so concurrent
+/// writers contend on one shard in eight.
+///
+/// A value is written into its slot in place, under the shard lock: a slot
+/// is made once, from `blank`, and every later value overwrites it, so in
+/// steady state recording allocates nothing. Overwriting a retained value
+/// counts it as dropped. [`SlotRing::snapshot`] merges the shards back
+/// into sequence order.
+#[derive(Debug)]
+struct SlotRing<T> {
+    shards: Vec<Mutex<RingShard<T>>>,
+    slots_per_shard: usize,
+    /// What a slot holds before its first value.
+    blank: fn() -> T,
+    /// Global order stamp; also selects the shard.
+    seq: AtomicU64,
+    /// Values overwritten since the last clear.
+    dropped: AtomicU64,
+}
+
+impl<T: Clone> SlotRing<T> {
+    fn new(capacity: usize, blank: fn() -> T) -> Self {
+        SlotRing {
+            shards: (0..RING_SHARDS)
+                .map(|_| {
+                    Mutex::new(RingShard {
+                        slots: Vec::new(),
+                        len: 0,
+                        next: 0,
+                    })
+                })
+                .collect(),
+            slots_per_shard: capacity / RING_SHARDS,
+            blank,
+            seq: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// Stamp the next sequence number and `fill` the slot it selects with
+    /// the value to record.
+    fn record(&self, fill: impl FnOnce(&mut T, u64)) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.shards[(seq as usize) % RING_SHARDS].lock();
+        let shard = &mut *guard;
+        if shard.next == shard.slots.len() {
+            shard.slots.push((seq, (self.blank)()));
+        }
+        let (stamp, value) = &mut shard.slots[shard.next];
+        *stamp = seq;
+        fill(value, seq);
+        if shard.len == self.slots_per_shard {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            shard.len += 1;
+        }
+        shard.next = (shard.next + 1) % self.slots_per_shard;
+    }
+
+    /// The retained values, in sequence order.
+    fn snapshot(&self) -> Vec<T> {
+        let mut stamped: Vec<(u64, T)> = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock();
+            stamped.extend_from_slice(&shard.slots[..shard.len]);
+        }
+        stamped.sort_unstable_by_key(|(seq, _)| *seq);
+        stamped.into_iter().map(|(_, value)| value).collect()
+    }
+
+    /// Forget every retained value and the dropped count; the slots stay
+    /// for the values to come.
+    fn clear(&self) {
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            shard.len = 0;
+            shard.next = 0;
+        }
+        self.dropped.store(0, Ordering::Relaxed);
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
 /// The simulated Kubernetes API server.
 ///
 /// Users named in [`ApiServer::with_admin`] (default: `admin`) bypass RBAC,
@@ -75,14 +215,11 @@ pub struct ApiServer<S: StoreBackend = ObjectStore> {
     /// Read-mostly: every request takes a read lock, policy installation a
     /// write lock.
     rbac: RwLock<Option<RbacPolicySet>>,
-    /// Sharded audit buffers: events are stamped by `audit_seq` and spread
-    /// over independently locked shards so concurrent requests do not
-    /// serialize on one audit mutex; `audit_log()` merges them back into
-    /// chronological order.
-    audit: Vec<Mutex<Vec<AuditEvent>>>,
-    audit_seq: AtomicU64,
+    /// The newest [`AUDIT_LOG_CAPACITY`] audit events.
+    audit: SlotRing<AuditEvent>,
     oracle: VulnerabilityOracle,
-    exploits: Mutex<Vec<ExploitEvent>>,
+    /// The newest [`EXPLOIT_LOG_CAPACITY`] exploitation events.
+    exploits: SlotRing<ExploitEvent>,
     admins: Vec<String>,
     /// Queue bound handed to [`StoreBackend::subscribe`] for push watches
     /// attached through [`WatchHub::subscribe_push`].
@@ -96,9 +233,6 @@ pub struct ApiServer<S: StoreBackend = ObjectStore> {
     /// [`DegradePolicy::FailClosed`].
     rejected_writes: AtomicU64,
 }
-
-/// Number of audit shards (matches the store's write-parallelism scale).
-const AUDIT_SHARDS: usize = 8;
 
 impl Default for ApiServer {
     fn default() -> Self {
@@ -139,10 +273,24 @@ impl<S: StoreBackend> ApiServer<S> {
         ApiServer {
             store,
             rbac: RwLock::new(None),
-            audit: (0..AUDIT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            audit_seq: AtomicU64::new(0),
+            audit: SlotRing::new(AUDIT_LOG_CAPACITY, || AuditEvent {
+                sequence: 0,
+                user: slot_string(),
+                verb: Verb::Get,
+                kind: ResourceKind::Pod,
+                namespace: slot_string(),
+                name: slot_string(),
+                allowed: false,
+                request_body: None,
+            }),
             oracle: VulnerabilityOracle::new(),
-            exploits: Mutex::new(Vec::new()),
+            exploits: SlotRing::new(EXPLOIT_LOG_CAPACITY, || ExploitEvent {
+                cve_id: slot_string(),
+                user: slot_string(),
+                kind: ResourceKind::Pod,
+                object_name: slot_string(),
+                spec: Arc::new(Value::Null),
+            }),
             admins: vec!["admin".to_owned()],
             watch_queue_capacity: crate::DEFAULT_SUBSCRIBER_QUEUE_CAPACITY,
             degrade: DegradePolicy::default(),
@@ -178,9 +326,9 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     /// A point-in-time health summary: the store's durability status, the
-    /// degradation policy reacting to it, and the admission gate's load
-    /// counters — the surface operators (and the chaos workload) observe
-    /// every transition through.
+    /// degradation policy reacting to it, the admission gate's load
+    /// counters and the audit events dropped — the surface operators (and
+    /// the chaos workload) observe every transition through.
     pub fn health_report(&self) -> HealthReport {
         let durability = self.store.durability();
         let (admitted_total, shed_total, in_flight, waiting, peak, max) = match &self.gate {
@@ -209,6 +357,7 @@ impl<S: StoreBackend> ApiServer<S> {
             fsync_batches,
             avg_group_size,
             checkpoint_dirty_shards: self.store.checkpoint_dirty_shards(),
+            audit_dropped: self.audit_dropped(),
         }
     }
 
@@ -237,22 +386,23 @@ impl<S: StoreBackend> ApiServer<S> {
         &self.store
     }
 
-    /// Snapshot of the audit log, merged across shards in admission order.
+    /// Snapshot of the retained audit events (the newest
+    /// [`AUDIT_LOG_CAPACITY`]), in admission order.
     pub fn audit_log(&self) -> AuditLog {
-        let mut events: Vec<AuditEvent> = self
-            .audit
-            .iter()
-            .flat_map(|shard| shard.lock().clone())
-            .collect();
-        events.sort_unstable_by_key(|event| event.sequence);
-        AuditLog::from_events(events)
+        AuditLog::from_events(self.audit.snapshot())
     }
 
-    /// Clear the audit log (between experiment phases).
+    /// Audit events overwritten by newer ones since the last
+    /// [`ApiServer::clear_audit_log`]. A policy learned from
+    /// [`ApiServer::audit_log`] covers every request only while this is 0.
+    pub fn audit_dropped(&self) -> u64 {
+        self.audit.dropped()
+    }
+
+    /// Clear the audit log and its dropped count (between experiment
+    /// phases). The ring keeps its slots for the events to come.
     pub fn clear_audit_log(&self) {
-        for shard in &self.audit {
-            shard.lock().clear();
-        }
+        self.audit.clear();
     }
 
     /// The CVE oracle used by this server.
@@ -260,14 +410,17 @@ impl<S: StoreBackend> ApiServer<S> {
         &self.oracle
     }
 
-    /// The exploitation events recorded so far.
+    /// The retained exploitation events (the newest
+    /// [`EXPLOIT_LOG_CAPACITY`]) in the order they were recorded: empty
+    /// exactly when none was recorded since the last
+    /// [`ApiServer::clear_exploits`].
     pub fn exploits(&self) -> Vec<ExploitEvent> {
-        self.exploits.lock().clone()
+        self.exploits.snapshot()
     }
 
     /// Clear recorded exploitation events.
     pub fn clear_exploits(&self) {
-        self.exploits.lock().clear();
+        self.exploits.clear();
     }
 
     /// Authorize `request` under the installed policy. The yes/no question
@@ -306,26 +459,21 @@ impl<S: StoreBackend> ApiServer<S> {
     /// Audit `request`, with the body it carries when `with_body`: its wire
     /// bytes, in the format the server reads them in.
     fn record_audit(&self, request: &ApiRequest, allowed: bool, with_body: bool) {
-        // Build the event — the body is a handle to the request's buffer,
-        // not a copy — before taking any lock, then push it into one of the
-        // shards.
+        // The body is a handle to the request's buffer, not a copy; the
+        // strings are copied into the slot's own buffers.
         let body = with_body
             .then(|| request.body.raw().cloned().zip(request.wire_format()))
             .flatten();
-        let sequence = self.audit_seq.fetch_add(1, Ordering::Relaxed);
-        let event = AuditEvent {
-            sequence,
-            user: request.user.clone(),
-            verb: request.verb,
-            kind: request.kind,
-            namespace: request.namespace.clone(),
-            name: request.name.clone(),
-            allowed,
-            request_body: body,
-        };
-        self.audit[(sequence as usize) % AUDIT_SHARDS]
-            .lock()
-            .push(event);
+        self.audit.record(|event, sequence| {
+            event.sequence = sequence;
+            overwrite(&mut event.user, &request.user);
+            event.verb = request.verb;
+            event.kind = request.kind;
+            overwrite(&mut event.namespace, &request.namespace);
+            overwrite(&mut event.name, &request.name);
+            event.allowed = allowed;
+            event.request_body = body;
+        });
     }
 
     /// Admit a mutating request's payload as the object to persist. `parsed`
@@ -445,20 +593,15 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     fn record_exploits(&self, request: &ApiRequest, object: &K8sObject) {
-        let triggered = self.oracle.triggered_by(object);
-        if triggered.is_empty() {
-            return;
-        }
-        let mut exploits = self.exploits.lock();
-        for record in triggered {
-            exploits.push(ExploitEvent {
-                cve_id: record.id.clone(),
-                user: request.user.clone(),
-                kind: object.kind(),
-                object_name: object.name().to_owned(),
+        for record in self.oracle.triggered_by(object) {
+            self.exploits.record(|event, _| {
+                overwrite(&mut event.cve_id, &record.id);
+                overwrite(&mut event.user, &request.user);
+                event.kind = object.kind();
+                overwrite(&mut event.object_name, object.name());
                 // A handle to the admitted spec — forensics sees the exact
                 // tree the store persisted, at zero copy cost.
-                spec: Arc::clone(object.shared_body()),
+                event.spec = Arc::clone(object.shared_body());
             });
         }
     }
@@ -878,6 +1021,150 @@ mod tests {
             .handle(&ApiRequest::create("mallory", &evil))
             .is_denied());
         assert!(server.exploits().is_empty());
+    }
+
+    fn get_pod(user: &str, namespace: &str, name: &str) -> ApiRequest {
+        ApiRequest::get(user, ResourceKind::Pod, namespace, name)
+    }
+
+    #[test]
+    fn the_audit_ring_keeps_the_newest_events_in_order_and_counts_the_rest() {
+        let server = ApiServer::new();
+        const EXTRA: usize = 100;
+        for i in 0..AUDIT_LOG_CAPACITY + EXTRA {
+            server.handle(&get_pod("admin", "default", &format!("pod-{i}")));
+        }
+        let log = server.audit_log();
+        assert_eq!(log.events().len(), AUDIT_LOG_CAPACITY);
+        for (i, event) in log.events().iter().enumerate() {
+            assert_eq!(event.sequence, (EXTRA + i) as u64);
+            assert_eq!(event.name, format!("pod-{}", EXTRA + i));
+            assert_eq!((event.verb, event.user.as_str()), (Verb::Get, "admin"));
+        }
+        assert_eq!(server.audit_dropped(), EXTRA as u64);
+        assert_eq!(server.health_report().audit_dropped, EXTRA as u64);
+    }
+
+    #[test]
+    fn a_cleared_audit_ring_refills_from_empty() {
+        let server = ApiServer::new();
+        for i in 0..AUDIT_LOG_CAPACITY + 10 {
+            server.handle(&get_pod("admin", "default", &format!("old-{i}")));
+        }
+        server.clear_audit_log();
+        assert!(server.audit_log().events().is_empty());
+        assert_eq!(server.audit_dropped(), 0);
+        for i in 0..20 {
+            server.handle(&get_pod("admin", "default", &format!("new-{i}")));
+        }
+        let names: Vec<String> = server
+            .audit_log()
+            .events()
+            .iter()
+            .map(|event| event.name.clone())
+            .collect();
+        let expected: Vec<String> = (0..20).map(|i| format!("new-{i}")).collect();
+        assert_eq!(names, expected);
+        assert_eq!(server.audit_dropped(), 0);
+    }
+
+    #[test]
+    fn two_clients_overwriting_each_others_audit_slots_keep_every_event_whole() {
+        let server = ApiServer::new();
+        // Requests whose strings differ in length, one past what a slot
+        // keeps between events, so a slot is refilled with an event unlike
+        // the one it held.
+        let long = "n".repeat(SLOT_STRING_BYTES + 1);
+        let requests = [
+            get_pod("alice", "default", "a"),
+            get_pod("operator:postgresql", "data", "release-name-postgresql-0"),
+            get_pod("bob", "a-namespace-with-a-long-name", &long),
+            ApiRequest::list("carol", ResourceKind::Pod, "kube-system"),
+        ];
+        const PER_THREAD: usize = 3_000;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for thread in 0..2 {
+                let (server, requests, start) = (&server, &requests, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        server.handle(&requests[(2 * i + thread) % requests.len()]);
+                    }
+                });
+            }
+        });
+        let log = server.audit_log();
+        assert_eq!(log.events().len(), AUDIT_LOG_CAPACITY);
+        for event in log.events() {
+            let whole = requests.iter().any(|request| {
+                (event.verb, &event.user, &event.namespace, &event.name)
+                    == (
+                        request.verb,
+                        &request.user,
+                        &request.namespace,
+                        &request.name,
+                    )
+            });
+            assert!(whole, "a torn event: {event:?}");
+        }
+        assert!(log
+            .events()
+            .windows(2)
+            .all(|w| w[0].sequence < w[1].sequence));
+        assert_eq!(
+            log.events().len() as u64 + server.audit_dropped(),
+            2 * PER_THREAD as u64
+        );
+    }
+
+    #[test]
+    fn the_exploit_log_is_a_ring_too() {
+        let server = ApiServer::new();
+        const CREATES: usize = EXPLOIT_LOG_CAPACITY + 44;
+        for i in 0..CREATES {
+            let evil = pod_yaml(&format!("evil-{i}"), "  hostNetwork: true\n");
+            let evil = K8sObject::from_yaml(&evil).unwrap();
+            assert!(server
+                .handle(&ApiRequest::create("admin", &evil))
+                .is_success());
+        }
+        let exploits = server.exploits();
+        assert_eq!(exploits.len(), EXPLOIT_LOG_CAPACITY);
+        // The newest records, oldest first: each create adds the same
+        // records, so the retained ones start inside the last 256 creates.
+        let index =
+            |event: &ExploitEvent| -> usize { event.object_name["evil-".len()..].parse().unwrap() };
+        assert!(exploits.windows(2).all(|w| index(&w[0]) <= index(&w[1])));
+        assert!(index(&exploits[0]) >= CREATES - EXPLOIT_LOG_CAPACITY);
+        let last = exploits.last().unwrap();
+        assert_eq!(index(last), CREATES - 1);
+        let stored = server
+            .store()
+            .get(ResourceKind::Pod, "default", &last.object_name)
+            .unwrap();
+        assert!(Arc::ptr_eq(&last.spec, stored.object.shared_body()));
+        server.clear_exploits();
+        assert!(server.exploits().is_empty());
+        let evil = K8sObject::from_yaml(&pod_yaml("again", "  hostNetwork: true\n")).unwrap();
+        assert!(server
+            .handle(&ApiRequest::create("admin", &evil))
+            .is_success());
+        assert!(server.exploits().iter().all(|e| e.object_name == "again"));
+        assert!(!server.exploits().is_empty());
+    }
+
+    #[test]
+    fn a_long_string_leaves_its_slot_with_the_next_value_that_fits() {
+        let mut slot = String::new();
+        overwrite(&mut slot, &"x".repeat(4 * SLOT_STRING_BYTES));
+        assert!(slot.capacity() >= 4 * SLOT_STRING_BYTES);
+        overwrite(&mut slot, "short");
+        assert_eq!(slot, "short");
+        assert!(slot.capacity() <= SLOT_STRING_BYTES);
+        let buffer = slot.as_ptr();
+        overwrite(&mut slot, "other");
+        assert_eq!((slot.as_str(), slot.as_ptr()), ("other", buffer));
     }
 
     #[test]

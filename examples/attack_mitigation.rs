@@ -35,6 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // run, then attack.
         let learning = ApiServer::new().with_admin(&operator.user());
         DeploymentDriver::new(operator).deploy(&learning);
+        assert_eq!(
+            learning.audit_dropped(),
+            0,
+            "{operator}: the replay outgrew the audit log"
+        );
         let policy = audit2rbac(
             learning.audit_log().events(),
             &operator.user(),

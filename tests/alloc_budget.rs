@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use k8s_apiserver::{
     ApiRequest, ApiResponse, ApiServer, ObjectStore, PersistConfig, Persistence, RequestBody,
-    RequestHandler, ResponseBody, StoredObject,
+    RequestHandler, ResponseBody, StoredObject, AUDIT_LOG_CAPACITY,
 };
 use k8s_model::{K8sObject, ResourceKind};
-use k8s_rbac::{audit2rbac, Audit2RbacOptions, RbacPolicySet};
+use k8s_rbac::{audit2rbac, Audit2RbacOptions, AuditEvent, RbacPolicySet};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{json_twin, DeploymentDriver, Operator};
 use kf_yaml::{Mapping, Value};
@@ -638,6 +638,11 @@ fn policed_reads() -> (ApiServer, Vec<ApiRequest>, Vec<ApiRequest>) {
     for request in creates.iter().chain(&gets).chain(&lists) {
         assert!(learning.handle(request).is_success(), "{request:?}");
     }
+    assert_eq!(
+        learning.audit_dropped(),
+        0,
+        "the replay outgrew the audit log"
+    );
     let mut policy = RbacPolicySet::new();
     for operator in Operator::ALL {
         let learned = audit2rbac(
@@ -684,9 +689,9 @@ fn per_read(server: &ApiServer, requests: &[ApiRequest], format: BodyFormat) -> 
 fn a_cached_read_through_the_server_allocates_its_copy_and_its_audit_record() {
     // Every read passes RBAC under a learned policy and is audited. With
     // each version's text cached, a get allocates its response buffer, the
-    // `"ok"` message and the audit event's three strings: the RBAC check
-    // and the store lookup allocate nothing. A list adds its envelope kind
-    // and its item handles.
+    // `"ok"` message and, while the audit ring is still filling, its new
+    // slot's three strings: the RBAC check and the store lookup allocate
+    // nothing. A list adds its envelope kind and its item handles.
     let (server, gets, lists) = policed_reads();
     for format in [BodyFormat::Yaml, BodyFormat::Json] {
         // The first pass renders each version and fills its cache.
@@ -707,4 +712,71 @@ fn a_cached_read_through_the_server_allocates_its_copy_and_its_audit_record() {
             "{format:?}: {per_list} allocations per cached list through the server (budget 10)"
         );
     }
+}
+
+#[test]
+fn a_cached_read_through_a_wrapped_audit_ring_allocates_only_its_copy() {
+    // Once the ring has wrapped, an audited request overwrites a slot's
+    // strings in place: a cached get allocates its response buffer and
+    // its `"ok"` message, and the slot's buffers only where a name is
+    // longer than any the slot held before.
+    let (server, gets, lists) = policed_reads();
+    // Once an event has been overwritten, every slot has been filled.
+    while server.audit_dropped() == 0 {
+        per_read(&server, &gets, BodyFormat::Json);
+    }
+    for format in [BodyFormat::Yaml, BodyFormat::Json] {
+        per_read(&server, &gets, format);
+        per_read(&server, &lists, format);
+        let per_get = per_read(&server, &gets, format);
+        let per_list = per_read(&server, &lists, format);
+        println!(
+            "{format:?}: {per_get:.2} allocations per cached get, {per_list:.2} per cached \
+             list, through the server under RBAC with a wrapped audit ring"
+        );
+        assert!(
+            per_get <= 3.0,
+            "{format:?}: {per_get} allocations per cached get through a wrapped ring (budget 3)"
+        );
+        assert!(
+            per_list <= 6.0,
+            "{format:?}: {per_list} allocations per cached list through a wrapped ring (budget 6)"
+        );
+    }
+}
+
+#[test]
+fn the_audit_trail_holds_a_bounded_number_of_bytes_however_many_requests_ran() {
+    // A ring slot is its stamped event and the event's three strings, each
+    // in a buffer of 64 bytes for a name no longer than that.
+    const SLOT_BOUND: usize = std::mem::size_of::<(u64, AuditEvent)>() + 3 * 64;
+    let (server, gets, _) = policed_reads();
+    for request in &gets {
+        let strings = [&request.user, &request.namespace, &request.name];
+        assert!(strings.iter().all(|s| s.len() <= 64), "{request:?}");
+    }
+    // Render every version once, so that what stays live below is audit.
+    per_read(&server, &gets, BodyFormat::Json);
+    let serve = |count: usize| {
+        for request in gets.iter().cycle().take(count) {
+            assert!(server.handle(request).is_success(), "{request:?}");
+        }
+    };
+    let ((), _, after_20k) = counted(|| serve(20_000));
+    let ((), _, since_20k) = counted(|| serve(80_000));
+    let after_100k = after_20k + since_20k;
+    println!(
+        "live bytes after 2e4 audited gets: {after_20k}, after 1e5: {after_100k}; \
+         bound {} ({SLOT_BOUND} B a slot)",
+        AUDIT_LOG_CAPACITY * SLOT_BOUND
+    );
+    assert!(
+        after_100k <= (AUDIT_LOG_CAPACITY * SLOT_BOUND) as i64,
+        "{after_100k} B live after 1e5 audited gets (bound {})",
+        AUDIT_LOG_CAPACITY * SLOT_BOUND
+    );
+    assert!(
+        since_20k <= 0,
+        "the audit trail grew by {since_20k} B between 2e4 and 1e5 requests"
+    );
 }

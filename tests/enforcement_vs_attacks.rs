@@ -19,6 +19,11 @@ use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator, ValidatorSet
 fn learned_rbac_policy(operator: Operator) -> k8s_rbac::RbacPolicySet {
     let learning_server = ApiServer::new().with_admin(&operator.user());
     DeploymentDriver::new(operator).deploy(&learning_server);
+    assert_eq!(
+        learning_server.audit_dropped(),
+        0,
+        "{operator}: the replay outgrew the audit log"
+    );
     let log = learning_server.audit_log();
     audit2rbac(
         log.events(),

@@ -13,6 +13,11 @@ use kf_workloads::{DeploymentDriver, Operator};
 fn learned_policy(operator: Operator) -> k8s_rbac::RbacPolicySet {
     let server = ApiServer::new().with_admin(&operator.user());
     DeploymentDriver::new(operator).deploy(&server);
+    assert_eq!(
+        server.audit_dropped(),
+        0,
+        "{operator}: the replay outgrew the audit log"
+    );
     audit2rbac(
         server.audit_log().events(),
         &operator.user(),

@@ -528,6 +528,7 @@ fn watch_requests_traverse_rbac_and_audit() {
         "default",
         None,
     ));
+    assert_eq!(learning.audit_dropped(), 0);
     let policy = audit2rbac(
         learning.audit_log().events(),
         "operator-w",
