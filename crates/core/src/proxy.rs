@@ -10,17 +10,19 @@
 //! difference — complete mediation by construction.
 //!
 //! The enforcement hot path is contention-free: statistics are per-field
-//! atomics and the denial audit trail is a bounded, sharded ring of flat
-//! slots that denials overwrite in place, so concurrent admissions never
-//! serialize on proxy bookkeeping — nor on the allocator behind it.
+//! atomics and the denial audit trail is a [`SlotRing`] (the bounded,
+//! sharded ring behind the server's audit log) of flat slots that denials
+//! overwrite in place, so concurrent admissions never serialize on proxy
+//! bookkeeping — nor on the allocator behind it. [`EnforcementProxy::reset`]
+//! empties the ring, and a cleared ring pins nothing.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use k8s_apiserver::{ApiRequest, ApiResponse, RequestBody, RequestHandler, ResponseStatus};
+use k8s_apiserver::{
+    ApiRequest, ApiResponse, RequestBody, RequestHandler, ResponseStatus, SlotRing,
+};
 use k8s_model::ResourceKind;
 use kf_yaml::BodyFormat;
 
@@ -128,9 +130,6 @@ impl AtomicStats {
 /// Default total capacity of the denial ring (records kept across shards).
 pub const DEFAULT_DENIAL_CAPACITY: usize = 4096;
 
-/// Number of independently locked shards in the denial ring.
-const DENIAL_SHARDS: usize = 8;
-
 /// The most bytes of any one string a ring slot keeps. Paths, names and
 /// `found` values are the client's: the 403 carries them whole, the ring
 /// keeps a prefix ending in `…`, so what a denial pins does not grow with
@@ -146,8 +145,16 @@ const RETAINED_STRING_BYTES: usize = 256;
 /// fit, were measured slower (down to the speed of the ring of records
 /// this one replaced), and 384 bytes, which 1 record in 25 outgrows, read
 /// a higher peak RSS than 448. A larger record grows its slot by `Vec`'s
-/// doubling and the slot keeps what it grew to.
+/// doubling and the slot keeps what it grew to, up to [`SLOT_MAX_BYTES`].
 const SLOT_INITIAL_BYTES: usize = 448;
+
+/// The most bytes a slot's buffer keeps once the record it held is
+/// overwritten: four fresh slots, above every record of the benchmark's
+/// hostile pool and of the attack catalog. A wider record (a refusal of
+/// thousands of unknown keys reports each) is retained whole while it is;
+/// the next record that fits lets the buffer go, so one wide denial does
+/// not pin memory for the proxy's life.
+const SLOT_MAX_BYTES: usize = 4 * SLOT_INITIAL_BYTES;
 
 const TAG_UNKNOWN_KIND: u8 = 0;
 const TAG_UNKNOWN_FIELD: u8 = 1;
@@ -167,26 +174,33 @@ const TAG_STRUCTURE_MISMATCH: u8 = 4;
 /// bytes.
 #[derive(Debug)]
 struct DenialSlot {
-    /// Global order stamp.
-    seq: u64,
     kind: ResourceKind,
     location: Option<SourceLocation>,
     text: Vec<u8>,
 }
 
 impl DenialSlot {
-    /// Encode one denial into `text` (an evicted slot's buffer, or a new
-    /// one), keeping whatever capacity it has grown.
+    /// A fresh slot, before its first record.
+    fn blank() -> Self {
+        DenialSlot {
+            kind: ResourceKind::Pod,
+            location: None,
+            text: Vec::with_capacity(SLOT_INITIAL_BYTES),
+        }
+    }
+
+    /// Encode one denial over the record this slot held, keeping the
+    /// capacity its buffer has grown up to [`SLOT_MAX_BYTES`].
     fn encode(
-        seq: u64,
+        &mut self,
         request: &ApiRequest,
         violations: &[Violation],
         location: Option<SourceLocation>,
-        mut text: Vec<u8>,
-    ) -> Self {
+    ) {
+        let text = &mut self.text;
         text.clear();
-        push_retained(&mut text, &request.user);
-        push_retained(&mut text, &request.name);
+        push_retained(text, &request.user);
+        push_retained(text, &request.name);
         for violation in violations {
             let (tag, strings) = match &violation.reason {
                 ViolationReason::UnknownKind => (TAG_UNKNOWN_KIND, None),
@@ -202,18 +216,17 @@ impl DenialSlot {
                 }
             };
             text.push(tag);
-            push_retained(&mut text, &violation.path);
+            push_retained(text, &violation.path);
             if let Some((first, second)) = strings {
-                push_retained(&mut text, first);
-                push_retained(&mut text, second);
+                push_retained(text, first);
+                push_retained(text, second);
             }
         }
-        DenialSlot {
-            seq,
-            kind: request.kind,
-            location,
-            text,
+        if text.capacity() > SLOT_MAX_BYTES && text.len() <= SLOT_MAX_BYTES {
+            text.shrink_to(SLOT_INITIAL_BYTES);
         }
+        self.kind = request.kind;
+        self.location = location;
     }
 
     /// Rebuild the public record — the cold path, `denials()` only.
@@ -289,103 +302,6 @@ impl<'s> SlotReader<'s> {
     }
 }
 
-/// One shard of the denial ring, oldest slot first.
-type DenialRing = VecDeque<DenialSlot>;
-
-/// Lock one shard, ignoring poison: every update leaves the ring valid, and
-/// a thread that panicked mid-denial must not turn later denials into panics.
-fn lock_ring(shard: &Mutex<DenialRing>) -> MutexGuard<'_, DenialRing> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A bounded, sharded ring buffer of retained denials.
-///
-/// Writers are spread over up to [`DENIAL_SHARDS`] independently locked
-/// rings by a global sequence counter, so concurrent denials contend only
-/// 1/N of the time and the common (admit) path never touches the log at
-/// all. When a shard is full its oldest [`DenialSlot`] is popped, refilled
-/// in place and pushed back as the newest — enforcement never blocks or
-/// grows without bound because of audit bookkeeping. The requested total
-/// capacity is distributed exactly across the shards (small capacities get
-/// fewer shards), so the retained count never exceeds it. Snapshots decode
-/// the slots back into [`DenialRecord`]s and reassemble them in global
-/// admission order via the sequence stamps.
-#[derive(Debug)]
-struct DenialLog {
-    shards: Vec<Mutex<DenialRing>>,
-    /// Per-shard record bounds; sums to the requested total capacity.
-    shard_capacities: Vec<usize>,
-    /// Global order stamp; also selects the shard for each record.
-    seq: AtomicU64,
-    /// Records evicted because a shard reached capacity.
-    dropped: AtomicU64,
-}
-
-impl DenialLog {
-    fn new(total_capacity: usize) -> Self {
-        let capacity = total_capacity.max(1);
-        let shard_count = DENIAL_SHARDS.min(capacity);
-        let shard_capacities: Vec<usize> = (0..shard_count)
-            .map(|i| capacity / shard_count + usize::from(i < capacity % shard_count))
-            .collect();
-        DenialLog {
-            shards: (0..shard_count).map(|_| Mutex::default()).collect(),
-            shard_capacities,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn record(
-        &self,
-        request: &ApiRequest,
-        violations: &[Violation],
-        location: Option<SourceLocation>,
-    ) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let index = (seq as usize) % self.shards.len();
-        let mut shard = lock_ring(&self.shards[index]);
-        let evicted = if shard.len() == self.shard_capacities[index] {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            shard.pop_front()
-        } else {
-            None
-        };
-        let text = match evicted {
-            Some(slot) => slot.text,
-            None => Vec::with_capacity(SLOT_INITIAL_BYTES),
-        };
-        shard.push_back(DenialSlot::encode(seq, request, violations, location, text));
-    }
-
-    /// All retained records, in global admission order.
-    fn snapshot(&self) -> Vec<DenialRecord> {
-        let mut stamped: Vec<(u64, DenialRecord)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                lock_ring(shard)
-                    .iter()
-                    .map(|slot| (slot.seq, slot.decode()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        stamped.sort_unstable_by_key(|(seq, _)| *seq);
-        stamped.into_iter().map(|(_, record)| record).collect()
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            lock_ring(shard).clear();
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 /// The violation the proxy records for a body that does not parse as a
 /// Kubernetes object of a known kind, carrying the defect the validator
 /// reported (position + reason).
@@ -409,7 +325,7 @@ fn unparsable_body_message(detail: &str) -> String {
 pub struct EnforcementProxy<H> {
     upstream: H,
     validators: ValidatorSet,
-    denials: DenialLog,
+    denials: SlotRing<DenialSlot>,
     stats: AtomicStats,
 }
 
@@ -430,7 +346,7 @@ impl<H: RequestHandler> EnforcementProxy<H> {
         EnforcementProxy {
             upstream,
             validators,
-            denials: DenialLog::new(capacity),
+            denials: SlotRing::new(capacity, DenialSlot::blank),
             stats: AtomicStats::default(),
         }
     }
@@ -447,7 +363,7 @@ impl<H: RequestHandler> EnforcementProxy<H> {
 
     /// The denials retained by the ring buffer, in admission order.
     pub fn denials(&self) -> Vec<DenialRecord> {
-        self.denials.snapshot()
+        self.denials.snapshot(DenialSlot::decode)
     }
 
     /// Denial records evicted because the ring was full.
@@ -474,7 +390,8 @@ impl<H: RequestHandler> EnforcementProxy<H> {
         location: Option<SourceLocation>,
     ) -> ApiResponse {
         self.stats.denied.add(1);
-        self.denials.record(request, violations, location);
+        self.denials
+            .record(|slot, _| slot.encode(request, violations, location));
         ApiResponse::error(ResponseStatus::Forbidden, message)
     }
 
@@ -1239,9 +1156,32 @@ spec:
         assert_eq!(proxy.denials()[0].violations.len(), 3);
     }
 
+    /// The proxy's denial ring, driven the way a denial drives it.
+    struct Ring(SlotRing<DenialSlot>);
+
+    impl Ring {
+        fn record(
+            &self,
+            request: &ApiRequest,
+            violations: &[Violation],
+            location: Option<SourceLocation>,
+        ) {
+            self.0
+                .record(|slot, _| slot.encode(request, violations, location));
+        }
+
+        fn snapshot(&self) -> Vec<DenialRecord> {
+            self.0.snapshot(DenialSlot::decode)
+        }
+
+        fn dropped(&self) -> u64 {
+            self.0.dropped()
+        }
+    }
+
     #[test]
     fn slots_round_trip_every_reason_with_awkward_strings() {
-        let log = DenialLog::new(4);
+        let log = Ring(SlotRing::new(4, DenialSlot::blank));
         let strings = [
             "",
             "naïve — 多字节 🦀",
@@ -1304,7 +1244,7 @@ spec:
 
     #[test]
     fn retained_strings_are_cut_at_a_character_boundary() {
-        let log = DenialLog::new(1);
+        let log = Ring(SlotRing::new(1, DenialSlot::blank));
         // 2-byte characters after two ASCII bytes: byte 253 (where the `…`
         // would start) falls inside a character.
         let long = format!("xx{}", "é".repeat(400));

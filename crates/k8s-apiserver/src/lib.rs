@@ -24,6 +24,9 @@
 //!   [`k8s_rbac::RbacPolicySet`], object validation, persistence, audit
 //!   logging, and **CVE-trigger simulation** (a request whose specification
 //!   exercises a vulnerable feature records an exploitation event);
+//! * [`SlotRing`] — the bounded log behind the audit and exploit trails
+//!   (and the enforcement proxy's denial trail): a sharded ring of slots
+//!   overwritten in place;
 //! * [`RequestHandler`] — the trait shared by the API server and any
 //!   man-in-the-middle component (the KubeFence proxy) placed in front of it.
 //!
@@ -49,6 +52,7 @@
 mod health;
 pub mod persist;
 mod request;
+pub mod ring;
 mod server;
 pub mod storage_io;
 mod store;
@@ -64,6 +68,7 @@ pub use persist::{
     WalRecord, MANIFEST_FILE, MANIFEST_PREV_FILE,
 };
 pub use request::{ApiRequest, ApiResponse, RequestBody, ResponseBody, ResponseStatus};
+pub use ring::SlotRing;
 pub use server::{
     ApiServer, ExploitEvent, PushWatch, RequestHandler, WatchHub, AUDIT_LOG_CAPACITY,
     EXPLOIT_LOG_CAPACITY,

@@ -11,8 +11,9 @@ use kf_yaml::Value;
 use crate::health::{AdmissionGate, DegradePolicy, HealthReport};
 use crate::persist::{DurabilityState, Persistence};
 use crate::request::{ApiRequest, ApiResponse, ResponseBody, ResponseStatus};
+use crate::ring::SlotRing;
 use crate::store::{ObjectStore, StoreBackend};
-use crate::sync::{Mutex, RwLock};
+use crate::sync::RwLock;
 use crate::vuln::VulnerabilityOracle;
 
 /// Anything that can serve API requests. The KubeFence proxy implements this
@@ -61,15 +62,11 @@ pub struct ExploitEvent {
 /// slots. Every learning replay in this repository audits fewer (the
 /// benchmark's 944 at most); a longer one shows in
 /// [`ApiServer::audit_dropped`].
-pub const AUDIT_LOG_CAPACITY: usize = RING_SHARDS * 512;
+pub const AUDIT_LOG_CAPACITY: usize = 4_096;
 
 /// Exploitation events the server retains: the newest 256, in 8 shards of
 /// 32 slots.
-pub const EXPLOIT_LOG_CAPACITY: usize = RING_SHARDS * 32;
-
-/// Independently locked shards per ring (matches the store's
-/// write-parallelism scale).
-const RING_SHARDS: usize = 8;
+pub const EXPLOIT_LOG_CAPACITY: usize = 256;
 
 /// What each string buffer of a fresh slot starts with: room for the
 /// longest namespace Kubernetes allows (63 bytes) and for most users and
@@ -96,105 +93,6 @@ fn overwrite(slot: &mut String, text: &str) {
     }
     slot.clear();
     slot.push_str(text);
-}
-
-/// One shard of a [`SlotRing`].
-#[derive(Debug)]
-struct RingShard<T> {
-    /// Every slot filled so far, with its global order stamp. Grows to the
-    /// shard's bound once; a clear keeps the slots for reuse.
-    slots: Vec<(u64, T)>,
-    /// How many slots hold retained values: `slots[..len]`.
-    len: usize,
-    /// The slot the next value is written to.
-    next: usize,
-}
-
-/// A fixed-capacity ring of reused slots, spread over [`RING_SHARDS`]
-/// independently locked shards by a global sequence number so concurrent
-/// writers contend on one shard in eight.
-///
-/// A value is written into its slot in place, under the shard lock: a slot
-/// is made once, from `blank`, and every later value overwrites it, so in
-/// steady state recording allocates nothing. Overwriting a retained value
-/// counts it as dropped. [`SlotRing::snapshot`] merges the shards back
-/// into sequence order.
-#[derive(Debug)]
-struct SlotRing<T> {
-    shards: Vec<Mutex<RingShard<T>>>,
-    slots_per_shard: usize,
-    /// What a slot holds before its first value.
-    blank: fn() -> T,
-    /// Global order stamp; also selects the shard.
-    seq: AtomicU64,
-    /// Values overwritten since the last clear.
-    dropped: AtomicU64,
-}
-
-impl<T: Clone> SlotRing<T> {
-    fn new(capacity: usize, blank: fn() -> T) -> Self {
-        SlotRing {
-            shards: (0..RING_SHARDS)
-                .map(|_| {
-                    Mutex::new(RingShard {
-                        slots: Vec::new(),
-                        len: 0,
-                        next: 0,
-                    })
-                })
-                .collect(),
-            slots_per_shard: capacity / RING_SHARDS,
-            blank,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Stamp the next sequence number and `fill` the slot it selects with
-    /// the value to record.
-    fn record(&self, fill: impl FnOnce(&mut T, u64)) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.shards[(seq as usize) % RING_SHARDS].lock();
-        let shard = &mut *guard;
-        if shard.next == shard.slots.len() {
-            shard.slots.push((seq, (self.blank)()));
-        }
-        let (stamp, value) = &mut shard.slots[shard.next];
-        *stamp = seq;
-        fill(value, seq);
-        if shard.len == self.slots_per_shard {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.len += 1;
-        }
-        shard.next = (shard.next + 1) % self.slots_per_shard;
-    }
-
-    /// The retained values, in sequence order.
-    fn snapshot(&self) -> Vec<T> {
-        let mut stamped: Vec<(u64, T)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            stamped.extend_from_slice(&shard.slots[..shard.len]);
-        }
-        stamped.sort_unstable_by_key(|(seq, _)| *seq);
-        stamped.into_iter().map(|(_, value)| value).collect()
-    }
-
-    /// Forget every retained value and the dropped count; the slots stay
-    /// for the values to come.
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.len = 0;
-            shard.next = 0;
-        }
-        self.dropped.store(0, Ordering::Relaxed);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 /// The simulated Kubernetes API server.
@@ -389,7 +287,7 @@ impl<S: StoreBackend> ApiServer<S> {
     /// Snapshot of the retained audit events (the newest
     /// [`AUDIT_LOG_CAPACITY`]), in admission order.
     pub fn audit_log(&self) -> AuditLog {
-        AuditLog::from_events(self.audit.snapshot())
+        AuditLog::from_events(self.audit.snapshot(AuditEvent::clone))
     }
 
     /// Audit events overwritten by newer ones since the last
@@ -400,7 +298,7 @@ impl<S: StoreBackend> ApiServer<S> {
     }
 
     /// Clear the audit log and its dropped count (between experiment
-    /// phases). The ring keeps its slots for the events to come.
+    /// phases), releasing the request bodies the events held.
     pub fn clear_audit_log(&self) {
         self.audit.clear();
     }
@@ -415,10 +313,10 @@ impl<S: StoreBackend> ApiServer<S> {
     /// exactly when none was recorded since the last
     /// [`ApiServer::clear_exploits`].
     pub fn exploits(&self) -> Vec<ExploitEvent> {
-        self.exploits.snapshot()
+        self.exploits.snapshot(ExploitEvent::clone)
     }
 
-    /// Clear recorded exploitation events.
+    /// Clear recorded exploitation events, releasing the specs they held.
     pub fn clear_exploits(&self) {
         self.exploits.clear();
     }

@@ -455,20 +455,25 @@ fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
     // value, which the report quotes whole.
     let huge = "A".repeat(1 << 20);
     let operator = Operator::ALL[0];
-    let request = DeploymentDriver::new(operator)
+    let (manifest, text) = DeploymentDriver::new(operator)
         .requests()
         .into_iter()
         .find_map(|request| {
             let text = String::from_utf8(request.payload().to_vec()).unwrap();
-            let image = text.lines().find(|line| line.contains(" image: "))?;
-            let key_end = image.find("image: ").unwrap() + "image: ".len();
-            let body = text.replacen(image, &format!("{}{huge}", &image[..key_end]), 1);
-            Some(ApiRequest {
-                body: RequestBody::Raw(body.into(), BodyFormat::Yaml),
-                ..request
-            })
+            text.contains(" image: ").then_some((request, text))
         })
         .expect("some chart manifest names an image");
+    // The manifest with `image` as its image and `extra` appended.
+    let refusal = |image: &str, extra: &str| {
+        let line = text.lines().find(|line| line.contains(" image: ")).unwrap();
+        let key_end = line.find("image: ").unwrap() + "image: ".len();
+        let body = text.replacen(line, &format!("{}{image}", &line[..key_end]), 1) + extra;
+        ApiRequest {
+            body: RequestBody::Raw(body.into(), BodyFormat::Yaml),
+            ..manifest.clone()
+        }
+    };
+    let request = refusal(&huge, "");
 
     // The full-size run (the default ring, filled and overflowed) takes
     // ~15 s optimized and three times that unoptimized, where a ring of 64
@@ -505,6 +510,35 @@ fn a_denial_pins_a_bounded_share_of_the_body_that_caused_it() {
     assert!(
         held < (capacity as i64) << 11,
         "a full ring of {capacity} holds {held} bytes live"
+    );
+
+    // A refusal of thousands of unknown keys reports every one of them, and
+    // its record grows its slot far past that bound. Once `capacity`
+    // ordinary refusals have overwritten every slot, that slot is back
+    // within the bound.
+    const WIDE_KEYS: usize = 4_096;
+    let wide_keys: String = (0..WIDE_KEYS).map(|i| format!("wide-{i}: 0\n")).collect();
+    let wide = refusal("A", &wide_keys);
+    let ordinary = refusal("A", "");
+    let ((), _, since_wide) = counted(|| {
+        let response = proxy.handle(&wide);
+        assert!(response.is_denied());
+        assert!(response
+            .message
+            .contains(&format!("wide-{}", WIDE_KEYS - 1)));
+        for _ in 0..capacity {
+            assert!(proxy.handle(&ordinary).is_denied());
+        }
+    });
+    println!("{since_wide} bytes live since a wide refusal and {capacity} ordinary ones");
+    assert!(
+        since_wide < 1 << 11,
+        "a wide refusal left {since_wide} bytes live in its slot"
+    );
+    assert!(
+        held + since_wide < (capacity as i64) << 11,
+        "a full ring of {capacity} holds {} bytes live",
+        held + since_wide
     );
 }
 
