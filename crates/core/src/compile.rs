@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use k8s_model::ResourceKind;
-use kf_yaml::{binary, Value};
+use kf_yaml::Value;
 
 use crate::validator::{pattern_pieces, pieces_match, PatternPiece, PolicyNode, TypeTag};
 
@@ -154,14 +154,6 @@ impl CompiledValidator {
     /// Whether the validator has a policy for a kind (O(1)).
     pub fn covers(&self, kind: ResourceKind) -> bool {
         self.kind_roots[kind.index()] != NO_ROOT
-    }
-
-    /// The kinds covered by this validator.
-    pub fn kinds(&self) -> Vec<ResourceKind> {
-        ResourceKind::ALL
-            .into_iter()
-            .filter(|k| self.covers(*k))
-            .collect()
     }
 
     /// Number of arena nodes (diagnostics; see `docs/compiled-layout.md`).
@@ -308,250 +300,6 @@ where
     }
 }
 
-/// Why a serialized arena failed to decode. Wraps the low-level binary
-/// decoding errors and adds arena-level corruption (dangling indices,
-/// unknown node tags) detected by [`CompiledValidator::from_bytes`].
-#[derive(Debug)]
-pub enum ArenaDecodeError {
-    /// The byte stream itself was malformed (truncation, bad tag, bad UTF-8).
-    Binary(binary::BinaryError),
-    /// The stream decoded, but the arena's cross-references are inconsistent.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for ArenaDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArenaDecodeError::Binary(e) => write!(f, "arena byte stream: {e}"),
-            ArenaDecodeError::Corrupt(msg) => write!(f, "arena inconsistent: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ArenaDecodeError {}
-
-impl From<binary::BinaryError> for ArenaDecodeError {
-    fn from(e: binary::BinaryError) -> Self {
-        ArenaDecodeError::Binary(e)
-    }
-}
-
-/// Node discriminants in the serialized arena (`to_bytes` layout).
-const ARENA_ANY: u8 = 0;
-const ARENA_TYPE: u8 = 1;
-const ARENA_CONST: u8 = 2;
-const ARENA_ENUM: u8 = 3;
-const ARENA_PATTERN: u8 = 4;
-const ARENA_MAP: u8 = 5;
-const ARENA_SEQ: u8 = 6;
-
-impl CompiledValidator {
-    /// Serialize the arena with the [`kf_yaml::binary`] codec, for the
-    /// ahead-of-time policy cache (see [`crate::aot`]). The layout mirrors
-    /// the in-memory form table by table: nodes, map-entry runs, interned
-    /// strings, constant values, pattern sources (pieces are re-split on
-    /// load — they are derived data), and the dense kind-root table.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        binary::put_u32(&mut out, self.nodes.len() as u32);
-        for node in &self.nodes {
-            match *node {
-                CompiledNode::Any => binary::put_u8(&mut out, ARENA_ANY),
-                CompiledNode::Type(tag) => {
-                    binary::put_u8(&mut out, ARENA_TYPE);
-                    binary::put_str(&mut out, tag.placeholder());
-                }
-                CompiledNode::Const { value } => {
-                    binary::put_u8(&mut out, ARENA_CONST);
-                    binary::put_u32(&mut out, value);
-                }
-                CompiledNode::Enum { start, len } => {
-                    binary::put_u8(&mut out, ARENA_ENUM);
-                    binary::put_u32(&mut out, start);
-                    binary::put_u32(&mut out, len);
-                }
-                CompiledNode::Pattern { pattern } => {
-                    binary::put_u8(&mut out, ARENA_PATTERN);
-                    binary::put_u32(&mut out, pattern);
-                }
-                CompiledNode::Map { entries_start, len } => {
-                    binary::put_u8(&mut out, ARENA_MAP);
-                    binary::put_u32(&mut out, entries_start);
-                    binary::put_u32(&mut out, len);
-                }
-                CompiledNode::Seq { element } => {
-                    binary::put_u8(&mut out, ARENA_SEQ);
-                    binary::put_u32(&mut out, element);
-                }
-            }
-        }
-        binary::put_u32(&mut out, self.map_entries.len() as u32);
-        for entry in &self.map_entries {
-            binary::put_u32(&mut out, entry.key);
-            binary::put_u32(&mut out, entry.child);
-        }
-        binary::put_u32(&mut out, self.strings.len() as u32);
-        for text in &self.strings {
-            binary::put_str(&mut out, text);
-        }
-        binary::put_u32(&mut out, self.values.len() as u32);
-        for value in &self.values {
-            binary::put_value(&mut out, value);
-        }
-        binary::put_u32(&mut out, self.patterns.len() as u32);
-        for pattern in &self.patterns {
-            binary::put_str(&mut out, pattern.source());
-        }
-        for root in self.kind_roots {
-            binary::put_u32(&mut out, root);
-        }
-        out
-    }
-
-    /// Decode an arena previously produced by [`CompiledValidator::to_bytes`].
-    ///
-    /// Every cross-reference is bounds-checked before the validator is
-    /// returned, so a corrupt cache file fails here — with a description —
-    /// rather than panicking on the enforcement hot path (which indexes the
-    /// side tables unchecked by design).
-    ///
-    /// # Errors
-    ///
-    /// [`ArenaDecodeError::Binary`] when the byte stream is malformed,
-    /// [`ArenaDecodeError::Corrupt`] when a decoded index dangles.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArenaDecodeError> {
-        let mut cursor = binary::Cursor::new(bytes);
-        let node_count = cursor.get_u32()? as usize;
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        for _ in 0..node_count {
-            let tag = cursor.get_u8()?;
-            nodes.push(match tag {
-                ARENA_ANY => CompiledNode::Any,
-                ARENA_TYPE => {
-                    let placeholder = cursor.get_str()?;
-                    let tag = TypeTag::from_placeholder(&placeholder).ok_or_else(|| {
-                        ArenaDecodeError::Corrupt(format!("unknown type tag {placeholder:?}"))
-                    })?;
-                    CompiledNode::Type(tag)
-                }
-                ARENA_CONST => CompiledNode::Const {
-                    value: cursor.get_u32()?,
-                },
-                ARENA_ENUM => CompiledNode::Enum {
-                    start: cursor.get_u32()?,
-                    len: cursor.get_u32()?,
-                },
-                ARENA_PATTERN => CompiledNode::Pattern {
-                    pattern: cursor.get_u32()?,
-                },
-                ARENA_MAP => CompiledNode::Map {
-                    entries_start: cursor.get_u32()?,
-                    len: cursor.get_u32()?,
-                },
-                ARENA_SEQ => CompiledNode::Seq {
-                    element: cursor.get_u32()?,
-                },
-                other => return Err(binary::BinaryError::UnknownTag(other).into()),
-            });
-        }
-        let entry_count = cursor.get_u32()? as usize;
-        let mut map_entries = Vec::with_capacity(entry_count.min(1 << 20));
-        for _ in 0..entry_count {
-            map_entries.push(MapEntry {
-                key: cursor.get_u32()?,
-                child: cursor.get_u32()?,
-            });
-        }
-        let string_count = cursor.get_u32()? as usize;
-        let mut strings = Vec::with_capacity(string_count.min(1 << 20));
-        for _ in 0..string_count {
-            strings.push(cursor.get_str()?);
-        }
-        let value_count = cursor.get_u32()? as usize;
-        let mut values = Vec::with_capacity(value_count.min(1 << 20));
-        for _ in 0..value_count {
-            values.push(cursor.get_value()?);
-        }
-        let pattern_count = cursor.get_u32()? as usize;
-        let mut patterns = Vec::with_capacity(pattern_count.min(1 << 20));
-        for _ in 0..pattern_count {
-            patterns.push(CompiledPattern::new(&cursor.get_str()?));
-        }
-        let mut kind_roots = [NO_ROOT; ResourceKind::COUNT];
-        for root in kind_roots.iter_mut() {
-            *root = cursor.get_u32()?;
-        }
-        if !cursor.is_empty() {
-            return Err(ArenaDecodeError::Corrupt(format!(
-                "{} trailing bytes after the kind-root table",
-                cursor.remaining()
-            )));
-        }
-        let arena = CompiledValidator {
-            nodes,
-            map_entries,
-            strings,
-            values,
-            patterns,
-            kind_roots,
-        };
-        arena.check_references()?;
-        Ok(arena)
-    }
-
-    /// Bounds-check every cross-reference of a freshly decoded arena.
-    fn check_references(&self) -> Result<(), ArenaDecodeError> {
-        let corrupt = |msg: String| Err(ArenaDecodeError::Corrupt(msg));
-        let nodes = self.nodes.len() as u64;
-        for (index, node) in self.nodes.iter().enumerate() {
-            match *node {
-                CompiledNode::Any | CompiledNode::Type(_) => {}
-                CompiledNode::Const { value } => {
-                    if value as usize >= self.values.len() {
-                        return corrupt(format!("node {index}: const value {value} dangles"));
-                    }
-                }
-                CompiledNode::Enum { start, len } => {
-                    if start as u64 + len as u64 > self.values.len() as u64 {
-                        return corrupt(format!("node {index}: enum run {start}+{len} dangles"));
-                    }
-                }
-                CompiledNode::Pattern { pattern } => {
-                    if pattern as usize >= self.patterns.len() {
-                        return corrupt(format!("node {index}: pattern {pattern} dangles"));
-                    }
-                }
-                CompiledNode::Map { entries_start, len } => {
-                    if entries_start as u64 + len as u64 > self.map_entries.len() as u64 {
-                        return corrupt(format!(
-                            "node {index}: map run {entries_start}+{len} dangles"
-                        ));
-                    }
-                }
-                CompiledNode::Seq { element } => {
-                    if element as u64 >= nodes {
-                        return corrupt(format!("node {index}: seq element {element} dangles"));
-                    }
-                }
-            }
-        }
-        for (index, entry) in self.map_entries.iter().enumerate() {
-            if entry.key as usize >= self.strings.len() {
-                return corrupt(format!("map entry {index}: key {} dangles", entry.key));
-            }
-            if entry.child as u64 >= nodes {
-                return corrupt(format!("map entry {index}: child {} dangles", entry.child));
-            }
-        }
-        for (kind, root) in self.kind_roots.iter().enumerate() {
-            if *root != NO_ROOT && *root as u64 >= nodes {
-                return corrupt(format!("kind {kind}: root {root} dangles"));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,16 +388,13 @@ spec:
         assert!(compiled.interned_strings() > 0);
     }
 
-    /// The stream's verdict on a set restored from `arena` is the one it
-    /// serves for the original validator, and agrees with the tree walk, in
+    /// The stream's verdict on `original` after an AOT save/load round trip
+    /// is the one it serves for `original`, and agrees with the tree walk, in
     /// both formats. Returns whether the object was admitted.
-    fn assert_arena_verdicts(
-        original: &Validator,
-        arena: &CompiledValidator,
-        object: &K8sObject,
-    ) -> bool {
+    fn assert_restored_verdicts(original: &Validator, object: &K8sObject) -> bool {
         let authored = ValidatorSet::single(original.clone());
-        let restored = ValidatorSet::single(Validator::from_arena("restored", arena.clone()));
+        let restored = crate::aot::tests::round_trip(&authored);
+        assert_eq!(restored, authored);
         let mut admitted = Vec::new();
         for (text, format) in [
             (kf_yaml::to_yaml(object.body()), BodyFormat::Yaml),
@@ -661,7 +406,7 @@ spec:
                 authored.validate_raw_format(&text, format),
                 "{text}"
             );
-            match (&served, authored.validate_raw_tree_format(&text, format)) {
+            match (&served, restored.validate_raw_tree_format(&text, format)) {
                 (RawVerdict::Admitted, RawVerdict::Admitted) => {}
                 (
                     RawVerdict::Denied { violations, .. },
@@ -702,7 +447,7 @@ spec:
         ];
         for (object, admits) in &cases {
             assert_eq!(
-                assert_arena_verdicts(&v, v.compiled(), object),
+                assert_restored_verdicts(&v, object),
                 *admits,
                 "{}",
                 object.name()
@@ -716,7 +461,8 @@ spec:
         for kind in ResourceKind::ALL {
             assert!(!empty.covers(kind));
         }
-        let set = ValidatorSet::single(Validator::from_arena("empty", empty));
+        assert_eq!(*Validator::empty("empty").compiled(), empty);
+        let set = ValidatorSet::single(Validator::empty("empty"));
         let pod = K8sObject::minimal(ResourceKind::Pod, "p", "ns");
         let RawVerdict::Denied { violations, .. } = set.validate_raw(&kf_yaml::to_yaml(pod.body()))
         else {
@@ -736,49 +482,5 @@ spec:
             .filter(|s| s.as_str() == "name")
             .count();
         assert_eq!(occurrences, 1);
-    }
-
-    #[test]
-    fn arena_bytes_round_trip_to_an_identical_validator() {
-        let v = validator();
-        let compiled = v.compiled();
-        let bytes = compiled.to_bytes();
-        let decoded = CompiledValidator::from_bytes(&bytes).expect("round trip");
-        assert_eq!(*compiled, decoded);
-        // The decoded arena must produce the same verdicts on live objects.
-        let good = request("docker.io/bitnami/nginx:1.25", "Always", "3");
-        let bad = request("evil.example/pwn:latest", "Always", "3");
-        assert!(assert_arena_verdicts(&v, &decoded, &good));
-        assert!(!assert_arena_verdicts(&v, &decoded, &bad));
-    }
-
-    #[test]
-    fn truncated_arena_bytes_decode_to_an_error_not_a_panic() {
-        let v = validator();
-        let bytes = v.compiled().to_bytes();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                CompiledValidator::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail to decode"
-            );
-        }
-    }
-
-    #[test]
-    fn dangling_indices_are_rejected_at_decode_time() {
-        // A single-node arena whose const index points past the value table.
-        let mut out = Vec::new();
-        kf_yaml::binary::put_u32(&mut out, 1); // one node
-        kf_yaml::binary::put_u8(&mut out, 2); // ARENA_CONST
-        kf_yaml::binary::put_u32(&mut out, 7); // value index 7...
-        kf_yaml::binary::put_u32(&mut out, 0); // no map entries
-        kf_yaml::binary::put_u32(&mut out, 0); // no strings
-        kf_yaml::binary::put_u32(&mut out, 0); // ...but zero values
-        kf_yaml::binary::put_u32(&mut out, 0); // no patterns
-        for _ in 0..ResourceKind::COUNT {
-            kf_yaml::binary::put_u32(&mut out, u32::MAX);
-        }
-        let err = CompiledValidator::from_bytes(&out).unwrap_err();
-        assert!(matches!(err, ArenaDecodeError::Corrupt(_)), "{err}");
     }
 }

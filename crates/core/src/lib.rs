@@ -65,7 +65,7 @@ pub mod surface;
 pub mod validator;
 
 pub use aot::{aot_path, load_validator_set, save_validator_set};
-pub use compile::{ArenaDecodeError, CompiledNode, CompiledValidator};
+pub use compile::{CompiledNode, CompiledValidator};
 pub use error::Error;
 pub use explore::ConfigurationExplorer;
 pub use kf_yaml::BodyFormat;

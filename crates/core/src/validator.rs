@@ -379,11 +379,7 @@ impl PartialEq for Validator {
 impl Validator {
     /// An empty validator (allows nothing).
     pub fn empty(workload: &str) -> Self {
-        Validator {
-            workload: workload.to_owned(),
-            kinds: BTreeMap::new(),
-            compiled: OnceLock::new(),
-        }
+        Validator::from_policies(workload, [])
     }
 
     /// Build a validator by consolidating rendered manifests, grouped by
@@ -407,11 +403,7 @@ impl Validator {
             };
             kinds.insert(object.kind(), merged);
         }
-        Ok(Validator {
-            workload: workload.to_owned(),
-            kinds,
-            compiled: OnceLock::new(),
-        })
+        Ok(Validator::from_policies(workload, kinds))
     }
 
     /// Workload name the validator was generated for.
@@ -419,29 +411,8 @@ impl Validator {
         &self.workload
     }
 
-    /// A validator restored from a pre-compiled arena (the ahead-of-time
-    /// policy cache; see [`crate::aot`]). The compiled form is primed
-    /// directly, so enforcement starts without ever touching the authoring
-    /// tree — which is empty for such a validator. Tree-side operations
-    /// ([`Validator::apply_security_locks`], [`Validator::to_yaml`]) see that
-    /// empty tree, and there is no reference verdict: the tree walk
-    /// ([`Validator::validate_tree`], and so
-    /// [`ValidatorSet::validate_raw_tree_format`]) reports `UnknownKind` for
-    /// every kind. Arena-restored validators are an enforcement-only form:
-    /// only the stream decides for them.
-    pub fn from_arena(workload: &str, compiled: CompiledValidator) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(compiled);
-        Validator {
-            workload: workload.to_owned(),
-            kinds: BTreeMap::new(),
-            compiled: cell,
-        }
-    }
-
-    /// A validator over hand-built policy trees, for tests that need a node
-    /// shape no chart renders (an enumeration of containers).
-    #[cfg(test)]
+    /// A validator over per-kind policy trees: what [`Validator::from_manifests`]
+    /// builds after merging, and what the AOT cache ([`crate::aot`]) loads.
     pub(crate) fn from_policies(
         workload: &str,
         kinds: impl IntoIterator<Item = (ResourceKind, PolicyNode)>,
@@ -453,15 +424,8 @@ impl Validator {
         }
     }
 
-    /// The resource kinds the validator allows. For an arena-restored
-    /// validator (empty authoring tree) this falls back to the compiled
-    /// coverage table, so kind routing works identically for both forms.
+    /// The resource kinds the validator allows.
     pub fn kinds(&self) -> Vec<ResourceKind> {
-        if self.kinds.is_empty() {
-            if let Some(compiled) = self.compiled.get() {
-                return compiled.kinds();
-            }
-        }
         self.kinds.keys().copied().collect()
     }
 
@@ -493,8 +457,12 @@ impl Validator {
     /// The compiled (flat-arena) form of this validator, built on first use.
     /// This is what the enforcement hot path evaluates.
     pub fn compiled(&self) -> &CompiledValidator {
-        self.compiled
-            .get_or_init(|| compile(self.kinds.iter().map(|(kind, node)| (*kind, node))))
+        self.compiled.get_or_init(|| compile(self.policies()))
+    }
+
+    /// The per-kind policy trees, in kind order.
+    pub(crate) fn policies(&self) -> impl ExactSizeIterator<Item = (ResourceKind, &PolicyNode)> {
+        self.kinds.iter().map(|(kind, node)| (*kind, node))
     }
 
     /// Validate by walking the authoring tree; an empty vector means the

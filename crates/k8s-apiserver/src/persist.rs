@@ -78,10 +78,10 @@ use crate::watch::WatchEventKind;
 
 /// Write-ahead-log file name inside a persistence directory.
 pub const WAL_FILE: &str = "store.kfwal";
-/// AOT-compiled validator arena file name (written by the policy plane —
+/// Ahead-of-time policy cache file name (written by the policy plane —
 /// see `kubefence::aot` — but named here so the persistence directory
 /// layout is defined in one place).
-pub const AOT_ARENA_FILE: &str = "validators.kfaot";
+pub const AOT_POLICY_FILE: &str = "validators.kfaot";
 
 /// Magic sealing a per-shard snapshot segment file (8 bytes, versioned).
 const SEGMENT_MAGIC: &[u8; 8] = b"KFSEG1\0\0";
@@ -1430,8 +1430,9 @@ pub struct ManifestData {
     pub entries: Vec<ManifestEntry>,
 }
 
-/// Seal a checkpoint file's payload: `magic | crc32 | payload`.
-fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+/// Seal a whole-file payload (a checkpoint segment or manifest, the AOT
+/// policy cache): `magic | crc32 | payload`.
+pub fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 12);
     out.extend_from_slice(magic);
     binary::put_u32(&mut out, binary::crc32(payload));
@@ -1439,9 +1440,13 @@ fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The payload of a file [`seal`] wrote, or [`io::ErrorKind::InvalidData`]
-/// naming the file kind (`what`) when its magic or checksum does not match.
-fn unseal<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> io::Result<&'a [u8]> {
+/// The payload of a file [`seal`] wrote.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] naming the file kind (`what`) when its
+/// magic or checksum does not match.
+pub fn unseal<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> io::Result<&'a [u8]> {
     if bytes.len() < 12 || &bytes[..8] != magic {
         return Err(invalid_data(format!("{what} magic mismatch")));
     }
@@ -2258,6 +2263,82 @@ mod tests {
             replay.torn.expect("corruption detected").valid_len,
             (first_len + 8) as u64
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_frame_nested_past_the_decode_bound_is_a_torn_tail() {
+        let dir = temp_dir("deep");
+        let path = dir.join(WAL_FILE);
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
+        wal.append(&[record(1, WatchEventKind::Added, "default", "a")]);
+        drop(wal);
+        let intact = fs::metadata(&path).expect("metadata").len();
+        // A frame whose CRC holds around a body of 10^6 nested one-item
+        // sequences (5 MB): replay must stop there, not overflow the stack.
+        let mut payload = encode_payload(
+            ResourceKind::ConfigMap,
+            WatchEventKind::Added,
+            "default",
+            "deep",
+            Some(&Value::Null),
+        )
+        .into_vec();
+        set_revision(&mut payload, 2);
+        let null = payload.pop().expect("the null body's tag");
+        let level = &binary::value_to_bytes(&Value::Seq(vec![Value::Null]))[..5];
+        for _ in 0..1_000_000 {
+            payload.extend_from_slice(level);
+        }
+        payload.push(null);
+        let mut frame = Vec::with_capacity(payload.len() + 8);
+        binary::put_u32(&mut frame, payload.len() as u32);
+        binary::put_u32(&mut frame, binary::crc32(&payload));
+        frame.extend_from_slice(&payload);
+        let mut bytes = fs::read(&path).expect("read");
+        bytes.extend_from_slice(&frame);
+        fs::write(&path, &bytes).expect("write");
+        let replay = read_wal(&path).expect("read");
+        assert_eq!(replay.records.len(), 1, "the intact frame replays");
+        assert_eq!(
+            replay.torn,
+            Some(TornTail {
+                valid_len: intact,
+                dropped_bytes: frame.len() as u64,
+            })
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_body_at_the_readers_nesting_cap_survives_the_wal() {
+        // A root mapping around 127 flow sequences is as deep as the reader
+        // goes: one level more is a parse error.
+        let body = |levels: usize| {
+            kf_yaml::parse(&format!(
+                "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: deep\ndata: {}{}\n",
+                "[".repeat(levels),
+                "]".repeat(levels)
+            ))
+        };
+        assert!(body(128).is_err(), "past the reader's cap");
+        let deepest = Arc::new(body(127).expect("at the reader's cap"));
+        let dir = temp_dir("cap");
+        let path = dir.join(WAL_FILE);
+        let wal = Wal::open(&path, CLOSED_WINDOW, 0).expect("open");
+        wal.append(&[WalRecord {
+            revision: 1,
+            kind: ResourceKind::ConfigMap,
+            op: WatchEventKind::Added,
+            namespace: "default".to_owned(),
+            name: "deep".to_owned(),
+            body: Some(Arc::clone(&deepest)),
+        }]);
+        drop(wal);
+        let replay = recover_wal(&RealIo, &path).expect("recover");
+        assert!(replay.torn.is_none());
+        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.records[0].body.as_deref(), Some(&*deepest));
         fs::remove_dir_all(&dir).ok();
     }
 

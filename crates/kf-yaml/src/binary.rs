@@ -2,8 +2,8 @@
 //! primitives the persistence plane builds on.
 //!
 //! The workspace depends on nothing outside itself, so durable formats
-//! (store snapshots, the write-ahead log, the AOT-compiled validator arena)
-//! are encoded by hand here.
+//! (store snapshots, the write-ahead log, the AOT policy cache) are encoded
+//! by hand here.
 //!
 //! Layout rules, all little-endian:
 //!
@@ -15,10 +15,10 @@
 //!   round trip is **byte-identical** — [`Mapping`] preserves order);
 //! * a [`Value`] is a one-byte type tag followed by the payload.
 //!
-//! Decoding is strict: trailing garbage, truncated payloads, unknown tags
-//! and invalid UTF-8 all surface as [`BinaryError`] — never a panic — which
-//! is what lets the WAL reader treat a torn tail as data to truncate rather
-//! than a crash.
+//! Decoding is strict: trailing garbage, truncated payloads, unknown tags,
+//! invalid UTF-8 and nesting past [`MAX_DECODE_DEPTH`] all surface as
+//! [`BinaryError`] — never a panic or a stack overflow — which is what lets
+//! the WAL reader treat a torn tail as data to truncate rather than a crash.
 
 use std::fmt;
 
@@ -45,6 +45,8 @@ pub enum BinaryError {
         /// How many bytes were actually left.
         remaining: usize,
     },
+    /// Sequences and mappings nest deeper than [`MAX_DECODE_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for BinaryError {
@@ -62,6 +64,9 @@ impl fmt::Display for BinaryError {
                 f,
                 "length prefix {announced} exceeds remaining input {remaining}"
             ),
+            BinaryError::TooDeep => {
+                write!(f, "nesting deeper than {MAX_DECODE_DEPTH} levels")
+            }
         }
     }
 }
@@ -70,6 +75,16 @@ impl std::error::Error for BinaryError {}
 
 /// Result alias for binary decoding.
 pub type BinaryResult<T> = std::result::Result<T, BinaryError>;
+
+/// The deepest nesting of sequences and mappings [`Cursor::get_value`]
+/// decodes; one level more is [`BinaryError::TooDeep`]. Decoding recurses
+/// once per level, so without a bound a hostile payload of nested one-item
+/// sequences (six bytes a level) overflows the stack. It sits well above
+/// the reader's nesting cap, so every object a wire body can produce still
+/// round-trips.
+pub const MAX_DECODE_DEPTH: usize = 512;
+
+const _: () = assert!(MAX_DECODE_DEPTH > crate::events::MAX_NESTING_DEPTH);
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL_FALSE: u8 = 1;
@@ -260,9 +275,18 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| BinaryError::InvalidUtf8)
     }
 
-    /// Read a [`Value`] tree.
+    /// Read a [`Value`] tree nested at most [`MAX_DECODE_DEPTH`] deep.
     pub fn get_value(&mut self) -> BinaryResult<Value> {
-        match self.get_u8()? {
+        self.get_value_within(MAX_DECODE_DEPTH)
+    }
+
+    /// Read a [`Value`] that may open at most `depth` more containers.
+    fn get_value_within(&mut self, depth: usize) -> BinaryResult<Value> {
+        let tag = self.get_u8()?;
+        if matches!(tag, TAG_SEQ | TAG_MAP) && depth == 0 {
+            return Err(BinaryError::TooDeep);
+        }
+        match tag {
             TAG_NULL => Ok(Value::Null),
             TAG_BOOL_FALSE => Ok(Value::Bool(false)),
             TAG_BOOL_TRUE => Ok(Value::Bool(true)),
@@ -281,7 +305,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut items = Vec::with_capacity(len);
                 for _ in 0..len {
-                    items.push(self.get_value()?);
+                    items.push(self.get_value_within(depth - 1)?);
                 }
                 Ok(Value::Seq(items))
             }
@@ -296,7 +320,7 @@ impl<'a> Cursor<'a> {
                 let mut map = Mapping::new();
                 for _ in 0..len {
                     let key = self.get_str()?;
-                    let value = self.get_value()?;
+                    let value = self.get_value_within(depth - 1)?;
                     map.insert(key, value);
                 }
                 Ok(Value::Map(map))
@@ -481,6 +505,40 @@ mod tests {
             value_from_bytes(&bytes),
             Err(BinaryError::LengthOverflow { .. })
         ));
+    }
+
+    /// `levels` one-item sequences nested around a null, as raw bytes:
+    /// encoding a tree that deep would itself recurse once per level.
+    fn nested_sequences(levels: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(levels * 5 + 1);
+        for _ in 0..levels {
+            bytes.push(TAG_SEQ);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_past_the_decode_bound_is_an_error_not_a_stack_overflow() {
+        let deepest = value_from_bytes(&nested_sequences(MAX_DECODE_DEPTH)).expect("at the bound");
+        assert_eq!(value_to_bytes(&deepest), nested_sequences(MAX_DECODE_DEPTH));
+        for levels in [MAX_DECODE_DEPTH + 1, 1_000_000] {
+            assert_eq!(
+                value_from_bytes(&nested_sequences(levels)),
+                Err(BinaryError::TooDeep),
+                "{levels} levels"
+            );
+        }
+        // Mappings count toward the same bound.
+        let mut bytes = Vec::new();
+        for _ in 0..=MAX_DECODE_DEPTH {
+            bytes.push(TAG_MAP);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            put_str(&mut bytes, "k");
+        }
+        bytes.push(TAG_NULL);
+        assert_eq!(value_from_bytes(&bytes), Err(BinaryError::TooDeep));
     }
 
     #[test]
