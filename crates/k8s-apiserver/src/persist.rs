@@ -1486,8 +1486,9 @@ pub fn write_segment_with(
     let name = segment_file(shard);
     let tmp = dir.join(format!("{name}.tmp"));
     io.write_file(&tmp, &seal(SEGMENT_MAGIC, &payload))?;
-    io.rename(&tmp, &dir.join(name))?;
-    io.sync_parent_dir(dir);
+    let segment = dir.join(name);
+    io.rename(&tmp, &segment)?;
+    io.sync_parent_dir(&segment);
     Ok(())
 }
 
@@ -1557,7 +1558,7 @@ pub fn write_manifest_with(
         Err(e) => return Err(e),
     }
     io.rename(&tmp, &current)?;
-    io.sync_parent_dir(dir);
+    io.sync_parent_dir(&current);
     Ok(())
 }
 
@@ -3134,6 +3135,70 @@ mod tests {
             prev.horizon, 3,
             "previous complete manifest survives rotation"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`RealIo`] that records the path of every `sync_parent_dir` call.
+    #[derive(Debug, Default)]
+    struct SyncRecorder {
+        synced: Mutex<Vec<PathBuf>>,
+    }
+
+    impl StorageIo for SyncRecorder {
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(path)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealIo.read(path)
+        }
+
+        fn file_len(&self, path: &Path) -> io::Result<u64> {
+            RealIo.file_len(path)
+        }
+
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            RealIo.open_append(path)
+        }
+
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            RealIo.write_file(path, bytes)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealIo.rename(from, to)
+        }
+
+        fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+            RealIo.truncate(path, len)
+        }
+
+        fn sync_parent_dir(&self, path: &Path) {
+            self.synced.lock().push(path.to_owned());
+            RealIo.sync_parent_dir(path);
+        }
+    }
+
+    #[test]
+    fn checkpoint_renames_sync_the_directory_they_rename_into() {
+        let dir = temp_dir("sync-dir");
+        let io = SyncRecorder::default();
+        write_segment_with(&io, &dir, 0, 0, &[]).expect("write segment");
+        let manifest = ManifestData {
+            horizon: 0,
+            shard_count: 1,
+            entries: Vec::new(),
+        };
+        write_manifest_with(&io, &dir, &manifest).expect("write manifest");
+        // `sync_parent_dir` fsyncs its argument's parent: that must be the
+        // directory the segment and the manifest were renamed into.
+        let synced_dirs: Vec<PathBuf> = io
+            .synced
+            .lock()
+            .iter()
+            .filter_map(|path| path.parent().map(Path::to_owned))
+            .collect();
+        assert_eq!(synced_dirs, [dir.clone(), dir.clone()]);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -57,7 +57,10 @@
 //! [`WatchError::Gone`], funneling into the exact re-list recovery path
 //! compaction already exercises. A [`WatchDispatcher`] ready-list lets a
 //! handful of collector threads service tens of thousands of subscriptions
-//! without a blocked thread per watcher.
+//! without a blocked thread per watcher. A write is built into one
+//! `Arc<WatchEvent>` that every queue shares, and it signals only waiters
+//! that are parked: a subscriber's `recv_timeout` callers, a ready-list's
+//! collectors.
 //!
 //! The subscriber queue is the plane's one wake mechanism. A pull watcher
 //! that blocks ([`WatchSubscription::recv_timeout`]) parks on a one-shot
@@ -228,22 +231,60 @@ pub const DEFAULT_SUBSCRIBER_QUEUE_CAPACITY: usize = 256;
 /// to non-empty (or got evicted) and have not been drained since.
 #[derive(Debug, Default)]
 struct ReadyList {
-    queue: Mutex<VecDeque<usize>>,
+    queue: Mutex<ReadyQueue>,
     cond: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct ReadyQueue {
+    tokens: VecDeque<usize>,
+    /// Collectors blocked in [`ReadyList::pop`]. Kept under the same mutex
+    /// the condvar waits on, so a push that reads 0 here cannot race a
+    /// collector into sleeping past its token.
+    parked: usize,
+}
+
 impl ReadyList {
-    fn push(&self, token: usize) {
-        self.queue.lock().push_back(token);
-        self.cond.notify_one();
+    /// Surface `tokens` under one lock, waking at most one parked collector
+    /// per token and none when no collector is parked.
+    fn push(&self, tokens: impl IntoIterator<Item = usize>) {
+        let mut queue = self.queue.lock();
+        let before = queue.tokens.len();
+        queue.tokens.extend(tokens);
+        let wake = (queue.tokens.len() - before).min(queue.parked);
+        drop(queue);
+        for _ in 0..wake {
+            self.cond.notify_one();
+        }
     }
 
     fn pop(&self, timeout: Duration) -> Option<usize> {
-        let queue = self.queue.lock();
+        let mut queue = self.queue.lock();
+        queue.parked += 1;
         let (mut queue, _) = self
             .cond
-            .wait_timeout_while(queue, timeout, |queue| queue.is_empty());
-        queue.pop_front()
+            .wait_timeout_while(queue, timeout, |queue| queue.tokens.is_empty());
+        queue.parked -= 1;
+        queue.tokens.pop_front()
+    }
+}
+
+/// A token a subscriber armed during one fan-out, for the ready-list it
+/// belongs to.
+type Armed = (Arc<ReadyList>, usize);
+
+/// Hand every armed token to its ready-list, one lock per list, and leave
+/// `armed` empty with its capacity kept for the next publication.
+fn hand_over(armed: &mut Vec<Armed>) {
+    while let Some((ready, _)) = armed.first() {
+        let ready = Arc::clone(ready);
+        ready.push(
+            armed
+                .iter()
+                .filter(|(list, _)| Arc::ptr_eq(list, &ready))
+                .map(|&(_, token)| token),
+        );
+        armed.retain(|(list, _)| !Arc::ptr_eq(list, &ready));
     }
 }
 
@@ -273,7 +314,7 @@ impl WatchDispatcher {
         state.waker = Some((Arc::clone(&self.ready), token));
         if (state.live > 0 || state.evicted.is_some()) && !state.ready_armed {
             state.ready_armed = true;
-            self.ready.push(token);
+            self.ready.push([token]);
         }
     }
 
@@ -285,19 +326,43 @@ impl WatchDispatcher {
     }
 }
 
+/// A queued event as its object's coalescing key: hashes and compares the
+/// event's `(namespace, name)` in place, so indexing a shared event copies
+/// no string.
+#[derive(Debug)]
+struct ObjectKey(Arc<WatchEvent>);
+
+impl PartialEq for ObjectKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.namespace == other.0.namespace && self.0.name == other.0.name
+    }
+}
+
+impl Eq for ObjectKey {}
+
+impl Hash for ObjectKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.0.namespace.as_str(), self.0.name.as_str()).hash(state);
+    }
+}
+
 #[derive(Debug, Default)]
 struct SubscriberState {
     /// The delivery queue, in per-sub-shard revision order. `None` slots are
     /// tombstones left by coalescing: when a newer event for the same object
     /// arrives, the stale slot is tombstoned and the newest appended at the
-    /// tail — last write wins *and* the queue stays revision-sorted.
-    slots: VecDeque<Option<WatchEvent>>,
+    /// tail — last write wins *and* the queue stays revision-sorted. A slot
+    /// holds the event every subscriber of the write shares.
+    slots: VecDeque<Option<Arc<WatchEvent>>>,
     /// Sequence number of `slots[0]`; `index` maps object keys to absolute
     /// sequences so a coalesce hit finds its stale slot in O(1).
     base_seq: u64,
     /// Live (non-tombstone) entries — the value the queue bound applies to.
     live: usize,
-    index: HashMap<(String, String), u64>,
+    index: HashMap<ObjectKey, u64>,
+    /// Callers blocked in [`WatchSubscriber::recv_timeout`]: an offer
+    /// signals the condvar only when this is above zero.
+    parked: usize,
     /// Set when the subscriber fell behind its bound and was evicted; holds
     /// the last revision fanned out before eviction. Drains return
     /// [`WatchError::Gone`] from then on.
@@ -343,23 +408,27 @@ impl SubscriberCore {
         }
     }
 
-    /// Surface readiness: wake a blocked `recv` and (once per drain cycle)
-    /// push our token onto the dispatcher's ready-list.
-    fn wake(&self, state: &mut SubscriberState) {
-        self.cond.notify_all();
+    /// Surface readiness: wake a parked `recv_timeout`, if any, and (once
+    /// per drain cycle) arm our token for the dispatcher's ready-list. The
+    /// token goes into `armed`; the caller hands it over after the fan-out.
+    fn wake(&self, state: &mut SubscriberState, armed: &mut Vec<Armed>) {
+        if state.parked > 0 {
+            self.cond.notify_all();
+        }
         if let Some((ready, token)) = &state.waker {
             if !state.ready_armed {
                 state.ready_armed = true;
-                ready.push(*token);
+                armed.push((Arc::clone(ready), *token));
             }
         }
     }
 
-    /// Fan one published event into the queue. Returns `false` when the
-    /// receiving handle is gone and the hub should prune this subscriber.
-    /// Runs inside the publication critical section, so delivery order per
-    /// sub-shard is exactly publication order.
-    fn offer(&self, event: &WatchEvent) -> bool {
+    /// Fan one published event into the queue; a token this arms is pushed
+    /// onto `armed`. Returns `false` when the receiving handle is gone and
+    /// the hub should prune this subscriber. Runs inside the publication
+    /// critical section, so delivery order per sub-shard is exactly
+    /// publication order.
+    fn offer(&self, event: &Arc<WatchEvent>, armed: &mut Vec<Armed>) -> bool {
         if !self.namespace.is_empty() && event.namespace != self.namespace {
             return true;
         }
@@ -373,9 +442,11 @@ impl SubscriberCore {
             return true;
         }
         state.resume = state.resume.max(event.revision);
-        let key = (event.namespace.clone(), event.name.clone());
+        let key = ObjectKey(Arc::clone(event));
         let was_idle = state.live == 0;
-        if let Some(&seq) = state.index.get(&key) {
+        // `remove`, not `get`: the key must end up holding the newest
+        // event, or it would keep the stale one alive.
+        if let Some(seq) = state.index.remove(&key) {
             // Coalesce: tombstone the stale slot, append the newest at the
             // tail. The consumer sees one event — the latest — for this
             // object, still in revision order relative to everything else.
@@ -392,12 +463,12 @@ impl SubscriberCore {
             state.slots.clear();
             state.index.clear();
             state.live = 0;
-            self.wake(&mut state);
+            self.wake(&mut state, armed);
             return true;
         }
         let seq = state.base_seq + state.slots.len() as u64;
         state.index.insert(key, seq);
-        state.slots.push_back(Some(event.clone()));
+        state.slots.push_back(Some(Arc::clone(event)));
         state.live += 1;
         // Bound the tombstone overhead: when dead slots dominate, rebuild
         // the queue densely so memory tracks `live`, not burst history.
@@ -405,7 +476,7 @@ impl SubscriberCore {
             Self::compact(&mut state);
         }
         if was_idle {
-            self.wake(&mut state);
+            self.wake(&mut state, armed);
         }
         true
     }
@@ -413,7 +484,7 @@ impl SubscriberCore {
     /// Drop tombstones and renumber. O(live) and amortized free: it runs at
     /// most once per `capacity` tombstoned offers.
     fn compact(state: &mut SubscriberState) {
-        let dense: VecDeque<Option<WatchEvent>> = state
+        let dense: VecDeque<Option<Arc<WatchEvent>>> = state
             .slots
             .drain(..)
             .filter(|slot| slot.is_some())
@@ -425,23 +496,23 @@ impl SubscriberCore {
             let event = event.as_ref().expect("dense after compaction");
             state
                 .index
-                .insert((event.namespace.clone(), event.name.clone()), slot as u64);
+                .insert(ObjectKey(Arc::clone(event)), slot as u64);
         }
     }
 
     /// Take everything queued (possibly empty), or `Gone` after eviction.
-    fn drain(&self) -> Result<Vec<WatchEvent>, WatchError> {
+    fn drain(&self) -> Result<Vec<Arc<WatchEvent>>, WatchError> {
         let mut state = self.state.lock();
         Self::drain_locked(&mut state)
     }
 
-    fn drain_locked(state: &mut SubscriberState) -> Result<Vec<WatchEvent>, WatchError> {
+    fn drain_locked(state: &mut SubscriberState) -> Result<Vec<Arc<WatchEvent>>, WatchError> {
         state.ready_armed = false;
         if let Some(compacted_through) = state.evicted {
             return Err(WatchError::Gone { compacted_through });
         }
         let drained = state.slots.len() as u64;
-        let events: Vec<WatchEvent> = state.slots.drain(..).flatten().collect();
+        let events: Vec<Arc<WatchEvent>> = state.slots.drain(..).flatten().collect();
         state.base_seq += drained;
         state.index.clear();
         state.live = 0;
@@ -501,13 +572,14 @@ impl WatchSubscriber {
         self.core.state.lock().delivered
     }
 
-    /// Everything queued right now, without blocking (possibly empty).
+    /// Everything queued right now, without blocking (possibly empty). Each
+    /// event is the one shared by every subscriber its write reached.
     ///
     /// # Errors
     ///
     /// [`WatchError::Gone`] once the subscription has been evicted as a slow
     /// consumer; re-list and subscribe afresh.
-    pub fn try_recv(&self) -> Result<Vec<WatchEvent>, WatchError> {
+    pub fn try_recv(&self) -> Result<Vec<Arc<WatchEvent>>, WatchError> {
         self.core.drain()
     }
 
@@ -517,11 +589,13 @@ impl WatchSubscriber {
     /// # Errors
     ///
     /// [`WatchError::Gone`] once the subscription has been evicted.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<WatchEvent>, WatchError> {
-        let state = self.core.state.lock();
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<Arc<WatchEvent>>, WatchError> {
+        let mut state = self.core.state.lock();
+        state.parked += 1;
         let (mut state, _) = self.core.cond.wait_timeout_while(state, timeout, |state| {
             state.evicted.is_none() && state.live == 0
         });
+        state.parked -= 1;
         SubscriberCore::drain_locked(&mut state)
     }
 
@@ -530,7 +604,7 @@ impl WatchSubscriber {
     /// # Errors
     ///
     /// [`WatchError::Gone`] once the subscription has been evicted.
-    pub fn recv(&self) -> Result<Vec<WatchEvent>, WatchError> {
+    pub fn recv(&self) -> Result<Vec<Arc<WatchEvent>>, WatchError> {
         loop {
             let batch = self.recv_timeout(Duration::from_secs(60))?;
             if !batch.is_empty() {
@@ -668,9 +742,17 @@ pub(crate) struct KindJournals {
     /// critical section; registration happens under the sub-shard's *read*
     /// lock, which excludes publication, so no event can slip between a
     /// subscriber's backfill and its attachment.
-    subscribers: Vec<Mutex<Vec<Arc<SubscriberCore>>>>,
+    subscribers: Vec<Mutex<FanOut>>,
     shard_count: usize,
     capacity: usize,
+}
+
+/// One sub-shard's push subscribers, and the tokens its current fan-out
+/// armed (empty between publications; its capacity is reused).
+#[derive(Debug, Default)]
+struct FanOut {
+    subscribers: Vec<Arc<SubscriberCore>>,
+    armed: Vec<Armed>,
 }
 
 impl KindJournals {
@@ -682,7 +764,7 @@ impl KindJournals {
                 .map(|_| RwLock::new(JournalInner::default()))
                 .collect(),
             subscribers: (0..ResourceKind::COUNT * shard_count)
-                .map(|_| Mutex::new(Vec::new()))
+                .map(|_| Mutex::default())
                 .collect(),
             shard_count,
             capacity,
@@ -699,16 +781,21 @@ impl KindJournals {
 
     /// Fan one freshly published event into every push subscriber attached
     /// to its sub-shard, pruning subscribers whose handles were dropped.
-    /// The event is built only when the sub-shard has subscribers. Runs
-    /// inside the sub-shard's publication critical section, so each queue
-    /// receives its sub-shard's events in exact publication order.
+    /// The event is built only when the sub-shard has subscribers, and once:
+    /// every queue holds the same `Arc<WatchEvent>`. The tokens the offers
+    /// armed are handed to their ready-lists after the loop, one lock per
+    /// list. Runs inside the sub-shard's publication critical section, so
+    /// each queue receives its sub-shard's events in exact publication
+    /// order.
     fn fan_out(&self, shard_index: usize, event: impl FnOnce() -> WatchEvent) {
-        let mut list = self.subscribers[shard_index].lock();
-        if list.is_empty() {
+        let mut fan_out = self.subscribers[shard_index].lock();
+        if fan_out.subscribers.is_empty() {
             return;
         }
-        let event = event();
-        list.retain(|subscriber| subscriber.offer(&event));
+        let event = Arc::new(event());
+        let FanOut { subscribers, armed } = &mut *fan_out;
+        subscribers.retain(|subscriber| subscriber.offer(&event, armed));
+        hand_over(armed);
     }
 
     /// All sub-shards of one kind, in sub-shard order.
@@ -984,12 +1071,16 @@ impl KindJournals {
                     compacted_through: inner.compacted_through,
                 });
             }
+            // The fresh core has no dispatcher yet, so its backfill arms
+            // no token.
+            let mut armed = Vec::new();
             for entry in inner.events.range(inner.suffix_start(cursor)..) {
                 if entry.in_namespace(namespace) {
-                    core.offer(&entry.to_event());
+                    core.offer(&Arc::new(entry.to_event()), &mut armed);
                 }
             }
-            let mut attached = self.subscribers[index].lock();
+            debug_assert!(armed.is_empty());
+            let attached = &mut self.subscribers[index].lock().subscribers;
             // Prune handles dropped since the last fan-out, so timed-out
             // one-shot waiters on a quiet scope do not pile up here.
             attached.retain(|core| !core.state.lock().closed);
@@ -1214,7 +1305,12 @@ mod tests {
         [
             scoped.unwrap().events,
             merged.unwrap().events,
-            subscriber.try_recv().unwrap(),
+            subscriber
+                .try_recv()
+                .unwrap()
+                .into_iter()
+                .map(Arc::unwrap_or_clone)
+                .collect(),
         ]
     }
 
@@ -1628,6 +1724,121 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(4));
     }
 
+    /// Poll `condition` every millisecond until it holds; fail after ten
+    /// seconds.
+    fn wait_until(condition: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !condition() {
+            assert!(started.elapsed() < Duration::from_secs(10), "never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The waits below would outlast the assertions on their elapsed time:
+    /// a waiter the next write fails to wake fails the test.
+    const LONG_WAIT: Duration = Duration::from_secs(20);
+    const WOKEN_WITHIN: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_parked_recv_timeout_and_a_parked_wait_past_wake_on_the_next_write() {
+        let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
+        let counter = AtomicU64::new(0);
+        let object = tree("a");
+        let index = journals.shard_index(ResourceKind::Pod, "ns");
+        let parked = || {
+            let fan_out = journals.subscribers[index].lock();
+            fan_out
+                .subscribers
+                .iter()
+                .map(|core| core.state.lock().parked)
+                .sum::<usize>()
+        };
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
+        std::thread::scope(|scope| {
+            let receiver = scope.spawn(|| {
+                let started = Instant::now();
+                let events = sub.recv_timeout(LONG_WAIT).unwrap();
+                (events.len(), started.elapsed())
+            });
+            wait_until(|| parked() == 1);
+            journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+            let (received, waited) = receiver.join().unwrap();
+            assert_eq!(received, 1);
+            assert!(waited < WOKEN_WITHIN, "recv_timeout waited {waited:?}");
+        });
+        let seen = journals.scope_revision(ResourceKind::Pod, "ns");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let started = Instant::now();
+                let now = journals.wait_past(ResourceKind::Pod, "ns", seen, LONG_WAIT);
+                (now, started.elapsed())
+            });
+            // The one-shot subscriber `wait_past` attaches is parked.
+            wait_until(|| parked() == 1);
+            journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "b", &object));
+            let (now, waited) = waiter.join().unwrap();
+            assert!(now > seen);
+            assert!(waited < WOKEN_WITHIN, "wait_past waited {waited:?}");
+        });
+    }
+
+    #[test]
+    fn one_publication_wakes_a_parked_collector_per_token_it_surfaces() {
+        let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
+        let counter = AtomicU64::new(0);
+        let object = tree("a");
+        let dispatcher = WatchDispatcher::new();
+        let subs: Vec<WatchSubscriber> = (0..2)
+            .map(|token| {
+                let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
+                dispatcher.register(&sub, token);
+                sub
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            let collectors: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let started = Instant::now();
+                        (dispatcher.next_ready(LONG_WAIT), started.elapsed())
+                    })
+                })
+                .collect();
+            wait_until(|| dispatcher.ready.queue.lock().parked == 2);
+            // One write reaches both subscribers: two tokens in one hand-over.
+            journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+            let mut tokens: Vec<Option<usize>> = collectors
+                .into_iter()
+                .map(|collector| {
+                    let (token, waited) = collector.join().unwrap();
+                    assert!(waited < WOKEN_WITHIN, "a collector waited {waited:?}");
+                    token
+                })
+                .collect();
+            tokens.sort_unstable();
+            assert_eq!(tokens, [Some(0), Some(1)]);
+        });
+        assert!(subs.iter().all(|sub| sub.try_recv().unwrap().len() == 1));
+    }
+
+    #[test]
+    fn a_token_surfaced_while_no_collector_is_parked_is_returned_at_once() {
+        let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
+        let counter = AtomicU64::new(0);
+        let object = tree("a");
+        let dispatcher = WatchDispatcher::new();
+        let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
+        dispatcher.register(&sub, 3);
+        journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
+        {
+            let queue = dispatcher.ready.queue.lock();
+            assert_eq!((queue.parked, queue.tokens.len()), (0, 1));
+        }
+        let started = Instant::now();
+        assert_eq!(dispatcher.next_ready(LONG_WAIT), Some(3));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
     #[test]
     fn dispatcher_surfaces_readiness_once_per_drain_cycle() {
         let journals = KindJournals::new(64, DEFAULT_JOURNAL_SHARDS);
@@ -1682,10 +1893,16 @@ mod tests {
         let object = tree("a");
         let shard_index = journals.shard_index(ResourceKind::Pod, "ns");
         let sub = journals.subscribe(ResourceKind::Pod, "ns", 0, 16).unwrap();
-        assert_eq!(journals.subscribers[shard_index].lock().len(), 1);
+        assert_eq!(
+            journals.subscribers[shard_index].lock().subscribers.len(),
+            1
+        );
         drop(sub);
         journals.publish_one(&counter, staged(WatchEventKind::Added, "ns", "a", &object));
-        assert!(journals.subscribers[shard_index].lock().is_empty());
+        assert!(journals.subscribers[shard_index]
+            .lock()
+            .subscribers
+            .is_empty());
     }
 
     #[test]
@@ -1698,7 +1915,7 @@ mod tests {
             assert_eq!(now, seen);
         }
         // Each attach prunes the previous waiter's dropped handle.
-        assert!(journals.subscribers[shard_index].lock().len() <= 1);
+        assert!(journals.subscribers[shard_index].lock().subscribers.len() <= 1);
     }
 
     #[test]

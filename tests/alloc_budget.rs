@@ -15,10 +15,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Duration;
 
 use k8s_apiserver::{
     ApiRequest, ApiResponse, ApiServer, ObjectStore, PersistConfig, Persistence, RequestBody,
-    RequestHandler, ResponseBody, StoredObject, AUDIT_LOG_CAPACITY,
+    RequestHandler, ResponseBody, StoredObject, WatchDispatcher, WatchSubscriber,
+    AUDIT_LOG_CAPACITY,
 };
 use k8s_model::{K8sObject, ResourceKind};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions, AuditEvent, RbacPolicySet};
@@ -586,6 +588,58 @@ fn retained_watch_history_holds_bytes_not_trees() {
         per_entry <= buffer as f64 + 128.0,
         "a retained superseded entry holds {per_entry} bytes live, its buffer {buffer}"
     );
+}
+
+/// Allocations one `upsert` of a pod in `ns` makes in a warmed store with
+/// `count` push subscribers on `ns`, all registered with one dispatcher;
+/// and the subscribers, each holding that write's event. Warm means the
+/// pods' journal sub-shard is full and every queue, its index and the
+/// ready-list have been filled and drained once, so what the write
+/// allocates is its own share, not a container growing.
+fn fan_out_calls(count: usize) -> (u64, Vec<WatchSubscriber>) {
+    let store = ObjectStore::with_journal_capacity(64);
+    for n in 0..64 {
+        store.upsert(ns_pod(n));
+    }
+    let subscribers: Vec<WatchSubscriber> = (0..count)
+        .map(|_| {
+            store
+                .subscribe(ResourceKind::Pod, "ns", store.revision(), 256)
+                .unwrap()
+        })
+        .collect();
+    let dispatcher = WatchDispatcher::new();
+    for (token, subscriber) in subscribers.iter().enumerate() {
+        dispatcher.register(subscriber, token);
+    }
+    for n in 0..64 {
+        store.upsert(ns_pod(n));
+    }
+    let mut surfaced = 0;
+    while let Some(token) = dispatcher.next_ready(Duration::ZERO) {
+        assert_eq!(subscribers[token].try_recv().unwrap().len(), 64);
+        surfaced += 1;
+    }
+    assert_eq!(surfaced, count, "every subscriber surfaced once");
+    let pod = ns_pod(0);
+    let (_, calls, _) = counted(|| store.upsert(pod));
+    assert_eq!(dispatcher.next_ready(Duration::ZERO), Some(0));
+    (calls, subscribers)
+}
+
+#[test]
+fn fanning_a_write_out_allocates_nothing_per_subscriber() {
+    // The event is built once and every queue holds a handle to it: its
+    // coalescing key borrows the event's own strings, and the armed tokens
+    // reach the ready-list in one reused buffer.
+    let (one, _) = fan_out_calls(1);
+    let (many, subscribers) = fan_out_calls(64);
+    println!("{one} allocations per upsert with 1 subscriber, {many} with 64");
+    assert_eq!(one, many, "fan-out allocations grow with the subscribers");
+    let first = subscribers[0].try_recv().unwrap();
+    let last = subscribers[63].try_recv().unwrap();
+    assert_eq!((first.len(), last.len()), (1, 1));
+    assert!(Arc::ptr_eq(&first[0], &last[0]), "one event per write");
 }
 
 /// Write the same 64 pods `rounds` times into a durable store in a fresh

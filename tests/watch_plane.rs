@@ -456,7 +456,12 @@ fn retained_history_reads_back_from_bytes_once_nothing_holds_its_trees() {
             store.events_since(kind, namespace, 0).unwrap().events,
             store.events_since(kind, "", 0).unwrap().events,
             // A subscriber's queue keeps an object's newest event only.
-            subscriber.try_recv().unwrap(),
+            subscriber
+                .try_recv()
+                .unwrap()
+                .into_iter()
+                .map(Arc::unwrap_or_clone)
+                .collect(),
         ]
     };
 
