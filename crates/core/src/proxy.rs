@@ -482,7 +482,7 @@ impl<H: RequestHandler> RequestHandler for EnforcementProxy<H> {
 mod tests {
     use super::*;
     use crate::validator::Validator;
-    use k8s_apiserver::ApiServer;
+    use k8s_apiserver::{ApiServer, StoreBackend};
     use k8s_model::{K8sObject, Verb};
 
     fn allowed_manifest() -> String {

@@ -31,7 +31,7 @@
 //!   man-in-the-middle component (the KubeFence proxy) placed in front of it.
 //!
 //! ```
-//! use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
+//! use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, StoreBackend};
 //! use k8s_model::K8sObject;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -218,11 +218,6 @@ impl<S: StoreBackend> ApiServer<S> {
         self
     }
 
-    /// The configured degradation policy.
-    pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade
-    }
-
     /// A point-in-time health summary: the store's durability status, the
     /// degradation policy reacting to it, the admission gate's load
     /// counters and the audit events dropped — the surface operators (and
@@ -467,19 +462,7 @@ impl<S: StoreBackend> ApiServer<S> {
                 }
             }
             None => {
-                let cursor = self.store.watch_revision(request.kind);
-                let mut events: Vec<crate::WatchEvent> = self
-                    .store
-                    .list(request.kind, &request.namespace)
-                    .into_iter()
-                    .map(|stored| crate::WatchEvent {
-                        kind: crate::WatchEventKind::Added,
-                        revision: stored.resource_version,
-                        namespace: stored.object.namespace().to_owned(),
-                        name: stored.object.name().to_owned(),
-                        object: Some(Arc::clone(stored.object.shared_body())),
-                    })
-                    .collect();
+                let (cursor, mut events) = self.initial_listing(request);
                 events.push(crate::WatchEvent::bookmark(cursor));
                 ApiResponse::ok("ok").with_body(ResponseBody::WatchBatch {
                     kind: batch_kind,
@@ -488,6 +471,28 @@ impl<S: StoreBackend> ApiServer<S> {
                 })
             }
         }
+    }
+
+    /// The initial listing of a cursor-less watch, pull or push: the kind's
+    /// journal revision, read **before** the scan so that a stream resuming
+    /// from it covers every write the listing could have missed, and one
+    /// `Added` event per listed object at its own resource version, sharing
+    /// its stored tree.
+    fn initial_listing(&self, request: &ApiRequest) -> (u64, Vec<crate::WatchEvent>) {
+        let cursor = self.store.watch_revision(request.kind);
+        let events = self
+            .store
+            .list(request.kind, &request.namespace)
+            .into_iter()
+            .map(|stored| crate::WatchEvent {
+                kind: crate::WatchEventKind::Added,
+                revision: stored.resource_version,
+                namespace: stored.object.namespace().to_owned(),
+                name: stored.object.name().to_owned(),
+                object: Some(Arc::clone(stored.object.shared_body())),
+            })
+            .collect();
+        (cursor, events)
     }
 
     fn record_exploits(&self, request: &ApiRequest, object: &K8sObject) {
@@ -720,24 +725,7 @@ impl<S: StoreBackend> WatchHub for ApiServer<S> {
         }
         let (cursor, initial) = match request.resource_version {
             Some(revision) => (revision, Vec::new()),
-            None => {
-                // Journal revision read before the scan: the subscription's
-                // backfill covers everything the listing could have missed.
-                let cursor = self.store.watch_revision(request.kind);
-                let initial = self
-                    .store
-                    .list(request.kind, &request.namespace)
-                    .into_iter()
-                    .map(|stored| crate::WatchEvent {
-                        kind: crate::WatchEventKind::Added,
-                        revision: stored.resource_version,
-                        namespace: stored.object.namespace().to_owned(),
-                        name: stored.object.name().to_owned(),
-                        object: Some(Arc::clone(stored.object.shared_body())),
-                    })
-                    .collect();
-                (cursor, initial)
-            }
+            None => self.initial_listing(request),
         };
         let subscriber = self
             .store
@@ -1216,6 +1204,54 @@ mod tests {
         assert_eq!(events[1].kind, crate::WatchEventKind::Deleted);
         assert_eq!(events[1].name, "a");
         assert!(next > cursor);
+    }
+
+    #[test]
+    fn pull_and_push_initial_listings_agree() {
+        let server = ApiServer::new();
+        for name in ["b", "a", "c"] {
+            server.handle(&ApiRequest::create("admin", &pod(name)));
+        }
+        let modified = K8sObject::from_yaml(&pod_yaml("a", "  hostNetwork: true\n")).unwrap();
+        server.handle(&ApiRequest::update("admin", &modified));
+        let elsewhere = pod_yaml("d", "").replace("  name: d\n", "  name: d\n  namespace: other\n");
+        server.handle(&ApiRequest::create(
+            "admin",
+            &K8sObject::from_yaml(&elsewhere).unwrap(),
+        ));
+        let config = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cfg\ndata:\n  k: v\n";
+        server.handle(&ApiRequest::create(
+            "admin",
+            &K8sObject::from_yaml(config).unwrap(),
+        ));
+        let pod_revision = server.store().watch_revision(ResourceKind::Pod);
+        assert!(pod_revision < server.store().revision());
+
+        let watch = ApiRequest::watch("admin", ResourceKind::Pod, "default", None);
+        let pulled = server.handle(&watch);
+        let (events, pull_cursor) = pulled.body.as_ref().unwrap().watch_events().unwrap();
+        let (bookmark, listed) = events.split_last().unwrap();
+        assert_eq!(bookmark.kind, crate::WatchEventKind::Bookmark);
+        let pushed = server.subscribe_push(&watch).expect("admin may watch");
+
+        assert_eq!(pull_cursor, pod_revision);
+        assert_eq!(pushed.subscriber.resume(), pull_cursor);
+        let keys = |events: &[crate::WatchEvent]| -> Vec<_> {
+            events
+                .iter()
+                .map(|e| (e.kind, e.revision, e.namespace.clone(), e.name.clone()))
+                .collect()
+        };
+        let pulled_keys = keys(listed);
+        assert_eq!(pulled_keys, keys(&pushed.initial));
+        let names: Vec<&str> = pulled_keys.iter().map(|k| k.3.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        for (pull, push) in listed.iter().zip(&pushed.initial) {
+            assert!(Arc::ptr_eq(
+                pull.object.as_ref().unwrap(),
+                push.object.as_ref().unwrap()
+            ));
+        }
     }
 
     #[test]

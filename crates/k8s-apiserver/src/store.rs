@@ -220,33 +220,14 @@ pub trait StoreBackend: Send + Sync {
 
     /// Delete every object of a kind in a namespace (all namespaces when
     /// `namespace` is empty), returning how many were removed. Every object
-    /// gets its own revision bump and `Deleted` watch event; the default
-    /// implementation routes each removal through [`StoreBackend::delete`],
-    /// while [`ObjectStore`] commits each store shard's removals together
-    /// and waits for durability once, after releasing every lock — the
-    /// commit and wait every single-object write makes.
-    fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize {
-        let mut deleted = 0;
-        for stored in self.list(kind, namespace) {
-            if self
-                .delete(kind, stored.object.namespace(), stored.object.name())
-                .is_some()
-            {
-                deleted += 1;
-            }
-        }
-        deleted
-    }
+    /// gets its own revision bump and `Deleted` watch event.
+    fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize;
 
     /// Upsert a batch of objects, returning `(resource_version, created)`
     /// per object aligned to the input order — the bulk-load path workload
     /// seeding and replay use. Semantically identical to calling
-    /// [`StoreBackend::upsert`] per object (which is the default
-    /// implementation); [`ObjectStore`] commits each store shard's writes
-    /// together and waits for durability once, after releasing every lock.
-    fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)> {
-        objects.into_iter().map(|o| self.upsert(o)).collect()
-    }
+    /// [`StoreBackend::upsert`] per object.
+    fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)>;
 
     /// Every watch event of `kind` with revision strictly greater than
     /// `revision`, restricted to `namespace` when non-empty, in revision
@@ -321,9 +302,7 @@ pub trait StoreBackend: Send + Sync {
     fn len(&self) -> usize;
 
     /// Whether the store is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    fn is_empty(&self) -> bool;
 
     /// Count the stored objects per kind.
     fn count_by_kind(&self) -> BTreeMap<ResourceKind, usize>;
@@ -351,26 +330,20 @@ pub trait StoreBackend: Send + Sync {
     fn restore(&self, objects: Vec<StoredObject>, revision: u64);
 
     /// A point-in-time durability summary of the attached persistence
-    /// plane. The default — what any WAL-less store reports — is a pure
-    /// in-memory store: trivially `Healthy`, nothing durable, nothing at
-    /// risk.
-    fn durability(&self) -> DurabilityStatus {
-        DurabilityStatus::in_memory()
-    }
+    /// plane. A WAL-less store reports a pure in-memory store
+    /// ([`DurabilityStatus::in_memory`]): trivially `Healthy`, nothing
+    /// durable, nothing at risk.
+    fn durability(&self) -> DurabilityStatus;
 
     /// The durability state machine's current state, cheap enough for a
     /// per-request policy check ([`ObjectStore`] answers from a lock-free
     /// atomic mirror). `Healthy` when no WAL is attached.
-    fn durability_state(&self) -> DurabilityState {
-        DurabilityState::Healthy
-    }
+    fn durability_state(&self) -> DurabilityState;
 
-    /// How many store shards the most recent checkpoint claimed as dirty
-    /// (0 for backends without incremental-checkpoint tracking) — the
-    /// health surface's view of how incremental checkpoints actually are.
-    fn checkpoint_dirty_shards(&self) -> usize {
-        0
-    }
+    /// How many store shards the most recent checkpoint claimed as dirty —
+    /// the health surface's view of how incremental checkpoints actually
+    /// are.
+    fn checkpoint_dirty_shards(&self) -> usize;
 }
 
 fn key_of(object: &K8sObject) -> Key {
@@ -518,19 +491,11 @@ impl ObjectStore {
         self.dirty[shard_no].store(true, Ordering::Release);
     }
 
-    /// The current global revision (number of writes so far).
+    /// The current global revision (number of writes so far). Inherent as
+    /// well as [`StoreBackend::revision`], so a holder of the concrete store
+    /// reads it without importing the trait.
     pub fn revision(&self) -> u64 {
         self.revision.load(Ordering::Relaxed)
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().is_empty())
     }
 
     /// The one write critical section, entered with shard `shard_no`'s
@@ -623,237 +588,6 @@ impl ObjectStore {
         Some((revision[0], !exists))
     }
 
-    /// Create an object. Returns the assigned resource version, or `None` if
-    /// an object with the same kind/namespace/name already exists. The
-    /// object is **moved** behind the stored handle — its body keeps sharing
-    /// whatever tree admission handed in.
-    pub fn create(&self, object: K8sObject) -> Option<u64> {
-        Some(self.put(object, |exists| !exists)?.0)
-    }
-
-    /// Update an existing object. Returns the new resource version, or `None`
-    /// if the object does not exist.
-    pub fn update(&self, object: K8sObject) -> Option<u64> {
-        Some(self.put(object, |exists| exists)?.0)
-    }
-
-    /// Create the object if absent, update it otherwise (the `kubectl apply`
-    /// behaviour), reporting whether it was created (`true`) or replaced
-    /// (`false`) — one shard lock, no re-admission round trip for the
-    /// create-on-conflict path.
-    pub fn upsert(&self, object: K8sObject) -> (u64, bool) {
-        self.put(object, |_| true)
-            .expect("an upsert admits every write")
-    }
-
-    /// Upsert a batch of objects, grouped by store shard: each group is
-    /// staged under its shard's write lock (in-batch earlier writes to the
-    /// same key count as existing) and committed in one critical section —
-    /// one journal entry per touched sub-shard, one WAL append — and the
-    /// batch waits for durability once, after the last lock is released.
-    /// Returns `(resource_version, created)` aligned to the input order.
-    pub fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)> {
-        let mut results = vec![(0u64, false); objects.len()];
-        let mut groups: Vec<Vec<(usize, K8sObject)>> = Vec::new();
-        groups.resize_with(SHARDS, Vec::new);
-        for (index, object) in objects.into_iter().enumerate() {
-            groups[shard_index(&key_of(&object))].push((index, object));
-        }
-        let mut ticket = None;
-        for (shard_no, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let shard = self.shards[shard_no].write();
-            let mut writes: Vec<Write> = Vec::with_capacity(group.len());
-            let mut slots = Vec::with_capacity(group.len());
-            for (index, object) in group {
-                let key = key_of(&object);
-                // Same-key events share a sub-shard, so their revisions are
-                // assigned in batch order: the last write wins in the map
-                // AND carries the highest version.
-                let exists = shard.contains_key(&key) || writes.iter().any(|w| w.key == key);
-                slots.push((index, !exists));
-                writes.push(Write::put(key, exists, object));
-            }
-            let mut revisions = vec![0; writes.len()];
-            let committed = self.commit(shard_no, shard, writes, &mut revisions);
-            ticket = GroupTicket::merge(ticket, committed);
-            for ((index, created), revision) in slots.into_iter().zip(revisions) {
-                results[index] = (revision, created);
-            }
-        }
-        self.wait_durable(ticket);
-        results
-    }
-
-    /// Delete every object of a kind in a namespace (all namespaces when
-    /// `namespace` is empty): per store shard, the matching keys are
-    /// range-scanned under the shard's write lock and committed as one
-    /// batch of `Deleted` writes, each event carrying the object's last
-    /// stored tree — so a racing re-create of the same name is guaranteed a
-    /// later revision than the deletion it follows. Waits for durability
-    /// once, after the last lock is released.
-    pub fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize {
-        let lower = list_lower_bound(kind, namespace);
-        let mut deleted = 0;
-        let mut ticket = None;
-        for (shard_no, shard) in self.shards.iter().enumerate() {
-            let guard = shard.write();
-            let writes: Vec<Write> = guard
-                .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
-                .take_while(|(key, _)| list_key_matches(key, kind, namespace))
-                .map(|(key, stored)| Write::delete(key.clone(), stored))
-                .collect();
-            if writes.is_empty() {
-                continue;
-            }
-            deleted += writes.len();
-            let mut revisions = vec![0; writes.len()];
-            let committed = self.commit(shard_no, guard, writes, &mut revisions);
-            ticket = GroupTicket::merge(ticket, committed);
-        }
-        self.wait_durable(ticket);
-        deleted
-    }
-
-    /// Fetch an object by kind, namespace and name. Returns a shared handle
-    /// — no part of the document tree is copied — and allocates nothing:
-    /// the shard is probed with the borrowed parts.
-    pub fn get(
-        &self,
-        kind: ResourceKind,
-        namespace: &str,
-        name: &str,
-    ) -> Option<Arc<StoredObject>> {
-        let probe = (kind, namespace, name);
-        self.shards[shard_index_raw(kind.index(), namespace, name)]
-            .read()
-            .get(&probe as &dyn KeyView)
-            .map(Arc::clone)
-    }
-
-    /// Delete an object; returns its handle if it existed. The published
-    /// `Deleted` event carries the object's last stored tree.
-    pub fn delete(
-        &self,
-        kind: ResourceKind,
-        namespace: &str,
-        name: &str,
-    ) -> Option<Arc<StoredObject>> {
-        let key = (kind, namespace.to_owned(), name.to_owned());
-        let shard_no = shard_index(&key);
-        let shard = self.shards[shard_no].write();
-        let stored = Arc::clone(shard.get(&key)?);
-        let ticket = self.commit(shard_no, shard, [Write::delete(key, &stored)], &mut [0]);
-        self.wait_durable(ticket);
-        Some(stored)
-    }
-
-    /// Every watch event after `revision` — see
-    /// [`StoreBackend::events_since`]. Zero-copy while a tree lives: an event
-    /// hands out the stored tree itself, and decodes the journal's bytes
-    /// only for a superseded version nothing holds any more.
-    ///
-    /// # Errors
-    ///
-    /// [`WatchError::Gone`] for cursors older than the compaction horizon.
-    pub fn events_since(
-        &self,
-        kind: ResourceKind,
-        namespace: &str,
-        revision: u64,
-    ) -> Result<WatchDelta, WatchError> {
-        self.journals
-            .events_since(&self.revision, kind, namespace, revision)
-    }
-
-    /// The highest revision published to `kind`'s watch journal — see
-    /// [`StoreBackend::watch_revision`].
-    pub fn watch_revision(&self, kind: ResourceKind) -> u64 {
-        self.journals.watch_revision(kind)
-    }
-
-    /// Attach a push subscription — see [`StoreBackend::subscribe`].
-    /// Zero-copy: fanned-out events share the stored trees.
-    ///
-    /// # Errors
-    ///
-    /// [`WatchError::Gone`] for cursors older than the compaction horizon.
-    pub fn subscribe(
-        &self,
-        kind: ResourceKind,
-        namespace: &str,
-        revision: u64,
-        capacity: usize,
-    ) -> Result<WatchSubscriber, WatchError> {
-        self.journals.subscribe(kind, namespace, revision, capacity)
-    }
-
-    /// List objects of a kind in a namespace (all namespaces when `namespace`
-    /// is empty). Objects come back in key order, as the unsharded store
-    /// returned them. Each shard is **range-scanned from the first matching
-    /// key** and the scan decides membership on keys alone, cloning handles
-    /// for the matches — values of skipped entries are never touched, and no
-    /// tree is copied for the returned ones either.
-    pub fn list(&self, kind: ResourceKind, namespace: &str) -> Vec<Arc<StoredObject>> {
-        let lower = list_lower_bound(kind, namespace);
-        let mut out: Vec<Arc<StoredObject>> = Vec::new();
-        for shard in &self.shards {
-            let guard = shard.read();
-            out.extend(
-                guard
-                    .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
-                    .take_while(|(key, _)| list_key_matches(key, kind, namespace))
-                    .map(|(_, stored)| Arc::clone(stored)),
-            );
-        }
-        // Key order across shards; the key is derivable from the object, so
-        // nothing beyond the handles collected above is allocated.
-        out.sort_by(|a, b| {
-            (a.object.kind(), a.object.namespace(), a.object.name()).cmp(&(
-                b.object.kind(),
-                b.object.namespace(),
-                b.object.name(),
-            ))
-        });
-        out
-    }
-
-    /// Count the stored objects per kind.
-    pub fn count_by_kind(&self) -> BTreeMap<ResourceKind, usize> {
-        let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for ((kind, _, _), _) in shard.read().iter() {
-                *out.entry(*kind).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
-    /// Bulk-load recovered state — see [`StoreBackend::restore`]. Inserts
-    /// bypass the journal and the WAL (replay must not re-log itself); the
-    /// revision counter and the journals' compaction horizon are advanced
-    /// to the recovered revision.
-    pub fn restore(&self, objects: Vec<StoredObject>, revision: u64) {
-        let mut floor = revision;
-        for stored in objects {
-            floor = floor.max(stored.resource_version);
-            let key = key_of(&stored.object);
-            self.shards[shard_index(&key)]
-                .write()
-                .insert(key, Arc::new(stored));
-        }
-        self.revision.fetch_max(floor, Ordering::Relaxed);
-        self.journals.restore_horizon(floor);
-        // Boot-conservative: the first checkpoint after a restore rewrites
-        // every shard, so its correctness never depends on what segments
-        // the on-disk manifest happened to list.
-        for shard_no in 0..SHARDS {
-            self.mark_dirty(shard_no);
-        }
-    }
-
     /// Claim the dirty shards for a checkpoint: atomically swap every flag
     /// to clean and return the indexes that were dirty (also recorded as
     /// the `checkpoint_dirty_shards` health counter). The caller **must**
@@ -890,14 +624,6 @@ impl ObjectStore {
             .map(Arc::clone)
             .collect()
     }
-
-    /// How many shards are currently flagged dirty (monitoring only; the
-    /// checkpoint path uses [`ObjectStore::take_dirty_shards`]).
-    pub fn dirty_shard_count(&self) -> usize {
-        (0..SHARDS)
-            .filter(|&shard_no| self.dirty[shard_no].load(Ordering::Relaxed))
-            .count()
-    }
 }
 
 impl StoreBackend for ObjectStore {
@@ -906,49 +632,157 @@ impl StoreBackend for ObjectStore {
         K8sObject::from_shared(Arc::clone(body))
     }
 
+    /// The object is **moved** behind the stored handle — its body keeps
+    /// sharing whatever tree admission handed in.
     fn create(&self, object: K8sObject) -> Option<u64> {
-        ObjectStore::create(self, object)
+        Some(self.put(object, |exists| !exists)?.0)
     }
 
     fn update(&self, object: K8sObject) -> Option<u64> {
-        ObjectStore::update(self, object)
+        Some(self.put(object, |exists| exists)?.0)
     }
 
+    /// The `kubectl apply` behaviour: one shard lock, no re-admission round
+    /// trip for the create-on-conflict path.
     fn upsert(&self, object: K8sObject) -> (u64, bool) {
-        ObjectStore::upsert(self, object)
+        self.put(object, |_| true)
+            .expect("an upsert admits every write")
     }
 
+    /// Returns a shared handle — no part of the document tree is copied —
+    /// and allocates nothing: the shard is probed with the borrowed parts.
     fn get(&self, kind: ResourceKind, namespace: &str, name: &str) -> Option<Arc<StoredObject>> {
-        ObjectStore::get(self, kind, namespace, name)
+        let probe = (kind, namespace, name);
+        self.shards[shard_index_raw(kind.index(), namespace, name)]
+            .read()
+            .get(&probe as &dyn KeyView)
+            .map(Arc::clone)
     }
 
+    /// The published `Deleted` event carries the object's last stored tree.
     fn delete(&self, kind: ResourceKind, namespace: &str, name: &str) -> Option<Arc<StoredObject>> {
-        ObjectStore::delete(self, kind, namespace, name)
+        let key = (kind, namespace.to_owned(), name.to_owned());
+        let shard_no = shard_index(&key);
+        let shard = self.shards[shard_no].write();
+        let stored = Arc::clone(shard.get(&key)?);
+        let ticket = self.commit(shard_no, shard, [Write::delete(key, &stored)], &mut [0]);
+        self.wait_durable(ticket);
+        Some(stored)
     }
 
+    /// Objects come back in key order, as the unsharded store returned them.
+    /// Each shard is **range-scanned from the first matching key** and the
+    /// scan decides membership on keys alone, cloning handles for the
+    /// matches — values of skipped entries are never touched, and no tree is
+    /// copied for the returned ones either.
     fn list(&self, kind: ResourceKind, namespace: &str) -> Vec<Arc<StoredObject>> {
-        ObjectStore::list(self, kind, namespace)
+        let lower = list_lower_bound(kind, namespace);
+        let mut out: Vec<Arc<StoredObject>> = Vec::new();
+        for shard in &self.shards {
+            let guard = shard.read();
+            out.extend(
+                guard
+                    .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
+                    .take_while(|(key, _)| list_key_matches(key, kind, namespace))
+                    .map(|(_, stored)| Arc::clone(stored)),
+            );
+        }
+        // Key order across shards; the key is derivable from the object, so
+        // nothing beyond the handles collected above is allocated.
+        out.sort_by(|a, b| {
+            (a.object.kind(), a.object.namespace(), a.object.name()).cmp(&(
+                b.object.kind(),
+                b.object.namespace(),
+                b.object.name(),
+            ))
+        });
+        out
     }
 
+    /// Per store shard, the matching keys are range-scanned under the
+    /// shard's write lock and committed as one batch of `Deleted` writes,
+    /// each event carrying the object's last stored tree — so a racing
+    /// re-create of the same name is guaranteed a later revision than the
+    /// deletion it follows. Waits for durability once, after the last lock
+    /// is released.
     fn delete_collection(&self, kind: ResourceKind, namespace: &str) -> usize {
-        ObjectStore::delete_collection(self, kind, namespace)
+        let lower = list_lower_bound(kind, namespace);
+        let mut deleted = 0;
+        let mut ticket = None;
+        for (shard_no, shard) in self.shards.iter().enumerate() {
+            let guard = shard.write();
+            let writes: Vec<Write> = guard
+                .range::<Key, _>((Bound::Included(&lower), Bound::Unbounded))
+                .take_while(|(key, _)| list_key_matches(key, kind, namespace))
+                .map(|(key, stored)| Write::delete(key.clone(), stored))
+                .collect();
+            if writes.is_empty() {
+                continue;
+            }
+            deleted += writes.len();
+            let mut revisions = vec![0; writes.len()];
+            let committed = self.commit(shard_no, guard, writes, &mut revisions);
+            ticket = GroupTicket::merge(ticket, committed);
+        }
+        self.wait_durable(ticket);
+        deleted
     }
 
+    /// Grouped by store shard: each group is staged under its shard's write
+    /// lock (in-batch earlier writes to the same key count as existing) and
+    /// committed in one critical section — one journal entry per touched
+    /// sub-shard, one WAL append — and the batch waits for durability once,
+    /// after the last lock is released.
     fn apply_batch(&self, objects: Vec<K8sObject>) -> Vec<(u64, bool)> {
-        ObjectStore::apply_batch(self, objects)
+        let mut results = vec![(0u64, false); objects.len()];
+        let mut groups: Vec<Vec<(usize, K8sObject)>> = Vec::new();
+        groups.resize_with(SHARDS, Vec::new);
+        for (index, object) in objects.into_iter().enumerate() {
+            groups[shard_index(&key_of(&object))].push((index, object));
+        }
+        let mut ticket = None;
+        for (shard_no, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let shard = self.shards[shard_no].write();
+            let mut writes: Vec<Write> = Vec::with_capacity(group.len());
+            let mut slots = Vec::with_capacity(group.len());
+            for (index, object) in group {
+                let key = key_of(&object);
+                // Same-key events share a sub-shard, so their revisions are
+                // assigned in batch order: the last write wins in the map
+                // AND carries the highest version.
+                let exists = shard.contains_key(&key) || writes.iter().any(|w| w.key == key);
+                slots.push((index, !exists));
+                writes.push(Write::put(key, exists, object));
+            }
+            let mut revisions = vec![0; writes.len()];
+            let committed = self.commit(shard_no, shard, writes, &mut revisions);
+            ticket = GroupTicket::merge(ticket, committed);
+            for ((index, created), revision) in slots.into_iter().zip(revisions) {
+                results[index] = (revision, created);
+            }
+        }
+        self.wait_durable(ticket);
+        results
     }
 
+    /// Zero-copy while a tree lives: an event hands out the stored tree
+    /// itself, and decodes the journal's bytes only for a superseded version
+    /// nothing holds any more.
     fn events_since(
         &self,
         kind: ResourceKind,
         namespace: &str,
         revision: u64,
     ) -> Result<WatchDelta, WatchError> {
-        ObjectStore::events_since(self, kind, namespace, revision)
+        self.journals
+            .events_since(&self.revision, kind, namespace, revision)
     }
 
     fn watch_revision(&self, kind: ResourceKind) -> u64 {
-        ObjectStore::watch_revision(self, kind)
+        self.journals.watch_revision(kind)
     }
 
     fn subscribe(
@@ -958,7 +792,7 @@ impl StoreBackend for ObjectStore {
         revision: u64,
         capacity: usize,
     ) -> Result<WatchSubscriber, WatchError> {
-        ObjectStore::subscribe(self, kind, namespace, revision, capacity)
+        self.journals.subscribe(kind, namespace, revision, capacity)
     }
 
     fn watch_generation(&self, kind: ResourceKind, namespace: &str) -> u64 {
@@ -980,15 +814,43 @@ impl StoreBackend for ObjectStore {
     }
 
     fn len(&self) -> usize {
-        ObjectStore::len(self)
+        self.shards.iter().map(|shard| shard.read().len()).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.shards.iter().all(|shard| shard.read().is_empty())
     }
 
     fn count_by_kind(&self) -> BTreeMap<ResourceKind, usize> {
-        ObjectStore::count_by_kind(self)
+        let mut out = BTreeMap::new();
+        for shard in &self.shards {
+            for ((kind, _, _), _) in shard.read().iter() {
+                *out.entry(*kind).or_insert(0) += 1;
+            }
+        }
+        out
     }
 
+    /// Inserts bypass the journal and the WAL (replay must not re-log
+    /// itself); the revision counter and the journals' compaction horizon
+    /// are advanced to the recovered revision.
     fn restore(&self, objects: Vec<StoredObject>, revision: u64) {
-        ObjectStore::restore(self, objects, revision)
+        let mut floor = revision;
+        for stored in objects {
+            floor = floor.max(stored.resource_version);
+            let key = key_of(&stored.object);
+            self.shards[shard_index(&key)]
+                .write()
+                .insert(key, Arc::new(stored));
+        }
+        self.revision.fetch_max(floor, Ordering::Relaxed);
+        self.journals.restore_horizon(floor);
+        // Boot-conservative: the first checkpoint after a restore rewrites
+        // every shard, so its correctness never depends on what segments
+        // the on-disk manifest happened to list.
+        for shard_no in 0..SHARDS {
+            self.mark_dirty(shard_no);
+        }
     }
 
     fn durability(&self) -> DurabilityStatus {

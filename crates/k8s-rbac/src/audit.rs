@@ -37,51 +37,20 @@ pub struct AuditEvent {
     pub request_body: Option<(Bytes, BodyFormat)>,
 }
 
-/// An in-memory audit log.
+/// A snapshot of the API server's audit trail: the events its bounded ring
+/// held when the snapshot was taken, in order. The server records into the
+/// ring; this type only carries and queries the copy.
 #[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     events: Vec<AuditEvent>,
 }
 
 impl AuditLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        AuditLog::default()
-    }
-
     /// Assemble a log from already-stamped events (used by the sharded API
     /// server to merge its per-shard buffers into one chronological log).
     /// Events keep their original sequence numbers.
     pub fn from_events(events: Vec<AuditEvent>) -> Self {
         AuditLog { events }
-    }
-
-    /// Record an event, assigning the next sequence number.
-    // The argument list mirrors the audit event's fields one-to-one; a
-    // params struct would just duplicate `AuditEvent`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        user: &str,
-        verb: Verb,
-        kind: ResourceKind,
-        namespace: &str,
-        name: &str,
-        allowed: bool,
-        request_body: Option<(Bytes, BodyFormat)>,
-    ) -> &AuditEvent {
-        let event = AuditEvent {
-            sequence: self.events.len() as u64,
-            user: user.to_owned(),
-            verb,
-            kind,
-            namespace: namespace.to_owned(),
-            name: name.to_owned(),
-            allowed,
-            request_body,
-        };
-        self.events.push(event);
-        self.events.last().expect("just pushed")
     }
 
     /// All events, in order.
@@ -99,20 +68,31 @@ impl AuditLog {
         self.events.is_empty()
     }
 
-    /// Events recorded for a specific user.
-    pub fn for_user(&self, user: &str) -> Vec<&AuditEvent> {
-        self.events.iter().filter(|e| e.user == user).collect()
-    }
-
     /// Events that were denied.
     pub fn denied(&self) -> Vec<&AuditEvent> {
         self.events.iter().filter(|e| !e.allowed).collect()
     }
+}
 
-    /// Clear the log (used between experiment phases).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
+/// Body-less events for `(user, verb, kind, namespace, name, allowed)`,
+/// sequenced by position: what the audit and `audit2rbac` tests feed on.
+#[cfg(test)]
+pub(crate) fn events_of(rows: &[(&str, Verb, ResourceKind, &str, &str, bool)]) -> Vec<AuditEvent> {
+    rows.iter()
+        .enumerate()
+        .map(
+            |(sequence, &(user, verb, kind, namespace, name, allowed))| AuditEvent {
+                sequence: sequence as u64,
+                user: user.to_owned(),
+                verb,
+                kind,
+                namespace: namespace.to_owned(),
+                name: name.to_owned(),
+                allowed,
+                request_body: None,
+            },
+        )
+        .collect()
 }
 
 #[cfg(test)]
@@ -121,59 +101,29 @@ mod tests {
 
     #[test]
     fn events_are_sequenced_and_queryable() {
-        let mut log = AuditLog::new();
-        log.record(
-            "alice",
-            Verb::Create,
-            ResourceKind::Deployment,
-            "prod",
-            "web",
-            true,
-            None,
-        );
-        log.record("bob", Verb::Get, ResourceKind::Pod, "dev", "", true, None);
-        log.record(
-            "mallory",
-            Verb::Create,
-            ResourceKind::Pod,
-            "prod",
-            "x",
-            false,
-            None,
-        );
+        let log = AuditLog::from_events(events_of(&[
+            (
+                "alice",
+                Verb::Create,
+                ResourceKind::Deployment,
+                "prod",
+                "web",
+                true,
+            ),
+            ("bob", Verb::Get, ResourceKind::Pod, "dev", "", true),
+            (
+                "mallory",
+                Verb::Create,
+                ResourceKind::Pod,
+                "prod",
+                "x",
+                false,
+            ),
+        ]));
         assert_eq!(log.len(), 3);
         assert_eq!(log.events()[0].sequence, 0);
         assert_eq!(log.events()[2].sequence, 2);
-        assert_eq!(log.for_user("alice").len(), 1);
         assert_eq!(log.denied().len(), 1);
         assert_eq!(log.denied()[0].user, "mallory");
-    }
-
-    #[test]
-    fn request_bodies_are_preserved_when_provided() {
-        let mut log = AuditLog::new();
-        let body = Bytes::from("kind: Deployment\nspec:\n  replicas: 1\n");
-        log.record(
-            "alice",
-            Verb::Create,
-            ResourceKind::Deployment,
-            "prod",
-            "web",
-            true,
-            Some((body.clone(), BodyFormat::Yaml)),
-        );
-        let (recorded, format) = log.events()[0].request_body.as_ref().unwrap();
-        assert_eq!(
-            (recorded.as_ptr(), *format),
-            (body.as_ptr(), BodyFormat::Yaml)
-        );
-    }
-
-    #[test]
-    fn clear_resets_the_log() {
-        let mut log = AuditLog::new();
-        log.record("a", Verb::Get, ResourceKind::Service, "ns", "", true, None);
-        log.clear();
-        assert!(log.is_empty());
     }
 }

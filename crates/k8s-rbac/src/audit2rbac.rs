@@ -111,51 +111,46 @@ pub fn audit2rbac(events: &[AuditEvent], user: &str, options: &Audit2RbacOptions
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditLog;
+    use crate::audit::{events_of, AuditEvent};
     use crate::evaluator::AccessReview;
 
-    fn record_workload(log: &mut AuditLog) {
-        for (verb, kind, ns, name) in [
-            (Verb::Create, ResourceKind::Deployment, "prod", "web"),
-            (Verb::Update, ResourceKind::Deployment, "prod", "web"),
-            (Verb::Create, ResourceKind::Service, "prod", "web"),
-            (Verb::Create, ResourceKind::ConfigMap, "prod", "web-config"),
-            (
+    fn workload() -> Vec<AuditEvent> {
+        let operator = |verb, kind, ns, name| ("operator", verb, kind, ns, name, true);
+        events_of(&[
+            operator(Verb::Create, ResourceKind::Deployment, "prod", "web"),
+            operator(Verb::Update, ResourceKind::Deployment, "prod", "web"),
+            operator(Verb::Create, ResourceKind::Service, "prod", "web"),
+            operator(Verb::Create, ResourceKind::ConfigMap, "prod", "web-config"),
+            operator(
                 Verb::Create,
                 ResourceKind::ValidatingWebhookConfiguration,
                 "",
                 "hook",
             ),
-        ] {
-            log.record("operator", verb, kind, ns, name, true, None);
-        }
-        // Another user's traffic must not leak into the inferred policy.
-        log.record(
-            "intruder",
-            Verb::Create,
-            ResourceKind::Pod,
-            "prod",
-            "x",
-            true,
-            None,
-        );
-        // Denied events are ignored by default.
-        log.record(
-            "operator",
-            Verb::Delete,
-            ResourceKind::Secret,
-            "prod",
-            "s",
-            false,
-            None,
-        );
+            // Another user's traffic must not leak into the inferred policy.
+            (
+                "intruder",
+                Verb::Create,
+                ResourceKind::Pod,
+                "prod",
+                "x",
+                true,
+            ),
+            // Denied events are ignored by default.
+            (
+                "operator",
+                Verb::Delete,
+                ResourceKind::Secret,
+                "prod",
+                "s",
+                false,
+            ),
+        ])
     }
 
     #[test]
     fn inferred_policy_covers_exactly_the_observed_accesses() {
-        let mut log = AuditLog::new();
-        record_workload(&mut log);
-        let policy = audit2rbac(log.events(), "operator", &Audit2RbacOptions::default());
+        let policy = audit2rbac(&workload(), "operator", &Audit2RbacOptions::default());
 
         for (verb, kind) in [
             (Verb::Create, ResourceKind::Deployment),
@@ -181,9 +176,7 @@ mod tests {
 
     #[test]
     fn inferred_policy_excludes_unobserved_kinds_verbs_and_users() {
-        let mut log = AuditLog::new();
-        record_workload(&mut log);
-        let policy = audit2rbac(log.events(), "operator", &Audit2RbacOptions::default());
+        let policy = audit2rbac(&workload(), "operator", &Audit2RbacOptions::default());
 
         // Pods were only touched by another user.
         let pods = AccessReview::new("operator", Verb::Create, ResourceKind::Pod, "prod", "");
@@ -207,22 +200,18 @@ mod tests {
 
     #[test]
     fn include_denied_widens_the_policy() {
-        let mut log = AuditLog::new();
-        record_workload(&mut log);
         let options = Audit2RbacOptions {
             include_denied: true,
             ..Audit2RbacOptions::default()
         };
-        let policy = audit2rbac(log.events(), "operator", &options);
+        let policy = audit2rbac(&workload(), "operator", &options);
         let secrets = AccessReview::new("operator", Verb::Delete, ResourceKind::Secret, "prod", "");
         assert!(policy.authorize(&secrets).is_allowed());
     }
 
     #[test]
     fn policy_objects_follow_naming_convention() {
-        let mut log = AuditLog::new();
-        record_workload(&mut log);
-        let policy = audit2rbac(log.events(), "operator", &Audit2RbacOptions::default());
+        let policy = audit2rbac(&workload(), "operator", &Audit2RbacOptions::default());
         assert!(policy
             .roles()
             .iter()

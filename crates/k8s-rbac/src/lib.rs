@@ -8,7 +8,8 @@
 //!   model (Roles and ClusterRoles share one type distinguished by scope);
 //! * [`RbacPolicySet`] / [`AccessReview`] — the authorization evaluator the
 //!   simulated API server consults on every request;
-//! * [`AuditEvent`] / [`AuditLog`] — API-server audit logging;
+//! * [`AuditEvent`] / [`AuditLog`] — API-server audit events and the snapshot
+//!   of the server's audit trail that carries them;
 //! * [`audit2rbac`] — inference of the minimal RBAC policy that covers a
 //!   recorded attack-free workload, mirroring the paper's RBAC setup
 //!   (Section VI-D).

@@ -93,7 +93,7 @@ impl DeploymentDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use k8s_apiserver::ApiServer;
+    use k8s_apiserver::{ApiServer, StoreBackend};
 
     #[test]
     fn deploying_against_a_permissive_server_succeeds() {

@@ -15,8 +15,8 @@
 //!   bounded subscriber queue and drains what the publication path fans
 //!   into it; eviction recovers by re-listing through a [`RelistGate`].
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -109,93 +109,71 @@ impl Informer {
         let Some((events, cursor)) = body.watch_events() else {
             return 1;
         };
-        for event in events {
-            self.apply(event);
-        }
+        self.events_applied += apply(&mut self.cache, events);
         self.cursor = Some(cursor);
         1
     }
+}
 
-    /// Apply one delivered event to the cache. Added/Modified upsert (so
-    /// the overlap between an initial listing and the first delta batch is
-    /// absorbed), Deleted removes, bookmarks only carry the cursor.
-    fn apply(&mut self, event: &WatchEvent) {
+/// Fold delivered events into an informer cache, returning how many
+/// mutated it. Added/Modified upsert (so the overlap between an initial
+/// listing and the first delta batch is absorbed), Deleted removes,
+/// bookmarks only carry the cursor.
+fn apply<E: Borrow<WatchEvent>>(
+    cache: &mut BTreeMap<(String, String), Arc<Value>>,
+    events: impl IntoIterator<Item = E>,
+) -> u64 {
+    let mut applied = 0;
+    for event in events {
+        let event = event.borrow();
         match event.kind {
             WatchEventKind::Added | WatchEventKind::Modified => {
                 if let Some(object) = &event.object {
-                    self.cache.insert(
+                    cache.insert(
                         (event.namespace.clone(), event.name.clone()),
                         Arc::clone(object),
                     );
-                    self.events_applied += 1;
+                    applied += 1;
                 }
             }
             WatchEventKind::Deleted => {
-                self.cache
-                    .remove(&(event.namespace.clone(), event.name.clone()));
-                self.events_applied += 1;
+                cache.remove(&(event.namespace.clone(), event.name.clone()));
+                applied += 1;
             }
             WatchEventKind::Bookmark => {}
         }
     }
+    applied
 }
 
-/// Bounded, jittered admission for full re-lists — the herd hardening for
-/// the watch plane's recovery path.
+/// Bounded admission for full re-lists — the herd hardening for the watch
+/// plane's recovery path.
 ///
 /// A compaction storm (or a burst of slow-consumer evictions) can hand a
 /// whole fleet of informers a `410 Gone` in the same instant; if each one
 /// immediately issues a full re-list, the server absorbs `herd × list` in
-/// one spike — the thundering herd the jitter-and-serialize discipline
-/// exists to prevent. Every re-list first sleeps a **deterministic
-/// per-informer jitter** (hash of its token, so runs are reproducible) to
-/// spread the herd in time, then acquires one of `max_concurrent` permits;
-/// excess re-listers block until a permit frees. The permit is held across
-/// the whole list+resubscribe, so at no point do more than `max_concurrent`
-/// full re-lists run concurrently.
+/// one spike. Every re-list first acquires one of `max_concurrent`
+/// permits; excess re-listers block until a permit frees. The permit is
+/// held across the whole list+resubscribe, so at no point do more than
+/// `max_concurrent` full re-lists run concurrently.
 #[derive(Debug)]
 pub struct RelistGate {
     /// The permits: the server's admission gate with no deadline, so a
     /// re-lister waits for its turn instead of being shed.
     permits: AdmissionGate,
-    jitter_unit: Duration,
-    jitter_slots: u64,
 }
 
 impl RelistGate {
-    /// A gate admitting at most `max_concurrent` simultaneous re-lists,
-    /// with jitter disabled (pure serialization).
+    /// A gate admitting at most `max_concurrent` simultaneous re-lists.
     pub fn new(max_concurrent: usize) -> Self {
         RelistGate {
             permits: AdmissionGate::new(max_concurrent, Duration::MAX),
-            jitter_unit: Duration::ZERO,
-            jitter_slots: 1,
         }
-    }
-
-    /// Spread admissions over `slots` jitter buckets of `unit` each: an
-    /// informer with token `t` sleeps `(hash(t) % slots) × unit` before
-    /// competing for a permit. Deterministic per token, so a replayed run
-    /// jitters identically.
-    pub fn with_jitter(mut self, unit: Duration, slots: u64) -> Self {
-        self.jitter_unit = unit;
-        self.jitter_slots = slots.max(1);
-        self
     }
 
     /// The configured concurrency bound.
     pub fn max_concurrent(&self) -> usize {
         self.permits.max_in_flight()
-    }
-
-    /// The jitter delay `token` would incur.
-    pub fn jitter_for(&self, token: u64) -> Duration {
-        if self.jitter_unit.is_zero() {
-            return Duration::ZERO;
-        }
-        let mut hasher = DefaultHasher::new();
-        token.hash(&mut hasher);
-        self.jitter_unit * ((hasher.finish() % self.jitter_slots) as u32)
     }
 
     /// Highest number of simultaneously admitted re-lists observed so far
@@ -209,13 +187,9 @@ impl RelistGate {
         self.permits.admitted_total()
     }
 
-    /// Jitter, then block until a permit is free. The permit is released
-    /// when the returned guard drops — hold it across the whole re-list.
-    pub fn admit(&self, token: u64) -> RelistPermit<'_> {
-        let jitter = self.jitter_for(token);
-        if !jitter.is_zero() {
-            std::thread::sleep(jitter);
-        }
+    /// Block until a permit is free. The permit is released when the
+    /// returned guard drops — hold it across the whole re-list.
+    pub fn admit(&self) -> RelistPermit<'_> {
         RelistPermit {
             _permit: self
                 .permits
@@ -246,9 +220,6 @@ pub struct PushInformer {
     cache: BTreeMap<(String, String), Arc<Value>>,
     subscription: Option<WatchSubscriber>,
     gate: Option<Arc<RelistGate>>,
-    /// Stable identity for gate jitter (defaults to 0; fleets assign
-    /// distinct tokens).
-    token: u64,
     events_applied: u64,
     relists: u64,
     evictions: u64,
@@ -265,7 +236,6 @@ impl PushInformer {
             cache: BTreeMap::new(),
             subscription: None,
             gate: None,
-            token: 0,
             events_applied: 0,
             relists: 0,
             evictions: 0,
@@ -273,10 +243,9 @@ impl PushInformer {
     }
 
     /// Route this informer's re-lists (initial attach and every recovery)
-    /// through `gate`, jittered by `token`.
-    pub fn with_gate(mut self, gate: Arc<RelistGate>, token: u64) -> Self {
+    /// through `gate`.
+    pub fn with_gate(mut self, gate: Arc<RelistGate>) -> Self {
         self.gate = Some(gate);
-        self.token = token;
         self
     }
 
@@ -324,7 +293,7 @@ impl PushInformer {
         // Clone the gate handle so the permit does not pin a borrow of
         // `self` across the cache mutations below.
         let gate = self.gate.clone();
-        let _permit = gate.as_ref().map(|gate| gate.admit(self.token));
+        let _permit = gate.as_ref().map(|gate| gate.admit());
         let mut requests = 0;
         loop {
             requests += 1;
@@ -333,9 +302,7 @@ impl PushInformer {
                 Ok(push) => {
                     self.cache.clear();
                     self.relists += 1;
-                    for event in &push.initial {
-                        self.apply(event);
-                    }
+                    self.events_applied += apply(&mut self.cache, &push.initial);
                     self.subscription = Some(push.subscriber);
                     return requests;
                 }
@@ -361,9 +328,7 @@ impl PushInformer {
         };
         match subscription.recv_timeout(timeout) {
             Ok(events) => {
-                for event in &events {
-                    self.apply(event);
-                }
+                self.events_applied += apply(&mut self.cache, events);
                 0
             }
             Err(_gone) => {
@@ -381,32 +346,12 @@ impl PushInformer {
     pub fn pump_now<H: WatchHub>(&mut self, hub: &H) -> u64 {
         self.pump(hub, Duration::ZERO)
     }
-
-    fn apply(&mut self, event: &WatchEvent) {
-        match event.kind {
-            WatchEventKind::Added | WatchEventKind::Modified => {
-                if let Some(object) = &event.object {
-                    self.cache.insert(
-                        (event.namespace.clone(), event.name.clone()),
-                        Arc::clone(object),
-                    );
-                    self.events_applied += 1;
-                }
-            }
-            WatchEventKind::Deleted => {
-                self.cache
-                    .remove(&(event.namespace.clone(), event.name.clone()));
-                self.events_applied += 1;
-            }
-            WatchEventKind::Bookmark => {}
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use k8s_apiserver::{ApiServer, ObjectStore};
+    use k8s_apiserver::{ApiServer, ObjectStore, StoreBackend};
     use k8s_model::K8sObject;
 
     fn pod(name: &str) -> K8sObject {
@@ -474,6 +419,49 @@ mod tests {
     }
 
     #[test]
+    fn pull_and_push_informers_reconcile_the_same_cache() {
+        let server = ApiServer::new();
+        for name in ["a", "b", "c"] {
+            server.handle(&ApiRequest::create("admin", &pod(name)));
+        }
+        let mut pull = Informer::new("admin", ResourceKind::Pod, "default");
+        let mut push = PushInformer::new("admin", ResourceKind::Pod, "default");
+        pull.sync(&server);
+        push.attach(&server);
+        // A modification, a deletion, a creation, and a write outside the
+        // watched namespace that neither cache may take in.
+        server.handle(&ApiRequest::update("admin", &pod("b")));
+        server.handle(&ApiRequest::delete(
+            "admin",
+            ResourceKind::Pod,
+            "default",
+            "a",
+        ));
+        server.handle(&ApiRequest::create("admin", &pod("d")));
+        let elsewhere = K8sObject::from_yaml(
+            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: e\n  namespace: other\nspec:\n  containers:\n    - name: c\n      image: nginx\n",
+        )
+        .unwrap();
+        server.handle(&ApiRequest::create("admin", &elsewhere));
+        pull.sync(&server);
+        push.pump_now(&server);
+
+        let stored = server.store().list(ResourceKind::Pod, "default");
+        for cache in [pull.cache(), push.cache()] {
+            assert_eq!(cache.len(), stored.len());
+            for (((namespace, name), tree), object) in cache.iter().zip(&stored) {
+                assert_eq!(
+                    (namespace.as_str(), name.as_str()),
+                    (object.object.namespace(), object.object.name())
+                );
+                assert!(Arc::ptr_eq(tree, object.object.shared_body()));
+            }
+        }
+        let names: Vec<&str> = pull.cache().keys().map(|k| k.1.as_str()).collect();
+        assert_eq!(names, ["b", "c", "d"]);
+    }
+
+    #[test]
     fn push_informers_attach_then_receive_pushed_deltas() {
         let server = ApiServer::new();
         server.handle(&ApiRequest::create("admin", &pod("a")));
@@ -533,16 +521,14 @@ mod tests {
     }
 
     #[test]
-    fn the_relist_gate_bounds_concurrency_and_jitters_deterministically() {
-        let gate = RelistGate::new(2).with_jitter(Duration::from_millis(1), 4);
+    fn the_relist_gate_bounds_concurrency() {
+        let gate = RelistGate::new(2);
         assert_eq!(gate.max_concurrent(), 2);
-        assert_eq!(gate.jitter_for(7), gate.jitter_for(7), "deterministic");
-        assert!(gate.jitter_for(7) < Duration::from_millis(4));
-        let p1 = gate.admit(1);
-        let p2 = gate.admit(2);
+        let p1 = gate.admit();
+        let p2 = gate.admit();
         assert_eq!(gate.peak_admitted(), 2);
         drop(p1);
-        let _p3 = gate.admit(3);
+        let _p3 = gate.admit();
         drop(p2);
         assert_eq!(gate.admissions(), 3);
         assert_eq!(gate.peak_admitted(), 2, "never above the bound");

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler};
+use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, StoreBackend};
 use kf_attacks::catalog;
 use kf_workloads::{DeploymentDriver, Operator};
 use kubefence::{EnforcementProxy, GeneratorConfig, PolicyGenerator};

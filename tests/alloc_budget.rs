@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use k8s_apiserver::{
     ApiRequest, ApiResponse, ApiServer, ObjectStore, PersistConfig, Persistence, RequestBody,
-    RequestHandler, ResponseBody, StoredObject, WatchDispatcher, WatchSubscriber,
+    RequestHandler, ResponseBody, StoreBackend, StoredObject, WatchDispatcher, WatchSubscriber,
     AUDIT_LOG_CAPACITY,
 };
 use k8s_model::{K8sObject, ResourceKind};

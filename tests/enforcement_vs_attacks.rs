@@ -6,7 +6,9 @@
 //! wire bytes the proxy serves, as a YAML-speaking attacker (what `execute`
 //! sends) and as a JSON-speaking one.
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestBody, RequestHandler, ResponseStatus};
+use k8s_apiserver::{
+    ApiRequest, ApiServer, RequestBody, RequestHandler, ResponseStatus, StoreBackend,
+};
 use k8s_rbac::{audit2rbac, Audit2RbacOptions};
 use kf_attacks::AttackExecutor;
 use kf_workloads::{json_twin, DeploymentDriver, Operator};

@@ -3,7 +3,7 @@
 //! full deployment through the KubeFence proxy must succeed end to end. The
 //! verdicts are the served ones: the stream's, on wire bytes in both formats.
 
-use k8s_apiserver::ApiServer;
+use k8s_apiserver::{ApiServer, StoreBackend};
 use k8s_model::K8sObject;
 use kf_workloads::{DeploymentDriver, Operator};
 use kubefence::{

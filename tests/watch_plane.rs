@@ -641,9 +641,9 @@ fn a_gated_herd_recovers_without_a_relist_stampede() {
     let probe = ConcurrencyProbe::new(&server);
     let gate = std::sync::Arc::new(RelistGate::new(GATE));
     let mut herd: Vec<PushInformer> = (0..HERD)
-        .map(|i| {
+        .map(|_| {
             PushInformer::new("admin", ResourceKind::Pod, "default")
-                .with_gate(std::sync::Arc::clone(&gate), i as u64)
+                .with_gate(std::sync::Arc::clone(&gate))
         })
         .collect();
     // Attach serially (the storm under test is the recovery, not the

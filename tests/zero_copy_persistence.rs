@@ -9,7 +9,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use k8s_apiserver::{ApiRequest, ApiServer, RequestHandler, ResponseStatus, WatchHub};
+use k8s_apiserver::{
+    ApiRequest, ApiServer, RequestHandler, ResponseStatus, StoreBackend, WatchHub,
+};
 use k8s_model::{K8sObject, ResourceKind};
 use kf_yaml::{BodyFormat, Value};
 use kubefence::{EnforcementProxy, Validator};
