@@ -20,8 +20,9 @@
 //! element.
 //!
 //! A stale or corrupt cache is never trusted: a foreign magic (the arena
-//! format's `KFAOT1` included), a CRC mismatch, an unknown node tag, kind
-//! or type placeholder, keys out of order, nesting past
+//! format's `KFAOT1` and the fixed-width value layout's `KFAOT2`
+//! included), a CRC mismatch, an unknown node tag, kind or type
+//! placeholder, keys out of order, nesting past
 //! [`binary::MAX_DECODE_DEPTH`] and trailing bytes all fail closed with
 //! [`io::ErrorKind::InvalidData`], and the caller falls back to
 //! regenerating policies. See `docs/persistence.md` for where this file
@@ -38,8 +39,11 @@ use kf_yaml::binary::{self, BinaryError, Cursor, MAX_DECODE_DEPTH};
 
 use crate::validator::{PolicyNode, TypeTag, Validator, ValidatorSet};
 
-/// Magic header of the AOT policy cache file.
-pub const AOT_MAGIC: &[u8; 8] = b"KFAOT2\0\0";
+/// Magic header of the AOT policy cache file. Its digit follows
+/// `kf_yaml::binary`'s value layout, one ahead of it because `KFAOT1` was
+/// the arena format before the value layout: `KFAOT3` strings and values
+/// are in the varint layout, layout 2.
+pub const AOT_MAGIC: &[u8; 8] = &binary::magic(b"KFAOT", binary::LAYOUT + 1);
 
 /// The cache file's conventional location inside a persistence directory
 /// (the same directory the store snapshot and WAL live in).
@@ -357,6 +361,7 @@ pub(crate) mod tests {
         let file = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(decode(&file).unwrap(), set);
+        assert_eq!(&file[..8], b"KFAOT3\0\0", "the varint layout's cache");
         let body = &file[12..];
 
         for cut in 0..file.len() {
@@ -364,6 +369,8 @@ pub(crate) mod tests {
         }
         // The arena format's magic with a valid CRC.
         refuses(&seal(b"KFAOT1\0\0", body), "KFAOT1");
+        // The fixed-width value layout's magic, likewise.
+        refuses(&seal(b"KFAOT2\0\0", body), "KFAOT2");
         // Truncated payloads sealed afresh reach the decoder.
         let stride = (body.len() / fuzz_cases().max(1)).max(1);
         for cut in (0..body.len()).step_by(stride) {

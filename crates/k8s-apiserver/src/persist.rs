@@ -30,7 +30,12 @@
 //! snapshot/WAL windows are idempotent and replay order only matters per
 //! key — which per-key order the shard-lock append discipline guarantees.
 //! A corrupt segment or manifest is **quarantined** (renamed to `.corrupt`)
-//! and boot recovers from what remains instead of refusing to start.
+//! and boot recovers from what remains instead of refusing to start. A
+//! segment of a retired value layout (its magic) or a WAL record of another
+//! (its op-byte tag) is no damage: boot **fails closed** with
+//! [`io::ErrorKind::Unsupported`] naming the layout, and since every file
+//! is checked before any is renamed or truncated, it leaves them all as
+//! they were.
 //!
 //! **The recovery invariant:** after `open`, the store state equals the
 //! pre-crash state at the last fsync'd revision ([`Wal::durable_revision`]).
@@ -83,9 +88,13 @@ pub const WAL_FILE: &str = "store.kfwal";
 /// layout is defined in one place).
 pub const AOT_POLICY_FILE: &str = "validators.kfaot";
 
-/// Magic sealing a per-shard snapshot segment file (8 bytes, versioned).
-const SEGMENT_MAGIC: &[u8; 8] = b"KFSEG1\0\0";
-/// Magic sealing a snapshot manifest file.
+/// Magic sealing a per-shard snapshot segment file (8 bytes, versioned):
+/// its digit is the `kf_yaml::binary` value layout its bodies are in, so
+/// `KFSEG2` is the varint layout. A segment of a retired layout fails
+/// recovery closed ([`read_segment_with`]).
+const SEGMENT_MAGIC: &[u8; 8] = &binary::magic(b"KFSEG", binary::LAYOUT);
+/// Magic sealing a snapshot manifest file. It holds only `u64` words, so
+/// it has no value layout to follow.
 const MANIFEST_MAGIC: &[u8; 8] = b"KFMAN1\0\0";
 
 /// Manifest file naming the live snapshot segments and their horizon.
@@ -266,16 +275,31 @@ pub struct WalRecord {
     pub body: Option<Arc<Value>>,
 }
 
-const OP_ADDED: u8 = 0;
-const OP_MODIFIED: u8 = 1;
-const OP_DELETED: u8 = 2;
+// A record's op byte carries the `kf_yaml::binary` value layout its body is
+// in (`binary::LAYOUT`) in its high nibble. Layout 1, the fixed-width one
+// before varints, carried no tag, so its op bytes are 0–2 and their high
+// nibble 0.
+const _: () = assert!(binary::LAYOUT < 16, "the layout tag is a nibble");
+const OP_ADDED: u8 = binary::LAYOUT << 4;
+const OP_MODIFIED: u8 = binary::LAYOUT << 4 | 1;
+const OP_DELETED: u8 = binary::LAYOUT << 4 | 2;
+
+/// The layout an op byte names.
+fn record_layout(op: u8) -> u8 {
+    match op >> 4 {
+        0 => 1,
+        tag => tag,
+    }
+}
 
 /// Encode one write's record payload, `revision | kind | op | namespace |
 /// name | body flag | body`, into a buffer of exactly its size. It is what a
 /// WAL frame carries after its `len | crc32` header and what a watch-journal
 /// entry retains; [`WalRecord::decode_payload`] reads it back. The revision
-/// is left zero for [`set_revision`]: the journal assigns it under its lock.
-/// A journal entry keeps a deletion's last `body`, which the deletion's WAL
+/// is a fixed `u64`, left zero for [`set_revision`]: the journal assigns it
+/// under its lock. The op byte carries [`binary::LAYOUT`], and the two key
+/// strings and the body are `kf_yaml::binary` varint-length forms. A
+/// journal entry keeps a deletion's last `body`, which the deletion's WAL
 /// frame leaves out ([`Frames::push`]).
 pub(crate) fn encode_payload(
     kind: ResourceKind,
@@ -284,9 +308,10 @@ pub(crate) fn encode_payload(
     name: &str,
     body: Option<&Value>,
 ) -> Box<[u8]> {
-    // Revision (8), kind and op (1 each), two string lengths (4 each), and
-    // the body flag (1) around the variable parts.
-    let len = 19 + namespace.len() + name.len() + body.map_or(0, binary::value_len);
+    // Revision (8), kind and op (1 each) and the body flag (1) around the
+    // variable parts.
+    let len =
+        11 + binary::str_len(namespace) + binary::str_len(name) + body.map_or(0, binary::value_len);
     let mut out = Vec::with_capacity(len);
     binary::put_u64(&mut out, 0);
     binary::put_u8(&mut out, kind.index() as u8);
@@ -322,15 +347,12 @@ pub(crate) fn set_revision(payload: &mut [u8], revision: u64) {
 /// The key of an encoded payload, borrowed from it: `(op, namespace, name)`
 /// and the offset of its body flag. `None` when the bytes are not a payload.
 pub(crate) fn payload_key(payload: &[u8]) -> Option<(WatchEventKind, &str, &str, usize)> {
-    let op = decode_op(*payload.get(9)?)?;
-    let field = |at: usize| -> Option<(&str, usize)> {
-        let len = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
-        let text = std::str::from_utf8(payload.get(at + 4..at + 4 + len)?).ok()?;
-        Some((text, at + 4 + len))
-    };
-    let (namespace, at) = field(10)?;
-    let (name, flag_at) = field(at)?;
-    Some((op, namespace, name, flag_at))
+    let mut cursor = Cursor::new(payload);
+    cursor.skip(9).ok()?;
+    let op = decode_op(cursor.get_u8().ok()?)?;
+    let namespace = cursor.get_str_ref().ok()?;
+    let name = cursor.get_str_ref().ok()?;
+    Some((op, namespace, name, cursor.position()))
 }
 
 fn decode_op(code: u8) -> Option<WatchEventKind> {
@@ -474,18 +496,42 @@ fn walk_frames<'a>(bytes: &'a [u8], mut visit: impl FnMut(u64, &'a [u8]) -> bool
 
 /// Replay a WAL image: every frame [`walk_frames`] accepts and that decodes
 /// cleanly, in file order; the first that fails either marks the torn tail.
-fn decode_wal_bytes(bytes: &[u8]) -> WalReplay {
+///
+/// # Errors
+///
+/// [`io::ErrorKind::Unsupported`] naming the layout when a frame whose CRC
+/// holds carries a record of another layout than [`binary::LAYOUT`]: a log
+/// another build wrote, which must be neither replayed nor cut.
+fn decode_wal_bytes(bytes: &[u8]) -> io::Result<WalReplay> {
     let mut records = Vec::new();
+    let mut foreign = None;
     let valid_len = walk_frames(bytes, |_, frame| {
-        WalRecord::decode_payload(&frame[8..])
-            .map(|record| records.push(record))
-            .is_some()
+        let payload = &frame[8..];
+        match payload.get(9).map(|&op| record_layout(op)) {
+            Some(layout) if layout != binary::LAYOUT => {
+                foreign = Some(layout);
+                false
+            }
+            _ => WalRecord::decode_payload(payload)
+                .map(|record| records.push(record))
+                .is_some(),
+        }
     });
+    if let Some(layout) = foreign {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!(
+                "WAL record at byte {valid_len} has record layout {layout}; this build reads \
+                 only layout {}",
+                binary::LAYOUT
+            ),
+        ));
+    }
     let torn = (valid_len < bytes.len()).then(|| TornTail {
         valid_len: valid_len as u64,
         dropped_bytes: (bytes.len() - valid_len) as u64,
     });
-    WalReplay { records, torn }
+    Ok(WalReplay { records, torn })
 }
 
 /// A whole file's bytes; `Ok(None)` when it does not exist.
@@ -501,20 +547,20 @@ fn read_if_present(io: &dyn StorageIo, path: &Path) -> io::Result<Option<Vec<u8>
 ///
 /// # Errors
 ///
-/// Only filesystem errors; corruption is reported via [`WalReplay::torn`],
-/// never as an error.
+/// Filesystem errors, and [`io::ErrorKind::Unsupported`] for a record of
+/// another layout; corruption is reported via [`WalReplay::torn`], never as
+/// an error.
 pub fn read_wal(path: &Path) -> io::Result<WalReplay> {
-    Ok(decode_wal_bytes(
-        &read_if_present(&RealIo, path)?.unwrap_or_default(),
-    ))
+    decode_wal_bytes(&read_if_present(&RealIo, path)?.unwrap_or_default())
 }
 
 /// Recovery's read of the WAL: decode it and, when the tail is torn,
 /// **truncate the file** to the intact prefix so the next append starts on
-/// a frame boundary. Errors are filesystem errors only (reading, or
-/// truncating a torn file).
+/// a frame boundary. Errors are filesystem errors (reading, or truncating a
+/// torn file) and a record of another layout, which leaves the file as it
+/// was.
 fn recover_wal(io: &dyn StorageIo, path: &Path) -> io::Result<WalReplay> {
-    let replay = decode_wal_bytes(&read_if_present(io, path)?.unwrap_or_default());
+    let replay = decode_wal_bytes(&read_if_present(io, path)?.unwrap_or_default())?;
     if let Some(torn) = replay.torn {
         io.truncate(path, torn.valid_len)?;
     }
@@ -1456,6 +1502,28 @@ pub fn unseal<'a>(magic: &[u8; 8], what: &str, bytes: &'a [u8]) -> io::Result<&'
     Ok(&bytes[12..])
 }
 
+/// Refuse a segment sealed with a retired layout's magic, `KFSEG1` up to
+/// the one before [`SEGMENT_MAGIC`], with [`io::ErrorKind::Unsupported`]
+/// naming it: recovery must neither read nor quarantine a file an older
+/// build wrote. Only retired versions are refused. The magic lies outside
+/// the checksum, so a bit flipped in a current segment's digit must still
+/// read as damage; `KFSEG1` (`0x31`) is two bits from `KFSEG2` (`0x32`).
+fn refuse_retired_segment(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let found = bytes.get(..8).unwrap_or_default();
+    if !(1..binary::LAYOUT).any(|layout| found == binary::magic(b"KFSEG", layout)) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        format!(
+            "{}: segment layout {} is not {}, the only one this build reads",
+            path.display(),
+            String::from_utf8_lossy(&found[..6]),
+            String::from_utf8_lossy(&SEGMENT_MAGIC[..6])
+        ),
+    ))
+}
+
 fn invalid_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
@@ -1496,14 +1564,18 @@ pub fn write_segment_with(
 ///
 /// # Errors
 ///
-/// Filesystem errors, or [`io::ErrorKind::InvalidData`] when the magic,
-/// checksum or payload decode fails — recovery quarantines that segment
-/// and serves the rest (its records are still in the un-compacted WAL or
-/// were already lost with the device, never silently resurrected).
+/// Filesystem errors; [`io::ErrorKind::Unsupported`] naming the layout when
+/// the file is a segment of a retired layout (`KFSEG1`), which recovery must
+/// neither read nor quarantine; or [`io::ErrorKind::InvalidData`] when the
+/// magic (any other, a bit-flipped digit included), checksum or payload
+/// decode fails — recovery quarantines that segment and serves the rest
+/// (its records are still in the un-compacted WAL or were already lost
+/// with the device, never silently resurrected).
 pub fn read_segment_with(io: &dyn StorageIo, path: &Path) -> io::Result<Option<SegmentData>> {
     let Some(bytes) = read_if_present(io, path)? else {
         return Ok(None);
     };
+    refuse_retired_segment(path, &bytes)?;
     let payload = unseal(SEGMENT_MAGIC, "segment", &bytes)?;
     let mut cursor = Cursor::new(payload);
     let mut parse = || -> Result<SegmentData, kf_yaml::binary::BinaryError> {
@@ -1787,10 +1859,12 @@ impl Persistence {
     ///
     /// # Errors
     ///
-    /// Filesystem errors; [`io::ErrorKind::InvalidData`] only when a WAL or
-    /// segment object body no longer parses as an object (a corrupt
-    /// segment/manifest *file* is quarantined instead — see
-    /// [`RecoveryReport::snapshot_quarantined`]).
+    /// Filesystem errors; [`io::ErrorKind::Unsupported`] naming the layout
+    /// when a segment is of a retired layout or a WAL record of another
+    /// layout than this build writes, with every file left as it was;
+    /// [`io::ErrorKind::InvalidData`] only when a WAL or segment object body
+    /// no longer parses as an object (a corrupt segment/manifest *file* is
+    /// quarantined instead — see [`RecoveryReport::snapshot_quarantined`]).
     pub fn open_with_io(
         config: PersistConfig,
         io: Arc<dyn StorageIo>,
@@ -1799,21 +1873,14 @@ impl Persistence {
         let wal_path = config.dir.join(WAL_FILE);
         let mut report = RecoveryReport::default();
 
-        // A corrupt artifact must not brick the boot: quarantine the file
-        // for forensics and recover from what remains (compaction only ever
-        // drops records a *successfully written* checkpoint covers, so the
-        // WAL still holds everything after the last good horizon).
-        let mut quarantine = |io: &dyn StorageIo, path: &Path| -> io::Result<()> {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("artifact");
-            let target = path.with_file_name(format!("{name}.corrupt"));
-            io.rename(path, &target)?;
-            io.sync_parent_dir(path);
-            report.snapshot_quarantined.get_or_insert(target);
-            Ok(())
-        };
+        // A corrupt artifact must not brick the boot: it is quarantined for
+        // forensics and boot recovers from what remains (compaction only
+        // ever drops records a *successfully written* checkpoint covers, so
+        // the WAL still holds everything after the last good horizon). An
+        // artifact of another layout version fails the boot instead. Every
+        // file is read and checked before any is renamed or truncated, so
+        // that failure leaves the directory byte for byte as it was.
+        let mut corrupt: Vec<PathBuf> = Vec::new();
 
         // Manifest chain: current → previous complete → none. The rotation
         // in `write_manifest_with` renames current → prev before publishing
@@ -1822,7 +1889,7 @@ impl Persistence {
         let mut manifest = match read_manifest_with(&*io, &manifest_path) {
             Ok(manifest) => manifest,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                quarantine(&*io, &manifest_path)?;
+                corrupt.push(manifest_path);
                 None
             }
             Err(e) => return Err(e),
@@ -1836,7 +1903,7 @@ impl Persistence {
                 }
                 Ok(None) => {}
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    quarantine(&*io, &prev_path)?;
+                    corrupt.push(prev_path);
                 }
                 Err(e) => return Err(e),
             }
@@ -1863,7 +1930,7 @@ impl Persistence {
                 }
                 Ok(None) => {}
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    quarantine(&*io, &path)?;
+                    corrupt.push(path);
                 }
                 Err(e) => return Err(e),
             }
@@ -1877,7 +1944,18 @@ impl Persistence {
         report.snapshot_revision = snapshot_revision;
         report.snapshot_objects = seeds.iter().map(Vec::len).sum();
 
+        // The WAL's layout is checked before its torn tail is cut.
         let replay = recover_wal(&*io, &wal_path)?;
+        for path in corrupt {
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or("artifact");
+            let target = path.with_file_name(format!("{name}.corrupt"));
+            io.rename(&path, &target)?;
+            io.sync_parent_dir(&path);
+            report.snapshot_quarantined.get_or_insert(target);
+        }
         report.wal_records = replay.records.len();
         report.torn_tail = replay.torn;
 
@@ -2276,7 +2354,7 @@ mod tests {
         drop(wal);
         let intact = fs::metadata(&path).expect("metadata").len();
         // A frame whose CRC holds around a body of 10^6 nested one-item
-        // sequences (5 MB): replay must stop there, not overflow the stack.
+        // sequences (2 MB): replay must stop there, not overflow the stack.
         let mut payload = encode_payload(
             ResourceKind::ConfigMap,
             WatchEventKind::Added,
@@ -2287,7 +2365,8 @@ mod tests {
         .into_vec();
         set_revision(&mut payload, 2);
         let null = payload.pop().expect("the null body's tag");
-        let level = &binary::value_to_bytes(&Value::Seq(vec![Value::Null]))[..5];
+        let one_level = binary::value_to_bytes(&Value::Seq(vec![Value::Null]));
+        let level = &one_level[..one_level.len() - 1];
         for _ in 0..1_000_000 {
             payload.extend_from_slice(level);
         }
@@ -2309,6 +2388,70 @@ mod tests {
             })
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Mutated cases per decoder fuzz; CI raises it (see `docs/ci.md`).
+    fn fuzz_cases() -> usize {
+        std::env::var("KF_FUZZ_CASES")
+            .ok()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(256)
+    }
+
+    #[test]
+    fn truncated_and_mutated_payloads_are_refused_or_decode_without_panicking() {
+        // xorshift64: seeded, so a failing case reproduces from its index.
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let canonical = |record: &WalRecord| {
+            let mut payload = encode_payload(
+                record.kind,
+                record.op,
+                &record.namespace,
+                &record.name,
+                record.body.as_deref(),
+            );
+            set_revision(&mut payload, record.revision);
+            payload
+        };
+        let seeds = [
+            record(7, WatchEventKind::Added, "default", "web"),
+            record(300, WatchEventKind::Modified, "kube-system", "ü"),
+            record(u64::MAX, WatchEventKind::Deleted, "", "gone"),
+        ];
+        let (mut refused, mut decoded) = (0usize, 0usize);
+        for case in 0..fuzz_cases() {
+            let mut bytes = canonical(&seeds[case % seeds.len()]).into_vec();
+            let at = (next() as usize) % bytes.len();
+            match (case / seeds.len()) % 4 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = next() as u8,
+                2 => bytes.insert(at, next() as u8),
+                _ => bytes[at..].iter_mut().take(12).for_each(|b| *b = 0xFF),
+            }
+            let Some(record) = WalRecord::decode_payload(&bytes) else {
+                refused += 1;
+                continue;
+            };
+            decoded += 1;
+            let (op, namespace, name, _) = payload_key(&bytes).expect("a decoded payload's key");
+            assert_eq!(
+                (op, namespace, name),
+                (record.op, &*record.namespace, &*record.name),
+                "case {case}"
+            );
+            let again = WalRecord::decode_payload(&canonical(&record)).expect("re-encoded");
+            assert_eq!(canonical(&again), canonical(&record), "case {case}");
+        }
+        assert!(
+            refused > 0 && decoded > 0,
+            "{refused} refused, {decoded} decoded"
+        );
     }
 
     #[test]
@@ -2448,8 +2591,8 @@ mod tests {
         assert_eq!(store.delete_collection(ResourceKind::Pod, "default"), 5);
         assert_eq!(store.revision(), 25);
 
-        const PINNED_LEN: usize = 4_283;
-        const PINNED_CRC: u32 = 0xefcc_b2ac;
+        const PINNED_LEN: usize = 3_020;
+        const PINNED_CRC: u32 = 0xe167_7cd1;
         let bytes = fs::read(dir.join(WAL_FILE)).expect("read WAL");
         assert_eq!(
             (bytes.len(), binary::crc32(&bytes)),
@@ -2674,6 +2817,173 @@ mod tests {
         }
     }
 
+    /// Every file in `dir`, by name, with its bytes.
+    fn directory_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut image: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .expect("list dir")
+            .map(|entry| {
+                let entry = entry.expect("dir entry");
+                let name = entry.file_name().into_string().expect("utf-8 name");
+                (name, fs::read(entry.path()).expect("read file"))
+            })
+            .collect();
+        image.sort();
+        image
+    }
+
+    /// A `{kind: Pod}` body in the fixed-width layout 1: `u32` counts and
+    /// string lengths.
+    fn layout_1_body() -> Vec<u8> {
+        let mut body = vec![7];
+        binary::put_u32(&mut body, 1);
+        for text in ["kind", "Pod"] {
+            binary::put_u32(&mut body, text.len() as u32);
+            body.extend_from_slice(text.as_bytes());
+            if text == "kind" {
+                body.push(5);
+            }
+        }
+        body
+    }
+
+    /// A layout-1 WAL frame: an untagged op byte (0 added, 2 deleted) and
+    /// `u32` key lengths, sealed with a valid CRC.
+    fn layout_1_frame(revision: u64, op: u8, name: &str, body: Option<&[u8]>) -> Vec<u8> {
+        let mut payload = Vec::new();
+        binary::put_u64(&mut payload, revision);
+        payload.extend_from_slice(&[ResourceKind::Pod.index() as u8, op]);
+        for text in ["ns", name] {
+            binary::put_u32(&mut payload, text.len() as u32);
+            payload.extend_from_slice(text.as_bytes());
+        }
+        match body {
+            Some(body) => {
+                payload.push(1);
+                payload.extend_from_slice(body);
+            }
+            None => payload.push(0),
+        }
+        let mut frame = Vec::new();
+        binary::put_u32(&mut frame, payload.len() as u32);
+        binary::put_u32(&mut frame, binary::crc32(&payload));
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn a_wal_of_the_fixed_width_layout_fails_open_and_is_left_whole() {
+        // Two intact layout-1 records and a torn tail behind them: the
+        // first CRC-valid record of another layout stops recovery before
+        // anything is replayed or cut.
+        let dir = temp_dir("wal-v1");
+        let mut wal = layout_1_frame(1, 0, "a", Some(&layout_1_body()));
+        wal.extend_from_slice(&layout_1_frame(2, 2, "a", None));
+        wal.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
+        fs::write(dir.join(WAL_FILE), &wal).expect("plant WAL");
+        let before = directory_image(&dir);
+        let err = Persistence::open(PersistConfig::new(&dir)).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        assert!(
+            err.to_string().contains("record layout 1"),
+            "the error names the layout: {err}"
+        );
+        assert_eq!(directory_image(&dir), before, "every file as it was");
+        let err = read_wal(&dir.join(WAL_FILE)).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_kfseg1_segment_fails_open_and_nothing_is_quarantined_or_cut() {
+        // A checkpointed directory whose shard-3 segment is a `KFSEG1` file,
+        // beside a corrupt segment a boot would otherwise quarantine and a
+        // WAL with a torn tail it would otherwise truncate.
+        let dir = temp_dir("seg-v1");
+        {
+            let (store, persistence, _) =
+                Persistence::open(PersistConfig::new(&dir)).expect("open");
+            for r in 1..=6u64 {
+                store.upsert(pod("ns", &format!("pod-{r}"), "nginx"));
+            }
+            persistence.checkpoint(&store).expect("checkpoint");
+            store.upsert(pod("ns", "pod-late", "nginx"));
+            persistence.wal().sync().expect("sync");
+        }
+        let mut v1 = Vec::new();
+        for word in [3u64, 6, 1, 5] {
+            binary::put_u64(&mut v1, word);
+        }
+        v1.extend_from_slice(&layout_1_body());
+        fs::write(dir.join(segment_file(3)), seal(b"KFSEG1\0\0", &v1)).expect("plant");
+        let corrupt = dir.join(segment_file(4));
+        let mut bytes = fs::read(&corrupt).expect("read segment");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        fs::write(&corrupt, &bytes).expect("corrupt segment");
+        let mut wal = fs::read(dir.join(WAL_FILE)).expect("read WAL");
+        wal.extend_from_slice(&[9, 0, 0]);
+        fs::write(dir.join(WAL_FILE), &wal).expect("tear WAL");
+        let before = directory_image(&dir);
+        let err = Persistence::open(PersistConfig::new(&dir)).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        assert!(
+            err.to_string().contains("layout KFSEG1 is not KFSEG2"),
+            "the error names the layout: {err}"
+        );
+        assert_eq!(directory_image(&dir), before, "every file as it was");
+        // With the old segment gone the same directory boots, quarantining
+        // the corrupt one and cutting the torn tail.
+        fs::remove_file(dir.join(segment_file(3))).expect("remove");
+        let (_, _, report) = Persistence::open(PersistConfig::new(&dir)).expect("boots");
+        assert!(report.snapshot_quarantined.is_some());
+        assert!(report.torn_tail.is_some());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bit_flipped_magic_digit_is_damage_not_another_layout() {
+        // The magic lies outside the checksum. A flipped bit in a current
+        // segment's or manifest's version digit (`KFSEG2` → `KFSEG3`,
+        // `KFMAN1` → `KFMAN0`) is damage: the segment is quarantined and
+        // the boot falls back to the previous manifest, as for any corrupt
+        // checkpoint file; only a retired layout's magic fails the boot.
+        let dir = temp_dir("magic-bit-flip");
+        {
+            let (store, persistence, _) =
+                Persistence::open(PersistConfig::new(&dir)).expect("open");
+            for r in 1..=6u64 {
+                store.upsert(pod("ns", &format!("pod-{r}"), "nginx"));
+            }
+            persistence.checkpoint(&store).expect("first checkpoint");
+            store.upsert(pod("ns", "pod-late", "nginx"));
+            persistence.checkpoint(&store).expect("second checkpoint");
+        }
+        let flip_digit = |path: &Path, bit: u8| {
+            let mut bytes = fs::read(path).expect("read");
+            bytes[5] ^= bit;
+            fs::write(path, &bytes).expect("flip");
+            String::from_utf8_lossy(&bytes[..6]).into_owned()
+        };
+        let segment = (0..SHARDS)
+            .map(|shard| dir.join(segment_file(shard)))
+            .find(|path| path.exists())
+            .expect("a written segment");
+        assert_eq!(flip_digit(&segment, 1), "KFSEG3");
+        assert_eq!(flip_digit(&dir.join(MANIFEST_FILE), 1), "KFMAN0");
+        let (_, _, report) =
+            Persistence::open(PersistConfig::new(&dir)).expect("boot survives the flips");
+        assert!(report.manifest_fallback, "previous manifest used");
+        assert!(report.snapshot_quarantined.is_some());
+        let mut quarantined = segment.into_os_string();
+        quarantined.push(".corrupt");
+        assert!(
+            Path::new(&quarantined).exists(),
+            "the segment is quarantined"
+        );
+        assert!(dir.join(format!("{MANIFEST_FILE}.corrupt")).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn missing_files_recover_to_an_empty_store() {
         let dir = temp_dir("empty");
@@ -2829,7 +3139,7 @@ mod tests {
         );
         let mut repaired = bytes;
         repaired[flip_at] ^= 0xFF;
-        let replay = decode_wal_bytes(&repaired);
+        let replay = decode_wal_bytes(&repaired).expect("one layout");
         assert!(replay.torn.is_none());
         let names: Vec<&str> = replay.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "late"], "the late write is still logged");
@@ -3238,22 +3548,23 @@ mod tests {
         assert_eq!(
             hex(&segment_file(3)),
             concat!(
-                "4b46534547310000", // KFSEG1\0\0
-                "5b4b85f4",         // crc32 of the payload
+                "4b46534547320000", // KFSEG2\0\0
+                "9a08ec4a",         // crc32 of the payload
                 "0300000000000000", // shard
                 "0700000000000000", // horizon
                 "0100000000000000", // objects
                 "0500000000000000", // resource version
-                // The body, `kf_yaml::binary`: a three-entry mapping.
-                "0703000000",
-                "0a00000061706956657273696f6e",
-                "05020000007631",
-                "040000006b696e64",
-                "0509000000436f6e6669674d6170",
-                "080000006d65746164617461",
-                "0701000000",
-                "040000006e616d65",
-                "050100000061",
+                // The body, `kf_yaml::binary`: a three-entry mapping, each
+                // length and count a one-byte varint.
+                "0703",
+                "0a61706956657273696f6e",
+                "05027631",
+                "046b696e64",
+                "0509436f6e6669674d6170",
+                "086d65746164617461",
+                "0701",
+                "046e616d65",
+                "050161",
             )
         );
         assert_eq!(

@@ -575,7 +575,7 @@ fn served_before(object: &K8sObject) -> bool {
 /// non-empty mapping and so has no element text, is written from its tree.
 fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
     // Fill first, so every cached element's length is known exactly; an
-    // item written from its tree is estimated from its binary encoding.
+    // item written from its tree is estimated by `kf_yaml::wire_len_hint`.
     let mut scratch = String::new();
     for item in items {
         let object = &item.object;
@@ -588,7 +588,7 @@ fn list_yaml(kind: &str, items: &[Arc<StoredObject>]) -> String {
         .iter()
         .map(|item| match item.object.cached_yaml_item() {
             Some(text) => text.len(),
-            None => kf_yaml::binary::value_len(item.object.body()),
+            None => kf_yaml::wire_len_hint(item.object.body()),
         })
         .sum();
     let mut out = String::with_capacity(envelope_len(kind) + items_len);
@@ -612,7 +612,7 @@ fn list_json(kind: &str, items: &[Arc<StoredObject>]) -> String {
         .iter()
         .map(|item| match item.object.cached_wire(BodyFormat::Json) {
             Some(text) => text.len() + 1,
-            None => kf_yaml::binary::value_len(item.object.body()),
+            None => kf_yaml::wire_len_hint(item.object.body()),
         })
         .sum();
     let mut out = String::with_capacity(envelope_len(kind) + items_len);

@@ -477,21 +477,19 @@ impl<S: StoreBackend> ApiServer<S> {
     /// journal revision, read **before** the scan so that a stream resuming
     /// from it covers every write the listing could have missed, and one
     /// `Added` event per listed object at its own resource version, sharing
-    /// its stored tree.
+    /// its stored tree. The vector has room for one more event, the
+    /// bookmark a pull watch ends its batch with.
     fn initial_listing(&self, request: &ApiRequest) -> (u64, Vec<crate::WatchEvent>) {
         let cursor = self.store.watch_revision(request.kind);
-        let events = self
-            .store
-            .list(request.kind, &request.namespace)
-            .into_iter()
-            .map(|stored| crate::WatchEvent {
-                kind: crate::WatchEventKind::Added,
-                revision: stored.resource_version,
-                namespace: stored.object.namespace().to_owned(),
-                name: stored.object.name().to_owned(),
-                object: Some(Arc::clone(stored.object.shared_body())),
-            })
-            .collect();
+        let listed = self.store.list(request.kind, &request.namespace);
+        let mut events = Vec::with_capacity(listed.len() + 1);
+        events.extend(listed.into_iter().map(|stored| crate::WatchEvent {
+            kind: crate::WatchEventKind::Added,
+            revision: stored.resource_version,
+            namespace: stored.object.namespace().to_owned(),
+            name: stored.object.name().to_owned(),
+            object: Some(Arc::clone(stored.object.shared_body())),
+        }));
         (cursor, events)
     }
 

@@ -370,15 +370,16 @@ impl K8sObject {
         }
     }
 
-    /// Render the body into `out`, first reserving its binary encoding's
-    /// length (close to either text's, and cheap to count), and offer a copy
-    /// to the cache. For YAML the list element is built behind the document
-    /// in `out` itself, both are copied into the slot's one allocation, and
-    /// `out` is cut back to the document. A reader that lost the race keeps
-    /// its own rendering; both are the same bytes.
+    /// Render the body into `out`, first reserving
+    /// [`kf_yaml::wire_len_hint`] (close to either text's length, and cheap
+    /// to count), and offer a copy to the cache. For YAML the list element
+    /// is built behind the document in `out` itself, both are copied into
+    /// the slot's one allocation, and `out` is cut back to the document. A
+    /// reader that lost the race keeps its own rendering; both are the same
+    /// bytes.
     fn render_wire(&self, format: BodyFormat, out: &mut String) {
         let start = out.len();
-        out.reserve(kf_yaml::binary::value_len(&self.body));
+        out.reserve(kf_yaml::wire_len_hint(&self.body));
         if format == BodyFormat::Json {
             kf_yaml::write_json(&self.body, out);
             let _ = self.wire.json.set(Arc::from(&out[start..]));

@@ -2,23 +2,42 @@
 //! primitives the persistence plane builds on.
 //!
 //! The workspace depends on nothing outside itself, so durable formats
-//! (store snapshots, the write-ahead log, the AOT policy cache) are encoded
-//! by hand here.
+//! (checkpoint segments, the write-ahead log, the AOT policy cache) are
+//! encoded by hand here.
 //!
-//! Layout rules, all little-endian:
+//! Layout rules:
 //!
-//! * fixed-width integers: `u8`, `u32`, `u64`, `i64` (two's complement),
-//!   `f64` as its IEEE-754 bit pattern (`f64::to_bits`);
-//! * strings: `u32` byte length followed by UTF-8 bytes;
-//! * sequences/mappings: `u32` element count followed by the elements
-//!   (mapping entries are `key string, value` pairs in document order, so a
-//!   round trip is **byte-identical** — [`Mapping`] preserves order);
-//! * a [`Value`] is a one-byte type tag followed by the payload.
+//! * fixed-width integers, little-endian: `u8`, `u32`, `u64`; `f64` as its
+//!   IEEE-754 bit pattern (`f64::to_bits`) in eight bytes;
+//! * varints: LEB128, seven bits a byte, low group first, the high bit set
+//!   on every byte but the last; at most ten bytes for a `u64`, and the
+//!   shortest form only (a final `0x00` group after the first byte is
+//!   refused);
+//! * strings: a varint byte length followed by the UTF-8 bytes;
+//! * a [`Value`] is a one-byte type tag followed by its payload: nothing
+//!   for null and the booleans, a zigzag varint for an integer (`0, -1, 1,
+//!   -2, …` map to `0, 1, 2, 3, …`, so small magnitudes of either sign take
+//!   one byte), the eight-byte `f64`, a string, or a varint element count
+//!   followed by the elements — mapping entries are `key string, value`
+//!   pairs in document order, so a round trip is **byte-identical**
+//!   ([`Mapping`] preserves order).
+//!
+//! The five charts' objects take 436 bytes a body here on average, against
+//! 497 as compact JSON text: most strings and every count fit a one-byte
+//! length.
 //!
 //! Decoding is strict: trailing garbage, truncated payloads, unknown tags,
-//! invalid UTF-8 and nesting past [`MAX_DECODE_DEPTH`] all surface as
+//! invalid UTF-8, malformed varints, lengths and counts past the remaining
+//! input and nesting past [`MAX_DECODE_DEPTH`] all surface as
 //! [`BinaryError`] — never a panic or a stack overflow — which is what lets
 //! the WAL reader treat a torn tail as data to truncate rather than a crash.
+//! A mapping that repeats a key decodes last-wins, as [`Mapping::insert`]
+//! does, in time linear in its entries.
+//!
+//! The layout's version is [`LAYOUT`]. The layout does not write it
+//! itself: each file that holds it derives its own version from it (the
+//! WAL record's layout tag, the `KFSEG2` segment magic, the `KFAOT3` policy
+//! cache magic), so a layout change is the one edit of [`LAYOUT`].
 
 use std::fmt;
 
@@ -47,6 +66,9 @@ pub enum BinaryError {
     },
     /// Sequences and mappings nest deeper than [`MAX_DECODE_DEPTH`].
     TooDeep,
+    /// A varint runs past ten bytes, overflows a `u64`, or is not in its
+    /// shortest form.
+    InvalidVarint,
 }
 
 impl fmt::Display for BinaryError {
@@ -67,6 +89,9 @@ impl fmt::Display for BinaryError {
             BinaryError::TooDeep => {
                 write!(f, "nesting deeper than {MAX_DECODE_DEPTH} levels")
             }
+            BinaryError::InvalidVarint => {
+                write!(f, "varint is overlong, overflows 64 bits or is not minimal")
+            }
         }
     }
 }
@@ -79,10 +104,27 @@ pub type BinaryResult<T> = std::result::Result<T, BinaryError>;
 /// The deepest nesting of sequences and mappings [`Cursor::get_value`]
 /// decodes; one level more is [`BinaryError::TooDeep`]. Decoding recurses
 /// once per level, so without a bound a hostile payload of nested one-item
-/// sequences (six bytes a level) overflows the stack. It sits well above
+/// sequences (two bytes a level) overflows the stack. It sits well above
 /// the reader's nesting cap, so every object a wire body can produce still
 /// round-trips.
 pub const MAX_DECODE_DEPTH: usize = 512;
+
+/// The version of this value layout: 1 was the fixed-width one before
+/// varints. Every file format that holds values derives its version from
+/// this constant, so bumping it retires them all at once.
+pub const LAYOUT: u8 = 2;
+
+/// An eight-byte file magic: the five-letter `prefix`, the decimal
+/// `version` digit and two NULs, as `magic(b"KFSEG", 2) == *b"KFSEG2\0\0"`.
+///
+/// # Panics
+///
+/// At compile time in a `const`, when `version` is more than one digit.
+pub const fn magic(prefix: &[u8; 5], version: u8) -> [u8; 8] {
+    assert!(version <= 9, "a magic's version is one digit");
+    let [a, b, c, d, e] = *prefix;
+    [a, b, c, d, e, b'0' + version, 0, 0]
+}
 
 const _: () = assert!(MAX_DECODE_DEPTH > crate::events::MAX_NESTING_DEPTH);
 
@@ -94,6 +136,15 @@ const TAG_FLOAT: u8 = 4;
 const TAG_STR: u8 = 5;
 const TAG_SEQ: u8 = 6;
 const TAG_MAP: u8 = 7;
+
+/// The longest varint: ten seven-bit groups cover 64 bits.
+const MAX_VARINT_LEN: usize = 10;
+
+/// How many earlier keys a decoded mapping compares a new key with one by
+/// one. Past this many it indexes its keys in a hash map instead (SipHash,
+/// so a record cannot aim its keys at one bucket), and each further key
+/// costs one probe: a wide mapping decodes in time linear in its entries.
+const SCANNED_KEYS: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Writers
@@ -114,15 +165,40 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a little-endian `i64`.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append `v` as a LEB128 varint: one byte below 128, at most ten.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// Append a length-prefixed UTF-8 string.
+/// The number of bytes [`put_varint`] appends for `v`.
+pub fn varint_len(v: u64) -> usize {
+    // One byte per started seven-bit group; zero still takes one.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Zigzag: `0, -1, 1, -2, …` to `0, 1, 2, 3, …`, so an integer's varint
+/// grows with its magnitude whatever its sign.
+fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+/// Append a string: its varint byte length, then its UTF-8 bytes.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
+    put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// The number of bytes [`put_str`] appends for `s`.
+pub fn str_len(s: &str) -> usize {
+    varint_len(s.len() as u64) + s.len()
 }
 
 /// Append a [`Value`] tree (tag + payload, recursively).
@@ -133,7 +209,7 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
         Value::Bool(true) => put_u8(out, TAG_BOOL_TRUE),
         Value::Int(i) => {
             put_u8(out, TAG_INT);
-            put_i64(out, *i);
+            put_varint(out, zigzag(*i));
         }
         Value::Float(x) => {
             put_u8(out, TAG_FLOAT);
@@ -145,14 +221,14 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
         }
         Value::Seq(items) => {
             put_u8(out, TAG_SEQ);
-            put_u32(out, items.len() as u32);
+            put_varint(out, items.len() as u64);
             for item in items {
                 put_value(out, item);
             }
         }
         Value::Map(map) => {
             put_u8(out, TAG_MAP);
-            put_u32(out, map.len() as u32);
+            put_varint(out, map.len() as u64);
             for (key, item) in map.iter() {
                 put_str(out, key);
                 put_value(out, item);
@@ -166,14 +242,18 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
 pub fn value_len(value: &Value) -> usize {
     match value {
         Value::Null | Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) => 9,
-        Value::Str(s) => 5 + s.len(),
-        Value::Seq(items) => 5 + items.iter().map(value_len).sum::<usize>(),
+        Value::Int(i) => 1 + varint_len(zigzag(*i)),
+        Value::Float(_) => 9,
+        Value::Str(s) => 1 + str_len(s),
+        Value::Seq(items) => {
+            1 + varint_len(items.len() as u64) + items.iter().map(value_len).sum::<usize>()
+        }
         Value::Map(map) => {
-            5 + map
-                .iter()
-                .map(|(key, item)| 4 + key.len() + value_len(item))
-                .sum::<usize>()
+            1 + varint_len(map.len() as u64)
+                + map
+                    .iter()
+                    .map(|(key, item)| str_len(key) + value_len(item))
+                    .sum::<usize>()
         }
     }
 }
@@ -257,22 +337,57 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
-    /// Read a little-endian `i64`.
-    pub fn get_i64(&mut self) -> BinaryResult<i64> {
-        Ok(self.get_u64()? as i64)
+    /// Read a LEB128 varint.
+    ///
+    /// # Errors
+    ///
+    /// [`BinaryError::UnexpectedEof`] when the input ends inside it, and
+    /// [`BinaryError::InvalidVarint`] past ten bytes, past 64 bits, or when
+    /// a shorter form would hold the same value.
+    pub fn get_varint(&mut self) -> BinaryResult<u64> {
+        let mut value = 0u64;
+        for (i, &byte) in self.bytes[self.offset..].iter().enumerate() {
+            if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                return Err(BinaryError::InvalidVarint);
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(BinaryError::InvalidVarint);
+                }
+                self.offset += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(BinaryError::UnexpectedEof {
+            needed: self.remaining() + 1,
+            remaining: self.remaining(),
+        })
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> BinaryResult<String> {
-        let len = self.get_u32()? as usize;
-        if len > self.remaining() {
-            return Err(BinaryError::LengthOverflow {
-                announced: len,
+    /// Read a varint length or count that the remaining input could hold
+    /// at one byte an item; a larger one is refused before anything is
+    /// allocated for it.
+    fn get_len(&mut self) -> BinaryResult<usize> {
+        let len = self.get_varint()?;
+        match usize::try_from(len) {
+            Ok(len) if len <= self.remaining() => Ok(len),
+            _ => Err(BinaryError::LengthOverflow {
+                announced: usize::try_from(len).unwrap_or(usize::MAX),
                 remaining: self.remaining(),
-            });
+            }),
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| BinaryError::InvalidUtf8)
+    }
+
+    /// Read a string, borrowed from the input.
+    pub fn get_str_ref(&mut self) -> BinaryResult<&'a str> {
+        let len = self.get_len()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| BinaryError::InvalidUtf8)
+    }
+
+    /// Read a string into a fresh `String`.
+    pub fn get_str(&mut self) -> BinaryResult<String> {
+        self.get_str_ref().map(str::to_owned)
     }
 
     /// Read a [`Value`] tree nested at most [`MAX_DECODE_DEPTH`] deep.
@@ -290,45 +405,98 @@ impl<'a> Cursor<'a> {
             TAG_NULL => Ok(Value::Null),
             TAG_BOOL_FALSE => Ok(Value::Bool(false)),
             TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-            TAG_INT => Ok(Value::Int(self.get_i64()?)),
+            TAG_INT => Ok(Value::Int(unzigzag(self.get_varint()?))),
             TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.get_u64()?))),
             TAG_STR => Ok(Value::Str(self.get_str()?)),
             TAG_SEQ => {
-                let len = self.get_u32()? as usize;
-                // Each element costs at least one tag byte; reject counts the
-                // remaining input cannot possibly satisfy before allocating.
-                if len > self.remaining() {
-                    return Err(BinaryError::LengthOverflow {
-                        announced: len,
-                        remaining: self.remaining(),
-                    });
-                }
+                // Each element costs at least one tag byte: `get_len` refuses
+                // counts the remaining input cannot satisfy.
+                let len = self.get_len()?;
                 let mut items = Vec::with_capacity(len);
                 for _ in 0..len {
                     items.push(self.get_value_within(depth - 1)?);
                 }
                 Ok(Value::Seq(items))
             }
-            TAG_MAP => {
-                let len = self.get_u32()? as usize;
-                if len > self.remaining() {
-                    return Err(BinaryError::LengthOverflow {
-                        announced: len,
-                        remaining: self.remaining(),
-                    });
-                }
-                let mut map = Mapping::new();
-                for _ in 0..len {
-                    let key = self.get_str()?;
-                    let value = self.get_value_within(depth - 1)?;
-                    map.insert(key, value);
-                }
-                Ok(Value::Map(map))
-            }
+            TAG_MAP => self.get_mapping(depth - 1),
             tag => Err(BinaryError::UnknownTag(tag)),
         }
     }
+
+    /// Read a mapping's entries, whose values may open at most `depth`
+    /// more containers. A repeated key keeps its first place and takes its
+    /// last value, as [`Mapping::insert`] would: each of the first
+    /// [`SCANNED_KEYS`] keys is compared with the earlier ones one by one,
+    /// and a wider mapping is folded through a hash index once read.
+    fn get_mapping(&mut self, depth: usize) -> BinaryResult<Value> {
+        let len = self.get_len()?;
+        let mut entries: Vec<(String, Value)> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let key = self.get_str_ref()?;
+            let value = self.get_value_within(depth)?;
+            let earlier = if entries.len() < SCANNED_KEYS {
+                count_key_probes(entries.len());
+                entries.iter().position(|(k, _)| k == key)
+            } else {
+                None
+            };
+            match earlier {
+                Some(at) => entries[at].1 = value,
+                None => entries.push((key.to_owned(), value)),
+            }
+        }
+        if entries.len() > SCANNED_KEYS {
+            fold_repeated_keys(&mut entries);
+        }
+        Ok(Value::Map(Mapping::from_unique_entries(entries)))
+    }
 }
+
+/// Fold a wide mapping's repeated keys last-wins in place: one hash probe
+/// per entry, and the entries are rewritten only when some key repeats.
+fn fold_repeated_keys(entries: &mut Vec<(String, Value)>) {
+    use std::collections::hash_map::{Entry, HashMap};
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(entries.len());
+    // `(later, first)` index pairs, in increasing `later` order.
+    let mut repeats = Vec::new();
+    for (at, (key, _)) in entries.iter().enumerate() {
+        count_key_probes(1);
+        match first.entry(key) {
+            Entry::Occupied(seen) => repeats.push((at, *seen.get())),
+            Entry::Vacant(slot) => {
+                slot.insert(at);
+            }
+        }
+    }
+    if repeats.is_empty() {
+        return;
+    }
+    for &(later, first) in &repeats {
+        entries[first].1 = std::mem::replace(&mut entries[later].1, Value::Null);
+    }
+    let mut dropped = repeats.iter().map(|&(later, _)| later).peekable();
+    let mut at = 0;
+    entries.retain(|_| {
+        let keep = dropped.next_if_eq(&at).is_none();
+        at += 1;
+        keep
+    });
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Key comparisons and hash probes made folding decoded mappings'
+    /// repeated keys on this thread.
+    static KEY_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_key_probes(n: usize) {
+    KEY_PROBES.with(|count| count.set(count.get() + n));
+}
+
+#[cfg(not(test))]
+fn count_key_probes(_: usize) {}
 
 /// Decode a [`Value`] that must span the whole input (trailing bytes are an
 /// error — frames carry exact lengths).
@@ -500,7 +668,7 @@ mod tests {
     fn hostile_length_prefix_does_not_allocate() {
         // A sequence claiming u32::MAX elements with no payload behind it.
         let mut bytes = vec![TAG_SEQ];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        put_varint(&mut bytes, u32::MAX.into());
         assert!(matches!(
             value_from_bytes(&bytes),
             Err(BinaryError::LengthOverflow { .. })
@@ -510,10 +678,9 @@ mod tests {
     /// `levels` one-item sequences nested around a null, as raw bytes:
     /// encoding a tree that deep would itself recurse once per level.
     fn nested_sequences(levels: usize) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(levels * 5 + 1);
+        let mut bytes = Vec::with_capacity(levels * 2 + 1);
         for _ in 0..levels {
-            bytes.push(TAG_SEQ);
-            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&[TAG_SEQ, 1]);
         }
         bytes.push(TAG_NULL);
         bytes
@@ -533,12 +700,199 @@ mod tests {
         // Mappings count toward the same bound.
         let mut bytes = Vec::new();
         for _ in 0..=MAX_DECODE_DEPTH {
-            bytes.push(TAG_MAP);
-            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&[TAG_MAP, 1]);
             put_str(&mut bytes, "k");
         }
         bytes.push(TAG_NULL);
         assert_eq!(value_from_bytes(&bytes), Err(BinaryError::TooDeep));
+    }
+
+    #[test]
+    fn varints_take_their_shortest_form_and_round_trip() {
+        for (value, len) in [
+            (0u64, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX.into(), 5),
+            (u64::MAX >> 1, 9),
+            (u64::MAX, 10),
+        ] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, value);
+            assert_eq!((bytes.len(), varint_len(value)), (len, len), "{value}");
+            let mut cursor = Cursor::new(&bytes);
+            assert_eq!(cursor.get_varint(), Ok(value));
+            assert!(cursor.is_empty());
+        }
+        // Small magnitudes of either sign take one byte behind the tag.
+        for (int, len) in [
+            (0i64, 2),
+            (-1, 2),
+            (63, 2),
+            (-64, 2),
+            (64, 3),
+            (i64::MIN, 11),
+        ] {
+            assert_eq!(value_to_bytes(&Value::Int(int)).len(), len, "{int}");
+            assert_eq!(round_trip(&Value::Int(int)), Value::Int(int));
+        }
+    }
+
+    #[test]
+    fn hostile_varints_lengths_and_counts_are_refused() {
+        let refused = |bytes: &[u8], want: BinaryError| {
+            assert_eq!(value_from_bytes(bytes), Err(want), "{bytes:02x?}");
+        };
+        // Eleven bytes, every one continued.
+        let mut overlong = vec![TAG_INT];
+        overlong.extend_from_slice(&[0x80; 10]);
+        overlong.push(0x01);
+        refused(&overlong, BinaryError::InvalidVarint);
+        // Ten bytes whose last group carries bits past 64.
+        let mut overflowing = vec![TAG_INT];
+        overflowing.extend_from_slice(&[0xFF; 9]);
+        overflowing.push(0x02);
+        refused(&overflowing, BinaryError::InvalidVarint);
+        // Zero spelled in two bytes.
+        refused(&[TAG_STR, 0x80, 0x00], BinaryError::InvalidVarint);
+        // A varint the input ends inside.
+        assert!(matches!(
+            value_from_bytes(&[TAG_SEQ, 0x80, 0x80]),
+            Err(BinaryError::UnexpectedEof { .. })
+        ));
+        // Lengths and counts past the remaining input, up to u64::MAX.
+        for announced in [3u64, 1 << 40, u64::MAX] {
+            for tag in [TAG_STR, TAG_SEQ, TAG_MAP] {
+                let mut bytes = vec![tag];
+                put_varint(&mut bytes, announced);
+                bytes.extend_from_slice(b"ab");
+                assert!(
+                    matches!(
+                        value_from_bytes(&bytes),
+                        Err(BinaryError::LengthOverflow { remaining: 2, .. })
+                    ),
+                    "tag {tag} announcing {announced}"
+                );
+            }
+        }
+        // A mapping key's length past the input.
+        refused(
+            &[TAG_MAP, 1, 9, b'k'],
+            BinaryError::LengthOverflow {
+                announced: 9,
+                remaining: 1,
+            },
+        );
+    }
+
+    /// A mapping record over `keys` in order, each mapping to its index.
+    fn mapping_record(keys: &[String]) -> Vec<u8> {
+        let mut bytes = vec![TAG_MAP];
+        put_varint(&mut bytes, keys.len() as u64);
+        for (at, key) in keys.iter().enumerate() {
+            put_str(&mut bytes, key);
+            put_value(&mut bytes, &Value::Int(at as i64));
+        }
+        bytes
+    }
+
+    #[test]
+    fn repeated_keys_decode_last_wins_in_the_first_place() {
+        for width in [3, SCANNED_KEYS, SCANNED_KEYS + 1, 4 * SCANNED_KEYS] {
+            let mut keys: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
+            // Repeat the first key, one in the middle and the last one,
+            // the middle one twice, past the end.
+            for at in [0, width / 2, width - 1, width / 2] {
+                keys.push(keys[at].clone());
+            }
+            let mut expected = Mapping::new();
+            for (at, key) in keys.iter().enumerate() {
+                expected.insert(key.clone(), Value::Int(at as i64));
+            }
+            assert_eq!(
+                value_from_bytes(&mapping_record(&keys)),
+                Ok(Value::Map(expected)),
+                "{width} keys"
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_a_mapping_is_linear_in_its_entries() {
+        let probes = |n: usize| {
+            let keys: Vec<String> = (0..n).map(|i| format!("k{i}")).collect();
+            KEY_PROBES.with(|count| count.set(0));
+            let decoded = value_from_bytes(&mapping_record(&keys)).expect("decodes");
+            assert_eq!(decoded.as_map().map(Mapping::len), Some(n));
+            KEY_PROBES.with(std::cell::Cell::get)
+        };
+        let (half, full) = (probes(2 << 10), probes(4 << 10));
+        assert!(
+            full as f64 <= 2.2 * half as f64,
+            "{full} key probes for 4k keys, {half} for 2k"
+        );
+    }
+
+    /// Mutated cases per decoder fuzz; CI raises it (see `docs/ci.md`).
+    fn fuzz_cases() -> usize {
+        std::env::var("KF_FUZZ_CASES")
+            .ok()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(256)
+    }
+
+    /// xorshift64: seeded, so a failing case reproduces from its index.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn truncated_and_mutated_records_are_refused_or_decode_without_panicking() {
+        let doc = parse(concat!(
+            "apiVersion: apps/v1\n",
+            "kind: Deployment\n",
+            "metadata:\n",
+            "  name: web-∞\n",
+            "  labels: {app: web, tier: \"\"}\n",
+            "spec:\n",
+            "  replicas: 300\n",
+            "  ratio: -2.5\n",
+            "  paused: false\n",
+            "  selector: ~\n",
+            "  ports: [80, -443, 65536]\n",
+        ))
+        .expect("manifest parses");
+        let record = value_to_bytes(&doc);
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        for case in 0..fuzz_cases() {
+            let mut bytes = record.clone();
+            let at = (next() as usize) % bytes.len();
+            match case % 5 {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = next() as u8,
+                2 => bytes.insert(at, next() as u8),
+                3 => {
+                    bytes.remove(at);
+                }
+                // A run of continued varint bytes.
+                _ => bytes[at..].iter_mut().take(12).for_each(|b| *b = 0xFF),
+            }
+            // Through the cursor, which may stop short of the end, and as
+            // a whole record; whatever decodes re-encodes canonically.
+            let prefix = Cursor::new(&bytes).get_value();
+            for decoded in [prefix, value_from_bytes(&bytes)].into_iter().flatten() {
+                let encoded = value_to_bytes(&decoded);
+                let again = value_from_bytes(&encoded).expect("an encoding decodes");
+                assert_eq!(value_to_bytes(&again), encoded, "case {case}");
+            }
+        }
     }
 
     #[test]
@@ -560,14 +914,7 @@ mod tests {
 
     #[test]
     fn crc32_slice_by_8_matches_the_bytewise_reference() {
-        // xorshift64: seeded, so a failing case reproduces from its index.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
         let buffer: Vec<u8> = (0..72).map(|_| next() as u8).collect();
         // Every length a tail, a word and their seams can take, at every
         // start offset within one word.
@@ -577,11 +924,7 @@ mod tests {
                 assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {start}");
             }
         }
-        let cases: usize = std::env::var("KF_FUZZ_CASES")
-            .ok()
-            .and_then(|n| n.parse().ok())
-            .unwrap_or(256);
-        for case in 0..cases {
+        for case in 0..fuzz_cases() {
             let len = (next() % 4096) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
             assert_eq!(

@@ -60,6 +60,28 @@ pub fn write_yaml(value: &Value, out: &mut String) {
     emit_block(value, 0, out);
 }
 
+/// A size estimate for `value`'s wire text in either format, to reserve a
+/// buffer the writers fill without growing it: a string at its bytes plus
+/// five and a key at its bytes plus four, for the quotes, separators,
+/// indentation and line break around them; a number at nine and a
+/// container at five. It is cheap to count and errs long for chart
+/// objects, whose binary records are shorter than their text, so
+/// [`crate::binary::value_len`] would err short.
+pub fn wire_len_hint(value: &Value) -> usize {
+    match value {
+        Value::Null | Value::Bool(_) => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Seq(items) => 5 + items.iter().map(wire_len_hint).sum::<usize>(),
+        Value::Map(map) => {
+            5 + map
+                .iter()
+                .map(|(key, item)| 4 + key.len() + wire_len_hint(item))
+                .sum::<usize>()
+        }
+    }
+}
+
 /// The run of spaces indentation is sliced from.
 const SPACES: &str = "                                                                ";
 

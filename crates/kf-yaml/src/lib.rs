@@ -49,7 +49,8 @@ mod path;
 mod value;
 
 pub use emitter::{
-    emit_entry, emit_entry_inline, emit_rendered_seq_item, emit_seq_item, to_yaml, write_yaml,
+    emit_entry, emit_entry_inline, emit_rendered_seq_item, emit_seq_item, to_yaml, wire_len_hint,
+    write_yaml,
 };
 pub use error::Error;
 pub use format::BodyFormat;

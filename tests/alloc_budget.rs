@@ -264,17 +264,24 @@ fn rendering_a_response_allocates_only_its_buffer() {
              cached get; {first_list} per first 17-item list, {cached_list} per cached list, \
              {filling_list} beside the 17 slots a list fills"
         );
+        // A first get reserves `kf_yaml::wire_len_hint`, which must not fall
+        // short of the text: one more growth per get shows here.
+        let (first_get_budget, first_list_budget) = match format {
+            BodyFormat::Json => (2.0, 1),
+            _ => (3.16, 2),
+        };
         assert!(
-            per_first_get <= 8.0,
-            "{format:?}: {per_first_get} allocations per first get (budget 8)"
+            per_first_get <= first_get_budget,
+            "{format:?}: {per_first_get} allocations per first get (budget {first_get_budget})"
         );
         assert_eq!(
             cached, 50,
             "{format:?}: a cached get allocates its buffer and nothing else"
         );
         assert!(
-            first_list <= 16,
-            "{format:?}: {first_list} allocations per first 17-item list (budget 16)"
+            first_list <= first_list_budget,
+            "{format:?}: {first_list} allocations per first 17-item list \
+             (budget {first_list_budget})"
         );
         assert!(
             filling_list <= 16,
@@ -573,21 +580,84 @@ fn retained_watch_history_holds_bytes_not_trees() {
     let retained = store.events_since(ResourceKind::Pod, "ns", 0).unwrap();
     assert_eq!(retained.events.len(), 256, "the sub-shard is full");
     let per_entry = held as f64 / 64.0;
-    // The entry's buffer: revision, kind and op (10 bytes), the two
-    // length-prefixed key strings, the body flag and the encoded body.
+    // The entry's buffer: revision, kind and op (10 bytes), the two key
+    // strings behind their one-byte varint lengths, the body flag and the
+    // encoded body.
     let buffer = 10
-        + (4 + "ns".len())
-        + (4 + "pod-00".len())
+        + (1 + "ns".len())
+        + (1 + "pod-00".len())
         + 1
         + kf_yaml::binary::value_len(ns_pod(0).body());
     println!(
         "{per_entry:.2} bytes live per retained superseded entry ({held} over 64), \
          whose buffer is {buffer} bytes"
     );
-    assert!(
-        per_entry <= buffer as f64 + 128.0,
+    assert_eq!(
+        (held, buffer),
+        (64 * 179, 131),
         "a retained superseded entry holds {per_entry} bytes live, its buffer {buffer}"
     );
+    assert!(
+        per_entry <= buffer as f64 + 48.0,
+        "a retained superseded entry holds {per_entry} bytes live, its buffer {buffer}"
+    );
+}
+
+#[test]
+fn a_chart_objects_record_is_shorter_than_its_json_text() {
+    // The record a journal entry retains and a WAL frame and a checkpoint
+    // segment carry: `kf_yaml::binary`'s varint layout. Its strings and
+    // counts mostly take one-byte lengths, so a chart object's body is
+    // shorter there than as compact JSON.
+    let objects = stored_chart_objects();
+    let record: usize = objects
+        .iter()
+        .map(|stored| kf_yaml::binary::value_len(stored.object.body()))
+        .sum();
+    let json: usize = objects
+        .iter()
+        .map(|stored| kf_yaml::to_json(stored.object.body()).len())
+        .sum();
+    let (mean_record, mean_json) = (record as f64 / 50.0, json as f64 / 50.0);
+    println!("{mean_record:.2} record bytes per chart object, {mean_json:.2} as JSON text");
+    assert_eq!(record, 21_779, "the 50 chart objects' records");
+    assert!(mean_record <= 460.0, "{mean_record} B per record");
+    assert!(record < json, "{record} B of records, {json} B of JSON");
+}
+
+/// A store holding `ns_pod(0..17)`.
+fn seventeen_pods() -> ObjectStore {
+    let store = ObjectStore::new();
+    for n in 0..17 {
+        store.upsert(ns_pod(n));
+    }
+    store
+}
+
+#[test]
+fn a_store_list_allocates_its_key_and_its_growing_result() {
+    // Seventeen pods spread over the store's shards: the scan's lower-bound
+    // key, then the result vector growing as the shards are scanned one
+    // read lock at a time (4 → 8 → 16 → 32 handles). Counting first would
+    // allocate the result once, but only by holding every shard's lock
+    // through two scans.
+    let store = seventeen_pods();
+    let (listed, calls, _) = counted(|| store.list(ResourceKind::Pod, "ns"));
+    assert_eq!(listed.len(), 17);
+    assert_eq!(calls, 5, "allocations per 17-item store list");
+}
+
+#[test]
+fn an_initial_watch_reserves_its_bookmark() {
+    // A cursor-less pull watch: the store list (5), the events (1) and each
+    // event's two key strings (34), the batch kind, the message and the
+    // audit record — the bookmark lands in room the listing left for it.
+    let server = ApiServer::with_store(seventeen_pods());
+    let request = ApiRequest::watch("admin", ResourceKind::Pod, "ns", None);
+    let (response, calls, _) = counted(|| server.handle(&request));
+    assert!(response.is_success(), "{}", response.message);
+    println!("{calls} allocations per 17-item initial watch");
+    assert_eq!(calls, 47, "allocations per 17-item initial watch");
 }
 
 /// Allocations one `upsert` of a pod in `ns` makes in a warmed store with
@@ -796,8 +866,8 @@ fn a_cached_read_through_the_server_allocates_its_copy_and_its_audit_record() {
             "{format:?}: {per_get} allocations per cached get through the server (budget 6)"
         );
         assert!(
-            per_list <= 10.0,
-            "{format:?}: {per_list} allocations per cached list through the server (budget 10)"
+            per_list <= 8.81,
+            "{format:?}: {per_list} allocations per cached list through the server (budget 8.81)"
         );
     }
 }
@@ -827,8 +897,9 @@ fn a_cached_read_through_a_wrapped_audit_ring_allocates_only_its_copy() {
             "{format:?}: {per_get} allocations per cached get through a wrapped ring (budget 3)"
         );
         assert!(
-            per_list <= 6.0,
-            "{format:?}: {per_list} allocations per cached list through a wrapped ring (budget 6)"
+            per_list <= 5.81,
+            "{format:?}: {per_list} allocations per cached list through a wrapped ring \
+             (budget 5.81)"
         );
     }
 }
